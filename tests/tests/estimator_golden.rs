@@ -1,0 +1,446 @@
+//! Frozen estimator outputs: every sampler's final values and whole
+//! snapshot streams, recorded as `f64::to_bits` hex in
+//! `estimator_golden.txt` from the estimator bodies as they stood before
+//! the samplers were merged onto one core. Any change to a draw, a batch
+//! boundary that feeds a fold, or a fold's accumulation order moves a bit
+//! here.
+//!
+//! Regenerate (only when a value is *meant* to change) with
+//! `FEDVAL_REGEN_ESTIMATOR_GOLDEN=1 cargo test -p fedval-tests --test
+//! estimator_golden` — the same convention as the wire fixtures.
+
+// Driver code: test assertions panic by design, so unwrap/expect are
+// the failure mechanism, not a robustness gap.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::fmt::Write as _;
+use std::path::PathBuf;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use fedval_core::adaptive::AdaptivePolicy;
+use fedval_core::anytime::{Control, ProgressSnapshot, StreamingOutcome};
+use fedval_core::prelude::*;
+
+const SEEDS: [u64; 2] = [7, 1234];
+
+fn hex(values: &[f64]) -> String {
+    values
+        .iter()
+        .map(|v| format!("{:016x}", v.to_bits()))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// The three games of the suite, by label.
+fn games() -> Vec<(&'static str, Box<dyn Utility>)> {
+    vec![
+        ("table1", Box::new(TableUtility::paper_table1())),
+        ("hash6", Box::new(HashUtility { n: 6, seed: 42 })),
+        (
+            "saturating8",
+            Box::new(SaturatingUtility::new(
+                0.1,
+                0.8,
+                0.9,
+                vec![3.0, 1.0, 2.0, 0.5, 1.5, 2.5, 0.75, 1.25],
+            )),
+        ),
+    ]
+}
+
+/// Budgets straddling the schedule's regimes for an `n`-client game:
+/// below `k* = 1`, exactly at the `k* = 1` boundary (empty phase 2), a
+/// partially sampled stratum, and at/above full enumeration.
+fn budgets(n: usize) -> [(&'static str, usize); 4] {
+    [
+        ("below_k1", n),
+        ("at_k1", n + 1),
+        ("partial", 2 * n + 3),
+        ("full", (1 << n) + 2),
+    ]
+}
+
+/// The service's Owen budget rule (`q_nodes = 4`).
+fn owen_for_budget(n: usize, budget: usize) -> OwenConfig {
+    OwenConfig::new(4, (budget / (4 * (n + 1))).max(1))
+}
+
+// The suite is written against the merged entry points (one streaming
+// entry per sampler taking `Option<&AdaptivePolicy>`); while the split
+// bodies exist, these shims route it onto them. They shadow the prelude
+// names and are deleted together with the split bodies.
+use fedval_core::ipss::{ipss_adaptive as ipss_plateau, AdaptiveIpssConfig as PlateauIpssConfig};
+
+type Observer<'a> = &'a mut dyn FnMut(&ProgressSnapshot) -> Control;
+
+fn ipss_streaming<U: Utility + ?Sized>(
+    u: &U,
+    cfg: &IpssConfig,
+    policy: Option<&AdaptivePolicy>,
+    rng: &mut StdRng,
+    observe: Observer<'_>,
+) -> StreamingOutcome {
+    match policy {
+        Some(p) => fedval_core::ipss::ipss_streaming_adaptive(u, cfg, p, rng, observe),
+        None => fedval_core::ipss::ipss_streaming(u, cfg, rng, observe),
+    }
+}
+
+fn stratified_sampling_streaming<U: Utility + ?Sized>(
+    u: &U,
+    scheme: Scheme,
+    cfg: &StratifiedConfig,
+    policy: Option<&AdaptivePolicy>,
+    rng: &mut StdRng,
+    observe: Observer<'_>,
+) -> StreamingOutcome {
+    use fedval_core::stratified as s;
+    match policy {
+        Some(p) => s::stratified_sampling_streaming_adaptive(
+            u,
+            scheme,
+            cfg.total_rounds(),
+            p,
+            rng,
+            observe,
+        ),
+        None => s::stratified_sampling_streaming(u, scheme, cfg, rng, observe),
+    }
+}
+
+fn owen_sampling_streaming<U: Utility + ?Sized>(
+    u: &U,
+    cfg: &OwenConfig,
+    policy: Option<&AdaptivePolicy>,
+    rng: &mut StdRng,
+    observe: Observer<'_>,
+) -> StreamingOutcome {
+    match policy {
+        Some(p) => fedval_core::owen::owen_sampling_streaming_adaptive(u, cfg, p, rng, observe),
+        None => fedval_core::owen::owen_sampling_streaming(u, cfg, rng, observe),
+    }
+}
+
+/// One line per recorded outcome, in a fixed order.
+struct Ledger(String);
+
+impl Ledger {
+    fn line(&mut self, key: &str, body: &str) {
+        writeln!(self.0, "{key} = {body}").unwrap();
+    }
+
+    fn values(&mut self, key: &str, values: &[f64]) {
+        self.line(key, &hex(values));
+    }
+
+    /// Record a whole snapshot stream plus the returned outcome.
+    fn stream<F>(&mut self, key: &str, run: F)
+    where
+        F: FnOnce(&mut dyn FnMut(&ProgressSnapshot) -> Control) -> StreamingOutcome,
+    {
+        let mut snapshots: Vec<ProgressSnapshot> = Vec::new();
+        let out = run(&mut |s| {
+            snapshots.push(s.clone());
+            Control::Continue
+        });
+        for (i, s) in snapshots.iter().enumerate() {
+            self.line(
+                &format!("{key} #{i}"),
+                &format!(
+                    "samples_used={} batches_done={} allocation={:?} values=[{}] halfwidths=[{}]",
+                    s.samples_used,
+                    s.batches_done,
+                    s.allocation,
+                    hex(&s.values),
+                    hex(&s.ci_halfwidths)
+                ),
+            );
+        }
+        let last = snapshots.last().expect("at least one snapshot");
+        assert_eq!(out.values, last.values, "{key}: outcome != last snapshot");
+        assert_eq!(out.ci_halfwidths, last.ci_halfwidths, "{key}");
+        assert_eq!(out.allocation, last.allocation, "{key}");
+        assert!(!out.stopped_early, "{key}");
+    }
+}
+
+fn record_finals(ledger: &mut Ledger) {
+    for (game, u) in games() {
+        let u = u.as_ref();
+        let n = u.n_clients();
+        ledger.values(&format!("final exact_mc {game}"), &exact_mc_sv(u));
+        for (regime, budget) in budgets(n) {
+            for seed in SEEDS {
+                let rng = || StdRng::seed_from_u64(seed);
+                let key = |sampler: &str| format!("final {sampler} {game} {regime} seed{seed}");
+
+                for (label, weighting) in [
+                    ("ipss_mean", IpssWeighting::StratifiedMean),
+                    ("ipss_literal", IpssWeighting::PaperLiteral),
+                ] {
+                    let cfg = IpssConfig::new(budget).with_weighting(weighting);
+                    let out = ipss(u, &cfg, &mut rng());
+                    assert_eq!(out.values, ipss_values(u, &cfg, &mut rng()));
+                    ledger.line(
+                        &key(label),
+                        &format!(
+                            "k_star={} exhaustive={} sampled={:x?} values=[{}]",
+                            out.k_star,
+                            out.exhaustive_evaluations,
+                            out.sampled.iter().map(|s| s.0).collect::<Vec<_>>(),
+                            hex(&out.values)
+                        ),
+                    );
+                }
+
+                for (label, scheme) in [
+                    ("stratified_mc", Scheme::MarginalContribution),
+                    ("stratified_cc", Scheme::ComplementaryContribution),
+                ] {
+                    let cfg = StratifiedConfig::uniform(n, budget);
+                    let out = stratified_sampling(u, scheme, &cfg, &mut rng());
+                    let estimates: Vec<String> = out
+                        .stratum_estimates
+                        .iter()
+                        .flatten()
+                        .map(|e| e.map_or("-".to_string(), |v| format!("{:016x}", v.to_bits())))
+                        .collect();
+                    ledger.line(
+                        &key(label),
+                        &format!(
+                            "pairs={:?} strata=[{}] values=[{}]",
+                            out.pairs_matched,
+                            estimates.join(" "),
+                            hex(&out.values)
+                        ),
+                    );
+                }
+
+                let plain = owen_for_budget(n, budget);
+                ledger.values(&key("owen"), &owen_sampling(u, &plain, &mut rng()));
+                let anti = owen_for_budget(n, budget).with_antithetic();
+                ledger.values(
+                    &key("owen_antithetic"),
+                    &owen_sampling(u, &anti, &mut rng()),
+                );
+
+                ledger.values(
+                    &key("banzhaf_pruned"),
+                    &banzhaf_pruned(u, budget, &mut rng()),
+                );
+            }
+        }
+    }
+
+    // Plateau cut-off IPSS (no RNG): default config and a tight ceiling.
+    for (label, u) in [
+        ("fast", SaturatingUtility::uniform(10, 0.1, 0.85, 2.5)),
+        ("slow", SaturatingUtility::uniform(10, 0.1, 0.85, 0.15)),
+    ] {
+        for (cfg_label, cfg) in [
+            ("default", PlateauIpssConfig::default()),
+            (
+                "ceiling100",
+                PlateauIpssConfig {
+                    max_gamma: 100,
+                    plateau_fraction: 0.0001,
+                },
+            ),
+        ] {
+            let out = ipss_plateau(&u, &cfg);
+            ledger.line(
+                &format!("final ipss_plateau {label} {cfg_label}"),
+                &format!(
+                    "k_star={} exhaustive={} values=[{}]",
+                    out.k_star,
+                    out.exhaustive_evaluations,
+                    hex(&out.values)
+                ),
+            );
+        }
+    }
+}
+
+fn record_streams(ledger: &mut Ledger) {
+    let hash6 = HashUtility { n: 6, seed: 42 };
+    let saturating8 = SaturatingUtility::new(
+        0.1,
+        0.8,
+        0.9,
+        vec![3.0, 1.0, 2.0, 0.5, 1.5, 2.5, 0.75, 1.25],
+    );
+    let default_policy = AdaptivePolicy::default();
+    let eager_policy = AdaptivePolicy {
+        round_size: Some(5),
+        min_observations: 3,
+        floor: 2,
+    };
+    let rng = |seed: u64| StdRng::seed_from_u64(seed);
+
+    // IPSS — γ = 30 on n = 6: k* = 2, eight phase-2 coalitions.
+    for (label, weighting) in [
+        ("mean", IpssWeighting::StratifiedMean),
+        ("literal", IpssWeighting::PaperLiteral),
+    ] {
+        let cfg = IpssConfig::new(30).with_weighting(weighting);
+        ledger.stream(&format!("stream ipss_{label} hash6 g30"), |obs| {
+            ipss_streaming(&hash6, &cfg, None, &mut rng(11), obs)
+        });
+        ledger.stream(&format!("stream ipss_{label} hash6 g30 adaptive"), |obs| {
+            ipss_streaming(&hash6, &cfg, Some(&default_policy), &mut rng(11), obs)
+        });
+    }
+    ledger.stream("stream ipss_mean saturating8 g60 adaptive-eager", |obs| {
+        ipss_streaming(
+            &saturating8,
+            &IpssConfig::new(60),
+            Some(&eager_policy),
+            &mut rng(12),
+            obs,
+        )
+    });
+    // Phase 1 exactly exhausts γ (no phase 2), and ∅ only.
+    for gamma in [7usize, 1] {
+        ledger.stream(&format!("stream ipss_mean hash6 g{gamma}"), |obs| {
+            ipss_streaming(&hash6, &IpssConfig::new(gamma), None, &mut rng(13), obs)
+        });
+        ledger.stream(
+            &format!("stream ipss_mean hash6 g{gamma} adaptive"),
+            |obs| {
+                ipss_streaming(
+                    &hash6,
+                    &IpssConfig::new(gamma),
+                    Some(&default_policy),
+                    &mut rng(13),
+                    obs,
+                )
+            },
+        );
+    }
+
+    // Alg. 1 — both schemes, uniform and re-planned.
+    for (label, scheme) in [
+        ("mc", Scheme::MarginalContribution),
+        ("cc", Scheme::ComplementaryContribution),
+    ] {
+        let cfg = StratifiedConfig::uniform(6, 30);
+        ledger.stream(&format!("stream stratified_{label} hash6 g30"), |obs| {
+            stratified_sampling_streaming(&hash6, scheme, &cfg, None, &mut rng(21), obs)
+        });
+        ledger.stream(
+            &format!("stream stratified_{label} hash6 g30 adaptive"),
+            |obs| {
+                stratified_sampling_streaming(
+                    &hash6,
+                    scheme,
+                    &cfg,
+                    Some(&default_policy),
+                    &mut rng(21),
+                    obs,
+                )
+            },
+        );
+    }
+    ledger.stream(
+        "stream stratified_mc saturating8 g300 adaptive-eager",
+        |obs| {
+            stratified_sampling_streaming(
+                &saturating8,
+                Scheme::MarginalContribution,
+                &StratifiedConfig::uniform(8, 300),
+                Some(&eager_policy),
+                &mut rng(22),
+                obs,
+            )
+        },
+    );
+    ledger.stream("stream stratified_mc hash6 g0", |obs| {
+        stratified_sampling_streaming(
+            &hash6,
+            Scheme::MarginalContribution,
+            &StratifiedConfig::uniform(6, 0),
+            None,
+            &mut rng(23),
+            obs,
+        )
+    });
+
+    // Owen — plain and antithetic, uniform and re-planned.
+    for (label, cfg) in [
+        ("plain", OwenConfig::new(4, 5)),
+        ("antithetic", OwenConfig::new(5, 4).with_antithetic()),
+    ] {
+        ledger.stream(&format!("stream owen_{label} saturating8"), |obs| {
+            owen_sampling_streaming(&saturating8, &cfg, None, &mut rng(31), obs)
+        });
+        ledger.stream(
+            &format!("stream owen_{label} saturating8 adaptive"),
+            |obs| {
+                owen_sampling_streaming(
+                    &saturating8,
+                    &cfg,
+                    Some(&default_policy),
+                    &mut rng(31),
+                    obs,
+                )
+            },
+        );
+    }
+    ledger.stream("stream owen_plain hash6 adaptive-eager", |obs| {
+        owen_sampling_streaming(
+            &hash6,
+            &OwenConfig::new(4, 6),
+            Some(&eager_policy),
+            &mut rng(32),
+            obs,
+        )
+    });
+
+    // Pruned Banzhaf — nothing to steer, one fixed schedule.
+    for gamma in [30usize, 7, 1, 70] {
+        ledger.stream(&format!("stream banzhaf_pruned hash6 g{gamma}"), |obs| {
+            banzhaf_pruned_streaming(&hash6, gamma, &mut rng(41), obs)
+        });
+    }
+
+    // Exact sweep — n = 14 spans two production-size chunks, so the
+    // first snapshot is the mid-sweep partial fold.
+    ledger.stream("stream exact_mc hash14", |obs| {
+        exact_mc_sv_streaming(&HashUtility { n: 14, seed: 42 }, obs)
+    });
+    ledger.stream("stream exact_mc table1", |obs| {
+        exact_mc_sv_streaming(&TableUtility::paper_table1(), obs)
+    });
+}
+
+#[test]
+fn estimator_outputs_match_the_frozen_ledger() {
+    let mut ledger = Ledger(String::new());
+    record_finals(&mut ledger);
+    record_streams(&mut ledger);
+
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("estimator_golden.txt");
+    if std::env::var("FEDVAL_REGEN_ESTIMATOR_GOLDEN").is_ok() {
+        std::fs::write(&path, &ledger.0).expect("write golden ledger");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("read {path:?} failed ({e}); regenerate with FEDVAL_REGEN_ESTIMATOR_GOLDEN=1")
+    });
+    let mut expected = golden.lines();
+    for (row, actual) in ledger.0.lines().enumerate() {
+        let want = expected
+            .next()
+            .unwrap_or_else(|| panic!("ledger ends before row {row}: {actual}"));
+        assert_eq!(actual, want, "ledger row {row} drifted");
+    }
+    assert_eq!(
+        expected.next(),
+        None,
+        "ledger has rows the suite no longer records"
+    );
+}
