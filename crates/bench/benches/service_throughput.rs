@@ -45,6 +45,7 @@ use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 use fedval_bench::quick;
+use fedval_core::owen::OwenConfig;
 use fedval_core::service::{Estimator, ValuationRequest, ValuationResponse};
 use fedval_data::{MnistLike, SyntheticSetup};
 use fedval_fl::service::{serve, FlServiceConfig};
@@ -361,11 +362,11 @@ impl AdaptiveBench {
 fn run_adaptive_bench(n: usize, q_nodes: usize, per_node: usize, seeds: usize) -> AdaptiveBench {
     use fedval_core::adaptive::AdaptivePolicy;
     use fedval_core::anytime::{Control, StoppingRule};
-    use fedval_core::owen::{owen_sampling_streaming, owen_sampling_streaming_adaptive};
+    use fedval_core::owen::owen_sampling_streaming;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let u = SizeNoisyUtility { n };
-    let cfg = fedval_core::owen::OwenConfig::new(q_nodes, per_node);
+    let cfg = OwenConfig::new(q_nodes, per_node);
     // Per-client CIs need two observations per node before they go
     // finite, so the exploration floor must keep feeding each node until
     // two draws (2·n pooled contributions) have landed.
@@ -375,7 +376,7 @@ fn run_adaptive_bench(n: usize, q_nodes: usize, per_node: usize, seeds: usize) -
     };
     let mut out = AdaptiveBench {
         n_clients: n,
-        budget: q_nodes * per_node * (n + 1),
+        budget: cfg.evaluations(n),
         seeds,
         uniform_samples: Vec::new(),
         adaptive_samples: Vec::new(),
@@ -386,10 +387,13 @@ fn run_adaptive_bench(n: usize, q_nodes: usize, per_node: usize, seeds: usize) -
         // a same-seed uniform race would retrace the very trajectory the
         // target came from and stop at its first favourable dip, biasing
         // the comparison toward uniform.
-        let full =
-            owen_sampling_streaming(&u, &cfg, &mut StdRng::seed_from_u64(0xE0 + seed), |_| {
-                Control::Continue
-            });
+        let full = owen_sampling_streaming(
+            &u,
+            &cfg,
+            None,
+            &mut StdRng::seed_from_u64(0xE0 + seed),
+            |_| Control::Continue,
+        );
         let eps = full.ci_halfwidths.iter().fold(0.0f64, |a, &b| a.max(b));
         assert!(eps.is_finite(), "the full run must certify a CI");
         let rule = StoppingRule::ci_at_most(eps);
@@ -400,13 +404,18 @@ fn run_adaptive_bench(n: usize, q_nodes: usize, per_node: usize, seeds: usize) -
                 Control::Continue
             }
         };
-        let uniform =
-            owen_sampling_streaming(&u, &cfg, &mut StdRng::seed_from_u64(0xB0 + seed), race);
-        out.uniform_samples.push(uniform.samples_used as f64);
-        let adaptive = owen_sampling_streaming_adaptive(
+        let uniform = owen_sampling_streaming(
             &u,
             &cfg,
-            &policy,
+            None,
+            &mut StdRng::seed_from_u64(0xB0 + seed),
+            race,
+        );
+        out.uniform_samples.push(uniform.samples_used as f64);
+        let adaptive = owen_sampling_streaming(
+            &u,
+            &cfg,
+            Some(&policy),
             &mut StdRng::seed_from_u64(0xB0 + seed),
             race,
         );
@@ -526,12 +535,17 @@ fn main() {
     let seeds = 12;
     let n_any = n + 3;
     let (server, _cache) = serve(fl_utility(n_any), FlServiceConfig::default());
+    // 16 draws per node on the grid the service derives from a budget.
+    let owen_grid = OwenConfig {
+        samples_per_node: 16,
+        ..OwenConfig::for_budget(n_any, 0)
+    };
     let owen = run_anytime(
         &server,
         "owen",
         n_any,
         Estimator::Owen,
-        4 * (n_any + 1) * 16,
+        owen_grid.evaluations(n_any),
         seeds,
     );
     print_anytime(&owen);

@@ -48,10 +48,12 @@
 
 use std::cmp::Ordering;
 
+use crate::anytime::Welford;
+
 /// How an adaptive streaming estimator re-plans its draws at batch
 /// boundaries. Carried by
 /// [`ValuationRequest::with_adaptive`](crate::service::ValuationRequest::with_adaptive)
-/// and by the `*_streaming_adaptive` estimator entry points.
+/// and by the `*_streaming` estimator entry points.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdaptivePolicy {
     /// Draws (re-)planned per batch boundary. `None` = the estimator's
@@ -104,6 +106,20 @@ pub struct ComponentState {
     /// Distinct draws still available from the component
     /// (`usize::MAX` = unbounded, e.g. Owen's with-replacement nodes).
     pub remaining: usize,
+}
+
+impl ComponentState {
+    /// The state of a component whose contributions so far are pooled in
+    /// `acc`.
+    pub fn observed(weight: f64, acc: &Welford, drawn: usize, remaining: usize) -> Self {
+        ComponentState {
+            weight,
+            variance: acc.sample_variance(),
+            observed: acc.count(),
+            drawn,
+            remaining,
+        }
+    }
 }
 
 /// Re-plans a round of draws from per-component variances by Neyman

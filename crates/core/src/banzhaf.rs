@@ -8,13 +8,17 @@
 //! robustness to utility noise — a useful cross-check on FL valuations,
 //! and its maximum-sample-reuse estimator makes every sampled coalition
 //! inform *every* client's value.
+//!
+//! The pruned estimator runs IPSS's [`PrunedSampler`] under Banzhaf
+//! weights, so it keeps the [`crate::sampler`] contract: randomness only
+//! in the phase-2 draw, schedule-order fold, prefix-pure snapshots.
 
 use rand::Rng;
 
-use crate::anytime::{
-    component_variance, halfwidth, Control, ProgressSnapshot, StreamingOutcome, Welford,
-};
+use crate::anytime::{Control, ProgressSnapshot, StreamingOutcome};
 use crate::coalition::{all_subsets, Coalition};
+use crate::ipss::PrunedSampler;
+use crate::sampler::drive;
 use crate::utility::Utility;
 
 /// Exact Banzhaf value via full enumeration (small `n` only).
@@ -118,79 +122,24 @@ pub fn banzhaf_msr<U: Utility + ?Sized, R: Rng + ?Sized>(
 /// (ii) of Sec. IV-A does not apply — so importance pruning is sound only
 /// when the utility saturates fast enough that marginal decay beats the
 /// binomial growth of stratum mass (roughly `e^{−rate} < 1/n`).
+///
+/// The schedule and fold are IPSS's [`PrunedSampler`] under Banzhaf
+/// weights, so even an uncached utility sees at most `γ` evaluations.
 pub fn banzhaf_pruned<U: Utility + ?Sized, R: Rng + ?Sized>(
     u: &U,
     gamma: usize,
     rng: &mut R,
 ) -> Vec<f64> {
-    use std::collections::HashMap;
-
-    use crate::coalition::{binom, subsets_of_size, subsets_up_to};
-    use crate::sampling::balanced_subsets_of_size;
-    use crate::utility::eval_batch_into_memo;
-    let n = u.n_clients();
-    let k_star = crate::ipss::compute_k_star(n, gamma)
-        .unwrap_or_else(|| panic!("γ = {gamma} cannot even afford U(∅)"));
-    let denom = (1u128 << (n - 1)) as f64;
-    let mut phi = vec![0.0f64; n];
-    // Internal memo, mirroring IPSS: each stratum is evaluated as one
-    // batch and the pairing pass reads the memo, so even an uncached
-    // utility sees at most γ evaluations.
-    let mut memo: HashMap<u128, f64> = HashMap::new();
-    eval_batch_into_memo(u, &[Coalition::empty()], &mut memo);
-    for t_size in 1..=k_star {
-        let stratum: Vec<Coalition> = subsets_of_size(n, t_size).collect();
-        eval_batch_into_memo(u, &stratum, &mut memo);
-        // Exact stratum sums, weighted by the full binomial mass of the
-        // stratum relative to 2^{n−1}.
-        for &t in &stratum {
-            let ut = memo[&t.0];
-            for i in t.members() {
-                phi[i] += (ut - memo[&t.without(i).0]) / denom;
-            }
-        }
-    }
-    if k_star < n {
-        let remaining = (gamma as u128).saturating_sub(subsets_up_to(n, k_star));
-        let count = remaining.min(crate::coalition::binom_u128(n, k_star + 1)) as usize;
-        if count > 0 {
-            let sampled = balanced_subsets_of_size(n, k_star + 1, count, rng);
-            eval_batch_into_memo(u, &sampled, &mut memo);
-            let mut sums = vec![0.0f64; n];
-            let mut cnts = vec![0usize; n];
-            for &t in &sampled {
-                let ut = memo[&t.0];
-                for i in t.members() {
-                    sums[i] += ut - memo[&t.without(i).0];
-                    cnts[i] += 1;
-                }
-            }
-            // Scale the stratum mean by the stratum's coalition count so
-            // the estimate matches the exact stratum sum in expectation.
-            let stratum_mass = binom(n - 1, k_star);
-            for i in 0..n {
-                if cnts[i] > 0 {
-                    phi[i] += stratum_mass * (sums[i] / cnts[i] as f64) / denom;
-                }
-            }
-        }
-    }
-    phi
+    let mut sampler = PrunedSampler::for_banzhaf(u.n_clients(), gamma, rng);
+    drive(u, &mut sampler, None).values
 }
 
-/// Anytime [`banzhaf_pruned`] — the streaming variant, mirroring
-/// [`crate::ipss::ipss_streaming`]: one batch per exhaustive stratum
-/// (`∅` first), then the balanced next-stratum sample in chunks of `n`.
-/// The RNG stream, the evaluated coalitions and the fold order are those
-/// of the legacy run, so a completed schedule is bit-identical to
-/// [`banzhaf_pruned`] and a stopped run bit-equals the same-seed full
-/// run's snapshot at the same batch count.
+/// Anytime [`banzhaf_pruned`]: the same run observed after every
+/// exhaustive stratum and every `n`-coalition chunk of the sample.
 ///
-/// CI terms follow the IPSS conventions: completed strata are exact
-/// (term 0), scheduled-but-pending strata are unbounded (`∞`), and the
-/// sampled stratum gets per-client [`Welford`] accumulators with weight
-/// `C(n−1, k*)/2^{n−1}` (the estimator scales the stratum *mean* by the
-/// stratum mass) and pair population `C(n−1, k*)`. Truncated strata
+/// CI terms follow the IPSS conventions (see [`PrunedSampler`]); the
+/// sampled stratum carries weight `C(n−1, k*)/2^{n−1}` (the estimator
+/// scales the stratum *mean* by the stratum mass). Truncated strata
 /// contribute no term — and carry far more mass than under Shapley
 /// weights (see the [`banzhaf_pruned`] caveat), so a tight `CiAtMost`
 /// here bounds sampling noise, not truncation bias.
@@ -205,106 +154,8 @@ where
     R: Rng + ?Sized,
     F: FnMut(&ProgressSnapshot) -> Control,
 {
-    use std::collections::HashMap;
-
-    use crate::coalition::{binom, subsets_of_size, subsets_up_to};
-    use crate::sampling::balanced_subsets_of_size;
-    use crate::utility::eval_batch_into_memo;
-    let n = u.n_clients();
-    let k_star = crate::ipss::compute_k_star(n, gamma)
-        .unwrap_or_else(|| panic!("γ = {gamma} cannot even afford U(∅)"));
-    // Phase-2 draw up front — evaluation consumes no randomness, so the
-    // stream is identical to the legacy interleaving.
-    let sampled = if k_star < n {
-        let remaining = (gamma as u128).saturating_sub(subsets_up_to(n, k_star));
-        let count = remaining.min(crate::coalition::binom_u128(n, k_star + 1)) as usize;
-        balanced_subsets_of_size(n, k_star + 1, count, rng)
-    } else {
-        Vec::new()
-    };
-
-    let chunk = n.max(1);
-    let phase2_batches = sampled.len().div_ceil(chunk);
-    let total_batches = (k_star + 1) + phase2_batches;
-
-    let mut memo: HashMap<u128, f64> = HashMap::new();
-    let mut samples_used = 0usize;
-    for b in 0..total_batches {
-        let (batch, done_size, sampled_prefix) = if b <= k_star {
-            (subsets_of_size(n, b).collect::<Vec<_>>(), b, 0usize)
-        } else {
-            let start = (b - k_star - 1) * chunk;
-            let end = (start + chunk).min(sampled.len());
-            (sampled[start..end].to_vec(), k_star, end)
-        };
-        eval_batch_into_memo(u, &batch, &mut memo);
-        samples_used += batch.len();
-        let batches_done = b + 1;
-
-        // Prefix fold — the legacy accumulation order over completed
-        // strata, then the evaluated sampled prefix.
-        let denom = (1u128 << (n - 1)) as f64;
-        let mut phi = vec![0.0f64; n];
-        for t_size in 1..=done_size {
-            for t in subsets_of_size(n, t_size) {
-                let ut = memo[&t.0];
-                for i in t.members() {
-                    phi[i] += (ut - memo[&t.without(i).0]) / denom;
-                }
-            }
-        }
-        let stratum_mass = if k_star < n {
-            binom(n - 1, k_star)
-        } else {
-            0.0
-        };
-        let mut accs: Vec<Welford> = vec![Welford::new(); n];
-        let prefix = &sampled[..sampled_prefix];
-        if !prefix.is_empty() {
-            let mut sums = vec![0.0f64; n];
-            let mut cnts = vec![0usize; n];
-            for &t in prefix {
-                let ut = memo[&t.0];
-                for i in t.members() {
-                    let contribution = ut - memo[&t.without(i).0];
-                    sums[i] += contribution;
-                    cnts[i] += 1;
-                    accs[i].push(contribution);
-                }
-            }
-            for i in 0..n {
-                if cnts[i] > 0 {
-                    phi[i] += stratum_mass * (sums[i] / cnts[i] as f64) / denom;
-                }
-            }
-        }
-        // The pair population of the sampled stratum is the same
-        // C(n−1, k*) as its mass.
-        let ci_halfwidths: Vec<f64> = (0..n)
-            .map(|i| {
-                halfwidth(
-                    (1..=k_star)
-                        .map(|t_size| if t_size <= done_size { Some(0.0) } else { None })
-                        .chain((!sampled.is_empty()).then(|| {
-                            component_variance(&accs[i], stratum_mass / denom, stratum_mass)
-                        })),
-                )
-            })
-            .collect();
-        let snapshot = ProgressSnapshot {
-            values: phi,
-            ci_halfwidths,
-            samples_used,
-            batches_done,
-            allocation: None,
-        };
-        let control = observe(&snapshot);
-        let complete = b + 1 == total_batches;
-        if complete || control == Control::Stop {
-            return StreamingOutcome::from_snapshot(snapshot, !complete);
-        }
-    }
-    unreachable!("the final batch always returns")
+    let mut sampler = PrunedSampler::for_banzhaf(u.n_clients(), gamma, rng);
+    drive(u, &mut sampler, Some(&mut observe))
 }
 
 #[cfg(test)]
@@ -390,20 +241,6 @@ mod tests {
         let exact = exact_banzhaf(&u);
         let err = l2_relative_error(&est, &exact);
         assert!(err > 0.3, "expected large truncation error, got {err}");
-    }
-
-    #[test]
-    fn streaming_complete_run_is_bit_identical_to_legacy() {
-        use crate::anytime::Control;
-        let u = crate::utility::HashUtility { n: 8, seed: 14 };
-        for gamma in [1usize, 9, 40, 93] {
-            let legacy = banzhaf_pruned(&u, gamma, &mut StdRng::seed_from_u64(23));
-            let out = banzhaf_pruned_streaming(&u, gamma, &mut StdRng::seed_from_u64(23), |_| {
-                Control::Continue
-            });
-            assert_eq!(out.values, legacy, "γ={gamma}");
-            assert!(!out.stopped_early);
-        }
     }
 
     #[test]

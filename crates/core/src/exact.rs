@@ -6,11 +6,14 @@
 //! All of these require `O(2^n)` distinct utility evaluations and are only
 //! tractable for small `n`; they provide the ground truth against which the
 //! approximation algorithms are scored (the `l2` relative error of Eq. 21).
+//!
+//! [`exact_mc_sv`] is the independent reference. The anytime sweep is an
+//! [`ExactSweep`] under the [`Sampler`] contract of [`crate::sampler`]: no
+//! randomness, mask-order fold, snapshots pure in the evaluated prefix.
 
-use crate::anytime::{
-    component_variance, halfwidth, Control, ProgressSnapshot, StreamingOutcome, Welford,
-};
+use crate::anytime::{Control, ProgressSnapshot, StreamingOutcome};
 use crate::coalition::{all_subsets, binom, Coalition};
+use crate::sampler::{drive, Sampler};
 use crate::utility::Utility;
 
 /// Size (in coalitions) of the batches the exact passes hand to
@@ -75,128 +78,89 @@ pub fn exact_mc_sv<U: Utility + ?Sized>(u: &U) -> Vec<f64> {
     phi
 }
 
-/// Anytime exact MC-SV — the streaming variant of [`exact_mc_sv`].
+/// The exact MC-SV sweep as a [`Sampler`]: all `2^n` coalitions in mask
+/// order, `chunk` at a time — the batches [`exact_mc_sv`] issues.
 ///
-/// Evaluates the `2^n` sweep in the same `EXACT_BATCH`-sized chunks
-/// (mask order) and emits a [`ProgressSnapshot`] after each chunk. The
-/// mid-sweep estimate is the stratified-mean prefix fold of
-/// [`crate::service::partial_prefix_fold`] — the same partial the
-/// service returns on a deadline — and the *complete* sweep runs the
-/// legacy weighted fold verbatim, so a finished run is bit-identical to
-/// [`exact_mc_sv`].
-///
-/// CI terms: every stratum is scheduled, so a stratum with no evaluated
-/// pairs yet keeps the half-width at `∞`; mask order reaches the full
-/// coalition last, so a `CiAtMost` rule effectively cannot fire before
-/// completion (when all half-widths collapse to 0 through the
-/// finite-population correction). The exact sweep is therefore not the
-/// early-stopping vehicle — use `MaxSamples` to budget it, or a sampling
-/// estimator to converge early.
-pub fn exact_mc_sv_streaming<U, F>(u: &U, observe: F) -> StreamingOutcome
-where
-    U: Utility + ?Sized,
-    F: FnMut(&ProgressSnapshot) -> Control,
-{
-    exact_mc_sv_streaming_with_batch(u, EXACT_BATCH, observe)
+/// **Fold.** The complete sweep runs the [`exact_mc_sv`] fold verbatim;
+/// a mid-sweep prefix is the stratified-mean fold of
+/// [`crate::service::partial_prefix_fold`] — the partial the service
+/// returns on a deadline. In mask order `T\{i}` precedes `T`, so every
+/// evaluated non-empty coalition contributes all of its marginals. CI:
+/// every stratum is scheduled and mask order reaches the full coalition
+/// last, so the half-widths stay at `∞` until the sweep completes, when
+/// full enumeration collapses them to 0 — a `CiAtMost` rule cannot fire
+/// early. The sweep is not the early-stopping vehicle: budget it with
+/// `MaxSamples`, or use a sampling estimator to converge early.
+pub struct ExactSweep {
+    n: usize,
+    /// Coalitions per batch ([`EXACT_BATCH`] outside tests).
+    chunk: usize,
+    /// Values of the evaluated prefix, indexed by mask.
+    table: Vec<f64>,
 }
 
-/// [`exact_mc_sv_streaming`] with an explicit chunk size (test hook —
-/// the production path always uses [`EXACT_BATCH`]).
-pub(crate) fn exact_mc_sv_streaming_with_batch<U, F>(
-    u: &U,
-    batch_size: usize,
-    mut observe: F,
-) -> StreamingOutcome
-where
-    U: Utility + ?Sized,
-    F: FnMut(&ProgressSnapshot) -> Control,
-{
-    let n = u.n_clients();
-    assert!(n >= 1, "need at least one client");
-    assert!(n <= 24, "exact computation enumerates 2^n coalitions");
-    assert!(batch_size >= 1);
-    let total = 1usize << n;
-    let mut evaluated: Vec<(Coalition, f64)> = Vec::with_capacity(total);
-    let mut batches_done = 0usize;
-    let mut start = 0usize;
-    while start < total {
-        let end = (start + batch_size).min(total);
-        let batch: Vec<Coalition> = (start..end).map(|m| Coalition(m as u128)).collect();
-        let values = u.eval_batch(&batch);
-        evaluated.extend(batch.iter().copied().zip(values));
-        start = end;
-        batches_done += 1;
-        let complete = start == total;
-        let snapshot = exact_prefix_snapshot(n, &evaluated, complete, batches_done);
-        let control = observe(&snapshot);
-        if complete || control == Control::Stop {
-            return StreamingOutcome::from_snapshot(snapshot, !complete);
+impl ExactSweep {
+    /// The sweep over an `n`-client game in production-size chunks.
+    pub fn new(n: usize) -> Self {
+        assert!(n >= 1, "need at least one client");
+        assert!(n <= 24, "exact computation enumerates 2^n coalitions");
+        ExactSweep {
+            n,
+            chunk: EXACT_BATCH,
+            table: Vec::with_capacity(1 << n),
         }
     }
-    unreachable!("the final chunk always returns")
 }
 
-/// Prefix snapshot of the exact sweep. In mask order `T\{i}` always
-/// precedes `T`, so every evaluated non-empty coalition contributes all
-/// of its marginals; the evaluated prefix is exactly masks
-/// `0..evaluated.len()`, indexable directly.
-fn exact_prefix_snapshot(
-    n: usize,
-    evaluated: &[(Coalition, f64)],
-    complete: bool,
-    batches_done: usize,
-) -> ProgressSnapshot {
-    let values = if complete {
-        // The legacy fold, verbatim — bit-identical to [`exact_mc_sv`].
+impl Sampler for ExactSweep {
+    fn next_batch(&mut self, _fine: bool) -> Vec<Coalition> {
+        let start = self.table.len();
+        let end = (start + self.chunk).min(1 << self.n);
+        (start..end).map(|m| Coalition(m as u128)).collect()
+    }
+
+    fn absorb(&mut self, _batch: &[Coalition], values: Vec<f64>) {
+        self.table.extend(values);
+    }
+
+    fn is_complete(&self) -> bool {
+        self.table.len() == 1 << self.n
+    }
+
+    fn fold(&mut self) -> (Vec<f64>, Vec<f64>) {
+        let (n, table) = (self.n, &self.table);
+        // Every stratum is scheduled, and the last one — the full
+        // coalition alone — lands with the final mask: the CI is unbounded
+        // until the sweep completes and exactly 0 (full enumeration,
+        // finite-population correction) once it does.
+        if !self.is_complete() {
+            let masks = (0..table.len()).map(|m| Coalition(m as u128));
+            let pairs: Vec<(Coalition, f64)> = masks.zip(table.iter().copied()).collect();
+            let values = crate::service::partial_prefix_fold(n, &pairs);
+            return (values, vec![f64::INFINITY; n]);
+        }
         let mut phi = vec![0.0; n];
         let inv_n = 1.0 / n as f64;
         let inv_binom: Vec<f64> = (0..n).map(|s| 1.0 / binom(n - 1, s)).collect();
-        for t in all_subsets(n) {
-            if t.is_empty() {
-                continue;
-            }
-            let ut = evaluated[t.0 as usize].1;
+        for t in all_subsets(n).skip(1) {
+            let ut = table[t.0 as usize];
             let w = inv_n * inv_binom[t.size() - 1];
             for i in t.members() {
-                let us = evaluated[t.without(i).0 as usize].1;
-                phi[i] += (ut - us) * w;
+                phi[i] += (ut - table[t.without(i).0 as usize]) * w;
             }
         }
-        phi
-    } else {
-        crate::service::partial_prefix_fold(n, evaluated)
-    };
+        (phi, vec![0.0; n])
+    }
+}
 
-    let mut accs = vec![vec![Welford::new(); n]; n]; // accs[i][|t|-1]
-    for &(t, ut) in evaluated {
-        if t.is_empty() {
-            continue;
-        }
-        let k = t.size() - 1;
-        for i in t.members() {
-            let us = evaluated[t.without(i).0 as usize].1;
-            accs[i][k].push(ut - us);
-        }
-    }
-    let inv_n = 1.0 / n as f64;
-    let ci_halfwidths: Vec<f64> = accs
-        .iter()
-        .map(|client| {
-            halfwidth(
-                client
-                    .iter()
-                    .enumerate()
-                    .map(|(k, acc)| component_variance(acc, inv_n, binom(n - 1, k))),
-            )
-        })
-        .collect();
-    ProgressSnapshot {
-        values,
-        ci_halfwidths,
-        samples_used: evaluated.len(),
-        batches_done,
-        allocation: None,
-    }
+/// Anytime exact MC-SV: the [`ExactSweep`] observed after every chunk.
+/// A finished run is bit-identical to [`exact_mc_sv`].
+pub fn exact_mc_sv_streaming<U, F>(u: &U, mut observe: F) -> StreamingOutcome
+where
+    U: Utility + ?Sized,
+    F: FnMut(&ProgressSnapshot) -> Control,
+{
+    drive(u, &mut ExactSweep::new(u.n_clients()), Some(&mut observe))
 }
 
 /// Exact CC-SV (Def. 4):
@@ -288,6 +252,19 @@ pub fn perm_sv_naive_evaluations(n: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::utility::{AdditiveUtility, HashUtility, TableUtility};
+
+    /// The streaming sweep with an explicit chunk size.
+    fn exact_mc_sv_streaming_with_batch(
+        u: &HashUtility,
+        chunk: usize,
+        mut observe: impl FnMut(&ProgressSnapshot) -> Control,
+    ) -> StreamingOutcome {
+        let mut sweep = ExactSweep {
+            chunk,
+            ..ExactSweep::new(u.n)
+        };
+        drive(u, &mut sweep, Some(&mut observe))
+    }
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());

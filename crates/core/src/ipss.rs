@@ -16,8 +16,15 @@
 //!
 //! Theorem 3 bounds the relative error by `O((n−k*)/(k*·n·t))` under the FL
 //! linear-regression model — see `fedval-theory` for the closed forms.
+//!
+//! The schedule and its fold are one [`PrunedSampler`], shared with
+//! pruned Banzhaf ([`crate::banzhaf`]), under the [`Sampler`] contract of
+//! [`crate::sampler`]: randomness is consumed only by the phase-2 draw,
+//! the fold runs over strata in ascending size (masks in enumeration
+//! order) then the sample in draw order, and snapshots are pure in the
+//! evaluated prefix.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use rand::Rng;
 
@@ -26,8 +33,9 @@ use crate::anytime::{
     component_variance, halfwidth, Control, ProgressSnapshot, StreamingOutcome, Welford,
 };
 use crate::coalition::{binom, binom_u128, subsets_of_size, subsets_up_to, Coalition};
+use crate::sampler::{drive, NoRng, Sampler};
 use crate::sampling::{balanced_subsets_of_size, weighted_balanced_subsets_extending};
-use crate::utility::{eval_batch_into_memo, Utility};
+use crate::utility::Utility;
 
 /// Internal memo of evaluated coalition values, keyed by mask.
 ///
@@ -108,46 +116,297 @@ pub fn compute_k_star(n: usize, gamma: usize) -> Option<usize> {
     k_star
 }
 
+/// How the pruned schedule weights a marginal pair of a given size.
+#[derive(Clone, Copy)]
+enum PrunedWeights {
+    /// Shapley weights `1/(n·C(n−1, |S|))` (IPSS).
+    Shapley(IpssWeighting),
+    /// Banzhaf weights `1/2^{n−1}`; the sampled stratum's mean is scaled
+    /// by the stratum's mass `C(n−1, k*)`.
+    Banzhaf,
+}
+
+/// The pruned schedule of Alg. 3 as a [`Sampler`], parameterised by the
+/// pair weights so it serves IPSS (both [`IpssWeighting`]s) and pruned
+/// Banzhaf.
+///
+/// **Schedule.** One batch per exhaustive stratum of size `0..=k*`, then
+/// the sample of size-`(k*+1)` coalitions: without a planner the whole
+/// balanced sample is drawn at once and handed out as one batch, or in
+/// chunks of `n` at snapshot granularity; with a planner it is drawn in
+/// rounds of [`AdaptivePolicy::round`]`(n)`, each steered toward
+/// per-client coverage targets `w_i·σ_i` (`w_i = 1/n`, unknown variances
+/// scored optimistically) so high-variance clients land in more
+/// coalitions — equal targets degenerate to the coverage-balanced rule.
+/// Phase 1 is exhaustive: there is nothing to steer.
+///
+/// **Fold.** Lines 15–17 over the completed strata plus the evaluated
+/// part of the sample. CI: a completed exhaustive stratum is enumerated,
+/// not sampled — its term is exactly 0; a scheduled but pending stratum
+/// is unbounded (`∞`, never NaN), which deliberately keeps a `CiAtMost`
+/// rule from firing mid-phase-1; the sampled stratum is one per-client
+/// [`Welford`] component with finite-population correction over its
+/// `C(n−1, k*)` pairs, unbounded until observations land. Strata above
+/// `k*+1` are truncated by construction (the pruning bias of Theorem 3)
+/// and contribute no term.
+pub struct PrunedSampler<'r, R: Rng + ?Sized> {
+    n: usize,
+    k_star: usize,
+    weights: PrunedWeights,
+    /// Size-`(k*+1)` coalitions the sample will hold once complete.
+    phase2_total: usize,
+    /// The planner and its round size, when the sample is re-planned.
+    planner: Option<(AllocationPlanner, usize)>,
+    rng: &'r mut R,
+    memo: ValueMemo,
+    /// Exhaustive strata handed out so far (sizes `0..strata_out`).
+    strata_out: usize,
+    /// The sample drawn so far, and how much of it has been handed out.
+    sampled: Vec<Coalition>,
+    handed: usize,
+    /// Planned rounds' draw state: coalitions taken, per-client coverage.
+    chosen: HashSet<u128>,
+    coverage: Vec<u32>,
+    exhausted: bool,
+    /// Per-client sampled-stratum contributions as of the last fold —
+    /// the `σ_i` the planner steers by.
+    accs: Vec<Welford>,
+}
+
+impl<'r, R: Rng + ?Sized> PrunedSampler<'r, R> {
+    /// IPSS over an `n`-client game; `policy` re-plans the phase-2
+    /// coverage each round.
+    pub fn for_ipss(
+        n: usize,
+        cfg: &IpssConfig,
+        policy: Option<&AdaptivePolicy>,
+        rng: &'r mut R,
+    ) -> Self {
+        assert!(cfg.gamma >= 1, "IPSS needs a budget of at least 1");
+        let weights = PrunedWeights::Shapley(cfg.weighting);
+        Self::new(n, cfg.gamma, weights, policy, rng)
+    }
+
+    /// Pruned Banzhaf over an `n`-client game with budget `gamma`.
+    pub fn for_banzhaf(n: usize, gamma: usize, rng: &'r mut R) -> Self {
+        assert!(gamma >= 1, "pruned Banzhaf needs a budget of at least 1");
+        Self::new(n, gamma, PrunedWeights::Banzhaf, None, rng)
+    }
+
+    fn new(
+        n: usize,
+        gamma: usize,
+        weights: PrunedWeights,
+        policy: Option<&AdaptivePolicy>,
+        rng: &'r mut R,
+    ) -> Self {
+        assert!(n >= 1);
+        let Some(k_star) = compute_k_star(n, gamma) else {
+            unreachable!("the constructors require γ ≥ 1, which affords U(∅)")
+        };
+        let phase2_total = if k_star < n {
+            let left = gamma as u128 - subsets_up_to(n, k_star);
+            left.min(binom_u128(n, k_star + 1)) as usize
+        } else {
+            0
+        };
+        PrunedSampler {
+            n,
+            k_star,
+            weights,
+            phase2_total,
+            planner: policy.map(|p| (AllocationPlanner::new(*p), p.round(n))),
+            rng,
+            memo: ValueMemo::new(),
+            strata_out: 0,
+            sampled: Vec::new(),
+            handed: 0,
+            chosen: HashSet::new(),
+            coverage: vec![0; n],
+            exhausted: false,
+            accs: vec![Welford::new(); n],
+        }
+    }
+
+    /// The draw routine: grow the sample of size-`(k*+1)` coalitions —
+    /// the whole balanced sample under the fixed plan, one
+    /// coverage-steered round under a planner.
+    fn draw(&mut self) {
+        let (n, size) = (self.n, self.k_star + 1);
+        let left = self.phase2_total - self.sampled.len();
+        let new = match &self.planner {
+            None => balanced_subsets_of_size(n, size, left, self.rng),
+            Some((planner, round)) => {
+                let components: Vec<ComponentState> = (0..n)
+                    .map(|i| {
+                        let covered = self.coverage[i] as usize;
+                        ComponentState::observed(1.0 / n as f64, &self.accs[i], covered, usize::MAX)
+                    })
+                    .collect();
+                weighted_balanced_subsets_extending(
+                    n,
+                    size,
+                    (*round).min(left),
+                    &planner.scores(&components),
+                    &mut self.chosen,
+                    &mut self.coverage,
+                    self.rng,
+                )
+            }
+        };
+        self.exhausted = new.is_empty();
+        self.sampled.extend(new);
+    }
+
+    /// Mean |marginal contribution| over the pairs of an evaluated
+    /// stratum — the plateau signal of [`ipss_plateau`].
+    fn mean_abs_marginal(&self, stratum: &[Coalition]) -> f64 {
+        let (mut abs_sum, mut pairs) = (0.0f64, 0usize);
+        for &t in stratum {
+            let ut = self.memo[&t.0];
+            for i in t.members() {
+                abs_sum += (ut - self.memo[&t.without(i).0]).abs();
+                pairs += 1;
+            }
+        }
+        abs_sum / pairs.max(1) as f64
+    }
+
+    fn into_outcome(self, values: Vec<f64>) -> IpssOutcome {
+        IpssOutcome {
+            values,
+            k_star: self.k_star,
+            exhaustive_evaluations: subsets_up_to(self.n, self.k_star),
+            sampled: self.sampled,
+        }
+    }
+}
+
+impl<R: Rng + ?Sized> Sampler for PrunedSampler<'_, R> {
+    fn next_batch(&mut self, fine: bool) -> Vec<Coalition> {
+        if self.strata_out <= self.k_star {
+            self.strata_out += 1;
+            return subsets_of_size(self.n, self.strata_out - 1).collect();
+        }
+        if self.handed == self.sampled.len() {
+            self.draw();
+        }
+        // A planned round goes out whole; so does the fixed plan's sample,
+        // except in chunks of n at snapshot granularity.
+        let mut end = self.sampled.len();
+        if fine && self.planner.is_none() {
+            end = end.min(self.handed + self.n);
+        }
+        let batch = self.sampled[self.handed..end].to_vec();
+        self.handed = end;
+        batch
+    }
+
+    fn absorb(&mut self, batch: &[Coalition], values: Vec<f64>) {
+        self.memo.extend(batch.iter().map(|s| s.0).zip(values));
+    }
+
+    fn is_complete(&self) -> bool {
+        self.strata_out > self.k_star
+            && self.handed == self.sampled.len()
+            && (self.sampled.len() >= self.phase2_total || self.exhausted)
+    }
+
+    fn fold(&mut self) -> (Vec<f64>, Vec<f64>) {
+        let (n, k_star, weights) = (self.n, self.k_star, self.weights);
+        let value = |s: Coalition| self.memo[&s.0]; // pairs are evaluated before they fold
+        let inv_n = 1.0 / n as f64;
+        let inv_binom: Vec<f64> = (0..n).map(|s| 1.0 / binom(n - 1, s)).collect();
+        let inv_denom = 1.0 / (1u128 << (n - 1)) as f64;
+        let mut phi = vec![0.0f64; n];
+
+        // Exhaustively covered strata: pairs (S, S∪{i}) with |S∪{i}| ≤ k*.
+        // Each full stratum contributes its exact weighted marginal sum.
+        for t_size in 1..self.strata_out {
+            let w = match weights {
+                PrunedWeights::Shapley(_) => inv_n * inv_binom[t_size - 1],
+                PrunedWeights::Banzhaf => inv_denom,
+            };
+            for t in subsets_of_size(n, t_size) {
+                let ut = value(t);
+                for i in t.members() {
+                    phi[i] += (ut - value(t.without(i))) * w;
+                }
+            }
+        }
+
+        // Sampled stratum k*: pairs (S, S∪{i}) with S∪{i} in the evaluated
+        // part of the sample; U(S) is known from phase 1.
+        let mass = binom(n - 1, k_star); // pairs t ∋ i, |t| = k*+1
+        let mut accs = vec![Welford::new(); n];
+        let prefix = &self.sampled[..self.handed];
+        if !prefix.is_empty() {
+            let mut sums = vec![0.0f64; n];
+            let mut counts = vec![0usize; n];
+            for &t in prefix {
+                let ut = value(t);
+                for i in t.members() {
+                    let contribution = ut - value(t.without(i));
+                    sums[i] += contribution;
+                    counts[i] += 1;
+                    accs[i].push(contribution);
+                }
+            }
+            for i in 0..n {
+                match weights {
+                    PrunedWeights::Shapley(IpssWeighting::PaperLiteral) => {
+                        phi[i] += sums[i] * (inv_n * inv_binom[k_star]);
+                    }
+                    _ if counts[i] == 0 => {}
+                    PrunedWeights::Shapley(IpssWeighting::StratifiedMean) => {
+                        phi[i] += inv_n * sums[i] / counts[i] as f64;
+                    }
+                    // Scale the stratum mean by the stratum's mass so the
+                    // estimate matches the exact stratum sum in expectation.
+                    PrunedWeights::Banzhaf => {
+                        phi[i] += mass * (sums[i] / counts[i] as f64) * inv_denom;
+                    }
+                }
+            }
+        }
+
+        let ci_halfwidths = (0..n)
+            .map(|i| {
+                let done = (1..=k_star).map(|t_size| (t_size < self.strata_out).then_some(0.0));
+                halfwidth(done.chain((self.phase2_total > 0).then(|| {
+                    let weight = match weights {
+                        PrunedWeights::Shapley(IpssWeighting::StratifiedMean) => inv_n,
+                        // var(w'·Σ) = (w'·m)²·s²/m — the estimator is a
+                        // weighted *sum*, not a mean.
+                        PrunedWeights::Shapley(IpssWeighting::PaperLiteral) => {
+                            inv_n * inv_binom[k_star] * accs[i].count() as f64
+                        }
+                        PrunedWeights::Banzhaf => mass * inv_denom,
+                    };
+                    component_variance(&accs[i], weight, mass)
+                })))
+            })
+            .collect();
+        self.accs = accs;
+        (phi, ci_halfwidths)
+    }
+
+    fn allocation(&self) -> Option<Vec<usize>> {
+        self.planner
+            .as_ref()
+            .map(|_| self.coverage.iter().map(|&c| c as usize).collect())
+    }
+}
+
 /// Alg. 3 — Importance-Pruned Stratified Sampling.
 pub fn ipss<U: Utility + ?Sized, R: Rng + ?Sized>(
     u: &U,
     cfg: &IpssConfig,
     rng: &mut R,
 ) -> IpssOutcome {
-    let n = u.n_clients();
-    assert!(n >= 1);
-    let k_star = compute_k_star(n, cfg.gamma)
-        .unwrap_or_else(|| panic!("γ = {} cannot even afford U(∅)", cfg.gamma));
-
-    // Phase 1 (lines 2-7): evaluate all coalitions of size ≤ k*, one batch
-    // per stratum, so a parallel utility trains each stratum concurrently.
-    let mut memo = ValueMemo::new();
-    let exhaustive = subsets_up_to(n, k_star);
-    for size in 0..=k_star {
-        let stratum: Vec<Coalition> = subsets_of_size(n, size).collect();
-        eval_batch_into_memo(u, &stratum, &mut memo);
-    }
-
-    // Phase 2 (lines 8-14): balanced sample P of size-(k*+1) coalitions,
-    // evaluated as one batch.
-    let sampled = if k_star < n {
-        let remaining = (cfg.gamma as u128 - exhaustive).min(binom_u128(n, k_star + 1));
-        let p = balanced_subsets_of_size(n, k_star + 1, remaining as usize, rng);
-        eval_batch_into_memo(u, &p, &mut memo);
-        p
-    } else {
-        Vec::new()
-    };
-
-    // Lines 15-17: MC-SV over the evaluated coalitions (memo reads only —
-    // no further utility evaluations).
-    let values = estimate(n, k_star, &sampled, cfg.weighting, &memo);
-    IpssOutcome {
-        values,
-        k_star,
-        exhaustive_evaluations: exhaustive,
-        sampled,
-    }
+    let mut sampler = PrunedSampler::for_ipss(u.n_clients(), cfg, None, rng);
+    let values = drive(u, &mut sampler, None).values;
+    sampler.into_outcome(values)
 }
 
 /// Convenience wrapper returning only the estimated values.
@@ -159,32 +418,16 @@ pub fn ipss_values<U: Utility + ?Sized, R: Rng + ?Sized>(
     ipss(u, cfg, rng).values
 }
 
-/// Anytime Alg. 3 — the streaming variant of [`ipss`].
-///
-/// The batch schedule is the legacy one: each exhaustive stratum of size
-/// `0..=k*` is one batch, then the balanced phase-2 sample is evaluated
-/// in chunks of `n` coalitions (the legacy run evaluates it as a single
-/// batch; chunking changes batch composition only, and evaluation is
-/// pure per coalition mask, so every value is unchanged). The RNG stream
-/// is identical to [`ipss`] with the same seed.
-///
-/// After each batch the prefix estimate is recomputed from scratch with
-/// the lines-15–17 fold restricted to completed strata plus the
-/// evaluated phase-2 prefix — so a completed schedule is bit-identical
-/// to [`ipss`] and a stopped run bit-equals the same-seed full run's
-/// snapshot at the same batch count (the determinism contract).
-///
-/// CI terms: a completed exhaustive stratum is enumerated, not sampled
-/// — its term is exactly 0; a *scheduled but pending* stratum is
-/// unbounded (`∞`, never NaN), which deliberately prevents a
-/// `CiAtMost` rule from firing mid-phase-1; the phase-2 stratum gets a
-/// per-client [`Welford`] accumulator with finite-population correction
-/// over its `C(n−1, k*)` pairs. Truncated strata above `k*+1` are out
-/// of scope by construction (the pruning bias of Theorem 3) and
-/// contribute no term.
+/// Anytime Alg. 3: [`ipss`] observed after each exhaustive stratum and
+/// each phase-2 chunk ([`PrunedSampler`] documents the schedule and the
+/// CI); `observe` may return [`Control::Stop`]. With a `policy` the
+/// phase-2 coverage is re-planned each round and
+/// [`ProgressSnapshot::allocation`] carries the cumulative per-client
+/// coverage (all zeros during phase 1).
 pub fn ipss_streaming<U, R, F>(
     u: &U,
     cfg: &IpssConfig,
+    policy: Option<&AdaptivePolicy>,
     rng: &mut R,
     mut observe: F,
 ) -> StreamingOutcome
@@ -193,368 +436,13 @@ where
     R: Rng + ?Sized,
     F: FnMut(&ProgressSnapshot) -> Control,
 {
-    let n = u.n_clients();
-    assert!(n >= 1);
-    let k_star = compute_k_star(n, cfg.gamma)
-        .unwrap_or_else(|| panic!("γ = {} cannot even afford U(∅)", cfg.gamma));
-    let exhaustive = subsets_up_to(n, k_star);
-    // The phase-2 draw is the only consumer of randomness, so drawing it
-    // up front leaves the RNG stream identical to the legacy run.
-    let sampled = if k_star < n {
-        let remaining = (cfg.gamma as u128 - exhaustive).min(binom_u128(n, k_star + 1));
-        balanced_subsets_of_size(n, k_star + 1, remaining as usize, rng)
-    } else {
-        Vec::new()
-    };
-
-    let chunk = n.max(1);
-    let phase2_batches = sampled.len().div_ceil(chunk);
-    let total_batches = (k_star + 1) + phase2_batches;
-
-    let mut memo = ValueMemo::new();
-    let mut samples_used = 0usize;
-    let mut batches_done = 0usize;
-    for b in 0..total_batches {
-        let (batch, done_size, sampled_prefix) = if b <= k_star {
-            (subsets_of_size(n, b).collect::<Vec<_>>(), b, 0usize)
-        } else {
-            let start = (b - k_star - 1) * chunk;
-            let end = (start + chunk).min(sampled.len());
-            (sampled[start..end].to_vec(), k_star, end)
-        };
-        eval_batch_into_memo(u, &batch, &mut memo);
-        samples_used += batch.len();
-        batches_done += 1;
-        let (snapshot, _accs) = ipss_prefix_snapshot(
-            n,
-            k_star,
-            done_size,
-            &sampled,
-            sampled_prefix,
-            sampled.len(),
-            cfg.weighting,
-            &memo,
-            samples_used,
-            batches_done,
-        );
-        let control = observe(&snapshot);
-        let complete = b + 1 == total_batches;
-        if complete || control == Control::Stop {
-            return StreamingOutcome::from_snapshot(snapshot, !complete);
-        }
-    }
-    unreachable!("the final batch always returns")
+    let mut sampler = PrunedSampler::for_ipss(u.n_clients(), cfg, policy, rng);
+    drive(u, &mut sampler, Some(&mut observe))
 }
 
-/// Adaptive Alg. 3 — [`ipss_streaming`] with the phase-2 coverage
-/// re-planned at every round by Neyman allocation instead of spreading
-/// it uniformly over the clients.
-///
-/// Phase 1 is untouched (it is exhaustive — there is nothing to steer).
-/// Phase 2 draws its `γ − Σ_{j≤k*} C(n,j)` coalitions of size `k*+1` in
-/// rounds of [`AdaptivePolicy::round`]`(n)`: each round an
-/// [`AllocationPlanner`] turns the pooled per-client contribution
-/// variances into per-client coverage targets (`w_i·σ_i` with
-/// `w_i = 1/n`; unknown variances score optimistically), and
-/// [`weighted_balanced_subsets_extending`] grows the balanced sample so
-/// coverage tracks those targets — high-variance clients land in more
-/// coalitions. With homoscedastic contributions the targets are equal
-/// and the draw degenerates to the coverage-balanced rule of
-/// [`balanced_subsets_of_size`].
-///
-/// Snapshots carry [`ProgressSnapshot::allocation`] — cumulative
-/// per-client phase-2 coverage counts (all zeros during phase 1).
-///
-/// Determinism contract: planning consumes no randomness and draws
-/// consume RNG in round order, so the allocation sequence is a pure
-/// function of (seed, snapshot history): same-seed runs are
-/// bit-identical at any thread count, and a stopped run bit-equals the
-/// same-seed full run's snapshot at the same batch count.
-pub fn ipss_streaming_adaptive<U, R, F>(
-    u: &U,
-    cfg: &IpssConfig,
-    policy: &AdaptivePolicy,
-    rng: &mut R,
-    mut observe: F,
-) -> StreamingOutcome
-where
-    U: Utility + ?Sized,
-    R: Rng + ?Sized,
-    F: FnMut(&ProgressSnapshot) -> Control,
-{
-    let n = u.n_clients();
-    assert!(n >= 1);
-    let k_star = compute_k_star(n, cfg.gamma)
-        .unwrap_or_else(|| panic!("γ = {} cannot even afford U(∅)", cfg.gamma));
-    let exhaustive = subsets_up_to(n, k_star);
-    let phase2_total = if k_star < n {
-        ((cfg.gamma as u128 - exhaustive).min(binom_u128(n, k_star + 1))) as usize
-    } else {
-        0
-    };
-
-    let planner = AllocationPlanner::new(*policy);
-    let round_size = policy.round(n);
-    let mut memo = ValueMemo::new();
-    let mut samples_used = 0usize;
-    let mut batches_done = 0usize;
-    let mut sampled: Vec<Coalition> = Vec::new();
-    let mut chosen: std::collections::HashSet<u128> = std::collections::HashSet::new();
-    let mut coverage = vec![0u32; n];
-    let allocation = |coverage: &[u32]| coverage.iter().map(|&c| c as usize).collect::<Vec<_>>();
-
-    // Phase 1: one batch per exhaustive stratum, exactly as the fixed
-    // schedule runs it.
-    for size in 0..=k_star {
-        let batch: Vec<Coalition> = subsets_of_size(n, size).collect();
-        eval_batch_into_memo(u, &batch, &mut memo);
-        samples_used += batch.len();
-        batches_done += 1;
-        let (mut snapshot, _accs) = ipss_prefix_snapshot(
-            n,
-            k_star,
-            size,
-            &sampled,
-            0,
-            phase2_total,
-            cfg.weighting,
-            &memo,
-            samples_used,
-            batches_done,
-        );
-        snapshot.allocation = Some(allocation(&coverage));
-        let complete = size == k_star && phase2_total == 0;
-        let control = observe(&snapshot);
-        if complete || control == Control::Stop {
-            return StreamingOutcome::from_snapshot(snapshot, !complete);
-        }
-    }
-
-    // Phase 2: variance-steered rounds over the sampled stratum.
-    let mut accs: Vec<Welford> = vec![Welford::new(); n];
-    loop {
-        let components: Vec<ComponentState> = (0..n)
-            .map(|i| ComponentState {
-                weight: 1.0 / n as f64,
-                variance: accs[i].sample_variance(),
-                observed: accs[i].count(),
-                drawn: coverage[i] as usize,
-                remaining: usize::MAX,
-            })
-            .collect();
-        let targets = planner.scores(&components);
-        let want = round_size.min(phase2_total - sampled.len());
-        let new = weighted_balanced_subsets_extending(
-            n,
-            k_star + 1,
-            want,
-            &targets,
-            &mut chosen,
-            &mut coverage,
-            rng,
-        );
-        let exhausted = new.is_empty();
-        eval_batch_into_memo(u, &new, &mut memo);
-        samples_used += new.len();
-        batches_done += 1;
-        sampled.extend(new);
-        let (mut snapshot, new_accs) = ipss_prefix_snapshot(
-            n,
-            k_star,
-            k_star,
-            &sampled,
-            sampled.len(),
-            phase2_total,
-            cfg.weighting,
-            &memo,
-            samples_used,
-            batches_done,
-        );
-        snapshot.allocation = Some(allocation(&coverage));
-        accs = new_accs;
-        let complete = sampled.len() >= phase2_total || exhausted;
-        let control = observe(&snapshot);
-        if complete || control == Control::Stop {
-            return StreamingOutcome::from_snapshot(snapshot, !complete);
-        }
-    }
-}
-
-/// The canonical prefix fold of Alg. 3 lines 15–17 plus its CI,
-/// restricted to the `done_size` completed exhaustive strata and the
-/// first `sampled_prefix` phase-2 coalitions. Over the complete
-/// schedule this is bit-identical to [`estimate`] (same pairs, same
-/// accumulation order).
-///
-/// `phase2_planned` is the total phase-2 draw the schedule intends
-/// (`sampled.len()` for the fixed schedule): while it is positive the
-/// phase-2 CI term is emitted even before any coalition lands, keeping
-/// the halfwidth at ∞ until the sampled stratum has observations.
-///
-/// Also returns the per-client phase-2 [`Welford`] accumulators — the
-/// `σ_i` estimates the adaptive planner steers by.
-#[allow(clippy::too_many_arguments)]
-fn ipss_prefix_snapshot(
-    n: usize,
-    k_star: usize,
-    done_size: usize,
-    sampled: &[Coalition],
-    sampled_prefix: usize,
-    phase2_planned: usize,
-    weighting: IpssWeighting,
-    memo: &ValueMemo,
-    samples_used: usize,
-    batches_done: usize,
-) -> (ProgressSnapshot, Vec<Welford>) {
-    let value = |s: Coalition| -> f64 { memo[&s.0] };
-    let mut phi = vec![0.0f64; n];
-    let inv_n = 1.0 / n as f64;
-    let inv_binom: Vec<f64> = (0..n).map(|s| 1.0 / binom(n - 1, s)).collect();
-
-    // Completed exhaustive strata — the lines 15-17 loop, verbatim.
-    for t_size in 1..=done_size {
-        for t in subsets_of_size(n, t_size) {
-            let ut = value(t);
-            let w = inv_n * inv_binom[t_size - 1];
-            for i in t.members() {
-                phi[i] += (ut - value(t.without(i))) * w;
-            }
-        }
-    }
-
-    // Evaluated phase-2 prefix (the schedule guarantees phase 1 is
-    // complete before any of it lands).
-    let mut accs: Vec<Welford> = vec![Welford::new(); n];
-    let prefix = &sampled[..sampled_prefix];
-    if !prefix.is_empty() {
-        let mut sums = vec![0.0f64; n];
-        let mut counts = vec![0usize; n];
-        for &t in prefix {
-            let ut = value(t);
-            for i in t.members() {
-                let contribution = ut - value(t.without(i));
-                sums[i] += contribution;
-                counts[i] += 1;
-                accs[i].push(contribution);
-            }
-        }
-        match weighting {
-            IpssWeighting::StratifiedMean => {
-                for i in 0..n {
-                    if counts[i] > 0 {
-                        phi[i] += inv_n * sums[i] / counts[i] as f64;
-                    }
-                }
-            }
-            IpssWeighting::PaperLiteral => {
-                let w = inv_n * inv_binom[k_star];
-                for i in 0..n {
-                    phi[i] += sums[i] * w;
-                }
-            }
-        }
-    }
-
-    let population_p2 = binom(n - 1, k_star); // pairs t ∋ i, |t| = k*+1
-    let ci_halfwidths: Vec<f64> = (0..n)
-        .map(|i| {
-            halfwidth(
-                (1..=k_star)
-                    .map(|t_size| if t_size <= done_size { Some(0.0) } else { None })
-                    .chain((phase2_planned > 0).then(|| {
-                        let weight = match weighting {
-                            IpssWeighting::StratifiedMean => inv_n,
-                            // var(w'·Σ) = (w'·m)²·s²/m — the estimator is a
-                            // weighted *sum*, not a mean.
-                            IpssWeighting::PaperLiteral => {
-                                inv_n * inv_binom[k_star] * accs[i].count() as f64
-                            }
-                        };
-                        component_variance(&accs[i], weight, population_p2)
-                    })),
-            )
-        })
-        .collect();
-
-    (
-        ProgressSnapshot {
-            values: phi,
-            ci_halfwidths,
-            samples_used,
-            batches_done,
-            allocation: None,
-        },
-        accs,
-    )
-}
-
-/// Lines 15–17: MC-SV restricted to the evaluated coalitions.
-///
-/// Reads exclusively from the memo — the budget was spent during the
-/// sampling phases. The fold order matches the historical serial
-/// implementation (strata in ascending size, masks in enumeration order),
-/// so estimates are bit-identical to the serial path at any thread count.
-fn estimate(
-    n: usize,
-    k_star: usize,
-    sampled: &[Coalition],
-    weighting: IpssWeighting,
-    memo: &ValueMemo,
-) -> Vec<f64> {
-    let value = |s: Coalition| -> f64 {
-        memo[&s.0] // every pair member was evaluated in phase 1/2
-    };
-    let mut phi = vec![0.0f64; n];
-    let inv_n = 1.0 / n as f64;
-    let inv_binom: Vec<f64> = (0..n).map(|s| 1.0 / binom(n - 1, s)).collect();
-
-    // Exhaustively covered strata: pairs (S, S∪{i}) with |S∪{i}| ≤ k*.
-    // Each full stratum s contributes its exact average marginal
-    // contribution Σ_S (U(S∪{i})−U(S))/C(n−1,s).
-    for t_size in 1..=k_star {
-        for t in subsets_of_size(n, t_size) {
-            let ut = value(t);
-            let w = inv_n * inv_binom[t_size - 1];
-            for i in t.members() {
-                phi[i] += (ut - value(t.without(i))) * w;
-            }
-        }
-    }
-
-    // Sampled stratum k*: pairs (S, S∪{i}) with S∪{i} ∈ P, |S| = k*.
-    // U(S) is known from phase 1.
-    if !sampled.is_empty() {
-        let mut sums = vec![0.0f64; n];
-        let mut counts = vec![0usize; n];
-        for &t in sampled {
-            let ut = value(t);
-            for i in t.members() {
-                sums[i] += ut - value(t.without(i));
-                counts[i] += 1;
-            }
-        }
-        match weighting {
-            IpssWeighting::StratifiedMean => {
-                for i in 0..n {
-                    if counts[i] > 0 {
-                        phi[i] += inv_n * sums[i] / counts[i] as f64;
-                    }
-                }
-            }
-            IpssWeighting::PaperLiteral => {
-                let w = inv_n * inv_binom[k_star];
-                for i in 0..n {
-                    phi[i] += sums[i] * w;
-                }
-            }
-        }
-    }
-    phi
-}
-
-/// Configuration for [`ipss_adaptive`].
+/// Configuration for [`ipss_plateau`].
 #[derive(Clone, Debug)]
-pub struct AdaptiveIpssConfig {
+pub struct PlateauIpssConfig {
     /// Hard ceiling on utility evaluations.
     pub max_gamma: usize,
     /// Stop deepening once a stratum's mean |marginal contribution| falls
@@ -564,71 +452,48 @@ pub struct AdaptiveIpssConfig {
     pub plateau_fraction: f64,
 }
 
-impl Default for AdaptiveIpssConfig {
+impl Default for PlateauIpssConfig {
     fn default() -> Self {
-        AdaptiveIpssConfig {
+        PlateauIpssConfig {
             max_gamma: 1 << 14,
             plateau_fraction: 0.05,
         }
     }
 }
 
-/// Adaptive-cutoff IPSS (an extension beyond the paper): instead of
+/// Plateau-cutoff IPSS (an extension beyond the paper): instead of
 /// deriving `k*` from a fixed budget, deepen the exhaustive phase stratum
 /// by stratum until the observed marginal utilities plateau, then stop.
 ///
 /// Returns the outcome together with the number of evaluations spent.
 /// Cheaper than fixed-γ IPSS on fast-saturating games and more accurate
 /// on slow-saturating ones at equal spend.
-pub fn ipss_adaptive<U: Utility + ?Sized>(u: &U, cfg: &AdaptiveIpssConfig) -> IpssOutcome {
+pub fn ipss_plateau<U: Utility + ?Sized>(u: &U, cfg: &PlateauIpssConfig) -> IpssOutcome {
     let n = u.n_clients();
-    assert!(n >= 1);
     assert!(cfg.max_gamma as u128 > n as u128, "budget too small");
     assert!((0.0..1.0).contains(&cfg.plateau_fraction));
-
-    let mut memo = ValueMemo::new();
-    let mut spent: u128 = 1; // ∅
-    eval_batch_into_memo(u, &[Coalition::empty()], &mut memo);
-    let mut k_star = 0usize;
+    // The pruned schedule's exhaustive phase as deep as the ceiling
+    // affords, stepped by hand so it can be cut short; no phase 2.
+    let mut rng = NoRng;
+    let mut sampler = PrunedSampler::for_ipss(n, &IpssConfig::new(cfg.max_gamma), None, &mut rng);
+    sampler.phase2_total = 0;
     let mut first_stratum_mean: Option<f64> = None;
-    for k in 1..=n {
-        let cost = binom_u128(n, k);
-        if spent + cost > cfg.max_gamma as u128 {
-            break;
+    while !sampler.is_complete() {
+        let stratum = sampler.next_batch(false);
+        sampler.absorb(&stratum, u.eval_batch(&stratum));
+        if sampler.strata_out == 1 {
+            continue; // ∅ has no marginals to measure
         }
-        // Evaluate the stratum as one batch, then measure its mean
-        // |marginal| from the memo (the size-(k−1) stratum is already
-        // memoised).
-        let stratum: Vec<Coalition> = subsets_of_size(n, k).collect();
-        eval_batch_into_memo(u, &stratum, &mut memo);
-        let mut abs_sum = 0.0f64;
-        let mut pairs = 0usize;
-        for &t in &stratum {
-            let ut = memo[&t.0];
-            for i in t.members() {
-                abs_sum += (ut - memo[&t.without(i).0]).abs();
-                pairs += 1;
-            }
-        }
-        spent += cost;
-        k_star = k;
-        let mean_abs = abs_sum / pairs.max(1) as f64;
+        let mean_abs = sampler.mean_abs_marginal(&stratum);
         match first_stratum_mean {
             None => first_stratum_mean = Some(mean_abs.max(f64::MIN_POSITIVE)),
-            Some(first) => {
-                if mean_abs < cfg.plateau_fraction * first {
-                    break; // marginals have plateaued — stop deepening
-                }
-            }
+            Some(first) if mean_abs < cfg.plateau_fraction * first => break,
+            Some(_) => {}
         }
     }
-    let values = estimate(n, k_star, &[], IpssWeighting::StratifiedMean, &memo);
-    IpssOutcome {
-        values,
-        k_star,
-        exhaustive_evaluations: spent,
-        sampled: Vec::new(),
-    }
+    sampler.k_star = sampler.strata_out - 1; // marginals plateaued here
+    let (values, _) = sampler.fold();
+    sampler.into_outcome(values)
 }
 
 #[cfg(test)]
@@ -796,42 +661,17 @@ mod tests {
     }
 
     #[test]
-    fn streaming_complete_run_is_bit_identical_to_legacy() {
-        use crate::anytime::Control;
-        let u = HashUtility { n: 8, seed: 5 };
-        for (gamma, weighting) in [
-            (40usize, IpssWeighting::StratifiedMean),
-            (40, IpssWeighting::PaperLiteral),
-            (9, IpssWeighting::StratifiedMean), // phase 1 exactly exhausts γ
-            (1, IpssWeighting::StratifiedMean), // ∅ only
-        ] {
-            let cfg = IpssConfig::new(gamma).with_weighting(weighting);
-            let legacy = ipss_values(&u, &cfg, &mut StdRng::seed_from_u64(31));
-            let mut snapshots = Vec::new();
-            let out = ipss_streaming(&u, &cfg, &mut StdRng::seed_from_u64(31), |s| {
-                snapshots.push(s.clone());
-                Control::Continue
-            });
-            assert_eq!(out.values, legacy, "γ={gamma} {weighting:?}");
-            assert!(!out.stopped_early);
-            for w in snapshots.windows(2) {
-                assert!(w[0].samples_used <= w[1].samples_used);
-            }
-        }
-    }
-
-    #[test]
     fn streaming_stopped_run_equals_full_run_prefix() {
         use crate::anytime::Control;
         let u = HashUtility { n: 8, seed: 7 };
         let cfg = IpssConfig::new(60);
         let mut snapshots = Vec::new();
-        let _ = ipss_streaming(&u, &cfg, &mut StdRng::seed_from_u64(2), |s| {
+        let _ = ipss_streaming(&u, &cfg, None, &mut StdRng::seed_from_u64(2), |s| {
             snapshots.push(s.clone());
             Control::Continue
         });
         for stop_after in [1usize, 3, snapshots.len() - 1] {
-            let out = ipss_streaming(&u, &cfg, &mut StdRng::seed_from_u64(2), |s| {
+            let out = ipss_streaming(&u, &cfg, None, &mut StdRng::seed_from_u64(2), |s| {
                 if s.batches_done >= stop_after {
                     Control::Stop
                 } else {
@@ -854,7 +694,7 @@ mod tests {
         // size 3 in chunks of n = 8.
         let cfg = IpssConfig::new(92);
         let mut widths = Vec::new();
-        let out = ipss_streaming(&u, &cfg, &mut StdRng::seed_from_u64(6), |s| {
+        let out = ipss_streaming(&u, &cfg, None, &mut StdRng::seed_from_u64(6), |s| {
             widths.push(s.max_halfwidth().unwrap_or(f64::INFINITY));
             Control::Continue
         });
@@ -878,14 +718,20 @@ mod tests {
         let cfg = IpssConfig::new(60);
         let policy = AdaptivePolicy::default();
         let mut allocations = Vec::new();
-        let out = ipss_streaming_adaptive(&u, &cfg, &policy, &mut StdRng::seed_from_u64(19), |s| {
-            let alloc = match &s.allocation {
-                Some(a) => a.clone(),
-                None => panic!("adaptive snapshots must carry the allocation"),
-            };
-            allocations.push(alloc);
-            Control::Continue
-        });
+        let out = ipss_streaming(
+            &u,
+            &cfg,
+            Some(&policy),
+            &mut StdRng::seed_from_u64(19),
+            |s| {
+                let alloc = match &s.allocation {
+                    Some(a) => a.clone(),
+                    None => panic!("adaptive snapshots must carry the allocation"),
+                };
+                allocations.push(alloc);
+                Control::Continue
+            },
+        );
         assert!(!out.stopped_early);
         assert_eq!(u.stats().evaluations, 60, "exactly γ evaluations");
         // Phase-1 snapshots report zero coverage; phase 2 grows monotonically
@@ -909,19 +755,30 @@ mod tests {
         let cfg = IpssConfig::new(60);
         let policy = AdaptivePolicy::default();
         let mut snapshots = Vec::new();
-        let _ = ipss_streaming_adaptive(&u, &cfg, &policy, &mut StdRng::seed_from_u64(2), |s| {
-            snapshots.push(s.clone());
-            Control::Continue
-        });
+        let _ = ipss_streaming(
+            &u,
+            &cfg,
+            Some(&policy),
+            &mut StdRng::seed_from_u64(2),
+            |s| {
+                snapshots.push(s.clone());
+                Control::Continue
+            },
+        );
         for stop_after in [1usize, 4, snapshots.len() - 1] {
-            let out =
-                ipss_streaming_adaptive(&u, &cfg, &policy, &mut StdRng::seed_from_u64(2), |s| {
+            let out = ipss_streaming(
+                &u,
+                &cfg,
+                Some(&policy),
+                &mut StdRng::seed_from_u64(2),
+                |s| {
                     if s.batches_done >= stop_after {
                         Control::Stop
                     } else {
                         Control::Continue
                     }
-                });
+                },
+            );
             assert!(out.stopped_early);
             let want = &snapshots[stop_after - 1];
             assert_eq!(out.values, want.values, "stop_after={stop_after}");
@@ -934,7 +791,7 @@ mod tests {
     fn adaptive_stops_early_on_fast_saturating_utility() {
         // rate = 2.5: marginals collapse after the first stratum.
         let fast = CachedUtility::new(SaturatingUtility::uniform(10, 0.1, 0.85, 2.5));
-        let out = ipss_adaptive(&fast, &AdaptiveIpssConfig::default());
+        let out = ipss_plateau(&fast, &PlateauIpssConfig::default());
         assert!(out.k_star <= 3, "k* = {} should be small", out.k_star);
         // And still accurate: the ignored strata carry < 1% of the value.
         let exact = exact_mc_sv(&fast);
@@ -946,8 +803,8 @@ mod tests {
     fn adaptive_goes_deeper_on_slow_saturating_utility() {
         let fast = CachedUtility::new(SaturatingUtility::uniform(10, 0.1, 0.85, 2.5));
         let slow = CachedUtility::new(SaturatingUtility::uniform(10, 0.1, 0.85, 0.15));
-        let k_fast = ipss_adaptive(&fast, &AdaptiveIpssConfig::default()).k_star;
-        let k_slow = ipss_adaptive(&slow, &AdaptiveIpssConfig::default()).k_star;
+        let k_fast = ipss_plateau(&fast, &PlateauIpssConfig::default()).k_star;
+        let k_slow = ipss_plateau(&slow, &PlateauIpssConfig::default()).k_star;
         assert!(
             k_slow > k_fast,
             "slow-saturating game should deepen further ({k_slow} vs {k_fast})"
@@ -957,11 +814,11 @@ mod tests {
     #[test]
     fn adaptive_respects_budget_ceiling() {
         let u = CachedUtility::new(SaturatingUtility::uniform(12, 0.1, 0.85, 0.05));
-        let cfg = AdaptiveIpssConfig {
+        let cfg = PlateauIpssConfig {
             max_gamma: 100,
             plateau_fraction: 0.0001,
         };
-        let out = ipss_adaptive(&u, &cfg);
+        let out = ipss_plateau(&u, &cfg);
         assert!(u.stats().evaluations <= 100);
         assert!(out.exhaustive_evaluations <= 100);
     }

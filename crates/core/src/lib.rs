@@ -24,6 +24,12 @@
 //!   `l2` relative error (Eq. 21), property-based proxies (Fig. 9) and
 //!   Pareto-front extraction (Fig. 8).
 //!
+//! Alg. 1, IPSS, pruned Banzhaf, Owen sampling and the exact sweep share
+//! one estimator core ([`sampler`]): each is a schedule plus a prefix
+//! fold behind the [`sampler::Sampler`] shape, run by one driver loop —
+//! one-shot, streaming with confidence intervals ([`anytime`]) or with
+//! the budget re-planned each round ([`adaptive`]).
+//!
 //! Real FL training lives in `fedval-fl`; the closed-form linear-regression
 //! analysis (Lemma 1, Theorems 2–3) lives in `fedval-theory`. Everything
 //! here is substrate-agnostic.
@@ -58,6 +64,7 @@ pub mod kgreedy;
 pub mod loo;
 pub mod metrics;
 pub mod owen;
+pub mod sampler;
 pub mod sampling;
 pub mod service;
 pub mod stratified;
@@ -81,24 +88,22 @@ pub mod prelude {
     pub use crate::exact::{exact_cc_sv, exact_mc_sv, exact_mc_sv_streaming, exact_perm_sv};
     pub use crate::fault::{FaultyUtility, InjectedFault, PERSISTENT};
     pub use crate::ipss::{
-        compute_k_star, ipss, ipss_adaptive, ipss_streaming, ipss_streaming_adaptive, ipss_values,
-        AdaptiveIpssConfig, IpssConfig, IpssWeighting,
+        compute_k_star, ipss, ipss_plateau, ipss_streaming, ipss_values, IpssConfig, IpssWeighting,
+        PlateauIpssConfig,
     };
     pub use crate::kgreedy::{k_greedy, k_greedy_evaluations};
     pub use crate::loo::leave_one_out;
     pub use crate::metrics::{
         kendall_tau, l2_relative_error, max_abs_error, pareto_front, property_error,
     };
-    pub use crate::owen::{
-        owen_sampling, owen_sampling_streaming, owen_sampling_streaming_adaptive, OwenConfig,
-    };
+    pub use crate::owen::{owen_sampling, owen_sampling_streaming, OwenConfig};
     pub use crate::service::{
         partial_prefix_fold, Estimator, FlushWindow, LimitPolicy, RetryPolicy, RunStats,
         ServiceStats, Ticket, ValuationError, ValuationRequest, ValuationResponse, ValuationServer,
     };
     pub use crate::stratified::{
-        stratified_sampling, stratified_sampling_streaming, stratified_sampling_streaming_adaptive,
-        stratified_sampling_values, Scheme, StratifiedConfig,
+        stratified_sampling, stratified_sampling_streaming, stratified_sampling_values, Scheme,
+        StratifiedConfig,
     };
     pub use crate::utility::{
         AdditiveUtility, CachedUtility, EvalStats, HashUtility, NoisyUtility, ParallelUtility,

@@ -8,6 +8,11 @@
 //! `ϕ_i = ∫₀¹ e_i(q) dq`. Owen sampling estimates the integral on a `q`
 //! grid with Monte-Carlo coalitions at each node, optionally with
 //! antithetic pairing (`S_q` and its complement) for variance reduction.
+//!
+//! Both entry points run one [`OwenSampler`] under the [`Sampler`]
+//! contract of [`crate::sampler`]: randomness is consumed only while
+//! drawing (node-major), the fold runs in draw order within a node and
+//! node order across the grid, and snapshots are pure in the prefix.
 
 use std::collections::{HashMap, HashSet};
 
@@ -18,6 +23,7 @@ use crate::anytime::{
     component_variance, halfwidth, Control, ProgressSnapshot, StreamingOutcome, Welford,
 };
 use crate::coalition::Coalition;
+use crate::sampler::{drive, Sampler};
 use crate::utility::Utility;
 
 /// Configuration for [`owen_sampling`].
@@ -42,9 +48,241 @@ impl OwenConfig {
         }
     }
 
+    /// Upper bound on the evaluations the grid costs on an `n`-client
+    /// game: every draw evaluates the sample and its `n` single-flip
+    /// variants (before dedup, and before antithetic doubling).
+    pub fn evaluations(&self, n: usize) -> usize {
+        self.q_nodes * self.samples_per_node * (n + 1)
+    }
+
+    /// The grid the service runs for an evaluation budget — the inverse
+    /// of [`OwenConfig::evaluations`] on four `q` nodes, with at least
+    /// one draw per node.
+    pub fn for_budget(n: usize, budget: usize) -> Self {
+        let unit = OwenConfig::new(4, 1);
+        OwenConfig::new(unit.q_nodes, (budget / unit.evaluations(n)).max(1))
+    }
+
     pub fn with_antithetic(mut self) -> Self {
         self.antithetic = true;
         self
+    }
+
+    /// Trapezoid weight of grid node `node`.
+    fn node_weight(&self, node: usize) -> f64 {
+        let h = 1.0 / (self.q_nodes - 1) as f64;
+        if node == 0 || node == self.q_nodes - 1 {
+            h / 2.0
+        } else {
+            h
+        }
+    }
+}
+
+/// Owen sampling as a [`Sampler`]: Bernoulli(`q`) draws per grid node,
+/// evaluated together with their single-flip neighbourhoods.
+///
+/// **Schedule.** Without a planner every node's `samples_per_node` draws
+/// are drawn in the first round (node-major, each followed by its
+/// complement when antithetic) and handed out one node per batch, or —
+/// at snapshot granularity — round-robin: round `r` evaluates draw `r` of
+/// *every* node. Every sample informs every client (the shared-sample
+/// trick), so per-client CIs become finite after two draws per node —
+/// Owen is the natural early-stopping vehicle. With a planner the same
+/// `q_nodes · samples_per_node` draws are Neyman-allocated each round
+/// from the pooled per-node contribution variances (`w_j` the trapezoid
+/// weight). A batch holds each handed-out sample and its `n` single-flip
+/// variants, deduplicated against everything the run already evaluated.
+///
+/// **Fold.** Per-node means in draw order, then the trapezoid rule in
+/// node order. CI terms treat a node's per-sample contributions as i.i.d.
+/// ([`Welford`] per `(client, node)`, trapezoid weight, infinite
+/// population — draws are with replacement); under antithetic pairing
+/// this ignores the negative pair covariance and is conservative.
+pub struct OwenSampler<'r, R: Rng + ?Sized> {
+    n: usize,
+    cfg: OwenConfig,
+    /// The planner and its round size, when rounds are re-planned.
+    planner: Option<(AllocationPlanner, usize)>,
+    rng: &'r mut R,
+    /// Per node: the samples drawn so far (one per draw, two when
+    /// antithetic) and how many of them have been handed out.
+    samples: Vec<Vec<Coalition>>,
+    handed: Vec<usize>,
+    memo: HashMap<u128, f64>,
+    /// Every contribution at node `j` (across clients, in fold order) as
+    /// of the last fold — the `σ_j` the planner steers by.
+    pooled: Vec<Welford>,
+    batches_out: usize,
+}
+
+impl<'r, R: Rng + ?Sized> OwenSampler<'r, R> {
+    /// A sampler for an `n`-client game; `policy` re-plans the per-node
+    /// split of `cfg`'s total draw budget each round.
+    pub fn new(
+        n: usize,
+        cfg: &OwenConfig,
+        policy: Option<&AdaptivePolicy>,
+        rng: &'r mut R,
+    ) -> Self {
+        assert!(n >= 1);
+        assert!(cfg.q_nodes >= 2 && cfg.samples_per_node >= 1);
+        OwenSampler {
+            n,
+            cfg: cfg.clone(),
+            planner: policy.map(|p| (AllocationPlanner::new(*p), p.round(cfg.q_nodes))),
+            rng,
+            samples: vec![Vec::new(); cfg.q_nodes],
+            handed: vec![0; cfg.q_nodes],
+            memo: HashMap::new(),
+            pooled: vec![Welford::new(); cfg.q_nodes],
+            batches_out: 0,
+        }
+    }
+
+    /// The draw routine: `plan[j]` new Bernoulli(`q_j`) coalitions at
+    /// node `j`, each followed by its complement when antithetic,
+    /// consuming the RNG node-major.
+    fn draw(&mut self, plan: &[usize]) {
+        for (node, &m) in plan.iter().enumerate() {
+            let q = node as f64 / (self.cfg.q_nodes - 1) as f64;
+            for _ in 0..m {
+                let mut mask = 0u128;
+                for i in 0..self.n {
+                    if self.rng.random::<f64>() < q {
+                        mask |= 1 << i;
+                    }
+                }
+                self.samples[node].push(Coalition(mask));
+                if self.cfg.antithetic {
+                    self.samples[node].push(Coalition(mask).complement(self.n));
+                }
+            }
+        }
+    }
+
+    fn budget(&self) -> usize {
+        self.cfg.q_nodes * self.cfg.samples_per_node
+    }
+
+    /// Draws taken so far, per node.
+    fn drawn(&self) -> Vec<usize> {
+        let per_draw = if self.cfg.antithetic { 2 } else { 1 };
+        self.samples.iter().map(|s| s.len() / per_draw).collect()
+    }
+}
+
+impl<R: Rng + ?Sized> Sampler for OwenSampler<'_, R> {
+    fn next_batch(&mut self, fine: bool) -> Vec<Coalition> {
+        let drawn = self.drawn();
+        let scheduled: usize = drawn.iter().sum();
+        let plan = match &self.planner {
+            Some((planner, round)) => {
+                // Draws are with replacement: capacity is unbounded.
+                let components: Vec<ComponentState> = (0..self.cfg.q_nodes)
+                    .map(|j| {
+                        let weight = self.cfg.node_weight(j);
+                        ComponentState::observed(weight, &self.pooled[j], drawn[j], usize::MAX)
+                    })
+                    .collect();
+                planner.plan_round((*round).min(self.budget() - scheduled), &components)
+            }
+            None if scheduled == 0 => vec![self.cfg.samples_per_node; self.cfg.q_nodes],
+            None => Vec::new(), // the fixed plan is drawn whole in the first round
+        };
+        self.draw(&plan);
+
+        // Hand out, node-major: a planned round whole, one draw of every
+        // node at snapshot granularity, else all of the next node.
+        let per_draw = if self.cfg.antithetic { 2 } else { 1 };
+        let mut batch: Vec<Coalition> = Vec::new();
+        let mut seen: HashSet<u128> = HashSet::new();
+        for (node, samples) in self.samples.iter().enumerate() {
+            let upto = match (&self.planner, fine) {
+                (Some(_), _) => samples.len(),
+                (None, true) => self.handed[node] + per_draw,
+                (None, false) if node == self.batches_out => samples.len(),
+                (None, false) => self.handed[node],
+            };
+            for &s in &samples[self.handed[node]..upto] {
+                // The sample, then its n single-flip variants.
+                let flips = (0..self.n).map(|i| Coalition(s.0 ^ (1 << i)));
+                for t in std::iter::once(s).chain(flips) {
+                    if !self.memo.contains_key(&t.0) && seen.insert(t.0) {
+                        batch.push(t);
+                    }
+                }
+            }
+            self.handed[node] = upto;
+        }
+        self.batches_out += 1;
+        batch
+    }
+
+    fn absorb(&mut self, batch: &[Coalition], values: Vec<f64>) {
+        self.memo.extend(batch.iter().map(|s| s.0).zip(values));
+    }
+
+    fn is_complete(&self) -> bool {
+        self.drawn().iter().sum::<usize>() >= self.budget()
+            && self
+                .handed
+                .iter()
+                .zip(&self.samples)
+                .all(|(&h, s)| h == s.len())
+    }
+
+    fn fold(&mut self) -> (Vec<f64>, Vec<f64>) {
+        let (n, q_nodes, memo) = (self.n, self.cfg.q_nodes, &self.memo);
+        let mut values = vec![0.0f64; n];
+        let mut accs = vec![vec![Welford::new(); q_nodes]; n]; // accs[i][node]
+        let mut pooled = vec![Welford::new(); q_nodes];
+        for (node, samples) in self.samples.iter().enumerate() {
+            let mut sums = vec![0.0f64; n];
+            let mut counts = vec![0usize; n];
+            for &s in &samples[..self.handed[node]] {
+                // The shared-sample trick: for `i ∈ s` the base coalition
+                // is `s\{i}` (a valid `S_q ⊆ N\{i}` draw), for `i ∉ s` it
+                // is `s` itself — so every sample informs every client,
+                // including at the grid ends `q ∈ {0, 1}`.
+                let base = memo[&s.0];
+                for i in 0..n {
+                    let contribution = if s.contains(i) {
+                        base - memo[&s.without(i).0]
+                    } else {
+                        memo[&s.with(i).0] - base
+                    };
+                    sums[i] += contribution;
+                    counts[i] += 1;
+                    accs[i][node].push(contribution);
+                    pooled[node].push(contribution);
+                }
+            }
+            // Trapezoid rule: the node's mean enters with the node's weight.
+            let weight = self.cfg.node_weight(node);
+            for i in 0..n {
+                let mean = if counts[i] > 0 {
+                    sums[i] / counts[i] as f64
+                } else {
+                    0.0
+                };
+                values[i] += weight * mean;
+            }
+        }
+        let ci_halfwidths = accs
+            .iter()
+            .map(|node_accs| {
+                halfwidth(node_accs.iter().enumerate().map(|(node, acc)| {
+                    component_variance(acc, self.cfg.node_weight(node), f64::INFINITY)
+                }))
+            })
+            .collect();
+        self.pooled = pooled;
+        (values, ci_halfwidths)
+    }
+
+    fn allocation(&self) -> Option<Vec<usize>> {
+        self.planner.as_ref().map(|_| self.drawn())
     }
 }
 
@@ -54,84 +292,19 @@ pub fn owen_sampling<U: Utility + ?Sized, R: Rng + ?Sized>(
     cfg: &OwenConfig,
     rng: &mut R,
 ) -> Vec<f64> {
-    let n = u.n_clients();
-    assert!(n >= 1);
-    assert!(cfg.q_nodes >= 2 && cfg.samples_per_node >= 1);
-    // e_hat[node][i] accumulates marginal contributions of client i at q.
-    let mut phi = vec![0.0f64; n];
-    let mut node_means = vec![vec![0.0f64; n]; cfg.q_nodes];
-    for (node, means) in node_means.iter_mut().enumerate() {
-        let q = node as f64 / (cfg.q_nodes - 1) as f64;
-        // Draw the node's coalitions first (the RNG stream is identical to
-        // the historical draw-then-evaluate interleaving, which consumed no
-        // randomness during evaluation), then evaluate the whole
-        // neighbourhood — each sample plus its n single-flip variants — as
-        // one deduplicated batch.
-        let mut samples: Vec<Coalition> =
-            Vec::with_capacity(cfg.samples_per_node * if cfg.antithetic { 2 } else { 1 });
-        for _ in 0..cfg.samples_per_node {
-            let mut mask = 0u128;
-            for i in 0..n {
-                if rng.random::<f64>() < q {
-                    mask |= 1 << i;
-                }
-            }
-            samples.push(Coalition(mask));
-            if cfg.antithetic {
-                samples.push(Coalition(mask).complement(n));
-            }
-        }
-        let values = batch_neighbourhoods(u, n, &samples);
-        let mut sums = vec![0.0f64; n];
-        let mut counts = vec![0usize; n];
-        for &s in &samples {
-            accumulate(&values, s, n, &mut sums, &mut counts);
-        }
-        for (mean, (&sum, &count)) in means.iter_mut().zip(sums.iter().zip(&counts)) {
-            *mean = if count > 0 { sum / count as f64 } else { 0.0 };
-        }
-    }
-    // Trapezoid rule over the q grid.
-    let h = 1.0 / (cfg.q_nodes - 1) as f64;
-    for (node, means) in node_means.iter().enumerate() {
-        let weight = if node == 0 || node == cfg.q_nodes - 1 {
-            h / 2.0
-        } else {
-            h
-        };
-        for (p, m) in phi.iter_mut().zip(means) {
-            *p += weight * m;
-        }
-    }
-    phi
+    let mut sampler = OwenSampler::new(u.n_clients(), cfg, None, rng);
+    drive(u, &mut sampler, None).values
 }
 
-/// Anytime Owen sampling — the streaming variant of [`owen_sampling`].
-///
-/// Draws the entire `q`-grid schedule up front (the RNG stream is
-/// identical to the non-streaming run with the same seed), then
-/// evaluates it in **round-robin** rounds: round `r` evaluates draw `r`
-/// of *every* grid node (plus its antithetic partner when enabled),
-/// together with their single-flip neighbourhoods, deduplicated against
-/// everything already evaluated. Because every sample informs every
-/// client (the shared-sample trick), per-client CIs become finite after
-/// two draws per node — Owen is the natural early-stopping vehicle.
-///
-/// After each round the canonical prefix fold is recomputed from
-/// scratch — per-node means over the prefix in draw order, then the
-/// trapezoid rule in node order, exactly the legacy operation order —
-/// so a completed schedule is bit-identical to [`owen_sampling`] and a
-/// stopped run bit-equals the same-seed full run's snapshot at the same
-/// round (the determinism contract).
-///
-/// CI terms treat each node's per-sample contributions as i.i.d.
-/// ([`Welford`] per `(client, node)`, trapezoid weight, infinite
-/// population — draws are with replacement). Under antithetic pairing
-/// this ignores the negative pair covariance and is therefore
-/// conservative (never too narrow).
+/// Anytime Owen sampling: [`owen_sampling`] observed after each round
+/// ([`OwenSampler`] documents the schedule and the CI); `observe` may
+/// return [`Control::Stop`]. With a `policy` the grid budget is
+/// re-planned each round and [`ProgressSnapshot::allocation`] carries
+/// the cumulative per-node draw counts.
 pub fn owen_sampling_streaming<U, R, F>(
     u: &U,
     cfg: &OwenConfig,
+    policy: Option<&AdaptivePolicy>,
     rng: &mut R,
     mut observe: F,
 ) -> StreamingOutcome
@@ -140,340 +313,8 @@ where
     R: Rng + ?Sized,
     F: FnMut(&ProgressSnapshot) -> Control,
 {
-    let n = u.n_clients();
-    assert!(n >= 1);
-    assert!(cfg.q_nodes >= 2 && cfg.samples_per_node >= 1);
-    // Identical draws (and RNG consumption) to the non-streaming run:
-    // node-major, each draw immediately followed by its complement when
-    // antithetic.
-    let per_draw = if cfg.antithetic { 2 } else { 1 };
-    let mut samples: Vec<Vec<Coalition>> = Vec::with_capacity(cfg.q_nodes);
-    for node in 0..cfg.q_nodes {
-        let q = node as f64 / (cfg.q_nodes - 1) as f64;
-        let mut node_samples: Vec<Coalition> = Vec::with_capacity(cfg.samples_per_node * per_draw);
-        for _ in 0..cfg.samples_per_node {
-            let mut mask = 0u128;
-            for i in 0..n {
-                if rng.random::<f64>() < q {
-                    mask |= 1 << i;
-                }
-            }
-            node_samples.push(Coalition(mask));
-            if cfg.antithetic {
-                node_samples.push(Coalition(mask).complement(n));
-            }
-        }
-        samples.push(node_samples);
-    }
-
-    let mut memo: HashMap<u128, f64> = HashMap::new();
-    let mut samples_used = 0usize;
-    for r in 0..cfg.samples_per_node {
-        let mut batch: Vec<Coalition> = Vec::new();
-        let mut seen: HashSet<u128> = HashSet::new();
-        {
-            let mut push = |s: Coalition| {
-                if !memo.contains_key(&s.0) && seen.insert(s.0) {
-                    batch.push(s);
-                }
-            };
-            for node_samples in &samples {
-                for &s in &node_samples[r * per_draw..(r + 1) * per_draw] {
-                    push(s);
-                    for i in 0..n {
-                        push(if s.contains(i) {
-                            s.without(i)
-                        } else {
-                            s.with(i)
-                        });
-                    }
-                }
-            }
-        }
-        let values = u.eval_batch(&batch);
-        for (s, v) in batch.iter().zip(values) {
-            memo.insert(s.0, v);
-        }
-        samples_used += batch.len();
-        let prefix = (r + 1) * per_draw;
-        let (snapshot, _pooled) =
-            owen_prefix_snapshot(n, cfg, &samples, &memo, prefix, samples_used, r + 1);
-        let control = observe(&snapshot);
-        let complete = r + 1 == cfg.samples_per_node;
-        if complete || control == Control::Stop {
-            return StreamingOutcome::from_snapshot(snapshot, !complete);
-        }
-    }
-    unreachable!("the final round always returns")
-}
-
-/// Adaptive Owen sampling — [`owen_sampling_streaming`] with the grid
-/// budget re-planned at every round by Neyman allocation instead of
-/// spending `samples_per_node` draws on every node uniformly.
-///
-/// The total draw budget is `q_nodes · samples_per_node` (each draw
-/// costs one coalition plus its antithetic partner when enabled, before
-/// neighbourhood dedup). Each round an [`AllocationPlanner`] turns the
-/// pooled per-node contribution variances into the next round's
-/// per-node draw counts (`m_j ∝ w_j·σ_j` with `w_j` the trapezoid node
-/// weight, plus the exploration floor), and the node's sample list
-/// grows raggedly; the prefix fold already handles ragged lists (it
-/// folds whatever each node has, in draw order).
-///
-/// Determinism contract: planning consumes no randomness, draws consume
-/// RNG in plan order (node-major), so the allocation sequence — exposed
-/// on [`ProgressSnapshot::allocation`] as cumulative per-node draw
-/// counts — is a pure function of (seed, snapshot history), and
-/// same-seed runs are bit-identical at any thread count or coalescing
-/// interleaving.
-pub fn owen_sampling_streaming_adaptive<U, R, F>(
-    u: &U,
-    cfg: &OwenConfig,
-    policy: &AdaptivePolicy,
-    rng: &mut R,
-    mut observe: F,
-) -> StreamingOutcome
-where
-    U: Utility + ?Sized,
-    R: Rng + ?Sized,
-    F: FnMut(&ProgressSnapshot) -> Control,
-{
-    let n = u.n_clients();
-    assert!(n >= 1);
-    assert!(cfg.q_nodes >= 2 && cfg.samples_per_node >= 1);
-    let planner = AllocationPlanner::new(*policy);
-    let round_size = policy.round(cfg.q_nodes);
-    let budget = cfg.q_nodes * cfg.samples_per_node; // total draws
-    let h = 1.0 / (cfg.q_nodes - 1) as f64;
-    let node_weight = |node: usize| {
-        if node == 0 || node == cfg.q_nodes - 1 {
-            h / 2.0
-        } else {
-            h
-        }
-    };
-
-    let mut samples: Vec<Vec<Coalition>> = vec![Vec::new(); cfg.q_nodes];
-    let mut drawn: Vec<usize> = vec![0usize; cfg.q_nodes];
-    let mut pooled: Vec<Welford> = vec![Welford::new(); cfg.q_nodes];
-    let mut memo: HashMap<u128, f64> = HashMap::new();
-    let mut samples_used = 0usize;
-    let mut batches_done = 0usize;
-    let mut scheduled = 0usize;
-    loop {
-        let components: Vec<ComponentState> = (0..cfg.q_nodes)
-            .map(|node| ComponentState {
-                weight: node_weight(node),
-                variance: pooled[node].sample_variance(),
-                observed: pooled[node].count(),
-                drawn: drawn[node],
-                remaining: usize::MAX, // with replacement: unbounded
-            })
-            .collect();
-        let plan = planner.plan_round(round_size.min(budget - scheduled), &components);
-
-        // Draw in plan order (node-major), then evaluate the new samples
-        // plus their single-flip neighbourhoods as one deduped batch.
-        let mut batch: Vec<Coalition> = Vec::new();
-        let mut seen: HashSet<u128> = HashSet::new();
-        for (node, &m) in plan.iter().enumerate() {
-            if m == 0 {
-                continue;
-            }
-            let q = node as f64 / (cfg.q_nodes - 1) as f64;
-            let mut push = |s: Coalition| {
-                if !memo.contains_key(&s.0) && seen.insert(s.0) {
-                    batch.push(s);
-                }
-            };
-            for _ in 0..m {
-                let mut mask = 0u128;
-                for i in 0..n {
-                    if rng.random::<f64>() < q {
-                        mask |= 1 << i;
-                    }
-                }
-                let mut news = vec![Coalition(mask)];
-                if cfg.antithetic {
-                    news.push(Coalition(mask).complement(n));
-                }
-                for s in news {
-                    push(s);
-                    for i in 0..n {
-                        push(if s.contains(i) {
-                            s.without(i)
-                        } else {
-                            s.with(i)
-                        });
-                    }
-                    samples[node].push(s);
-                }
-            }
-            drawn[node] += m;
-            scheduled += m;
-        }
-
-        let values = u.eval_batch(&batch);
-        for (s, v) in batch.iter().zip(values) {
-            memo.insert(s.0, v);
-        }
-        samples_used += batch.len();
-        batches_done += 1;
-        // Ragged prefix: fold everything each node has drawn so far.
-        let (mut snapshot, new_pooled) = owen_prefix_snapshot(
-            n,
-            cfg,
-            &samples,
-            &memo,
-            usize::MAX,
-            samples_used,
-            batches_done,
-        );
-        snapshot.allocation = Some(drawn.clone());
-        pooled = new_pooled;
-
-        let complete = scheduled >= budget;
-        let control = observe(&snapshot);
-        if complete || control == Control::Stop {
-            return StreamingOutcome::from_snapshot(snapshot, !complete);
-        }
-    }
-}
-
-/// The canonical prefix fold of Owen sampling plus its CI: per-node
-/// means over the first `prefix` samples in draw order, then the
-/// trapezoid rule in node order. Over the complete schedule this is
-/// bit-identical to the [`owen_sampling`] fold (same contributions,
-/// same accumulation order; evaluation is pure per coalition mask, so
-/// the cross-node memo cannot change any value).
-///
-/// Also returns the pooled per-node [`Welford`] accumulators (every
-/// contribution at that node, across clients, in fold order) — the
-/// `σ_j` estimates the adaptive planner steers by.
-fn owen_prefix_snapshot(
-    n: usize,
-    cfg: &OwenConfig,
-    samples: &[Vec<Coalition>],
-    memo: &HashMap<u128, f64>,
-    prefix: usize,
-    samples_used: usize,
-    batches_done: usize,
-) -> (ProgressSnapshot, Vec<Welford>) {
-    let mut node_means = vec![vec![0.0f64; n]; cfg.q_nodes];
-    let mut accs = vec![vec![Welford::new(); cfg.q_nodes]; n]; // accs[i][node]
-    let mut pooled = vec![Welford::new(); cfg.q_nodes];
-    for (node, node_samples) in samples.iter().enumerate() {
-        let mut sums = vec![0.0f64; n];
-        let mut counts = vec![0usize; n];
-        for &s in &node_samples[..prefix.min(node_samples.len())] {
-            let base = memo[&s.0];
-            for i in 0..n {
-                let contribution = if s.contains(i) {
-                    base - memo[&s.without(i).0]
-                } else {
-                    memo[&s.with(i).0] - base
-                };
-                sums[i] += contribution;
-                counts[i] += 1;
-                accs[i][node].push(contribution);
-                pooled[node].push(contribution);
-            }
-        }
-        for (mean, (&sum, &count)) in node_means[node].iter_mut().zip(sums.iter().zip(&counts)) {
-            *mean = if count > 0 { sum / count as f64 } else { 0.0 };
-        }
-    }
-    // Trapezoid rule over the q grid — the legacy loop, verbatim.
-    let h = 1.0 / (cfg.q_nodes - 1) as f64;
-    let node_weight = |node: usize| {
-        if node == 0 || node == cfg.q_nodes - 1 {
-            h / 2.0
-        } else {
-            h
-        }
-    };
-    let mut values = vec![0.0f64; n];
-    for (node, means) in node_means.iter().enumerate() {
-        let weight = node_weight(node);
-        for (p, m) in values.iter_mut().zip(means) {
-            *p += weight * m;
-        }
-    }
-    let ci_halfwidths: Vec<f64> =
-        accs.iter()
-            .map(|node_accs| {
-                halfwidth(
-                    node_accs.iter().enumerate().map(|(node, acc)| {
-                        component_variance(acc, node_weight(node), f64::INFINITY)
-                    }),
-                )
-            })
-            .collect();
-    (
-        ProgressSnapshot {
-            values,
-            ci_halfwidths,
-            samples_used,
-            batches_done,
-            allocation: None,
-        },
-        pooled,
-    )
-}
-
-/// Evaluate every coalition the accumulation pass will touch — each sample
-/// and its `n` single-flip variants — as one deduplicated `eval_batch`
-/// call, returning the values keyed by mask.
-fn batch_neighbourhoods<U: Utility + ?Sized>(
-    u: &U,
-    n: usize,
-    samples: &[Coalition],
-) -> HashMap<u128, f64> {
-    let mut batch: Vec<Coalition> = Vec::with_capacity(samples.len() * (n + 1));
-    let mut seen: HashSet<u128> = HashSet::with_capacity(samples.len() * (n + 1));
-    let mut push = |batch: &mut Vec<Coalition>, s: Coalition| {
-        if seen.insert(s.0) {
-            batch.push(s);
-        }
-    };
-    for &s in samples {
-        push(&mut batch, s);
-        for i in 0..n {
-            push(
-                &mut batch,
-                if s.contains(i) {
-                    s.without(i)
-                } else {
-                    s.with(i)
-                },
-            );
-        }
-    }
-    let values = u.eval_batch(&batch);
-    batch.iter().zip(values).map(|(s, v)| (s.0, v)).collect()
-}
-
-/// Record every client's marginal contribution around coalition `s` (the
-/// shared-sample trick): for `i ∈ s` the base coalition is `s\{i}` (a
-/// valid `S_q ⊆ N\{i}` draw), for `i ∉ s` it is `s` itself — so every
-/// sample informs every client, including at the grid ends `q ∈ {0, 1}`.
-/// Reads from the pre-evaluated value map.
-fn accumulate(
-    value_by_mask: &HashMap<u128, f64>,
-    s: Coalition,
-    n: usize,
-    sums: &mut [f64],
-    counts: &mut [usize],
-) {
-    let base = value_by_mask[&s.0];
-    for i in 0..n {
-        if s.contains(i) {
-            sums[i] += base - value_by_mask[&s.without(i).0];
-        } else {
-            sums[i] += value_by_mask[&s.with(i).0] - base;
-        }
-        counts[i] += 1;
-    }
+    let mut sampler = OwenSampler::new(u.n_clients(), cfg, policy, rng);
+    drive(u, &mut sampler, Some(&mut observe))
 }
 
 #[cfg(test)]
@@ -546,38 +387,16 @@ mod tests {
     }
 
     #[test]
-    fn streaming_complete_run_is_bit_identical_to_legacy() {
-        let u = SaturatingUtility::uniform(6, 0.1, 0.8, 0.8);
-        for cfg in [
-            OwenConfig::new(5, 6),
-            OwenConfig::new(4, 5).with_antithetic(),
-        ] {
-            let legacy = owen_sampling(&u, &cfg, &mut StdRng::seed_from_u64(17));
-            let mut snapshots = Vec::new();
-            let out = owen_sampling_streaming(&u, &cfg, &mut StdRng::seed_from_u64(17), |s| {
-                snapshots.push(s.clone());
-                crate::anytime::Control::Continue
-            });
-            assert_eq!(out.values, legacy, "antithetic={}", cfg.antithetic);
-            assert!(!out.stopped_early);
-            assert_eq!(out.batches_done, cfg.samples_per_node);
-            for w in snapshots.windows(2) {
-                assert!(w[0].samples_used <= w[1].samples_used);
-            }
-        }
-    }
-
-    #[test]
     fn streaming_stopped_run_equals_full_run_prefix() {
         let u = SaturatingUtility::uniform(5, 0.1, 0.7, 0.9);
         let cfg = OwenConfig::new(5, 8);
         let mut snapshots = Vec::new();
-        let _ = owen_sampling_streaming(&u, &cfg, &mut StdRng::seed_from_u64(3), |s| {
+        let _ = owen_sampling_streaming(&u, &cfg, None, &mut StdRng::seed_from_u64(3), |s| {
             snapshots.push(s.clone());
             crate::anytime::Control::Continue
         });
         // Stop after round 3: bit-equal to the unstopped run's snapshot.
-        let out = owen_sampling_streaming(&u, &cfg, &mut StdRng::seed_from_u64(3), |s| {
+        let out = owen_sampling_streaming(&u, &cfg, None, &mut StdRng::seed_from_u64(3), |s| {
             if s.batches_done >= 3 {
                 crate::anytime::Control::Stop
             } else {
@@ -595,7 +414,7 @@ mod tests {
         let u = SaturatingUtility::uniform(6, 0.1, 0.8, 0.8);
         let cfg = OwenConfig::new(5, 40);
         let mut widths = Vec::new();
-        let out = owen_sampling_streaming(&u, &cfg, &mut StdRng::seed_from_u64(11), |s| {
+        let out = owen_sampling_streaming(&u, &cfg, None, &mut StdRng::seed_from_u64(11), |s| {
             widths.push(s.max_halfwidth().unwrap_or(f64::INFINITY));
             crate::anytime::Control::Continue
         });
@@ -623,10 +442,10 @@ mod tests {
         let cfg = OwenConfig::new(5, 8);
         let policy = crate::adaptive::AdaptivePolicy::default();
         let mut allocations = Vec::new();
-        let out = owen_sampling_streaming_adaptive(
+        let out = owen_sampling_streaming(
             &u,
             &cfg,
-            &policy,
+            Some(&policy),
             &mut StdRng::seed_from_u64(7),
             |s| {
                 let alloc = match &s.allocation {
@@ -660,10 +479,10 @@ mod tests {
         let cfg = OwenConfig::new(4, 6).with_antithetic();
         let policy = crate::adaptive::AdaptivePolicy::default();
         let mut snapshots = Vec::new();
-        let _ = owen_sampling_streaming_adaptive(
+        let _ = owen_sampling_streaming(
             &u,
             &cfg,
-            &policy,
+            Some(&policy),
             &mut StdRng::seed_from_u64(13),
             |s| {
                 snapshots.push(s.clone());
@@ -671,10 +490,10 @@ mod tests {
             },
         );
         assert!(snapshots.len() >= 3);
-        let out = owen_sampling_streaming_adaptive(
+        let out = owen_sampling_streaming(
             &u,
             &cfg,
-            &policy,
+            Some(&policy),
             &mut StdRng::seed_from_u64(13),
             |s| {
                 if s.batches_done >= 2 {

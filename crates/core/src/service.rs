@@ -117,1406 +117,33 @@
 //! assert!(stats.eval.lookups > 8, "overlap resolved from the cache");
 //! server.shutdown();
 //! ```
+//!
+//! [`CachedUtility`]: crate::utility::CachedUtility
+//! [`Utility`]: crate::utility::Utility
+//! [`TrajCacheStats`]: crate::utility::TrajCacheStats
 
-// This module IS the timing whitelist (clippy.toml bans Instant::now
-// elsewhere): park-wait deadlines and flush windows are wall-clock by
-// design, bound only *when* work happens — never what the values are.
-#![allow(clippy::disallowed_methods)]
+mod coalescer;
+mod request;
+mod run;
+mod server;
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread;
-use std::time::{Duration, Instant};
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::adaptive::AdaptivePolicy;
-use crate::anytime::{Control, ProgressSnapshot, StoppingRule, StreamingOutcome};
-use crate::banzhaf::{banzhaf_pruned, banzhaf_pruned_streaming};
-use crate::coalition::Coalition;
-use crate::exact::{exact_cc_sv, exact_mc_sv, exact_mc_sv_streaming};
-use crate::fault::quiet;
-use crate::ipss::{ipss_streaming, ipss_streaming_adaptive, ipss_values, IpssConfig};
-use crate::loo::leave_one_out;
-use crate::owen::{
-    owen_sampling, owen_sampling_streaming, owen_sampling_streaming_adaptive, OwenConfig,
+pub use request::{
+    partial_prefix_fold, Estimator, FlushWindow, LimitPolicy, RetryPolicy, RunStats, ServiceStats,
+    Ticket, ValuationError, ValuationRequest, ValuationResponse,
 };
-use crate::stratified::{
-    stratified_sampling_streaming, stratified_sampling_streaming_adaptive,
-    stratified_sampling_values, Scheme, StratifiedConfig,
-};
-use crate::utility::{CachedUtility, EvalStats, TrajCacheStats, Utility};
-
-/// Which valuation estimator a [`ValuationRequest`] runs. Every variant
-/// dispatches through [`Utility::eval_batch`], so all of them coalesce.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Estimator {
-    /// Exact Shapley values via the MC expression (all `2^n` coalitions).
-    ExactMc,
-    /// Exact Shapley values via the CC expression (all `2^n` coalitions).
-    ExactCc,
-    /// IPSS (Alg. 3) with `γ` = the request's budget.
-    Ipss,
-    /// Stratified sampling (Alg. 1), MC scheme, budget split uniformly
-    /// over the strata.
-    StratifiedMc,
-    /// Stratified sampling (Alg. 1), CC scheme, budget split uniformly.
-    StratifiedCc,
-    /// Owen multilinear sampling; the budget approximates the total
-    /// number of utility evaluations.
-    Owen,
-    /// Importance-pruned Banzhaf values with `γ` = the request's budget.
-    BanzhafPruned,
-    /// Leave-one-out values (`n + 1` evaluations; budget ignored).
-    Loo,
-}
-
-/// Why a valuation request failed — the error side of [`Ticket::wait`].
-///
-/// Every variant names a *request-scoped* failure: the server itself
-/// stays healthy and keeps serving other requests (the whole point of
-/// the fault-tolerance layer).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ValuationError {
-    /// The utility panicked under every attempt to evaluate one of this
-    /// run's batches (the poisoned flush plus `attempts − 1` direct
-    /// retries). Other runs sharing the flush retried independently.
-    UtilityPanicked {
-        /// Evaluation attempts made for the failing batch.
-        attempts: usize,
-        /// Message of the last panic.
-        detail: String,
-    },
-    /// The estimator itself panicked outside a utility batch (e.g. an
-    /// infeasible budget failing a precondition).
-    EstimatorPanicked {
-        /// Message of the panic.
-        detail: String,
-    },
-    /// The request was malformed (empty or out-of-range client set).
-    InvalidRequest {
-        /// What was wrong.
-        detail: String,
-    },
-    /// The run hit its wall-clock deadline at a batch boundary and the
-    /// request asked to fail ([`LimitPolicy::Fail`]) instead of
-    /// returning a partial prefix.
-    DeadlineExceeded {
-        /// The request's deadline.
-        deadline: Duration,
-        /// Elapsed wall-clock time when the boundary check fired.
-        elapsed: Duration,
-    },
-    /// The run's next batch would overrun its evaluation budget and the
-    /// request asked to fail ([`LimitPolicy::Fail`]).
-    BudgetExhausted {
-        /// Coalition evaluations already consumed.
-        consumed: usize,
-        /// The request's `max_evals`.
-        max_evals: usize,
-        /// Size of the batch that did not fit.
-        next_batch: usize,
-    },
-    /// The server shut down before (or while) serving this request. All
-    /// outstanding tickets resolve with this error on shutdown.
-    ServerShutdown,
-    /// The worker vanished without delivering a response — a service
-    /// bug, kept as a typed error so callers never block forever.
-    WorkerLost,
-}
-
-impl fmt::Display for ValuationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ValuationError::UtilityPanicked { attempts, detail } => {
-                write!(f, "utility panicked in all {attempts} attempts: {detail}")
-            }
-            ValuationError::EstimatorPanicked { detail } => {
-                write!(f, "estimator panicked: {detail}")
-            }
-            ValuationError::InvalidRequest { detail } => write!(f, "invalid request: {detail}"),
-            ValuationError::DeadlineExceeded { deadline, elapsed } => write!(
-                f,
-                "deadline of {deadline:?} exceeded after {elapsed:?} (at a batch boundary)"
-            ),
-            ValuationError::BudgetExhausted {
-                consumed,
-                max_evals,
-                next_batch,
-            } => write!(
-                f,
-                "evaluation budget exhausted: {consumed} consumed of {max_evals}, \
-                 next batch needs {next_batch}"
-            ),
-            ValuationError::ServerShutdown => write!(f, "server shut down"),
-            ValuationError::WorkerLost => {
-                write!(f, "valuation worker terminated without a response")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ValuationError {}
-
-/// What a run does when it hits its deadline or evaluation budget.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LimitPolicy {
-    /// Degrade gracefully: return [`partial_prefix_fold`] over the
-    /// evaluated prefix, with [`RunStats::partial`] set. Default.
-    #[default]
-    Partial,
-    /// Fail the request with [`ValuationError::DeadlineExceeded`] /
-    /// [`ValuationError::BudgetExhausted`].
-    Fail,
-}
-
-/// One valuation query: *which estimator*, over *which clients*, with
-/// *what budget and seed* — plus optional per-request limits.
-#[derive(Clone, Debug)]
-pub struct ValuationRequest {
-    /// The estimator to run.
-    pub estimator: Estimator,
-    /// Restrict valuation to this subset of clients (`None` = all). The
-    /// run plays the *sub-game* on these clients: coalitions range over
-    /// subsets of the set, and values are reported per member. Sub-game
-    /// coalitions are translated to global masks before evaluation, so
-    /// requests over different client sets still share cached coalitions.
-    pub clients: Option<Coalition>,
-    /// Sampling budget, interpreted per estimator (IPSS/Banzhaf `γ`,
-    /// stratified/Owen total evaluations; ignored by exact/LOO).
-    pub budget: usize,
-    /// Seed of the run's RNG stream — results are a pure function of
-    /// `(estimator, clients, budget, seed)` and the utility.
-    pub seed: u64,
-    /// Wall-clock deadline, measured from worker start and enforced at
-    /// batch boundaries (`None` = unbounded). A batch in flight when the
-    /// deadline passes still completes; the *next* boundary fires.
-    pub deadline: Option<Duration>,
-    /// Hard cap on coalition evaluations this run may consume, enforced
-    /// *before* each batch (`None` = unbounded). Distinct from `budget`:
-    /// `budget` shapes what the estimator samples, `max_evals` cuts the
-    /// run off mid-schedule.
-    pub max_evals: Option<usize>,
-    /// What to do when `deadline` or `max_evals` fires.
-    pub on_limit: LimitPolicy,
-    /// Run the estimator's *streaming* fold and stop early once this
-    /// rule is satisfied at a batch boundary (`None` = classic fixed-
-    /// budget run). Streaming runs emit [`ProgressSnapshot`] events on
-    /// the ticket ([`Ticket::progress`]) and attach the final snapshot
-    /// to the response; the determinism contract guarantees a stopped
-    /// run's values bit-equal the same-seed full run's snapshot at the
-    /// same batch count.
-    pub stopping: Option<StoppingRule>,
-    /// Re-plan the sampling budget at every batch boundary by Neyman
-    /// allocation (`None` = the estimator's fixed uniform schedule).
-    /// Applies to the sampling estimators with a steerable schedule —
-    /// [`Estimator::StratifiedMc`], [`Estimator::StratifiedCc`],
-    /// [`Estimator::Ipss`] and [`Estimator::Owen`]; the exact sweeps,
-    /// LOO and pruned Banzhaf have nothing to steer and ignore it.
-    /// Forces the streaming fold: combined with `stopping: None` the run
-    /// streams under [`StoppingRule::stream_only`] (progress snapshots,
-    /// no early stop). Adaptive snapshots carry
-    /// [`ProgressSnapshot::allocation`], and the determinism contract is
-    /// unchanged: the allocation sequence is a pure function of
-    /// (seed, snapshot history), so coalesced runs stay bit-identical to
-    /// solo runs.
-    pub adaptive: Option<AdaptivePolicy>,
-}
-
-impl ValuationRequest {
-    /// A request over all clients, with no deadline or evaluation cap.
-    pub fn new(estimator: Estimator, budget: usize, seed: u64) -> Self {
-        ValuationRequest {
-            estimator,
-            clients: None,
-            budget,
-            seed,
-            deadline: None,
-            max_evals: None,
-            on_limit: LimitPolicy::default(),
-            stopping: None,
-            adaptive: None,
-        }
-    }
-
-    /// Restrict the valuation to a client subset (the sub-game on `s`).
-    pub fn for_clients(mut self, s: Coalition) -> Self {
-        self.clients = Some(s);
-        self
-    }
-
-    /// Set a wall-clock deadline, enforced at batch boundaries.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Cap the coalition evaluations the run may consume.
-    pub fn with_max_evals(mut self, max_evals: usize) -> Self {
-        self.max_evals = Some(max_evals);
-        self
-    }
-
-    /// Choose the limit behaviour (default: [`LimitPolicy::Partial`]).
-    pub fn on_limit(mut self, policy: LimitPolicy) -> Self {
-        self.on_limit = policy;
-        self
-    }
-
-    /// Run the streaming fold under `rule`, emitting progress snapshots
-    /// and stopping early once the rule fires at a batch boundary.
-    /// `StoppingRule::stream_only()` streams progress without ever
-    /// stopping early.
-    pub fn with_stopping(mut self, rule: StoppingRule) -> Self {
-        self.stopping = Some(rule);
-        self
-    }
-
-    /// Re-plan the sampling budget each round by Neyman allocation under
-    /// `policy` (see [`crate::adaptive`]). Implies streaming; composes
-    /// with [`ValuationRequest::with_stopping`], deadlines and budgets.
-    pub fn with_adaptive(mut self, policy: AdaptivePolicy) -> Self {
-        self.adaptive = Some(policy);
-        self
-    }
-}
-
-/// Per-run batching statistics, attached to every [`ValuationResponse`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RunStats {
-    /// Batches the run's estimator parked at the coalescer.
-    pub batches: usize,
-    /// Coalition values the run consumed (including repeats and overlap
-    /// with other runs — compare with the shared [`EvalStats`] to see the
-    /// dedup).
-    pub coalitions: usize,
-    /// Batches that were flushed together with at least one other run's
-    /// batch — the run's share of actual cross-run coalescing.
-    pub coalesced_batches: usize,
-    /// The run hit its deadline or evaluation cap and the response holds
-    /// the partial-prefix fold instead of the estimator's full output.
-    pub partial: bool,
-    /// A streaming run's [`StoppingRule`] fired before the schedule
-    /// completed; the values are the (bit-reproducible) prefix estimate
-    /// at the stopping batch. Always `false` for non-streaming runs.
-    pub stopped_early: bool,
-    /// Direct retries this run performed after poisoned flushes.
-    pub retries: usize,
-    /// Longest time one of this run's batches spent at the coalescer
-    /// (parking through result delivery, including the flush itself) —
-    /// the latency a [`FlushWindow`] bounds.
-    pub park_wait_max: Duration,
-}
-
-/// Cumulative service-wide statistics ([`ValuationServer::stats`], also
-/// snapshotted into every response).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ServiceStats {
-    /// Requests completed since the server started (successfully or not).
-    pub requests: usize,
-    /// Coalescer flushes attempted (including poisoned ones).
-    pub flushes: usize,
-    /// Parked batches merged across all flushes (`> flushes` ⇔ cross-run
-    /// coalescing happened).
-    pub merged_batches: usize,
-    /// Flushes whose inner evaluation panicked; the affected runs
-    /// retried their own batches directly.
-    pub failed_flushes: usize,
-    /// Direct per-run retry attempts after poisoned flushes.
-    pub retries: usize,
-    /// Distinct coalitions delivered through *successful* flushes (after
-    /// merge-level dedup; retry traffic bypasses the coalescer and is
-    /// visible in `eval.lookups` instead).
-    pub distinct_coalitions: usize,
-    /// The shared coalition cache's accounting: `evaluations` is the
-    /// total number of models actually trained on behalf of *all* runs.
-    pub eval: EvalStats,
-    /// Training-level accounting of the utility's trajectory cache, when
-    /// the server was built with a stats source
-    /// ([`ServerBuilder::traj_stats`]); includes occupancy (`entries`,
-    /// `bytes`) and `evictions` under a byte budget.
-    pub traj: Option<TrajCacheStats>,
-}
-
-/// The reply to a [`ValuationRequest`].
-#[derive(Clone, Debug)]
-pub struct ValuationResponse {
-    /// The request this answers.
-    pub request: ValuationRequest,
-    /// Global client indices valued, ascending (all clients, or the
-    /// members of `request.clients`).
-    pub clients: Vec<usize>,
-    /// Estimated values, positionally aligned with `clients`. When
-    /// [`RunStats::partial`] is set, these are the [`partial_prefix_fold`]
-    /// of the batches evaluated before the limit fired.
-    pub values: Vec<f64>,
-    /// Wall-clock time from worker start to estimator completion.
-    pub wall_time: Duration,
-    /// This run's batching statistics.
-    pub run: RunStats,
-    /// Service-wide statistics snapshotted at completion.
-    pub service: ServiceStats,
-    /// The final [`ProgressSnapshot`] of a streaming run (equal to the
-    /// last event the ticket streamed, values bit-identical to `values`).
-    /// `None` for non-streaming requests.
-    pub progress: Option<ProgressSnapshot>,
-}
-
-/// A pending response ([`ValuationServer::submit`]).
-pub struct Ticket {
-    rx: mpsc::Receiver<Result<ValuationResponse, ValuationError>>,
-    progress_rx: mpsc::Receiver<ProgressSnapshot>,
-}
-
-impl Ticket {
-    /// Drain the progress events a *streaming* request has emitted so
-    /// far (empty for non-streaming requests and between batches).
-    /// Snapshots arrive in batch order — `samples_used` is monotone
-    /// non-decreasing — and the last snapshot a completed run emits
-    /// equals the response's [`ValuationResponse::progress`]. Designed
-    /// to interleave with [`Ticket::wait_timeout`] in a poll loop.
-    pub fn progress(&self) -> Vec<ProgressSnapshot> {
-        let mut out = Vec::new();
-        while let Ok(s) = self.progress_rx.try_recv() {
-            out.push(s);
-        }
-        out
-    }
-
-    /// Block until the request resolves — with its response, or with the
-    /// typed error describing why it could not be served.
-    pub fn wait(self) -> Result<ValuationResponse, ValuationError> {
-        self.rx.recv().unwrap_or(Err(ValuationError::WorkerLost))
-    }
-
-    /// Poll for up to `timeout`: `None` while the request is still in
-    /// flight, `Some(result)` once it resolved. The ticket stays usable
-    /// after a `None`, so callers can poll in a loop or interleave other
-    /// work without blocking forever.
-    pub fn wait_timeout(
-        &self,
-        timeout: Duration,
-    ) -> Option<Result<ValuationResponse, ValuationError>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(result) => Some(result),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(ValuationError::WorkerLost)),
-        }
-    }
-}
-
-/// Early flush triggers bounding how long a parked batch can wait on the
-/// all-eligible-runs barrier ([`ServerBuilder::flush_window`],
-/// [`ServerBuilder::flush_after_parked`]). Either trigger trades some
-/// cross-run coalescing for a latency bound; neither can change a value
-/// (every value is a pure function of its coalition mask).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FlushWindow {
-    /// Flush once the oldest parked batch has waited this long, even if
-    /// not every eligible run has parked (`None` = barrier only).
-    pub max_wait: Option<Duration>,
-    /// Flush as soon as this many batches are parked (`None` = barrier
-    /// only; `Some(1)` disables cross-run batching entirely).
-    pub max_parked: Option<usize>,
-}
-
-/// Backoff schedule for direct retries after a poisoned flush.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Direct retries after the initial (flushed) attempt fails.
-    pub max_retries: usize,
-    /// Sleep before the first retry; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Cap on the per-attempt backoff.
-    pub backoff_cap: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(50),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry `attempt` (1-based): `base · 2^(attempt−1)`,
-    /// capped.
-    fn backoff(&self, attempt: usize) -> Duration {
-        let factor = 1u32 << (attempt - 1).min(16);
-        self.backoff_base
-            .checked_mul(factor)
-            .unwrap_or(self.backoff_cap)
-            .min(self.backoff_cap)
-    }
-}
-
-/// Fold partial Shapley estimates from an evaluated prefix.
-///
-/// This is the graceful-degradation estimator behind
-/// [`LimitPolicy::Partial`]: given the `(coalition, value)` pairs a run
-/// evaluated before its deadline/budget fired (in evaluation order), it
-/// computes, for every stratum, the mean marginal contribution over the
-/// pairs `(T, T∖{i})` whose *both* members were evaluated, and averages
-/// the per-stratum means — the same stratified-mean fold IPSS uses for
-/// its partially-sampled stratum, applied uniformly to whatever prefix
-/// exists. Clients without a single evaluated pair get `0.0`.
-///
-/// The fold is a pure function of the prefix: re-running the same
-/// request without limits and truncating its evaluation log after the
-/// same number of batches reproduces the partial values **bit-identically**
-/// (the test suite asserts this).
-pub fn partial_prefix_fold(n: usize, evaluated: &[(Coalition, f64)]) -> Vec<f64> {
-    let mut memo: HashMap<u128, f64> = HashMap::with_capacity(evaluated.len());
-    let mut order: Vec<Coalition> = Vec::with_capacity(evaluated.len());
-    for &(s, v) in evaluated {
-        if let std::collections::hash_map::Entry::Vacant(e) = memo.entry(s.0) {
-            e.insert(v);
-            order.push(s);
-        }
-    }
-    // Per-(stratum, client) accumulators; deterministic accumulation in
-    // first-evaluation order keeps the fold bit-stable.
-    let mut sums = vec![vec![0.0f64; n]; n];
-    let mut counts = vec![vec![0usize; n]; n];
-    for &t in &order {
-        let t_size = t.size();
-        if t_size == 0 {
-            continue;
-        }
-        let ut = memo[&t.0];
-        for i in t.members() {
-            if let Some(&us) = memo.get(&t.without(i).0) {
-                sums[t_size - 1][i] += ut - us;
-                counts[t_size - 1][i] += 1;
-            }
-        }
-    }
-    let inv_n = 1.0 / n as f64;
-    (0..n)
-        .map(|i| {
-            let mut phi = 0.0f64;
-            for stratum in 0..n {
-                if counts[stratum][i] > 0 {
-                    phi += sums[stratum][i] / counts[stratum][i] as f64;
-                }
-            }
-            phi * inv_n
-        })
-        .collect()
-}
-
-/// Outcome of one flush, delivered to each parked batch.
-struct FlushOutcome {
-    /// Values aligned with the parked batch's coalitions.
-    values: Vec<f64>,
-    /// How many parked batches the flush merged.
-    merged_batches: usize,
-}
-
-/// Why a parked batch came back without values.
-enum FlushFailure {
-    /// The flush leader's evaluation panicked; the message is the panic
-    /// payload. The caller retries its own batch directly.
-    Poisoned(String),
-    /// The server shut down while the batch was parked.
-    Shutdown,
-}
-
-/// A batch parked at the coalescer, waiting for a flush.
-struct ParkedEntry {
-    coalitions: Vec<Coalition>,
-    /// `None` while pending; filled by the flush leader. `Err` carries
-    /// the panic message of a poisoned flush.
-    outcome: Option<Result<FlushOutcome, String>>,
-    /// Taken by a leader (in flight) — no longer counted as parked.
-    taken: bool,
-    /// When the batch parked — drives the [`FlushWindow`] `max_wait`
-    /// trigger.
-    parked_at: Instant,
-}
-
-/// Coalescer state, guarded by one mutex (the condvar lives beside it).
-#[derive(Default)]
-struct CoState {
-    /// Runs registered and *able to park*: registered minus the runs
-    /// whose batch is in flight in a flush. The flush barrier is
-    /// `parked == eligible`.
-    eligible: usize,
-    /// Entries not yet taken by a leader.
-    parked: usize,
-    next_ticket: u64,
-    /// Parked batches by ticket. A `BTreeMap`, not a `HashMap`: the
-    /// flush leader walks this map to take parked entries, and a B-tree
-    /// iterates in ticket (arrival) order — deterministic by
-    /// construction, where hash order would silently depend on the
-    /// allocator state. (The merged batch is sorted again before
-    /// evaluation, but the take order must not be left to chance.)
-    entries: BTreeMap<u64, ParkedEntry>,
-    flushes: usize,
-    merged_batches: usize,
-    failed_flushes: usize,
-    distinct_coalitions: usize,
-}
-
-/// Everything the workers share: the cached utility, the coalescer, the
-/// failure-handling configuration and the service counters.
-struct Shared<U: Utility + Send + Sync> {
-    cached: CachedUtility<U>,
-    state: Mutex<CoState>,
-    cv: Condvar,
-    window: FlushWindow,
-    retry: RetryPolicy,
-    shutdown: AtomicBool,
-    requests_done: AtomicU64,
-    retries: AtomicU64,
-    traj_stats: Option<Box<dyn Fn() -> TrajCacheStats + Send + Sync>>,
-}
-
-impl<U: Utility + Send + Sync> Shared<U> {
-    /// Lock the coalescer state, recovering from poison: the service
-    /// never panics while holding this lock on purpose, but a poisoned
-    /// guard must degrade to the typed error path, not to more panics.
-    fn lock_state(&self) -> MutexGuard<'_, CoState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-
-    /// Register a run (performed by the dispatcher *before* the worker
-    /// spawns, so a burst of submissions coalesces from its first batch).
-    fn register(&self) {
-        self.lock_state().eligible += 1;
-    }
-
-    /// Deregister a finished run and wake parked waiters — the barrier
-    /// may have become satisfiable.
-    fn unregister(&self) {
-        let mut st = self.lock_state();
-        st.eligible -= 1;
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    /// Park `coalitions` and wait for a flush to deliver their values.
-    /// A caller that observes a satisfied trigger — the barrier
-    /// (`parked == eligible`), or either [`FlushWindow`] condition —
-    /// becomes the leader and evaluates the merged batch itself.
-    fn eval_coalesced(&self, coalitions: &[Coalition]) -> Result<FlushOutcome, FlushFailure> {
-        let mut st = self.lock_state();
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
-        st.entries.insert(
-            ticket,
-            ParkedEntry {
-                coalitions: coalitions.to_vec(),
-                outcome: None,
-                taken: false,
-                parked_at: Instant::now(),
-            },
-        );
-        st.parked += 1;
-        loop {
-            if st.entries.get(&ticket).is_some_and(|e| e.outcome.is_some()) {
-                let Some(entry) = st.entries.remove(&ticket) else {
-                    unreachable!("own ticket resident until removed here")
-                };
-                let Some(outcome) = entry.outcome else {
-                    unreachable!("outcome presence checked above")
-                };
-                return outcome.map_err(FlushFailure::Poisoned);
-            }
-            if self.is_shutdown() {
-                // Withdraw the batch unless a leader already owns it (in
-                // which case the leader will deliver an outcome shortly).
-                if st.entries.get(&ticket).is_some_and(|e| !e.taken) {
-                    st.entries.remove(&ticket);
-                    st.parked -= 1;
-                    drop(st);
-                    self.cv.notify_all();
-                    return Err(FlushFailure::Shutdown);
-                }
-            }
-            let barrier = st.parked > 0 && st.parked == st.eligible;
-            let count_trigger = self.window.max_parked.is_some_and(|k| st.parked >= k);
-            let wait_deadline = self.window.max_wait.and_then(|w| {
-                st.entries
-                    .values()
-                    .filter(|e| !e.taken)
-                    .map(|e| e.parked_at)
-                    .min()
-                    .map(|oldest| oldest + w)
-            });
-            let window_trigger = wait_deadline.is_some_and(|d| Instant::now() >= d);
-            if barrier || count_trigger || window_trigger {
-                st = self.flush(st);
-                continue; // own outcome is now set (or poisoned)
-            }
-            st = match wait_deadline {
-                Some(deadline) => {
-                    let timeout = deadline.saturating_duration_since(Instant::now());
-                    self.cv
-                        .wait_timeout(st, timeout)
-                        .map(|(guard, _timed_out)| guard)
-                        .unwrap_or_else(|e| e.into_inner().0)
-                }
-                None => self.cv.wait(st).unwrap_or_else(PoisonError::into_inner),
-            };
-        }
-    }
-
-    /// Flush every parked batch as the leader: merge, dedup, sort,
-    /// evaluate through the shared cache, scatter results, wake waiters.
-    /// Takes and returns the state guard (the evaluation itself runs
-    /// unlocked, so a new wave of runs can park meanwhile). A panicking
-    /// inner utility is caught here: the taken entries are poisoned with
-    /// the panic message and their owners retry independently — the
-    /// coalescer itself stays healthy.
-    fn flush<'a>(&'a self, mut st: MutexGuard<'a, CoState>) -> MutexGuard<'a, CoState> {
-        let taken: Vec<u64> = st
-            .entries
-            .iter_mut()
-            .filter(|(_, e)| !e.taken)
-            .map(|(&id, e)| {
-                e.taken = true;
-                id
-            })
-            .collect();
-        let batch_count = taken.len();
-        if batch_count == 0 {
-            return st;
-        }
-        st.parked -= batch_count;
-        st.eligible -= batch_count;
-        st.flushes += 1;
-        st.merged_batches += batch_count;
-        // Merge + dedup, then a deterministic forwarding order (by size,
-        // ties by mask) so lane-block composition downstream does not
-        // depend on arrival order.
-        let mut seen: HashSet<u128> = HashSet::new();
-        let mut merged: Vec<Coalition> = Vec::new();
-        for id in &taken {
-            for &s in &st.entries[id].coalitions {
-                if seen.insert(s.0) {
-                    merged.push(s);
-                }
-            }
-        }
-        merged.sort_by_key(|s| (s.size(), s.0));
-        drop(st);
-
-        // Evaluate unlocked, catching panics: a poisoned flush fails only
-        // the runs whose batches it merged.
-        match quiet::catch_quiet(|| self.cached.eval_batch(&merged)) {
-            Ok(values) => {
-                let by_mask: HashMap<u128, f64> = merged.iter().map(|s| s.0).zip(values).collect();
-                let mut st = self.lock_state();
-                st.distinct_coalitions += merged.len();
-                for id in &taken {
-                    let Some(entry) = st.entries.get_mut(id) else {
-                        unreachable!("taken entries stay resident until their owner consumes them")
-                    };
-                    entry.outcome = Some(Ok(FlushOutcome {
-                        values: entry
-                            .coalitions
-                            .iter()
-                            .map(|s| {
-                                by_mask.get(&s.0).copied().unwrap_or_else(|| {
-                                    unreachable!("merged batch covers every taken coalition")
-                                })
-                            })
-                            .collect(),
-                        merged_batches: batch_count,
-                    }));
-                }
-                st.eligible += batch_count;
-                drop(st);
-            }
-            Err(payload) => {
-                let detail = quiet::panic_message(payload.as_ref());
-                let mut st = self.lock_state();
-                st.failed_flushes += 1;
-                for id in &taken {
-                    if let Some(entry) = st.entries.get_mut(id) {
-                        entry.outcome = Some(Err(detail.clone()));
-                    }
-                }
-                st.eligible += batch_count;
-                drop(st);
-            }
-        }
-        self.cv.notify_all();
-        self.lock_state()
-    }
-
-    fn stats(&self) -> ServiceStats {
-        let st = self.lock_state();
-        ServiceStats {
-            requests: self.requests_done.load(Ordering::Relaxed) as usize,
-            flushes: st.flushes,
-            merged_batches: st.merged_batches,
-            failed_flushes: st.failed_flushes,
-            retries: self.retries.load(Ordering::Relaxed) as usize,
-            distinct_coalitions: st.distinct_coalitions,
-            eval: self.cached.stats(),
-            traj: self.traj_stats.as_ref().map(|f| f()),
-        }
-    }
-}
-
-/// Deregisters a run when dropped — including during a worker panic, so
-/// parked peers never wait on a dead run.
-struct RunGuard<U: Utility + Send + Sync>(Arc<Shared<U>>);
-
-impl<U: Utility + Send + Sync> Drop for RunGuard<U> {
-    fn drop(&mut self) {
-        self.0.unregister();
-    }
-}
-
-/// Internal abort marker unwound out of an estimator at a batch
-/// boundary; `serve_one` catches it and turns it into the partial
-/// response or the typed error.
-enum ServiceAbort {
-    Deadline {
-        deadline: Duration,
-        elapsed: Duration,
-    },
-    Budget {
-        consumed: usize,
-        max_evals: usize,
-        next_batch: usize,
-    },
-    Fault(ValuationError),
-}
-
-fn abort(reason: ServiceAbort) -> ! {
-    quiet::silent_panic_any(reason)
-}
-
-/// The run-local [`Utility`] facade an estimator evaluates against:
-/// translates sub-game coalitions to global masks, enforces the
-/// request's limits at batch boundaries, parks batches at the coalescer
-/// (retrying directly after poisoned flushes) and tracks per-run
-/// statistics.
-struct RunUtility<U: Utility + Send + Sync> {
-    shared: Arc<Shared<U>>,
-    /// Global client indices of the run's sub-game, ascending.
-    members: Vec<usize>,
-    /// Fast path: the run spans all clients (masks pass through).
-    identity: bool,
-    started: Instant,
-    deadline: Option<Duration>,
-    max_evals: Option<usize>,
-    /// Record `(local coalition, value)` pairs for [`partial_prefix_fold`]
-    /// (only when the request carries a limit under `Partial` policy).
-    record: bool,
-    log: Mutex<Vec<(Coalition, f64)>>,
-    batches: AtomicU64,
-    coalitions: AtomicU64,
-    coalesced: AtomicU64,
-    retries: AtomicU64,
-    park_wait_max_ns: AtomicU64,
-}
-
-impl<U: Utility + Send + Sync> RunUtility<U> {
-    fn to_global(&self, s: Coalition) -> Coalition {
-        if self.identity {
-            return s;
-        }
-        Coalition::from_members(s.members().map(|j| self.members[j]))
-    }
-
-    fn run_stats(&self, partial: bool, stopped_early: bool) -> RunStats {
-        RunStats {
-            batches: self.batches.load(Ordering::Relaxed) as usize,
-            coalitions: self.coalitions.load(Ordering::Relaxed) as usize,
-            coalesced_batches: self.coalesced.load(Ordering::Relaxed) as usize,
-            partial,
-            stopped_early,
-            retries: self.retries.load(Ordering::Relaxed) as usize,
-            park_wait_max: Duration::from_nanos(self.park_wait_max_ns.load(Ordering::Relaxed)),
-        }
-    }
-
-    /// Batch-boundary checkpoint: shutdown, deadline, then budget. Fires
-    /// *before* the batch is parked, so an aborted batch consumed nothing.
-    fn checkpoint(&self, next_batch: usize) {
-        if self.shared.is_shutdown() {
-            abort(ServiceAbort::Fault(ValuationError::ServerShutdown));
-        }
-        if let Some(deadline) = self.deadline {
-            let elapsed = self.started.elapsed();
-            if elapsed >= deadline {
-                abort(ServiceAbort::Deadline { deadline, elapsed });
-            }
-        }
-        if let Some(max_evals) = self.max_evals {
-            let consumed = self.coalitions.load(Ordering::Relaxed) as usize;
-            if consumed + next_batch > max_evals {
-                abort(ServiceAbort::Budget {
-                    consumed,
-                    max_evals,
-                    next_batch,
-                });
-            }
-        }
-    }
-
-    /// Direct retries after a poisoned flush: the run's own batch, against
-    /// the still-healthy shared cache, with capped exponential backoff.
-    /// Bypassing the coalescer isolates the failure — peers whose batches
-    /// are healthy retry successfully in parallel.
-    fn retry_direct(&self, global: &[Coalition], mut detail: String) -> Vec<f64> {
-        let policy = self.shared.retry;
-        for attempt in 1..=policy.max_retries {
-            thread::sleep(policy.backoff(attempt));
-            self.retries.fetch_add(1, Ordering::Relaxed);
-            self.shared.retries.fetch_add(1, Ordering::Relaxed);
-            if self.shared.is_shutdown() {
-                abort(ServiceAbort::Fault(ValuationError::ServerShutdown));
-            }
-            match quiet::catch_quiet(|| self.shared.cached.eval_batch(global)) {
-                Ok(values) => return values,
-                Err(payload) => detail = quiet::panic_message(payload.as_ref()),
-            }
-        }
-        abort(ServiceAbort::Fault(ValuationError::UtilityPanicked {
-            attempts: policy.max_retries + 1,
-            detail,
-        }));
-    }
-}
-
-impl<U: Utility + Send + Sync> Utility for RunUtility<U> {
-    fn n_clients(&self) -> usize {
-        self.members.len()
-    }
-
-    fn eval(&self, s: Coalition) -> f64 {
-        self.eval_batch(std::slice::from_ref(&s))[0]
-    }
-
-    fn eval_batch(&self, coalitions: &[Coalition]) -> Vec<f64> {
-        if coalitions.is_empty() {
-            return Vec::new();
-        }
-        self.checkpoint(coalitions.len());
-        let global: Vec<Coalition> = coalitions.iter().map(|&s| self.to_global(s)).collect();
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.coalitions
-            .fetch_add(coalitions.len() as u64, Ordering::Relaxed);
-        let parked_at = Instant::now();
-        let values = match self.shared.eval_coalesced(&global) {
-            Ok(outcome) => {
-                if outcome.merged_batches > 1 {
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                }
-                outcome.values
-            }
-            Err(FlushFailure::Shutdown) => {
-                abort(ServiceAbort::Fault(ValuationError::ServerShutdown))
-            }
-            Err(FlushFailure::Poisoned(detail)) => self.retry_direct(&global, detail),
-        };
-        self.park_wait_max_ns
-            .fetch_max(parked_at.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if self.record {
-            self.log
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .extend(coalitions.iter().copied().zip(values.iter().copied()));
-        }
-        values
-    }
-}
-
-/// Run the requested estimator against the run-local facade.
-fn dispatch<V: Utility + Send + Sync>(req: &ValuationRequest, u: &RunUtility<V>) -> Vec<f64> {
-    let n = u.n_clients();
-    let mut rng = StdRng::seed_from_u64(req.seed);
-    match req.estimator {
-        Estimator::ExactMc => exact_mc_sv(u),
-        Estimator::ExactCc => exact_cc_sv(u),
-        Estimator::Ipss => {
-            assert!(req.budget >= 1, "IPSS needs a budget of at least 1");
-            ipss_values(u, &IpssConfig::new(req.budget), &mut rng)
-        }
-        Estimator::StratifiedMc => stratified_sampling_values(
-            u,
-            Scheme::MarginalContribution,
-            &StratifiedConfig::uniform(n, req.budget),
-            &mut rng,
-        ),
-        Estimator::StratifiedCc => stratified_sampling_values(
-            u,
-            Scheme::ComplementaryContribution,
-            &StratifiedConfig::uniform(n, req.budget),
-            &mut rng,
-        ),
-        Estimator::Owen => {
-            // Budget ≈ q_nodes · samples_per_node · (n + 1) evaluations.
-            let q_nodes = 4usize;
-            let per_node = (req.budget / (q_nodes * (n + 1))).max(1);
-            owen_sampling(u, &OwenConfig::new(q_nodes, per_node), &mut rng)
-        }
-        Estimator::BanzhafPruned => {
-            assert!(
-                req.budget >= 1,
-                "pruned Banzhaf needs a budget of at least 1"
-            );
-            banzhaf_pruned(u, req.budget, &mut rng)
-        }
-        Estimator::Loo => leave_one_out(u),
-    }
-}
-
-/// Run the requested estimator's *streaming* fold: every batch-boundary
-/// snapshot is forwarded to the ticket's progress channel, and `rule`
-/// decides whether to stop. Stopping is a clean [`Control::Stop`] return
-/// at a batch boundary — no panic, no unwinding — so it composes with
-/// the deadline/budget checkpoints (which still fire through the
-/// [`RunUtility`] facade) and with coalescing, caching and retries
-/// unchanged.
-///
-/// `ExactCc` and `Loo` have no incremental fold (a CC pair needs the
-/// complement, evaluated half a sweep later; LOO is `n + 1` evaluations
-/// total). They run the legacy estimator and emit one final snapshot
-/// with zero half-widths — both are enumerations, not samplers — so the
-/// "final snapshot equals the response" contract holds uniformly.
-fn dispatch_streaming<V: Utility + Send + Sync>(
-    req: &ValuationRequest,
-    u: &RunUtility<V>,
-    rule: StoppingRule,
-    progress: &mpsc::Sender<ProgressSnapshot>,
-) -> StreamingOutcome {
-    let n = u.n_clients();
-    let mut rng = StdRng::seed_from_u64(req.seed);
-    let observe = |s: &ProgressSnapshot| {
-        let _ = progress.send(s.clone()); // ticket may have been dropped
-        if rule.should_stop(s) {
-            Control::Stop
-        } else {
-            Control::Continue
-        }
-    };
-    match req.estimator {
-        Estimator::ExactMc => exact_mc_sv_streaming(u, observe),
-        Estimator::Ipss => {
-            assert!(req.budget >= 1, "IPSS needs a budget of at least 1");
-            let cfg = IpssConfig::new(req.budget);
-            match req.adaptive {
-                Some(policy) => ipss_streaming_adaptive(u, &cfg, &policy, &mut rng, observe),
-                None => ipss_streaming(u, &cfg, &mut rng, observe),
-            }
-        }
-        Estimator::StratifiedMc | Estimator::StratifiedCc => {
-            let scheme = if req.estimator == Estimator::StratifiedMc {
-                Scheme::MarginalContribution
-            } else {
-                Scheme::ComplementaryContribution
-            };
-            match req.adaptive {
-                Some(policy) => stratified_sampling_streaming_adaptive(
-                    u, scheme, req.budget, &policy, &mut rng, observe,
-                ),
-                None => stratified_sampling_streaming(
-                    u,
-                    scheme,
-                    &StratifiedConfig::uniform(n, req.budget),
-                    &mut rng,
-                    observe,
-                ),
-            }
-        }
-        Estimator::Owen => {
-            let q_nodes = 4usize;
-            let per_node = (req.budget / (q_nodes * (n + 1))).max(1);
-            let cfg = OwenConfig::new(q_nodes, per_node);
-            match req.adaptive {
-                Some(policy) => {
-                    owen_sampling_streaming_adaptive(u, &cfg, &policy, &mut rng, observe)
-                }
-                None => owen_sampling_streaming(u, &cfg, &mut rng, observe),
-            }
-        }
-        Estimator::BanzhafPruned => {
-            assert!(
-                req.budget >= 1,
-                "pruned Banzhaf needs a budget of at least 1"
-            );
-            banzhaf_pruned_streaming(u, req.budget, &mut rng, observe)
-        }
-        Estimator::ExactCc | Estimator::Loo => {
-            let values = match req.estimator {
-                Estimator::ExactCc => exact_cc_sv(u),
-                _ => leave_one_out(u),
-            };
-            let snapshot = ProgressSnapshot {
-                ci_halfwidths: vec![0.0; values.len()],
-                values,
-                samples_used: u.coalitions.load(Ordering::Relaxed) as usize,
-                batches_done: u.batches.load(Ordering::Relaxed) as usize,
-                allocation: None,
-            };
-            let _ = progress.send(snapshot.clone());
-            StreamingOutcome::from_snapshot(snapshot, false)
-        }
-    }
-}
-
-type Reply = mpsc::Sender<Result<ValuationResponse, ValuationError>>;
-type Job = (ValuationRequest, Reply, mpsc::Sender<ProgressSnapshot>);
-
-/// The long-lived multi-valuation server — see the [module docs](self)
-/// for the coalescing design and failure model. Construct with
-/// [`ValuationServer::start`] (or [`ValuationServer::builder`] to attach
-/// a trajectory-cache stats source, a [`FlushWindow`] or a
-/// [`RetryPolicy`]), submit requests with [`ValuationServer::submit`] /
-/// [`ValuationServer::call`], and stop with [`ValuationServer::shutdown`]
-/// (dropping the server also shuts it down, draining in-flight tickets
-/// with [`ValuationError::ServerShutdown`]).
-pub struct ValuationServer<U: Utility + Send + Sync + 'static> {
-    shared: Arc<Shared<U>>,
-    tx: Option<mpsc::Sender<Job>>,
-    dispatcher: Option<thread::JoinHandle<()>>,
-}
-
-/// Configures and starts a [`ValuationServer`].
-pub struct ServerBuilder<U: Utility + Send + Sync + 'static> {
-    utility: U,
-    window: FlushWindow,
-    retry: RetryPolicy,
-    traj_stats: Option<Box<dyn Fn() -> TrajCacheStats + Send + Sync>>,
-}
-
-impl<U: Utility + Send + Sync + 'static> ServerBuilder<U> {
-    /// Attach a trajectory-cache stats source (typically
-    /// `move || cache.stats()` over the `Arc<TrajectoryCache>` handle the
-    /// utility shares); its snapshots appear in [`ServiceStats::traj`].
-    pub fn traj_stats(
-        mut self,
-        source: impl Fn() -> TrajCacheStats + Send + Sync + 'static,
-    ) -> Self {
-        self.traj_stats = Some(Box::new(source));
-        self
-    }
-
-    /// Bound the time a parked batch waits on the barrier: flush once the
-    /// oldest parked batch is `max_wait` old (see [`FlushWindow`]).
-    pub fn flush_window(mut self, max_wait: Duration) -> Self {
-        self.window.max_wait = Some(max_wait);
-        self
-    }
-
-    /// Flush as soon as `max_parked` batches are parked (see
-    /// [`FlushWindow`]).
-    pub fn flush_after_parked(mut self, max_parked: usize) -> Self {
-        self.window.max_parked = Some(max_parked);
-        self
-    }
-
-    /// Override the retry/backoff schedule for poisoned flushes.
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Spawn the dispatcher and return the running server.
-    pub fn start(self) -> ValuationServer<U> {
-        let shared = Arc::new(Shared {
-            cached: CachedUtility::new(self.utility),
-            state: Mutex::new(CoState::default()),
-            cv: Condvar::new(),
-            window: self.window,
-            retry: self.retry,
-            shutdown: AtomicBool::new(false),
-            requests_done: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            traj_stats: self.traj_stats,
-        });
-        let (tx, rx) = mpsc::channel::<Job>();
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || dispatcher_loop(shared, rx))
-        };
-        ValuationServer {
-            shared,
-            tx: Some(tx),
-            dispatcher: Some(dispatcher),
-        }
-    }
-}
-
-/// Receive jobs, register each run, spawn its worker. A burst of pending
-/// submissions is drained and *registered together* before any worker
-/// spawns, so concurrent requests coalesce from their very first batch.
-/// After shutdown, still-queued jobs are drained with the typed error
-/// instead of spawning workers.
-fn dispatcher_loop<U: Utility + Send + Sync + 'static>(
-    shared: Arc<Shared<U>>,
-    rx: mpsc::Receiver<Job>,
-) {
-    let mut workers: Vec<thread::JoinHandle<()>> = Vec::new();
-    while let Ok(first) = rx.recv() {
-        let mut burst = vec![first];
-        while let Ok(job) = rx.try_recv() {
-            burst.push(job);
-        }
-        if shared.is_shutdown() {
-            for (_request, reply, _progress) in burst {
-                let _ = reply.send(Err(ValuationError::ServerShutdown));
-            }
-            continue;
-        }
-        let guards: Vec<RunGuard<U>> = burst
-            .iter()
-            .map(|_| {
-                shared.register();
-                RunGuard(Arc::clone(&shared))
-            })
-            .collect();
-        for ((request, reply, progress), guard) in burst.into_iter().zip(guards) {
-            let shared = Arc::clone(&shared);
-            workers.push(thread::spawn(move || {
-                serve_one(shared, request, reply, progress, guard)
-            }));
-        }
-        workers.retain(|w| !w.is_finished());
-    }
-    for w in workers {
-        let _ = w.join();
-    }
-}
-
-/// One worker: run the estimator under a quiet `catch_unwind`, convert
-/// any abort or panic into the partial response or the typed error, and
-/// deliver the result. Every code path sends exactly one reply.
-fn serve_one<U: Utility + Send + Sync>(
-    shared: Arc<Shared<U>>,
-    request: ValuationRequest,
-    reply: Reply,
-    progress: mpsc::Sender<ProgressSnapshot>,
-    guard: RunGuard<U>,
-) {
-    let start = Instant::now();
-    let n = shared.cached.n_clients();
-    let members: Vec<usize> = match request.clients {
-        Some(s) if !s.is_subset_of(Coalition::full(n)) => {
-            drop(guard);
-            let _ = reply.send(Err(ValuationError::InvalidRequest {
-                detail: format!("request.clients exceeds the utility's {n} clients"),
-            }));
-            return;
-        }
-        Some(s) if s.is_empty() => {
-            drop(guard);
-            let _ = reply.send(Err(ValuationError::InvalidRequest {
-                detail: "request.clients must name at least one client".to_string(),
-            }));
-            return;
-        }
-        Some(s) => s.members().collect(),
-        None => (0..n).collect(),
-    };
-    let record = request.on_limit == LimitPolicy::Partial
-        && (request.deadline.is_some() || request.max_evals.is_some());
-    let run = RunUtility {
-        shared: Arc::clone(&shared),
-        identity: members.len() == n,
-        members,
-        started: start,
-        deadline: request.deadline,
-        max_evals: request.max_evals,
-        record,
-        log: Mutex::new(Vec::new()),
-        batches: AtomicU64::new(0),
-        coalitions: AtomicU64::new(0),
-        coalesced: AtomicU64::new(0),
-        retries: AtomicU64::new(0),
-        park_wait_max_ns: AtomicU64::new(0),
-    };
-    // An adaptive request without an explicit stopping rule still runs
-    // the streaming fold (the planner lives at batch boundaries): it
-    // streams under `stream_only`, never stopping early.
-    let streaming_rule = match (request.stopping, request.adaptive) {
-        (Some(rule), _) => Some(rule),
-        (None, Some(_)) => Some(StoppingRule::stream_only()),
-        (None, None) => None,
-    };
-    let outcome = quiet::catch_quiet(|| match streaming_rule {
-        Some(rule) => {
-            let out = dispatch_streaming(&request, &run, rule, &progress);
-            let stopped_early = out.stopped_early;
-            let snapshot = ProgressSnapshot {
-                values: out.values,
-                ci_halfwidths: out.ci_halfwidths,
-                samples_used: out.samples_used,
-                batches_done: out.batches_done,
-                allocation: out.allocation,
-            };
-            (snapshot.values.clone(), Some(snapshot), stopped_early)
-        }
-        None => (dispatch(&request, &run), None, false),
-    });
-    let wall_time = start.elapsed();
-    drop(guard); // deregister before snapshotting stats
-    shared.requests_done.fetch_add(1, Ordering::Relaxed);
-
-    let respond = |values: Vec<f64>,
-                   partial: bool,
-                   progress: Option<ProgressSnapshot>,
-                   stopped_early: bool| ValuationResponse {
-        clients: run.members.clone(),
-        values,
-        wall_time,
-        run: run.run_stats(partial, stopped_early),
-        service: shared.stats(),
-        request: request.clone(),
-        progress,
-    };
-    let result = match outcome {
-        Ok((values, snapshot, stopped_early)) => {
-            Ok(respond(values, false, snapshot, stopped_early))
-        }
-        Err(payload) => match payload.downcast::<ServiceAbort>() {
-            Ok(reason) => match (*reason, request.on_limit) {
-                (ServiceAbort::Fault(e), _) => Err(e),
-                (
-                    ServiceAbort::Deadline { .. } | ServiceAbort::Budget { .. },
-                    LimitPolicy::Partial,
-                ) => {
-                    let log = run.log.lock().unwrap_or_else(PoisonError::into_inner);
-                    Ok(respond(
-                        partial_prefix_fold(run.members.len(), &log),
-                        true,
-                        None,
-                        false,
-                    ))
-                }
-                (ServiceAbort::Deadline { deadline, elapsed }, LimitPolicy::Fail) => {
-                    Err(ValuationError::DeadlineExceeded { deadline, elapsed })
-                }
-                (
-                    ServiceAbort::Budget {
-                        consumed,
-                        max_evals,
-                        next_batch,
-                    },
-                    LimitPolicy::Fail,
-                ) => Err(ValuationError::BudgetExhausted {
-                    consumed,
-                    max_evals,
-                    next_batch,
-                }),
-            },
-            Err(payload) => Err(ValuationError::EstimatorPanicked {
-                detail: quiet::panic_message(payload.as_ref()),
-            }),
-        },
-    };
-    let _ = reply.send(result); // submitter may have dropped the ticket
-}
-
-impl<U: Utility + Send + Sync + 'static> ValuationServer<U> {
-    /// Start a server over `utility` with default settings. The server
-    /// wraps the utility in its own shared [`CachedUtility`]; hand it the
-    /// innermost (possibly parallel) utility, not a pre-cached one.
-    pub fn start(utility: U) -> Self {
-        Self::builder(utility).start()
-    }
-
-    /// Configure before starting (flush window, retry policy,
-    /// trajectory-cache stats source).
-    pub fn builder(utility: U) -> ServerBuilder<U> {
-        ServerBuilder {
-            utility,
-            window: FlushWindow::default(),
-            retry: RetryPolicy::default(),
-            traj_stats: None,
-        }
-    }
-
-    /// Enqueue a request; returns a [`Ticket`] to wait on. Submission
-    /// never blocks on the valuation itself. Submitting to a server that
-    /// has shut down yields a ticket pre-resolved with
-    /// [`ValuationError::ServerShutdown`].
-    pub fn submit(&self, request: ValuationRequest) -> Ticket {
-        let (tx, rx) = mpsc::channel();
-        let (progress_tx, progress_rx) = mpsc::channel();
-        let delivered = self
-            .tx
-            .as_ref()
-            .map(|jobs| jobs.send((request, tx.clone(), progress_tx)).is_ok())
-            .unwrap_or(false);
-        if !delivered {
-            let _ = tx.send(Err(ValuationError::ServerShutdown));
-        }
-        Ticket { rx, progress_rx }
-    }
-
-    /// Submit and wait — the blocking single-request convenience.
-    pub fn call(&self, request: ValuationRequest) -> Result<ValuationResponse, ValuationError> {
-        self.submit(request).wait()
-    }
-
-    /// Cumulative service statistics (also snapshotted per response).
-    pub fn stats(&self) -> ServiceStats {
-        self.shared.stats()
-    }
-
-    /// Stop the server: in-flight runs abort at their next batch
-    /// boundary, every outstanding ticket resolves with
-    /// [`ValuationError::ServerShutdown`], and all worker threads are
-    /// joined before this returns.
-    pub fn shutdown(mut self) {
-        self.shutdown_in_place();
-    }
-
-    /// Initiate shutdown through a shared reference: sets the shutdown
-    /// flag and wakes parked workers, so in-flight runs abort at their
-    /// next batch boundary and *new* submissions resolve with
-    /// [`ValuationError::ServerShutdown`] — but does **not** join
-    /// threads. Needed by owners that hold the server behind `Arc` (e.g.
-    /// a network transport reacting to SIGTERM while connection handlers
-    /// still share the server); the eventual [`shutdown`] or drop
-    /// completes the join.
-    ///
-    /// [`shutdown`]: ValuationServer::shutdown
-    pub fn begin_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.cv.notify_all();
-    }
-
-    fn shutdown_in_place(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.cv.notify_all();
-        drop(self.tx.take());
-        if let Some(d) = self.dispatcher.take() {
-            let _ = d.join();
-        }
-    }
-}
-
-impl<U: Utility + Send + Sync + 'static> Drop for ValuationServer<U> {
-    fn drop(&mut self) {
-        self.shutdown_in_place();
-    }
-}
+pub use server::{ServerBuilder, ValuationServer};
 
 #[cfg(test)]
 // Tests assert invariants; an unwrap that trips IS the test failing.
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
-    use crate::utility::{HashUtility, TableUtility};
+    use crate::anytime::{ProgressSnapshot, StoppingRule};
+    use crate::coalition::Coalition;
+    use crate::exact::exact_mc_sv;
+    use crate::utility::{HashUtility, TableUtility, TrajCacheStats, Utility};
 
     /// Unwrap a service result in tests (plain `panic!` keeps the module
     /// clean under `deny(clippy::unwrap_used, clippy::expect_used)`).

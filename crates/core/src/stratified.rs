@@ -10,6 +10,11 @@
 //! Theorem 1 (unbiasedness) and Theorem 2 (MC-SV has lower variance under
 //! FL linear regression) are both about this framework; the corresponding
 //! empirical study is Fig. 10, regenerated by the `fig10_variance` bench.
+//!
+//! Every entry point runs one [`StratifiedSampler`] under the [`Sampler`]
+//! contract of [`crate::sampler`]: randomness is consumed only while
+//! drawing, the fold runs stratum-major over the drawn schedule, and
+//! snapshots are pure in the evaluated prefix.
 
 use std::collections::{HashMap, HashSet};
 
@@ -20,7 +25,8 @@ use crate::anytime::{
     component_variance, halfwidth, Control, ProgressSnapshot, StreamingOutcome, Welford,
 };
 use crate::coalition::{binom, binom_u128, Coalition};
-use crate::sampling::{distinct_subsets_extending, distinct_subsets_of_size};
+use crate::sampler::{drive, Sampler};
+use crate::sampling::distinct_subsets_extending;
 use crate::utility::Utility;
 
 /// Which of the two equivalent SV computation schemes the framework uses.
@@ -82,6 +88,212 @@ pub struct StratifiedOutcome {
     pub stratum_estimates: Vec<Vec<Option<f64>>>,
 }
 
+/// Alg. 1 as a [`Sampler`]: per-stratum draws without replacement and a
+/// stratum-major prefix fold.
+///
+/// **Schedule.** Without a planner the whole budget is drawn in the first
+/// round and handed out as one batch (`∅` first), or — at snapshot
+/// granularity — as round-robin rows: row `r` holds the `r`-th sample of
+/// every stratum (row 0 also carries `∅`), so every stratum accumulates
+/// observations early and the CI turns finite as soon as possible. With
+/// a planner each round's per-stratum draw counts are Neyman-allocated
+/// from the pooled per-stratum contribution variances (`W_k = 1/n`,
+/// capacity `C(n, k)`); the run still draws `cfg.total_rounds()`
+/// coalitions — only the split across strata moves, and homoscedastic
+/// problems degenerate to [`StratifiedConfig::uniform`].
+///
+/// **Fold.** Lines 9–17 of Alg. 1 over the drawn schedule, counting a
+/// pair only when both members have been evaluated. CI: each sampled
+/// stratum is one component per client ([`Welford`], weight `1/n`,
+/// finite-population correction over `C(n−1, k−1)` pairs); zero-budget
+/// strata contribute no term.
+pub struct StratifiedSampler<'r, R: Rng + ?Sized> {
+    n: usize,
+    scheme: Scheme,
+    /// The fixed plan's budgets; a planner re-splits their total.
+    budgets: Vec<usize>,
+    /// The planner and its round size, when rounds are re-planned.
+    planner: Option<(AllocationPlanner, usize)>,
+    rng: &'r mut R,
+    sampled: Vec<Vec<Coalition>>,
+    sampled_masks: Vec<HashSet<u128>>,
+    memo: HashMap<u128, f64>,
+    /// Every matched contribution of stratum `k` (across clients, in fold
+    /// order) as of the last fold — the `σ_k` the planner steers by.
+    pooled: Vec<Welford>,
+    /// Round-robin rows handed out so far.
+    rows_out: usize,
+    pairs_matched: Vec<Vec<usize>>,
+    stratum_estimates: Vec<Vec<Option<f64>>>,
+}
+
+impl<'r, R: Rng + ?Sized> StratifiedSampler<'r, R> {
+    /// A sampler for an `n`-client game. `policy` switches the fixed
+    /// plan `cfg` to per-round Neyman re-planning of `cfg`'s total.
+    pub fn new(
+        n: usize,
+        scheme: Scheme,
+        cfg: &StratifiedConfig,
+        policy: Option<&AdaptivePolicy>,
+        rng: &'r mut R,
+    ) -> Self {
+        assert!(n >= 1);
+        assert_eq!(
+            cfg.rounds_per_stratum.len(),
+            n,
+            "need one sampling budget per stratum (got {} for n={n})",
+            cfg.rounds_per_stratum.len()
+        );
+        StratifiedSampler {
+            n,
+            scheme,
+            budgets: cfg.rounds_per_stratum.clone(),
+            planner: policy.map(|p| (AllocationPlanner::new(*p), p.round(n))),
+            rng,
+            sampled: vec![Vec::new(); n],
+            sampled_masks: vec![HashSet::new(); n],
+            memo: HashMap::new(),
+            pooled: vec![Welford::new(); n],
+            rows_out: 0,
+            pairs_matched: Vec::new(),
+            stratum_estimates: Vec::new(),
+        }
+    }
+
+    /// The draw routine: extend stratum `k`'s sample by `plan[k-1]` new
+    /// distinct coalitions, consuming the RNG stratum-major.
+    fn draw(&mut self, plan: &[usize]) -> Vec<Coalition> {
+        let mut new = Vec::with_capacity(plan.iter().sum());
+        for (kidx, &m) in plan.iter().enumerate() {
+            let masks = &mut self.sampled_masks[kidx];
+            let drawn = distinct_subsets_extending(self.n, kidx + 1, m, masks, self.rng);
+            new.extend_from_slice(&drawn);
+            self.sampled[kidx].extend(drawn);
+        }
+        new
+    }
+
+    /// What the planner knows about each stratum at this boundary.
+    fn components(&self) -> Vec<ComponentState> {
+        (0..self.n)
+            .map(|kidx| {
+                let drawn = self.sampled[kidx].len();
+                let left = binom_u128(self.n, kidx + 1).saturating_sub(drawn as u128);
+                let left = usize::try_from(left).unwrap_or(usize::MAX);
+                ComponentState::observed(1.0 / self.n as f64, &self.pooled[kidx], drawn, left)
+            })
+            .collect()
+    }
+
+    fn scheduled(&self) -> usize {
+        self.sampled.iter().map(Vec::len).sum()
+    }
+}
+
+impl<R: Rng + ?Sized> Sampler for StratifiedSampler<'_, R> {
+    fn next_batch(&mut self, fine: bool) -> Vec<Coalition> {
+        let first = self.memo.is_empty();
+        let plan = match &self.planner {
+            Some((planner, round)) => {
+                let left = self.budgets.iter().sum::<usize>() - self.scheduled();
+                planner.plan_round((*round).min(left), &self.components())
+            }
+            None if first => self.budgets.clone(),
+            None => Vec::new(), // the fixed plan is drawn whole in the first round
+        };
+        let new = self.draw(&plan);
+        // ∅ is always available (Example 2) and rides in the first batch.
+        let mut batch: Vec<Coalition> = first.then(Coalition::empty).into_iter().collect();
+        if fine && self.planner.is_none() {
+            batch.extend(self.sampled.iter().filter_map(|s| s.get(self.rows_out)));
+            self.rows_out += 1;
+        } else {
+            batch.extend(new);
+            self.rows_out = usize::MAX;
+        }
+        batch
+    }
+
+    fn absorb(&mut self, batch: &[Coalition], values: Vec<f64>) {
+        self.memo.extend(batch.iter().map(|s| s.0).zip(values));
+    }
+
+    fn is_complete(&self) -> bool {
+        let rows = self.sampled.iter().map(Vec::len).max().unwrap_or(0);
+        let spent = self.scheduled() >= self.budgets.iter().sum();
+        let exhausted =
+            (0..self.n).all(|k| self.sampled[k].len() as u128 >= binom_u128(self.n, k + 1));
+        self.rows_out >= rows && (self.planner.is_none() || spent || exhausted)
+    }
+
+    fn fold(&mut self) -> (Vec<f64>, Vec<f64>) {
+        let (n, memo) = (self.n, &self.memo);
+        let mut sums = vec![vec![0.0f64; n]; n]; // sums[i][k-1]
+        let mut counts = vec![vec![0usize; n]; n];
+        let mut accs = vec![vec![Welford::new(); n]; n]; // accs[i][k-1]
+        let mut pooled = vec![Welford::new(); n];
+        for (kidx, stratum) in self.sampled.iter().enumerate() {
+            for &s in stratum {
+                let Some(&us) = memo.get(&s.0) else {
+                    continue; // not yet evaluated — past the prefix
+                };
+                for i in s.members() {
+                    let pair = match self.scheme {
+                        Scheme::MarginalContribution => s.without(i),
+                        Scheme::ComplementaryContribution => s.complement(n),
+                    };
+                    // A partner is available iff it is ∅ or was itself
+                    // drawn, *and* its value has landed.
+                    let drawn =
+                        pair.is_empty() || self.sampled_masks[pair.size() - 1].contains(&pair.0);
+                    let Some(&upair) = drawn.then(|| memo.get(&pair.0)).flatten() else {
+                        continue;
+                    };
+                    let contribution = us - upair;
+                    sums[i][kidx] += contribution;
+                    counts[i][kidx] += 1;
+                    accs[i][kidx].push(contribution);
+                    pooled[kidx].push(contribution);
+                }
+            }
+        }
+
+        // Line 17: average within strata, then across strata.
+        let inv_n = 1.0 / n as f64;
+        let stratum_estimates: Vec<Vec<Option<f64>>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|k| (counts[i][k] > 0).then(|| sums[i][k] / counts[i][k] as f64))
+                    .collect()
+            })
+            .collect();
+        let values = stratum_estimates
+            .iter()
+            .map(|strata| strata.iter().flatten().sum::<f64>() * inv_n)
+            .collect();
+        let ci_halfwidths = (0..n)
+            .map(|i| {
+                halfwidth((0..n).filter_map(|k| {
+                    // An undrawn stratum is unscheduled: no term.
+                    let population = binom(n - 1, k); // pairs s ∋ i, |s| = k+1
+                    (!self.sampled[k].is_empty())
+                        .then(|| component_variance(&accs[i][k], inv_n, population))
+                }))
+            })
+            .collect();
+        self.pooled = pooled;
+        self.pairs_matched = counts;
+        self.stratum_estimates = stratum_estimates;
+        (values, ci_halfwidths)
+    }
+
+    fn allocation(&self) -> Option<Vec<usize>> {
+        self.planner
+            .as_ref()
+            .map(|_| self.sampled.iter().map(Vec::len).collect())
+    }
+}
+
 /// Alg. 1 — Stratified Sampling Approximation.
 ///
 /// Lines 1–8: sample `m_k` distinct coalitions per stratum and evaluate
@@ -98,110 +310,25 @@ pub fn stratified_sampling<U: Utility + ?Sized, R: Rng + ?Sized>(
     cfg: &StratifiedConfig,
     rng: &mut R,
 ) -> StratifiedOutcome {
-    let n = u.n_clients();
-    assert!(n >= 1);
-    assert_eq!(
-        cfg.rounds_per_stratum.len(),
-        n,
-        "need one sampling budget per stratum (got {} for n={n})",
-        cfg.rounds_per_stratum.len()
-    );
-
-    // Lines 1-8: sample each stratum, then evaluate every sampled
-    // coalition (plus ∅, always available) as one batch, so a parallel
-    // utility trains the whole round concurrently. Values are kept in a
-    // local memo: the pairing pass below reads them back without issuing
-    // further utility evaluations.
-    let mut sampled: Vec<Vec<Coalition>> = Vec::with_capacity(n);
-    let mut sampled_masks: Vec<HashSet<u128>> = Vec::with_capacity(n);
-    for k in 1..=n {
-        let subs = distinct_subsets_of_size(n, k, cfg.rounds_per_stratum[k - 1], rng);
-        sampled_masks.push(subs.iter().map(|s| s.0).collect());
-        sampled.push(subs);
-    }
-    let mut batch: Vec<Coalition> = vec![Coalition::empty()];
-    batch.extend(sampled.iter().flatten().copied());
-    let batch_values = u.eval_batch(&batch);
-    let values_by_mask: HashMap<u128, f64> = batch
-        .iter()
-        .zip(&batch_values)
-        .map(|(s, &v)| (s.0, v))
-        .collect();
-
-    // A partner coalition is available iff it is ∅ or was itself sampled.
-    let available = |s: Coalition| -> bool {
-        if s.is_empty() {
-            return true;
-        }
-        sampled_masks[s.size() - 1].contains(&s.0)
-    };
-
-    // Lines 9-16: accumulate per-stratum contributions (memo reads only).
-    let mut sums = vec![vec![0.0f64; n]; n]; // sums[i][k-1]
-    let mut counts = vec![vec![0usize; n]; n];
-    for (kidx, stratum) in sampled.iter().enumerate() {
-        for &s in stratum {
-            let us = values_by_mask[&s.0];
-            for i in s.members() {
-                let pair = match scheme {
-                    Scheme::MarginalContribution => s.without(i),
-                    Scheme::ComplementaryContribution => s.complement(n),
-                };
-                if !available(pair) {
-                    continue;
-                }
-                let upair = values_by_mask[&pair.0];
-                sums[i][kidx] += us - upair;
-                counts[i][kidx] += 1;
-            }
-        }
-    }
-
-    // Line 17: average within strata, then across strata.
-    let inv_n = 1.0 / n as f64;
-    let stratum_estimates: Vec<Vec<Option<f64>>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|k| (counts[i][k] > 0).then(|| sums[i][k] / counts[i][k] as f64))
-                .collect()
-        })
-        .collect();
-    let values = stratum_estimates
-        .iter()
-        .map(|strata| strata.iter().flatten().sum::<f64>() * inv_n)
-        .collect();
-
+    let mut sampler = StratifiedSampler::new(u.n_clients(), scheme, cfg, None, rng);
+    let values = drive(u, &mut sampler, None).values;
     StratifiedOutcome {
         values,
-        pairs_matched: counts,
-        stratum_estimates,
+        pairs_matched: sampler.pairs_matched,
+        stratum_estimates: sampler.stratum_estimates,
     }
 }
 
-/// Anytime Alg. 1 — the streaming variant of [`stratified_sampling`].
-///
-/// Draws the *entire* sample schedule up front (the RNG stream is
-/// identical to the non-streaming run with the same seed), then
-/// evaluates it in **round-robin** batches — batch `r` holds the `r`-th
-/// sample of every stratum (batch 0 additionally carries `∅`) — so
-/// every stratum accumulates observations early and the CI becomes
-/// finite as soon as possible. After each batch the canonical prefix
-/// fold is recomputed from scratch in stratum-major sample order,
-/// restricted to the pairs whose *both* members have been evaluated,
-/// and passed to `observe` as a [`ProgressSnapshot`] together with
-/// per-client 95% CI half-widths (per-stratum [`Welford`] accumulators
-/// with finite-population correction over `C(n−1, k−1)` pairs).
-///
-/// Determinism contract: the snapshot is a pure function of the prefix
-/// length, so a run stopped by `observe` returning [`Control::Stop`]
-/// after `b` batches yields values bit-identical to the `b`-th snapshot
-/// of the same-seed unstopped run; a run that completes its schedule
-/// yields values bit-identical to [`stratified_sampling`] (the complete
-/// prefix folds over exactly the legacy pairs in the legacy order).
+/// Anytime Alg. 1: [`stratified_sampling`] observed after each
+/// round-robin row ([`StratifiedSampler`] documents the schedule and the
+/// CI); `observe` may return [`Control::Stop`]. With a `policy` the
+/// budget is re-planned each round and [`ProgressSnapshot::allocation`]
+/// carries the cumulative per-stratum draw counts.
 pub fn stratified_sampling_streaming<U, R, F>(
     u: &U,
     scheme: Scheme,
     cfg: &StratifiedConfig,
+    policy: Option<&AdaptivePolicy>,
     rng: &mut R,
     mut observe: F,
 ) -> StreamingOutcome
@@ -210,263 +337,8 @@ where
     R: Rng + ?Sized,
     F: FnMut(&ProgressSnapshot) -> Control,
 {
-    let n = u.n_clients();
-    assert!(n >= 1);
-    assert_eq!(
-        cfg.rounds_per_stratum.len(),
-        n,
-        "need one sampling budget per stratum (got {} for n={n})",
-        cfg.rounds_per_stratum.len()
-    );
-
-    // Identical draws (and RNG consumption) to the non-streaming run.
-    let mut sampled: Vec<Vec<Coalition>> = Vec::with_capacity(n);
-    let mut sampled_masks: Vec<HashSet<u128>> = Vec::with_capacity(n);
-    for k in 1..=n {
-        let subs = distinct_subsets_of_size(n, k, cfg.rounds_per_stratum[k - 1], rng);
-        sampled_masks.push(subs.iter().map(|s| s.0).collect());
-        sampled.push(subs);
-    }
-    let rounds = sampled.iter().map(Vec::len).max().unwrap_or(0);
-
-    let mut memo: HashMap<u128, f64> = HashMap::new();
-    let mut samples_used = 0usize;
-    let mut batches_done = 0usize;
-    let total_rounds = rounds.max(1); // always at least the ∅ batch
-    for r in 0..total_rounds {
-        let mut batch: Vec<Coalition> = Vec::with_capacity(n + 1);
-        if r == 0 {
-            batch.push(Coalition::empty());
-        }
-        for stratum in &sampled {
-            if let Some(&s) = stratum.get(r) {
-                batch.push(s);
-            }
-        }
-        let values = u.eval_batch(&batch);
-        for (s, v) in batch.iter().zip(values) {
-            memo.insert(s.0, v);
-        }
-        samples_used += batch.len();
-        batches_done += 1;
-        let (snapshot, _pooled) = stratified_prefix_snapshot(
-            n,
-            scheme,
-            &sampled,
-            &sampled_masks,
-            &memo,
-            samples_used,
-            batches_done,
-        );
-        let control = observe(&snapshot);
-        let complete = r + 1 == total_rounds;
-        if complete || control == Control::Stop {
-            return StreamingOutcome::from_snapshot(snapshot, !complete);
-        }
-    }
-    unreachable!("the final round always returns")
-}
-
-/// Adaptive Alg. 1 — [`stratified_sampling_streaming`] with the budget
-/// re-planned at every batch boundary by Neyman allocation instead of
-/// being fixed up front.
-///
-/// Each round, an [`AllocationPlanner`] turns the pooled per-stratum
-/// contribution variances of the evaluated prefix into the next round's
-/// per-stratum draw counts (`m_k ∝ W_k·σ_k` with `W_k = 1/n`, plus the
-/// exploration floor), and the draws extend the existing sample set
-/// without replacement ([`distinct_subsets_extending`]). The total
-/// number of draws over the run is `γ` (capacity permitting), exactly
-/// like the uniform schedule — only the split across strata moves.
-///
-/// Determinism contract: planning consumes no randomness and its inputs
-/// are pure functions of the evaluated prefix, so the allocation
-/// sequence — exposed on [`ProgressSnapshot::allocation`] as cumulative
-/// per-stratum draw counts — is a pure function of (seed, snapshot
-/// history). Same-seed runs are bit-identical at any thread count and
-/// any service coalescing interleaving, and a stopped run is a
-/// bit-identical prefix of the full run. On homoscedastic problems
-/// (equal or all-zero stratum variances) each round's plan degenerates
-/// to the uniform split of [`StratifiedConfig::uniform`].
-pub fn stratified_sampling_streaming_adaptive<U, R, F>(
-    u: &U,
-    scheme: Scheme,
-    gamma: usize,
-    policy: &AdaptivePolicy,
-    rng: &mut R,
-    mut observe: F,
-) -> StreamingOutcome
-where
-    U: Utility + ?Sized,
-    R: Rng + ?Sized,
-    F: FnMut(&ProgressSnapshot) -> Control,
-{
-    let n = u.n_clients();
-    assert!(n >= 1);
-    let planner = AllocationPlanner::new(*policy);
-    let round_size = policy.round(n);
-
-    let mut sampled: Vec<Vec<Coalition>> = vec![Vec::new(); n];
-    let mut sampled_masks: Vec<HashSet<u128>> = vec![HashSet::new(); n];
-    let mut memo: HashMap<u128, f64> = HashMap::new();
-    let mut pooled: Vec<Welford> = vec![Welford::new(); n];
-    let mut samples_used = 0usize;
-    let mut batches_done = 0usize;
-    let mut scheduled = 0usize;
-    loop {
-        // Plan the round from the prefix's pooled per-stratum variances.
-        let components: Vec<ComponentState> = (0..n)
-            .map(|kidx| {
-                let capacity = binom_u128(n, kidx + 1);
-                let left = capacity.saturating_sub(sampled[kidx].len() as u128);
-                ComponentState {
-                    weight: 1.0 / n as f64,
-                    variance: pooled[kidx].sample_variance(),
-                    observed: pooled[kidx].count(),
-                    drawn: sampled[kidx].len(),
-                    remaining: usize::try_from(left).unwrap_or(usize::MAX),
-                }
-            })
-            .collect();
-        let plan = planner.plan_round(round_size.min(gamma - scheduled), &components);
-
-        let mut batch: Vec<Coalition> = Vec::with_capacity(plan.iter().sum::<usize>() + 1);
-        if batches_done == 0 {
-            batch.push(Coalition::empty()); // ∅ is always available (Example 2)
-        }
-        for (kidx, &m) in plan.iter().enumerate() {
-            if m == 0 {
-                continue;
-            }
-            let new = distinct_subsets_extending(n, kidx + 1, m, &mut sampled_masks[kidx], rng);
-            scheduled += new.len();
-            batch.extend(new.iter().copied());
-            sampled[kidx].extend(new);
-        }
-
-        let values = u.eval_batch(&batch);
-        for (s, v) in batch.iter().zip(values) {
-            memo.insert(s.0, v);
-        }
-        samples_used += batch.len();
-        batches_done += 1;
-        let (mut snapshot, new_pooled) = stratified_prefix_snapshot(
-            n,
-            scheme,
-            &sampled,
-            &sampled_masks,
-            &memo,
-            samples_used,
-            batches_done,
-        );
-        snapshot.allocation = Some(sampled.iter().map(Vec::len).collect());
-        pooled = new_pooled;
-
-        let exhausted = (0..n).all(|k| sampled[k].len() as u128 >= binom_u128(n, k + 1));
-        let complete = scheduled >= gamma || exhausted;
-        let control = observe(&snapshot);
-        if complete || control == Control::Stop {
-            return StreamingOutcome::from_snapshot(snapshot, !complete);
-        }
-    }
-}
-
-/// The canonical prefix fold of Alg. 1 plus its CI: stratum-major over
-/// the drawn schedule, counting a pair only when both members are in
-/// `memo`. Over the complete schedule this is bit-identical to the
-/// [`stratified_sampling`] fold (same pairs, same accumulation order).
-///
-/// Also returns the pooled per-stratum [`Welford`] accumulators (every
-/// matched contribution of stratum `k`, across clients, in fold order) —
-/// the `σ_k` estimates the adaptive planner steers by. Like the snapshot
-/// itself they are a pure function of the evaluated prefix.
-#[allow(clippy::too_many_arguments)]
-fn stratified_prefix_snapshot(
-    n: usize,
-    scheme: Scheme,
-    sampled: &[Vec<Coalition>],
-    sampled_masks: &[HashSet<u128>],
-    memo: &HashMap<u128, f64>,
-    samples_used: usize,
-    batches_done: usize,
-) -> (ProgressSnapshot, Vec<Welford>) {
-    // A partner is available iff it is ∅ or was itself drawn (legacy
-    // rule), *and* its value has landed (prefix restriction).
-    let available = |s: Coalition| -> bool {
-        if s.is_empty() {
-            return memo.contains_key(&s.0);
-        }
-        sampled_masks[s.size() - 1].contains(&s.0) && memo.contains_key(&s.0)
-    };
-
-    let mut sums = vec![vec![0.0f64; n]; n]; // sums[i][k-1]
-    let mut counts = vec![vec![0usize; n]; n];
-    let mut accs = vec![vec![Welford::new(); n]; n]; // accs[i][k-1]
-    let mut pooled = vec![Welford::new(); n]; // pooled[k-1], across clients
-    for (kidx, stratum) in sampled.iter().enumerate() {
-        for &s in stratum {
-            let Some(&us) = memo.get(&s.0) else {
-                continue; // not yet evaluated — past the prefix
-            };
-            for i in s.members() {
-                let pair = match scheme {
-                    Scheme::MarginalContribution => s.without(i),
-                    Scheme::ComplementaryContribution => s.complement(n),
-                };
-                if !available(pair) {
-                    continue;
-                }
-                let Some(&upair) = memo.get(&pair.0) else {
-                    continue;
-                };
-                let contribution = us - upair;
-                sums[i][kidx] += contribution;
-                counts[i][kidx] += 1;
-                accs[i][kidx].push(contribution);
-                pooled[kidx].push(contribution);
-            }
-        }
-    }
-
-    // Line 17 of Alg. 1, verbatim (bit-identical at the full prefix).
-    let inv_n = 1.0 / n as f64;
-    let stratum_estimates: Vec<Vec<Option<f64>>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|k| (counts[i][k] > 0).then(|| sums[i][k] / counts[i][k] as f64))
-                .collect()
-        })
-        .collect();
-    let values: Vec<f64> = stratum_estimates
-        .iter()
-        .map(|strata| strata.iter().flatten().sum::<f64>() * inv_n)
-        .collect();
-
-    // CI: each sampled stratum is one weighted component (weight 1/n,
-    // pair population C(n−1, k−1)); zero-budget strata are unscheduled
-    // and contribute 0 (truncation bias, excluded by convention).
-    let ci_halfwidths: Vec<f64> = (0..n)
-        .map(|i| {
-            halfwidth((0..n).filter_map(|k| {
-                if sampled[k].is_empty() {
-                    return None; // unscheduled stratum: no term
-                }
-                let population = binom(n - 1, k); // pairs s ∋ i, |s| = k+1
-                Some(component_variance(&accs[i][k], inv_n, population))
-            }))
-        })
-        .collect();
-
-    (
-        ProgressSnapshot {
-            values,
-            ci_halfwidths,
-            samples_used,
-            batches_done,
-            allocation: None,
-        },
-        pooled,
-    )
+    let mut sampler = StratifiedSampler::new(u.n_clients(), scheme, cfg, policy, rng);
+    drive(u, &mut sampler, Some(&mut observe))
 }
 
 /// Convenience wrapper returning only the estimated values.
@@ -660,40 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_complete_run_is_bit_identical_to_legacy() {
-        use crate::anytime::Control;
-        let u = HashUtility { n: 7, seed: 13 };
-        let cfg = StratifiedConfig::uniform(7, 21);
-        for scheme in [
-            Scheme::MarginalContribution,
-            Scheme::ComplementaryContribution,
-        ] {
-            let legacy =
-                stratified_sampling_values(&u, scheme, &cfg, &mut StdRng::seed_from_u64(5));
-            let mut snapshots = Vec::new();
-            let out = stratified_sampling_streaming(
-                &u,
-                scheme,
-                &cfg,
-                &mut StdRng::seed_from_u64(5),
-                |s| {
-                    snapshots.push(s.clone());
-                    Control::Continue
-                },
-            );
-            assert_eq!(out.values, legacy, "scheme {scheme:?}");
-            assert!(!out.stopped_early);
-            // The last snapshot equals the outcome field-for-field.
-            let last = snapshots.last().map(|s| s.values.clone());
-            assert_eq!(last.as_deref(), Some(out.values.as_slice()));
-            // Snapshots are monotone in samples_used.
-            for w in snapshots.windows(2) {
-                assert!(w[0].samples_used < w[1].samples_used);
-            }
-        }
-    }
-
-    #[test]
     fn streaming_stopped_run_equals_full_run_prefix() {
         use crate::anytime::{Control, StoppingRule};
         let u = HashUtility { n: 6, seed: 21 };
@@ -704,6 +542,7 @@ mod tests {
             &u,
             Scheme::MarginalContribution,
             &cfg,
+            None,
             &mut StdRng::seed_from_u64(9),
             |s| {
                 snapshots.push(s.clone());
@@ -716,6 +555,7 @@ mod tests {
             &u,
             Scheme::MarginalContribution,
             &cfg,
+            None,
             &mut StdRng::seed_from_u64(9),
             |s| {
                 if rule.should_stop(s) {
@@ -742,6 +582,7 @@ mod tests {
             &u,
             Scheme::MarginalContribution,
             &cfg,
+            None,
             &mut StdRng::seed_from_u64(4),
             |_| Control::Continue,
         );
@@ -769,6 +610,7 @@ mod tests {
             &u,
             Scheme::MarginalContribution,
             &cfg,
+            None,
             &mut StdRng::seed_from_u64(1),
             |s| {
                 if first.is_none() {
@@ -794,11 +636,11 @@ mod tests {
         let n = 6usize;
         let gamma = 24usize;
         let u = AdditiveUtility::new(0.0, vec![0.125; n]);
-        let out = stratified_sampling_streaming_adaptive(
+        let out = stratified_sampling_streaming(
             &u,
             Scheme::MarginalContribution,
-            gamma,
-            &AdaptivePolicy::default(),
+            &StratifiedConfig::uniform(n, gamma),
+            Some(&AdaptivePolicy::default()),
             &mut StdRng::seed_from_u64(31),
             |_| Control::Continue,
         );
@@ -824,11 +666,11 @@ mod tests {
         let u = HashUtility { n: 6, seed: 33 };
         let policy = AdaptivePolicy::default();
         let run = |observe: &mut dyn FnMut(&ProgressSnapshot) -> Control| {
-            stratified_sampling_streaming_adaptive(
+            stratified_sampling_streaming(
                 &u,
                 Scheme::MarginalContribution,
-                30,
-                &policy,
+                &StratifiedConfig::uniform(6, 30),
+                Some(&policy),
                 &mut StdRng::seed_from_u64(34),
                 observe,
             )
@@ -887,11 +729,11 @@ mod tests {
         }
         let n = 7usize;
         let u = SizeNoisy { n };
-        let out = stratified_sampling_streaming_adaptive(
+        let out = stratified_sampling_streaming(
             &u,
             Scheme::MarginalContribution,
-            80,
-            &AdaptivePolicy::default(),
+            &StratifiedConfig::uniform(n, 80),
+            Some(&AdaptivePolicy::default()),
             &mut StdRng::seed_from_u64(35),
             |_| Control::Continue,
         );

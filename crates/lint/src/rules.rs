@@ -12,7 +12,8 @@
 //!   `// lint:order-insensitive(<reason>)` annotation. Membership probes
 //!   (`get`/`insert`/`contains`/`entry`) are free.
 //! * **`wall-clock`** — no `Instant::now`/`SystemTime` outside the
-//!   timing whitelist (`crates/core/src/service.rs` park-wait accounting
+//!   timing whitelist (the service's `coalescer.rs`, `run.rs` and
+//!   `server.rs` under `crates/core/src/service/` — park-wait accounting —
 //!   and the `crates/bench` harness); stray accounting sites carry
 //!   `// lint:wall-clock(<reason>)`.
 //! * **`unseeded-rng`** — RNG construction must flow from an explicit
@@ -87,14 +88,24 @@ pub enum FileClass {
         /// is active; elsewhere hash iteration has no bit-identity
         /// contract to break.
         estimator: bool,
-        /// Wall-clock whitelist membership (`crates/core/src/service.rs`
-        /// park-wait accounting).
+        /// Wall-clock whitelist membership (the service files that account
+        /// park-wait time).
         timing_whitelisted: bool,
     },
     /// Test/bench/example driver code, and the `crates/bench` harness:
     /// only the nondeterministic-constructor ban applies.
     Driver,
 }
+
+/// The library files allowed to read the clock: the parts of the
+/// valuation service that account park-wait time, flush windows and
+/// request deadlines. The service's request types (`request.rs`) and
+/// module root stay under the rule.
+const TIMING_WHITELIST: &[&str] = &[
+    "crates/core/src/service/coalescer.rs",
+    "crates/core/src/service/run.rs",
+    "crates/core/src/service/server.rs",
+];
 
 /// Classify a workspace-relative path; `None` means "do not scan"
 /// (non-Rust files, vendored shims, lint fixtures).
@@ -126,7 +137,7 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
     }
     if p.starts_with("crates/") && p.contains("/src/") {
         let estimator = p.starts_with("crates/core/") || p.starts_with("crates/fl/");
-        let timing_whitelisted = p == "crates/core/src/service.rs";
+        let timing_whitelisted = TIMING_WHITELIST.contains(&p.as_str());
         return Some(FileClass::Library {
             estimator,
             timing_whitelisted,
@@ -653,7 +664,8 @@ impl<'a> FileContext<'a> {
                     Rule::WallClock,
                     format!(
                         "`{what}` outside the timing whitelist \
-                         (crates/core/src/service.rs, crates/bench); move the \
+                         (crates/core/src/service/{{coalescer,run,server}}.rs, \
+                         crates/bench); move the \
                          measurement there or annotate with `// lint:wall-clock(<reason>)`"
                     ),
                 );

@@ -238,6 +238,7 @@ mod tests {
             &u,
             Scheme::MarginalContribution,
             &cfg,
+            None,
             &mut StdRng::seed_from_u64(1),
             |s| {
                 saw_nan |= s.ci_halfwidths.iter().any(|h| h.is_nan());
@@ -264,6 +265,7 @@ mod tests {
             &u,
             Scheme::MarginalContribution,
             &cfg,
+            None,
             &mut StdRng::seed_from_u64(2),
             |_| Control::Continue,
         );
@@ -280,6 +282,7 @@ mod tests {
             &u,
             Scheme::ComplementaryContribution,
             &cfg,
+            None,
             &mut StdRng::seed_from_u64(3),
             |_| Control::Continue,
         );
@@ -287,6 +290,7 @@ mod tests {
             &u,
             Scheme::MarginalContribution,
             &cfg,
+            None,
             &mut StdRng::seed_from_u64(3),
             |_| Control::Continue,
         );

@@ -34,10 +34,10 @@ use rand::SeedableRng;
 use fedval_core::adaptive::AdaptivePolicy;
 use fedval_core::anytime::{Control, ProgressSnapshot, StoppingRule, StreamingOutcome};
 use fedval_core::coalition::binom_u128;
-use fedval_core::owen::{owen_sampling_streaming_adaptive, OwenConfig};
+use fedval_core::owen::{owen_sampling_streaming, OwenConfig};
 use fedval_core::prelude::*;
 use fedval_core::service::{Estimator, ValuationRequest, ValuationServer};
-use fedval_core::stratified::stratified_sampling_streaming_adaptive;
+use fedval_core::stratified::stratified_sampling_streaming;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -179,11 +179,11 @@ where
 #[test]
 fn adaptive_stratified_mc_allocation_is_a_pure_function_of_seed_and_history() {
     assert_adaptive_contract("adaptive-stratified-mc", |u, observe| {
-        stratified_sampling_streaming_adaptive(
+        stratified_sampling_streaming(
             u,
             Scheme::MarginalContribution,
-            504,
-            &AdaptivePolicy::default(),
+            &StratifiedConfig::uniform(9, 504),
+            Some(&AdaptivePolicy::default()),
             &mut StdRng::seed_from_u64(41),
             observe,
         )
@@ -193,11 +193,11 @@ fn adaptive_stratified_mc_allocation_is_a_pure_function_of_seed_and_history() {
 #[test]
 fn adaptive_stratified_cc_allocation_is_a_pure_function_of_seed_and_history() {
     assert_adaptive_contract("adaptive-stratified-cc", |u, observe| {
-        stratified_sampling_streaming_adaptive(
+        stratified_sampling_streaming(
             u,
             Scheme::ComplementaryContribution,
-            504,
-            &AdaptivePolicy::default(),
+            &StratifiedConfig::uniform(9, 504),
+            Some(&AdaptivePolicy::default()),
             &mut StdRng::seed_from_u64(42),
             observe,
         )
@@ -207,10 +207,10 @@ fn adaptive_stratified_cc_allocation_is_a_pure_function_of_seed_and_history() {
 #[test]
 fn adaptive_owen_allocation_is_a_pure_function_of_seed_and_history() {
     assert_adaptive_contract("adaptive-owen", |u, observe| {
-        owen_sampling_streaming_adaptive(
+        owen_sampling_streaming(
             u,
             &OwenConfig::new(4, 24),
-            &AdaptivePolicy::default(),
+            Some(&AdaptivePolicy::default()),
             &mut StdRng::seed_from_u64(43),
             observe,
         )
@@ -220,10 +220,10 @@ fn adaptive_owen_allocation_is_a_pure_function_of_seed_and_history() {
 #[test]
 fn adaptive_ipss_allocation_is_a_pure_function_of_seed_and_history() {
     assert_adaptive_contract("adaptive-ipss", |u, observe| {
-        ipss_streaming_adaptive(
+        ipss_streaming(
             u,
             &IpssConfig::new(100),
-            &AdaptivePolicy::default(),
+            Some(&AdaptivePolicy::default()),
             &mut StdRng::seed_from_u64(44),
             observe,
         )
@@ -265,11 +265,11 @@ fn adaptive_service_stream_is_bit_identical_to_the_direct_run() {
     let seed = 47;
 
     let mut direct: Vec<ProgressSnapshot> = Vec::new();
-    let direct_out = stratified_sampling_streaming_adaptive(
+    let direct_out = stratified_sampling_streaming(
         &base,
         Scheme::MarginalContribution,
-        gamma,
-        &policy,
+        &StratifiedConfig::uniform(8, gamma),
+        Some(&policy),
         &mut StdRng::seed_from_u64(seed),
         |s| {
             direct.push(s.clone());
@@ -329,11 +329,11 @@ fn homoscedastic_allocation_degenerates_to_the_uniform_split() {
     let gamma = 24;
     let u = AdditiveUtility::new(0.0, vec![0.125; n]);
     let mut boundaries = 0usize;
-    let out = stratified_sampling_streaming_adaptive(
+    let out = stratified_sampling_streaming(
         &u,
         Scheme::MarginalContribution,
-        gamma,
-        &AdaptivePolicy::default(),
+        &StratifiedConfig::uniform(n, gamma),
+        Some(&AdaptivePolicy::default()),
         &mut StdRng::seed_from_u64(53),
         |s| {
             let alloc = match &s.allocation {

@@ -162,6 +162,7 @@ fn owen_ci_stop_is_a_bit_identical_prefix_across_thread_counts() {
         owen_sampling_streaming(
             u,
             &OwenConfig::new(4, 24),
+            None,
             &mut StdRng::seed_from_u64(17),
             observe,
         )
@@ -175,6 +176,7 @@ fn stratified_mc_ci_stop_is_a_bit_identical_prefix_across_thread_counts() {
             u,
             Scheme::MarginalContribution,
             &StratifiedConfig::uniform(9, 504),
+            None,
             &mut StdRng::seed_from_u64(18),
             observe,
         )
@@ -188,6 +190,7 @@ fn stratified_cc_ci_stop_is_a_bit_identical_prefix_across_thread_counts() {
             u,
             Scheme::ComplementaryContribution,
             &StratifiedConfig::uniform(9, 504),
+            None,
             &mut StdRng::seed_from_u64(19),
             observe,
         )

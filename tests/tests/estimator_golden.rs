@@ -62,67 +62,6 @@ fn budgets(n: usize) -> [(&'static str, usize); 4] {
     ]
 }
 
-/// The service's Owen budget rule (`q_nodes = 4`).
-fn owen_for_budget(n: usize, budget: usize) -> OwenConfig {
-    OwenConfig::new(4, (budget / (4 * (n + 1))).max(1))
-}
-
-// The suite is written against the merged entry points (one streaming
-// entry per sampler taking `Option<&AdaptivePolicy>`); while the split
-// bodies exist, these shims route it onto them. They shadow the prelude
-// names and are deleted together with the split bodies.
-use fedval_core::ipss::{ipss_adaptive as ipss_plateau, AdaptiveIpssConfig as PlateauIpssConfig};
-
-type Observer<'a> = &'a mut dyn FnMut(&ProgressSnapshot) -> Control;
-
-fn ipss_streaming<U: Utility + ?Sized>(
-    u: &U,
-    cfg: &IpssConfig,
-    policy: Option<&AdaptivePolicy>,
-    rng: &mut StdRng,
-    observe: Observer<'_>,
-) -> StreamingOutcome {
-    match policy {
-        Some(p) => fedval_core::ipss::ipss_streaming_adaptive(u, cfg, p, rng, observe),
-        None => fedval_core::ipss::ipss_streaming(u, cfg, rng, observe),
-    }
-}
-
-fn stratified_sampling_streaming<U: Utility + ?Sized>(
-    u: &U,
-    scheme: Scheme,
-    cfg: &StratifiedConfig,
-    policy: Option<&AdaptivePolicy>,
-    rng: &mut StdRng,
-    observe: Observer<'_>,
-) -> StreamingOutcome {
-    use fedval_core::stratified as s;
-    match policy {
-        Some(p) => s::stratified_sampling_streaming_adaptive(
-            u,
-            scheme,
-            cfg.total_rounds(),
-            p,
-            rng,
-            observe,
-        ),
-        None => s::stratified_sampling_streaming(u, scheme, cfg, rng, observe),
-    }
-}
-
-fn owen_sampling_streaming<U: Utility + ?Sized>(
-    u: &U,
-    cfg: &OwenConfig,
-    policy: Option<&AdaptivePolicy>,
-    rng: &mut StdRng,
-    observe: Observer<'_>,
-) -> StreamingOutcome {
-    match policy {
-        Some(p) => fedval_core::owen::owen_sampling_streaming_adaptive(u, cfg, p, rng, observe),
-        None => fedval_core::owen::owen_sampling_streaming(u, cfg, rng, observe),
-    }
-}
-
 /// One line per recorded outcome, in a fixed order.
 struct Ledger(String);
 
@@ -218,9 +157,9 @@ fn record_finals(ledger: &mut Ledger) {
                     );
                 }
 
-                let plain = owen_for_budget(n, budget);
+                let plain = OwenConfig::for_budget(n, budget);
                 ledger.values(&key("owen"), &owen_sampling(u, &plain, &mut rng()));
-                let anti = owen_for_budget(n, budget).with_antithetic();
+                let anti = OwenConfig::for_budget(n, budget).with_antithetic();
                 ledger.values(
                     &key("owen_antithetic"),
                     &owen_sampling(u, &anti, &mut rng()),

@@ -57,7 +57,7 @@ fn banzhaf_msr_and_shapley_rank_identically_on_monotone_game() {
 fn adaptive_ipss_competitive_with_fixed_budget() {
     let u = CachedUtility::new(SaturatingUtility::uniform(10, 0.1, 0.85, 1.8));
     let exact = exact_mc_sv(&u);
-    let adaptive = ipss_adaptive(&u, &AdaptiveIpssConfig::default());
+    let adaptive = ipss_plateau(&u, &PlateauIpssConfig::default());
     let mut rng = StdRng::seed_from_u64(3);
     let fixed = ipss_values(&u, &IpssConfig::new(32), &mut rng);
     let err_adaptive = l2_relative_error(&adaptive.values, &exact);
