@@ -1,6 +1,6 @@
 //! Pluggable linear-algebra backends.
 //!
-//! Every FLOP of the FL hot path — solo forward/backward
+//! Every dense FLOP of the FL hot path — solo forward/backward
 //! ([`crate::layers::Dense`]/[`crate::layers::DenseRelu`]), the
 //! lane-blocked multi-coalition kernels ([`crate::lanes`]) and the FL
 //! engine's parameter arithmetic (FedProx proximal pull, update deltas,
@@ -28,7 +28,12 @@
 //! are bit-identical *across* backends too — vectorising independent
 //! output elements cannot reorder any single element's sum. Only the
 //! dot-reduction family (`matmul_a_bt*`, lane forward, `dot`, `norm2`)
-//! rounds differently between backends.
+//! rounds differently between backends. Convolution and pooling
+//! ([`crate::layers::Conv2d`], [`crate::layers::MaxPool2`]) do not go
+//! through this trait at all: their loops live in the layer, sum each
+//! output element in one fixed tap order, and are therefore the same bits
+//! under every backend — a CNN differs across backends only through its
+//! dense head.
 //!
 //! Adding a third backend (GPU, wider SIMD): implement [`LinalgBackend`],
 //! add a [`Backend`] variant, extend [`Backend::from_name`], and run the
@@ -38,7 +43,7 @@
 
 use std::sync::OnceLock;
 
-use crate::linalg;
+use crate::linalg::{self, by_rows};
 
 /// The kernel surface every linear-algebra backend implements: the three
 /// solo training kernels, their lane-blocked multi-coalition counterparts,
@@ -272,7 +277,7 @@ impl LinalgBackend for Simd {
     }
 
     fn matmul_a_bt(&self, a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-        linalg::a_bt_with(simd_a_bt_row, a, b, None, m, k, n, out, None);
+        linalg::a_bt_with(by_rows(simd_a_bt_row), a, b, None, m, k, n, out, None);
     }
 
     fn matmul_a_bt_bias(
@@ -286,7 +291,8 @@ impl LinalgBackend for Simd {
         out: &mut [f32],
         relu_mask: Option<&mut Vec<bool>>,
     ) {
-        linalg::a_bt_with(simd_a_bt_row, a, b, Some(bias), m, k, n, out, relu_mask);
+        let kernel = by_rows(simd_a_bt_row);
+        linalg::a_bt_with(kernel, a, b, Some(bias), m, k, n, out, relu_mask);
     }
 
     fn matmul_at_b_accum(
@@ -316,7 +322,7 @@ impl LinalgBackend for Simd {
         relu_masks: Option<&mut [bool]>,
     ) {
         linalg::lane_a_bt_bias_with(
-            simd_a_bt_row,
+            by_rows(simd_a_bt_row),
             a,
             a_shared,
             w,

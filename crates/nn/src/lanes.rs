@@ -16,7 +16,9 @@
 //! training its coalition alone — regardless of how many other lanes ride
 //! in the block or which of them are active. (The one deliberate deviation
 //! is *omission*, not reordering: the input-gradient of the first layer,
-//! which a solo backward pass computes and discards, is skipped.) The
+//! which a solo backward pass computes and discards, is skipped — by the
+//! lane-blocked layers directly, and by the [`PerLane`] fallback through
+//! [`Layer::backward_params_only`].) The
 //! equivalence is asserted layer-by-layer in this module's tests and
 //! end-to-end in `tests/tests/lockstep_equivalence.rs`.
 
@@ -522,7 +524,8 @@ impl LaneLayer for MultiRelu {
 /// in a loop. Used by layers without a dedicated lane-blocked kernel
 /// (convolution, pooling, the odd activations); bit-identity per lane is
 /// inherited from running the solo layer itself. These layers still gain
-/// the engine-level sharing (one data pass, shared shuffles and gathers).
+/// the engine-level sharing (one data pass, shared shuffles and gathers),
+/// and as a first layer they run the solo layer's params-only backward.
 pub struct PerLane {
     layers: Vec<Box<dyn Layer>>,
 }
@@ -565,9 +568,12 @@ impl LaneLayer for PerLane {
         // Solo layers cache their own forward input, so `_input` is unused.
         for (l, layer) in self.layers.iter_mut().enumerate() {
             if active[l] {
-                let g = layer.backward(grad_out.lane(l), batch);
-                if let Some(gi) = grad_in.as_deref_mut() {
-                    gi.lane_mut(l).copy_from_slice(&g);
+                match grad_in.as_deref_mut() {
+                    Some(gi) => {
+                        let g = layer.backward(grad_out.lane(l), batch);
+                        gi.lane_mut(l).copy_from_slice(&g);
+                    }
+                    None => layer.backward_params_only(grad_out.lane(l), batch),
                 }
             }
         }

@@ -10,6 +10,7 @@ use rand::Rng;
 
 use crate::backend::{Backend, LinalgBackend};
 use crate::lanes::{LaneLayer, MultiDense, MultiDenseRelu, MultiRelu, PerLane};
+use crate::linalg::{for_each_tile, transpose_padded};
 
 /// A differentiable layer processing batches of flattened samples.
 pub trait Layer: Send {
@@ -26,6 +27,14 @@ pub trait Layer: Send {
     /// gradients and returns `∂L/∂input`. Must be preceded by a matching
     /// [`Layer::forward`] call.
     fn backward(&mut self, grad_out: &[f32], batch: usize) -> Vec<f32>;
+
+    /// [`Layer::backward`] for a layer whose input gradient has no
+    /// consumer (a network's first layer): accumulates exactly the same
+    /// parameter gradients. Layers whose `∂L/∂input` is costly override
+    /// this to skip computing it.
+    fn backward_params_only(&mut self, grad_out: &[f32], batch: usize) {
+        let _ = self.backward(grad_out, batch);
+    }
 
     /// Reset gradient accumulators.
     fn zero_grads(&mut self) {}
@@ -339,12 +348,12 @@ impl Layer for Relu {
     fn forward(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
         assert_eq!(input.len(), batch * self.len);
         self.mask.clear();
-        self.mask.reserve(input.len());
-        let mut out = Vec::with_capacity(input.len());
-        for &v in input {
+        self.mask.resize(input.len(), false);
+        let mut out = vec![0.0; input.len()];
+        for ((o, m), &v) in out.iter_mut().zip(&mut self.mask).zip(input) {
             let keep = v > 0.0;
-            self.mask.push(keep);
-            out.push(if keep { v } else { 0.0 });
+            *m = keep;
+            *o = if keep { v } else { 0.0 };
         }
         out
     }
@@ -379,6 +388,8 @@ pub struct Conv2d {
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
     cached_input: Vec<f32>,
+    /// Forward scratch: the weights transposed to `(ic, ky, kx) × oc`.
+    wt: Vec<f32>,
 }
 
 impl Conv2d {
@@ -410,6 +421,7 @@ impl Conv2d {
             grad_w: vec![0.0; out_ch * in_ch * k * k],
             grad_b: vec![0.0; out_ch],
             cached_input: Vec::new(),
+            wt: Vec::new(),
         }
     }
 
@@ -425,63 +437,22 @@ impl Conv2d {
     fn widx(&self, oc: usize, ic: usize, ky: usize, kx: usize) -> usize {
         ((oc * self.in_ch + ic) * self.k + ky) * self.k + kx
     }
-}
 
-impl Layer for Conv2d {
-    fn in_len(&self) -> usize {
-        self.in_ch * self.h * self.w
-    }
-    fn out_len(&self) -> usize {
-        self.out_ch * self.out_h() * self.out_w()
-    }
-
-    fn forward(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
-        assert_eq!(input.len(), batch * self.in_len());
-        self.cached_input.clear();
-        self.cached_input.extend_from_slice(input);
-        let (oh, ow) = (self.out_h(), self.out_w());
-        let mut out = vec![0.0f32; batch * self.out_len()];
-        for s in 0..batch {
-            let x = &input[s * self.in_len()..(s + 1) * self.in_len()];
-            let y = &mut out[s * self.out_len()..(s + 1) * self.out_len()];
-            for oc in 0..self.out_ch {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = self.bias[oc];
-                        for ic in 0..self.in_ch {
-                            for ky in 0..self.k {
-                                let iy = oy + ky;
-                                if iy < self.pad || iy >= self.h + self.pad {
-                                    continue;
-                                }
-                                let iy = iy - self.pad;
-                                for kx in 0..self.k {
-                                    let ix = ox + kx;
-                                    if ix < self.pad || ix >= self.w + self.pad {
-                                        continue;
-                                    }
-                                    let ix = ix - self.pad;
-                                    acc += self.weight[self.widx(oc, ic, ky, kx)]
-                                        * x[(ic * self.h + iy) * self.w + ix];
-                                }
-                            }
-                        }
-                        y[(oc * oh + oy) * ow + ox] = acc;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_out: &[f32], batch: usize) -> Vec<f32> {
+    /// Both backward entry points: weight/bias gradients always, the
+    /// input gradient (returned; empty otherwise) only on request.
+    fn backward_impl<const WANT_INPUT_GRAD: bool>(
+        &mut self,
+        grad_out: &[f32],
+        batch: usize,
+    ) -> Vec<f32> {
         assert_eq!(grad_out.len(), batch * self.out_len());
         let (oh, ow) = (self.out_h(), self.out_w());
-        let mut grad_in = vec![0.0f32; batch * self.in_len()];
+        let dx_len = if WANT_INPUT_GRAD { self.in_len() } else { 0 };
+        let mut grad_in = vec![0.0f32; batch * dx_len];
         for s in 0..batch {
             let x = &self.cached_input[s * self.in_len()..(s + 1) * self.in_len()];
             let dy = &grad_out[s * self.out_len()..(s + 1) * self.out_len()];
-            let dx = &mut grad_in[s * self.in_len()..(s + 1) * self.in_len()];
+            let dx = &mut grad_in[s * dx_len..(s + 1) * dx_len];
             for oc in 0..self.out_ch {
                 for oy in 0..oh {
                     for ox in 0..ow {
@@ -506,7 +477,9 @@ impl Layer for Conv2d {
                                     let xi = (ic * self.h + iy) * self.w + ix;
                                     let wi = self.widx(oc, ic, ky, kx);
                                     self.grad_w[wi] += g * x[xi];
-                                    dx[xi] += g * self.weight[wi];
+                                    if WANT_INPUT_GRAD {
+                                        dx[xi] += g * self.weight[wi];
+                                    }
                                 }
                             }
                         }
@@ -515,6 +488,34 @@ impl Layer for Conv2d {
             }
         }
         grad_in
+    }
+}
+
+impl Layer for Conv2d {
+    fn in_len(&self) -> usize {
+        self.in_ch * self.h * self.w
+    }
+    fn out_len(&self) -> usize {
+        self.out_ch * self.out_h() * self.out_w()
+    }
+
+    fn forward(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
+        assert_eq!(input.len(), batch * self.in_len());
+        self.cached_input.clear();
+        self.cached_input.extend_from_slice(input);
+        let taps = self.in_ch * self.k * self.k;
+        let ocp = transpose_padded(&self.weight, self.out_ch, taps, &mut self.wt);
+        let mut out = vec![0.0f32; batch * self.out_len()];
+        for_each_tile!(j0 in ocp, conv_forward_tile(self, input, j0, &mut out));
+        out
+    }
+
+    fn backward(&mut self, grad_out: &[f32], batch: usize) -> Vec<f32> {
+        self.backward_impl::<true>(grad_out, batch)
+    }
+
+    fn backward_params_only(&mut self, grad_out: &[f32], batch: usize) {
+        self.backward_impl::<false>(grad_out, batch);
     }
 
     fn zero_grads(&mut self) {
@@ -550,6 +551,54 @@ impl Layer for Conv2d {
 
     fn to_multi(&self, lanes: usize) -> Box<dyn LaneLayer> {
         per_lane_fallback(self, lanes)
+    }
+}
+
+/// Output channels `j0..j0+W` of [`Conv2d::forward`] at every position.
+///
+/// The vector dimension is *output channels*: per position the `W`
+/// accumulators start at the bias and take `w·x` for exactly the taps that
+/// fall inside the image, in ascending `(ic, ky, kx)` — each channel sees
+/// the operands of the naive per-element nest in the same order, so the
+/// compiler can vectorise without reassociating. Out-of-image taps are
+/// skipped, never multiplied by a padded `0.0` (`w·0.0` is not neutral for
+/// a `−0.0` accumulator); the ranges saturate because `pad ≥ k` is a legal
+/// geometry whose border positions have no tap at all.
+fn conv_forward_tile<const W: usize>(c: &Conv2d, input: &[f32], j0: usize, out: &mut [f32]) {
+    let (h, w, k, pad) = (c.h, c.w, c.k, c.pad);
+    let (oh, ow, ocp) = (c.out_h(), c.out_w(), c.out_ch.next_multiple_of(4));
+    let bias: [f32; W] = std::array::from_fn(|t| c.bias.get(j0 + t).copied().unwrap_or(0.0));
+    for (x, y) in input
+        .chunks_exact(c.in_len())
+        .zip(out.chunks_exact_mut(c.out_len()))
+    {
+        for oy in 0..oh {
+            // Valid taps: pad ≤ oy + ky < h + pad (same for x).
+            let ky = pad.saturating_sub(oy)..(h + pad).saturating_sub(oy).min(k);
+            for ox in 0..ow {
+                let kx = pad.saturating_sub(ox)..(w + pad).saturating_sub(ox).min(k);
+                let mut acc = bias;
+                if !kx.is_empty() {
+                    for ic in 0..c.in_ch {
+                        for ky in ky.clone() {
+                            let x0 = (ic * h + oy + ky - pad) * w + ox + kx.start - pad;
+                            let t0 = (ic * k + ky) * k + kx.start;
+                            let wt = &c.wt[t0 * ocp..(t0 + kx.len()) * ocp];
+                            for (&xv, w_row) in
+                                x[x0..x0 + kx.len()].iter().zip(wt.chunks_exact(ocp))
+                            {
+                                for (a, &wv) in acc.iter_mut().zip(&w_row[j0..j0 + W]) {
+                                    *a += wv * xv;
+                                }
+                            }
+                        }
+                    }
+                }
+                for (oc, &v) in (j0..c.out_ch).zip(&acc) {
+                    y[(oc * oh + oy) * ow + ox] = v;
+                }
+            }
+        }
     }
 }
 
@@ -777,6 +826,127 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut c = Conv2d::new(2, 3, 4, 4, 3, 1, &mut rng);
         grad_check(&mut c, 2, 13, 2e-2);
+    }
+
+    /// The scalar nest [`conv_forward_tile`] replaced, verbatim: one
+    /// accumulator per output element, out-of-image taps skipped with
+    /// `continue`. Kept as the bit-for-bit oracle of the re-nested forward.
+    fn historical_conv_forward(c: &Conv2d, input: &[f32], batch: usize) -> Vec<f32> {
+        let (oh, ow) = (c.out_h(), c.out_w());
+        let mut out = vec![0.0f32; batch * c.out_len()];
+        for s in 0..batch {
+            let x = &input[s * c.in_len()..(s + 1) * c.in_len()];
+            let y = &mut out[s * c.out_len()..(s + 1) * c.out_len()];
+            for oc in 0..c.out_ch {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = c.bias[oc];
+                        for ic in 0..c.in_ch {
+                            for ky in 0..c.k {
+                                let iy = oy + ky;
+                                if iy < c.pad || iy >= c.h + c.pad {
+                                    continue;
+                                }
+                                let iy = iy - c.pad;
+                                for kx in 0..c.k {
+                                    let ix = ox + kx;
+                                    if ix < c.pad || ix >= c.w + c.pad {
+                                        continue;
+                                    }
+                                    let ix = ix - c.pad;
+                                    acc += c.weight[c.widx(oc, ic, ky, kx)]
+                                        * x[(ic * c.h + iy) * c.w + ix];
+                                }
+                            }
+                        }
+                        y[(oc * oh + oy) * ow + ox] = acc;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn conv_forward_is_bit_identical_to_the_historical_nest() {
+        // (in_ch, out_ch, h, w, k, pad): the CNN's two layers, odd channel
+        // counts, h ≠ w, every padding regime — none, "same", and pad ≥ k,
+        // whose border positions have no valid tap — and more channels
+        // than one register tile holds.
+        let geometries = [
+            (1usize, 6usize, 8usize, 8usize, 3usize, 1usize),
+            (6, 12, 4, 4, 3, 1),
+            (3, 5, 5, 5, 3, 1),
+            (2, 4, 3, 6, 3, 1),
+            (2, 3, 4, 5, 1, 0),
+            (2, 7, 5, 4, 3, 0),
+            (1, 2, 6, 5, 5, 2),
+            (2, 3, 3, 4, 1, 2),
+            (1, 16, 2, 3, 3, 3),
+            (2, 21, 3, 3, 3, 1),
+        ];
+        for (g, &(in_ch, out_ch, h, w, k, pad)) in geometries.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(40 + g as u64);
+            let mut c = Conv2d::new(in_ch, out_ch, h, w, k, pad, &mut rng);
+            for b in c.bias.iter_mut() {
+                *b = rng.random_range(-0.5..0.5f32);
+            }
+            c.bias[0] = -0.0;
+            for batch in [1usize, 5] {
+                let input: Vec<f32> = (0..batch * c.in_len())
+                    .map(|i| match i % 4 {
+                        // Exact zeros (blank pixels, ReLU'd maps) of both
+                        // signs: their ±0.0 products must still be summed.
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.random_range(-1.0..1.0f32),
+                    })
+                    .collect();
+                let expect = historical_conv_forward(&c, &input, batch);
+                let got = c.forward(&input, batch);
+                assert_eq!(
+                    bits(&got),
+                    bits(&expect),
+                    "in={in_ch} out={out_ch} {h}x{w} k={k} pad={pad} batch={batch}"
+                );
+                if pad >= k {
+                    // A corner no tap reaches is the bias, exactly.
+                    assert_eq!(got[0].to_bits(), c.bias[0].to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conv_params_only_backward_keeps_the_gradient_bits() {
+        let mut rng = StdRng::seed_from_u64(60);
+        let mut full = Conv2d::new(2, 5, 4, 5, 3, 1, &mut rng);
+        let mut skip = full.clone();
+        let batch = 3usize;
+        let input: Vec<f32> = (0..batch * full.in_len())
+            .map(|_| rng.random_range(-1.0..1.0f32))
+            .collect();
+        // Sparse upstream gradient, as after pool + ReLU.
+        let grad: Vec<f32> = (0..batch * full.out_len())
+            .map(|i| {
+                if i % 3 == 0 {
+                    rng.random_range(-1.0..1.0f32)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        full.forward(&input, batch);
+        skip.forward(&input, batch);
+        let dx = full.backward(&grad, batch);
+        skip.backward_params_only(&grad, batch);
+        assert!(dx.iter().any(|&v| v != 0.0));
+        assert_eq!(bits(&skip.grad_w), bits(&full.grad_w));
+        assert_eq!(bits(&skip.grad_b), bits(&full.grad_b));
     }
 
     #[test]

@@ -4,14 +4,24 @@
 //! Every local SGD step runs `matmul_a_bt_bias` (forward),
 //! `matmul_at_b_accum` (weight gradients) and `matmul` (input gradients),
 //! so these kernels are written for locality and instruction-level
-//! parallelism: the `a·bᵀ` family walks both operands contiguously
-//! (transposed inner loops) with 4-way register blocking over output
-//! columns, `matmul` blocks the shared dimension to keep the `b` panel in
-//! cache, and the forward kernel fuses the bias add (and optionally the
+//! parallelism: `matmul` blocks the shared dimension to keep the `b` panel
+//! in cache, and the forward kernel fuses the bias add (and optionally the
 //! ReLU) into the accumulator write-back instead of a second pass over the
 //! output. Accumulation order per output element is unchanged by the
 //! blocking, so results stay bit-identical to the naive loops — which the
 //! tests assert.
+//!
+//! The `a·bᵀ` family is a length-`k` reduction per output element, which
+//! a compiler may not vectorise *along* without reassociating it. So the
+//! kernel vectorises *across* output columns — a column-broadcast tile:
+//! `b` is transposed once per call (`k×n`, columns padded to a multiple of
+//! 4) and a register tile of 2 rows × up to 16 columns is swept over `p`,
+//! each step broadcasting `a[i][p]` against the contiguous `bᵀ[p][j..]`.
+//! Vector lanes are independent output elements, each still summing its
+//! own products in ascending `p` from the start value of the historical
+//! row kernel (`0.0` under its 4-way column blocks, [`dot`]'s empty sum on
+//! the `n % 4` tail): the same operations in the same order, so the same
+//! bits.
 //!
 //! This module is the **`Reference` backend** of
 //! [`crate::backend::LinalgBackend`]: the free functions here are the
@@ -19,7 +29,9 @@
 //! drivers factor out the loop nests (panel blocking, lane iteration,
 //! mask bookkeeping) so alternative backends — the 8-wide
 //! [`crate::backend::Simd`] today, GPU tomorrow — swap only the innermost
-//! row kernels while inheriting the exact same traversal structure.
+//! kernels while inheriting the exact same traversal structure.
+
+use std::cell::RefCell;
 
 /// Panel height for [`matmul`]'s shared-dimension blocking: `KC` rows of
 /// `b` (each `n` wide) stay resident in L1/L2 across the `m` sweep.
@@ -75,13 +87,13 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32
     matmul_with(axpy, a, b, m, k, n, out);
 }
 
-/// Shared driver for the `a·bᵀ (+ bias) (+ ReLU)` family: row iteration
-/// and relu-mask bookkeeping are common to every backend; `row_kernel`
-/// computes one output row (same signature as [`a_bt_row`]).
+/// Shared driver for the `a·bᵀ (+ bias) (+ ReLU)` family: shape checks
+/// and relu-mask bookkeeping are common to every backend; `block_kernel`
+/// computes the whole `m×n` output (same signature as [`a_bt_block`]).
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
 #[inline]
-pub(crate) fn a_bt_with<R>(
-    row_kernel: R,
+pub(crate) fn a_bt_with<K>(
+    block_kernel: K,
     a: &[f32],
     b: &[f32],
     bias: Option<&[f32]>,
@@ -91,7 +103,7 @@ pub(crate) fn a_bt_with<R>(
     out: &mut [f32],
     relu_mask: Option<&mut Vec<bool>>,
 ) where
-    R: Fn(&[f32], &[f32], usize, usize, &mut [f32], Option<&[f32]>, bool),
+    K: Fn(&[f32], &[f32], usize, usize, usize, &mut [f32], Option<&[f32]>, bool),
 {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), n * k);
@@ -99,31 +111,39 @@ pub(crate) fn a_bt_with<R>(
         assert_eq!(bias.len(), n);
     }
     assert_eq!(out.len(), m * n);
-    let fuse_relu = relu_mask.is_some();
-    if let Some(mask) = &relu_mask {
+    block_kernel(a, b, m, k, n, out, bias, relu_mask.is_some());
+    if let Some(mask) = relu_mask {
         debug_assert!(mask.is_empty());
+        // `out` already holds max(acc + bias, 0); positives gate the
+        // backward pass.
+        mask.extend(out.iter().map(|&v| v > 0.0));
     }
-    let mut mask_store = relu_mask;
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        row_kernel(a_row, b, k, n, out_row, bias, fuse_relu);
-        if let Some(mask) = mask_store.as_deref_mut() {
-            // out_row already holds max(acc + bias, 0); positives gate the
-            // backward pass.
-            mask.extend(out_row.iter().map(|&v| v > 0.0));
+}
+
+/// Adapts a one-output-row kernel (the [`crate::backend::Simd`] shape) to
+/// the block-kernel signature the drivers take.
+#[allow(clippy::type_complexity)] // the drivers' `K` bound, returned
+#[inline]
+pub(crate) fn by_rows<R>(
+    row_kernel: R,
+) -> impl Fn(&[f32], &[f32], usize, usize, usize, &mut [f32], Option<&[f32]>, bool)
+where
+    R: Fn(&[f32], &[f32], usize, usize, &mut [f32], Option<&[f32]>, bool),
+{
+    move |a: &[f32], b: &[f32], m, k, n, out: &mut [f32], bias: Option<&[f32]>, relu| {
+        for i in 0..m {
+            let out_row = &mut out[i * n..(i + 1) * n];
+            row_kernel(&a[i * k..(i + 1) * k], b, k, n, out_row, bias, relu);
         }
     }
 }
 
 /// `out[m×n] = a[m×k] · bᵀ` where `b` is `n×k` (row-major).
 ///
-/// Register-blocked over 4 output columns: one pass over `a_row` feeds
-/// four independent accumulators, quartering the `a` traffic and giving
-/// the CPU four independent FMA chains. Each accumulator sums in the same
-/// order as [`dot`], so results are bit-identical to the naive loop.
+/// Each output element sums its `k` products in ascending order — the
+/// order of [`dot`] — so results are bit-identical to the naive loop.
 pub fn matmul_a_bt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    a_bt_with(a_bt_row, a, b, None, m, k, n, out, None);
+    a_bt_with(a_bt_block, a, b, None, m, k, n, out, None);
 }
 
 /// Fused forward kernel: `out[m×n] = a[m×k] · bᵀ + bias` (bias broadcast
@@ -141,18 +161,58 @@ pub fn matmul_a_bt_bias(
     out: &mut [f32],
     relu_mask: Option<&mut Vec<bool>>,
 ) {
-    a_bt_with(a_bt_row, a, b, Some(bias), m, k, n, out, relu_mask);
+    a_bt_with(a_bt_block, a, b, Some(bias), m, k, n, out, relu_mask);
 }
 
-/// One row of the `a·bᵀ (+ bias) (+ ReLU)` family: 4-way register
-/// blocking over the `n` output columns.
-#[inline]
-fn a_bt_row(
-    a_row: &[f32],
+thread_local! {
+    /// `bᵀ` scratch of [`a_bt_block`], reused across calls on this thread.
+    static BT_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `dst[p·np + j] = src[j·k + p]`: the `n×k` matrix `src` transposed to
+/// `k×np`, where `np` (returned) is `n` rounded up to a multiple of 4 and
+/// the padding columns are zero, so every row of `dst` splits into whole
+/// register tiles.
+pub(crate) fn transpose_padded(src: &[f32], n: usize, k: usize, dst: &mut Vec<f32>) -> usize {
+    let np = n.next_multiple_of(4);
+    dst.clear();
+    dst.resize(k * np, 0.0);
+    for j in 0..n {
+        for (p, &v) in src[j * k..(j + 1) * k].iter().enumerate() {
+            dst[p * np + j] = v;
+        }
+    }
+    np
+}
+
+/// Splits `$np` columns (a multiple of 4) into register tiles of up to 16
+/// and calls `$f::<.., W>($args)` per tile, with `$j0` bound to the tile's
+/// first column and its width `W` as the last const parameter.
+macro_rules! for_each_tile {
+    ($j0:ident in $np:expr, $f:ident $(::<$r:ident>)? ($($arg:expr),*)) => {
+        for $j0 in (0..$np).step_by(16) {
+            match $np - $j0 {
+                4 => $f::<$($r,)? 4>($($arg),*),
+                8 => $f::<$($r,)? 8>($($arg),*),
+                12 => $f::<$($r,)? 12>($($arg),*),
+                _ => $f::<$($r,)? 16>($($arg),*),
+            }
+        }
+    };
+}
+pub(crate) use for_each_tile;
+
+/// The `Reference` block kernel of the `a·bᵀ (+ bias) (+ ReLU)` family:
+/// transposes `b` once, then sweeps two rows at a time (see the module
+/// header for why this keeps every bit of the historical row kernel).
+#[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
+fn a_bt_block(
+    a: &[f32],
     b: &[f32],
+    m: usize,
     k: usize,
     n: usize,
-    out_row: &mut [f32],
+    out: &mut [f32],
     bias: Option<&[f32]>,
     relu: bool,
 ) {
@@ -167,39 +227,74 @@ fn a_bt_row(
             v
         }
     };
-    let mut j = 0;
-    while j + 4 <= n {
-        let b0 = &b[j * k..(j + 1) * k];
-        let b1 = &b[(j + 1) * k..(j + 2) * k];
-        let b2 = &b[(j + 2) * k..(j + 3) * k];
-        let b3 = &b[(j + 3) * k..(j + 4) * k];
-        let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        for (p, &av) in a_row.iter().enumerate() {
-            s0 += av * b0[p];
-            s1 += av * b1[p];
-            s2 += av * b2[p];
-            s3 += av * b3[p];
+    BT_SCRATCH.with_borrow_mut(|bt| {
+        let np = transpose_padded(b, n, k, bt);
+        let row = |i: usize| &a[i * k..(i + 1) * k];
+        let mut i = 0;
+        while i + 2 <= m {
+            let out_rows = &mut out[i * n..(i + 2) * n];
+            a_bt_rows([row(i), row(i + 1)], bt, np, n, out_rows, &finish);
+            i += 2;
         }
-        out_row[j] = finish(s0, j);
-        out_row[j + 1] = finish(s1, j + 1);
-        out_row[j + 2] = finish(s2, j + 2);
-        out_row[j + 3] = finish(s3, j + 3);
-        j += 4;
+        if i < m {
+            a_bt_rows([row(i)], bt, np, n, &mut out[i * n..], &finish);
+        }
+    });
+}
+
+/// `R` whole output rows, tile by tile.
+fn a_bt_rows<const R: usize>(
+    a: [&[f32]; R],
+    bt: &[f32],
+    np: usize,
+    n: usize,
+    out: &mut [f32],
+    finish: &impl Fn(f32, usize) -> f32,
+) {
+    for_each_tile!(j0 in np, a_bt_tile::<R>(a, bt, np, j0, n, out, finish));
+}
+
+/// One `R×W` register tile at column `j0`: accumulate in ascending `p`,
+/// then write back through `finish` (padding columns `j ≥ n` are dropped).
+#[inline(always)] // measured: out-of-line tiles cost the n = 10 shapes 25 %
+fn a_bt_tile<const R: usize, const W: usize>(
+    a: [&[f32]; R],
+    bt: &[f32],
+    np: usize,
+    j0: usize,
+    n: usize,
+    out: &mut [f32],
+    finish: &impl Fn(f32, usize) -> f32,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    // The historical `n % 4` tail columns started from `dot`'s empty sum.
+    let tail = (n - n % 4).saturating_sub(j0).min(W);
+    for s in acc.iter_mut().flat_map(|row| &mut row[tail..]) {
+        *s = dot(&[], &[]);
     }
-    while j < n {
-        let b_row = &b[j * k..(j + 1) * k];
-        out_row[j] = finish(dot(a_row, b_row), j);
-        j += 1;
+    for (p, b_row) in bt.chunks_exact(np).enumerate() {
+        let b_tile = &b_row[j0..j0 + W];
+        for (acc_row, a_row) in acc.iter_mut().zip(a) {
+            let av = a_row[p];
+            for (s, &bv) in acc_row.iter_mut().zip(b_tile) {
+                *s += av * bv;
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        for (j, &s) in (j0..n).zip(acc_row) {
+            out[r * n + j] = finish(s, j);
+        }
     }
 }
 
-/// Shared driver for the lane-blocked fused forward: lane/row iteration,
+/// Shared driver for the lane-blocked fused forward: lane iteration,
 /// shared-input resolution and mask bookkeeping are common to every
-/// backend; `row_kernel` computes one `(row, lane)` output row.
+/// backend; `block_kernel` computes one lane's `m×n` output.
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
 #[inline]
-pub(crate) fn lane_a_bt_bias_with<R>(
-    row_kernel: R,
+pub(crate) fn lane_a_bt_bias_with<K>(
+    block_kernel: K,
     a: &[f32],
     a_shared: bool,
     w: &[f32],
@@ -212,7 +307,7 @@ pub(crate) fn lane_a_bt_bias_with<R>(
     out: &mut [f32],
     mut relu_masks: Option<&mut [bool]>,
 ) where
-    R: Fn(&[f32], &[f32], usize, usize, &mut [f32], Option<&[f32]>, bool),
+    K: Fn(&[f32], &[f32], usize, usize, usize, &mut [f32], Option<&[f32]>, bool),
 {
     assert_eq!(a.len(), if a_shared { m * k } else { lanes * m * k });
     assert_eq!(w.len(), lanes * n * k);
@@ -227,21 +322,19 @@ pub(crate) fn lane_a_bt_bias_with<R>(
         if !active[l] {
             continue;
         }
+        let a_l = if a_shared {
+            a
+        } else {
+            &a[l * m * k..(l + 1) * m * k]
+        };
         let w_l = &w[l * n * k..(l + 1) * n * k];
         let bias_l = &bias[l * n..(l + 1) * n];
-        for i in 0..m {
-            let a_row = if a_shared {
-                &a[i * k..(i + 1) * k]
-            } else {
-                &a[(l * m + i) * k..(l * m + i + 1) * k]
-            };
-            let out_row = &mut out[(l * m + i) * n..(l * m + i + 1) * n];
-            row_kernel(a_row, w_l, k, n, out_row, Some(bias_l), fuse_relu);
-            if let Some(masks) = relu_masks.as_deref_mut() {
-                let mask_row = &mut masks[(l * m + i) * n..(l * m + i + 1) * n];
-                for (mk, &v) in mask_row.iter_mut().zip(out_row.iter()) {
-                    *mk = v > 0.0;
-                }
+        let out_l = &mut out[l * m * n..(l + 1) * m * n];
+        block_kernel(a_l, w_l, m, k, n, out_l, Some(bias_l), fuse_relu);
+        if let Some(masks) = relu_masks.as_deref_mut() {
+            let mask_l = &mut masks[l * m * n..(l + 1) * m * n];
+            for (mk, &v) in mask_l.iter_mut().zip(out_l.iter()) {
+                *mk = v > 0.0;
             }
         }
     }
@@ -255,9 +348,9 @@ pub(crate) fn lane_a_bt_bias_with<R>(
 /// where every coalition model consumes the same gathered mini-batch) or
 /// lane `l`'s own `m×k` slice of `a`.
 ///
-/// The nest is lane-outer so each lane's weight panel stays resident
-/// across its rows while the shared input is served from cache; each
-/// `(row, lane)` pair is handed to the same per-row kernel as the solo
+/// The nest is lane-outer — each lane's weights are transposed once and
+/// stay resident across its rows while the shared input is served from
+/// cache — and each lane is handed to the same block kernel as the solo
 /// path, so every lane's arithmetic is bit-identical to a solo
 /// [`matmul_a_bt_bias`] call.
 ///
@@ -280,7 +373,7 @@ pub fn lane_matmul_a_bt_bias(
     relu_masks: Option<&mut [bool]>,
 ) {
     lane_a_bt_bias_with(
-        a_bt_row, a, a_shared, w, bias, lanes, active, m, k, n, out, relu_masks,
+        a_bt_block, a, a_shared, w, bias, lanes, active, m, k, n, out, relu_masks,
     );
 }
 
@@ -595,6 +688,187 @@ mod tests {
         }
         // The mask gates exactly the positive outputs.
         assert!(mask.iter().any(|&x| x) && mask.iter().any(|&x| !x));
+    }
+
+    /// The row kernel [`a_bt_block`] replaced, verbatim: 4-way register
+    /// blocking over output columns, [`dot`] for the `n % 4` tail. Kept as
+    /// the bit-for-bit oracle of the transposed tile kernel.
+    fn historical_a_bt_row(
+        a_row: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+        out_row: &mut [f32],
+        bias: Option<&[f32]>,
+        relu: bool,
+    ) {
+        let finish = |acc: f32, j: usize| -> f32 {
+            let v = match bias {
+                Some(bias) => acc + bias[j],
+                None => acc,
+            };
+            if relu {
+                v.max(0.0)
+            } else {
+                v
+            }
+        };
+        let mut j = 0;
+        while j + 4 <= n {
+            let b0 = &b[j * k..(j + 1) * k];
+            let b1 = &b[(j + 1) * k..(j + 2) * k];
+            let b2 = &b[(j + 2) * k..(j + 3) * k];
+            let b3 = &b[(j + 3) * k..(j + 4) * k];
+            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+            for (p, &av) in a_row.iter().enumerate() {
+                s0 += av * b0[p];
+                s1 += av * b1[p];
+                s2 += av * b2[p];
+                s3 += av * b3[p];
+            }
+            out_row[j] = finish(s0, j);
+            out_row[j + 1] = finish(s1, j + 1);
+            out_row[j + 2] = finish(s2, j + 2);
+            out_row[j + 3] = finish(s3, j + 3);
+            j += 4;
+        }
+        while j < n {
+            let b_row = &b[j * k..(j + 1) * k];
+            out_row[j] = finish(dot(a_row, b_row), j);
+            j += 1;
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn tile_kernel_is_bit_identical_to_the_historical_row_kernel() {
+        // Row tiles (pairs + odd remainder), column tiles of every width,
+        // the n % 4 tail alone and after full tiles, reduction lengths
+        // from empty to longer than any model's.
+        for m in [1usize, 2, 3, 16] {
+            for k in [0usize, 1, 7, 64, 129] {
+                for n in [1usize, 3, 4, 10, 17, 32, 33] {
+                    let mut a = pseudo(31 + m as u32, m * k);
+                    // Exact zeros (ReLU'd activations, blank pixels): no
+                    // zero-skip may be added, ±0.0 products must still sum.
+                    for v in a.iter_mut().step_by(5) {
+                        *v = 0.0;
+                    }
+                    let b = pseudo(32 + n as u32, n * k);
+                    let mut bias = pseudo(33, n);
+                    bias[0] = -0.0;
+                    bias[n - 1] = -0.0;
+                    for bias in [None, Some(&bias[..])] {
+                        for relu in [false, true] {
+                            let mut expect = vec![f32::NAN; m * n];
+                            by_rows(historical_a_bt_row)(&a, &b, m, k, n, &mut expect, bias, relu);
+                            let mut got = vec![f32::NAN; m * n];
+                            let mut mask = Vec::new();
+                            a_bt_with(
+                                a_bt_block,
+                                &a,
+                                &b,
+                                bias,
+                                m,
+                                k,
+                                n,
+                                &mut got,
+                                relu.then_some(&mut mask),
+                            );
+                            let label =
+                                format!("m={m} k={k} n={n} bias={} relu={relu}", bias.is_some());
+                            assert_eq!(bits(&got), bits(&expect), "{label}");
+                            if relu {
+                                let expect_mask: Vec<bool> =
+                                    expect.iter().map(|&v| v > 0.0).collect();
+                                assert_eq!(mask, expect_mask, "{label}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_kernel_keeps_the_sign_of_an_all_negative_zero_sum() {
+        // a ≡ +0.0 against negative weights: every product is −0.0. The
+        // 4-way blocks started from +0.0 (sum +0.0), the tail from `dot`'s
+        // empty sum — whatever sign that has, the tile kernel must agree,
+        // with and without a −0.0 bias.
+        for (k, n) in [(3usize, 4usize), (3, 6), (5, 3), (2, 21)] {
+            let a = vec![0.0f32; 2 * k];
+            let b: Vec<f32> = pseudo(41, n * k).iter().map(|v| -v.abs() - 0.1).collect();
+            let neg_zero = vec![-0.0f32; n];
+            for bias in [None, Some(&neg_zero[..])] {
+                let mut expect = vec![f32::NAN; 2 * n];
+                by_rows(historical_a_bt_row)(&a, &b, 2, k, n, &mut expect, bias, false);
+                let mut got = vec![f32::NAN; 2 * n];
+                a_bt_block(&a, &b, 2, k, n, &mut got, bias, false);
+                assert_eq!(bits(&got), bits(&expect), "k={k} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_tile_kernel_is_bit_identical_to_the_historical_row_kernel() {
+        // Shared and per-lane `a`, ReLU masks, inactive lanes untouched.
+        let lanes = 3usize;
+        let active = [true, false, true];
+        for (m, k, n) in [
+            (1usize, 7usize, 10usize),
+            (3, 64, 33),
+            (16, 129, 17),
+            (2, 1, 3),
+        ] {
+            let w = pseudo(51, lanes * n * k);
+            let bias = pseudo(52, lanes * n);
+            for a_shared in [true, false] {
+                let mut a = pseudo(53, if a_shared { m * k } else { lanes * m * k });
+                a[0] = 0.0;
+                for relu in [false, true] {
+                    let mut expect = vec![f32::NAN; lanes * m * n];
+                    let mut expect_masks = vec![false; lanes * m * n];
+                    lane_a_bt_bias_with(
+                        by_rows(historical_a_bt_row),
+                        &a,
+                        a_shared,
+                        &w,
+                        &bias,
+                        lanes,
+                        &active,
+                        m,
+                        k,
+                        n,
+                        &mut expect,
+                        relu.then_some(&mut expect_masks[..]),
+                    );
+                    let mut got = vec![f32::NAN; lanes * m * n];
+                    let mut masks = vec![false; lanes * m * n];
+                    lane_matmul_a_bt_bias(
+                        &a,
+                        a_shared,
+                        &w,
+                        &bias,
+                        lanes,
+                        &active,
+                        m,
+                        k,
+                        n,
+                        &mut got,
+                        relu.then_some(&mut masks[..]),
+                    );
+                    let label = format!("m={m} k={k} n={n} shared={a_shared} relu={relu}");
+                    assert_eq!(bits(&got), bits(&expect), "{label}");
+                    assert_eq!(masks, expect_masks, "{label}");
+                    // NaN bits survive in the inactive lane on both sides.
+                    assert!(got[m * n..2 * m * n].iter().all(|v| v.is_nan()), "{label}");
+                }
+            }
+        }
     }
 
     #[test]
