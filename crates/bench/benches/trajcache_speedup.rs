@@ -18,7 +18,7 @@
 //! drop by at least the round-0 dedup (uncached round-0 trainings collapse
 //! to one per client). Counts, timings and the dedup factor go to
 //! `BENCH_trajcache.json` at the workspace root, stamped with
-//! `machine_cores`/`rayon_num_threads`/backend like every tracking report.
+//! `machine_cores`/`rayon_num_threads` like every tracking report.
 //!
 //! Knobs: `FEDVAL_TRAJ_N=<clients>` (default 8; `FEDVAL_QUICK=1` drops to
 //! 5), `FEDVAL_TRAJ_B=<lanes>` (default 8), `FEDVAL_TRAJ_JSON=<path>` to

@@ -41,20 +41,17 @@ pub fn machine_cores() -> usize {
 }
 
 /// JSON fields fingerprinting the run's environment —
-/// `available_parallelism()`, the `RAYON_NUM_THREADS` override (JSON
-/// `null` when unset) and the resolved `FEDVAL_BACKEND` selection —
-/// embedded in every `BENCH_*.json` tracking report so trajectories
-/// recorded on different runners (and backends: timings *and* utility
-/// values are backend-dependent) stay comparable.
+/// `available_parallelism()` and the `RAYON_NUM_THREADS` override (JSON
+/// `null` when unset) — embedded in every `BENCH_*.json` tracking report
+/// so trajectories recorded on different runners stay comparable.
 pub fn parallelism_json_fields() -> String {
     let threads = match std::env::var("RAYON_NUM_THREADS") {
         Ok(v) => format!("\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")),
         Err(_) => "null".to_string(),
     };
     format!(
-        "\"machine_cores\": {},\n  \"rayon_num_threads\": {threads},\n  \"fedval_backend\": \"{}\"",
-        machine_cores(),
-        fedval_nn::Backend::default().name()
+        "\"machine_cores\": {},\n  \"rayon_num_threads\": {threads}",
+        machine_cores()
     )
 }
 

@@ -176,11 +176,7 @@ pub fn run_neural(
             classes,
             &problem.fed,
         );
-        // Score reconstructed models on the same backend the history was
-        // trained under (values are deterministic per backend; mixing
-        // backends inside one valuation is forbidden).
-        let mut evaluator = problem.spec.build(input, classes, 0);
-        evaluator.set_backend(problem.fed.backend);
+        let evaluator = problem.spec.build(input, classes, 0);
         let values = match algorithm {
             Algorithm::Or => or_valuation(&history, evaluator, problem.test.clone()),
             Algorithm::LambdaMr => lambda_mr(

@@ -41,12 +41,8 @@ pub struct FedAvgConfig {
     /// Server-side step size applied to the aggregated update (`1.0` is
     /// plain FedAvg parameter averaging).
     pub server_lr: f32,
-    /// Linear-algebra backend every kernel of this utility's trainings
-    /// runs on — solo and lock-step forward/backward, the FedProx
-    /// proximal pull and the server-side update arithmetic. Defaults to
-    /// the process-wide `FEDVAL_BACKEND` selection (reference when
-    /// unset); values are deterministic *per backend*, so a cached
-    /// utility must not mix backends.
+    /// Read by nothing; kept for `benchmark/src/problems.rs` (see
+    /// `fedval_nn::backend`).
     pub backend: Backend,
     /// Whether batched evaluation memoises per-client per-round local
     /// training updates across lock-step lane blocks (the trajectory
@@ -77,7 +73,7 @@ impl Default for FedAvgConfig {
             algorithm: FlAlgorithm::FedAvg,
             participation: 1.0,
             server_lr: 1.0,
-            backend: Backend::default(),
+            backend: Backend::Reference,
             traj_cache: trajcache_from_env(),
             traj_cache_bytes: trajcache_bytes_from_env(),
         }
@@ -99,7 +95,7 @@ pub fn trajcache_bytes_from_env() -> Option<usize> {
 /// Process-wide default of [`FedAvgConfig::traj_cache`], resolved once
 /// from `FEDVAL_TRAJCACHE`: `0`/`false`/`off` (any case) disables the
 /// trajectory cache, anything else — including unset — enables it. The
-/// CI matrix runs both states in every backend × thread cell.
+/// CI matrix runs both states in every thread cell.
 pub fn trajcache_from_env() -> bool {
     static ENV_TRAJCACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *ENV_TRAJCACHE.get_or_init(|| match std::env::var("FEDVAL_TRAJCACHE") {

@@ -28,9 +28,8 @@
 //! coincided within one lane block, across blocks, or across separate
 //! `eval_batch` calls sharing the cache — substitutes bits the training
 //! would have produced anyway. Cached and uncached sweeps are therefore
-//! bit-identical per backend (asserted in
-//! `tests/tests/trajcache_equivalence.rs`), and results stay independent
-//! of both lane grouping and cache state.
+//! bit-identical (asserted in `tests/tests/trajcache_equivalence.rs`), and
+//! results stay independent of both lane grouping and cache state.
 
 use std::sync::Arc;
 
@@ -39,7 +38,8 @@ use rand::SeedableRng;
 
 use fedval_core::coalition::Coalition;
 use fedval_data::Dataset;
-use fedval_nn::{LinalgBackend, MultiNetwork, Network};
+use fedval_nn::linalg::axpy;
+use fedval_nn::{MultiNetwork, Network};
 
 use crate::config::{init_seed, local_seed, FedAvgConfig, FlAlgorithm};
 use crate::history::TrainingHistory;
@@ -101,10 +101,8 @@ fn run_fedavg(
     assert!(coalition.is_subset_of(Coalition::full(clients.len())));
     // (i) Acts at server, first iteration: initialise the global model.
     // The initialisation is shared across coalitions (same server, same
-    // seed) so that U(∅) is a single well-defined quantity. The config's
-    // backend choice reaches every kernel from here on.
+    // seed) so that U(∅) is a single well-defined quantity.
     let mut global = spec.build(input, classes, init_seed(cfg.seed));
-    global.set_backend(cfg.backend);
     let members: Vec<usize> = coalition
         .members()
         .filter(|&i| !clients[i].is_empty())
@@ -156,24 +154,21 @@ fn run_fedavg(
                         global.train_epochs(&clients[i], 1, cfg.batch_size, cfg.lr, &mut rng);
                         // Proximal pull towards the round's global model:
                         // w ← w − lr·μ·(w − g) ≡ w ← w + lr·μ·(g − w),
-                        // an axpy along the (g − w) direction through the
-                        // configured backend (bit-identical to the
-                        // historical in-place loop).
+                        // an axpy along the (g − w) direction.
                         let mut p = global.params();
                         prox_dir.clear();
                         prox_dir.extend(base.iter().zip(&p).map(|(g, w)| g - w));
-                        cfg.backend.axpy(cfg.lr * mu, &prox_dir, &mut p);
+                        axpy(cfg.lr * mu, &prox_dir, &mut p);
                         global.set_params(&p);
                     }
                 }
             }
             let local = global.params();
             let w = clients[i].n_samples() as f32 / total as f32;
-            // Δ = local − base, then aggregate += w·Δ — both backend
-            // axpys (element-wise, so bit-identical across backends).
+            // Δ = local − base, then aggregate += w·Δ.
             let mut delta = local;
-            cfg.backend.axpy(-1.0, &base, &mut delta);
-            cfg.backend.axpy(w, &delta, &mut aggregate);
+            axpy(-1.0, &base, &mut delta);
+            axpy(w, &delta, &mut aggregate);
             if history.is_some() {
                 round_updates[i] = Some(delta);
             }
@@ -181,7 +176,7 @@ fn run_fedavg(
         // (i) Acts at server: new global model by weighted aggregation of
         // the local models (parameter averaging = base + η_s·Σ wᵢΔᵢ).
         let mut next = base;
-        cfg.backend.axpy(cfg.server_lr, &aggregate, &mut next);
+        axpy(cfg.server_lr, &aggregate, &mut next);
         global.set_params(&next);
         if let Some(h) = history.as_deref_mut() {
             h.updates.push(round_updates);
@@ -258,7 +253,6 @@ pub fn train_coalitions(
         .into_iter()
         .map(|params| {
             let mut net = spec.build(input, classes, init_seed(cfg.seed));
-            net.set_backend(cfg.backend);
             net.set_params(&params);
             net
         })
@@ -306,10 +300,8 @@ pub fn train_coalitions_params_with_cache(
         assert!(c.is_subset_of(Coalition::full(n)));
     }
     // (i) Acts at server, first iteration: one shared initialisation for
-    // every lane (same server, same seed — U(∅) stays well-defined). The
-    // config's backend choice propagates through the multi-lane build.
-    let mut init = spec.build(input, classes, init_seed(cfg.seed));
-    init.set_backend(cfg.backend);
+    // every lane (same server, same seed — U(∅) stays well-defined).
+    let init = spec.build(input, classes, init_seed(cfg.seed));
     let members: Vec<Vec<usize>> = coalitions
         .iter()
         .map(|c| c.members().filter(|&i| !clients[i].is_empty()).collect())
@@ -444,14 +436,14 @@ pub fn train_coalitions_params_with_cache(
                             &train_mask,
                         );
                         // Proximal pull towards each group's round-start
-                        // global model (identical across the group), as a
-                        // backend axpy along (g − w) — the same arithmetic
-                        // as the solo path's proximal step.
+                        // global model (identical across the group), as an
+                        // axpy along (g − w) — the same arithmetic as the
+                        // solo path's proximal step.
                         for (rep, _) in &misses {
                             multi.lane_params_into(*rep, &mut lane_buf);
                             prox_dir.clear();
                             prox_dir.extend(bases[*rep].iter().zip(&lane_buf).map(|(g, w)| g - w));
-                            cfg.backend.axpy(cfg.lr * mu, &prox_dir, &mut lane_buf);
+                            axpy(cfg.lr * mu, &prox_dir, &mut lane_buf);
                             multi.set_lane_params(*rep, &lane_buf);
                         }
                     }
@@ -505,9 +497,9 @@ pub fn train_coalitions_params_with_cache(
                 let Some(delta) = deltas[l][i].as_ref() else {
                     unreachable!("every participant's delta was stored this round")
                 };
-                cfg.backend.axpy(w, delta, &mut aggregate);
+                axpy(w, delta, &mut aggregate);
             }
-            cfg.backend.axpy(cfg.server_lr, &aggregate, &mut bases[l]);
+            axpy(cfg.server_lr, &aggregate, &mut bases[l]);
         }
     }
     bases

@@ -6,7 +6,7 @@
 //! updates recorded during the single full-coalition FL run (Sec. VI-B-2).
 
 use fedval_core::coalition::Coalition;
-use fedval_nn::{Backend, LinalgBackend};
+use fedval_nn::linalg::axpy;
 
 /// Everything recorded during one full-coalition FedAvg run.
 #[derive(Clone, Debug)]
@@ -54,12 +54,7 @@ impl TrainingHistory {
     /// `coalition` with coalition-restricted FedAvg weights.
     ///
     /// `M_S ≈ M⁰ + Σ_t Σ_{i∈S} w_i·Δᵢᵗ`
-    ///
-    /// The replay accumulations run through the process-selected linalg
-    /// backend's `axpy` (element-wise, so the values are bit-identical
-    /// across backends).
     pub fn reconstruct(&self, coalition: Coalition) -> Vec<f32> {
-        let be = Backend::default();
         let mut params = self.init_params.clone();
         let Some(weights) = self.coalition_weights(coalition) else {
             return params;
@@ -67,7 +62,7 @@ impl TrainingHistory {
         for round in &self.updates {
             for &(i, w) in &weights {
                 if let Some(delta) = &round[i] {
-                    be.axpy(w, delta, &mut params);
+                    axpy(w, delta, &mut params);
                 }
             }
         }
@@ -81,14 +76,13 @@ impl TrainingHistory {
     /// `M_Sᵗ ≈ M^{t} + Σ_{i∈S} w_i·Δᵢᵗ` where `M^{t}` is the recorded
     /// global model before round `t`.
     pub fn reconstruct_round(&self, round: usize, coalition: Coalition) -> Vec<f32> {
-        let be = Backend::default();
         let mut params = self.global_before(round).to_vec();
         let Some(weights) = self.coalition_weights(coalition) else {
             return params;
         };
         for &(i, w) in &weights {
             if let Some(delta) = &self.updates[round][i] {
-                be.axpy(w, delta, &mut params);
+                axpy(w, delta, &mut params);
             }
         }
         params

@@ -17,14 +17,13 @@
 //! **Soundness.** A cache entry may only be replayed where the training it
 //! replaces would have produced the same bits: the same client data, the
 //! same [`crate::config::FedAvgConfig`] (seed, lr, epochs, batch size,
-//! algorithm, backend) and a bit-equal round-start parameter vector. The
+//! algorithm) and a bit-equal round-start parameter vector. The
 //! key binds the round-start bits (hash + fingerprint, 128 bits total —
 //! a false hit needs a simultaneous collision in both), the client and
 //! the round (which fixes the `local_seed` stream); everything else must
 //! be held fixed by the owner. `FlUtility` guarantees this by owning one
 //! cache per `eval_batch` call, or one shared handle per utility — never
-//! share a cache across utilities with different configs, datasets or
-//! backends.
+//! share a cache across utilities with different configs or datasets.
 //!
 //! **Memory.** Every entry holds one update `Δ` — `p` floats for a
 //! `p`-parameter model — so a long-lived shared handle (the

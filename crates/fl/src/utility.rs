@@ -106,7 +106,7 @@ impl FlUtility {
     /// handle takes precedence over [`FedAvgConfig::traj_cache`] — a
     /// [`TrajectoryCache::counting_only`] handle measures the uncached
     /// baseline. Never share one cache between utilities with different
-    /// datasets, specs, configs or backends (see `crate::trajcache`).
+    /// datasets, specs or configs (see `crate::trajcache`).
     pub fn with_traj_cache(mut self, cache: Arc<TrajectoryCache>) -> Self {
         self.traj_cache = Some(cache);
         self
@@ -201,13 +201,11 @@ impl Utility for FlUtility {
         order.sort_by_key(|&i| (coalitions[i].size(), coalitions[i].0));
         let mut out = vec![0.0f64; coalitions.len()];
         let mut block: Vec<Coalition> = Vec::with_capacity(self.lane_block);
-        let mut template = self.spec.build(
+        let template = self.spec.build(
             self.test.n_features(),
             self.test.n_classes(),
             init_seed(self.cfg.seed),
         );
-        // Lock-step scoring runs on the same backend the lanes trained on.
-        template.set_backend(self.cfg.backend);
         for positions in order.chunks(self.lane_block) {
             block.clear();
             block.extend(positions.iter().map(|&i| coalitions[i]));

@@ -2,7 +2,7 @@
 //!
 //! Every estimator in this repository stakes its value on three
 //! bit-identity contracts (ARCHITECTURE.md): results are bit-identical
-//! across thread counts, linalg backends/caches, and service coalescing.
+//! across thread counts, cache states, and service coalescing.
 //! The equivalence suites enforce those contracts *dynamically* — a
 //! violation is caught only if a test seed happens to exercise it. This
 //! crate enforces the source-level preconditions *statically*: no

@@ -99,7 +99,7 @@ fn main() -> ExitCode {
     }
     println!(
         "\nfedval-lint: {} finding{} — each one is a latent break of the\n\
-         bit-identity contracts (thread-count / backend-cache / coalescing).\n\
+         bit-identity contracts (thread-count / cache-state / coalescing).\n\
          Fix the site (sorted drain, BTreeMap, explicit seed) or annotate it:\n\n{}",
         findings.len(),
         if findings.len() == 1 { "" } else { "s" },

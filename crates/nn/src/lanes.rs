@@ -27,8 +27,8 @@ use rand::Rng;
 
 use fedval_data::Dataset;
 
-use crate::backend::{Backend, LinalgBackend};
 use crate::layers::Layer;
+use crate::linalg::{lane_matmul_a_bt_bias, lane_matmul_at_b_accum, matmul};
 use crate::loss::softmax_cross_entropy;
 use crate::network::Network;
 
@@ -184,20 +184,16 @@ pub struct MultiDense {
     b: Vec<f32>,
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
-    backend: Backend,
 }
 
 impl MultiDense {
-    /// Replicate one dense layer's parameters into `lanes` lanes, running
-    /// on the same backend as the solo layer it came from (the lock-step
-    /// contract is per backend).
+    /// Replicate one dense layer's parameters into `lanes` lanes.
     pub(crate) fn replicate(
         in_len: usize,
         out_len: usize,
         w: &[f32],
         b: &[f32],
         lanes: usize,
-        backend: Backend,
     ) -> Self {
         assert_eq!(w.len(), in_len * out_len);
         assert_eq!(b.len(), out_len);
@@ -210,7 +206,6 @@ impl MultiDense {
             b: b.iter().copied().cycle().take(lanes * b.len()).collect(),
             grad_w: vec![0.0; lanes * w.len()],
             grad_b: vec![0.0; lanes * b.len()],
-            backend,
         }
     }
 
@@ -225,7 +220,7 @@ impl MultiDense {
     ) {
         assert_eq!(input.lane_len(), batch * self.in_len);
         assert_eq!(out.lane_len(), batch * self.out_len);
-        self.backend.lane_matmul_a_bt_bias(
+        lane_matmul_a_bt_bias(
             input.data(),
             input.is_shared(),
             &self.w,
@@ -252,7 +247,7 @@ impl MultiDense {
     ) {
         assert_eq!(grad_out.lane_len(), batch * self.out_len);
         assert_eq!(input.lane_len(), batch * self.in_len);
-        self.backend.lane_matmul_at_b_accum(
+        lane_matmul_at_b_accum(
             grad_out.data(),
             input.data(),
             input.is_shared(),
@@ -268,7 +263,7 @@ impl MultiDense {
             assert_eq!(grad_in.lane_len(), batch * self.in_len);
             for (l, &on) in active.iter().enumerate() {
                 if on {
-                    self.backend.matmul(
+                    matmul(
                         grad_out.lane(l),
                         &self.w
                             [l * self.out_len * self.in_len..(l + 1) * self.out_len * self.in_len],
@@ -377,10 +372,9 @@ impl MultiDenseRelu {
         w: &[f32],
         b: &[f32],
         lanes: usize,
-        backend: Backend,
     ) -> Self {
         MultiDenseRelu {
-            dense: MultiDense::replicate(in_len, out_len, w, b, lanes, backend),
+            dense: MultiDense::replicate(in_len, out_len, w, b, lanes),
             mask: Vec::new(),
             gated: LaneTensor::empty(),
         }

@@ -8,9 +8,8 @@
 
 use rand::Rng;
 
-use crate::backend::{Backend, LinalgBackend};
 use crate::lanes::{LaneLayer, MultiDense, MultiDenseRelu, MultiRelu, PerLane};
-use crate::linalg::{for_each_tile, transpose_padded};
+use crate::linalg::{for_each_tile, matmul, matmul_a_bt_bias, matmul_at_b_accum, transpose_padded};
 
 /// A differentiable layer processing batches of flattened samples.
 pub trait Layer: Send {
@@ -53,12 +52,6 @@ pub trait Layer: Send {
     /// Read parameters back from the front of `src`, advancing it.
     fn read_params(&mut self, _src: &mut &[f32]) {}
 
-    /// Select the linear-algebra backend this layer's kernels run on.
-    /// No-op for layers without matmul kernels (their arithmetic is
-    /// backend-independent). Propagated by [`crate::network::Network::set_backend`]
-    /// and inherited by [`Layer::to_multi`] lane counterparts.
-    fn set_backend(&mut self, _backend: Backend) {}
-
     /// Replicate this layer's parameters into a multi-lane counterpart
     /// holding `lanes` parameter lanes — the building block of
     /// [`crate::lanes::MultiNetwork`]. Dense-family layers return
@@ -92,7 +85,6 @@ pub struct Dense {
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
     cached_input: Vec<f32>,
-    backend: Backend,
 }
 
 impl Dense {
@@ -111,7 +103,6 @@ impl Dense {
             grad_w: vec![0.0; in_len * out_len],
             grad_b: vec![0.0; out_len],
             cached_input: Vec::new(),
-            backend: Backend::default(),
         }
     }
 }
@@ -131,7 +122,7 @@ impl Layer for Dense {
         let mut out = vec![0.0; batch * self.out_len];
         // out = input(batch×in) · Wᵀ(in×out) + b, bias fused into the
         // kernel's write-back instead of a second pass over `out`.
-        self.backend.matmul_a_bt_bias(
+        matmul_a_bt_bias(
             input,
             &self.w,
             &self.b,
@@ -148,7 +139,7 @@ impl Layer for Dense {
         assert_eq!(grad_out.len(), batch * self.out_len);
         assert_eq!(self.cached_input.len(), batch * self.in_len);
         // grad_w(out×in) += grad_outᵀ(out×batch) · input(batch×in)
-        self.backend.matmul_at_b_accum(
+        matmul_at_b_accum(
             grad_out,
             &self.cached_input,
             batch,
@@ -163,7 +154,7 @@ impl Layer for Dense {
         }
         // grad_in(batch×in) = grad_out(batch×out) · W(out×in)
         let mut grad_in = vec![0.0; batch * self.in_len];
-        self.backend.matmul(
+        matmul(
             grad_out,
             &self.w,
             batch,
@@ -205,10 +196,6 @@ impl Layer for Dense {
         *src = rest;
     }
 
-    fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-    }
-
     fn to_multi(&self, lanes: usize) -> Box<dyn LaneLayer> {
         Box::new(MultiDense::replicate(
             self.in_len,
@@ -216,7 +203,6 @@ impl Layer for Dense {
             &self.w,
             &self.b,
             lanes,
-            self.backend,
         ))
     }
 }
@@ -259,7 +245,7 @@ impl Layer for DenseRelu {
         d.cached_input.extend_from_slice(input);
         self.mask.clear();
         let mut out = vec![0.0; batch * d.out_len];
-        d.backend.matmul_a_bt_bias(
+        matmul_a_bt_bias(
             input,
             &d.w,
             &d.b,
@@ -305,10 +291,6 @@ impl Layer for DenseRelu {
         self.dense.read_params(src);
     }
 
-    fn set_backend(&mut self, backend: Backend) {
-        self.dense.set_backend(backend);
-    }
-
     fn to_multi(&self, lanes: usize) -> Box<dyn LaneLayer> {
         Box::new(MultiDenseRelu::replicate(
             self.dense.in_len,
@@ -316,7 +298,6 @@ impl Layer for DenseRelu {
             &self.dense.w,
             &self.dense.b,
             lanes,
-            self.dense.backend,
         ))
     }
 }

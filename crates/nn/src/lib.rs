@@ -16,11 +16,8 @@
 //!   architecture advanced in lock-step through shared mini-batches, each
 //!   lane bit-identical to a solo [`network::Network`] run (the substrate
 //!   of multi-coalition FedAvg training);
-//! * [`backend`] — the [`backend::LinalgBackend`] trait behind every
-//!   kernel call, with two implementations: [`backend::Reference`] (the
-//!   bit-stable blocked scalar kernels of [`linalg`]) and
-//!   [`backend::Simd`] (8-wide unrolled microkernels, deterministic per
-//!   backend), selected once via `FEDVAL_BACKEND` or per config;
+//! * [`linalg`] — the dense kernels every layer and the FL engine's
+//!   parameter arithmetic call: one path, bit-stable across commits;
 //! * [`models`] — the experiment model families: `mlp`, `cnn`, `linear`.
 
 pub mod backend;
@@ -31,7 +28,7 @@ pub mod loss;
 pub mod models;
 pub mod network;
 
-pub use backend::{Backend, LinalgBackend};
+pub use backend::Backend;
 pub use lanes::{LaneLayer, LaneTensor, MultiNetwork};
 pub use models::{cnn, default_mlp, linear, mlp};
 pub use network::Network;

@@ -23,13 +23,11 @@
 //! the `n % 4` tail): the same operations in the same order, so the same
 //! bits.
 //!
-//! This module is the **`Reference` backend** of
-//! [`crate::backend::LinalgBackend`]: the free functions here are the
-//! bit-stable kernels every determinism test pins, and the `*_with`
-//! drivers factor out the loop nests (panel blocking, lane iteration,
-//! mask bookkeeping) so alternative backends — the 8-wide
-//! [`crate::backend::Simd`] today, GPU tomorrow — swap only the innermost
-//! kernels while inheriting the exact same traversal structure.
+//! These free functions are the only kernel path: `nn` and `fl` call them
+//! directly, and every determinism test pins their bits. The two `*_with`
+//! drivers of the `a·bᵀ` family take the block kernel as an argument only
+//! so the tests can run the historical row kernel through the same shape
+//! checks, lane iteration and mask bookkeeping as its replacement.
 
 use std::cell::RefCell;
 
@@ -37,25 +35,13 @@ use std::cell::RefCell;
 /// `b` (each `n` wide) stay resident in L1/L2 across the `m` sweep.
 const KC: usize = 128;
 
-/// Shared driver for `out[m×n] = a[m×k] · b[k×n]`: the `k`-panel blocking
-/// and zero-skip are common to every backend; `update_row` performs
-/// `out_row ← out_row + av·b_row` and is the only backend-specific part.
-/// For each output element the partial products are added in ascending `p`
-/// order (blocks are visited in order) regardless of `update_row`'s
-/// internal unrolling, because each `(av, b_row)` pair updates every
-/// output element exactly once.
-#[inline]
-pub(crate) fn matmul_with<U>(
-    update_row: U,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) where
-    U: Fn(f32, &[f32], &mut [f32]),
-{
+/// `out[m×n] = a[m×k] · b[k×n]` (row-major). `out` is overwritten.
+///
+/// Blocked over `k` so the active `b` panel stays in cache while every row
+/// of `a` sweeps it. For each output element the partial products are
+/// still added in ascending `p` order (blocks are visited in order), so
+/// the result is bit-identical to the unblocked loop.
+pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);
     assert_eq!(out.len(), m * n);
@@ -70,26 +56,16 @@ pub(crate) fn matmul_with<U>(
                 if av == 0.0 {
                     continue;
                 }
-                update_row(av, &b[(p0 + dp) * n..(p0 + dp + 1) * n], out_row);
+                axpy(av, &b[(p0 + dp) * n..(p0 + dp + 1) * n], out_row);
             }
         }
         p0 = p1;
     }
 }
 
-/// `out[m×n] = a[m×k] · b[k×n]` (row-major). `out` is overwritten.
-///
-/// Blocked over `k` so the active `b` panel stays in cache while every row
-/// of `a` sweeps it. For each output element the partial products are
-/// still added in ascending `p` order (blocks are visited in order), so
-/// the result is bit-identical to the unblocked loop.
-pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    matmul_with(axpy, a, b, m, k, n, out);
-}
-
-/// Shared driver for the `a·bᵀ (+ bias) (+ ReLU)` family: shape checks
-/// and relu-mask bookkeeping are common to every backend; `block_kernel`
-/// computes the whole `m×n` output (same signature as [`a_bt_block`]).
+/// Driver of the `a·bᵀ (+ bias) (+ ReLU)` family: shape checks and
+/// relu-mask bookkeeping; `block_kernel` computes the whole `m×n` output
+/// ([`a_bt_block`], or the historical row kernel in the tests).
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
 #[inline]
 pub(crate) fn a_bt_with<K>(
@@ -117,24 +93,6 @@ pub(crate) fn a_bt_with<K>(
         // `out` already holds max(acc + bias, 0); positives gate the
         // backward pass.
         mask.extend(out.iter().map(|&v| v > 0.0));
-    }
-}
-
-/// Adapts a one-output-row kernel (the [`crate::backend::Simd`] shape) to
-/// the block-kernel signature the drivers take.
-#[allow(clippy::type_complexity)] // the drivers' `K` bound, returned
-#[inline]
-pub(crate) fn by_rows<R>(
-    row_kernel: R,
-) -> impl Fn(&[f32], &[f32], usize, usize, usize, &mut [f32], Option<&[f32]>, bool)
-where
-    R: Fn(&[f32], &[f32], usize, usize, &mut [f32], Option<&[f32]>, bool),
-{
-    move |a: &[f32], b: &[f32], m, k, n, out: &mut [f32], bias: Option<&[f32]>, relu| {
-        for i in 0..m {
-            let out_row = &mut out[i * n..(i + 1) * n];
-            row_kernel(&a[i * k..(i + 1) * k], b, k, n, out_row, bias, relu);
-        }
     }
 }
 
@@ -202,7 +160,7 @@ macro_rules! for_each_tile {
 }
 pub(crate) use for_each_tile;
 
-/// The `Reference` block kernel of the `a·bᵀ (+ bias) (+ ReLU)` family:
+/// The block kernel of the `a·bᵀ (+ bias) (+ ReLU)` family:
 /// transposes `b` once, then sweeps two rows at a time (see the module
 /// header for why this keeps every bit of the historical row kernel).
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
@@ -288,9 +246,10 @@ fn a_bt_tile<const R: usize, const W: usize>(
     }
 }
 
-/// Shared driver for the lane-blocked fused forward: lane iteration,
-/// shared-input resolution and mask bookkeeping are common to every
-/// backend; `block_kernel` computes one lane's `m×n` output.
+/// Driver of the lane-blocked fused forward: lane iteration, shared-input
+/// resolution and mask bookkeeping; `block_kernel` computes one lane's
+/// `m×n` output ([`a_bt_block`], or the historical row kernel in the
+/// tests).
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
 #[inline]
 pub(crate) fn lane_a_bt_bias_with<K>(
@@ -377,59 +336,6 @@ pub fn lane_matmul_a_bt_bias(
     );
 }
 
-/// Shared driver for the lane-blocked gradient accumulation: lane/row
-/// iteration, zero-skip and the fused bias row-sums are common to every
-/// backend; `update_row` performs `gw_row ← gw_row + gv·in_row`.
-#[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
-#[inline]
-pub(crate) fn lane_at_b_accum_with<U>(
-    update_row: U,
-    grad_out: &[f32],
-    input: &[f32],
-    input_shared: bool,
-    lanes: usize,
-    active: &[bool],
-    m: usize,
-    k: usize,
-    n: usize,
-    grad_w: &mut [f32],
-    grad_b: &mut [f32],
-) where
-    U: Fn(f32, &[f32], &mut [f32]),
-{
-    assert_eq!(grad_out.len(), lanes * m * k);
-    assert_eq!(
-        input.len(),
-        if input_shared { m * n } else { lanes * m * n }
-    );
-    assert_eq!(active.len(), lanes);
-    assert_eq!(grad_w.len(), lanes * k * n);
-    assert_eq!(grad_b.len(), lanes * k);
-    for l in 0..lanes {
-        if !active[l] {
-            continue;
-        }
-        let gw = &mut grad_w[l * k * n..(l + 1) * k * n];
-        let gb = &mut grad_b[l * k..(l + 1) * k];
-        for i in 0..m {
-            let g_row = &grad_out[(l * m + i) * k..(l * m + i + 1) * k];
-            let in_row = if input_shared {
-                &input[i * n..(i + 1) * n]
-            } else {
-                &input[(l * m + i) * n..(l * m + i + 1) * n]
-            };
-            for (p, &gv) in g_row.iter().enumerate() {
-                if gv != 0.0 {
-                    update_row(gv, in_row, &mut gw[p * n..(p + 1) * n]);
-                }
-            }
-            for (g, &d) in gb.iter_mut().zip(g_row) {
-                *g += d;
-            }
-        }
-    }
-}
-
 /// Lane-blocked gradient accumulation for `lanes` parameter lanes:
 /// `grad_w[l] += grad_out_lᵀ · input_l` and `grad_b[l] += Σ_rows
 /// grad_out_l`, fused into one traversal of the upstream gradient.
@@ -454,36 +360,42 @@ pub fn lane_matmul_at_b_accum(
     grad_w: &mut [f32],
     grad_b: &mut [f32],
 ) {
-    lane_at_b_accum_with(
-        axpy,
-        grad_out,
-        input,
-        input_shared,
-        lanes,
-        active,
-        m,
-        k,
-        n,
-        grad_w,
-        grad_b,
+    assert_eq!(grad_out.len(), lanes * m * k);
+    assert_eq!(
+        input.len(),
+        if input_shared { m * n } else { lanes * m * n }
     );
+    assert_eq!(active.len(), lanes);
+    assert_eq!(grad_w.len(), lanes * k * n);
+    assert_eq!(grad_b.len(), lanes * k);
+    for l in 0..lanes {
+        if !active[l] {
+            continue;
+        }
+        let gw = &mut grad_w[l * k * n..(l + 1) * k * n];
+        let gb = &mut grad_b[l * k..(l + 1) * k];
+        for i in 0..m {
+            let g_row = &grad_out[(l * m + i) * k..(l * m + i + 1) * k];
+            let in_row = if input_shared {
+                &input[i * n..(i + 1) * n]
+            } else {
+                &input[(l * m + i) * n..(l * m + i + 1) * n]
+            };
+            for (p, &gv) in g_row.iter().enumerate() {
+                if gv != 0.0 {
+                    axpy(gv, in_row, &mut gw[p * n..(p + 1) * n]);
+                }
+            }
+            for (g, &d) in gb.iter_mut().zip(g_row) {
+                *g += d;
+            }
+        }
+    }
 }
 
-/// Shared driver for `out[k×n] += aᵀ · b`: row iteration and zero-skip
-/// are common to every backend; `update_row` performs
-/// `out_row ← out_row + av·b_row`.
-#[inline]
-pub(crate) fn at_b_accum_with<U>(
-    update_row: U,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) where
-    U: Fn(f32, &[f32], &mut [f32]),
-{
+/// `out[k×n] += aᵀ · b` where `a` is `m×k` and `b` is `m×n` (row-major).
+/// Accumulates into `out` (gradient accumulation).
+pub fn matmul_at_b_accum(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), m * n);
     assert_eq!(out.len(), k * n);
@@ -494,15 +406,9 @@ pub(crate) fn at_b_accum_with<U>(
             if av == 0.0 {
                 continue;
             }
-            update_row(av, b_row, &mut out[p * n..(p + 1) * n]);
+            axpy(av, b_row, &mut out[p * n..(p + 1) * n]);
         }
     }
-}
-
-/// `out[k×n] += aᵀ · b` where `a` is `m×k` and `b` is `m×n` (row-major).
-/// Accumulates into `out` (gradient accumulation).
-pub fn matmul_at_b_accum(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    at_b_accum_with(axpy, a, b, m, k, n, out);
 }
 
 /// Dot product.
@@ -581,6 +487,9 @@ mod tests {
         matmul_at_b_accum(&a, &b, 2, 2, 2, &mut out);
         // aᵀ·b = [[4,4],[6,6]]; plus ones.
         assert_eq!(out, [5.0, 5.0, 7.0, 7.0]);
+        // No rows: nothing accumulates.
+        matmul_at_b_accum(&[], &[], 0, 2, 2, &mut out);
+        assert_eq!(out, [5.0, 5.0, 7.0, 7.0]);
     }
 
     /// Reference implementations the blocked kernels must match
@@ -623,8 +532,19 @@ mod tests {
 
     #[test]
     fn blocked_matmul_is_bit_identical_to_naive() {
-        // Shapes straddling the KC panel boundary and odd column counts.
-        for (m, k, n) in [(3, 5, 7), (2, 200, 9), (4, 129, 3), (1, 257, 1)] {
+        // Shapes straddling the KC panel boundary, odd column counts and
+        // degenerate dimensions.
+        for (m, k, n) in [
+            (3, 5, 7),
+            (2, 200, 9),
+            (4, 129, 3),
+            (1, 257, 1),
+            (1, 1, 1),
+            (0, 0, 0),
+            (2, 0, 3),
+            (0, 4, 5),
+            (3, 4, 0),
+        ] {
             let a = pseudo(1, m * k);
             let b = pseudo(2, k * n);
             let mut out = vec![0.0f32; m * n];
@@ -636,8 +556,13 @@ mod tests {
     #[test]
     fn register_blocked_a_bt_is_bit_identical_to_naive() {
         // Column counts around the 4-wide register block: remainder lanes
-        // 0..=3 all exercised.
+        // 0..=3 all exercised; then degenerate dimensions.
         for (m, k, n) in [
+            (1, 1, 1),
+            (0, 0, 0),
+            (0, 3, 0),
+            (2, 0, 3),
+            (3, 4, 0),
             (2, 6, 1),
             (3, 9, 4),
             (2, 17, 5),
@@ -655,19 +580,20 @@ mod tests {
 
     #[test]
     fn fused_bias_matches_separate_passes() {
-        let (m, k, n) = (3, 10, 6);
-        let a = pseudo(5, m * k);
-        let b = pseudo(6, n * k);
-        let bias = pseudo(7, n);
-        let mut reference = naive_a_bt(&a, &b, m, k, n);
-        for row in reference.chunks_exact_mut(n) {
-            for (o, &bv) in row.iter_mut().zip(&bias) {
-                *o += bv;
+        for (m, k, n) in [(3, 10, 6), (1, 1, 1)] {
+            let a = pseudo(5, m * k);
+            let b = pseudo(6, n * k);
+            let bias = pseudo(7, n);
+            let mut reference = naive_a_bt(&a, &b, m, k, n);
+            for row in reference.chunks_exact_mut(n) {
+                for (o, &bv) in row.iter_mut().zip(&bias) {
+                    *o += bv;
+                }
             }
+            let mut fused = vec![0.0f32; m * n];
+            matmul_a_bt_bias(&a, &b, &bias, m, k, n, &mut fused, None);
+            assert_eq!(fused, reference, "m={m} k={k} n={n}");
         }
-        let mut fused = vec![0.0f32; m * n];
-        matmul_a_bt_bias(&a, &b, &bias, m, k, n, &mut fused, None);
-        assert_eq!(fused, reference);
     }
 
     #[test]
@@ -736,6 +662,23 @@ mod tests {
             let b_row = &b[j * k..(j + 1) * k];
             out_row[j] = finish(dot(a_row, b_row), j);
             j += 1;
+        }
+    }
+
+    /// Adapts a one-output-row kernel ([`historical_a_bt_row`]) to the
+    /// block-kernel signature the drivers take.
+    #[allow(clippy::type_complexity)] // the drivers' `K` bound, returned
+    fn by_rows<R>(
+        row_kernel: R,
+    ) -> impl Fn(&[f32], &[f32], usize, usize, usize, &mut [f32], Option<&[f32]>, bool)
+    where
+        R: Fn(&[f32], &[f32], usize, usize, &mut [f32], Option<&[f32]>, bool),
+    {
+        move |a: &[f32], b: &[f32], m, k, n, out: &mut [f32], bias: Option<&[f32]>, relu| {
+            for i in 0..m {
+                let out_row = &mut out[i * n..(i + 1) * n];
+                row_kernel(&a[i * k..(i + 1) * k], b, k, n, out_row, bias, relu);
+            }
         }
     }
 
@@ -823,6 +766,7 @@ mod tests {
             (3, 64, 33),
             (16, 129, 17),
             (2, 1, 3),
+            (1, 1, 1),
         ] {
             let w = pseudo(51, lanes * n * k);
             let bias = pseudo(52, lanes * n);
@@ -992,5 +936,9 @@ mod tests {
         axpy(2.0, &[1.0, 3.0], &mut y);
         assert_eq!(y, vec![3.0, 7.0]);
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
+        // Empty operands.
+        assert_eq!(dot(&[], &[]), 0.0);
+        axpy(1.0, &[], &mut []);
+        assert_eq!(norm2(&[]), 0.0);
     }
 }

@@ -1,8 +1,4 @@
-//! Loss functions: softmax cross-entropy (classification utility) and mean
-//! squared error (regression; the Donahue–Kleinberg analysis in
-//! `fedval-theory` uses its closed form).
-
-use crate::backend::{Backend, LinalgBackend};
+//! Loss functions: softmax cross-entropy (the classification utility).
 
 /// Numerically stable softmax over each row of `logits`
 /// (`batch × classes`), in place.
@@ -58,23 +54,6 @@ pub fn argmax_rows(logits: &[f32], classes: usize) -> Vec<u32> {
             best as u32
         })
         .collect()
-}
-
-/// Mean squared error and gradient: `L = Σ (ŷ − y)² / batch`.
-///
-/// The loss reduction runs through the linalg backend (`Σd² = ⟨d, d⟩`).
-/// Loss helpers are free functions with no config handle, so this uses
-/// the *process-wide* `FEDVAL_BACKEND` selection — not any per-utility
-/// override. Under the (default) reference backend the ascending-index
-/// sum is unchanged from the historical inline loop.
-pub fn mse(pred: &[f32], target: &[f32]) -> (f32, Vec<f32>) {
-    assert_eq!(pred.len(), target.len());
-    assert!(!pred.is_empty());
-    let n = pred.len() as f32;
-    let diff: Vec<f32> = pred.iter().zip(target).map(|(&p, &t)| p - t).collect();
-    let loss = Backend::default().dot(&diff, &diff) / n;
-    let grad = diff.iter().map(|&d| 2.0 * d / n).collect();
-    (loss, grad)
 }
 
 #[cfg(test)]
@@ -151,13 +130,5 @@ mod tests {
     fn argmax_predictions() {
         let logits = vec![0.1, 0.9, 0.5, 2.0, -1.0, 0.0];
         assert_eq!(argmax_rows(&logits, 3), vec![1, 0]);
-    }
-
-    #[test]
-    fn mse_basics() {
-        let (loss, grad) = mse(&[1.0, 2.0], &[0.0, 2.0]);
-        assert!((loss - 0.5).abs() < 1e-6);
-        assert!((grad[0] - 1.0).abs() < 1e-6);
-        assert_eq!(grad[1], 0.0);
     }
 }

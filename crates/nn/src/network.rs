@@ -56,16 +56,8 @@ impl Network {
         &self.layers
     }
 
-    /// Select the linear-algebra backend for every layer's kernels. Lane
-    /// counterparts built afterwards via [`crate::lanes::MultiNetwork::from_network`]
-    /// inherit the choice. Layers default to the process-wide
-    /// `FEDVAL_BACKEND` selection, so this is only needed for programmatic
-    /// overrides (e.g. `FedAvgConfig { backend, .. }`).
-    pub fn set_backend(&mut self, backend: Backend) {
-        for layer in &mut self.layers {
-            layer.set_backend(backend);
-        }
-    }
+    /// No-op kept for `benchmark/src/traced.rs`; see [`crate::backend`].
+    pub fn set_backend(&mut self, _backend: Backend) {}
 
     /// Forward pass producing logits for a batch of flattened inputs.
     pub fn forward(&mut self, input: &[f32], batch: usize) -> Vec<f32> {

@@ -15,8 +15,7 @@
 //!    cumulative allocation spreads by at most 1 over the strata below
 //!    capacity.
 //! 4. **Real substrate** — the prefix contract holds over the FL
-//!    utility, so the CI matrix exercises it under every
-//!    `FEDVAL_BACKEND`.
+//!    utility.
 //!
 //! The stopping threshold honours `FEDVAL_CI_EPS` when set (the CI
 //! matrix sets it); otherwise each test derives a mid-run threshold from
@@ -364,9 +363,8 @@ fn homoscedastic_allocation_degenerates_to_the_uniform_split() {
 
 #[test]
 fn adaptive_service_prefix_holds_on_the_fl_substrate() {
-    // The contract over real federated training, so the CI matrix's
-    // FEDVAL_BACKEND axis exercises the adaptive fold over both numeric
-    // backends. Small problem: 3 clients, 2 rounds.
+    // The contract over real federated training. Small problem: 3
+    // clients, 2 rounds.
     use fedval_data::{MnistLike, SyntheticSetup};
     use fedval_fl::service::{serve, FlServiceConfig};
     use fedval_fl::{FedAvgConfig, FlUtility, ModelSpec};

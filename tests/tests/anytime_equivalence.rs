@@ -7,8 +7,7 @@
 //! 2. **Thread invariance** — the *whole snapshot stream* (values and CI
 //!    half-widths) is identical across thread counts, not just the final
 //!    answer.
-//! 3. **Real substrate** — the same contract holds over the FL utility,
-//!    so the CI matrix exercises it under every `FEDVAL_BACKEND`.
+//! 3. **Real substrate** — the same contract holds over the FL utility.
 //!
 //! The stopping threshold honours `FEDVAL_CI_EPS` when set (the CI
 //! matrix sets it); otherwise each test derives a mid-run threshold from
@@ -261,9 +260,8 @@ fn service_ci_stop_is_a_bit_identical_prefix_across_thread_counts() {
 
 #[test]
 fn service_ci_stop_prefix_holds_on_the_fl_substrate() {
-    // The contract over real federated training, so the CI matrix's
-    // FEDVAL_BACKEND axis exercises the streaming fold over both
-    // numeric backends. Small problem: 3 clients, 2 rounds.
+    // The contract over real federated training. Small problem: 3
+    // clients, 2 rounds.
     use fedval_data::{MnistLike, SyntheticSetup};
     use fedval_fl::service::{serve, FlServiceConfig};
     use fedval_fl::{FedAvgConfig, FlUtility, ModelSpec};

@@ -2,18 +2,17 @@
 //! substrate, recorded as `f32::to_bits` / `f64::to_bits` hex in
 //! `fl_golden.txt` *before* the forward kernels were re-nested.
 //!
-//! The lock-step, backend and trajectory-cache suites only assert that two
+//! The lock-step and trajectory-cache suites only assert that two
 //! paths of the *same* build agree (lane ≡ solo, cached ≡ uncached) — a
 //! kernel that moves a bit in both paths the same way passes all of them.
 //! This ledger pins the bits across commits instead: for every model
-//! family × coalition shape × FL algorithm × linalg backend it records
+//! family × coalition shape × FL algorithm it records
 //! the solo [`train_coalition`] parameters (as a 64-bit fold) and the
 //! lock-step [`FlUtility::eval_batch`] utilities, so both the solo and the
 //! lane kernels are held to the recorded arithmetic.
 //!
-//! Both backends are selected per config, so the fixture is independent of
-//! `FEDVAL_BACKEND`. The softmax's `exp` comes from the platform libm; a
-//! libm that rounds `expf` differently needs its own recording.
+//! The softmax's `exp` comes from the platform libm; a libm that rounds
+//! `expf` differently needs its own recording.
 //!
 //! Regenerate (only when a value is *meant* to change) with
 //! `FEDVAL_REGEN_FL_GOLDEN=1 cargo test -p fedval-tests --test fl_golden`
@@ -33,7 +32,6 @@ use fedval_core::coalition::Coalition;
 use fedval_core::utility::Utility;
 use fedval_data::{Dataset, MnistLike, SyntheticSetup};
 use fedval_fl::{train_coalition, FedAvgConfig, FlAlgorithm, FlUtility, ModelSpec};
-use fedval_nn::Backend;
 
 const CLIENTS: usize = 4;
 
@@ -100,33 +98,28 @@ fn record() -> String {
 
     let mut ledger = String::new();
     for (spec_name, spec) in &specs {
-        for (algo_name, base_cfg) in &algorithms {
-            for backend in [Backend::Reference, Backend::Simd] {
-                let cfg = FedAvgConfig {
-                    backend,
-                    ..*base_cfg
-                };
-                let key = format!("{spec_name} {algo_name} {}", backend.name());
-                // Solo reference loop: the trained parameters themselves.
-                for (coalition_name, s) in &coalitions {
-                    let net = train_coalition(spec, &clients, input, classes, *s, &cfg);
-                    writeln!(
-                        ledger,
-                        "params {key} {coalition_name} = {:016x}",
-                        fold(&net.params())
-                    )
-                    .unwrap();
-                }
-                // Lock-step lane block: train + score through the lane
-                // kernels (four coalitions fit one default block).
-                let utility = FlUtility::new(clients.clone(), test.clone(), spec.clone(), cfg);
-                let values: Vec<String> = utility
-                    .eval_batch(&batch)
-                    .iter()
-                    .map(|v| format!("{:016x}", v.to_bits()))
-                    .collect();
-                writeln!(ledger, "eval_batch {key} = {}", values.join(" ")).unwrap();
+        for (algo_name, cfg) in &algorithms {
+            // `reference` is a fixed word of the recorded keys.
+            let key = format!("{spec_name} {algo_name} reference");
+            // Solo reference loop: the trained parameters themselves.
+            for (coalition_name, s) in &coalitions {
+                let net = train_coalition(spec, &clients, input, classes, *s, cfg);
+                writeln!(
+                    ledger,
+                    "params {key} {coalition_name} = {:016x}",
+                    fold(&net.params())
+                )
+                .unwrap();
             }
+            // Lock-step lane block: train + score through the lane
+            // kernels (four coalitions fit one default block).
+            let utility = FlUtility::new(clients.clone(), test.clone(), spec.clone(), *cfg);
+            let values: Vec<String> = utility
+                .eval_batch(&batch)
+                .iter()
+                .map(|v| format!("{:016x}", v.to_bits()))
+                .collect();
+            writeln!(ledger, "eval_batch {key} = {}", values.join(" ")).unwrap();
         }
     }
     ledger

@@ -7,8 +7,8 @@
 //! wait without changing any value), and shutdown draining (every
 //! outstanding ticket resolves).
 //!
-//! Set `FEDVAL_FAULTS=<rounds>` to widen the seeded fault sweep — CI's
-//! fault-injection matrix cell runs it under both linalg backends.
+//! Set `FEDVAL_FAULTS=<rounds>` to widen the seeded fault sweep, as CI's
+//! fault-injection job does.
 
 // Driver code: test assertions panic by design, so unwrap/expect are
 // the failure mechanism, not a robustness gap.

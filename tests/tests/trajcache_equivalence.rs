@@ -1,6 +1,6 @@
 //! The trajectory cache must be invisible in every value: cached and
-//! uncached sweeps are bit-identical under both linalg backends, both FL
-//! algorithms and partial participation — while the cache provably removes
+//! uncached sweeps are bit-identical under both FL algorithms and partial
+//! participation — while the cache provably removes
 //! the cross-block re-training an exhaustive sweep used to pay (one
 //! round-0 local training per client per *sweep*, not per lane block).
 
@@ -17,7 +17,6 @@ use fedval_core::coalition::{all_subsets, Coalition};
 use fedval_core::utility::{ParallelUtility, Utility};
 use fedval_data::{Dataset, MnistLike, SyntheticSetup};
 use fedval_fl::{FedAvgConfig, FlAlgorithm, FlUtility, ModelSpec, TrajectoryCache};
-use fedval_nn::Backend;
 
 fn federated_problem(n_clients: usize) -> (Vec<Dataset>, Dataset) {
     let gen = MnistLike::new(501);
@@ -33,74 +32,71 @@ fn utility(cfg: FedAvgConfig, n: usize) -> FlUtility {
 }
 
 /// Cached sweeps must reproduce the solo reference values bit-for-bit in
-/// every configuration corner: both backends, FedAvg and FedProx, full and
-/// partial participation.
+/// every configuration corner: FedAvg and FedProx, full and partial
+/// participation.
 #[test]
 fn cached_sweeps_bit_identical_to_solo_under_all_configs() {
     let n = 4;
     let coalitions: Vec<Coalition> = all_subsets(n).collect();
-    for backend in [Backend::Reference, Backend::Simd] {
-        for algorithm in [FlAlgorithm::FedAvg, FlAlgorithm::FedProx { mu: 0.3 }] {
-            for participation in [1.0f32, 0.5] {
-                let cfg = FedAvgConfig {
-                    rounds: 2,
-                    local_epochs: 1,
-                    seed: 601,
-                    backend,
-                    algorithm,
-                    participation,
-                    ..Default::default()
-                };
-                // Solo reference: FlUtility::eval never touches any cache.
-                let u = utility(cfg, n).with_lane_block(3);
-                let reference: Vec<f64> = coalitions.iter().map(|&s| u.eval(s)).collect();
-                // Trajectory cache off.
-                let off = utility(
-                    FedAvgConfig {
-                        traj_cache: false,
-                        ..cfg
-                    },
-                    n,
-                )
-                .with_lane_block(3);
-                assert_eq!(
-                    off.eval_batch(&coalitions),
-                    reference,
-                    "uncached {backend:?} {algorithm:?} p={participation}"
-                );
-                // Per-call trajectory cache (the default).
-                let per_call = utility(
-                    FedAvgConfig {
-                        traj_cache: true,
-                        ..cfg
-                    },
-                    n,
-                )
-                .with_lane_block(3);
-                assert_eq!(
-                    per_call.eval_batch(&coalitions),
-                    reference,
-                    "per-call cache {backend:?} {algorithm:?} p={participation}"
-                );
-                // Shared handle, replayed twice (second pass is all hits).
-                let cache = Arc::new(TrajectoryCache::new());
-                let shared = utility(cfg, n)
-                    .with_lane_block(3)
-                    .with_traj_cache(Arc::clone(&cache));
-                assert_eq!(shared.eval_batch(&coalitions), reference);
-                let trainings = cache.stats().local_trainings;
-                assert!(trainings > 0);
-                assert_eq!(
-                    shared.eval_batch(&coalitions),
-                    reference,
-                    "replay {backend:?} {algorithm:?} p={participation}"
-                );
-                assert_eq!(
-                    cache.stats().local_trainings,
-                    trainings,
-                    "a replayed sweep must train nothing new"
-                );
-            }
+    for algorithm in [FlAlgorithm::FedAvg, FlAlgorithm::FedProx { mu: 0.3 }] {
+        for participation in [1.0f32, 0.5] {
+            let cfg = FedAvgConfig {
+                rounds: 2,
+                local_epochs: 1,
+                seed: 601,
+                algorithm,
+                participation,
+                ..Default::default()
+            };
+            // Solo reference: FlUtility::eval never touches any cache.
+            let u = utility(cfg, n).with_lane_block(3);
+            let reference: Vec<f64> = coalitions.iter().map(|&s| u.eval(s)).collect();
+            // Trajectory cache off.
+            let off = utility(
+                FedAvgConfig {
+                    traj_cache: false,
+                    ..cfg
+                },
+                n,
+            )
+            .with_lane_block(3);
+            assert_eq!(
+                off.eval_batch(&coalitions),
+                reference,
+                "uncached {algorithm:?} p={participation}"
+            );
+            // Per-call trajectory cache (the default).
+            let per_call = utility(
+                FedAvgConfig {
+                    traj_cache: true,
+                    ..cfg
+                },
+                n,
+            )
+            .with_lane_block(3);
+            assert_eq!(
+                per_call.eval_batch(&coalitions),
+                reference,
+                "per-call cache {algorithm:?} p={participation}"
+            );
+            // Shared handle, replayed twice (second pass is all hits).
+            let cache = Arc::new(TrajectoryCache::new());
+            let shared = utility(cfg, n)
+                .with_lane_block(3)
+                .with_traj_cache(Arc::clone(&cache));
+            assert_eq!(shared.eval_batch(&coalitions), reference);
+            let trainings = cache.stats().local_trainings;
+            assert!(trainings > 0);
+            assert_eq!(
+                shared.eval_batch(&coalitions),
+                reference,
+                "replay {algorithm:?} p={participation}"
+            );
+            assert_eq!(
+                cache.stats().local_trainings,
+                trainings,
+                "a replayed sweep must train nothing new"
+            );
         }
     }
 }

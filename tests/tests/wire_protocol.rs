@@ -9,7 +9,7 @@
 //! timing-dependent fields (`wall_time_ms`, `park_wait_max_ms`)
 //! normalized to `null`. They are generated against
 //! `HashUtility { n: 6, seed: 42 }`, whose values are independent of the
-//! CI matrix axes (threads, linalg backend, trajectory cache), so the
+//! CI matrix axes (threads, trajectory cache), so the
 //! same goldens hold in every cell. Regenerate after an intentional
 //! schema change with `FEDVAL_REGEN_WIRE_FIXTURES=1 cargo test -p
 //! fedval-tests --test wire_protocol`.
