@@ -78,11 +78,11 @@
 //! # Memory
 //!
 //! The shared caches are the service's working set: the coalition memo
-//! grows by one `f64` per distinct coalition, and an FL trajectory cache
-//! by `p` floats per distinct client-round. For long-lived servers, bound
-//! the latter with a byte budget (`TrajectoryCache::with_byte_budget` in
-//! `fedval-fl`) or clear it between runs; occupancy and evictions are
-//! reported in [`TrajCacheStats`] through [`ServiceStats`].
+//! grows by one `f64` per distinct coalition. An FL utility's round-0
+//! trajectory table (`TrajectoryCache` in `fedval-fl`) is fixed at one
+//! `p`-float update per client, so it needs no budget and never evicts;
+//! its occupancy is reported in [`TrajCacheStats`] through
+//! [`ServiceStats`].
 //!
 //! # Example
 //!

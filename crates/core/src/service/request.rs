@@ -299,8 +299,8 @@ pub struct ServiceStats {
     pub eval: EvalStats,
     /// Training-level accounting of the utility's trajectory cache, when
     /// the server was built with a stats source
-    /// ([`ServerBuilder::traj_stats`](super::ServerBuilder::traj_stats)); includes occupancy (`entries`,
-    /// `bytes`) and `evictions` under a byte budget.
+    /// ([`ServerBuilder::traj_stats`](super::ServerBuilder::traj_stats)); includes its occupancy
+    /// (`entries`, `bytes`).
     pub traj: Option<TrajCacheStats>,
 }
 

@@ -243,36 +243,34 @@ pub(crate) fn eval_batch_into_memo<U: Utility + ?Sized>(
 }
 
 /// Statistics of a trajectory-level training cache — the per-client
-/// per-round memoisation one level *below* [`EvalStats`]'s whole-coalition
+/// memoisation one level *below* [`EvalStats`]'s whole-coalition
 /// accounting. The cache itself lives in the FL substrate (`fedval-fl`'s
-/// `TrajectoryCache`), which memoises local-training updates across
-/// lock-step lane blocks; this crate only defines the stats shape so that
-/// valuation drivers and benches can report coalition-level cost
+/// `TrajectoryCache`, a table of each client's round-0 local-training
+/// update); this crate only defines the stats shape so that valuation
+/// drivers and benches can report coalition-level cost
 /// ([`EvalStats::evaluations`]) and training-level cost side by side.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrajCacheStats {
-    /// Cache probes: one per (round-start params, client, round) group a
-    /// lock-step engine considered training.
+    /// Cache probes: one per round-0 (client, lane group) a lock-step
+    /// engine considered training; later rounds do not probe.
     pub probes: usize,
     /// Probes answered from the cache — local trainings *not* paid.
     pub hits: usize,
-    /// Local trainings actually performed (probe misses, plus every
-    /// group trained while the cache ran in counting-only mode).
+    /// Local trainings actually performed, in every round (round-0 probe
+    /// misses plus every later-round group).
     pub local_trainings: usize,
     /// The subset of `local_trainings` that occurred in round 0 — the
-    /// round every coalition shares a bit-equal round-start model, so a
-    /// cross-block cache should pay it once per client per sweep.
+    /// round every coalition shares a bit-equal round-start model, so the
+    /// cache pays it once per client per sweep.
     pub round0_trainings: usize,
     /// Entries currently resident — an occupancy *gauge*, unlike the
-    /// cumulative counters above. Each entry holds one update `Δ`
+    /// cumulative counters above: at most one update `Δ` per client
     /// (`p` floats for a `p`-parameter model).
     pub entries: usize,
-    /// Bytes currently held by resident entries (`p · 4` per entry) — the
-    /// quantity a byte-budgeted cache bounds.
+    /// Bytes held by resident entries (`p · 4` per entry).
     pub bytes: usize,
-    /// Entries evicted so far to stay under the byte budget (cumulative;
-    /// 0 for an unbounded cache). Eviction only ever costs re-training —
-    /// values are bit-identical at any budget.
+    /// Always 0: the round-0 table never evicts. Kept for the wire's
+    /// `/v1/stats` shape and `benchmark/`.
     pub evictions: usize,
 }
 

@@ -44,21 +44,11 @@ pub struct FedAvgConfig {
     /// Read by nothing; kept for `benchmark/src/problems.rs` (see
     /// `fedval_nn::backend`).
     pub backend: Backend,
-    /// Whether batched evaluation memoises per-client per-round local
-    /// training updates across lock-step lane blocks (the trajectory
-    /// cache — `crate::trajcache`). Values are bit-identical either way;
-    /// the cache only removes redundant trainings. Defaults to the
-    /// process-wide `FEDVAL_TRAJCACHE` selection: enabled unless set to
-    /// `0`/`false`/`off`.
+    /// Read by nothing; kept for `benchmark/src/problems.rs` (every
+    /// `FlUtility` owns a round-0 trajectory table, see `crate::trajcache`).
     pub traj_cache: bool,
-    /// Byte budget for the per-call trajectory cache an `eval_batch`
-    /// creates when no shared handle is installed (`None` = unbounded).
-    /// Each cached update costs `p · 4` bytes for a `p`-parameter model;
-    /// crossing the budget evicts least-recently-used entries, trading
-    /// re-training for memory without changing any value. Defaults to the
-    /// process-wide `FEDVAL_TRAJCACHE_BYTES` selection (unset = no
-    /// bound). Shared handles carry their own budget —
-    /// `TrajectoryCache::with_byte_budget` — and ignore this field.
+    /// Read by nothing; kept for `benchmark/src/problems.rs` (the round-0
+    /// table is bounded by `n · p · 4` bytes and has no budget).
     pub traj_cache_bytes: Option<usize>,
 }
 
@@ -74,37 +64,10 @@ impl Default for FedAvgConfig {
             participation: 1.0,
             server_lr: 1.0,
             backend: Backend::Reference,
-            traj_cache: trajcache_from_env(),
-            traj_cache_bytes: trajcache_bytes_from_env(),
+            traj_cache: true,
+            traj_cache_bytes: None,
         }
     }
-}
-
-/// Process-wide default of [`FedAvgConfig::traj_cache_bytes`], resolved
-/// once from `FEDVAL_TRAJCACHE_BYTES`: a byte count bounds every per-call
-/// trajectory cache; unset (or unparsable) leaves them unbounded.
-pub fn trajcache_bytes_from_env() -> Option<usize> {
-    static ENV_BYTES: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *ENV_BYTES.get_or_init(|| {
-        std::env::var("FEDVAL_TRAJCACHE_BYTES")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-    })
-}
-
-/// Process-wide default of [`FedAvgConfig::traj_cache`], resolved once
-/// from `FEDVAL_TRAJCACHE`: `0`/`false`/`off` (any case) disables the
-/// trajectory cache, anything else — including unset — enables it. The
-/// CI matrix runs both states in every thread cell.
-pub fn trajcache_from_env() -> bool {
-    static ENV_TRAJCACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENV_TRAJCACHE.get_or_init(|| match std::env::var("FEDVAL_TRAJCACHE") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off"
-        ),
-        Err(_) => true,
-    })
 }
 
 #[inline]

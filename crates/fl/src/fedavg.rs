@@ -23,13 +23,12 @@
 //!
 //! The contract extends to *cache hits*: a client's local training is a
 //! pure function of `(round-start params, client, round)` under a fixed
-//! `(spec, clients, cfg)`, so replaying a memoised update
-//! ([`crate::trajcache::TrajectoryCache`]) — whether the trajectories
-//! coincided within one lane block, across blocks, or across separate
-//! `eval_batch` calls sharing the cache — substitutes bits the training
-//! would have produced anyway. Cached and uncached sweeps are therefore
-//! bit-identical (asserted in `tests/tests/trajcache_equivalence.rs`), and
-//! results stay independent of both lane grouping and cache state.
+//! `(spec, clients, cfg)`, so replaying a memoised round-0 update
+//! ([`crate::trajcache::TrajectoryCache`]) in another block or another
+//! `eval_batch` call substitutes bits the training would have produced
+//! anyway. Cached and uncached sweeps are therefore bit-identical
+//! (asserted in `tests/tests/trajcache_equivalence.rs`), and results stay
+//! independent of both lane grouping and cache state.
 
 use std::sync::Arc;
 
@@ -274,11 +273,12 @@ pub fn train_coalitions_params(
     train_coalitions_params_with_cache(spec, clients, input, classes, coalitions, cfg, None)
 }
 
-/// [`train_coalitions_params`] with an optional [`TrajectoryCache`]: before
-/// training a lane group's representative for client `i` in round `r`, the
-/// engine probes the cache under `(hash of the group's round-start params,
-/// i, r)` and replays a hit instead of training; misses train as usual and
-/// insert their update. The cache must only be shared across calls with
+/// [`train_coalitions_params`] with an optional round-0 [`TrajectoryCache`]:
+/// in round 0 — every lane starts from the one server init — the engine
+/// probes client `i`'s slot under the init's `(hash, fingerprint)` and
+/// replays a hit instead of training; misses train as usual and fill the
+/// slot. Later rounds neither probe nor insert; the cache only counts
+/// their trainings. The cache must only be shared across calls with
 /// identical `(spec, clients, input, classes, cfg)` — see the soundness
 /// contract in [`crate::trajcache`]. Results are bit-identical to the
 /// uncached path.
@@ -349,12 +349,23 @@ pub fn train_coalitions_params_with_cache(
         // the rest. Every lane coincides in round 0 (one shared server
         // init), so the first round costs one local training per client
         // per block instead of one per lane — and later rounds still
-        // coalesce duplicated or converged trajectories. The class hash
-        // doubles as the trajectory-cache key.
+        // coalesce duplicated or converged trajectories.
         let lane_classes = class_lanes(&bases);
-        // Collision-guard fingerprints, one per class, computed lazily on
-        // first cache probe (the fingerprint pass costs a full scan of p).
-        let mut class_fp: Vec<Option<u64>> = vec![None; lane_classes.reps.len()];
+        // Round 0's single class (the shared init) is the only start state
+        // other blocks and calls can have in common: its hash plus a
+        // collision-guard fingerprint key the cache. Later rounds skip both
+        // the fingerprint's O(p) scan and the cache.
+        let round0 = match cache {
+            Some(cache) if round == 0 => {
+                debug_assert_eq!(lane_classes.reps.len(), 1, "every lane starts at the init");
+                Some((
+                    cache,
+                    lane_classes.hashes[0],
+                    TrajectoryCache::fingerprint(&bases[0]),
+                ))
+            }
+            _ => None,
+        };
         // (ii) Acts at clients: visit each participating client once; all
         // lanes that contain it train on the same gathered batches.
         for (i, client) in clients.iter().enumerate() {
@@ -380,23 +391,14 @@ pub fn train_coalitions_params_with_cache(
                     }
                 }
             }
-            // Probe the trajectory cache per group: a hit replays the
+            // Round 0: probe the cache per group — a hit replays the
             // memoised update for every lane of the group; only the
             // missing groups train below.
             let mut train_mask = vec![false; lanes];
             let mut misses: Vec<(usize, Vec<usize>)> = Vec::new();
             for (rep, group) in groups {
-                if let Some(cache) = cache {
-                    let class = lane_classes.class_of[rep];
-                    // A counting-only cache ignores the fingerprint, so
-                    // skip its O(p) scan there (probes still count).
-                    let fp = if cache.is_enabled() {
-                        *class_fp[class]
-                            .get_or_insert_with(|| TrajectoryCache::fingerprint(&bases[rep]))
-                    } else {
-                        0
-                    };
-                    if let Some(hit) = cache.lookup(lane_classes.hashes[class], fp, i, round) {
+                if let Some((cache, hash, fp)) = round0 {
+                    if let Some(hit) = cache.lookup(hash, fp, i, round) {
                         for &l in &group {
                             let mut delta = deltas[l][i].take().unwrap_or_default();
                             delta.clear();
@@ -450,27 +452,17 @@ pub fn train_coalitions_params_with_cache(
                 }
             }
             // Upload: Δ = local − base, computed once per group, inserted
-            // into the cache and replicated to every lane in the group
-            // (bit-equal by construction).
+            // into the cache in round 0 and replicated to every lane in the
+            // group (bit-equal by construction).
             for (rep, group) in &misses {
                 multi.lane_params_into(*rep, &mut lane_buf);
                 delta_buf.clear();
                 delta_buf.extend(lane_buf.iter().zip(&bases[*rep]).map(|(a, b)| a - b));
                 if let Some(cache) = cache {
                     cache.record_training(round);
-                    if cache.is_enabled() {
-                        let class = lane_classes.class_of[*rep];
-                        let Some(fp) = class_fp[class] else {
-                            unreachable!("probe loop fills class_fp for every missed class")
-                        };
-                        cache.insert(
-                            lane_classes.hashes[class],
-                            fp,
-                            i,
-                            round,
-                            Arc::new(delta_buf.clone()),
-                        );
-                    }
+                }
+                if let Some((cache, hash, fp)) = round0 {
+                    cache.insert(hash, fp, i, round, Arc::new(delta_buf.clone()));
                 }
                 for &l in group {
                     let mut delta = deltas[l][i].take().unwrap_or_default();
@@ -732,10 +724,10 @@ mod tests {
 
     #[test]
     fn cached_training_is_bit_identical_and_skips_repeat_trainings() {
-        // The tentpole contract at the engine level: a shared
-        // TrajectoryCache across two train_coalitions_params calls must
-        // change no bits, and the second call must replay every
-        // trajectory the first one already paid for.
+        // The round-0 table at the engine level: a shared TrajectoryCache
+        // across two train_coalitions_params calls must change no bits,
+        // and the second call must replay every round-0 training the
+        // first one paid for — and retrain exactly the later rounds.
         let (clients, _) = small_problem();
         let cfg = FedAvgConfig::default();
         let spec = ModelSpec::default_mlp();
@@ -750,19 +742,28 @@ mod tests {
             train_coalitions_params_with_cache(&spec, &clients, 64, 10, &batch, &cfg, Some(&cache));
         assert_eq!(cached, uncached, "cache hits must not change any bits");
         let first = cache.stats();
-        assert!(first.hits == 0 && first.local_trainings > 0);
-        // Round 0: one shared init ⇒ one training per distinct client.
-        assert_eq!(first.round0_trainings, 4);
-        // Replaying the same batch is all hits, still bit-identical.
+        assert_eq!(first.hits, 0);
+        // Round 0: one shared init ⇒ one training per distinct client,
+        // and the only round that probes.
+        assert_eq!((first.round0_trainings, first.probes), (4, 4));
+        let later = first.local_trainings - first.round0_trainings;
+        assert!(later > 0);
+        // Replaying the same batch hits every round-0 slot, still
+        // bit-identical.
         let replay =
             train_coalitions_params_with_cache(&spec, &clients, 64, 10, &batch, &cfg, Some(&cache));
         assert_eq!(replay, uncached);
         let second = cache.stats();
+        assert_eq!((second.probes, second.hits), (8, 4));
         assert_eq!(
-            second.local_trainings, first.local_trainings,
-            "replay must not train"
+            second.round0_trainings, 4,
+            "replay trains nothing in round 0"
         );
-        assert_eq!(second.hits, second.probes - first.probes);
+        assert_eq!(
+            second.local_trainings - first.local_trainings,
+            later,
+            "replay retrains exactly rounds ≥ 1"
+        );
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //! * [`utility`] — [`utility::FlUtility`] (FedAvg + neural models) and
 //!   [`utility::GbdtUtility`] (pooled XGBoost-style training), the real
 //!   `U(M_S)` behind every experiment;
-//! * [`trajcache`] — the cross-block trajectory cache: per-client
-//!   per-round local-training updates memoised by
-//!   `(round-start params hash, client, round)`, so exhaustive sweeps pay
-//!   each shared trajectory (notably every round-0 training) once per
-//!   cache lifetime instead of once per lane block;
+//! * [`trajcache`] — the round-0 trajectory table: one set-once slot per
+//!   client holding its round-0 local-training update (every coalition
+//!   starts from the one server init), so exhaustive sweeps pay round 0
+//!   once per client per utility instead of once per lane block, in at
+//!   most `n · p · 4` bytes;
 //! * [`history`] — per-round per-client updates and model reconstruction;
 //! * [`gradient`] — the gradient-based baselines of Sec. V-A: OR, λ-MR,
 //!   GTG-Shapley and DIG-FL.

@@ -1,15 +1,14 @@
 //! FL wiring of the multi-valuation service: one call that stacks the
 //! whole engine — `ValuationServer` → shared `CachedUtility` →
-//! `ParallelUtility` fan-out → [`FlUtility`] lock-step lane blocks → one
-//! shared, optionally byte-budgeted [`TrajectoryCache`] — and hands back
-//! the server plus the cache handle.
+//! `ParallelUtility` fan-out → [`FlUtility`] lock-step lane blocks → the
+//! utility's round-0 [`TrajectoryCache`] — and hands back the server plus
+//! the table's handle.
 //!
 //! The coalescing server lives in `fedval_core::service` and is
 //! substrate-agnostic; what this module adds is the FL-specific sharing:
 //! every concurrent run's coalitions end up as lane blocks over **one**
-//! trajectory cache, so local trainings bit-equal across runs (all of
-//! round 0, plus any later-round coincidence) are paid once per cache
-//! lifetime — and, with a byte budget, within a bounded memory envelope.
+//! round-0 table, so each client's round-0 training is paid once per
+//! server lifetime, in at most `n · p · 4` bytes.
 //! FL training batches are the heaviest in the codebase, so the config
 //! also exposes the server's bounded-latency
 //! [`FlushWindow`](fedval_core::service::FlushWindow) triggers: a slow FedAvg run then delays a
@@ -27,18 +26,18 @@
 //! # let clients = SyntheticSetup::SameSizeSameDist.partition(&train, 4, &mut rng);
 //! # let utility = FlUtility::new(clients, test, ModelSpec::Linear, FedAvgConfig::default());
 //!
-//! // Bound the trajectory cache to ~4 MiB and serve.
+//! // Two fan-out threads; the round-0 table needs no sizing.
 //! let (server, cache) = serve(
 //!     utility,
 //!     FlServiceConfig {
-//!         traj_budget_bytes: Some(4 << 20),
+//!         threads: Some(2),
 //!         ..Default::default()
 //!     },
 //! );
 //! let loo = server.call(ValuationRequest::new(Estimator::Loo, 0, 0)).expect("healthy run");
 //! let ipss = server.call(ValuationRequest::new(Estimator::Ipss, 16, 7)).expect("healthy run");
 //! println!("LOO {:?} / IPSS {:?}", loo.values, ipss.values);
-//! println!("cache occupancy: {} bytes", cache.stats().bytes);
+//! println!("round-0 table: {} bytes", cache.stats().bytes);
 //! server.shutdown();
 //! ```
 
@@ -57,11 +56,6 @@ pub type FlValuationServer = ValuationServer<ParallelUtility<FlUtility>>;
 /// Options of [`serve`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FlServiceConfig {
-    /// Byte budget of the shared trajectory cache (`None` = unbounded).
-    /// Each cached client-round update costs `p · 4` bytes for a
-    /// `p`-parameter model; crossing the budget evicts least-recently-used
-    /// entries without changing any value.
-    pub traj_budget_bytes: Option<usize>,
     /// Thread count of the server-side `ParallelUtility` fan-out
     /// (`None` = rayon's process-wide default, i.e. all cores).
     pub threads: Option<usize>,
@@ -79,12 +73,11 @@ impl FlServiceConfig {
     /// Read the config from the environment — the knobs a deployment of
     /// the wire transport (`fedval-serve`, see `crates/serve`) tunes
     /// without a rebuild. Unset or unparsable variables keep the
-    /// [`Default`] (`None`): misconfiguration degrades to the unbounded
-    /// defaults rather than failing startup.
+    /// [`Default`] (`None`): misconfiguration degrades to the defaults
+    /// rather than failing startup.
     ///
     /// | variable | field |
     /// |----------|-------|
-    /// | `FEDVAL_TRAJCACHE_BYTES` | `traj_budget_bytes` |
     /// | `FEDVAL_SERVICE_THREADS` | `threads` |
     /// | `FEDVAL_FLUSH_MAX_WAIT_MS` | `flush_max_wait` (milliseconds) |
     /// | `FEDVAL_FLUSH_AFTER_PARKED` | `flush_after_parked` |
@@ -93,7 +86,6 @@ impl FlServiceConfig {
             std::env::var(name).ok()?.trim().parse().ok()
         }
         FlServiceConfig {
-            traj_budget_bytes: env_usize("FEDVAL_TRAJCACHE_BYTES"),
             threads: env_usize("FEDVAL_SERVICE_THREADS"),
             flush_max_wait: env_usize("FEDVAL_FLUSH_MAX_WAIT_MS")
                 .map(|ms| Duration::from_millis(ms as u64)),
@@ -104,26 +96,19 @@ impl FlServiceConfig {
 
 /// Start a multi-valuation server over one [`FlUtility`].
 ///
-/// Installs a fresh shared [`TrajectoryCache`] (budgeted per
-/// `cfg.traj_budget_bytes`) on the utility — replacing any handle it
-/// already carried — wraps it in a `ParallelUtility` fan-out, and starts
-/// a `ValuationServer` whose [`ServiceStats`] report the cache's
-/// training-level accounting next to the coalition-level `EvalStats`.
+/// Wraps the utility in a `ParallelUtility` fan-out and starts a
+/// `ValuationServer` whose [`ServiceStats`] report the utility's round-0
+/// [`TrajectoryCache`] — training-level accounting — next to the
+/// coalition-level `EvalStats`.
 ///
-/// Returns the server and the cache handle: hold the handle to inspect
-/// occupancy ([`TrajectoryCache::stats`]) or release memory between runs
-/// ([`TrajectoryCache::clear`]).
+/// Returns the server and the table's handle ([`TrajectoryCache::stats`]).
 ///
 /// [`ServiceStats`]: fedval_core::service::ServiceStats
 pub fn serve(
     utility: FlUtility,
     cfg: FlServiceConfig,
 ) -> (FlValuationServer, Arc<TrajectoryCache>) {
-    let cache = Arc::new(match cfg.traj_budget_bytes {
-        Some(budget) => TrajectoryCache::with_byte_budget(budget),
-        None => TrajectoryCache::new(),
-    });
-    let utility = utility.with_traj_cache(Arc::clone(&cache));
+    let cache = Arc::clone(utility.traj_cache());
     let fan_out = match cfg.threads {
         Some(threads) => ParallelUtility::with_num_threads(utility, threads),
         None => ParallelUtility::new(utility),
@@ -204,27 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_service_reports_occupancy_within_budget() {
-        let budget = 6 * 1000; // a handful of Linear-model updates
-        let (server, cache) = serve(
-            tiny_utility(),
-            FlServiceConfig {
-                traj_budget_bytes: Some(budget),
-                threads: Some(1),
-                ..Default::default()
-            },
-        );
-        let resp = ok(server.call(ValuationRequest::new(Estimator::ExactMc, 0, 0)));
-        let Some(traj) = resp.service.traj else {
-            panic!("traj stats wired by serve()")
-        };
-        assert!(traj.bytes <= budget, "occupancy {} over budget", traj.bytes);
-        assert!(traj.evictions > 0, "a sweep this size must overflow");
-        assert_eq!(cache.byte_budget(), Some(budget));
-        server.shutdown();
-    }
-
-    #[test]
     fn windowed_service_is_bit_identical_to_barrier_mode() {
         let barrier = {
             let (server, _cache) = serve(tiny_utility(), FlServiceConfig::default());
@@ -276,7 +240,6 @@ mod tests {
         // Serialized against nothing: no other test in this binary reads
         // these variables.
         for name in [
-            "FEDVAL_TRAJCACHE_BYTES",
             "FEDVAL_SERVICE_THREADS",
             "FEDVAL_FLUSH_MAX_WAIT_MS",
             "FEDVAL_FLUSH_AFTER_PARKED",
@@ -284,22 +247,18 @@ mod tests {
             std::env::remove_var(name);
         }
         let unset = FlServiceConfig::from_env();
-        assert!(unset.traj_budget_bytes.is_none());
         assert!(unset.threads.is_none());
         assert!(unset.flush_max_wait.is_none());
         assert!(unset.flush_after_parked.is_none());
 
-        std::env::set_var("FEDVAL_TRAJCACHE_BYTES", "4194304");
         std::env::set_var("FEDVAL_SERVICE_THREADS", " 2 ");
         std::env::set_var("FEDVAL_FLUSH_MAX_WAIT_MS", "250");
         std::env::set_var("FEDVAL_FLUSH_AFTER_PARKED", "not-a-number");
         let cfg = FlServiceConfig::from_env();
-        assert_eq!(cfg.traj_budget_bytes, Some(4 << 20));
         assert_eq!(cfg.threads, Some(2));
         assert_eq!(cfg.flush_max_wait, Some(Duration::from_millis(250)));
         assert_eq!(cfg.flush_after_parked, None, "garbage degrades to default");
         for name in [
-            "FEDVAL_TRAJCACHE_BYTES",
             "FEDVAL_SERVICE_THREADS",
             "FEDVAL_FLUSH_MAX_WAIT_MS",
             "FEDVAL_FLUSH_AFTER_PARKED",

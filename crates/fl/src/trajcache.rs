@@ -1,72 +1,55 @@
-//! Cross-block trajectory cache: per-client per-round memoisation of
-//! local-training updates.
+//! The round-0 trajectory table: each client's first local training,
+//! paid once per table lifetime instead of once per lane block.
 //!
-//! The lock-step engine already dedups shared trajectories *within* one
-//! lane block: a client's local training is a pure function of
-//! `(round-start params, client, round)` — the RNG stream is
-//! coalition-independent by design — so bit-equal round-start lanes train
-//! one representative per block. But an exact-SV or IPSS sweep spans many
-//! blocks, and every block re-pays the round-0 local trainings (all lanes
-//! start from the one shared server init). [`TrajectoryCache`] extends the
-//! memoisation across blocks: keyed by a hash of the round-start
-//! parameters plus `(client, round)`, guarded by an independent second
-//! hash (the *fingerprint*) against hash collisions, it stores the
-//! resulting update `Δ = local − base` so a later block — or a later
-//! `eval_batch` call sharing the cache — replays it instead of training.
+//! Local training is a pure function of `(round-start params, client,
+//! round)`, and the lock-step engine already trains bit-equal lanes once
+//! *within* a block. Across blocks, calls and threads the only start state
+//! coalitions share is round 0's: one server init for every combination
+//! (Def. 1); later ones are functions of the coalition, which
+//! `CachedUtility` trains once. So [`TrajectoryCache`] keeps one set-once
+//! slot per client with its round-0 `Δ = local − init` and nothing else —
+//! at round `r ≥ 1` an insert is a no-op, a lookup a miss, and the engine
+//! does not even hash — plus the counters of [`TrajCacheStats`].
 //!
-//! **Soundness.** A cache entry may only be replayed where the training it
-//! replaces would have produced the same bits: the same client data, the
-//! same [`crate::config::FedAvgConfig`] (seed, lr, epochs, batch size,
-//! algorithm) and a bit-equal round-start parameter vector. The
-//! key binds the round-start bits (hash + fingerprint, 128 bits total —
-//! a false hit needs a simultaneous collision in both), the client and
-//! the round (which fixes the `local_seed` stream); everything else must
-//! be held fixed by the owner. `FlUtility` guarantees this by owning one
-//! cache per `eval_batch` call, or one shared handle per utility — never
-//! share a cache across utilities with different configs or datasets.
+//! **Soundness.** A replayed slot must be the bits training would give:
+//! same client data, same [`crate::config::FedAvgConfig`], bit-equal init.
+//! A slot keeps the init's key hash and independent fingerprint; a lookup
+//! disagreeing on either misses, and the first value stays. `FlUtility`
+//! owns one table — never share one across configs or datasets.
 //!
-//! **Memory.** Every entry holds one update `Δ` — `p` floats for a
-//! `p`-parameter model — so a long-lived shared handle (the
-//! multi-valuation service's) grows by `4·p` bytes per distinct
-//! client-round trajectory. Two release policies bound it:
-//! [`TrajectoryCache::with_byte_budget`] evicts least-recently-used
-//! entries whenever an insert crosses the budget, and
-//! [`TrajectoryCache::clear`] drops everything between runs. Both are
-//! pure memory/recompute trades: an evicted trajectory is re-trained on
-//! its next miss, bit-identically, so values never depend on the budget.
+//! **Memory.** At most one `Δ` per client: `n · p · 4` bytes, no budget,
+//! no eviction. After a 2-thread sweep of the ledger's n = 10 MLP game
+//! (1 024 coalitions) this table holds 10 updates, 96 400 B; keeping
+//! every round's `Δ` would hold 25 610, 246 880 400 B, for the same
+//! 1 061 hits and 25 615 trainings.
 //!
-//! The cache also doubles as the *accounting* instrument for the paper's
-//! cost model one level below whole-coalition utilities: it counts probes,
-//! hits, actual local trainings, occupancy and evictions
-//! ([`TrajCacheStats`], defined in `fedval-core` next to `EvalStats`), and
-//! a counting-only mode ([`TrajectoryCache::counting_only`]) measures the
-//! uncached baseline without changing any behaviour.
+//! **The regime that loses.** Under partial participation, coalitions
+//! whose sampled participants coincide through round `r` share that
+//! round's start state too. The same sweep at `participation = 0.5`:
+//! a per-round cache 1 842–1 853 hits, 10 326–10 337 trainings; this
+//! table 597 hits, 11 583 trainings (+12 %); wall time 1.06–1.24 s vs
+//! 1.14–1.29 s over three alternating runs. Full participation (the
+//! paper's setting, every ledger workload) loses nothing.
 //!
 //! ```
 //! use std::sync::Arc;
 //! use fedval_fl::TrajectoryCache;
-//!
-//! // A cache bounded to two 4-float updates (4 · 4 bytes each).
-//! let cache = TrajectoryCache::with_byte_budget(32);
-//! let delta = Arc::new(vec![0.5f32; 4]);
-//! for round in 0..3 {
-//!     let params = vec![round as f32; 4]; // distinct round-start params
-//!     let (h, fp) = (
-//!         TrajectoryCache::key_hash(&params),
-//!         TrajectoryCache::fingerprint(&params),
-//!     );
-//!     cache.record_training(round);
-//!     cache.insert(h, fp, 0, round, Arc::clone(&delta));
-//! }
+//! let cache = TrajectoryCache::new();
+//! let init = vec![0.25f32; 4]; // the server init every coalition starts from
+//! let (h, fp) = (TrajectoryCache::key_hash(&init), TrajectoryCache::fingerprint(&init));
+//! cache.insert(h, fp, 3, 0, Arc::new(vec![0.5; 4])); // client 3, round 0
+//! cache.insert(h, fp, 3, 1, Arc::new(vec![9.0; 4])); // round 1: not stored
+//! assert_eq!(cache.lookup(h, fp, 3, 0).as_deref(), Some(&vec![0.5; 4]));
+//! assert!(cache.lookup(h, fp, 3, 1).is_none());
 //! let stats = cache.stats();
-//! assert_eq!((stats.entries, stats.evictions), (2, 1)); // oldest evicted
-//! assert_eq!(stats.bytes, 32); // occupancy respects the budget
+//! assert_eq!((stats.entries, stats.bytes, stats.hits), (1, 16, 1));
 //! ```
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
+use fedval_core::coalition::MAX_CLIENTS;
 pub use fedval_core::utility::TrajCacheStats;
 
 use crate::config::mix64;
@@ -159,57 +142,23 @@ pub(crate) fn class_lanes(bases: &[Vec<f32>]) -> LaneClasses {
     }
 }
 
-/// Cache key: `(round-start params hash, client, round)`.
-type Key = (u64, u32, u32);
+/// A client's round-0 update `Δ`, shared by reference.
+type Delta = Arc<Vec<f32>>;
 
-struct Entry {
-    /// Independent second hash of the round-start params; a lookup whose
-    /// fingerprint disagrees is treated as a miss (hash collision), and
-    /// the colliding insert keeps the first entry (first-wins, so serial
-    /// runs stay deterministic).
-    fingerprint: u64,
-    delta: Arc<Vec<f32>>,
-    /// Global generation at the entry's last touch (insert or hit) — the
-    /// recency order the byte-budget eviction walks. Atomic so a hit under
-    /// a shard *read* lock can still refresh it.
-    last_used: AtomicU64,
+/// A round-0 update and the `(key hash, fingerprint)` of its init.
+struct Slot {
+    key: (u64, u64),
+    delta: Delta,
 }
 
-/// Number of independent lock shards; matches `CachedUtility`'s sharding
-/// rationale (concurrent `eval_batch` calls over one shared cache must not
-/// serialise on a single write lock).
-const TRAJ_SHARDS: usize = 16;
-
-#[inline]
-fn shard_of(key: &Key) -> usize {
-    let h = mix64(key.0 ^ ((key.1 as u64) << 32) ^ key.2 as u64);
-    (h >> (64 - TRAJ_SHARDS.trailing_zeros())) as usize
-}
-
-/// Cross-block (and, when shared, cross-`eval_batch`) cache of per-client
-/// per-round local-training updates — see the module docs for the
-/// soundness contract. Interior mutability (sharded `RwLock`s + atomic
-/// counters) keeps it `Sync`, so one handle can serve the
-/// `CachedUtility → ParallelUtility → FlUtility` stack across threads.
+/// One set-once slot per client (module docs: soundness). `Sync`, so one
+/// handle serves the `CachedUtility → ParallelUtility → FlUtility` stack.
 pub struct TrajectoryCache {
-    shards: [RwLock<HashMap<Key, Entry>>; TRAJ_SHARDS],
-    /// Counting-only mode: probes never hit and nothing is stored, but
-    /// every counter still runs — the uncached baseline instrument.
-    enabled: bool,
-    /// Byte budget for resident entries (`None` = unbounded). Inserting
-    /// past the budget evicts least-recently-used entries — see
-    /// [`Self::with_byte_budget`].
-    budget: Option<usize>,
-    /// Monotone touch counter; every insert or hit stamps the entry with
-    /// the next generation, giving eviction a total recency order.
-    generation: AtomicU64,
-    /// Bytes currently resident (`Σ delta.len() · 4` over live entries).
-    bytes: AtomicU64,
-    evictions: AtomicU64,
-    probes: AtomicU64,
-    hits: AtomicU64,
-    local_trainings: AtomicU64,
-    round0_trainings: AtomicU64,
+    slots: [OnceLock<Slot>; MAX_CLIENTS],
+    probes: AtomicUsize,
+    hits: AtomicUsize,
+    local_trainings: AtomicUsize,
+    round0_trainings: AtomicUsize,
 }
 
 impl Default for TrajectoryCache {
@@ -219,155 +168,45 @@ impl Default for TrajectoryCache {
 }
 
 impl TrajectoryCache {
-    /// An enabled, empty cache.
+    /// An empty table.
     pub fn new() -> Self {
-        Self::with_enabled(true)
-    }
-
-    /// A counting-only cache: never hits, never stores, still counts —
-    /// used to measure the uncached baseline's local-training cost with
-    /// the training path otherwise unchanged.
-    pub fn counting_only() -> Self {
-        Self::with_enabled(false)
-    }
-
-    /// An enabled cache that holds at most `budget` bytes of updates
-    /// (each entry counts `p · 4` bytes for a `p`-parameter model;
-    /// key/fingerprint overhead is not charged). An insert that pushes
-    /// occupancy past the budget evicts least-recently-used entries —
-    /// never the entry just inserted — until occupancy fits again.
-    ///
-    /// Eviction trades memory for re-training and nothing else: values
-    /// stay bit-identical at any budget, because an evicted trajectory is
-    /// simply trained again on its next miss. This is the memory backstop
-    /// of long-lived shared handles (the multi-valuation service): one
-    /// `Δ` per distinct client-round otherwise grows without bound.
-    pub fn with_byte_budget(budget: usize) -> Self {
-        let mut cache = Self::with_enabled(true);
-        cache.budget = Some(budget);
-        cache
-    }
-
-    fn with_enabled(enabled: bool) -> Self {
         TrajectoryCache {
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            enabled,
-            budget: None,
-            generation: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            probes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            local_trainings: AtomicU64::new(0),
-            round0_trainings: AtomicU64::new(0),
+            slots: std::array::from_fn(|_| OnceLock::new()),
+            probes: AtomicUsize::new(0),
+            hits: AtomicUsize::new(0),
+            local_trainings: AtomicUsize::new(0),
+            round0_trainings: AtomicUsize::new(0),
         }
     }
 
-    /// Whether lookups can hit (false for [`Self::counting_only`]).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The byte budget, if one was set ([`Self::with_byte_budget`]).
-    pub fn byte_budget(&self) -> Option<usize> {
-        self.budget
-    }
-
-    /// Bytes currently resident (the quantity [`Self::byte_budget`]
-    /// bounds): `p · 4` per cached entry.
-    pub fn resident_bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed) as usize
-    }
-
-    /// Number of cached `(params, client, round)` → `Δ` entries.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Statistics accumulated since construction (or the last
-    /// [`Self::reset_stats`]). Exact under serial use; under concurrent
-    /// sharing two threads may race to train the same key, each counting
-    /// one training (values stay bit-identical either way).
+    /// Counters plus occupancy (`evictions` is always 0). Exact serially;
+    /// threads racing on one client's round 0 each count a training.
     pub fn stats(&self) -> TrajCacheStats {
+        let filled = || self.slots.iter().filter_map(OnceLock::get);
         TrajCacheStats {
-            probes: self.probes.load(Ordering::Relaxed) as usize,
-            hits: self.hits.load(Ordering::Relaxed) as usize,
-            local_trainings: self.local_trainings.load(Ordering::Relaxed) as usize,
-            round0_trainings: self.round0_trainings.load(Ordering::Relaxed) as usize,
-            entries: self.len(),
-            bytes: self.resident_bytes(),
-            evictions: self.evictions.load(Ordering::Relaxed) as usize,
+            probes: self.probes.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
+            local_trainings: self.local_trainings.load(Ordering::Relaxed),
+            round0_trainings: self.round0_trainings.load(Ordering::Relaxed),
+            entries: filled().count(),
+            bytes: filled().map(|s| s.delta.len() * size_of::<f32>()).sum(),
+            evictions: 0,
         }
     }
 
-    /// Reset the statistics counters (the cache itself is kept, so the
-    /// `entries`/`bytes` occupancy gauges are unaffected).
-    pub fn reset_stats(&self) {
-        self.probes.store(0, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
-        self.local_trainings.store(0, Ordering::Relaxed);
-        self.round0_trainings.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
-    /// Drop all entries and statistics — the *per-run* memory-release
-    /// policy: a service holding a shared handle can `clear()` between
-    /// runs instead of (or on top of) a byte budget. Holds every shard
-    /// lock while zeroing the byte gauge, so a racing insert can never
-    /// leave the gauge out of sync with the maps.
-    pub fn clear(&self) {
-        let mut shards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.write().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        for shard in shards.iter_mut() {
-            shard.clear();
-        }
-        self.bytes.store(0, Ordering::Relaxed);
-        drop(shards);
-        self.reset_stats();
-    }
-
-    /// Look up the update of (round-start params with `base_hash` /
-    /// `fingerprint`, `client`, `round`). Counts a probe; a fingerprint
-    /// mismatch is a miss.
-    pub fn lookup(
-        &self,
-        base_hash: u64,
-        fingerprint: u64,
-        client: usize,
-        round: usize,
-    ) -> Option<Arc<Vec<f32>>> {
+    /// `client`'s update for `round` from round-start params keyed
+    /// `(hash, fp)`. Counts a probe; only a round-0 key match hits.
+    pub fn lookup(&self, hash: u64, fp: u64, client: usize, round: usize) -> Option<Delta> {
         self.probes.fetch_add(1, Ordering::Relaxed);
-        if !self.enabled {
-            return None;
-        }
-        let key = (base_hash, client as u32, round as u32);
-        let shard = self.shards[shard_of(&key)]
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        let entry = shard.get(&key)?;
-        if entry.fingerprint != fingerprint {
+        let slot = self.slots.get(client).filter(|_| round == 0)?.get()?;
+        if slot.key != (hash, fp) {
             return None;
         }
         self.hits.fetch_add(1, Ordering::Relaxed);
-        entry.last_used.store(
-            self.generation.fetch_add(1, Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        Some(Arc::clone(&entry.delta))
+        Some(Arc::clone(&slot.delta))
     }
 
-    /// Record one local training actually performed (a miss that was paid
-    /// for); counted even in counting-only mode.
+    /// Record one local training actually performed, in any round.
     pub fn record_training(&self, round: usize) {
         self.local_trainings.fetch_add(1, Ordering::Relaxed);
         if round == 0 {
@@ -375,96 +214,14 @@ impl TrajectoryCache {
         }
     }
 
-    /// Insert the update for a key. First-wins on a (vanishingly rare)
-    /// hash collision with a different fingerprint; re-inserting the same
-    /// key/fingerprint (two threads racing on one trajectory) is benign —
-    /// both deltas are bit-identical by determinism. On a budgeted cache
-    /// ([`Self::with_byte_budget`]) an insert that crosses the budget
-    /// evicts least-recently-used entries (never this one) until resident
-    /// bytes fit again.
-    pub fn insert(
-        &self,
-        base_hash: u64,
-        fingerprint: u64,
-        client: usize,
-        round: usize,
-        delta: Arc<Vec<f32>>,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        let key = (base_hash, client as u32, round as u32);
-        let entry_bytes = delta.len() * std::mem::size_of::<f32>();
-        let new_total = {
-            // The byte gauge moves while the shard write lock is held, so
-            // map contents and accounting stay atomic with respect to
-            // `evict_to_budget`/`clear` (both take every shard lock).
-            let mut shard = self.shards[shard_of(&key)]
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let std::collections::hash_map::Entry::Vacant(e) = shard.entry(key) {
-                e.insert(Entry {
-                    fingerprint,
-                    delta,
-                    last_used: AtomicU64::new(self.generation.fetch_add(1, Ordering::Relaxed)),
-                });
-                self.bytes.fetch_add(entry_bytes as u64, Ordering::Relaxed) as usize + entry_bytes
-            } else {
-                return; // first-wins: occupancy unchanged
-            }
-        };
-        if new_total > self.budget.unwrap_or(usize::MAX) {
-            self.evict_to_budget(&key);
-        }
-    }
-
-    /// Evict least-recently-used entries until resident bytes fit the
-    /// budget, sparing `protect` (the entry whose insert triggered the
-    /// sweep — a budget smaller than one update still caches the newest
-    /// trajectory rather than thrashing on itself). Takes every shard's
-    /// write lock in index order, so concurrent evictions cannot deadlock
-    /// and the LRU order is exact at the moment of the sweep: with all
-    /// locks held no generation stamp can move, so one scan collects the
-    /// full recency order and the sweep evicts from it without rescanning
-    /// per victim.
-    fn evict_to_budget(&self, protect: &Key) {
-        let budget = match self.budget {
-            Some(b) => b,
-            None => return,
-        };
-        let mut shards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.write().unwrap_or_else(PoisonError::into_inner))
-            .collect();
-        let mut resident = self.bytes.load(Ordering::Relaxed) as usize;
-        if resident <= budget {
-            return; // a concurrent sweep already finished the job
-        }
-        // (last_used, shard, key) for every unprotected entry, oldest
-        // first; generation stamps are unique, so the order is total.
-        let mut candidates: Vec<(u64, usize, Key)> = shards
-            .iter()
-            .enumerate()
-            .flat_map(|(si, shard)| {
-                shard
-                    .iter()
-                    .filter(|(k, _)| *k != protect)
-                    .map(move |(k, e)| (e.last_used.load(Ordering::Relaxed), si, *k))
-            })
-            .collect();
-        candidates.sort_unstable();
-        for (_, si, key) in candidates {
-            if resident <= budget {
-                break;
-            }
-            let Some(evicted) = shards[si].remove(&key) else {
-                unreachable!("candidate keys were enumerated under these same locks")
-            };
-            let sz = evicted.delta.len() * std::mem::size_of::<f32>();
-            resident -= sz;
-            self.bytes.fetch_sub(sz as u64, Ordering::Relaxed);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+    /// Store `client`'s round-0 update; a no-op for `round ≠ 0` and for a
+    /// filled slot (first wins — a racing duplicate is bit-identical by
+    /// determinism, a colliding key keeps serial runs deterministic).
+    pub fn insert(&self, hash: u64, fp: u64, client: usize, round: usize, delta: Delta) {
+        if let (0, Some(slot)) = (round, self.slots.get(client)) {
+            let key = (hash, fp);
+            // An Err only means the slot was already filled: first wins.
+            let _ = slot.set(Slot { key, delta });
         }
     }
 
@@ -490,6 +247,14 @@ mod tests {
         (0..p)
             .map(|i| (mix64(seed ^ i as u64) as f32) / (u64::MAX as f32))
             .collect()
+    }
+
+    /// Key/fingerprint pair for a synthetic params vector.
+    fn keys(params: &[f32]) -> (u64, u64) {
+        (
+            TrajectoryCache::key_hash(params),
+            TrajectoryCache::fingerprint(params),
+        )
     }
 
     #[test]
@@ -526,136 +291,74 @@ mod tests {
 
     #[test]
     fn lookup_insert_roundtrip_with_stats() {
+        // Round 0: miss, train, insert, hit — per client.
         let cache = TrajectoryCache::new();
-        let b = base(7, 32);
-        let (h, fp) = (
-            TrajectoryCache::key_hash(&b),
-            TrajectoryCache::fingerprint(&b),
-        );
+        let (h, fp) = keys(&base(7, 32));
         assert!(cache.lookup(h, fp, 3, 0).is_none());
         cache.record_training(0);
         cache.insert(h, fp, 3, 0, Arc::new(vec![1.0; 32]));
         let hit = cache.lookup(h, fp, 3, 0).expect("hit");
         assert_eq!(hit.as_slice(), &[1.0f32; 32][..]);
-        // Same params, different client/round: distinct keys.
+        // Same params, another client: its own, still empty slot.
         assert!(cache.lookup(h, fp, 4, 0).is_none());
-        assert!(cache.lookup(h, fp, 3, 1).is_none());
-        // Fingerprint mismatch is a miss, and the first entry survives.
-        assert!(cache.lookup(h, fp ^ 1, 3, 0).is_none());
-        cache.insert(h, fp ^ 1, 3, 0, Arc::new(vec![2.0; 32]));
-        assert_eq!(cache.lookup(h, fp, 3, 0).expect("kept").as_slice()[0], 1.0);
-        let stats = cache.stats();
-        assert_eq!(stats.probes, 6);
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.local_trainings, 1);
-        assert_eq!(stats.round0_trainings, 1);
-        assert_eq!(stats.misses(), 4);
-        assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), TrajCacheStats::default());
-    }
-
-    #[test]
-    fn counting_only_never_hits_but_counts() {
-        let cache = TrajectoryCache::counting_only();
-        let b = base(9, 16);
-        let (h, fp) = (
-            TrajectoryCache::key_hash(&b),
-            TrajectoryCache::fingerprint(&b),
-        );
-        cache.insert(h, fp, 0, 0, Arc::new(vec![0.5; 16]));
-        assert!(cache.lookup(h, fp, 0, 0).is_none());
-        cache.record_training(0);
-        cache.record_training(2);
-        let stats = cache.stats();
-        assert_eq!(stats.probes, 1);
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.local_trainings, 2);
-        assert_eq!(stats.round0_trainings, 1);
-        assert!(cache.is_empty());
-        assert!(!cache.is_enabled());
-    }
-
-    /// Key/fingerprint pair for a synthetic params vector.
-    fn keys(params: &[f32]) -> (u64, u64) {
-        (
-            TrajectoryCache::key_hash(params),
-            TrajectoryCache::fingerprint(params),
-        )
-    }
-
-    #[test]
-    fn byte_budget_evicts_lru_and_counts_exactly() {
-        const P: usize = 16; // floats per entry → 64 bytes each
-        let cache = TrajectoryCache::with_byte_budget(3 * P * 4);
-        assert_eq!(cache.byte_budget(), Some(192));
-        // Insert rounds 0..3 for one client: all fit (3 entries, 192 B).
-        let bases: Vec<Vec<f32>> = (0..4).map(|r| base(100 + r as u64, P)).collect();
-        for (r, b) in bases.iter().enumerate().take(3) {
-            let (h, fp) = keys(b);
-            cache.insert(h, fp, 0, r, Arc::new(vec![r as f32; P]));
+        // Out-of-range clients have no slot: a miss, never a panic.
+        cache.insert(h, fp, MAX_CLIENTS, 0, Arc::new(vec![1.0; 32]));
+        assert!(cache.lookup(h, fp, MAX_CLIENTS, 0).is_none());
+        // Later-round trainings count, but only round 0's as round0.
+        for round in [0, 1, 5] {
+            cache.record_training(round);
         }
-        assert_eq!(cache.stats().entries, 3);
-        assert_eq!(cache.stats().bytes, 192);
-        assert_eq!(cache.stats().evictions, 0);
-        // Touch round 0 (a hit refreshes its recency), then overflow with
-        // round 3: round 1 is now the least recently used and must go.
-        let (h0, fp0) = keys(&bases[0]);
-        assert!(cache.lookup(h0, fp0, 0, 0).is_some());
-        let (h3, fp3) = keys(&bases[3]);
-        cache.insert(h3, fp3, 0, 3, Arc::new(vec![3.0; P]));
         let stats = cache.stats();
-        assert_eq!(stats.entries, 3);
-        assert_eq!(stats.bytes, 192);
-        assert_eq!(stats.evictions, 1);
-        let (h1, fp1) = keys(&bases[1]);
-        assert!(
-            cache.lookup(h1, fp1, 0, 1).is_none(),
-            "LRU entry (round 1, never touched after insert) must be evicted"
+        assert_eq!(stats.misses(), 3);
+        assert_eq!(
+            stats,
+            TrajCacheStats {
+                probes: 4,
+                hits: 1,
+                local_trainings: 4,
+                round0_trainings: 2,
+                entries: 1,
+                bytes: 32 * 4,
+                evictions: 0,
+            }
         );
-        assert!(cache.lookup(h0, fp0, 0, 0).is_some(), "hot entry survives");
-        assert!(cache.lookup(h3, fp3, 0, 3).is_some(), "newest entry kept");
-        // reset_stats clears the cumulative eviction counter but not the
-        // occupancy gauges.
-        cache.reset_stats();
-        let stats = cache.stats();
-        assert_eq!((stats.evictions, stats.entries, stats.bytes), (0, 3, 192));
-        cache.clear();
-        assert_eq!(cache.resident_bytes(), 0);
     }
 
     #[test]
-    fn budget_smaller_than_one_entry_keeps_newest() {
-        const P: usize = 8;
-        let cache = TrajectoryCache::with_byte_budget(P * 4 - 1);
-        let a = base(1, P);
-        let b = base(2, P);
-        let (ha, fpa) = keys(&a);
-        cache.insert(ha, fpa, 0, 0, Arc::new(vec![1.0; P]));
-        // Over budget, but the just-inserted entry is protected.
-        assert_eq!(cache.stats().entries, 1);
-        let (hb, fpb) = keys(&b);
-        cache.insert(hb, fpb, 1, 0, Arc::new(vec![2.0; P]));
-        // The older entry is evicted; the newest always stays resident.
-        let stats = cache.stats();
-        assert_eq!((stats.entries, stats.evictions), (1, 1));
-        assert!(cache.lookup(ha, fpa, 0, 0).is_none());
-        assert!(cache.lookup(hb, fpb, 1, 0).is_some());
-    }
-
-    #[test]
-    fn unbounded_cache_never_evicts() {
+    fn first_insert_wins_and_a_mismatched_key_stays_a_miss() {
         let cache = TrajectoryCache::new();
-        assert_eq!(cache.byte_budget(), None);
-        for r in 0..32 {
-            let b = base(500 + r as u64, 8);
-            let (h, fp) = keys(&b);
-            cache.insert(h, fp, 0, r, Arc::new(vec![0.0; 8]));
+        let (h, fp) = keys(&base(11, 16));
+        cache.insert(h, fp, 0, 0, Arc::new(vec![1.0; 16]));
+        // A colliding hash with another fingerprint, and another hash
+        // outright, neither hit nor replace the slot.
+        assert!(cache.lookup(h, fp ^ 1, 0, 0).is_none());
+        assert!(cache.lookup(h ^ 1, fp, 0, 0).is_none());
+        cache.insert(h, fp ^ 1, 0, 0, Arc::new(vec![2.0; 16]));
+        cache.insert(h ^ 1, fp, 0, 0, Arc::new(vec![3.0; 16]));
+        assert_eq!(cache.lookup(h, fp, 0, 0).expect("kept").as_slice()[0], 1.0);
+        assert!(cache.lookup(h ^ 1, fp, 0, 0).is_none());
+        assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn later_rounds_are_never_stored_and_always_miss() {
+        let cache = TrajectoryCache::new();
+        let (h, fp) = keys(&base(13, 8));
+        for round in 1..6 {
+            cache.insert(h, fp, 2, round, Arc::new(vec![0.0; 8]));
+            assert!(cache.lookup(h, fp, 2, round).is_none(), "round {round}");
         }
         let stats = cache.stats();
-        assert_eq!((stats.entries, stats.evictions), (32, 0));
-        assert_eq!(stats.bytes, 32 * 8 * 4);
+        assert_eq!((stats.entries, stats.bytes), (0, 0));
+        assert_eq!((stats.probes, stats.hits), (5, 0));
+        // Round 0 of the same key is unaffected: still empty, then filled.
+        assert!(cache.lookup(h, fp, 2, 0).is_none());
+        cache.insert(h, fp, 2, 0, Arc::new(vec![0.0; 8]));
+        assert!(
+            cache.lookup(h, fp, 2, 1).is_none(),
+            "a filled slot is round 0 only"
+        );
+        assert!(cache.lookup(h, fp, 2, 0).is_some());
     }
 
     #[test]

@@ -35,16 +35,15 @@ pub const DEFAULT_LANE_BLOCK: usize = fedval_core::utility::DEFAULT_PAR_CHUNK;
 /// Wrap in [`fedval_core::utility::CachedUtility`] so each coalition is
 /// trained exactly once (the paper's `τ` accounting).
 ///
-/// Below whole-coalition caching sits the *trajectory cache*
-/// ([`crate::trajcache`]): `eval_batch` memoises per-client per-round
-/// local-training updates across its lane blocks, so e.g. the round-0
-/// trainings every coalition shares are paid once per client per
-/// `eval_batch` call instead of once per block. On by default
-/// ([`FedAvgConfig::traj_cache`], `FEDVAL_TRAJCACHE=0` to disable) with a
-/// fresh cache per call; [`FlUtility::with_traj_cache`] installs a shared
-/// handle that additionally persists hits across calls — including the
-/// sub-batches a `ParallelUtility` fans out — for a whole valuation run.
-/// Values are bit-identical in every mode.
+/// Below whole-coalition caching sits the *round-0 trajectory table*
+/// ([`crate::trajcache`]): every coalition starts from the one server
+/// init, so each client's round-0 local training is the same in every
+/// coalition. The utility owns one table for its whole lifetime, shared by
+/// every `eval_batch` call and every sub-batch a `ParallelUtility` fans
+/// out, so round 0 is paid once per client per utility instead of once per
+/// lane block; [`FlUtility::with_traj_cache`] swaps in a handle shared
+/// with the caller. The table holds at most one update per client, and
+/// values are bit-identical with or without its hits.
 ///
 /// ```
 /// use fedval_core::prelude::*;
@@ -71,7 +70,7 @@ pub struct FlUtility {
     spec: ModelSpec,
     cfg: FedAvgConfig,
     lane_block: usize,
-    traj_cache: Option<Arc<TrajectoryCache>>,
+    traj_cache: Arc<TrajectoryCache>,
 }
 
 impl FlUtility {
@@ -87,7 +86,7 @@ impl FlUtility {
             spec,
             cfg,
             lane_block: DEFAULT_LANE_BLOCK,
-            traj_cache: None,
+            traj_cache: Arc::new(TrajectoryCache::new()),
         }
     }
 
@@ -99,22 +98,18 @@ impl FlUtility {
         self
     }
 
-    /// Install a shared trajectory cache: every `eval_batch` call probes
-    /// and fills this handle instead of a per-call cache, extending the
-    /// per-client per-round memoisation across the whole valuation run
-    /// (and across the sub-batches a `ParallelUtility` splits off). The
-    /// handle takes precedence over [`FedAvgConfig::traj_cache`] — a
-    /// [`TrajectoryCache::counting_only`] handle measures the uncached
-    /// baseline. Never share one cache between utilities with different
-    /// datasets, specs or configs (see `crate::trajcache`).
+    /// Replace the utility's own round-0 table with `cache`, e.g. to read
+    /// its stats while the utility sits inside a stack. Never share one
+    /// table between utilities with different datasets, specs or configs
+    /// (see `crate::trajcache`).
     pub fn with_traj_cache(mut self, cache: Arc<TrajectoryCache>) -> Self {
-        self.traj_cache = Some(cache);
+        self.traj_cache = cache;
         self
     }
 
-    /// The shared trajectory cache, if one was installed.
-    pub fn traj_cache(&self) -> Option<&Arc<TrajectoryCache>> {
-        self.traj_cache.as_ref()
+    /// The round-0 table every `eval_batch` call probes and fills.
+    pub fn traj_cache(&self) -> &Arc<TrajectoryCache> {
+        &self.traj_cache
     }
 
     pub fn lane_block(&self) -> usize {
@@ -164,37 +159,14 @@ impl Utility for FlUtility {
     /// a block visits are active in most of its lanes), grouped into
     /// blocks of at most `lane_block`, and each block is trained by one
     /// [`crate::fedavg::train_coalitions`] pass and scored with the test
-    /// batches gathered once for all lanes. A trajectory cache — owned by
-    /// this call, or the shared [`FlUtility::with_traj_cache`] handle —
-    /// spans the blocks, so local trainings bit-equal across blocks
-    /// (every round-0 training, and any later-round coincidence) are paid
+    /// batches gathered once for all lanes. The utility's round-0 table
+    /// spans blocks and calls, so each client's round-0 training is paid
     /// once. Values are bit-identical to mapping [`FlUtility::eval`] —
-    /// per-lane trajectories are bit-identical to solo runs, cache hits
+    /// per-lane trajectories are bit-identical to solo runs, table hits
     /// replay the bits training would produce, and accuracy is a pure
     /// per-lane function — so the determinism contract survives any
-    /// grouping and any cache state.
+    /// grouping and any table state.
     fn eval_batch(&self, coalitions: &[Coalition]) -> Vec<f64> {
-        // Per-call cache, created unless a shared handle is installed or
-        // the config disables trajectory caching entirely. Within one
-        // lock-step block every (round-start params, client, round) key is
-        // distinct — classes have distinct bases per round by construction
-        // — so a per-call cache can only hit *across* blocks; a batch that
-        // fits a single block (notably the sub-batches a ParallelUtility
-        // fans out without a shared handle) skips the cache overhead.
-        let owned: Option<TrajectoryCache> = match &self.traj_cache {
-            Some(_) => None,
-            None if self.cfg.traj_cache && coalitions.len() > self.lane_block => {
-                Some(match self.cfg.traj_cache_bytes {
-                    Some(budget) => TrajectoryCache::with_byte_budget(budget),
-                    None => TrajectoryCache::new(),
-                })
-            }
-            None => None,
-        };
-        let cache: Option<&TrajectoryCache> = self.traj_cache.as_deref().or(owned.as_ref());
-        if cache.is_none() && (coalitions.len() <= 1 || self.lane_block == 1) {
-            return coalitions.iter().map(|&s| self.eval(s)).collect();
-        }
         let mut order: Vec<usize> = (0..coalitions.len()).collect();
         // Stable total order: by size, ties by mask, so block composition
         // is deterministic regardless of input order-of-arrival.
@@ -216,7 +188,7 @@ impl Utility for FlUtility {
                 self.test.n_classes(),
                 &block,
                 &self.cfg,
-                cache,
+                Some(&self.traj_cache),
             );
             // Score all lanes against the test set in one shared pass.
             let mut multi = MultiNetwork::from_network(&template, lane_params.len());
@@ -234,7 +206,7 @@ impl Utility for FlUtility {
 
 /// Compile-time guarantee that the FL utilities stay safe to share across
 /// the parallel evaluation engine's threads: training must keep all
-/// mutable state call-local (no interior mutability in these types).
+/// mutable state call-local, except the `Sync` round-0 table.
 const _: () = {
     const fn assert_sync_send<T: Sync + Send>() {}
     assert_sync_send::<FlUtility>();

@@ -487,7 +487,7 @@ impl Layer for Conv2d {
         let taps = self.in_ch * self.k * self.k;
         let ocp = transpose_padded(&self.weight, self.out_ch, taps, &mut self.wt);
         let mut out = vec![0.0f32; batch * self.out_len()];
-        for_each_tile!(j0 in ocp, conv_forward_tile(self, input, j0, &mut out));
+        for_each_tile!(j0 in ocp, conv_forward_tile(self, input, ocp, j0, &mut out));
         out
     }
 
@@ -535,7 +535,9 @@ impl Layer for Conv2d {
     }
 }
 
-/// Output channels `j0..j0+W` of [`Conv2d::forward`] at every position.
+/// Output channels `j0..j0+W` of [`Conv2d::forward`] at every position,
+/// reading the transposed weights `c.wt` with row stride `ocp` (the padded
+/// width [`transpose_padded`] returned).
 ///
 /// The vector dimension is *output channels*: per position the `W`
 /// accumulators start at the bias and take `w·x` for exactly the taps that
@@ -545,9 +547,15 @@ impl Layer for Conv2d {
 /// skipped, never multiplied by a padded `0.0` (`w·0.0` is not neutral for
 /// a `−0.0` accumulator); the ranges saturate because `pad ≥ k` is a legal
 /// geometry whose border positions have no tap at all.
-fn conv_forward_tile<const W: usize>(c: &Conv2d, input: &[f32], j0: usize, out: &mut [f32]) {
+fn conv_forward_tile<const W: usize>(
+    c: &Conv2d,
+    input: &[f32],
+    ocp: usize,
+    j0: usize,
+    out: &mut [f32],
+) {
     let (h, w, k, pad) = (c.h, c.w, c.k, c.pad);
-    let (oh, ow, ocp) = (c.out_h(), c.out_w(), c.out_ch.next_multiple_of(4));
+    let (oh, ow) = (c.out_h(), c.out_w());
     let bias: [f32; W] = std::array::from_fn(|t| c.bias.get(j0 + t).copied().unwrap_or(0.0));
     for (x, y) in input
         .chunks_exact(c.in_len())

@@ -1,10 +1,10 @@
 //! The `fedval-serve` binary: synthetic-FL valuation over HTTP.
 //!
 //! Builds an [`FlUtility`] over a seeded synthetic federation, stacks the
-//! full service on it via [`fedval_fl::service::serve`] (trajectory
-//! cache, parallel fan-out, coalescing server — see
-//! [`FlServiceConfig::from_env`] for those knobs), and fronts it with a
-//! [`WireServer`]. SIGTERM/SIGINT drain cleanly: the listener stops
+//! full service on it via [`fedval_fl::service::serve`] (parallel
+//! fan-out and coalescing server over the utility's round-0 trajectory
+//! table — see [`FlServiceConfig::from_env`] for the knobs), and fronts
+//! it with a [`WireServer`]. SIGTERM/SIGINT drain cleanly: the listener stops
 //! accepting, in-flight runs resolve with the typed shutdown error
 //! (mapped to 503) and every thread is joined before exit.
 //!

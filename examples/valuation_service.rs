@@ -1,7 +1,7 @@
 //! The multi-valuation service, end to end: three concurrent valuation
 //! requests — exact Shapley, IPSS and leave-one-out — served against
 //! **one** FL utility, with their coalition evaluations coalesced into
-//! shared lock-step lane blocks over one trajectory cache.
+//! shared lock-step lane blocks over one round-0 trajectory table.
 //!
 //! The example demonstrates (and asserts) the service's two contracts:
 //!
@@ -65,15 +65,7 @@ fn run_server(
     reqs: Vec<ValuationRequest>,
     concurrent: bool,
 ) -> (Vec<ValuationResponse>, usize, usize) {
-    let (server, _cache) = serve(
-        fl_utility(),
-        FlServiceConfig {
-            // Generous budget: big enough to never evict in this demo,
-            // present to show where the memory bound plugs in.
-            traj_budget_bytes: Some(64 << 20),
-            ..Default::default()
-        },
-    );
+    let (server, _cache) = serve(fl_utility(), FlServiceConfig::default());
     let responses: Vec<ValuationResponse> = if concurrent {
         let tickets: Vec<_> = reqs.into_iter().map(|r| server.submit(r)).collect();
         tickets

@@ -1,25 +1,20 @@
 //! The multi-valuation service's contracts over the real FL substrate:
 //! concurrent requests coalesce into shared work (strictly fewer models
 //! trained and local trainings than the sum of solo runs) while every
-//! request's values stay bit-identical to solo execution — and the
-//! trajectory cache's byte-budget eviction bounds memory without
-//! changing a single bit.
+//! request's values stay bit-identical to solo execution.
 
 // Driver code: test assertions panic by design, so unwrap/expect are
 // the failure mechanism, not a robustness gap.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fedval_core::coalition::{all_subsets, Coalition};
+use fedval_core::coalition::Coalition;
 use fedval_core::service::{Estimator, ValuationRequest};
-use fedval_core::utility::Utility;
 use fedval_data::{Dataset, MnistLike, SyntheticSetup};
 use fedval_fl::service::{serve, FlServiceConfig};
-use fedval_fl::{FedAvgConfig, FlUtility, ModelSpec, TrajectoryCache};
+use fedval_fl::{FedAvgConfig, FlUtility, ModelSpec};
 
 const N_CLIENTS: usize = 4;
 
@@ -127,75 +122,6 @@ fn concurrent_requests_coalesce_and_stay_bit_identical() {
     // `serve` returned.
     assert_eq!(traj.local_trainings, cache.stats().local_trainings);
     server.shutdown();
-}
-
-#[test]
-fn service_with_traj_budget_is_bit_identical_and_bounded() {
-    let reqs = || vec![ValuationRequest::new(Estimator::ExactMc, 0, 1)];
-    let (unbounded_server, _c) = serve(fl_utility(), FlServiceConfig::default());
-    let unbounded = unbounded_server
-        .call(reqs().remove(0))
-        .expect("healthy run");
-    unbounded_server.shutdown();
-
-    // A budget of a few updates forces steady-state eviction mid-sweep.
-    let p = fl_utility().spec().build(64, 10, 0).param_count();
-    let budget = 3 * p * 4;
-    let (server, cache) = serve(
-        fl_utility(),
-        FlServiceConfig {
-            traj_budget_bytes: Some(budget),
-            threads: Some(1),
-            ..Default::default()
-        },
-    );
-    let bounded = server.call(reqs().remove(0)).expect("healthy run");
-    let traj = bounded.service.traj.expect("traj wired");
-    assert_eq!(
-        bounded.values, unbounded.values,
-        "eviction must never change a value"
-    );
-    assert!(traj.evictions > 0, "sweep must overflow a 3-update budget");
-    assert!(
-        traj.bytes <= budget,
-        "occupancy {} exceeds budget {budget}",
-        traj.bytes
-    );
-    assert_eq!(
-        traj.entries * p * 4,
-        traj.bytes,
-        "uniform entries: p floats each"
-    );
-    assert_eq!(cache.stats().evictions, traj.evictions);
-    server.shutdown();
-}
-
-#[test]
-fn bounded_eval_batch_sweep_matches_unbounded_bit_for_bit() {
-    // The eviction contract at the FlUtility level, without the server:
-    // an exhaustive eval_batch sweep through a byte-budgeted shared cache
-    // must reproduce the unbounded sweep exactly, while evicting.
-    let coalitions: Vec<Coalition> = all_subsets(N_CLIENTS).collect();
-    let unbounded_cache = Arc::new(TrajectoryCache::new());
-    let unbounded = fl_utility()
-        .with_traj_cache(Arc::clone(&unbounded_cache))
-        .eval_batch(&coalitions);
-    let full_bytes = unbounded_cache.stats().bytes;
-    assert!(full_bytes > 0);
-
-    // Half the unbounded occupancy: plenty of eviction, still useful.
-    let bounded_cache = Arc::new(TrajectoryCache::with_byte_budget(full_bytes / 2));
-    let bounded = fl_utility()
-        .with_traj_cache(Arc::clone(&bounded_cache))
-        .eval_batch(&coalitions);
-    assert_eq!(bounded, unbounded, "eviction changed a value");
-    let stats = bounded_cache.stats();
-    assert!(stats.evictions > 0, "half budget must evict");
-    assert!(stats.bytes <= full_bytes / 2);
-    // Eviction costs extra trainings, never correctness; the bounded run
-    // may train more than the unbounded one but never more than the
-    // cache-free worst case of one training per (lane group, client).
-    assert!(stats.local_trainings >= unbounded_cache.stats().local_trainings);
 }
 
 #[test]

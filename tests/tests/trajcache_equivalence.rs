@@ -1,8 +1,9 @@
-//! The trajectory cache must be invisible in every value: cached and
-//! uncached sweeps are bit-identical under both FL algorithms and partial
-//! participation — while the cache provably removes
-//! the cross-block re-training an exhaustive sweep used to pay (one
-//! round-0 local training per client per *sweep*, not per lane block).
+//! The round-0 trajectory table must be invisible in every value: sweeps
+//! through it are bit-identical to solo `eval` under both FL algorithms
+//! and partial participation — while it provably pays round 0 once per
+//! client per *sweep* (not per lane block), loses none of the hits the
+//! per-round cache it replaced found under full participation, and holds
+//! at most one update per client.
 
 // Driver code: test assertions panic by design, so unwrap/expect are
 // the failure mechanism, not a robustness gap.
@@ -14,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fedval_core::coalition::{all_subsets, Coalition};
-use fedval_core::utility::{ParallelUtility, Utility};
+use fedval_core::utility::{ParallelUtility, TrajCacheStats, Utility};
 use fedval_data::{Dataset, MnistLike, SyntheticSetup};
 use fedval_fl::{FedAvgConfig, FlAlgorithm, FlUtility, ModelSpec, TrajectoryCache};
 
@@ -31,9 +32,22 @@ fn utility(cfg: FedAvgConfig, n: usize) -> FlUtility {
     FlUtility::new(clients, test, ModelSpec::default_mlp(), cfg)
 }
 
-/// Cached sweeps must reproduce the solo reference values bit-for-bit in
-/// every configuration corner: FedAvg and FedProx, full and partial
-/// participation.
+/// The memory bound: at most one `p`-float update per client.
+fn assert_one_update_per_client(stats: TrajCacheStats, u: &FlUtility) {
+    let test = u.test_set();
+    let p = u
+        .spec()
+        .build(test.n_features(), test.n_classes(), 0)
+        .param_count();
+    assert!(stats.entries <= u.n_clients(), "{stats:?}");
+    assert_eq!(stats.bytes, stats.entries * p * 4, "{stats:?}");
+    assert_eq!(stats.evictions, 0);
+}
+
+/// Table sweeps must reproduce the solo reference values bit-for-bit in
+/// every configuration corner — FedAvg and FedProx, full and partial
+/// participation — and a replay through the filled table must train
+/// nothing in round 0 and exactly the later rounds again.
 #[test]
 fn cached_sweeps_bit_identical_to_solo_under_all_configs() {
     let n = 4;
@@ -48,62 +62,37 @@ fn cached_sweeps_bit_identical_to_solo_under_all_configs() {
                 participation,
                 ..Default::default()
             };
-            // Solo reference: FlUtility::eval never touches any cache.
             let u = utility(cfg, n).with_lane_block(3);
+            // Solo reference: FlUtility::eval never touches the table.
             let reference: Vec<f64> = coalitions.iter().map(|&s| u.eval(s)).collect();
-            // Trajectory cache off.
-            let off = utility(
-                FedAvgConfig {
-                    traj_cache: false,
-                    ..cfg
-                },
-                n,
-            )
-            .with_lane_block(3);
+            let label = format!("{algorithm:?} p={participation}");
+            assert_eq!(u.eval_batch(&coalitions), reference, "sweep {label}");
+            let first = u.traj_cache().stats();
+            assert!(first.round0_trainings <= n, "{label}: {first:?}");
+            assert_eq!(u.eval_batch(&coalitions), reference, "replay {label}");
+            let second = u.traj_cache().stats();
             assert_eq!(
-                off.eval_batch(&coalitions),
-                reference,
-                "uncached {algorithm:?} p={participation}"
-            );
-            // Per-call trajectory cache (the default).
-            let per_call = utility(
-                FedAvgConfig {
-                    traj_cache: true,
-                    ..cfg
-                },
-                n,
-            )
-            .with_lane_block(3);
-            assert_eq!(
-                per_call.eval_batch(&coalitions),
-                reference,
-                "per-call cache {algorithm:?} p={participation}"
-            );
-            // Shared handle, replayed twice (second pass is all hits).
-            let cache = Arc::new(TrajectoryCache::new());
-            let shared = utility(cfg, n)
-                .with_lane_block(3)
-                .with_traj_cache(Arc::clone(&cache));
-            assert_eq!(shared.eval_batch(&coalitions), reference);
-            let trainings = cache.stats().local_trainings;
-            assert!(trainings > 0);
-            assert_eq!(
-                shared.eval_batch(&coalitions),
-                reference,
-                "replay {algorithm:?} p={participation}"
+                second.round0_trainings, first.round0_trainings,
+                "{label}: a replay trains nothing in round 0"
             );
             assert_eq!(
-                cache.stats().local_trainings,
-                trainings,
-                "a replayed sweep must train nothing new"
+                second.local_trainings - first.local_trainings,
+                first.local_trainings - first.round0_trainings,
+                "{label}: a replay retrains exactly rounds ≥ 1"
             );
+            assert_one_update_per_client(second, &u);
         }
     }
 }
 
-/// The tentpole accounting claim: an exact-SV sweep pays round-0 local
-/// training once per client per *sweep* with the cache, versus once per
-/// client per lane block without it.
+/// Local trainings of this sweep under the per-round cache the round-0
+/// table replaced, recorded at its last commit: the table must match it,
+/// i.e. lose no hit under full participation.
+const PER_ROUND_CACHE_TRAININGS: usize = 85;
+
+/// The accounting claim: an exact-SV sweep pays round-0 local training
+/// once per client per *sweep* — not once per client per lane block — and
+/// that is every training the per-round cache ever saved.
 #[test]
 fn exact_sv_sweep_pays_round0_once_per_client() {
     let n = 5;
@@ -114,44 +103,30 @@ fn exact_sv_sweep_pays_round0_once_per_client() {
         ..Default::default()
     };
     let coalitions: Vec<Coalition> = all_subsets(n).collect();
-    // Counting-only baseline: identical training path, no hits.
-    let baseline = Arc::new(TrajectoryCache::counting_only());
-    let u = utility(cfg, n)
-        .with_lane_block(4)
-        .with_traj_cache(Arc::clone(&baseline));
-    let expected = u.eval_batch(&coalitions);
-    // Cached sweep over the same blocks.
-    let cache = Arc::new(TrajectoryCache::new());
-    let u = utility(cfg, n)
-        .with_lane_block(4)
-        .with_traj_cache(Arc::clone(&cache));
-    assert_eq!(u.eval_batch(&coalitions), expected);
+    let u = utility(cfg, n).with_lane_block(4);
+    let reference: Vec<f64> = coalitions.iter().map(|&s| u.eval(s)).collect();
+    assert_eq!(u.eval_batch(&coalitions), reference);
 
-    let uncached = baseline.stats();
-    let cached = cache.stats();
+    let stats = u.traj_cache().stats();
     assert_eq!(
-        cached.round0_trainings, n,
-        "cross-block cache must pay round 0 exactly once per client"
+        stats.round0_trainings, n,
+        "round 0 must be paid exactly once per client"
     );
-    assert!(
-        uncached.round0_trainings > n,
-        "the uncached sweep re-pays round 0 per block ({} trainings)",
-        uncached.round0_trainings
+    // Serially, each client's first round-0 probe misses and every later
+    // one hits; rounds ≥ 1 never probe.
+    assert_eq!(stats.hits, stats.probes - n, "{stats:?}");
+    assert!(stats.hits > 0);
+    assert_eq!(
+        stats.local_trainings, PER_ROUND_CACHE_TRAININGS,
+        "a full-participation hit was lost"
     );
-    assert!(
-        cached.local_trainings < uncached.local_trainings,
-        "cache must reduce total local trainings ({} vs {})",
-        cached.local_trainings,
-        uncached.local_trainings
-    );
-    assert!(cached.hits > 0);
-    assert_eq!(cached.probes, uncached.probes, "same grouping either way");
+    assert_one_update_per_client(stats, &u);
 }
 
-/// A shared cache handle must stay bit-transparent under the full
+/// A shared table handle must stay bit-transparent under the full
 /// cache→parallel→lock-step stack: ParallelUtility splits batches into
-/// sub-batches (separate `eval_batch` calls), and the shared handle is
-/// what carries trajectories across them and across threads.
+/// sub-batches (separate `eval_batch` calls) on several threads, all
+/// probing and filling the one table.
 #[test]
 fn shared_cache_is_bit_transparent_under_parallel_fanout() {
     let n = 4;
@@ -168,18 +143,18 @@ fn shared_cache_is_bit_transparent_under_parallel_fanout() {
     };
     for threads in [1usize, 2, 4] {
         let cache = Arc::new(TrajectoryCache::new());
-        let par = ParallelUtility::with_num_threads(
-            utility(cfg, n).with_traj_cache(Arc::clone(&cache)),
-            threads,
-        );
+        let u = utility(cfg, n).with_traj_cache(Arc::clone(&cache));
+        let par = ParallelUtility::with_num_threads(u, threads);
         assert_eq!(par.eval_batch(&coalitions), reference, "threads={threads}");
-        assert!(cache.stats().local_trainings > 0);
+        let stats = cache.stats();
+        assert!(stats.round0_trainings >= n, "threads={threads}: {stats:?}");
+        assert_one_update_per_client(stats, par.inner());
     }
 }
 
-/// Single-coalition batches ride the lock-step path when a cache is live,
-/// so even degenerate batch shapes share and fill the run's cache —
-/// bit-identically to the solo reference.
+/// Single-coalition batches ride the lock-step path too, so even
+/// degenerate batch shapes fill and reuse the table — bit-identically to
+/// the solo reference.
 #[test]
 fn single_coalition_batches_use_and_fill_the_shared_cache() {
     let n = 4;
@@ -194,12 +169,18 @@ fn single_coalition_batches_use_and_fill_the_shared_cache() {
     let cache = Arc::new(TrajectoryCache::new());
     let u = utility(cfg, n).with_traj_cache(Arc::clone(&cache));
     assert_eq!(u.eval_batch(&[s]), vec![reference]);
-    let first = cache.stats().local_trainings;
-    assert!(first > 0, "the single-lane batch must fill the cache");
-    assert_eq!(u.eval_batch(&[s]), vec![reference]);
+    let first = cache.stats();
     assert_eq!(
-        cache.stats().local_trainings,
-        first,
-        "the replay must be served entirely from the cache"
+        (first.round0_trainings, first.entries),
+        (2, 2),
+        "the single-lane batch fills both members' slots"
+    );
+    assert_eq!(u.eval_batch(&[s]), vec![reference]);
+    let second = cache.stats();
+    assert_eq!(second.hits, 2, "the replay's round 0 comes from the table");
+    assert_eq!(
+        second.local_trainings - first.local_trainings,
+        first.local_trainings - first.round0_trainings,
+        "the replay retrains exactly rounds ≥ 1"
     );
 }
