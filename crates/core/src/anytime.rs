@@ -40,11 +40,15 @@
 //!
 //! # Determinism contract
 //!
-//! A snapshot is a pure function of the evaluated prefix: the streaming
-//! estimators recompute the fold from scratch in the canonical order at
-//! every batch boundary, so a run stopped after `b` batches returns
-//! values **bit-identical** to the `b`-th snapshot of the same-seed full
-//! run — at any thread count, under any coalescing schedule. A run whose
+//! A snapshot is a pure function of the evaluated prefix: at every batch
+//! boundary the streaming estimators fold what arrived since the previous
+//! boundary into running accumulators, each contribution at its place in
+//! the canonical order (a contribution that belongs behind ones already
+//! folded re-folds its accumulator), so every accumulator holds exactly
+//! the pushes a from-scratch canonical fold would make. A run stopped
+//! after `b` batches therefore returns values **bit-identical** to the
+//! `b`-th snapshot of the same-seed full run — at any thread count,
+//! under any coalescing schedule. A run whose
 //! schedule completes returns values bit-identical to the non-streaming
 //! estimator (the complete prefix folds through the identical code
 //! path).
@@ -93,6 +97,12 @@ impl Welford {
         // m2 is a sum of squares; guard the tiny negative excursions
         // floating-point cancellation can produce.
         Some((self.m2 / (self.count - 1) as f64).max(0.0))
+    }
+
+    /// The running moments as bits, for bit-identity checks.
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> (usize, u64, u64) {
+        (self.count, self.mean.to_bits(), self.m2.to_bits())
     }
 }
 

@@ -149,6 +149,14 @@ enum PrunedWeights {
 /// `C(n−1, k*)` pairs, unbounded until observations land. Strata above
 /// `k*+1` are truncated by construction (the pruning bias of Theorem 3)
 /// and contribute no term.
+///
+/// The fold is incremental and only ever appends. Exhaustive strata
+/// arrive whole and in size order, so each is added once, mask by mask,
+/// to a per-client exhaustive `φ` kept between folds: the same `+=`
+/// sequence a fold from scratch makes. The sample's partners all lie in
+/// phase 1, so each newly handed-out chunk appends to the per-client sums
+/// and [`Welford`]s. A fold copies the exhaustive `φ` and adds the
+/// sampled stratum's terms.
 pub struct PrunedSampler<'r, R: Rng + ?Sized> {
     n: usize,
     k_star: usize,
@@ -168,9 +176,19 @@ pub struct PrunedSampler<'r, R: Rng + ?Sized> {
     chosen: HashSet<u128>,
     coverage: Vec<u32>,
     exhausted: bool,
-    /// Per-client sampled-stratum contributions as of the last fold —
-    /// the `σ_i` the planner steers by.
+    /// `φ` over the exhaustive strata folded so far (sizes
+    /// `0..strata_folded`).
+    exhaustive: Vec<f64>,
+    strata_folded: usize,
+    /// Per-client sums and [`Welford`]s over the folded prefix of the
+    /// sample (`sampled[..sample_folded]`); the Welfords are the `σ_i`
+    /// the planner steers by.
+    sums: Vec<f64>,
     accs: Vec<Welford>,
+    sample_folded: usize,
+    /// Contributions the fold has pushed.
+    #[cfg(test)]
+    pushes: usize,
 }
 
 impl<'r, R: Rng + ?Sized> PrunedSampler<'r, R> {
@@ -224,7 +242,13 @@ impl<'r, R: Rng + ?Sized> PrunedSampler<'r, R> {
             chosen: HashSet::new(),
             coverage: vec![0; n],
             exhausted: false,
+            exhaustive: vec![0.0; n],
+            strata_folded: 0,
+            sums: vec![0.0; n],
             accs: vec![Welford::new(); n],
+            sample_folded: 0,
+            #[cfg(test)]
+            pushes: 0,
         }
     }
 
@@ -314,15 +338,15 @@ impl<R: Rng + ?Sized> Sampler for PrunedSampler<'_, R> {
 
     fn fold(&mut self) -> (Vec<f64>, Vec<f64>) {
         let (n, k_star, weights) = (self.n, self.k_star, self.weights);
-        let value = |s: Coalition| self.memo[&s.0]; // pairs are evaluated before they fold
+        let memo = &self.memo;
+        let value = |s: Coalition| memo[&s.0]; // pairs are evaluated before they fold
         let inv_n = 1.0 / n as f64;
         let inv_binom: Vec<f64> = (0..n).map(|s| 1.0 / binom(n - 1, s)).collect();
         let inv_denom = 1.0 / (1u128 << (n - 1)) as f64;
-        let mut phi = vec![0.0f64; n];
 
         // Exhaustively covered strata: pairs (S, S∪{i}) with |S∪{i}| ≤ k*.
         // Each full stratum contributes its exact weighted marginal sum.
-        for t_size in 1..self.strata_out {
+        for t_size in self.strata_folded.max(1)..self.strata_out {
             let w = match weights {
                 PrunedWeights::Shapley(_) => inv_n * inv_binom[t_size - 1],
                 PrunedWeights::Banzhaf => inv_denom,
@@ -330,41 +354,50 @@ impl<R: Rng + ?Sized> Sampler for PrunedSampler<'_, R> {
             for t in subsets_of_size(n, t_size) {
                 let ut = value(t);
                 for i in t.members() {
-                    phi[i] += (ut - value(t.without(i))) * w;
+                    self.exhaustive[i] += (ut - value(t.without(i))) * w;
+                    #[cfg(test)]
+                    {
+                        self.pushes += 1;
+                    }
                 }
             }
         }
+        self.strata_folded = self.strata_out;
 
         // Sampled stratum k*: pairs (S, S∪{i}) with S∪{i} in the evaluated
         // part of the sample; U(S) is known from phase 1.
-        let mass = binom(n - 1, k_star); // pairs t ∋ i, |t| = k*+1
-        let mut accs = vec![Welford::new(); n];
-        let prefix = &self.sampled[..self.handed];
-        if !prefix.is_empty() {
-            let mut sums = vec![0.0f64; n];
-            let mut counts = vec![0usize; n];
-            for &t in prefix {
-                let ut = value(t);
-                for i in t.members() {
-                    let contribution = ut - value(t.without(i));
-                    sums[i] += contribution;
-                    counts[i] += 1;
-                    accs[i].push(contribution);
+        for &t in &self.sampled[self.sample_folded..self.handed] {
+            let ut = value(t);
+            for i in t.members() {
+                let contribution = ut - value(t.without(i));
+                self.sums[i] += contribution;
+                self.accs[i].push(contribution);
+                #[cfg(test)]
+                {
+                    self.pushes += 1;
                 }
             }
+        }
+        self.sample_folded = self.handed;
+
+        let (sums, accs) = (&self.sums, &self.accs);
+        let mass = binom(n - 1, k_star); // pairs t ∋ i, |t| = k*+1
+        let mut phi = self.exhaustive.clone();
+        if self.handed > 0 {
             for i in 0..n {
+                let count = accs[i].count();
                 match weights {
                     PrunedWeights::Shapley(IpssWeighting::PaperLiteral) => {
                         phi[i] += sums[i] * (inv_n * inv_binom[k_star]);
                     }
-                    _ if counts[i] == 0 => {}
+                    _ if count == 0 => {}
                     PrunedWeights::Shapley(IpssWeighting::StratifiedMean) => {
-                        phi[i] += inv_n * sums[i] / counts[i] as f64;
+                        phi[i] += inv_n * sums[i] / count as f64;
                     }
                     // Scale the stratum mean by the stratum's mass so the
                     // estimate matches the exact stratum sum in expectation.
                     PrunedWeights::Banzhaf => {
-                        phi[i] += mass * (sums[i] / counts[i] as f64) * inv_denom;
+                        phi[i] += mass * (sums[i] / count as f64) * inv_denom;
                     }
                 }
             }
@@ -387,7 +420,6 @@ impl<R: Rng + ?Sized> Sampler for PrunedSampler<'_, R> {
                 })))
             })
             .collect();
-        self.accs = accs;
         (phi, ci_halfwidths)
     }
 
@@ -503,10 +535,182 @@ mod tests {
     use super::*;
     use crate::exact::exact_mc_sv;
     use crate::metrics::l2_relative_error;
+    use crate::sampler::oracle::{self, Historical};
     use crate::sampling::coverage_counts;
     use crate::utility::{CachedUtility, HashUtility, SaturatingUtility, TableUtility};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl<R: Rng + ?Sized> Historical for PrunedSampler<'_, R> {
+        /// The fold before it became incremental, verbatim but for
+        /// returning the per-client Welfords instead of storing them.
+        fn historical_fold(&self) -> (Vec<f64>, Vec<f64>, Vec<Welford>) {
+            let (n, k_star, weights) = (self.n, self.k_star, self.weights);
+            let value = |s: Coalition| self.memo[&s.0]; // pairs are evaluated before they fold
+            let inv_n = 1.0 / n as f64;
+            let inv_binom: Vec<f64> = (0..n).map(|s| 1.0 / binom(n - 1, s)).collect();
+            let inv_denom = 1.0 / (1u128 << (n - 1)) as f64;
+            let mut phi = vec![0.0f64; n];
+
+            // Exhaustively covered strata: pairs (S, S∪{i}) with |S∪{i}| ≤ k*.
+            // Each full stratum contributes its exact weighted marginal sum.
+            for t_size in 1..self.strata_out {
+                let w = match weights {
+                    PrunedWeights::Shapley(_) => inv_n * inv_binom[t_size - 1],
+                    PrunedWeights::Banzhaf => inv_denom,
+                };
+                for t in subsets_of_size(n, t_size) {
+                    let ut = value(t);
+                    for i in t.members() {
+                        phi[i] += (ut - value(t.without(i))) * w;
+                    }
+                }
+            }
+
+            // Sampled stratum k*: pairs (S, S∪{i}) with S∪{i} in the evaluated
+            // part of the sample; U(S) is known from phase 1.
+            let mass = binom(n - 1, k_star); // pairs t ∋ i, |t| = k*+1
+            let mut accs = vec![Welford::new(); n];
+            let prefix = &self.sampled[..self.handed];
+            if !prefix.is_empty() {
+                let mut sums = vec![0.0f64; n];
+                let mut counts = vec![0usize; n];
+                for &t in prefix {
+                    let ut = value(t);
+                    for i in t.members() {
+                        let contribution = ut - value(t.without(i));
+                        sums[i] += contribution;
+                        counts[i] += 1;
+                        accs[i].push(contribution);
+                    }
+                }
+                for i in 0..n {
+                    match weights {
+                        PrunedWeights::Shapley(IpssWeighting::PaperLiteral) => {
+                            phi[i] += sums[i] * (inv_n * inv_binom[k_star]);
+                        }
+                        _ if counts[i] == 0 => {}
+                        PrunedWeights::Shapley(IpssWeighting::StratifiedMean) => {
+                            phi[i] += inv_n * sums[i] / counts[i] as f64;
+                        }
+                        // Scale the stratum mean by the stratum's mass so the
+                        // estimate matches the exact stratum sum in expectation.
+                        PrunedWeights::Banzhaf => {
+                            phi[i] += mass * (sums[i] / counts[i] as f64) * inv_denom;
+                        }
+                    }
+                }
+            }
+
+            let ci_halfwidths = (0..n)
+                .map(|i| {
+                    let done = (1..=k_star).map(|t_size| (t_size < self.strata_out).then_some(0.0));
+                    halfwidth(done.chain((self.phase2_total > 0).then(|| {
+                        let weight = match weights {
+                            PrunedWeights::Shapley(IpssWeighting::StratifiedMean) => inv_n,
+                            // var(w'·Σ) = (w'·m)²·s²/m — the estimator is a
+                            // weighted *sum*, not a mean.
+                            PrunedWeights::Shapley(IpssWeighting::PaperLiteral) => {
+                                inv_n * inv_binom[k_star] * accs[i].count() as f64
+                            }
+                            PrunedWeights::Banzhaf => mass * inv_denom,
+                        };
+                        component_variance(&accs[i], weight, mass)
+                    })))
+                })
+                .collect();
+            (phi, ci_halfwidths, accs)
+        }
+
+        fn planner_welfords(&self) -> Option<Vec<Welford>> {
+            Some(self.accs.clone())
+        }
+
+        fn pushes(&self) -> usize {
+            self.pushes
+        }
+
+        fn contributions(&self) -> usize {
+            let exhaustive: u128 = (1..self.strata_out)
+                .map(|t_size| binom_u128(self.n, t_size) * t_size as u128)
+                .sum();
+            exhaustive as usize + self.accs.iter().map(Welford::count).sum::<usize>()
+        }
+    }
+
+    #[test]
+    fn incremental_fold_is_bit_identical_to_the_historical_fold() {
+        // n ∈ {1, 2, 3, 6, 8, 12} × a budget below, at and above 2^n ×
+        // IPSS (both weightings: uniform, default-adaptive, eager-adaptive)
+        // and pruned Banzhaf × unobserved and observed. A planner cuts at
+        // planned rounds either way, so adaptive runs are observed only.
+        let eager = AdaptivePolicy {
+            round_size: Some(5),
+            min_observations: 3,
+            floor: 2,
+        };
+        let policies = [None, Some(AdaptivePolicy::default()), Some(eager)];
+        for n in [1usize, 2, 3, 6, 8, 12] {
+            let u = HashUtility {
+                n,
+                seed: 60 + n as u64,
+            };
+            let full = 1usize << n;
+            for gamma in [full / 2, full, 2 * full] {
+                let seed = (n * 100_000 + gamma) as u64;
+                let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                for observed in [false, true] {
+                    oracle::check(
+                        &u,
+                        observed,
+                        PrunedSampler::for_banzhaf(n, gamma, &mut r1),
+                        PrunedSampler::for_banzhaf(n, gamma, &mut r2),
+                    );
+                    for weighting in [IpssWeighting::StratifiedMean, IpssWeighting::PaperLiteral] {
+                        let cfg = IpssConfig::new(gamma).with_weighting(weighting);
+                        for policy in &policies {
+                            if policy.is_some() && !observed {
+                                continue;
+                            }
+                            oracle::check(
+                                &u,
+                                observed,
+                                PrunedSampler::for_ipss(n, &cfg, policy.as_ref(), &mut r1),
+                                PrunedSampler::for_ipss(n, &cfg, policy.as_ref(), &mut r2),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_fold_pushes_each_contribution_once() {
+        // Streamed IPSS on n = 12 with γ = 2000: six exhaustive strata
+        // (k* = 5) and 414 size-6 coalitions in 35 chunks of 12. The last
+        // fold holds 9 228 contributions. The from-scratch fold re-walked
+        // the phase-1 strata and the sample at each of the 41 folds and
+        // pushed 291 852 (`from_scratch` below); the incremental fold
+        // pushes each contribution once.
+        let n = 12;
+        let u = HashUtility { n, seed: 4 };
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut s = PrunedSampler::for_ipss(n, &IpssConfig::new(2000), None, &mut rng);
+        let mut from_scratch = 0;
+        loop {
+            let batch = s.next_batch(true);
+            s.absorb(&batch, u.eval_batch(&batch));
+            s.fold();
+            from_scratch += s.contributions();
+            if s.is_complete() {
+                break;
+            }
+        }
+        let (pushes, last) = (s.pushes(), s.contributions());
+        assert_eq!(pushes, last);
+        assert!(pushes * 10 <= from_scratch, "{pushes} vs {from_scratch}");
+    }
 
     #[test]
     fn k_star_matches_definition() {

@@ -99,6 +99,11 @@ impl OwenConfig {
 /// ([`Welford`] per `(client, node)`, trapezoid weight, infinite
 /// population — draws are with replacement); under antithetic pairing
 /// this ignores the negative pair covariance and is conservative.
+///
+/// The fold is incremental and only ever appends: a batch carries each
+/// handed-out sample with its single-flip variants, so every contribution
+/// a fold takes lands at its node's tail, and the per-(node, client) sums
+/// and [`Welford`]s persist between folds.
 pub struct OwenSampler<'r, R: Rng + ?Sized> {
     n: usize,
     cfg: OwenConfig,
@@ -106,14 +111,23 @@ pub struct OwenSampler<'r, R: Rng + ?Sized> {
     planner: Option<(AllocationPlanner, usize)>,
     rng: &'r mut R,
     /// Per node: the samples drawn so far (one per draw, two when
-    /// antithetic) and how many of them have been handed out.
+    /// antithetic), how many of them have been handed out, and how many
+    /// the fold has taken.
     samples: Vec<Vec<Coalition>>,
     handed: Vec<usize>,
+    folded: Vec<usize>,
     memo: HashMap<u128, f64>,
-    /// Every contribution at node `j` (across clients, in fold order) as
-    /// of the last fold — the `σ_j` the planner steers by.
+    /// `sums[node][i]` and `accs[node][i]`: client `i`'s contributions at
+    /// `node` over the folded samples.
+    sums: Vec<Vec<f64>>,
+    accs: Vec<Vec<Welford>>,
+    /// Every contribution at node `j` (across clients, in fold order) —
+    /// the `σ_j` the planner steers by.
     pooled: Vec<Welford>,
     batches_out: usize,
+    /// Contributions the fold has pushed.
+    #[cfg(test)]
+    pushes: usize,
 }
 
 impl<'r, R: Rng + ?Sized> OwenSampler<'r, R> {
@@ -134,9 +148,14 @@ impl<'r, R: Rng + ?Sized> OwenSampler<'r, R> {
             rng,
             samples: vec![Vec::new(); cfg.q_nodes],
             handed: vec![0; cfg.q_nodes],
+            folded: vec![0; cfg.q_nodes],
             memo: HashMap::new(),
+            sums: vec![vec![0.0; n]; cfg.q_nodes],
+            accs: vec![vec![Welford::new(); n]; cfg.q_nodes],
             pooled: vec![Welford::new(); cfg.q_nodes],
             batches_out: 0,
+            #[cfg(test)]
+            pushes: 0,
         }
     }
 
@@ -233,14 +252,11 @@ impl<R: Rng + ?Sized> Sampler for OwenSampler<'_, R> {
     }
 
     fn fold(&mut self) -> (Vec<f64>, Vec<f64>) {
-        let (n, q_nodes, memo) = (self.n, self.cfg.q_nodes, &self.memo);
+        let (n, memo) = (self.n, &self.memo);
         let mut values = vec![0.0f64; n];
-        let mut accs = vec![vec![Welford::new(); q_nodes]; n]; // accs[i][node]
-        let mut pooled = vec![Welford::new(); q_nodes];
         for (node, samples) in self.samples.iter().enumerate() {
-            let mut sums = vec![0.0f64; n];
-            let mut counts = vec![0usize; n];
-            for &s in &samples[..self.handed[node]] {
+            let (sums, accs) = (&mut self.sums[node], &mut self.accs[node]);
+            for &s in &samples[self.folded[node]..self.handed[node]] {
                 // The shared-sample trick: for `i ∈ s` the base coalition
                 // is `s\{i}` (a valid `S_q ⊆ N\{i}` draw), for `i ∉ s` it
                 // is `s` itself — so every sample informs every client,
@@ -253,31 +269,34 @@ impl<R: Rng + ?Sized> Sampler for OwenSampler<'_, R> {
                         memo[&s.with(i).0] - base
                     };
                     sums[i] += contribution;
-                    counts[i] += 1;
-                    accs[i][node].push(contribution);
-                    pooled[node].push(contribution);
+                    accs[i].push(contribution);
+                    self.pooled[node].push(contribution);
+                    #[cfg(test)]
+                    {
+                        self.pushes += 1;
+                    }
                 }
             }
+            self.folded[node] = self.handed[node];
             // Trapezoid rule: the node's mean enters with the node's weight.
             let weight = self.cfg.node_weight(node);
             for i in 0..n {
-                let mean = if counts[i] > 0 {
-                    sums[i] / counts[i] as f64
+                let count = accs[i].count();
+                let mean = if count > 0 {
+                    sums[i] / count as f64
                 } else {
                     0.0
                 };
                 values[i] += weight * mean;
             }
         }
-        let ci_halfwidths = accs
-            .iter()
-            .map(|node_accs| {
-                halfwidth(node_accs.iter().enumerate().map(|(node, acc)| {
-                    component_variance(acc, self.cfg.node_weight(node), f64::INFINITY)
+        let ci_halfwidths = (0..n)
+            .map(|i| {
+                halfwidth(self.accs.iter().enumerate().map(|(node, accs)| {
+                    component_variance(&accs[i], self.cfg.node_weight(node), f64::INFINITY)
                 }))
             })
             .collect();
-        self.pooled = pooled;
         (values, ci_halfwidths)
     }
 
@@ -324,9 +343,118 @@ mod tests {
     use super::*;
     use crate::exact::exact_mc_sv;
     use crate::metrics::l2_relative_error;
-    use crate::utility::{AdditiveUtility, SaturatingUtility, TableUtility};
+    use crate::sampler::oracle::{self, Historical};
+    use crate::utility::{AdditiveUtility, HashUtility, SaturatingUtility, TableUtility};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl<R: Rng + ?Sized> Historical for OwenSampler<'_, R> {
+        /// The fold before it became incremental, verbatim but for
+        /// returning the pooled Welfords instead of storing them.
+        fn historical_fold(&self) -> (Vec<f64>, Vec<f64>, Vec<Welford>) {
+            let (n, q_nodes, memo) = (self.n, self.cfg.q_nodes, &self.memo);
+            let mut values = vec![0.0f64; n];
+            let mut accs = vec![vec![Welford::new(); q_nodes]; n]; // accs[i][node]
+            let mut pooled = vec![Welford::new(); q_nodes];
+            for (node, samples) in self.samples.iter().enumerate() {
+                let mut sums = vec![0.0f64; n];
+                let mut counts = vec![0usize; n];
+                for &s in &samples[..self.handed[node]] {
+                    // The shared-sample trick: for `i ∈ s` the base coalition
+                    // is `s\{i}` (a valid `S_q ⊆ N\{i}` draw), for `i ∉ s` it
+                    // is `s` itself — so every sample informs every client,
+                    // including at the grid ends `q ∈ {0, 1}`.
+                    let base = memo[&s.0];
+                    for i in 0..n {
+                        let contribution = if s.contains(i) {
+                            base - memo[&s.without(i).0]
+                        } else {
+                            memo[&s.with(i).0] - base
+                        };
+                        sums[i] += contribution;
+                        counts[i] += 1;
+                        accs[i][node].push(contribution);
+                        pooled[node].push(contribution);
+                    }
+                }
+                // Trapezoid rule: the node's mean enters with the node's weight.
+                let weight = self.cfg.node_weight(node);
+                for i in 0..n {
+                    let mean = if counts[i] > 0 {
+                        sums[i] / counts[i] as f64
+                    } else {
+                        0.0
+                    };
+                    values[i] += weight * mean;
+                }
+            }
+            let ci_halfwidths = accs
+                .iter()
+                .map(|node_accs| {
+                    halfwidth(node_accs.iter().enumerate().map(|(node, acc)| {
+                        component_variance(acc, self.cfg.node_weight(node), f64::INFINITY)
+                    }))
+                })
+                .collect();
+            (values, ci_halfwidths, pooled)
+        }
+
+        fn planner_welfords(&self) -> Option<Vec<Welford>> {
+            Some(self.pooled.clone())
+        }
+
+        fn pushes(&self) -> usize {
+            self.pushes
+        }
+
+        fn contributions(&self) -> usize {
+            self.n * self.folded.iter().sum::<usize>()
+        }
+    }
+
+    #[test]
+    fn incremental_fold_is_bit_identical_to_the_historical_fold() {
+        // n ∈ {1, 2, 3, 6, 8, 12} × an evaluation budget below, at and
+        // above 2^n × plain and antithetic × uniform, default-adaptive and
+        // eager-adaptive × unobserved and observed. A planner cuts at
+        // planned rounds either way, so adaptive runs are observed only.
+        let eager = AdaptivePolicy {
+            round_size: Some(5),
+            min_observations: 3,
+            floor: 2,
+        };
+        let policies = [None, Some(AdaptivePolicy::default()), Some(eager)];
+        for n in [1usize, 2, 3, 6, 8, 12] {
+            let u = HashUtility {
+                n,
+                seed: 70 + n as u64,
+            };
+            let full = 1usize << n;
+            for budget in [full / 2, full, 2 * full] {
+                for antithetic in [false, true] {
+                    let mut cfg = OwenConfig::for_budget(n, budget);
+                    cfg.antithetic = antithetic;
+                    let seed = (n * 100_000 + budget) as u64;
+                    let (mut r1, mut r2) =
+                        (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                    for policy in &policies {
+                        for observed in [false, true] {
+                            if policy.is_some() && !observed {
+                                continue;
+                            }
+                            let (pushes, last) = oracle::check(
+                                &u,
+                                observed,
+                                OwenSampler::new(n, &cfg, policy.as_ref(), &mut r1),
+                                OwenSampler::new(n, &cfg, policy.as_ref(), &mut r2),
+                            );
+                            assert_eq!(pushes, last);
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn additive_game_is_exact_per_sample() {

@@ -35,6 +35,18 @@
 //! node in Owen) and the fold runs once, at the end. With either, the
 //! schedule is cut at snapshot boundaries (round-robin rows,
 //! `n`-coalition chunks, planned rounds) and folded after every batch.
+//!
+//! # Cost of a fold
+//!
+//! Folds are incremental: a sampler keeps its sums, counts and
+//! [`Welford`](crate::anytime::Welford)s between folds, and each fold
+//! takes only what was absorbed since the previous one before turning
+//! that state into values and half-widths. A snapshot therefore costs the
+//! contributions it adds plus `O(n · components)`, not a walk over every
+//! absorbed sample. The one exception is Alg. 1, where a pair whose
+//! partner lands in a later batch belongs behind contributions already
+//! folded; [`crate::stratified::StratifiedSampler`] re-folds that
+//! (client, stratum) lane.
 
 use crate::anytime::{Control, ProgressSnapshot, StreamingOutcome};
 use crate::coalition::Coalition;
@@ -52,14 +64,20 @@ pub trait Sampler {
     fn next_batch(&mut self, fine: bool) -> Vec<Coalition>;
 
     /// Record the values of the batch handed out last, aligned with it.
+    /// The driver skips empty batches, so a batch that evaluates nothing
+    /// new (Owen's coalitions may all be memoised) is never absorbed; the
+    /// next fold still takes what it handed out.
     fn absorb(&mut self, batch: &[Coalition], values: Vec<f64>);
 
     /// Whether the batches handed out so far complete the schedule.
     fn is_complete(&self) -> bool;
 
     /// The canonical prefix fold over everything absorbed: per-client
-    /// values and 95% CI half-widths. Also refreshes the pooled
-    /// per-component variances the planner steers by.
+    /// values and 95% CI half-widths. Folds what was absorbed since the
+    /// previous fold into the running state, in canonical order, and
+    /// reads the estimate off it (see [the cost of a fold](self#cost-of-a-fold));
+    /// also refreshes the pooled per-component variances the planner
+    /// steers by.
     fn fold(&mut self) -> (Vec<f64>, Vec<f64>);
 
     /// Cumulative per-component draw counts ([`ProgressSnapshot::allocation`])
@@ -112,5 +130,120 @@ pub(crate) struct NoRng;
 impl rand::RngCore for NoRng {
     fn next_u64(&mut self) -> u64 {
         unreachable!("an exhaustive schedule drew randomness")
+    }
+}
+
+/// The bit oracle for the incremental folds: each sampler keeps its
+/// from-scratch fold as `historical_fold`, and [`oracle::check`] holds
+/// every incremental fold to it.
+#[cfg(test)]
+// Tests assert invariants; an unwrap that trips IS the test failing.
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+pub(crate) mod oracle {
+    use super::*;
+    use crate::anytime::Welford;
+
+    /// A sampler whose from-scratch fold is kept beside its incremental one.
+    pub(crate) trait Historical: Sampler {
+        /// The fold as it was before it became incremental: values,
+        /// half-widths and the Welfords the planner steers by.
+        fn historical_fold(&self) -> (Vec<f64>, Vec<f64>, Vec<Welford>);
+        /// The planner's Welfords as the incremental fold keeps them, or
+        /// `None` where it keeps none (Alg. 1 without a planner).
+        fn planner_welfords(&self) -> Option<Vec<Welford>>;
+        /// Contributions folded into running state so far, counting each
+        /// time one is folded again behind a late arrival.
+        fn pushes(&self) -> usize;
+        /// Contributions the running state holds as of the last fold. A
+        /// fold that never re-folds has pushed exactly this many.
+        fn contributions(&self) -> usize;
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn welford_bits(ws: &[Welford]) -> Vec<(usize, u64, u64)> {
+        ws.iter().map(Welford::bits).collect()
+    }
+
+    /// Run `s` as [`drive`] would with (`observed`) or without an
+    /// observer, except that it folds after every batch and holds each
+    /// fold to the historical one by bits; then run its same-seed `twin`
+    /// under [`drive`] itself. Observed, the twin's snapshot stream
+    /// (allocations included) must equal the checked one; unobserved, its
+    /// one fold at the end must equal the checked last. Returns the
+    /// checked run's pushes and final contribution count.
+    pub(crate) fn check<U, S>(u: &U, observed: bool, mut s: S, mut twin: S) -> (usize, usize)
+    where
+        U: Utility + ?Sized,
+        S: Historical,
+    {
+        let fine = observed || s.allocation().is_some();
+        let mut snapshots: Vec<ProgressSnapshot> = Vec::new();
+        loop {
+            let batch = s.next_batch(fine);
+            if !batch.is_empty() {
+                s.absorb(&batch, u.eval_batch(&batch));
+            }
+            let (values, ci_halfwidths, welfords) = s.historical_fold();
+            let (got_values, got_halfwidths) = s.fold();
+            let at = snapshots.len() + 1;
+            assert_eq!(bits(&got_values), bits(&values), "values, batch {at}");
+            assert_eq!(
+                bits(&got_halfwidths),
+                bits(&ci_halfwidths),
+                "half-widths, batch {at}"
+            );
+            if let Some(got) = s.planner_welfords() {
+                assert_eq!(
+                    welford_bits(&got),
+                    welford_bits(&welfords),
+                    "Welfords, batch {at}"
+                );
+            }
+            let samples_used = snapshots.last().map_or(0, |p| p.samples_used) + batch.len();
+            snapshots.push(ProgressSnapshot {
+                values,
+                ci_halfwidths,
+                samples_used,
+                batches_done: at,
+                allocation: s.allocation(),
+            });
+            if s.is_complete() {
+                break;
+            }
+        }
+        let mut driven = Vec::new();
+        let mut observe = |p: &ProgressSnapshot| {
+            driven.push(p.clone());
+            Control::Continue
+        };
+        let out = drive(
+            u,
+            &mut twin,
+            observed.then_some(&mut observe as Observer<'_>),
+        );
+        let last = snapshots.last().unwrap();
+        assert_eq!(bits(&out.values), bits(&last.values));
+        assert_eq!(bits(&out.ci_halfwidths), bits(&last.ci_halfwidths));
+        assert_eq!(
+            (out.samples_used, out.batches_done),
+            (last.samples_used, last.batches_done)
+        );
+        assert_eq!(out.allocation, last.allocation);
+        if observed {
+            assert_eq!(driven.len(), snapshots.len());
+            for (d, c) in driven.iter().zip(&snapshots) {
+                assert_eq!(bits(&d.values), bits(&c.values));
+                assert_eq!(bits(&d.ci_halfwidths), bits(&c.ci_halfwidths));
+                assert_eq!(
+                    (d.samples_used, d.batches_done),
+                    (c.samples_used, c.batches_done)
+                );
+                assert_eq!(d.allocation, c.allocation);
+            }
+        }
+        (s.pushes(), s.contributions())
     }
 }

@@ -257,6 +257,14 @@ mod tests {
                 .for_clients(Coalition::from_members([0, 5])),
         );
         assert!(matches!(oob, Err(ValuationError::InvalidRequest { .. })));
+        // γ = 0 cannot pay for U(∅): a typed rejection, not a panic.
+        for estimator in [Estimator::Ipss, Estimator::BanzhafPruned] {
+            let broke = server.call(ValuationRequest::new(estimator, 0, 0));
+            assert!(
+                matches!(&broke, Err(ValuationError::InvalidRequest { detail }) if detail.contains("budget")),
+                "{estimator:?}: {broke:?}"
+            );
+        }
         // The server stays healthy after rejecting malformed requests.
         let resp = ok(server.call(ValuationRequest::new(Estimator::Loo, 0, 0)));
         assert_eq!(resp.values.len(), 3);

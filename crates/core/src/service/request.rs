@@ -53,13 +53,16 @@ pub enum ValuationError {
         /// Message of the last panic.
         detail: String,
     },
-    /// The estimator itself panicked outside a utility batch (e.g. an
-    /// infeasible budget failing a precondition).
+    /// The estimator itself panicked outside a utility batch: a broken
+    /// internal precondition, since requests that would fail one are
+    /// rejected up front as [`ValuationError::InvalidRequest`].
     EstimatorPanicked {
         /// Message of the panic.
         detail: String,
     },
-    /// The request was malformed (empty or out-of-range client set).
+    /// The request was malformed: an empty or out-of-range client set, or
+    /// a zero budget for [`Estimator::Ipss`] / [`Estimator::BanzhafPruned`]
+    /// (`γ = 0` cannot pay for `U(∅)`).
     InvalidRequest {
         /// What was wrong.
         detail: String,

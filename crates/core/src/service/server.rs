@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use super::coalescer::{CoState, RunGuard, Shared};
 use super::request::{
-    partial_prefix_fold, FlushWindow, LimitPolicy, RetryPolicy, ServiceStats, Ticket,
+    partial_prefix_fold, Estimator, FlushWindow, LimitPolicy, RetryPolicy, ServiceStats, Ticket,
     ValuationError, ValuationRequest, ValuationResponse,
 };
 use super::run::{dispatch, RunUtility, ServiceAbort};
@@ -159,21 +159,27 @@ fn serve_one<U: Utility + Send + Sync>(
 ) {
     let start = Instant::now();
     let n = shared.cached.n_clients();
-    let members: Vec<usize> = match request.clients {
+    let pruned = matches!(
+        request.estimator,
+        Estimator::Ipss | Estimator::BanzhafPruned
+    );
+    let invalid = match request.clients {
         Some(s) if !s.is_subset_of(Coalition::full(n)) => {
-            drop(guard);
-            let _ = reply.send(Err(ValuationError::InvalidRequest {
-                detail: format!("request.clients exceeds the utility's {n} clients"),
-            }));
-            return;
+            Some(format!("request.clients exceeds the utility's {n} clients"))
         }
-        Some(s) if s.is_empty() => {
-            drop(guard);
-            let _ = reply.send(Err(ValuationError::InvalidRequest {
-                detail: "request.clients must name at least one client".to_string(),
-            }));
-            return;
+        Some(s) if s.is_empty() => Some("request.clients must name at least one client".into()),
+        // γ = 0 cannot pay for U(∅); the pruned constructors assert it.
+        _ if pruned && request.budget == 0 => {
+            Some("ipss and banzhaf_pruned need a budget of at least 1".into())
         }
+        _ => None,
+    };
+    if let Some(detail) = invalid {
+        drop(guard);
+        let _ = reply.send(Err(ValuationError::InvalidRequest { detail }));
+        return;
+    }
+    let members: Vec<usize> = match request.clients {
         Some(s) => s.members().collect(),
         None => (0..n).collect(),
     };

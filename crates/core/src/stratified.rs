@@ -107,6 +107,17 @@ pub struct StratifiedOutcome {
 /// stratum is one component per client ([`Welford`], weight `1/n`,
 /// finite-population correction over `C(n−1, k−1)` pairs); zero-budget
 /// strata contribute no term.
+///
+/// The fold is incremental. Each fold takes the coalitions evaluated since
+/// the previous one and folds every pair they complete into its (client,
+/// stratum) lane at its canonical place, the sampled coalition's position
+/// in draw order. Most land at the lane's tail. A pair whose partner was
+/// evaluated in a later batch lands behind it: an MC `S\{i}` handed out in
+/// a later row or drawn in a later round, or a CC complement drawn or
+/// handed out later. It is inserted in place and its lane re-folds from
+/// its first entry at this fold, so every snapshot stays bit-identical to
+/// a fold from scratch. The pooled lanes the planner reads are kept only
+/// under a planner.
 pub struct StratifiedSampler<'r, R: Rng + ?Sized> {
     n: usize,
     scheme: Scheme,
@@ -117,14 +128,70 @@ pub struct StratifiedSampler<'r, R: Rng + ?Sized> {
     rng: &'r mut R,
     sampled: Vec<Vec<Coalition>>,
     sampled_masks: Vec<HashSet<u128>>,
+    /// Folded coalitions' positions in their stratum's draw order, for
+    /// placing the pairs later partners complete.
+    positions: HashMap<u128, usize>,
     memo: HashMap<u128, f64>,
-    /// Every matched contribution of stratum `k` (across clients, in fold
-    /// order) as of the last fold — the `σ_k` the planner steers by.
-    pooled: Vec<Welford>,
+    /// Per stratum, how many drawn coalitions the fold has taken (a
+    /// prefix of `sampled[k]`, all evaluated).
+    folded: Vec<usize>,
+    /// `lanes[i][k-1]`: client `i`'s matched contributions in stratum `k`.
+    lanes: Vec<Vec<Lane<usize>>>,
+    /// Every matched contribution of stratum `k` in fold order — the
+    /// `σ_k` the planner steers by. Empty without a planner.
+    pooled: Vec<Lane<(usize, usize)>>,
     /// Round-robin rows handed out so far.
     rows_out: usize,
-    pairs_matched: Vec<Vec<usize>>,
-    stratum_estimates: Vec<Vec<Option<f64>>>,
+}
+
+/// One component's contributions in canonical order, with the running sum
+/// and [`Welford`] over them. A contribution at the tail is folded in at
+/// once; one that belongs behind it marks the lane stale, and the next
+/// settle re-folds the lane from its first entry.
+#[derive(Clone, Debug, Default)]
+struct Lane<K> {
+    entries: Vec<(K, f64)>,
+    sum: f64,
+    acc: Welford,
+    stale: bool,
+    /// Contributions folded into `sum` and `acc` so far, re-folds included.
+    #[cfg(test)]
+    pushes: usize,
+}
+
+impl<K: Ord + Copy> Lane<K> {
+    /// Place contribution `x` at `key`'s canonical position.
+    fn add(&mut self, key: K, x: f64) {
+        let at = self.entries.partition_point(|e| e.0 < key);
+        self.entries.insert(at, (key, x));
+        self.stale |= at + 1 < self.entries.len();
+        if !self.stale {
+            self.push(x);
+        }
+    }
+
+    fn push(&mut self, x: f64) {
+        self.sum += x;
+        self.acc.push(x);
+        #[cfg(test)]
+        {
+            self.pushes += 1;
+        }
+    }
+
+    /// Re-fold a stale lane in canonical order.
+    fn settle(&mut self) {
+        if std::mem::take(&mut self.stale) {
+            (self.sum, self.acc) = (0.0, Welford::new());
+            for j in 0..self.entries.len() {
+                self.push(self.entries[j].1);
+            }
+        }
+    }
+
+    fn count(&self) -> usize {
+        self.entries.len()
+    }
 }
 
 impl<'r, R: Rng + ?Sized> StratifiedSampler<'r, R> {
@@ -152,11 +219,12 @@ impl<'r, R: Rng + ?Sized> StratifiedSampler<'r, R> {
             rng,
             sampled: vec![Vec::new(); n],
             sampled_masks: vec![HashSet::new(); n],
+            positions: HashMap::new(),
             memo: HashMap::new(),
-            pooled: vec![Welford::new(); n],
+            folded: vec![0; n],
+            lanes: vec![vec![Lane::default(); n]; n],
+            pooled: vec![Lane::default(); if policy.is_some() { n } else { 0 }],
             rows_out: 0,
-            pairs_matched: Vec::new(),
-            stratum_estimates: Vec::new(),
         }
     }
 
@@ -173,6 +241,75 @@ impl<'r, R: Rng + ?Sized> StratifiedSampler<'r, R> {
         new
     }
 
+    /// Fold in every pair the coalitions evaluated since the last fold
+    /// complete, then settle the lanes that moved.
+    fn advance(&mut self) {
+        // Positions serve later folds only; the one that completes the
+        // schedule has none.
+        let last = self.is_complete();
+        let (n, scheme) = (self.n, self.scheme);
+        let mc = scheme == Scheme::MarginalContribution;
+        let partner = |s: Coalition, i: usize| match scheme {
+            Scheme::MarginalContribution => s.without(i),
+            Scheme::ComplementaryContribution => s.complement(n),
+        };
+        let Self {
+            sampled,
+            positions,
+            memo,
+            folded,
+            lanes,
+            pooled,
+            ..
+        } = self;
+        let mut add = |kidx: usize, p: usize, i: usize, x: f64| {
+            lanes[i][kidx].add(p, x);
+            if let Some(pooled) = pooled.get_mut(kidx) {
+                pooled.add((p, i), x);
+            }
+        };
+        // Everything handed out has been absorbed: each stratum's
+        // handed-out tail is what the fold has not taken yet.
+        let handed: Vec<usize> = sampled.iter().map(|s| s.len().min(self.rows_out)).collect();
+        for (kidx, &end) in handed.iter().enumerate() {
+            for (p, &s) in sampled[kidx]
+                .iter()
+                .enumerate()
+                .take(end)
+                .skip(folded[kidx])
+            {
+                let us = memo[&s.0];
+                if !last {
+                    positions.insert(s.0, p);
+                }
+                // `s` completes its own pairs whose partner is in, ...
+                for i in s.members() {
+                    if let Some(&upair) = memo.get(&partner(s, i).0) {
+                        add(kidx, p, i, us - upair);
+                    }
+                }
+                // ... and those of coalitions an earlier fold took whose
+                // partner it is: its MC supersets or its CC complement.
+                let supersets = s.complement(n).members().filter(|_| mc).map(|j| s.with(j));
+                for t in supersets.chain((!mc).then(|| s.complement(n))) {
+                    let Some(tk) = t.size().checked_sub(1).filter(|&k| folded[k] > 0) else {
+                        continue; // ∅, or no earlier fold took a coalition of t's size
+                    };
+                    let Some(&tp) = positions.get(&t.0).filter(|&&p| p < folded[tk]) else {
+                        continue; // not taken by an earlier fold
+                    };
+                    let ut = memo[&t.0];
+                    for i in t.members().filter(|&i| partner(t, i) == s) {
+                        add(tk, tp, i, ut - us);
+                    }
+                }
+            }
+        }
+        *folded = handed;
+        lanes.iter_mut().flatten().for_each(Lane::settle);
+        pooled.iter_mut().for_each(Lane::settle);
+    }
+
     /// What the planner knows about each stratum at this boundary.
     fn components(&self) -> Vec<ComponentState> {
         (0..self.n)
@@ -180,13 +317,26 @@ impl<'r, R: Rng + ?Sized> StratifiedSampler<'r, R> {
                 let drawn = self.sampled[kidx].len();
                 let left = binom_u128(self.n, kidx + 1).saturating_sub(drawn as u128);
                 let left = usize::try_from(left).unwrap_or(usize::MAX);
-                ComponentState::observed(1.0 / self.n as f64, &self.pooled[kidx], drawn, left)
+                ComponentState::observed(1.0 / self.n as f64, &self.pooled[kidx].acc, drawn, left)
             })
             .collect()
     }
 
     fn scheduled(&self) -> usize {
         self.sampled.iter().map(Vec::len).sum()
+    }
+
+    /// `ϕ̂_{i,k}/m_{i,k}` per client and stratum as of the last fold.
+    fn stratum_estimates(&self) -> Vec<Vec<Option<f64>>> {
+        self.lanes
+            .iter()
+            .map(|strata| {
+                strata
+                    .iter()
+                    .map(|l| (l.count() > 0).then(|| l.sum / l.count() as f64))
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -227,47 +377,12 @@ impl<R: Rng + ?Sized> Sampler for StratifiedSampler<'_, R> {
     }
 
     fn fold(&mut self) -> (Vec<f64>, Vec<f64>) {
-        let (n, memo) = (self.n, &self.memo);
-        let mut sums = vec![vec![0.0f64; n]; n]; // sums[i][k-1]
-        let mut counts = vec![vec![0usize; n]; n];
-        let mut accs = vec![vec![Welford::new(); n]; n]; // accs[i][k-1]
-        let mut pooled = vec![Welford::new(); n];
-        for (kidx, stratum) in self.sampled.iter().enumerate() {
-            for &s in stratum {
-                let Some(&us) = memo.get(&s.0) else {
-                    continue; // not yet evaluated — past the prefix
-                };
-                for i in s.members() {
-                    let pair = match self.scheme {
-                        Scheme::MarginalContribution => s.without(i),
-                        Scheme::ComplementaryContribution => s.complement(n),
-                    };
-                    // A partner is available iff it is ∅ or was itself
-                    // drawn, *and* its value has landed.
-                    let drawn =
-                        pair.is_empty() || self.sampled_masks[pair.size() - 1].contains(&pair.0);
-                    let Some(&upair) = drawn.then(|| memo.get(&pair.0)).flatten() else {
-                        continue;
-                    };
-                    let contribution = us - upair;
-                    sums[i][kidx] += contribution;
-                    counts[i][kidx] += 1;
-                    accs[i][kidx].push(contribution);
-                    pooled[kidx].push(contribution);
-                }
-            }
-        }
-
+        self.advance();
+        let n = self.n;
         // Line 17: average within strata, then across strata.
         let inv_n = 1.0 / n as f64;
-        let stratum_estimates: Vec<Vec<Option<f64>>> = (0..n)
-            .map(|i| {
-                (0..n)
-                    .map(|k| (counts[i][k] > 0).then(|| sums[i][k] / counts[i][k] as f64))
-                    .collect()
-            })
-            .collect();
-        let values = stratum_estimates
+        let values = self
+            .stratum_estimates()
             .iter()
             .map(|strata| strata.iter().flatten().sum::<f64>() * inv_n)
             .collect();
@@ -277,13 +392,10 @@ impl<R: Rng + ?Sized> Sampler for StratifiedSampler<'_, R> {
                     // An undrawn stratum is unscheduled: no term.
                     let population = binom(n - 1, k); // pairs s ∋ i, |s| = k+1
                     (!self.sampled[k].is_empty())
-                        .then(|| component_variance(&accs[i][k], inv_n, population))
+                        .then(|| component_variance(&self.lanes[i][k].acc, inv_n, population))
                 }))
             })
             .collect();
-        self.pooled = pooled;
-        self.pairs_matched = counts;
-        self.stratum_estimates = stratum_estimates;
         (values, ci_halfwidths)
     }
 
@@ -314,8 +426,12 @@ pub fn stratified_sampling<U: Utility + ?Sized, R: Rng + ?Sized>(
     let values = drive(u, &mut sampler, None).values;
     StratifiedOutcome {
         values,
-        pairs_matched: sampler.pairs_matched,
-        stratum_estimates: sampler.stratum_estimates,
+        pairs_matched: sampler
+            .lanes
+            .iter()
+            .map(|strata| strata.iter().map(Lane::count).collect())
+            .collect(),
+        stratum_estimates: sampler.stratum_estimates(),
     }
 }
 
@@ -357,9 +473,182 @@ pub fn stratified_sampling_values<U: Utility + ?Sized, R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::exact::exact_mc_sv;
+    use crate::sampler::oracle::{self, Historical};
     use crate::utility::{AdditiveUtility, HashUtility, TableUtility, Utility};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl<R: Rng + ?Sized> Historical for StratifiedSampler<'_, R> {
+        /// The fold before it became incremental, verbatim but for
+        /// returning the pooled Welfords instead of storing them (and
+        /// dropping the per-stratum detail it also stored).
+        fn historical_fold(&self) -> (Vec<f64>, Vec<f64>, Vec<Welford>) {
+            let (n, memo) = (self.n, &self.memo);
+            let mut sums = vec![vec![0.0f64; n]; n]; // sums[i][k-1]
+            let mut counts = vec![vec![0usize; n]; n];
+            let mut accs = vec![vec![Welford::new(); n]; n]; // accs[i][k-1]
+            let mut pooled = vec![Welford::new(); n];
+            for (kidx, stratum) in self.sampled.iter().enumerate() {
+                for &s in stratum {
+                    let Some(&us) = memo.get(&s.0) else {
+                        continue; // not yet evaluated — past the prefix
+                    };
+                    for i in s.members() {
+                        let pair = match self.scheme {
+                            Scheme::MarginalContribution => s.without(i),
+                            Scheme::ComplementaryContribution => s.complement(n),
+                        };
+                        // A partner is available iff it is ∅ or was itself
+                        // drawn, *and* its value has landed.
+                        let drawn = pair.is_empty()
+                            || self.sampled_masks[pair.size() - 1].contains(&pair.0);
+                        let Some(&upair) = drawn.then(|| memo.get(&pair.0)).flatten() else {
+                            continue;
+                        };
+                        let contribution = us - upair;
+                        sums[i][kidx] += contribution;
+                        counts[i][kidx] += 1;
+                        accs[i][kidx].push(contribution);
+                        pooled[kidx].push(contribution);
+                    }
+                }
+            }
+
+            // Line 17: average within strata, then across strata.
+            let inv_n = 1.0 / n as f64;
+            let stratum_estimates: Vec<Vec<Option<f64>>> = (0..n)
+                .map(|i| {
+                    (0..n)
+                        .map(|k| (counts[i][k] > 0).then(|| sums[i][k] / counts[i][k] as f64))
+                        .collect()
+                })
+                .collect();
+            let values = stratum_estimates
+                .iter()
+                .map(|strata| strata.iter().flatten().sum::<f64>() * inv_n)
+                .collect();
+            let ci_halfwidths = (0..n)
+                .map(|i| {
+                    halfwidth((0..n).filter_map(|k| {
+                        // An undrawn stratum is unscheduled: no term.
+                        let population = binom(n - 1, k); // pairs s ∋ i, |s| = k+1
+                        (!self.sampled[k].is_empty())
+                            .then(|| component_variance(&accs[i][k], inv_n, population))
+                    }))
+                })
+                .collect();
+            (values, ci_halfwidths, pooled)
+        }
+
+        fn planner_welfords(&self) -> Option<Vec<Welford>> {
+            (!self.pooled.is_empty()).then(|| self.pooled.iter().map(|l| l.acc).collect())
+        }
+
+        fn pushes(&self) -> usize {
+            let lanes = self.lanes.iter().flatten().map(|l| l.pushes);
+            lanes.chain(self.pooled.iter().map(|l| l.pushes)).sum()
+        }
+
+        fn contributions(&self) -> usize {
+            let lanes = self.lanes.iter().flatten().map(Lane::count);
+            lanes.chain(self.pooled.iter().map(Lane::count)).sum()
+        }
+    }
+
+    /// Every fold of `scheme` against the historical fold, over n ∈ {1, 2,
+    /// 3, 6, 8, 12} × a budget below, at and above `2^n` × uniform,
+    /// default-adaptive and eager-adaptive × unobserved and observed.
+    /// Under a planner the driver cuts at planned rounds either way, so
+    /// those runs are observed only. Returns the re-folds per plan:
+    /// uniform unobserved, uniform observed, default, eager.
+    fn check_sweep(scheme: Scheme) -> [usize; 4] {
+        use crate::adaptive::AdaptivePolicy;
+        let eager = AdaptivePolicy {
+            round_size: Some(5),
+            min_observations: 3,
+            floor: 2,
+        };
+        let plans = [
+            (None, false),
+            (None, true),
+            (Some(AdaptivePolicy::default()), true),
+            (Some(eager), true),
+        ];
+        let mut refolds = [0; 4];
+        for n in [1usize, 2, 3, 6, 8, 12] {
+            let u = HashUtility {
+                n,
+                seed: 50 + n as u64,
+            };
+            let full = 1usize << n;
+            for budget in [full / 2, full, 2 * full] {
+                let cfg = StratifiedConfig::uniform(n, budget);
+                for (plan, (policy, observed)) in plans.iter().enumerate() {
+                    let seed = (n * 100_000 + budget) as u64;
+                    let (mut r1, mut r2) =
+                        (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                    let (pushes, contributions) = oracle::check(
+                        &u,
+                        *observed,
+                        StratifiedSampler::new(n, scheme, &cfg, policy.as_ref(), &mut r1),
+                        StratifiedSampler::new(n, scheme, &cfg, policy.as_ref(), &mut r2),
+                    );
+                    refolds[plan] += pushes - contributions;
+                }
+            }
+        }
+        refolds
+    }
+
+    #[test]
+    fn incremental_mc_fold_is_bit_identical_to_the_historical_fold() {
+        // Late MC partners: an `S\{i}` handed out in a later row or drawn
+        // in a later round. The behind-the-tail path must have run.
+        let refolds = check_sweep(Scheme::MarginalContribution);
+        assert!(refolds[1..].iter().all(|&r| r > 0), "{refolds:?}");
+    }
+
+    #[test]
+    fn incremental_cc_fold_is_bit_identical_to_the_historical_fold() {
+        // Late CC partners: a complement drawn in a later round.
+        let refolds = check_sweep(Scheme::ComplementaryContribution);
+        assert!(refolds[2..].iter().all(|&r| r > 0), "{refolds:?}");
+    }
+
+    #[test]
+    fn streamed_fold_work_stays_near_the_final_fold() {
+        // Streamed MC on n = 12 with γ = 2000: 167 round-robin rows whose
+        // last fold holds 3 280 contributions. The from-scratch fold
+        // re-walked every absorbed sample at each row and pushed 231 071
+        // (`from_scratch` below); the incremental fold pushes 27 363.
+        // Bit-identity puts a floor under the count: a pair whose `S\{i}`
+        // lands in a later row belongs behind contributions already
+        // folded, so every entry after it in its lane is pushed again.
+        // Re-folding only those entries would push 16 039 here (4.9× the
+        // last fold); re-folding the whole lane keeps one 16-byte entry
+        // per contribution instead of a running state per entry.
+        let n = 12;
+        let u = HashUtility { n, seed: 3 };
+        let cfg = StratifiedConfig::uniform(n, 2000);
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut s = StratifiedSampler::new(n, Scheme::MarginalContribution, &cfg, None, &mut rng);
+        let mut from_scratch = 0;
+        loop {
+            let batch = s.next_batch(true);
+            s.absorb(&batch, u.eval_batch(&batch));
+            s.fold();
+            from_scratch += s.contributions();
+            if s.is_complete() {
+                break;
+            }
+        }
+        let (pushes, last) = (s.pushes(), s.contributions());
+        assert!(pushes > last, "no re-folds");
+        assert!(
+            pushes * 5 <= from_scratch && pushes <= 10 * last,
+            "{pushes} pushes for {last} contributions; from scratch: {from_scratch}"
+        );
+    }
 
     #[test]
     fn uniform_config_distributes_budget() {

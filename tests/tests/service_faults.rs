@@ -429,17 +429,15 @@ fn dropping_the_server_drains_like_shutdown() {
 #[test]
 fn dying_run_deregisters_and_peers_complete() {
     let server = ValuationServer::start(HashUtility { n: 8, seed: 6 });
-    // IPSS with budget 0 fails its precondition before parking anything.
+    // IPSS with budget 0 is registered with the burst, then rejected
+    // before parking anything.
     let dying = server.submit(ValuationRequest::new(Estimator::Ipss, 0, 1));
     let peer = server.submit(ValuationRequest::new(Estimator::ExactMc, 0, 2));
     match dying.wait() {
-        Err(ValuationError::EstimatorPanicked { detail }) => {
-            assert!(
-                detail.contains("budget"),
-                "precondition message survives: {detail}"
-            );
+        Err(ValuationError::InvalidRequest { detail }) => {
+            assert!(detail.contains("budget"), "the reason survives: {detail}");
         }
-        other => panic!("expected EstimatorPanicked, got {other:?}"),
+        other => panic!("expected InvalidRequest, got {other:?}"),
     }
     let peer_resp = ok(peer.wait());
     assert_eq!(

@@ -327,20 +327,22 @@ fn service_errors_surface_with_their_documented_status_over_the_wire() {
             .and_then(Json::as_u64),
         Some(1)
     );
-    // EstimatorPanicked → 500: IPSS asserts its γ ≥ 1.
-    let resp = client
-        .post("/v1/value", r#"{"estimator":"ipss","budget":0,"seed":1}"#)
-        .expect("roundtrip");
-    assert_eq!(resp.status, 500, "{}", String::from_utf8_lossy(&resp.body));
-    assert_eq!(
-        resp.json()
-            .unwrap()
-            .get("error")
-            .unwrap()
-            .get("kind")
-            .and_then(Json::as_str),
-        Some("estimator_panicked")
-    );
+    // InvalidRequest → 400: IPSS and pruned Banzhaf need γ ≥ 1, checked
+    // before the run instead of tripping the constructors' asserts (500).
+    for estimator in ["ipss", "banzhaf_pruned"] {
+        let body = format!(r#"{{"estimator":"{estimator}","budget":0,"seed":1}}"#);
+        let resp = client.post("/v1/value", &body).expect("roundtrip");
+        assert_eq!(resp.status, 400, "{}", String::from_utf8_lossy(&resp.body));
+        assert_eq!(
+            resp.json()
+                .unwrap()
+                .get("error")
+                .unwrap()
+                .get("kind")
+                .and_then(Json::as_str),
+            Some("invalid_request")
+        );
+    }
     // DeadlineExceeded → 504: an already-expired deadline with
     // on_limit=fail fires at the first batch boundary.
     let resp = client
