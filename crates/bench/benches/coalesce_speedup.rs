@@ -6,8 +6,7 @@
 //! Two runs of the same sweep:
 //!
 //! * **serial** — the PR 1 path: each coalition trained alone through the
-//!   solo `train_coalition` loop (`FlUtility::eval` mapped over the
-//!   batch);
+//!   solo `train_coalition` loop and scored with `Network::accuracy`;
 //! * **batched** — `FlUtility::eval_batch` grouping coalitions into
 //!   size-sorted lane blocks of `B` and training each block in lock-step
 //!   (`train_coalitions`), sharing the data pass, batch gathers, shuffle
@@ -36,7 +35,7 @@ use fedval_bench::quick;
 use fedval_core::coalition::Coalition;
 use fedval_core::utility::Utility;
 use fedval_data::{MnistLike, SyntheticSetup};
-use fedval_fl::{FedAvgConfig, FlUtility, ModelSpec};
+use fedval_fl::{train_coalition, FedAvgConfig, FlUtility, ModelSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -100,7 +99,14 @@ fn sweep(label: &'static str, u: &FlUtility, coalitions: &[Coalition], batched: 
         } else {
             // The PR 1 serial-training path: one solo FedAvg cycle per
             // coalition, no lane coalescing.
-            coalitions.iter().map(|&s| u.eval(s)).collect()
+            let (input, classes) = (u.test_set().n_features(), u.test_set().n_classes());
+            coalitions
+                .iter()
+                .map(|&s| {
+                    train_coalition(u.spec(), u.clients(), input, classes, s, u.config())
+                        .accuracy(u.test_set())
+                })
+                .collect()
         };
         let secs = start.elapsed().as_secs_f64();
         if let Some((prev, prev_values)) = &best {

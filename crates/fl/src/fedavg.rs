@@ -48,10 +48,11 @@ use crate::trajcache::{class_lanes, TrajectoryCache};
 /// Train an FL model on the datasets of `coalition` with FedAvg.
 ///
 /// This is the solo *reference path*: one [`Network`] advanced through the
-/// round loop, exactly as PR 1 shipped it. The lock-step engine
-/// ([`train_coalitions`]) must reproduce it bit-for-bit per lane — keeping
-/// this path alive is what makes that contract testable (and it still
-/// serves the history-recording entry point).
+/// round loop. Nothing in the product trains through it — `FlUtility`
+/// uses the lock-step engine ([`train_coalitions`]) even for one
+/// coalition — but that engine must reproduce it bit-for-bit per lane, and
+/// keeping this path alive is what makes the contract testable. Its loop
+/// also runs [`train_with_history`].
 ///
 /// Clients with empty datasets are skipped (they cannot train); a coalition
 /// with no data returns the initialised model, whose utility serves as

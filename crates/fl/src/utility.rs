@@ -10,7 +10,7 @@ use fedval_gbdt::{Gbdt, GbdtParams};
 use fedval_nn::MultiNetwork;
 
 use crate::config::{init_seed, FedAvgConfig};
-use crate::fedavg::{train_coalition, train_coalitions_params_with_cache};
+use crate::fedavg::train_coalitions_params_with_cache;
 use crate::model::ModelSpec;
 use crate::trajcache::TrajectoryCache;
 
@@ -27,10 +27,11 @@ pub const DEFAULT_LANE_BLOCK: usize = fedval_core::utility::DEFAULT_PAR_CHUNK;
 /// FedAvg-trained neural utility: `U(S)` trains the [`ModelSpec`] on the
 /// coalition's datasets with FedAvg and returns test accuracy.
 ///
-/// Single evaluations run the solo reference loop; batches are grouped
-/// into size-sorted lane blocks and trained in lock-step by
-/// [`crate::fedavg::train_coalitions`] — bit-identical values, one shared
-/// data pass per block.
+/// Every evaluation trains through the lock-step engine
+/// ([`crate::fedavg::train_coalitions`]): batches are grouped into
+/// size-sorted lane blocks, one shared data pass per block, and a single
+/// evaluation is a one-lane batch. The values are bit-identical to the
+/// solo reference loop, [`crate::fedavg::train_coalition`].
 ///
 /// Wrap in [`fedval_core::utility::CachedUtility`] so each coalition is
 /// trained exactly once (the paper's `τ` accounting).
@@ -138,20 +139,11 @@ impl Utility for FlUtility {
         self.clients.len()
     }
 
-    /// One full FedAvg train + evaluate cycle. Every mutable piece of
-    /// state (the network, RNGs, aggregation buffers) is created inside
-    /// this call, so concurrent callers — the `ParallelUtility` fan-out —
-    /// share only the immutable datasets and configuration.
+    /// One full FedAvg train + evaluate cycle, as a one-coalition
+    /// [`FlUtility::eval_batch`]: the same engine, kernels and round-0
+    /// table as every batch.
     fn eval(&self, s: Coalition) -> f64 {
-        let mut net = train_coalition(
-            &self.spec,
-            &self.clients,
-            self.test.n_features(),
-            self.test.n_classes(),
-            s,
-            &self.cfg,
-        );
-        net.accuracy(&self.test)
+        self.eval_batch(std::slice::from_ref(&s))[0]
     }
 
     /// Lock-step batched evaluation: pending coalitions are size-sorted
@@ -161,11 +153,14 @@ impl Utility for FlUtility {
     /// [`crate::fedavg::train_coalitions`] pass and scored with the test
     /// batches gathered once for all lanes. The utility's round-0 table
     /// spans blocks and calls, so each client's round-0 training is paid
-    /// once. Values are bit-identical to mapping [`FlUtility::eval`] —
+    /// once. Values are bit-identical to the solo reference loop —
     /// per-lane trajectories are bit-identical to solo runs, table hits
     /// replay the bits training would produce, and accuracy is a pure
     /// per-lane function — so the determinism contract survives any
-    /// grouping and any table state.
+    /// grouping and any table state. Every mutable piece of state (the
+    /// lanes, RNGs, aggregation buffers) is created inside this call, so
+    /// concurrent callers — the `ParallelUtility` fan-out — share only the
+    /// immutable datasets, configuration and the `Sync` round-0 table.
     fn eval_batch(&self, coalitions: &[Coalition]) -> Vec<f64> {
         let mut order: Vec<usize> = (0..coalitions.len()).collect();
         // Stable total order: by size, ties by mask, so block composition
@@ -313,14 +308,25 @@ mod tests {
 
     #[test]
     fn eval_batch_lane_blocks_match_mapped_eval() {
+        use crate::fedavg::train_coalition;
         use fedval_core::coalition::all_subsets;
         let u = mlp_utility(3);
         let coalitions: Vec<Coalition> = all_subsets(3).collect();
-        let mapped: Vec<f64> = coalitions.iter().map(|&s| u.eval(s)).collect();
+        // The solo reference loop, not `eval` (itself a one-lane batch).
+        let (input, classes) = (u.test_set().n_features(), u.test_set().n_classes());
+        let solo: Vec<f64> = coalitions
+            .iter()
+            .map(|&s| {
+                train_coalition(u.spec(), u.clients(), input, classes, s, u.config())
+                    .accuracy(u.test_set())
+            })
+            .collect();
         for lane_block in [1usize, 2, 3, 8, 16] {
             let u = mlp_utility(3).with_lane_block(lane_block);
-            assert_eq!(u.eval_batch(&coalitions), mapped, "lane_block {lane_block}");
+            assert_eq!(u.eval_batch(&coalitions), solo, "lane_block {lane_block}");
         }
+        let mapped: Vec<f64> = coalitions.iter().map(|&s| u.eval(s)).collect();
+        assert_eq!(mapped, solo, "single evaluations");
     }
 
     #[test]

@@ -29,7 +29,7 @@ use fedval_data::Dataset;
 
 use crate::layers::Layer;
 use crate::linalg::{lane_matmul_a_bt_bias, lane_matmul_at_b_accum, matmul};
-use crate::loss::softmax_cross_entropy;
+use crate::loss::softmax_cross_entropy_grad;
 use crate::network::Network;
 
 /// A batch-shaped value replicated across `lanes` parameter lanes, or
@@ -608,8 +608,9 @@ impl LaneLayer for PerLane {
 /// (the FL server's shared initialisation); per-lane parameters are then
 /// set and read with [`MultiNetwork::set_lane_params`] /
 /// [`MultiNetwork::lane_params`]. All activation and gradient buffers are
-/// owned here and reused across steps — the lane hot path performs no
-/// per-batch allocation beyond the per-lane softmax gradients.
+/// owned here and reused across steps, the loss gradient included: a step
+/// through dense lane layers allocates nothing (the [`PerLane`] fallback
+/// still returns its solo layers' `Vec`s).
 pub struct MultiNetwork {
     layers: Vec<Box<dyn LaneLayer>>,
     lanes: usize,
@@ -715,8 +716,8 @@ impl MultiNetwork {
         };
         for (l, &on) in active.iter().enumerate() {
             if on {
-                let (_, g) = softmax_cross_entropy(logits.lane(l), labels, self.n_classes);
-                self.grad_cur.lane_mut(l).copy_from_slice(&g);
+                let grad = self.grad_cur.lane_mut(l);
+                softmax_cross_entropy_grad(logits.lane(l), labels, self.n_classes, grad);
             }
         }
         for layer in &mut self.layers {

@@ -15,8 +15,9 @@
 //! a compiler may not vectorise *along* without reassociating it. So the
 //! kernel vectorises *across* output columns — a column-broadcast tile:
 //! `b` is transposed once per call (`k×n`, columns padded to a multiple of
-//! 4) and a register tile of 2 rows × up to 16 columns is swept over `p`,
-//! each step broadcasting `a[i][p]` against the contiguous `bᵀ[p][j..]`.
+//! 4) and a register tile of 2 rows (4 in the AVX2 copy) × up to 16
+//! columns is swept over `p`, each step broadcasting `a[i][p]` against the
+//! contiguous `bᵀ[p][j..]`.
 //! Vector lanes are independent output elements, each still summing its
 //! own products in ascending `p` from the start value of the historical
 //! row kernel (`0.0` under its 4-way column blocks, [`dot`]'s empty sum on
@@ -28,12 +29,63 @@
 //! drivers of the `a·bᵀ` family take the block kernel as an argument only
 //! so the tests can run the historical row kernel through the same shape
 //! checks, lane iteration and mask bookkeeping as its replacement.
+//!
+//! **Two instruction widths, same bits.** [`matmul`],
+//! [`matmul_at_b_accum`], [`lane_matmul_at_b_accum`] and the `a·bᵀ` sweep
+//! run a second copy, compiled with AVX2, when the CPU has AVX2. Nothing
+//! enables FMA and no sum is reassociated; the AVX2 sweep takes 4 rows per
+//! tile (8 ymm accumulators) where the SSE2 baseline keeps 2, which only
+//! regroups independent outputs. The trap: LLVM vectorises a copy's loops
+//! only when they sit in the copy and read its parameters. A closure in
+//! between (like `LocalKey::with_borrow_mut`'s) is compiled once, for the
+//! baseline, and slices read from captures or struct fields stay scalar
+//! even with AVX2 enabled — hence `isa_dispatched!`.
 
 use std::cell::RefCell;
 
 /// Panel height for [`matmul`]'s shared-dimension blocking: `KC` rows of
 /// `b` (each `n` wide) stay resident in L1/L2 across the `m` sweep.
 const KC: usize = 128;
+
+/// Defines `fn $name`, running `$name::avx2` (the body with AVX2 enabled)
+/// when the CPU has AVX2, else `$name::baseline`; the body reads its copy
+/// from the const `AVX2`. Both take the kernel's parameters as their own
+/// and are never inlined into a caller, so their loops vectorise.
+macro_rules! isa_dispatched {
+    ($(#[$attr:meta])* $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block) => {
+        $(#[$attr])*
+        #[allow(unsafe_code)] // the ISA dispatch: one runtime-checked call into the AVX2 copy
+        #[allow(clippy::too_many_arguments)] // the kernel's own parameter list
+        fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: `avx2` is `#[target_feature(enable = "avx2")]`, so
+                // it may only run on a CPU with AVX2, detected just above.
+                return unsafe { $name::avx2($($arg),*) };
+            }
+            $name::baseline($($arg),*)
+        }
+
+        #[allow(clippy::too_many_arguments)] // the kernel's own parameter list
+        mod $name {
+            use super::*;
+
+            #[inline(always)]
+            fn body<const AVX2: bool>($($arg: $ty),*) $body
+
+            #[inline(never)] // a named symbol for the CI vectorisation check
+            pub(super) fn baseline($($arg: $ty),*) {
+                body::<false>($($arg),*)
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            pub(super) fn avx2($($arg: $ty),*) {
+                body::<true>($($arg),*)
+            }
+        }
+    };
+}
 
 /// `out[m×n] = a[m×k] · b[k×n]` (row-major). `out` is overwritten.
 ///
@@ -45,6 +97,10 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), k * n);
     assert_eq!(out.len(), m * n);
+    matmul_kernel(a, b, m, k, n, out);
+}
+
+isa_dispatched! { matmul_kernel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     out.fill(0.0);
     let mut p0 = 0;
     while p0 < k {
@@ -61,7 +117,7 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32
         }
         p0 = p1;
     }
-}
+}}
 
 /// Driver of the `a·bᵀ (+ bias) (+ ReLU)` family: shape checks and
 /// relu-mask bookkeeping; `block_kernel` computes the whole `m×n` output
@@ -135,7 +191,18 @@ pub(crate) fn transpose_padded(src: &[f32], n: usize, k: usize, dst: &mut Vec<f3
     let np = n.next_multiple_of(4);
     dst.clear();
     dst.resize(k * np, 0.0);
-    for j in 0..n {
+    // Four source rows at a time: each `dst` row takes one 4-wide store
+    // per block instead of one scattered element per cache line.
+    let full = n - n % 4;
+    for j0 in (0..full).step_by(4) {
+        let [r0, r1, r2, r3]: [&[f32]; 4] =
+            std::array::from_fn(|t| &src[(j0 + t) * k..(j0 + t + 1) * k]);
+        let columns = r0.iter().zip(r1).zip(r2).zip(r3);
+        for (d, (((&v0, &v1), &v2), &v3)) in dst.chunks_exact_mut(np).zip(columns) {
+            d[j0..j0 + 4].copy_from_slice(&[v0, v1, v2, v3]);
+        }
+    }
+    for j in full..n {
         for (p, &v) in src[j * k..(j + 1) * k].iter().enumerate() {
             dst[p * np + j] = v;
         }
@@ -161,12 +228,33 @@ macro_rules! for_each_tile {
 pub(crate) use for_each_tile;
 
 /// The block kernel of the `a·bᵀ (+ bias) (+ ReLU)` family:
-/// transposes `b` once, then sweeps two rows at a time (see the module
+/// transposes `b` once, then runs [`a_bt_sweep`] over it (see the module
 /// header for why this keeps every bit of the historical row kernel).
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
 fn a_bt_block(
     a: &[f32],
     b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+    bias: Option<&[f32]>,
+    relu: bool,
+) {
+    BT_SCRATCH.with_borrow_mut(|bt| {
+        let np = transpose_padded(b, n, k, bt);
+        a_bt_sweep(a, bt, np, m, k, n, out, bias, relu);
+    });
+}
+
+isa_dispatched! {
+/// One `a·bᵀ` block over the padded `bᵀ` (row stride `np`): 4-row tiles
+/// in the AVX2 copy (8 ymm accumulators), then pairs, then one row; the
+/// baseline starts at pairs, as 4 rows would spill its 16 xmm registers.
+a_bt_sweep(
+    a: &[f32],
+    bt: &[f32],
+    np: usize,
     m: usize,
     k: usize,
     n: usize,
@@ -185,22 +273,25 @@ fn a_bt_block(
             v
         }
     };
-    BT_SCRATCH.with_borrow_mut(|bt| {
-        let np = transpose_padded(b, n, k, bt);
-        let row = |i: usize| &a[i * k..(i + 1) * k];
-        let mut i = 0;
-        while i + 2 <= m {
-            let out_rows = &mut out[i * n..(i + 2) * n];
-            a_bt_rows([row(i), row(i + 1)], bt, np, n, out_rows, &finish);
-            i += 2;
-        }
-        if i < m {
-            a_bt_rows([row(i)], bt, np, n, &mut out[i * n..], &finish);
-        }
-    });
-}
+    let row = |i: usize| &a[i * k..(i + 1) * k];
+    let mut i = 0;
+    while AVX2 && i + 4 <= m {
+        let rows = [row(i), row(i + 1), row(i + 2), row(i + 3)];
+        a_bt_rows(rows, bt, np, n, &mut out[i * n..(i + 4) * n], &finish);
+        i += 4;
+    }
+    while i + 2 <= m {
+        let out_rows = &mut out[i * n..(i + 2) * n];
+        a_bt_rows([row(i), row(i + 1)], bt, np, n, out_rows, &finish);
+        i += 2;
+    }
+    if i < m {
+        a_bt_rows([row(i)], bt, np, n, &mut out[i * n..], &finish);
+    }
+}}
 
 /// `R` whole output rows, tile by tile.
+#[inline(always)] // one copy per ISA: a shared out-of-line copy would be baseline code
 fn a_bt_rows<const R: usize>(
     a: [&[f32]; R],
     bt: &[f32],
@@ -211,6 +302,11 @@ fn a_bt_rows<const R: usize>(
 ) {
     for_each_tile!(j0 in np, a_bt_tile::<R>(a, bt, np, j0, n, out, finish));
 }
+
+/// A tile's accumulators, aligned so no 32-byte store to them splits a
+/// cache line (unaligned, the AVX2 forward ran 1.2× slower in some runs).
+#[repr(align(32))]
+struct Acc<const R: usize, const W: usize>([[f32; W]; R]);
 
 /// One `R×W` register tile at column `j0`: accumulate in ascending `p`,
 /// then write back through `finish` (padding columns `j ≥ n` are dropped).
@@ -224,22 +320,21 @@ fn a_bt_tile<const R: usize, const W: usize>(
     out: &mut [f32],
     finish: &impl Fn(f32, usize) -> f32,
 ) {
-    let mut acc = [[0.0f32; W]; R];
-    // The historical `n % 4` tail columns started from `dot`'s empty sum.
-    let tail = (n - n % 4).saturating_sub(j0).min(W);
-    for s in acc.iter_mut().flat_map(|row| &mut row[tail..]) {
-        *s = dot(&[], &[]);
-    }
+    // The historical `n % 4` tail columns start from `dot`'s empty sum, set
+    // per column: a fill from a runtime offset made AVX2 shuffle the loads.
+    let empty = dot(&[], &[]);
+    let start: [f32; W] = std::array::from_fn(|t| if j0 + t < n - n % 4 { 0.0 } else { empty });
+    let mut acc = Acc([start; R]);
     for (p, b_row) in bt.chunks_exact(np).enumerate() {
         let b_tile = &b_row[j0..j0 + W];
-        for (acc_row, a_row) in acc.iter_mut().zip(a) {
+        for (acc_row, a_row) in acc.0.iter_mut().zip(a) {
             let av = a_row[p];
             for (s, &bv) in acc_row.iter_mut().zip(b_tile) {
                 *s += av * bv;
             }
         }
     }
-    for (r, acc_row) in acc.iter().enumerate() {
+    for (r, acc_row) in acc.0.iter().enumerate() {
         for (j, &s) in (j0..n).zip(acc_row) {
             out[r * n + j] = finish(s, j);
         }
@@ -346,7 +441,7 @@ pub fn lane_matmul_a_bt_bias(
 /// ascending order and the shared-dimension products are added in
 /// ascending order, exactly as [`matmul_at_b_accum`] followed by the
 /// row-sum bias loop — so each lane's gradients are bit-identical to the
-/// solo pair of passes.
+/// solo pair of passes. Inactive lanes are left untouched.
 #[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
 pub fn lane_matmul_at_b_accum(
     grad_out: &[f32],
@@ -368,6 +463,34 @@ pub fn lane_matmul_at_b_accum(
     assert_eq!(active.len(), lanes);
     assert_eq!(grad_w.len(), lanes * k * n);
     assert_eq!(grad_b.len(), lanes * k);
+    lane_at_b_kernel(
+        grad_out,
+        input,
+        input_shared,
+        lanes,
+        active,
+        m,
+        k,
+        n,
+        grad_w,
+        grad_b,
+    );
+}
+
+isa_dispatched! { lane_at_b_kernel(
+    grad_out: &[f32],
+    input: &[f32],
+    input_shared: bool,
+    lanes: usize,
+    active: &[bool],
+    m: usize,
+    k: usize,
+    n: usize,
+    grad_w: &mut [f32],
+    grad_b: &mut [f32],
+) {
+    /// Gradient entries compacted per pass (indices fit a `u8`).
+    const CHUNK: usize = 64;
     for l in 0..lanes {
         if !active[l] {
             continue;
@@ -381,9 +504,19 @@ pub fn lane_matmul_at_b_accum(
             } else {
                 &input[(l * m + i) * n..(l * m + i + 1) * n]
             };
-            for (p, &gv) in g_row.iter().enumerate() {
-                if gv != 0.0 {
-                    axpy(gv, in_row, &mut gw[p * n..(p + 1) * n]);
+            // ReLU-gated rows are about half zeros, so a `gv != 0.0` branch
+            // mispredicts: list the nonzero indices without one, then run
+            // the same axpys in the same ascending order.
+            for (c, chunk) in g_row.chunks(CHUNK).enumerate() {
+                let mut nonzero = [0u8; CHUNK];
+                let mut len = 0;
+                for (p, &gv) in chunk.iter().enumerate() {
+                    nonzero[len] = p as u8;
+                    len += usize::from(gv != 0.0);
+                }
+                for &p in &nonzero[..len] {
+                    let p = c * CHUNK + usize::from(p);
+                    axpy(g_row[p], in_row, &mut gw[p * n..(p + 1) * n]);
                 }
             }
             for (g, &d) in gb.iter_mut().zip(g_row) {
@@ -391,7 +524,7 @@ pub fn lane_matmul_at_b_accum(
             }
         }
     }
-}
+}}
 
 /// `out[k×n] += aᵀ · b` where `a` is `m×k` and `b` is `m×n` (row-major).
 /// Accumulates into `out` (gradient accumulation).
@@ -399,6 +532,10 @@ pub fn matmul_at_b_accum(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), m * n);
     assert_eq!(out.len(), k * n);
+    at_b_kernel(a, b, m, k, n, out);
+}
+
+isa_dispatched! { at_b_kernel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
         let b_row = &b[i * n..(i + 1) * n];
@@ -409,7 +546,7 @@ pub fn matmul_at_b_accum(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out
             axpy(av, b_row, &mut out[p * n..(p + 1) * n]);
         }
     }
-}
+}}
 
 /// Dot product.
 #[inline]
@@ -419,7 +556,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// `y ← y + alpha·x`.
-#[inline]
+#[inline(always)] // the kernels' inner loop, in each ISA copy
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, &xi) in y.iter_mut().zip(x) {
@@ -530,26 +667,103 @@ mod tests {
             .collect()
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The copies of a dispatched kernel this host can run: the SSE2
+    /// (baseline) copy, called directly, and the AVX2 copy, reached through
+    /// the dispatching function — skipped, with a note, without AVX2.
+    fn copies() -> Vec<&'static str> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return vec!["sse2", "avx2"];
+        }
+        eprintln!("skip: this CPU has no AVX2; only the SSE2 copy is checked");
+        vec!["sse2"]
+    }
+
+    /// Exact zeros (ReLU'd activations, blank pixels) and `−0.0` planted
+    /// every few entries: the zero skips must treat both alike.
+    fn with_zeros(mut v: Vec<f32>) -> Vec<f32> {
+        for (i, x) in v.iter_mut().enumerate() {
+            match i % 7 {
+                2 => *x = 0.0,
+                5 => *x = -0.0,
+                _ => {}
+            }
+        }
+        v
+    }
+
+    /// Shapes with every 4-row remainder (`m` ∈ {1, 2, 3, 4, 5, 7, 16}),
+    /// `k` straddling the `KC` panel, odd column counts and degenerate
+    /// dimensions.
+    const DENSE_SHAPES: [(usize, usize, usize); 14] = [
+        (1, 257, 1),
+        (2, 200, 9),
+        (3, 5, 7),
+        (4, 129, 3),
+        (5, 64, 32),
+        (7, 10, 33),
+        (16, 32, 10),
+        (16, 130, 64),
+        (1, 1, 1),
+        (0, 0, 0),
+        (2, 0, 3),
+        (0, 4, 5),
+        (3, 4, 0),
+        (4, 3, 0),
+    ];
+
     #[test]
     fn blocked_matmul_is_bit_identical_to_naive() {
-        // Shapes straddling the KC panel boundary, odd column counts and
-        // degenerate dimensions.
-        for (m, k, n) in [
-            (3, 5, 7),
-            (2, 200, 9),
-            (4, 129, 3),
-            (1, 257, 1),
-            (1, 1, 1),
-            (0, 0, 0),
-            (2, 0, 3),
-            (0, 4, 5),
-            (3, 4, 0),
-        ] {
-            let a = pseudo(1, m * k);
-            let b = pseudo(2, k * n);
-            let mut out = vec![0.0f32; m * n];
-            matmul(&a, &b, m, k, n, &mut out);
-            assert_eq!(out, naive_matmul(&a, &b, m, k, n), "m={m} k={k} n={n}");
+        for isa in copies() {
+            for (m, k, n) in DENSE_SHAPES {
+                let a = with_zeros(pseudo(1, m * k));
+                let b = pseudo(2, k * n);
+                let mut out = vec![f32::NAN; m * n];
+                match isa {
+                    "avx2" => matmul(&a, &b, m, k, n, &mut out),
+                    _ => matmul_kernel::baseline(&a, &b, m, k, n, &mut out),
+                }
+                let expect = naive_matmul(&a, &b, m, k, n);
+                assert_eq!(bits(&out), bits(&expect), "{isa} m={m} k={k} n={n}");
+            }
+        }
+    }
+
+    /// `out += aᵀ·b` as a plain triple loop, with the kernel's zero skip.
+    fn naive_at_b_accum(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+        for i in 0..m {
+            for p in 0..k {
+                let av = a[i * k + p];
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    out[p * n + j] += av * b[i * n + j];
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn at_b_accum_is_bit_identical_to_naive_in_every_copy() {
+        for isa in copies() {
+            for (m, k, n) in DENSE_SHAPES {
+                let a = with_zeros(pseudo(3, m * k));
+                let b = pseudo(4, m * n);
+                let start = pseudo(5, k * n);
+                let mut out = start.clone();
+                match isa {
+                    "avx2" => matmul_at_b_accum(&a, &b, m, k, n, &mut out),
+                    _ => at_b_kernel::baseline(&a, &b, m, k, n, &mut out),
+                }
+                let mut expect = start;
+                naive_at_b_accum(&a, &b, m, k, n, &mut expect);
+                assert_eq!(bits(&out), bits(&expect), "{isa} m={m} k={k} n={n}");
+            }
         }
     }
 
@@ -682,52 +896,76 @@ mod tests {
         }
     }
 
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|x| x.to_bits()).collect()
+    /// [`a_bt_block`] with its sweep run in copy `isa` (see [`copies`]).
+    #[allow(clippy::type_complexity)] // the drivers' `K` bound, returned
+    fn a_bt_block_in(
+        isa: &'static str,
+    ) -> impl Fn(&[f32], &[f32], usize, usize, usize, &mut [f32], Option<&[f32]>, bool) {
+        move |a: &[f32], b: &[f32], m, k, n, out: &mut [f32], bias: Option<&[f32]>, relu| {
+            let mut bt = Vec::new();
+            let np = transpose_padded(b, n, k, &mut bt);
+            match isa {
+                "avx2" => a_bt_sweep(a, &bt, np, m, k, n, out, bias, relu),
+                _ => a_bt_sweep::baseline(a, &bt, np, m, k, n, out, bias, relu),
+            }
+        }
     }
 
     #[test]
     fn tile_kernel_is_bit_identical_to_the_historical_row_kernel() {
-        // Row tiles (pairs + odd remainder), column tiles of every width,
-        // the n % 4 tail alone and after full tiles, reduction lengths
-        // from empty to longer than any model's.
-        for m in [1usize, 2, 3, 16] {
-            for k in [0usize, 1, 7, 64, 129] {
-                for n in [1usize, 3, 4, 10, 17, 32, 33] {
-                    let mut a = pseudo(31 + m as u32, m * k);
-                    // Exact zeros (ReLU'd activations, blank pixels): no
-                    // zero-skip may be added, ±0.0 products must still sum.
-                    for v in a.iter_mut().step_by(5) {
-                        *v = 0.0;
-                    }
-                    let b = pseudo(32 + n as u32, n * k);
-                    let mut bias = pseudo(33, n);
-                    bias[0] = -0.0;
-                    bias[n - 1] = -0.0;
-                    for bias in [None, Some(&bias[..])] {
-                        for relu in [false, true] {
-                            let mut expect = vec![f32::NAN; m * n];
-                            by_rows(historical_a_bt_row)(&a, &b, m, k, n, &mut expect, bias, relu);
-                            let mut got = vec![f32::NAN; m * n];
-                            let mut mask = Vec::new();
-                            a_bt_with(
-                                a_bt_block,
-                                &a,
-                                &b,
-                                bias,
-                                m,
-                                k,
-                                n,
-                                &mut got,
-                                relu.then_some(&mut mask),
-                            );
-                            let label =
-                                format!("m={m} k={k} n={n} bias={} relu={relu}", bias.is_some());
-                            assert_eq!(bits(&got), bits(&expect), "{label}");
-                            if relu {
-                                let expect_mask: Vec<bool> =
-                                    expect.iter().map(|&v| v > 0.0).collect();
-                                assert_eq!(mask, expect_mask, "{label}");
+        // Row tiles (quads in the AVX2 copy, pairs, odd remainder), column
+        // tiles of every width, the n % 4 tail alone and after full tiles,
+        // reduction lengths from empty to longer than any model's.
+        for isa in copies() {
+            for m in [1usize, 2, 3, 4, 5, 7, 16] {
+                for k in [0usize, 1, 7, 64, 129] {
+                    for n in [1usize, 3, 4, 10, 17, 32, 33] {
+                        let mut a = pseudo(31 + m as u32, m * k);
+                        // Exact zeros (ReLU'd activations, blank pixels): no
+                        // zero-skip may be added, ±0.0 products must still sum.
+                        for v in a.iter_mut().step_by(5) {
+                            *v = 0.0;
+                        }
+                        let b = pseudo(32 + n as u32, n * k);
+                        let mut bias = pseudo(33, n);
+                        bias[0] = -0.0;
+                        bias[n - 1] = -0.0;
+                        for bias in [None, Some(&bias[..])] {
+                            for relu in [false, true] {
+                                let mut expect = vec![f32::NAN; m * n];
+                                by_rows(historical_a_bt_row)(
+                                    &a,
+                                    &b,
+                                    m,
+                                    k,
+                                    n,
+                                    &mut expect,
+                                    bias,
+                                    relu,
+                                );
+                                let mut got = vec![f32::NAN; m * n];
+                                let mut mask = Vec::new();
+                                a_bt_with(
+                                    a_bt_block_in(isa),
+                                    &a,
+                                    &b,
+                                    bias,
+                                    m,
+                                    k,
+                                    n,
+                                    &mut got,
+                                    relu.then_some(&mut mask),
+                                );
+                                let label = format!(
+                                    "{isa} m={m} k={k} n={n} bias={} relu={relu}",
+                                    bias.is_some()
+                                );
+                                assert_eq!(bits(&got), bits(&expect), "{label}");
+                                if relu {
+                                    let expect_mask: Vec<bool> =
+                                        expect.iter().map(|&v| v > 0.0).collect();
+                                    assert_eq!(mask, expect_mask, "{label}");
+                                }
                             }
                         }
                     }
@@ -742,16 +980,18 @@ mod tests {
         // 4-way blocks started from +0.0 (sum +0.0), the tail from `dot`'s
         // empty sum — whatever sign that has, the tile kernel must agree,
         // with and without a −0.0 bias.
-        for (k, n) in [(3usize, 4usize), (3, 6), (5, 3), (2, 21)] {
-            let a = vec![0.0f32; 2 * k];
-            let b: Vec<f32> = pseudo(41, n * k).iter().map(|v| -v.abs() - 0.1).collect();
-            let neg_zero = vec![-0.0f32; n];
-            for bias in [None, Some(&neg_zero[..])] {
-                let mut expect = vec![f32::NAN; 2 * n];
-                by_rows(historical_a_bt_row)(&a, &b, 2, k, n, &mut expect, bias, false);
-                let mut got = vec![f32::NAN; 2 * n];
-                a_bt_block(&a, &b, 2, k, n, &mut got, bias, false);
-                assert_eq!(bits(&got), bits(&expect), "k={k} n={n}");
+        for (isa, m) in copies().into_iter().flat_map(|isa| [(isa, 2), (isa, 5)]) {
+            for (k, n) in [(3usize, 4usize), (3, 6), (5, 3), (2, 21)] {
+                let a = vec![0.0f32; m * k];
+                let b: Vec<f32> = pseudo(41, n * k).iter().map(|v| -v.abs() - 0.1).collect();
+                let neg_zero = vec![-0.0f32; n];
+                for bias in [None, Some(&neg_zero[..])] {
+                    let mut expect = vec![f32::NAN; m * n];
+                    by_rows(historical_a_bt_row)(&a, &b, m, k, n, &mut expect, bias, false);
+                    let mut got = vec![f32::NAN; m * n];
+                    a_bt_block_in(isa)(&a, &b, m, k, n, &mut got, bias, false);
+                    assert_eq!(bits(&got), bits(&expect), "{isa} m={m} k={k} n={n}");
+                }
             }
         }
     }
@@ -761,13 +1001,19 @@ mod tests {
         // Shared and per-lane `a`, ReLU masks, inactive lanes untouched.
         let lanes = 3usize;
         let active = [true, false, true];
-        for (m, k, n) in [
-            (1usize, 7usize, 10usize),
-            (3, 64, 33),
-            (16, 129, 17),
-            (2, 1, 3),
-            (1, 1, 1),
-        ] {
+        for (isa, (m, k, n)) in copies().into_iter().flat_map(|isa| {
+            [
+                (1usize, 7usize, 10usize),
+                (3, 64, 33),
+                (4, 64, 32),
+                (5, 32, 10),
+                (7, 9, 12),
+                (16, 129, 17),
+                (2, 1, 3),
+                (1, 1, 1),
+            ]
+            .map(|shape| (isa, shape))
+        }) {
             let w = pseudo(51, lanes * n * k);
             let bias = pseudo(52, lanes * n);
             for a_shared in [true, false] {
@@ -792,7 +1038,8 @@ mod tests {
                     );
                     let mut got = vec![f32::NAN; lanes * m * n];
                     let mut masks = vec![false; lanes * m * n];
-                    lane_matmul_a_bt_bias(
+                    lane_a_bt_bias_with(
+                        a_bt_block_in(isa),
                         &a,
                         a_shared,
                         &w,
@@ -805,7 +1052,7 @@ mod tests {
                         &mut got,
                         relu.then_some(&mut masks[..]),
                     );
-                    let label = format!("m={m} k={k} n={n} shared={a_shared} relu={relu}");
+                    let label = format!("{isa} m={m} k={k} n={n} shared={a_shared} relu={relu}");
                     assert_eq!(bits(&got), bits(&expect), "{label}");
                     assert_eq!(masks, expect_masks, "{label}");
                     // NaN bits survive in the inactive lane on both sides.
@@ -925,6 +1172,108 @@ mod tests {
                     }
                 }
                 assert_eq!(&gb[l * k..(l + 1) * k], &expect_b[..]);
+            }
+        }
+    }
+
+    /// The branchy loop [`lane_matmul_at_b_accum`] replaced, verbatim
+    /// (shape checks aside): the oracle of its nonzero-index compaction.
+    #[allow(clippy::too_many_arguments)] // the kernel's own parameter list
+    fn historical_lane_at_b_accum(
+        grad_out: &[f32],
+        input: &[f32],
+        input_shared: bool,
+        lanes: usize,
+        active: &[bool],
+        m: usize,
+        k: usize,
+        n: usize,
+        grad_w: &mut [f32],
+        grad_b: &mut [f32],
+    ) {
+        for l in 0..lanes {
+            if !active[l] {
+                continue;
+            }
+            let gw = &mut grad_w[l * k * n..(l + 1) * k * n];
+            let gb = &mut grad_b[l * k..(l + 1) * k];
+            for i in 0..m {
+                let g_row = &grad_out[(l * m + i) * k..(l * m + i + 1) * k];
+                let in_row = if input_shared {
+                    &input[i * n..(i + 1) * n]
+                } else {
+                    &input[(l * m + i) * n..(l * m + i + 1) * n]
+                };
+                for (p, &gv) in g_row.iter().enumerate() {
+                    if gv != 0.0 {
+                        axpy(gv, in_row, &mut gw[p * n..(p + 1) * n]);
+                    }
+                }
+                for (g, &d) in gb.iter_mut().zip(g_row) {
+                    *g += d;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compacted_lane_grad_accum_is_bit_identical_to_the_branchy_loop() {
+        // `k` below, at and across the 64-entry compaction chunk; exact and
+        // negative zeros, all-zero rows (lane 0 row 1, all of lane 3), a
+        // subnormal, and an inactive lane whose NaN buffers must come back
+        // untouched.
+        let lanes = 4usize;
+        let active = [true, true, false, true];
+        for isa in copies() {
+            for (m, k, n) in [
+                (5usize, 10usize, 32usize),
+                (3, 64, 9),
+                (2, 70, 5),
+                (1, 1, 1),
+            ] {
+                let mut grad_out = with_zeros(pseudo(61, lanes * m * k));
+                if m > 1 {
+                    grad_out[k..2 * k].fill(0.0);
+                }
+                grad_out[3 * m * k..].iter_mut().for_each(|g| *g = -0.0);
+                // Nonzeros a magnitude test would drop: a negative subnormal.
+                grad_out[m * k] = -f32::MIN_POSITIVE / 2.0;
+                let shared_in = with_zeros(pseudo(62, m * n));
+                let lane_in = pseudo(63, lanes * m * n);
+                for (input, shared) in [(&shared_in, true), (&lane_in, false)] {
+                    let mut gw0 = pseudo(64, lanes * k * n);
+                    let mut gb0 = pseudo(65, lanes * k);
+                    // Lane 1 starts from zeroed gradients, as training
+                    // does, so no skipped product can hide in a sum.
+                    gw0[k * n..2 * k * n].fill(0.0);
+                    gw0[2 * k * n..3 * k * n].fill(f32::NAN);
+                    gb0[2 * k..3 * k].fill(f32::NAN);
+                    let (mut gw, mut gb) = (gw0.clone(), gb0.clone());
+                    match isa {
+                        "avx2" => lane_matmul_at_b_accum(
+                            &grad_out, input, shared, lanes, &active, m, k, n, &mut gw, &mut gb,
+                        ),
+                        _ => lane_at_b_kernel::baseline(
+                            &grad_out, input, shared, lanes, &active, m, k, n, &mut gw, &mut gb,
+                        ),
+                    }
+                    let (mut expect_w, mut expect_b) = (gw0, gb0);
+                    historical_lane_at_b_accum(
+                        &grad_out,
+                        input,
+                        shared,
+                        lanes,
+                        &active,
+                        m,
+                        k,
+                        n,
+                        &mut expect_w,
+                        &mut expect_b,
+                    );
+                    let label = format!("{isa} m={m} k={k} n={n} shared={shared}");
+                    assert_eq!(bits(&gw), bits(&expect_w), "{label}");
+                    assert_eq!(bits(&gb), bits(&expect_b), "{label}");
+                }
             }
         }
     }

@@ -27,17 +27,32 @@ pub fn softmax_cross_entropy(logits: &[f32], labels: &[u32], classes: usize) -> 
     let mut probs = logits.to_vec();
     softmax_in_place(&mut probs, classes);
     let mut loss = 0.0f64;
-    let inv_batch = 1.0 / batch as f32;
     for (i, &y) in labels.iter().enumerate() {
         let p = probs[i * classes + y as usize].max(1e-12);
         loss -= (p as f64).ln();
-        // Gradient: p − onehot, scaled by 1/batch.
+    }
+    probs_to_gradient(&mut probs, labels, classes);
+    ((loss / batch as f64) as f32, probs)
+}
+
+/// The gradient of [`softmax_cross_entropy`], bit for bit, written into
+/// `out` without allocating or computing the loss.
+pub fn softmax_cross_entropy_grad(logits: &[f32], labels: &[u32], classes: usize, out: &mut [f32]) {
+    assert_eq!(logits.len(), labels.len() * classes);
+    out.copy_from_slice(logits);
+    softmax_in_place(out, classes);
+    probs_to_gradient(out, labels, classes);
+}
+
+/// Softmax probabilities to the loss gradient `(p − onehot) / batch`.
+fn probs_to_gradient(probs: &mut [f32], labels: &[u32], classes: usize) {
+    let inv_batch = 1.0 / labels.len() as f32;
+    for (i, &y) in labels.iter().enumerate() {
         probs[i * classes + y as usize] -= 1.0;
     }
-    for g in &mut probs {
+    for g in probs {
         *g *= inv_batch;
     }
-    ((loss / batch as f64) as f32, probs)
 }
 
 /// Row-wise argmax predictions from logits.
@@ -123,6 +138,23 @@ mod tests {
                 "grad[{i}]: numeric {numeric} vs analytic {}",
                 grad[i]
             );
+        }
+    }
+
+    #[test]
+    fn in_place_gradient_is_bit_identical_to_softmax_cross_entropy() {
+        // Mixed magnitudes, a saturated row (p → 0 clamps the loss, not
+        // the gradient), ties and ±0.0 logits; labels on both edges.
+        let classes = 4;
+        let logits = [
+            0.3, -0.7, 1.1, 0.2, 90.0, -90.0, 0.0, -0.0, 1.5, 1.5, 1.5, 1.5,
+        ];
+        for labels in [&[0u32, 3, 2][..], &[3, 0, 0]] {
+            let (_, expect) = softmax_cross_entropy(&logits, labels, classes);
+            let mut grad = [f32::NAN; 12];
+            softmax_cross_entropy_grad(&logits, labels, classes, &mut grad);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&grad), bits(&expect), "labels {labels:?}");
         }
     }
 

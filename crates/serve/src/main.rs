@@ -34,6 +34,7 @@ use rand::SeedableRng;
 static TERM: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
+#[allow(unsafe_code)] // a foreign call: std has no way to install a signal handler
 fn install_signal_handlers() {
     // No libc crate in the image: declare the one POSIX entry point we
     // need. The handler only stores to an atomic — async-signal-safe.
@@ -46,6 +47,9 @@ fn install_signal_handlers() {
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
     let handler = on_term as *const () as usize;
+    // SAFETY: `signal` is the POSIX entry point declared above, called with
+    // valid signal numbers and the address of an `extern "C" fn(i32)` that
+    // only stores to an atomic, which is async-signal-safe.
     unsafe {
         signal(SIGINT, handler);
         signal(SIGTERM, handler);

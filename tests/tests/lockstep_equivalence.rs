@@ -5,9 +5,10 @@
 //! client data; every lane's trajectory must match the per-coalition
 //! `train_coalition` reference loop bit-for-bit, for any lane count, any
 //! model family and any FedAvg configuration the workspace exercises. On
-//! top, `FlUtility::eval_batch` (size-sorted lane blocks) must reproduce
-//! mapped `eval` exactly, and the composed cached/parallel stack must keep
-//! counting one training per distinct coalition.
+//! top, `FlUtility::eval_batch` (size-sorted lane blocks) and `eval` (a
+//! one-lane batch) must reproduce the solo loop's utilities exactly, and
+//! the composed cached/parallel stack must keep counting one training per
+//! distinct coalition.
 
 // Driver code: test assertions panic by design, so unwrap/expect are
 // the failure mechanism, not a robustness gap.
@@ -139,6 +140,14 @@ fn fl_utility(n: usize) -> FlUtility {
     )
 }
 
+/// `U(s)` by the solo reference loop — not `eval`, itself a one-lane
+/// batch through the engine under test.
+fn solo_value(u: &FlUtility, s: Coalition) -> f64 {
+    let test = u.test_set();
+    let (input, classes) = (test.n_features(), test.n_classes());
+    train_coalition(u.spec(), u.clients(), input, classes, s, u.config()).accuracy(test)
+}
+
 #[test]
 fn fl_eval_batch_is_bit_identical_to_mapped_eval() {
     let u = fl_utility(3);
@@ -147,15 +156,20 @@ fn fl_eval_batch_is_bit_identical_to_mapped_eval() {
     coalitions.push(Coalition::from_members([0, 2]));
     coalitions.push(Coalition::empty());
     coalitions.reverse();
-    let mapped: Vec<f64> = coalitions.iter().map(|&s| u.eval(s)).collect();
+    let solo: Vec<f64> = coalitions.iter().map(|&s| solo_value(&u, s)).collect();
     for lane_block in [1usize, 3, 8] {
         let u = fl_utility(3).with_lane_block(lane_block);
         assert_eq!(
             u.eval_batch(&coalitions),
-            mapped,
-            "lane_block {lane_block} diverged from mapped eval"
+            solo,
+            "lane_block {lane_block} diverged from the solo loop"
         );
     }
+    let mapped: Vec<f64> = coalitions.iter().map(|&s| u.eval(s)).collect();
+    assert_eq!(
+        mapped, solo,
+        "single evaluations diverged from the solo loop"
+    );
 }
 
 #[test]
@@ -167,7 +181,7 @@ fn cached_parallel_lockstep_stack_is_deterministic_and_counts_once() {
     // exactly once.
     let serial = fl_utility(3);
     let coalitions: Vec<Coalition> = all_subsets(3).collect();
-    let expected: Vec<f64> = coalitions.iter().map(|&s| serial.eval(s)).collect();
+    let expected: Vec<f64> = coalitions.iter().map(|&s| solo_value(&serial, s)).collect();
     for threads in [1usize, 2, 4] {
         let u = CachedUtility::new(ParallelUtility::with_num_threads(fl_utility(3), threads));
         // Duplicate the batch: the cache must still train each coalition

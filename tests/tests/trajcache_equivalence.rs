@@ -1,5 +1,5 @@
 //! The round-0 trajectory table must be invisible in every value: sweeps
-//! through it are bit-identical to solo `eval` under both FL algorithms
+//! through it are bit-identical to the solo loop under both FL algorithms
 //! and partial participation — while it provably pays round 0 once per
 //! client per *sweep* (not per lane block), loses none of the hits the
 //! per-round cache it replaced found under full participation, and holds
@@ -17,7 +17,9 @@ use rand::SeedableRng;
 use fedval_core::coalition::{all_subsets, Coalition};
 use fedval_core::utility::{ParallelUtility, TrajCacheStats, Utility};
 use fedval_data::{Dataset, MnistLike, SyntheticSetup};
-use fedval_fl::{FedAvgConfig, FlAlgorithm, FlUtility, ModelSpec, TrajectoryCache};
+use fedval_fl::{
+    train_coalition, FedAvgConfig, FlAlgorithm, FlUtility, ModelSpec, TrajectoryCache,
+};
 
 fn federated_problem(n_clients: usize) -> (Vec<Dataset>, Dataset) {
     let gen = MnistLike::new(501);
@@ -30,6 +32,14 @@ fn federated_problem(n_clients: usize) -> (Vec<Dataset>, Dataset) {
 fn utility(cfg: FedAvgConfig, n: usize) -> FlUtility {
     let (clients, test) = federated_problem(n);
     FlUtility::new(clients, test, ModelSpec::default_mlp(), cfg)
+}
+
+/// `U(s)` by the solo reference loop, which never touches a table —
+/// unlike `eval`, a one-lane batch that reads and fills the utility's own.
+fn solo_value(u: &FlUtility, s: Coalition) -> f64 {
+    let test = u.test_set();
+    let (input, classes) = (test.n_features(), test.n_classes());
+    train_coalition(u.spec(), u.clients(), input, classes, s, u.config()).accuracy(test)
 }
 
 /// The memory bound: at most one `p`-float update per client.
@@ -63,8 +73,7 @@ fn cached_sweeps_bit_identical_to_solo_under_all_configs() {
                 ..Default::default()
             };
             let u = utility(cfg, n).with_lane_block(3);
-            // Solo reference: FlUtility::eval never touches the table.
-            let reference: Vec<f64> = coalitions.iter().map(|&s| u.eval(s)).collect();
+            let reference: Vec<f64> = coalitions.iter().map(|&s| solo_value(&u, s)).collect();
             let label = format!("{algorithm:?} p={participation}");
             assert_eq!(u.eval_batch(&coalitions), reference, "sweep {label}");
             let first = u.traj_cache().stats();
@@ -104,7 +113,7 @@ fn exact_sv_sweep_pays_round0_once_per_client() {
     };
     let coalitions: Vec<Coalition> = all_subsets(n).collect();
     let u = utility(cfg, n).with_lane_block(4);
-    let reference: Vec<f64> = coalitions.iter().map(|&s| u.eval(s)).collect();
+    let reference: Vec<f64> = coalitions.iter().map(|&s| solo_value(&u, s)).collect();
     assert_eq!(u.eval_batch(&coalitions), reference);
 
     let stats = u.traj_cache().stats();
@@ -139,7 +148,7 @@ fn shared_cache_is_bit_transparent_under_parallel_fanout() {
     let coalitions: Vec<Coalition> = all_subsets(n).collect();
     let reference: Vec<f64> = {
         let u = utility(cfg, n);
-        coalitions.iter().map(|&s| u.eval(s)).collect()
+        coalitions.iter().map(|&s| solo_value(&u, s)).collect()
     };
     for threads in [1usize, 2, 4] {
         let cache = Arc::new(TrajectoryCache::new());
@@ -152,9 +161,9 @@ fn shared_cache_is_bit_transparent_under_parallel_fanout() {
     }
 }
 
-/// Single-coalition batches ride the lock-step path too, so even
-/// degenerate batch shapes fill and reuse the table — bit-identically to
-/// the solo reference.
+/// Single-coalition batches ride the lock-step path too — and so does
+/// `eval` — so even degenerate batch shapes fill and reuse the table,
+/// bit-identically to the solo reference.
 #[test]
 fn single_coalition_batches_use_and_fill_the_shared_cache() {
     let n = 4;
@@ -165,7 +174,7 @@ fn single_coalition_batches_use_and_fill_the_shared_cache() {
         ..Default::default()
     };
     let s = Coalition::from_members([0, 2]);
-    let reference = utility(cfg, n).eval(s);
+    let reference = solo_value(&utility(cfg, n), s);
     let cache = Arc::new(TrajectoryCache::new());
     let u = utility(cfg, n).with_traj_cache(Arc::clone(&cache));
     assert_eq!(u.eval_batch(&[s]), vec![reference]);
@@ -175,7 +184,8 @@ fn single_coalition_batches_use_and_fill_the_shared_cache() {
         (2, 2),
         "the single-lane batch fills both members' slots"
     );
-    assert_eq!(u.eval_batch(&[s]), vec![reference]);
+    // `eval` is the same one-lane batch: its replay reads the table too.
+    assert_eq!(u.eval(s), reference);
     let second = cache.stats();
     assert_eq!(second.hits, 2, "the replay's round 0 comes from the table");
     assert_eq!(
