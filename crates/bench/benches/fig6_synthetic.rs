@@ -9,9 +9,10 @@
 //!
 //! Time accounting: sampling/exact methods are costed under the τ model of
 //! Sec. IV-C — `time = Σ_{S evaluated} τ̂(|S|)` with per-size τ̂ measured
-//! while building the ground truth — so all five setups × two models run
-//! in minutes without re-training coalitions per algorithm. Gradient-based
-//! methods are wall-clock timed (their cost is one FL training).
+//! while building the ground truth, each coalition timed as one full solo
+//! FL training — so all five setups × two models run in minutes without
+//! re-training coalitions per algorithm. Gradient-based methods are
+//! wall-clock timed (their cost is one FL training).
 
 // Bench driver: measurement harness code panics on setup failure by
 // design; unwrap/expect are the error mechanism here.
@@ -27,7 +28,6 @@ use fedval_core::baselines::{CcShapConfig, GtbConfig, TmcConfig};
 use fedval_core::exact::exact_mc_sv;
 use fedval_core::ipss::{ipss_values, IpssConfig};
 use fedval_core::metrics::l2_relative_error;
-use fedval_core::utility::CachedUtility;
 use fedval_data::SyntheticSetup;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,8 +53,7 @@ fn main() {
     for model in &models {
         for setup in &setups {
             let problem = mnist_synthetic(*setup, n, *model, seed);
-            let warm = CachedUtility::new(problem.utility());
-            let tau = TauModel::measure_full(&warm, n);
+            let (tau, warm) = TauModel::measure_full(&problem.utility());
             let exact = exact_mc_sv(&warm);
             let mut table = Table::new(["Algorithm", "Time(s)", "Error(l2)"]);
             let mut best: Option<(&str, f64)> = None;

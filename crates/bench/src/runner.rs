@@ -12,10 +12,10 @@ use fedval_core::baselines::{
 use fedval_core::coalition::{all_subsets, Coalition};
 use fedval_core::exact::{exact_mc_sv, exact_perm_sv};
 use fedval_core::ipss::{ipss_values, IpssConfig};
-use fedval_core::utility::{CachedUtility, Utility};
+use fedval_core::utility::{CachedUtility, TableUtility, Utility};
 use fedval_fl::{
-    dig_fl, gtg_shapley, lambda_mr, or_valuation, train_with_history, DigFlConfig, GtgConfig,
-    LambdaMrConfig,
+    dig_fl, gtg_shapley, lambda_mr, or_valuation, train_coalition, train_with_history, DigFlConfig,
+    FlUtility, GtgConfig, LambdaMrConfig,
 };
 
 use crate::problems::{GbdtProblem, NeuralProblem};
@@ -257,8 +257,8 @@ fn run_sampling_or_exact<U: Utility>(
 }
 
 /// Per-coalition-size mean training+evaluation time `τ̂(|S|)`, measured by
-/// timing every coalition during a (parallel) prefill. Enables the
-/// τ-cost-model accounting of Sec. IV-C: an algorithm's time is
+/// timing every coalition's training once. Enables the τ-cost-model
+/// accounting of Sec. IV-C: an algorithm's time is
 /// `Σ_{S evaluated} τ(|S|)` — the quantity the paper's Time(s) columns
 /// measure, without re-training coalitions per algorithm.
 pub struct TauModel {
@@ -267,12 +267,23 @@ pub struct TauModel {
 }
 
 impl TauModel {
-    /// Prefill `u`'s cache with all `2^n` coalitions (in parallel) while
-    /// measuring per-size average training time.
-    pub fn measure_full<U: Utility + Sync>(u: &CachedUtility<U>, n: usize) -> TauModel {
+    /// Trains all `2^n` coalitions of `u` (in parallel), timing each as
+    /// one full solo FedAvg training plus scoring
+    /// ([`train_coalition`] + `accuracy`). No timing shares work with
+    /// another — no round-0 table, no lane block — so `τ̂` does not depend
+    /// on coalition order or on how they split across threads. Returns the
+    /// per-size means and the trained values as a table, bit-identical to
+    /// `u.eval`.
+    pub fn measure_full(u: &FlUtility) -> (TauModel, TableUtility) {
         use std::sync::Mutex;
+        let n = u.n_clients();
+        let (input, classes) = (u.test_set().n_features(), u.test_set().n_classes());
         let coalitions: Vec<Coalition> = all_subsets(n).collect();
-        let acc = Mutex::new((vec![0.0f64; n + 1], vec![0usize; n + 1]));
+        let acc = Mutex::new((
+            vec![0.0f64; n + 1],
+            vec![0usize; n + 1],
+            vec![0.0f64; coalitions.len()],
+        ));
         let threads = std::thread::available_parallelism()
             .map(|t| t.get())
             .unwrap_or(4)
@@ -283,11 +294,14 @@ impl TauModel {
                 scope.spawn(move || {
                     let mut local_secs = vec![0.0f64; n + 1];
                     let mut local_counts = vec![0usize; n + 1];
+                    let mut local_values = Vec::with_capacity(chunk.len());
                     for &c in chunk {
                         let start = Instant::now();
-                        u.eval(c);
+                        let v = train_coalition(u.spec(), u.clients(), input, classes, c, u.config())
+                            .accuracy(u.test_set());
                         local_secs[c.size()] += start.elapsed().as_secs_f64();
                         local_counts[c.size()] += 1;
+                        local_values.push((c.0 as usize, v));
                     }
                     let mut guard = acc
                         .lock()
@@ -296,10 +310,13 @@ impl TauModel {
                         guard.0[s] += local_secs[s];
                         guard.1[s] += local_counts[s];
                     }
+                    for (mask, v) in local_values {
+                        guard.2[mask] = v;
+                    }
                 });
             }
         });
-        let (secs, counts) = acc
+        let (secs, counts, values) = acc
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let tau_by_size = secs
@@ -307,7 +324,7 @@ impl TauModel {
             .zip(&counts)
             .map(|(s, &c)| if c > 0 { s / c as f64 } else { 0.0 })
             .collect();
-        TauModel { tau_by_size }
+        (TauModel { tau_by_size }, TableUtility::new(n, values))
     }
 
     /// Estimated cost of evaluating a set of coalitions.
@@ -414,6 +431,18 @@ mod tests {
         let sequential = exact_mc_sv(&u);
         for (a, b) in parallel.iter().zip(&sequential) {
             assert!((a - b).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn tau_model_tables_the_values_eval_returns() {
+        let problem = femnist(3, NeuralModel::Mlp, 17);
+        let u = problem.utility();
+        let (tau, table) = TauModel::measure_full(&u);
+        assert_eq!(tau.tau_by_size.len(), 4);
+        assert!(tau.tau_by_size.iter().all(|&t| t > 0.0), "{:?}", tau.tau_by_size);
+        for s in all_subsets(3) {
+            assert_eq!(table.eval(s).to_bits(), u.eval(s).to_bits(), "{s:?}");
         }
     }
 }

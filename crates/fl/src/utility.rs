@@ -141,7 +141,9 @@ impl Utility for FlUtility {
 
     /// One full FedAvg train + evaluate cycle, as a one-coalition
     /// [`FlUtility::eval_batch`]: the same engine, kernels and round-0
-    /// table as every batch.
+    /// table as every batch. Once the table holds a member's round 0, the
+    /// call skips that training, so its wall time is not the cost of one
+    /// training; time [`crate::fedavg::train_coalition`] for that.
     fn eval(&self, s: Coalition) -> f64 {
         self.eval_batch(std::slice::from_ref(&s))[0]
     }

@@ -31,8 +31,10 @@
 //! checks, lane iteration and mask bookkeeping as its replacement.
 //!
 //! **Two instruction widths, same bits.** [`matmul`],
-//! [`matmul_at_b_accum`], [`lane_matmul_at_b_accum`] and the `a·bᵀ` sweep
-//! run a second copy, compiled with AVX2, when the CPU has AVX2. Nothing
+//! [`lane_matmul_at_b_accum`] and the `a·bᵀ` sweep — the kernels of the
+//! lock-step step — run a second copy, compiled with AVX2, when the CPU
+//! has AVX2 ([`matmul_at_b_accum`], only solo `Dense` backward, stays
+//! single). Nothing
 //! enables FMA and no sum is reassociated; the AVX2 sweep takes 4 rows per
 //! tile (8 ymm accumulators) where the SSE2 baseline keeps 2, which only
 //! regroups independent outputs. The trap: LLVM vectorises a copy's loops
@@ -504,9 +506,11 @@ isa_dispatched! { lane_at_b_kernel(
             } else {
                 &input[(l * m + i) * n..(l * m + i + 1) * n]
             };
-            // ReLU-gated rows are about half zeros, so a `gv != 0.0` branch
-            // mispredicts: list the nonzero indices without one, then run
-            // the same axpys in the same ascending order.
+            // ReLU-gated rows hold zeros in no pattern (fl_cold_mlp's hidden
+            // layer: 36 % zeros, 45 % of neighbouring entries differ), which
+            // a `gv != 0.0` branch mispredicts: list the nonzero indices
+            // without one, then run the same axpys in the same ascending
+            // order (A/B against the branch: ARCHITECTURE.md).
             for (c, chunk) in g_row.chunks(CHUNK).enumerate() {
                 let mut nonzero = [0u8; CHUNK];
                 let mut len = 0;
@@ -532,10 +536,6 @@ pub fn matmul_at_b_accum(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out
     assert_eq!(a.len(), m * k);
     assert_eq!(b.len(), m * n);
     assert_eq!(out.len(), k * n);
-    at_b_kernel(a, b, m, k, n, out);
-}
-
-isa_dispatched! { at_b_kernel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
         let b_row = &b[i * n..(i + 1) * n];
@@ -546,7 +546,7 @@ isa_dispatched! { at_b_kernel(a: &[f32], b: &[f32], m: usize, k: usize, n: usize
             axpy(av, b_row, &mut out[p * n..(p + 1) * n]);
         }
     }
-}}
+}
 
 /// Dot product.
 #[inline]
@@ -749,21 +749,16 @@ mod tests {
     }
 
     #[test]
-    fn at_b_accum_is_bit_identical_to_naive_in_every_copy() {
-        for isa in copies() {
-            for (m, k, n) in DENSE_SHAPES {
-                let a = with_zeros(pseudo(3, m * k));
-                let b = pseudo(4, m * n);
-                let start = pseudo(5, k * n);
-                let mut out = start.clone();
-                match isa {
-                    "avx2" => matmul_at_b_accum(&a, &b, m, k, n, &mut out),
-                    _ => at_b_kernel::baseline(&a, &b, m, k, n, &mut out),
-                }
-                let mut expect = start;
-                naive_at_b_accum(&a, &b, m, k, n, &mut expect);
-                assert_eq!(bits(&out), bits(&expect), "{isa} m={m} k={k} n={n}");
-            }
+    fn at_b_accum_is_bit_identical_to_naive() {
+        for (m, k, n) in DENSE_SHAPES {
+            let a = with_zeros(pseudo(3, m * k));
+            let b = pseudo(4, m * n);
+            let start = pseudo(5, k * n);
+            let mut out = start.clone();
+            matmul_at_b_accum(&a, &b, m, k, n, &mut out);
+            let mut expect = start;
+            naive_at_b_accum(&a, &b, m, k, n, &mut expect);
+            assert_eq!(bits(&out), bits(&expect), "m={m} k={k} n={n}");
         }
     }
 
@@ -896,18 +891,33 @@ mod tests {
         }
     }
 
-    /// [`a_bt_block`] with its sweep run in copy `isa` (see [`copies`]).
-    #[allow(clippy::type_complexity)] // the drivers' `K` bound, returned
-    fn a_bt_block_in(
-        isa: &'static str,
-    ) -> impl Fn(&[f32], &[f32], usize, usize, usize, &mut [f32], Option<&[f32]>, bool) {
-        move |a: &[f32], b: &[f32], m, k, n, out: &mut [f32], bias: Option<&[f32]>, relu| {
-            let mut bt = Vec::new();
-            let np = transpose_padded(b, n, k, &mut bt);
-            match isa {
-                "avx2" => a_bt_sweep(a, &bt, np, m, k, n, out, bias, relu),
-                _ => a_bt_sweep::baseline(a, &bt, np, m, k, n, out, bias, relu),
-            }
+    /// The block-kernel signature the `a·bᵀ` drivers take.
+    type BlockKernel = fn(&[f32], &[f32], usize, usize, usize, &mut [f32], Option<&[f32]>, bool);
+
+    /// [`a_bt_block`] with its sweep run in the baseline copy.
+    #[allow(clippy::too_many_arguments)] // the drivers' block-kernel signature
+    fn a_bt_block_baseline(
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+        bias: Option<&[f32]>,
+        relu: bool,
+    ) {
+        let mut bt = Vec::new();
+        let np = transpose_padded(b, n, k, &mut bt);
+        a_bt_sweep::baseline(a, &bt, np, m, k, n, out, bias, relu);
+    }
+
+    /// The block kernel of copy `isa` (see [`copies`]): the production
+    /// [`a_bt_block`] for AVX2 (scratch, transpose and dispatch included),
+    /// its baseline twin for SSE2.
+    fn block_kernel(isa: &str) -> BlockKernel {
+        match isa {
+            "avx2" => a_bt_block,
+            _ => a_bt_block_baseline,
         }
     }
 
@@ -946,7 +956,7 @@ mod tests {
                                 let mut got = vec![f32::NAN; m * n];
                                 let mut mask = Vec::new();
                                 a_bt_with(
-                                    a_bt_block_in(isa),
+                                    block_kernel(isa),
                                     &a,
                                     &b,
                                     bias,
@@ -989,7 +999,7 @@ mod tests {
                     let mut expect = vec![f32::NAN; m * n];
                     by_rows(historical_a_bt_row)(&a, &b, m, k, n, &mut expect, bias, false);
                     let mut got = vec![f32::NAN; m * n];
-                    a_bt_block_in(isa)(&a, &b, m, k, n, &mut got, bias, false);
+                    block_kernel(isa)(&a, &b, m, k, n, &mut got, bias, false);
                     assert_eq!(bits(&got), bits(&expect), "{isa} m={m} k={k} n={n}");
                 }
             }
@@ -1038,20 +1048,26 @@ mod tests {
                     );
                     let mut got = vec![f32::NAN; lanes * m * n];
                     let mut masks = vec![false; lanes * m * n];
-                    lane_a_bt_bias_with(
-                        a_bt_block_in(isa),
-                        &a,
-                        a_shared,
-                        &w,
-                        &bias,
-                        lanes,
-                        &active,
-                        m,
-                        k,
-                        n,
-                        &mut got,
-                        relu.then_some(&mut masks[..]),
-                    );
+                    let got_masks = relu.then_some(&mut masks[..]);
+                    match isa {
+                        "avx2" => lane_matmul_a_bt_bias(
+                            &a, a_shared, &w, &bias, lanes, &active, m, k, n, &mut got, got_masks,
+                        ),
+                        _ => lane_a_bt_bias_with(
+                            a_bt_block_baseline,
+                            &a,
+                            a_shared,
+                            &w,
+                            &bias,
+                            lanes,
+                            &active,
+                            m,
+                            k,
+                            n,
+                            &mut got,
+                            got_masks,
+                        ),
+                    }
                     let label = format!("{isa} m={m} k={k} n={n} shared={a_shared} relu={relu}");
                     assert_eq!(bits(&got), bits(&expect), "{label}");
                     assert_eq!(masks, expect_masks, "{label}");
