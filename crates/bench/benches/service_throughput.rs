@@ -11,11 +11,12 @@
 //! * **sequential** — one long-lived server, requests submitted one at a
 //!   time (1 concurrent run): sharing via the caches only;
 //! * **concurrent** — the same server fed all requests at once (N
-//!   concurrent runs): sharing plus coalescing into merged lane blocks,
-//!   under the pure all-runs-parked barrier;
+//!   concurrent runs): sharing plus coalescing under the all-runs-parked
+//!   barrier, where each flush evaluates the cheapest parked batch and
+//!   delivers every batch the shared cache then covers;
 //! * **windowed** — concurrent again, with the bounded-latency flush
-//!   window (5 ms): the barrier still coalesces bursts, but no parked
-//!   batch can wait longer than the window on a straggler.
+//!   window (5 ms): a batch that has waited 5 ms is flushed next,
+//!   whatever its cost and whether or not its peers have parked.
 //!
 //! All four modes must return **bit-identical** values per request (the
 //! determinism contract), and the shared modes must train strictly fewer

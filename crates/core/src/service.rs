@@ -20,34 +20,48 @@
 //! Each request runs its estimator on a worker thread against a
 //! run-local [`Utility`] facade. When the estimator evaluates a batch,
 //! the facade *parks* the batch instead of evaluating it. When every
-//! currently-eligible run is parked (runs that finished have
-//! deregistered; runs awaiting results don't count), the last arrival
-//! becomes the *flush leader*: it merges all parked batches, deduplicates
-//! them, sorts them by `(|S|, mask)` and evaluates the distinct
-//! coalitions as **one** batch through the shared [`CachedUtility`] —
-//! which forwards only the cache misses to the inner utility (an FL
-//! utility turns them into size-sorted lock-step lane blocks over one
-//! shared trajectory cache). The leader then scatters per-run results and
-//! wakes the parked runs.
+//! registered run is parked (runs that finished have deregistered), the
+//! last arrival becomes the *flush leader* and serves the cheapest batch
+//! first:
+//!
+//! 1. it **picks** the parked batch with the least uncached work —
+//!    `Σ (|S| + 1)` over its distinct coalitions not yet in the shared
+//!    [`CachedUtility`], about one local training per member plus one
+//!    scoring pass on an FL utility — ties to the earliest parked;
+//! 2. it **evaluates** that batch's distinct coalitions, sorted by
+//!    `(|S|, mask)`, through the shared cache, which forwards only the
+//!    misses to the inner utility (an FL utility turns them into
+//!    size-sorted lock-step lane blocks over one shared trajectory
+//!    cache);
+//! 3. it **delivers** that batch plus every other parked batch the cache
+//!    now covers, and wakes their runs. The rest stay parked for the next
+//!    flush.
 //!
 //! ```text
-//!  request₁ ──▶ worker₁ ─ eval_batch ─┐                     ┌─ CachedUtility
-//!  request₂ ──▶ worker₂ ─ eval_batch ─┼─▶ park ▶ barrier ▶ ─┤   (shared, sharded)
-//!  request₃ ──▶ worker₃ ─ eval_batch ─┘    merge + dedup    └─▶ inner utility
-//!                                          one shared batch     (lane blocks +
-//!                                                                traj cache)
+//!  request₁ ──▶ worker₁ ─ eval_batch ─┐                   ┌─ CachedUtility
+//!  request₂ ──▶ worker₂ ─ eval_batch ─┼─▶ park ▶ barrier ─┤   (shared, sharded)
+//!  request₃ ──▶ worker₃ ─ eval_batch ─┘   pick cheapest   └─▶ inner utility
+//!                        ▲                evaluate it          (lane blocks +
+//!                        └─── deliver it + every batch         traj cache)
+//!                             the cache now covers
 //! ```
 //!
-//! The barrier couples a run's batch latency to the slowest concurrent
-//! run's inter-batch compute, in exchange for maximal coalescing; a run
-//! alone on the server flushes immediately, so the single-tenant case
-//! degenerates to a plain cached evaluation. To bound the coupling, a
-//! [`FlushWindow`] adds two early triggers — flush after `max_wait` of
-//! parked time, or once `max_parked` batches are parked — trading some
-//! coalescing for a latency cap. Utility determinism makes every
-//! schedule invisible in the results: every value is a pure function of
-//! its coalition mask, so coalesced runs return **bit-identical** values
-//! to solo runs, under any interleaving and any flush trigger.
+//! A run whose batch is in flight stays registered, so the barrier fires
+//! again only once every run — including the ones just released — has
+//! parked its next batch: one barrier flush at a time. That pause is what
+//! lets a cheap request's next batch overtake an expensive one parked
+//! beside it, so in a burst the cheap request finishes first instead of
+//! waiting for one merged flush of everyone's work. A run alone on the
+//! server flushes immediately, so the single-tenant case degenerates to a
+//! plain cached evaluation. The barrier still couples a batch to its
+//! peers' inter-batch compute, and a batch can wait behind a stream of
+//! cheaper ones; a [`FlushWindow`] bounds both with two early triggers —
+//! once a parked batch has waited `max_wait` the next flush takes it
+//! whatever its cost, and once `max_parked` batches are parked the
+//! cheapest is flushed. Utility determinism makes every schedule
+//! invisible in the results: every value is a pure function of its
+//! coalition mask, so coalesced runs return **bit-identical** values to
+//! solo runs, under any interleaving and any flush trigger.
 //!
 //! # Failure model
 //!
@@ -57,12 +71,13 @@
 //!   `Result<ValuationResponse, ValuationError>`; nothing in the service
 //!   panics the caller.
 //! - **Fault isolation.** If the inner utility panics under a flush
-//!   leader, the flush is *poisoned*: only the runs whose batches were
-//!   merged into it are affected, and each retries **its own batch**
-//!   directly against the still-healthy shared cache with capped
-//!   exponential backoff ([`RetryPolicy`]). Transient faults heal;
-//!   persistent ones surface as [`ValuationError::UtilityPanicked`] on
-//!   exactly the requests that touch the faulty coalitions.
+//!   leader, the flush is *poisoned*: only the run whose batch it picked
+//!   is affected, and it retries **its own batch** directly against the
+//!   still-healthy shared cache with capped exponential backoff
+//!   ([`RetryPolicy`]). Transient faults heal; persistent ones surface as
+//!   [`ValuationError::UtilityPanicked`] on exactly the requests that
+//!   touch the faulty coalitions — a parked batch that needs one meets it
+//!   when a flush picks it.
 //! - **Deadlines and budgets.** A request may carry a wall-clock
 //!   deadline and/or an evaluation budget, enforced at batch boundaries.
 //!   On overrun the run degrades gracefully (default
@@ -143,6 +158,7 @@ mod tests {
     use crate::anytime::{ProgressSnapshot, StoppingRule};
     use crate::coalition::Coalition;
     use crate::exact::exact_mc_sv;
+    use crate::fault::FaultyUtility;
     use crate::utility::{HashUtility, TableUtility, TrajCacheStats, Utility};
 
     /// Unwrap a service result in tests (plain `panic!` keeps the module
@@ -173,26 +189,117 @@ mod tests {
 
     #[test]
     fn concurrent_runs_dedup_through_the_shared_cache() {
-        let server = ValuationServer::start(HashUtility { n: 8, seed: 3 });
-        let tickets: Vec<Ticket> = (0..3)
-            .map(|i| server.submit(ValuationRequest::new(Estimator::ExactMc, 0, i)))
-            .collect();
-        let responses: Vec<ValuationResponse> = tickets.into_iter().map(|t| ok(t.wait())).collect();
-        let expected = exact_mc_sv(&HashUtility { n: 8, seed: 3 });
-        for resp in &responses {
-            assert_eq!(resp.values, expected, "bit-identical to solo execution");
+        let utility = || HashUtility { n: 8, seed: 3 };
+        let sweep = |seed| ValuationRequest::new(Estimator::ExactMc, 0, seed);
+        // (served alone first, then submitted together, range of lookups)
+        let cases = [
+            // Three identical sweeps over 2^8 coalitions: between 2^8 (one
+            // flush evaluates a sweep, the cache covers the other two) and
+            // 3·2^8 (no cross-run coalescing) lookups.
+            (vec![], vec![sweep(0), sweep(1), sweep(2)], 1 << 8..=3 << 8),
+            // On a warm memo every batch costs nothing, so whichever batch
+            // a flush picks, the other's coalitions are read beside it as
+            // hits: 2^8 for the sweep, 9 for LOO, 1 + 8 for IPSS in any
+            // schedule.
+            (
+                vec![sweep(0)],
+                vec![
+                    ValuationRequest::new(Estimator::Loo, 0, 1),
+                    ValuationRequest::new(Estimator::Ipss, 9, 2),
+                ],
+                274..=274,
+            ),
+        ];
+        for (warm, burst, lookups) in cases {
+            let requests = warm.len() + burst.len();
+            let server = ValuationServer::start(utility());
+            for req in warm {
+                ok(server.call(req));
+            }
+            let tickets: Vec<Ticket> = burst.iter().map(|r| server.submit(r.clone())).collect();
+            for (ticket, req) in tickets.into_iter().zip(burst) {
+                let solo = ok(ValuationServer::start(utility()).call(req)).values;
+                assert_eq!(ok(ticket.wait()).values, solo, "bit-identical to solo");
+            }
+            let stats = server.stats();
+            assert_eq!(stats.requests, requests);
+            // Every coalition any run touched was trained exactly once.
+            assert_eq!(stats.eval.evaluations, 1 << 8);
+            assert!(lookups.contains(&stats.eval.lookups), "{stats:?}");
+            assert_eq!(stats.distinct_coalitions, stats.eval.lookups);
+            assert_eq!(stats.failed_flushes, 0);
+            assert_eq!(stats.retries, 0);
+            server.shutdown();
         }
-        let stats = server.stats();
-        assert_eq!(stats.requests, 3);
-        // Three identical sweeps over 2^8 coalitions trained each model once.
-        assert_eq!(stats.eval.evaluations, 1 << 8);
-        // Flush-level dedup forwards between 2^8 (all three sweeps merged
-        // into one flush) and 3·2^8 (no cross-run coalescing) lookups.
-        assert!((1 << 8..=3 * (1 << 8)).contains(&stats.eval.lookups));
-        assert_eq!(stats.distinct_coalitions, stats.eval.lookups);
-        assert_eq!(stats.failed_flushes, 0);
-        assert_eq!(stats.retries, 0);
+    }
+
+    #[test]
+    fn cheapest_parked_batch_is_flushed_first() {
+        // A sweep over clients 0–6 (one batch of 2^7 coalitions) and IPSS
+        // over all eight (γ = 37: strata of 1 + 8 + 28) on a utility that
+        // sleeps 2 ms per evaluation. Each barrier flush takes the batch
+        // with the least uncached work, so IPSS's three strata go first and
+        // it resolves while the sweep still trains. (Merging every parked
+        // batch into one flush would release the sweep first: IPSS's
+        // coalitions with client 7 are still uncached after it.) IPSS is
+        // submitted first so that the order holds however the dispatcher
+        // groups the two submissions.
+        let slow = FaultyUtility::new(HashUtility { n: 8, seed: 5 })
+            .delay_every_evals(1, Duration::from_millis(2));
+        let ipss_req = ValuationRequest::new(Estimator::Ipss, 37, 2);
+        let sweep_req = ValuationRequest::new(Estimator::ExactMc, 0, 1)
+            .for_clients(Coalition::from_members(0..7));
+        let server = ValuationServer::start(slow);
+        let ipss = server.submit(ipss_req.clone());
+        let sweep = server.submit(sweep_req.clone());
+        let ipss_resp = ok(ipss.wait());
+        assert!(
+            sweep.wait_timeout(Duration::ZERO).is_none(),
+            "the cheap request must resolve while the sweep is still parked or training"
+        );
+        let sweep_resp = ok(sweep.wait());
         server.shutdown();
+        let solo = |req| ok(ValuationServer::start(HashUtility { n: 8, seed: 5 }).call(req)).values;
+        assert_eq!(ipss_resp.values, solo(ipss_req));
+        assert_eq!(sweep_resp.values, solo(sweep_req));
+    }
+
+    #[test]
+    fn flush_window_bounds_a_batch_behind_cheaper_ones() {
+        // A sweep over clients 0–7 parks beside ten LOO requests, each
+        // over a distinct {8, a, b} whose grand coalition sleeps 50 ms.
+        // Every LOO batch is cheaper, so the barrier alone would serve the
+        // sweep last, after ≥ 10 · 50 ms. With a 20 ms window its expired
+        // wait takes the next flush: it is served within the window plus
+        // its own (sub-millisecond) flush.
+        let window = Duration::from_millis(20);
+        let triples: Vec<Coalition> = (0..8)
+            .flat_map(|a| (a + 1..8).map(move |b| Coalition::from_members([8, a, b])))
+            .take(10)
+            .collect();
+        let slow = triples.iter().fold(
+            FaultyUtility::new(HashUtility { n: 9, seed: 8 }),
+            |u, &t| u.delay_on_coalition(t, Duration::from_millis(50), 1),
+        );
+        let sweep_req = ValuationRequest::new(Estimator::ExactMc, 0, 1)
+            .for_clients(Coalition::from_members(0..8));
+        let loo_req = |t| ValuationRequest::new(Estimator::Loo, 0, 0).for_clients(t);
+        let server = ValuationServer::builder(slow).flush_window(window).start();
+        let sweep = server.submit(sweep_req.clone());
+        let loos: Vec<Ticket> = triples.iter().map(|&t| server.submit(loo_req(t))).collect();
+        let sweep_resp = ok(sweep.wait());
+        let loo_resps: Vec<ValuationResponse> = loos.into_iter().map(|t| ok(t.wait())).collect();
+        server.shutdown();
+        assert!(
+            sweep_resp.run.park_wait_max < window + Duration::from_millis(150),
+            "the window must bound the sweep's wait, waited {:?}",
+            sweep_resp.run.park_wait_max
+        );
+        let solo = |req| ok(ValuationServer::start(HashUtility { n: 9, seed: 8 }).call(req)).values;
+        assert_eq!(sweep_resp.values, solo(sweep_req));
+        for (resp, &t) in loo_resps.iter().zip(&triples) {
+            assert_eq!(resp.values, solo(loo_req(t)));
+        }
     }
 
     #[test]

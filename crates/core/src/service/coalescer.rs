@@ -1,6 +1,8 @@
-//! The coalescer: batches parked by concurrent runs, the all-eligible
+//! The coalescer: batches parked by concurrent runs, the all-parked
 //! barrier and its [`FlushWindow`] early triggers, and the flush itself —
-//! merge, dedup, one shared evaluation, scatter.
+//! pick the parked batch with the least uncached work, evaluate it through
+//! the shared cache, deliver it with every parked batch the cache now
+//! covers.
 
 // This file is on the timing whitelist (clippy.toml bans Instant::now
 // elsewhere): park-wait deadlines and flush windows are wall-clock by
@@ -17,11 +19,11 @@ use crate::coalition::Coalition;
 use crate::fault::quiet;
 use crate::utility::{CachedUtility, TrajCacheStats, Utility};
 
-/// Outcome of one flush, delivered to each parked batch.
+/// Outcome of one flush, delivered to each batch it served.
 pub(super) struct FlushOutcome {
     /// Values aligned with the parked batch's coalitions.
     pub(super) values: Vec<f64>,
-    /// How many parked batches the flush merged.
+    /// How many parked batches the flush delivered.
     pub(super) merged_batches: usize,
 }
 
@@ -40,7 +42,8 @@ struct ParkedEntry {
     /// `None` while pending; filled by the flush leader. `Err` carries
     /// the panic message of a poisoned flush.
     outcome: Option<Result<FlushOutcome, String>>,
-    /// Taken by a leader (in flight) — no longer counted as parked.
+    /// Taken by a flush (picked, or delivered as covered) — no longer
+    /// counted as parked.
     taken: bool,
     /// When the batch parked — drives the [`FlushWindow`] `max_wait`
     /// trigger.
@@ -50,19 +53,20 @@ struct ParkedEntry {
 /// Coalescer state, guarded by one mutex (the condvar lives beside it).
 #[derive(Default)]
 pub(super) struct CoState {
-    /// Runs registered and *able to park*: registered minus the runs
-    /// whose batch is in flight in a flush. The flush barrier is
-    /// `parked == eligible`.
+    /// Runs registered. A run whose batch is in flight stays counted, so
+    /// the flush barrier `parked == eligible` holds only once every run —
+    /// including the ones the last flush released — has parked its next
+    /// batch: one barrier flush at a time.
     eligible: usize,
-    /// Entries not yet taken by a leader.
+    /// Entries not yet taken by a flush.
     parked: usize,
     next_ticket: u64,
     /// Parked batches by ticket. A `BTreeMap`, not a `HashMap`: the
-    /// flush leader walks this map to take parked entries, and a B-tree
-    /// iterates in ticket (arrival) order — deterministic by
-    /// construction, where hash order would silently depend on the
-    /// allocator state. (The merged batch is sorted again before
-    /// evaluation, but the take order must not be left to chance.)
+    /// flush leader walks this map to pick a batch and to find the ones
+    /// the cache covers, and a B-tree iterates in ticket (arrival) order —
+    /// so a cost tie goes to the lowest ticket and the oldest entry is the
+    /// first one, by construction, where hash order would silently depend
+    /// on the allocator state.
     entries: BTreeMap<u64, ParkedEntry>,
     flushes: usize,
     merged_batches: usize,
@@ -114,7 +118,8 @@ impl<U: Utility + Send + Sync> Shared<U> {
     /// Park `coalitions` and wait for a flush to deliver their values.
     /// A caller that observes a satisfied trigger — the barrier
     /// (`parked == eligible`), or either [`FlushWindow`] condition —
-    /// becomes the leader and evaluates the merged batch itself.
+    /// becomes the leader of one flush, which may serve another run's
+    /// batch and leave its own parked.
     pub(super) fn eval_coalesced(
         &self,
         coalitions: &[Coalition],
@@ -155,18 +160,29 @@ impl<U: Utility + Send + Sync> Shared<U> {
             }
             let barrier = st.parked > 0 && st.parked == st.eligible;
             let count_trigger = self.window.max_parked.is_some_and(|k| st.parked >= k);
-            let wait_deadline = self.window.max_wait.and_then(|w| {
-                st.entries
-                    .values()
-                    .filter(|e| !e.taken)
-                    .map(|e| e.parked_at)
-                    .min()
-                    .map(|oldest| oldest + w)
-            });
+            // Tickets and park times rise together, so the first parked
+            // entry is the oldest.
+            let oldest = st
+                .entries
+                .iter()
+                .find(|(_, e)| !e.taken)
+                .map(|(&id, e)| (id, e.parked_at));
+            let wait_deadline = self
+                .window
+                .max_wait
+                .and_then(|w| oldest.map(|(_, at)| at + w));
             let window_trigger = wait_deadline.is_some_and(|d| Instant::now() >= d);
-            if barrier || count_trigger || window_trigger {
-                st = self.flush(st);
-                continue; // own outcome is now set (or poisoned)
+            // An expired wait takes its own batch, so `max_wait` bounds
+            // every parked batch's wait; the barrier and `max_parked` take
+            // the cheapest.
+            let pick = match oldest {
+                Some((id, _)) if window_trigger => Some(id),
+                _ if barrier || count_trigger => self.cheapest(&st),
+                _ => None,
+            };
+            if let Some(pick) = pick {
+                st = self.flush(st, pick);
+                continue; // own outcome set, or own batch still parked
             }
             st = match wait_deadline {
                 Some(deadline) => {
@@ -181,86 +197,124 @@ impl<U: Utility + Send + Sync> Shared<U> {
         }
     }
 
-    /// Flush every parked batch as the leader: merge, dedup, sort,
-    /// evaluate through the shared cache, scatter results, wake waiters.
-    /// Takes and returns the state guard (the evaluation itself runs
-    /// unlocked, so a new wave of runs can park meanwhile). A panicking
-    /// inner utility is caught here: the taken entries are poisoned with
-    /// the panic message and their owners retry independently — the
-    /// coalescer itself stays healthy.
-    fn flush<'a>(&'a self, mut st: MutexGuard<'a, CoState>) -> MutexGuard<'a, CoState> {
-        let taken: Vec<u64> = st
-            .entries
-            .iter_mut()
-            .filter(|(_, e)| !e.taken)
-            .map(|(&id, e)| {
-                e.taken = true;
-                id
-            })
-            .collect();
-        let batch_count = taken.len();
-        if batch_count == 0 {
-            return st;
+    /// The parked batch with the least uncached work, ties to the lowest
+    /// ticket. With one batch parked there is nothing to compare — every
+    /// single-tenant flush — so the scan is skipped.
+    fn cheapest(&self, st: &CoState) -> Option<u64> {
+        let mut parked = st.entries.iter().filter(|(_, e)| !e.taken);
+        if st.parked == 1 {
+            return parked.next().map(|(&id, _)| id);
         }
-        st.parked -= batch_count;
-        st.eligible -= batch_count;
+        // `min_by_key` keeps the first minimum: the lowest ticket.
+        parked
+            .min_by_key(|(_, e)| self.uncached_work(&e.coalitions))
+            .map(|(&id, _)| id)
+    }
+
+    /// `Σ (|S| + 1)` over the batch's distinct uncached coalitions: on an
+    /// FL utility one evaluation costs about one local training per member
+    /// plus one scoring pass, and a plain miss count would rank 22 large
+    /// coalitions (`Σ|S| = 119`) ahead of 45 pairs (`Σ|S| = 90`).
+    /// `is_cached` counts no lookups.
+    fn uncached_work(&self, batch: &[Coalition]) -> usize {
+        let mut seen = HashSet::new();
+        batch
+            .iter()
+            .filter(|&&s| !self.cached.is_cached(s) && seen.insert(s.0))
+            .map(|s| s.size() + 1)
+            .sum()
+    }
+
+    /// Flush the parked batch `pick` as the leader: evaluate its distinct
+    /// coalitions through the shared cache, then deliver it together with
+    /// every other parked batch the cache now covers, and wake waiters.
+    /// The rest stay parked. Takes and returns the state guard (the
+    /// evaluation itself runs unlocked, so runs can park meanwhile). A
+    /// panicking inner utility is caught here: only the picked batch is
+    /// poisoned, and its owner retries independently — the coalescer
+    /// itself stays healthy.
+    fn flush<'a>(&'a self, mut st: MutexGuard<'a, CoState>, pick: u64) -> MutexGuard<'a, CoState> {
+        let Some(entry) = st.entries.get_mut(&pick) else {
+            unreachable!("the pick is a parked entry")
+        };
+        entry.taken = true;
+        // Distinct coalitions in a deterministic forwarding order (by
+        // size, ties by mask), so lane-block composition downstream does
+        // not depend on arrival order.
+        let mut batch = entry.coalitions.clone();
+        batch.sort_by_key(|s| (s.size(), s.0));
+        batch.dedup();
+        st.parked -= 1;
         st.flushes += 1;
-        st.merged_batches += batch_count;
-        // Merge + dedup, then a deterministic forwarding order (by size,
-        // ties by mask) so lane-block composition downstream does not
-        // depend on arrival order.
-        let mut seen: HashSet<u128> = HashSet::new();
-        let mut merged: Vec<Coalition> = Vec::new();
-        for id in &taken {
-            for &s in &st.entries[id].coalitions {
-                if seen.insert(s.0) {
-                    merged.push(s);
-                }
-            }
-        }
-        merged.sort_by_key(|s| (s.size(), s.0));
+        st.merged_batches += 1;
         drop(st);
 
-        // Evaluate unlocked, catching panics: a poisoned flush fails only
-        // the runs whose batches it merged.
-        match quiet::catch_quiet(|| self.cached.eval_batch(&merged)) {
-            Ok(values) => {
-                let by_mask: HashMap<u128, f64> = merged.iter().map(|s| s.0).zip(values).collect();
-                let mut st = self.lock_state();
-                st.distinct_coalitions += merged.len();
-                for id in &taken {
-                    let Some(entry) = st.entries.get_mut(id) else {
-                        unreachable!("taken entries stay resident until their owner consumes them")
-                    };
-                    entry.outcome = Some(Ok(FlushOutcome {
-                        values: entry
-                            .coalitions
-                            .iter()
-                            .map(|s| {
-                                by_mask.get(&s.0).copied().unwrap_or_else(|| {
-                                    unreachable!("merged batch covers every taken coalition")
-                                })
-                            })
-                            .collect(),
-                        merged_batches: batch_count,
-                    }));
-                }
-                st.eligible += batch_count;
-                drop(st);
-            }
+        let values = match quiet::catch_quiet(|| self.cached.eval_batch(&batch)) {
+            Ok(values) => values,
             Err(payload) => {
                 let detail = quiet::panic_message(payload.as_ref());
                 let mut st = self.lock_state();
                 st.failed_flushes += 1;
-                for id in &taken {
-                    if let Some(entry) = st.entries.get_mut(id) {
-                        entry.outcome = Some(Err(detail.clone()));
-                    }
+                if let Some(entry) = st.entries.get_mut(&pick) {
+                    entry.outcome = Some(Err(detail));
                 }
-                st.eligible += batch_count;
                 drop(st);
+                self.cv.notify_all();
+                return self.lock_state();
+            }
+        };
+        let mut by_mask: HashMap<u128, f64> = batch.iter().map(|s| s.0).zip(values).collect();
+
+        let mut st = self.lock_state();
+        let mut delivered = vec![pick];
+        let mut rest: Vec<Coalition> = Vec::new();
+        for (&id, entry) in st.entries.iter_mut().filter(|(_, e)| !e.taken) {
+            if entry
+                .coalitions
+                .iter()
+                .all(|&s| by_mask.contains_key(&s.0) || self.cached.is_cached(s))
+            {
+                entry.taken = true;
+                delivered.push(id);
+                rest.extend(
+                    entry
+                        .coalitions
+                        .iter()
+                        .filter(|s| !by_mask.contains_key(&s.0)),
+                );
             }
         }
+        // The covered batches' coalitions the pick did not evaluate are
+        // all cache hits: one read, no inner evaluation under the lock,
+        // and `eval.lookups` still equals `distinct_coalitions`.
+        if !rest.is_empty() {
+            rest.sort_by_key(|s| (s.size(), s.0));
+            rest.dedup();
+            let values = self.cached.eval_batch(&rest);
+            by_mask.extend(rest.iter().map(|s| s.0).zip(values));
+        }
+        let covered = delivered.len() - 1;
+        st.parked -= covered;
+        st.merged_batches += covered;
+        st.distinct_coalitions += by_mask.len();
+        for id in &delivered {
+            let Some(entry) = st.entries.get_mut(id) else {
+                unreachable!("taken entries stay resident until their owner consumes them")
+            };
+            entry.outcome = Some(Ok(FlushOutcome {
+                values: entry
+                    .coalitions
+                    .iter()
+                    .map(|s| {
+                        by_mask.get(&s.0).copied().unwrap_or_else(|| {
+                            unreachable!("the flush read every delivered coalition")
+                        })
+                    })
+                    .collect(),
+                merged_batches: delivered.len(),
+            }));
+        }
+        drop(st);
         self.cv.notify_all();
         self.lock_state()
     }

@@ -46,7 +46,8 @@ pub enum Estimator {
 pub enum ValuationError {
     /// The utility panicked under every attempt to evaluate one of this
     /// run's batches (the poisoned flush plus `attempts − 1` direct
-    /// retries). Other runs sharing the flush retried independently.
+    /// retries). A flush poisons only the batch it picked, so other runs
+    /// meet the fault only through their own batches.
     UtilityPanicked {
         /// Evaluation attempts made for the failing batch.
         attempts: usize,
@@ -259,8 +260,10 @@ pub struct RunStats {
     /// with other runs — compare with the shared [`EvalStats`] to see the
     /// dedup).
     pub coalitions: usize,
-    /// Batches that were flushed together with at least one other run's
-    /// batch — the run's share of actual cross-run coalescing.
+    /// Batches delivered by a flush that also delivered at least one
+    /// other run's batch — the flush evaluated one of them and the shared
+    /// cache covered the rest: the run's share of actual cross-run
+    /// coalescing.
     pub coalesced_batches: usize,
     /// The run hit its deadline or evaluation cap and the response holds
     /// the partial-prefix fold instead of the estimator's full output.
@@ -272,8 +275,9 @@ pub struct RunStats {
     /// Direct retries this run performed after poisoned flushes.
     pub retries: usize,
     /// Longest time one of this run's batches spent at the coalescer
-    /// (parking through result delivery, including the flush itself) —
-    /// the latency a [`FlushWindow`] bounds.
+    /// (parking through result delivery, including the flush itself). A
+    /// parked batch waits for its peers to park and for every cheaper
+    /// batch flushed before it; a [`FlushWindow`] `max_wait` bounds it.
     pub park_wait_max: Duration,
 }
 
@@ -285,17 +289,20 @@ pub struct ServiceStats {
     pub requests: usize,
     /// Coalescer flushes attempted (including poisoned ones).
     pub flushes: usize,
-    /// Parked batches merged across all flushes (`> flushes` ⇔ cross-run
-    /// coalescing happened).
+    /// Parked batches delivered across all flushes: each flush's picked
+    /// batch (poisoned ones included) plus every batch the cache covered
+    /// beside it (`> flushes` ⇔ cross-run coalescing happened).
     pub merged_batches: usize,
-    /// Flushes whose inner evaluation panicked; the affected runs
-    /// retried their own batches directly.
+    /// Flushes whose inner evaluation panicked; the picked batch's run
+    /// retried it directly.
     pub failed_flushes: usize,
     /// Direct per-run retry attempts after poisoned flushes.
     pub retries: usize,
-    /// Distinct coalitions delivered through *successful* flushes (after
-    /// merge-level dedup; retry traffic bypasses the coalescer and is
-    /// visible in `eval.lookups` instead).
+    /// Distinct coalitions read through *successful* flushes: the picked
+    /// batch's, plus the covered batches' others, deduplicated per flush.
+    /// Each is one cache lookup, so without retries this equals
+    /// `eval.lookups` (retry traffic bypasses the coalescer and shows up
+    /// in `eval.lookups` only).
     pub distinct_coalitions: usize,
     /// The shared coalition cache's accounting: `evaluations` is the
     /// total number of models actually trained on behalf of *all* runs.
@@ -374,18 +381,24 @@ impl Ticket {
     }
 }
 
-/// Early flush triggers bounding how long a parked batch can wait on the
-/// all-eligible-runs barrier ([`ServerBuilder::flush_window`](super::ServerBuilder::flush_window),
-/// [`ServerBuilder::flush_after_parked`](super::ServerBuilder::flush_after_parked)). Either trigger trades some
-/// cross-run coalescing for a latency bound; neither can change a value
-/// (every value is a pure function of its coalition mask).
+/// Early flush triggers bounding how long a parked batch can wait
+/// ([`ServerBuilder::flush_window`](super::ServerBuilder::flush_window),
+/// [`ServerBuilder::flush_after_parked`](super::ServerBuilder::flush_after_parked)).
+/// Without them a batch waits for every registered run to park (the
+/// barrier) and then for every cheaper batch flushed before it. Either
+/// trigger trades some cross-run coalescing for a latency bound; neither
+/// can change a value (every value is a pure function of its coalition
+/// mask). Both may fire beside a flush already in flight.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlushWindow {
-    /// Flush once the oldest parked batch has waited this long, even if
-    /// not every eligible run has parked (`None` = barrier only).
+    /// Once the oldest parked batch has waited this long, flush *that*
+    /// batch, whatever its cost and even if not every run has parked
+    /// (`None` = barrier only). Bounds every batch's wait by `max_wait`
+    /// plus its own flush.
     pub max_wait: Option<Duration>,
-    /// Flush as soon as this many batches are parked (`None` = barrier
-    /// only; `Some(1)` disables cross-run batching entirely).
+    /// Flush the cheapest parked batch as soon as this many are parked
+    /// (`None` = barrier only; `Some(1)` disables cross-run batching
+    /// entirely).
     pub max_parked: Option<usize>,
 }
 

@@ -120,8 +120,8 @@ impl<U: Utility + Send + Sync> RunUtility<U> {
 
     /// Direct retries after a poisoned flush: the run's own batch, against
     /// the still-healthy shared cache, with capped exponential backoff.
-    /// Bypassing the coalescer isolates the failure — peers whose batches
-    /// are healthy retry successfully in parallel.
+    /// Bypassing the coalescer isolates the failure — no peer's batch
+    /// rides on a retry.
     fn retry_direct(&self, global: &[Coalition], mut detail: String) -> Vec<f64> {
         let policy = self.shared.retry;
         for attempt in 1..=policy.max_retries {

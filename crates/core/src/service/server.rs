@@ -60,15 +60,15 @@ impl<U: Utility + Send + Sync + 'static> ServerBuilder<U> {
         self
     }
 
-    /// Bound the time a parked batch waits on the barrier: flush once the
-    /// oldest parked batch is `max_wait` old (see [`FlushWindow`]).
+    /// Bound the time a parked batch waits: once the oldest parked batch
+    /// is `max_wait` old, the next flush takes it (see [`FlushWindow`]).
     pub fn flush_window(mut self, max_wait: Duration) -> Self {
         self.window.max_wait = Some(max_wait);
         self
     }
 
-    /// Flush as soon as `max_parked` batches are parked (see
-    /// [`FlushWindow`]).
+    /// Flush the cheapest parked batch as soon as `max_parked` batches are
+    /// parked (see [`FlushWindow`]).
     pub fn flush_after_parked(mut self, max_parked: usize) -> Self {
         self.window.max_parked = Some(max_parked);
         self

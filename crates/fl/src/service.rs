@@ -9,10 +9,14 @@
 //! every concurrent run's coalitions end up as lane blocks over **one**
 //! round-0 table, so each client's round-0 training is paid once per
 //! server lifetime, in at most `n · p · 4` bytes.
-//! FL training batches are the heaviest in the codebase, so the config
-//! also exposes the server's bounded-latency
-//! [`FlushWindow`](fedval_core::service::FlushWindow) triggers: a slow FedAvg run then delays a
-//! fast peer's parked batch by at most `flush_max_wait`.
+//! FL training batches are the heaviest in the codebase. The barrier
+//! already serves the cheapest parked batch first, so a fast peer's small
+//! batch overtakes a slow run's large one; the config also exposes the
+//! server's bounded-latency
+//! [`FlushWindow`](fedval_core::service::FlushWindow) triggers, so a large
+//! batch that keeps losing to cheaper ones, or a batch whose peers are
+//! still training, waits at most `flush_max_wait` before a flush takes
+//! it.
 //!
 //! ```no_run
 //! use fedval_core::service::{Estimator, ValuationRequest};
@@ -59,13 +63,14 @@ pub struct FlServiceConfig {
     /// Thread count of the server-side `ParallelUtility` fan-out
     /// (`None` = rayon's process-wide default, i.e. all cores).
     pub threads: Option<usize>,
-    /// Bound the time a parked batch waits on the coalescing barrier:
-    /// flush once the oldest parked batch is this old, even if not every
-    /// eligible run has parked (`None` = barrier only). Trades some
+    /// Bound the time a parked batch waits: once the oldest parked batch
+    /// is this old, the next flush takes it, whatever its cost and even if
+    /// not every run has parked (`None` = barrier only). Trades some
     /// cross-run coalescing for a latency cap; never changes a value.
     pub flush_max_wait: Option<Duration>,
-    /// Flush as soon as this many batches are parked (`None` = barrier
-    /// only; `Some(1)` disables cross-run batching entirely).
+    /// Flush the cheapest parked batch as soon as this many are parked
+    /// (`None` = barrier only; `Some(1)` disables cross-run batching
+    /// entirely).
     pub flush_after_parked: Option<usize>,
 }
 

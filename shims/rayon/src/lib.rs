@@ -4,7 +4,6 @@
 //! the rayon API subset the workspace uses on top of `std::thread::scope`:
 //!
 //! * `slice.par_iter().map(f).collect::<Vec<_>>()` (order-preserving);
-//! * `slice.par_iter().map(f).for_each(g)` / `.sum()`;
 //! * [`ThreadPoolBuilder`] → [`ThreadPool::install`] to pin the degree of
 //!   parallelism for a scope (used by the determinism tests to compare
 //!   1-, 2- and N-thread runs);
@@ -205,10 +204,6 @@ impl<'a, T: Sync> SliceParIter<'a, T> {
             f,
         }
     }
-
-    pub fn for_each<F: Fn(&'a T) + Sync>(self, f: F) {
-        let _ = self.map(&f).run();
-    }
 }
 
 /// The `.map(f)` stage of a parallel slice iterator.
@@ -218,24 +213,10 @@ pub struct ParMap<'a, T: Sync, F> {
 }
 
 impl<'a, T: Sync, R: Send, F: Fn(&'a T) -> R + Sync> ParMap<'a, T, F> {
-    fn run(self) -> Vec<R> {
-        par_map_slice(self.slice, &self.f)
-    }
-
     /// Order-preserving collect. `C: From<Vec<R>>` covers the
     /// `collect::<Vec<_>>()` form used throughout the workspace.
     pub fn collect<C: From<Vec<R>>>(self) -> C {
-        C::from(self.run())
-    }
-
-    pub fn for_each<G: Fn(R) + Sync>(self, g: G) {
-        for r in self.run() {
-            g(r);
-        }
-    }
-
-    pub fn sum<S: std::iter::Sum<R>>(self) -> S {
-        self.run().into_iter().sum()
+        C::from(par_map_slice(self.slice, &self.f))
     }
 }
 
@@ -294,8 +275,8 @@ mod tests {
     fn single_thread_pool_still_maps_everything() {
         let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
         let v: Vec<i64> = (0..100).collect();
-        let s: i64 = pool.install(|| v.par_iter().map(|&x| x).sum());
-        assert_eq!(s, 4950);
+        let got: Vec<i64> = pool.install(|| v.par_iter().map(|&x| x + 1).collect());
+        assert_eq!(got, (1..=100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -345,16 +326,5 @@ mod tests {
         let one = [42u32];
         let out: Vec<u32> = one.par_iter().map(|&x| x + 1).collect();
         assert_eq!(out, vec![43]);
-    }
-
-    #[test]
-    fn for_each_visits_all() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let count = AtomicUsize::new(0);
-        let v: Vec<usize> = (0..257).collect();
-        v.par_iter().for_each(|_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 257);
     }
 }
