@@ -33,28 +33,6 @@ pub fn base_seed() -> u64 {
         .unwrap_or(42)
 }
 
-/// The machine's available parallelism (1 when undetectable).
-pub fn machine_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1)
-}
-
-/// JSON fields fingerprinting the run's environment —
-/// `available_parallelism()` and the `RAYON_NUM_THREADS` override (JSON
-/// `null` when unset) — embedded in every `BENCH_*.json` tracking report
-/// so trajectories recorded on different runners stay comparable.
-pub fn parallelism_json_fields() -> String {
-    let threads = match std::env::var("RAYON_NUM_THREADS") {
-        Ok(v) => format!("\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")),
-        Err(_) => "null".to_string(),
-    };
-    format!(
-        "\"machine_cores\": {},\n  \"rayon_num_threads\": {threads}",
-        machine_cores()
-    )
-}
-
 /// Client counts for the end-to-end tables (Table IV / Table V).
 pub fn table_client_counts() -> Vec<usize> {
     if quick() {

@@ -3,8 +3,9 @@
 //! The experiment harness regenerating every table and figure of the IPSS
 //! paper (per-experiment index in DESIGN.md §4). Each `cargo bench` target
 //! under `benches/` is a `harness = false` binary that prints the same
-//! rows/series its paper counterpart reports; `criterion_micro` holds
-//! Criterion micro-benchmarks of the core operations.
+//! rows/series its paper counterpart reports. Performance is measured in
+//! one place only: the ledger under `benchmark/` (`benchmark/run.sh`),
+//! whose per-layer metrics cover the core estimators and the FL kernels.
 //!
 //! Environment knobs: `FEDVAL_QUICK=1` shrinks every experiment,
 //! `FEDVAL_SEED=<u64>` changes the base seed.
@@ -15,7 +16,7 @@ pub mod report;
 pub mod runner;
 pub mod table;
 
-pub use config::{base_seed, gamma_for, machine_cores, parallelism_json_fields, quick};
+pub use config::{base_seed, gamma_for, quick};
 pub use problems::{
     adult_mlp, adult_xgb, femnist, mnist_synthetic, scalability, GbdtProblem, NeuralModel,
     NeuralProblem,

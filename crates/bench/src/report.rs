@@ -8,6 +8,8 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 
+use fedval_serve::json::{Json, Num};
+
 /// One algorithm's measurement within an experiment cell.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Measurement {
@@ -56,36 +58,33 @@ impl ExperimentReport {
         });
     }
 
-    /// Serialise to a JSON string.
+    /// Serialise to a JSON string (one line, via the wire's encoder).
+    /// Non-finite seconds and absent errors/evaluations encode as `null`.
     pub fn to_json(&self) -> String {
-        // A minimal JSON emitter (the workspace builds without a registry,
-        // so serde/serde_json are unavailable); the structure is flat
-        // enough to emit directly.
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"experiment\": {},\n",
-            json_string(&self.experiment)
-        ));
-        out.push_str(&format!("  \"config\": {},\n", json_string(&self.config)));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str("  \"measurements\": [\n");
-        for (idx, m) in self.measurements.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"algorithm\": {}, \"seconds\": {}, \"error\": {}, \"evaluations\": {}}}{}\n",
-                json_string(&m.algorithm),
-                json_number(m.seconds),
-                m.error.map_or("null".to_string(), json_number),
-                m.evaluations
-                    .map_or("null".to_string(), |e| e.to_string()),
-                if idx + 1 < self.measurements.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("  ]\n}\n");
+        let finite = |x: f64| {
+            if x.is_finite() {
+                Json::f64(x)
+            } else {
+                Json::Null
+            }
+        };
+        let count = |c: usize| Json::Num(Num::U64(c as u64));
+        let measurements = self.measurements.iter().map(|m| {
+            Json::obj([
+                ("algorithm", Json::str(&m.algorithm)),
+                ("seconds", finite(m.seconds)),
+                ("error", m.error.map_or(Json::Null, finite)),
+                ("evaluations", m.evaluations.map_or(Json::Null, count)),
+            ])
+        });
+        let mut out = Json::obj([
+            ("experiment", Json::str(&self.experiment)),
+            ("config", Json::str(&self.config)),
+            ("seed", Json::Num(Num::U64(self.seed))),
+            ("measurements", Json::Arr(measurements.collect())),
+        ])
+        .encode();
+        out.push('\n');
         out
     }
 
@@ -99,30 +98,6 @@ impl ExperimentReport {
         let mut file = std::fs::File::create(&path).ok()?;
         file.write_all(self.to_json().as_bytes()).ok()?;
         Some(path)
-    }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -143,10 +118,10 @@ mod tests {
     fn json_round_trip_structure() {
         let r = sample_report();
         let json = r.to_json();
-        assert!(json.contains("\"experiment\": \"table4\""));
-        assert!(json.contains("\"algorithm\": \"IPSS\""));
-        assert!(json.contains("\"error\": null"));
-        assert!(json.contains("\"evaluations\": 1024"));
+        assert!(json.contains("\"experiment\":\"table4\""));
+        assert!(json.contains("\"algorithm\":\"IPSS\""));
+        assert!(json.contains("\"error\":null"));
+        assert!(json.contains("\"evaluations\":1024"));
         // Balanced braces/brackets.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
@@ -160,7 +135,7 @@ mod tests {
         assert!(json.contains("\\\""));
         assert!(json.contains("\\\\"));
         assert!(json.contains("\\n"));
-        assert!(json.contains("\"seconds\": null"), "{json}");
+        assert!(json.contains("\"seconds\":null"), "{json}");
     }
 
     #[test]

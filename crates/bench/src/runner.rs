@@ -297,8 +297,9 @@ impl TauModel {
                     let mut local_values = Vec::with_capacity(chunk.len());
                     for &c in chunk {
                         let start = Instant::now();
-                        let v = train_coalition(u.spec(), u.clients(), input, classes, c, u.config())
-                            .accuracy(u.test_set());
+                        let v =
+                            train_coalition(u.spec(), u.clients(), input, classes, c, u.config())
+                                .accuracy(u.test_set());
                         local_secs[c.size()] += start.elapsed().as_secs_f64();
                         local_counts[c.size()] += 1;
                         local_values.push((c.0 as usize, v));
@@ -440,7 +441,11 @@ mod tests {
         let u = problem.utility();
         let (tau, table) = TauModel::measure_full(&u);
         assert_eq!(tau.tau_by_size.len(), 4);
-        assert!(tau.tau_by_size.iter().all(|&t| t > 0.0), "{:?}", tau.tau_by_size);
+        assert!(
+            tau.tau_by_size.iter().all(|&t| t > 0.0),
+            "{:?}",
+            tau.tau_by_size
+        );
         for s in all_subsets(3) {
             assert_eq!(table.eval(s).to_bits(), u.eval(s).to_bits(), "{s:?}");
         }

@@ -33,7 +33,7 @@ use crate::anytime::{
     component_variance, halfwidth, Control, ProgressSnapshot, StreamingOutcome, Welford,
 };
 use crate::coalition::{binom, binom_u128, subsets_of_size, subsets_up_to, Coalition};
-use crate::sampler::{drive, NoRng, Sampler};
+use crate::sampler::{drive, Sampler};
 use crate::sampling::{balanced_subsets_of_size, weighted_balanced_subsets_extending};
 use crate::utility::Utility;
 
@@ -282,20 +282,6 @@ impl<'r, R: Rng + ?Sized> PrunedSampler<'r, R> {
         self.sampled.extend(new);
     }
 
-    /// Mean |marginal contribution| over the pairs of an evaluated
-    /// stratum — the plateau signal of [`ipss_plateau`].
-    fn mean_abs_marginal(&self, stratum: &[Coalition]) -> f64 {
-        let (mut abs_sum, mut pairs) = (0.0f64, 0usize);
-        for &t in stratum {
-            let ut = self.memo[&t.0];
-            for i in t.members() {
-                abs_sum += (ut - self.memo[&t.without(i).0]).abs();
-                pairs += 1;
-            }
-        }
-        abs_sum / pairs.max(1) as f64
-    }
-
     fn into_outcome(self, values: Vec<f64>) -> IpssOutcome {
         IpssOutcome {
             values,
@@ -470,62 +456,6 @@ where
 {
     let mut sampler = PrunedSampler::for_ipss(u.n_clients(), cfg, policy, rng);
     drive(u, &mut sampler, Some(&mut observe))
-}
-
-/// Configuration for [`ipss_plateau`].
-#[derive(Clone, Debug)]
-pub struct PlateauIpssConfig {
-    /// Hard ceiling on utility evaluations.
-    pub max_gamma: usize,
-    /// Stop deepening once a stratum's mean |marginal contribution| falls
-    /// below this fraction of the first stratum's. The paper's Fig. 3
-    /// observation (i): marginal utility decays as coalitions grow — this
-    /// detects the plateau instead of committing to a fixed `γ` upfront.
-    pub plateau_fraction: f64,
-}
-
-impl Default for PlateauIpssConfig {
-    fn default() -> Self {
-        PlateauIpssConfig {
-            max_gamma: 1 << 14,
-            plateau_fraction: 0.05,
-        }
-    }
-}
-
-/// Plateau-cutoff IPSS (an extension beyond the paper): instead of
-/// deriving `k*` from a fixed budget, deepen the exhaustive phase stratum
-/// by stratum until the observed marginal utilities plateau, then stop.
-///
-/// Returns the outcome together with the number of evaluations spent.
-/// Cheaper than fixed-γ IPSS on fast-saturating games and more accurate
-/// on slow-saturating ones at equal spend.
-pub fn ipss_plateau<U: Utility + ?Sized>(u: &U, cfg: &PlateauIpssConfig) -> IpssOutcome {
-    let n = u.n_clients();
-    assert!(cfg.max_gamma as u128 > n as u128, "budget too small");
-    assert!((0.0..1.0).contains(&cfg.plateau_fraction));
-    // The pruned schedule's exhaustive phase as deep as the ceiling
-    // affords, stepped by hand so it can be cut short; no phase 2.
-    let mut rng = NoRng;
-    let mut sampler = PrunedSampler::for_ipss(n, &IpssConfig::new(cfg.max_gamma), None, &mut rng);
-    sampler.phase2_total = 0;
-    let mut first_stratum_mean: Option<f64> = None;
-    while !sampler.is_complete() {
-        let stratum = sampler.next_batch(false);
-        sampler.absorb(&stratum, u.eval_batch(&stratum));
-        if sampler.strata_out == 1 {
-            continue; // ∅ has no marginals to measure
-        }
-        let mean_abs = sampler.mean_abs_marginal(&stratum);
-        match first_stratum_mean {
-            None => first_stratum_mean = Some(mean_abs.max(f64::MIN_POSITIVE)),
-            Some(first) if mean_abs < cfg.plateau_fraction * first => break,
-            Some(_) => {}
-        }
-    }
-    sampler.k_star = sampler.strata_out - 1; // marginals plateaued here
-    let (values, _) = sampler.fold();
-    sampler.into_outcome(values)
 }
 
 #[cfg(test)]
@@ -989,42 +919,6 @@ mod tests {
             assert_eq!(out.ci_halfwidths, want.ci_halfwidths);
             assert_eq!(out.allocation, want.allocation);
         }
-    }
-
-    #[test]
-    fn adaptive_stops_early_on_fast_saturating_utility() {
-        // rate = 2.5: marginals collapse after the first stratum.
-        let fast = CachedUtility::new(SaturatingUtility::uniform(10, 0.1, 0.85, 2.5));
-        let out = ipss_plateau(&fast, &PlateauIpssConfig::default());
-        assert!(out.k_star <= 3, "k* = {} should be small", out.k_star);
-        // And still accurate: the ignored strata carry < 1% of the value.
-        let exact = exact_mc_sv(&fast);
-        let err = crate::metrics::l2_relative_error(&out.values, &exact);
-        assert!(err < 0.05, "err {err}");
-    }
-
-    #[test]
-    fn adaptive_goes_deeper_on_slow_saturating_utility() {
-        let fast = CachedUtility::new(SaturatingUtility::uniform(10, 0.1, 0.85, 2.5));
-        let slow = CachedUtility::new(SaturatingUtility::uniform(10, 0.1, 0.85, 0.15));
-        let k_fast = ipss_plateau(&fast, &PlateauIpssConfig::default()).k_star;
-        let k_slow = ipss_plateau(&slow, &PlateauIpssConfig::default()).k_star;
-        assert!(
-            k_slow > k_fast,
-            "slow-saturating game should deepen further ({k_slow} vs {k_fast})"
-        );
-    }
-
-    #[test]
-    fn adaptive_respects_budget_ceiling() {
-        let u = CachedUtility::new(SaturatingUtility::uniform(12, 0.1, 0.85, 0.05));
-        let cfg = PlateauIpssConfig {
-            max_gamma: 100,
-            plateau_fraction: 0.0001,
-        };
-        let out = ipss_plateau(&u, &cfg);
-        assert!(u.stats().evaluations <= 100);
-        assert!(out.exhaustive_evaluations <= 100);
     }
 
     #[test]

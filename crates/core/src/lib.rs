@@ -88,8 +88,7 @@ pub mod prelude {
     pub use crate::exact::{exact_cc_sv, exact_mc_sv, exact_mc_sv_streaming, exact_perm_sv};
     pub use crate::fault::{FaultyUtility, InjectedFault, PERSISTENT};
     pub use crate::ipss::{
-        compute_k_star, ipss, ipss_plateau, ipss_streaming, ipss_values, IpssConfig, IpssWeighting,
-        PlateauIpssConfig,
+        compute_k_star, ipss, ipss_streaming, ipss_values, IpssConfig, IpssWeighting,
     };
     pub use crate::kgreedy::{k_greedy, k_greedy_evaluations};
     pub use crate::loo::leave_one_out;

@@ -123,16 +123,6 @@ where
     }
 }
 
-/// The RNG of a schedule that draws nothing (plateau IPSS is exhaustive
-/// throughout): any draw is a bug in the schedule.
-pub(crate) struct NoRng;
-
-impl rand::RngCore for NoRng {
-    fn next_u64(&mut self) -> u64 {
-        unreachable!("an exhaustive schedule drew randomness")
-    }
-}
-
 /// The bit oracle for the incremental folds: each sampler keeps its
 /// from-scratch fold as `historical_fold`, and [`oracle::check`] holds
 /// every incremental fold to it.

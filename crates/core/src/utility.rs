@@ -93,7 +93,7 @@ impl<U: Utility + ?Sized> Utility for &U {
 /// the default `eval_batch` degenerates to the per-coalition map this
 /// adapter used to do. Either way results are positionally — and, by
 /// utility determinism, bit- — identical to the serial path at any
-/// thread count and chunk size.
+/// thread count.
 ///
 /// Typical composition is `CachedUtility::new(ParallelUtility::new(u))`:
 /// the cache dedups and forwards only the distinct misses, this adapter
@@ -102,25 +102,19 @@ impl<U: Utility + ?Sized> Utility for &U {
 pub struct ParallelUtility<U> {
     inner: U,
     pool: Option<rayon::ThreadPool>,
-    chunk: usize,
 }
 
-/// Default sub-batch size for [`ParallelUtility::eval_batch`] — aligned
+/// The sub-batch size of [`ParallelUtility::eval_batch`] — aligned
 /// with the FL utility's default lane-block size (`DEFAULT_LANE_BLOCK` in
 /// `fedval-fl`) so one stolen work unit is one lock-step training block.
-/// If you raise the inner utility's lane block, raise this too with
-/// [`ParallelUtility::with_chunk`], or each block gets split before the
-/// inner utility sees it.
+/// A lane block larger than this gets split before the inner utility
+/// sees it.
 pub const DEFAULT_PAR_CHUNK: usize = 8;
 
 impl<U: Utility> ParallelUtility<U> {
     /// Fan out to rayon's current thread count (all cores by default).
     pub fn new(inner: U) -> Self {
-        ParallelUtility {
-            inner,
-            pool: None,
-            chunk: DEFAULT_PAR_CHUNK,
-        }
+        ParallelUtility { inner, pool: None }
     }
 
     /// Fan out to exactly `threads` threads (1 = serial; used by the
@@ -134,15 +128,7 @@ impl<U: Utility> ParallelUtility<U> {
         ParallelUtility {
             inner,
             pool: Some(pool),
-            chunk: DEFAULT_PAR_CHUNK,
         }
-    }
-
-    /// Set the sub-batch size handed to the inner utility per work unit.
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        assert!(chunk >= 1);
-        self.chunk = chunk;
-        self
     }
 
     /// Access the wrapped utility.
@@ -172,7 +158,9 @@ impl<U: Utility> Utility for ParallelUtility<U> {
             // a batch of 8 on 8 threads runs as 8 singleton sub-batches,
             // not one serial sub-batch of 8.
             let threads = rayon::current_num_threads().max(1);
-            let chunk = self.chunk.min(coalitions.len().div_ceil(threads)).max(1);
+            let chunk = DEFAULT_PAR_CHUNK
+                .min(coalitions.len().div_ceil(threads))
+                .max(1);
             let chunks: Vec<&[Coalition]> = sorted.chunks(chunk).collect();
             let per_chunk: Vec<Vec<f64>> = chunks
                 .par_iter()

@@ -19,9 +19,9 @@ use crate::trajcache::TrajectoryCache;
 /// well while the per-lane parameter/activation working set stays
 /// cache-resident for the experiment-sized models. Defined as the
 /// parallel adapter's sub-batch size so one stolen work unit is one
-/// lock-step block by construction; override both together
-/// ([`FlUtility::with_lane_block`] +
-/// `fedval_core::utility::ParallelUtility::with_chunk`) when tuning.
+/// lock-step block by construction. [`FlUtility::with_lane_block`]
+/// changes the block size only: a larger block is split at the adapter's
+/// fixed sub-batch size before it reaches this utility.
 pub const DEFAULT_LANE_BLOCK: usize = fedval_core::utility::DEFAULT_PAR_CHUNK;
 
 /// FedAvg-trained neural utility: `U(S)` trains the [`ModelSpec`] on the

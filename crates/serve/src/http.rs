@@ -2,8 +2,8 @@
 //! the style of the workspace `shims/` (no registry access), covering
 //! exactly what the wire transport needs: request parsing with strict
 //! limits, keep-alive + pipelining, `Content-Length` bodies, and a small
-//! blocking client used by the conformance tests and the `service_wire`
-//! bench.
+//! blocking client used by the conformance tests and the performance
+//! ledger's `wire_warm_mix` workload.
 //!
 //! The parser is deliberately conservative: anything outside the subset
 //! (chunked bodies, multiline headers, absolute-form targets) is a typed
@@ -387,8 +387,8 @@ pub fn reason_phrase(status: u16) -> &'static str {
 }
 
 /// A small blocking HTTP/1.1 client over one keep-alive connection —
-/// enough for the conformance tests, the `service_wire` bench and the
-/// `wire_client` example. Not a general client: it expects
+/// enough for the conformance tests, the ledger's `wire_warm_mix`
+/// workload and the `wire_client` example. Not a general client: it expects
 /// `Content-Length` responses, as `fedval-serve` always sends.
 pub struct Client {
     stream: TcpStream,

@@ -8,10 +8,15 @@
 //!    half-widths) is identical across thread counts, not just the final
 //!    answer.
 //! 3. **Real substrate** — the same contract holds over the FL utility.
+//! 4. **The payoff** — at a matched CI target, CI-stopped Owen runs
+//!    through the service spend at most half the evaluations of the
+//!    fixed-budget runs that certify that target.
 //!
-//! The stopping threshold honours `FEDVAL_CI_EPS` when set (the CI
-//! matrix sets it); otherwise each test derives a mid-run threshold from
-//! the full run's own snapshot stream, which is guaranteed reachable.
+//! The stopping threshold of checks 1–3 honours `FEDVAL_CI_EPS` when set
+//! (the CI matrix sets it); otherwise each test derives a mid-run
+//! threshold from the full run's own snapshot stream, which is
+//! guaranteed reachable. Check 4 derives its own target from each fixed
+//! run and ignores the variable.
 
 // Driver code: test assertions panic by design, so unwrap/expect are
 // the failure mechanism, not a robustness gap.
@@ -312,4 +317,68 @@ fn service_ci_stop_prefix_holds_on_the_fl_substrate() {
         stopped.samples_used < full_resp.progress.map(|s| s.samples_used).unwrap_or(0),
         "stopping must save model trainings"
     );
+}
+
+/// Sum of `samples_used` over 12 seeds of fixed-budget Owen runs and of
+/// the same-seed runs stopped by `CiAtMost(2 · h)`, `h` being the fixed
+/// run's final max half-width: both runs certify the target, the
+/// stopped one just ends at the first batch boundary that reaches it.
+fn owen_fixed_vs_stopped<U: Utility + Send + Sync + 'static>(u: U) -> (usize, usize) {
+    let n = u.n_clients();
+    // The service's 4-node grid at 16 draws per node.
+    let budget = OwenConfig::new(4, 16).evaluations(n);
+    let server = ValuationServer::start(u);
+    let samples_used = |resp: &fedval_core::service::ValuationResponse| match &resp.progress {
+        Some(s) => s.samples_used,
+        None => panic!("streaming response must carry a snapshot"),
+    };
+    let (mut fixed, mut stopped) = (0, 0);
+    for seed in 0..12u64 {
+        let request = ValuationRequest::new(Estimator::Owen, budget, 0xA0 + seed);
+        let full = match server.call(request.clone().with_stopping(StoppingRule::stream_only())) {
+            Ok(resp) => resp,
+            Err(e) => panic!("healthy run failed: {e}"),
+        };
+        let h = match full
+            .progress
+            .as_ref()
+            .and_then(ProgressSnapshot::max_halfwidth)
+        {
+            Some(h) if h.is_finite() => h,
+            other => panic!("seed {seed}: the fixed budget certifies no CI ({other:?})"),
+        };
+        fixed += samples_used(&full);
+        let resp = match server.call(request.with_stopping(StoppingRule::ci_at_most(2.0 * h))) {
+            Ok(resp) => resp,
+            Err(e) => panic!("healthy run failed: {e}"),
+        };
+        stopped += samples_used(&resp);
+    }
+    server.shutdown();
+    (fixed, stopped)
+}
+
+#[test]
+fn ci_stopped_owen_saves_at_least_half_the_fixed_budget_at_a_matched_target() {
+    for (label, (fixed, stopped)) in [
+        (
+            "noisy saturating",
+            owen_fixed_vs_stopped(NoisyUtility::new(
+                SaturatingUtility::uniform(10, 0.1, 0.85, 0.6),
+                0.02,
+                7,
+            )),
+        ),
+        (
+            "hash",
+            owen_fixed_vs_stopped(HashUtility { n: 10, seed: 3 }),
+        ),
+    ] {
+        assert!(
+            fixed >= 2 * stopped,
+            "{label}: anytime Owen must save >= 2x evaluations at a matched CI, \
+             got {fixed} -> {stopped} ({:.2}x)",
+            fixed as f64 / stopped as f64
+        );
+    }
 }

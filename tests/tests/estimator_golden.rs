@@ -172,34 +172,6 @@ fn record_finals(ledger: &mut Ledger) {
             }
         }
     }
-
-    // Plateau cut-off IPSS (no RNG): default config and a tight ceiling.
-    for (label, u) in [
-        ("fast", SaturatingUtility::uniform(10, 0.1, 0.85, 2.5)),
-        ("slow", SaturatingUtility::uniform(10, 0.1, 0.85, 0.15)),
-    ] {
-        for (cfg_label, cfg) in [
-            ("default", PlateauIpssConfig::default()),
-            (
-                "ceiling100",
-                PlateauIpssConfig {
-                    max_gamma: 100,
-                    plateau_fraction: 0.0001,
-                },
-            ),
-        ] {
-            let out = ipss_plateau(&u, &cfg);
-            ledger.line(
-                &format!("final ipss_plateau {label} {cfg_label}"),
-                &format!(
-                    "k_star={} exhaustive={} values=[{}]",
-                    out.k_star,
-                    out.exhaustive_evaluations,
-                    hex(&out.values)
-                ),
-            );
-        }
-    }
 }
 
 fn record_streams(ledger: &mut Ledger) {

@@ -1,6 +1,6 @@
 //! Cross-method comparison tests: Shapley vs Banzhaf vs leave-one-out on
-//! shared games, and the adaptive IPSS extension against the fixed-budget
-//! variant — all through the public prelude.
+//! shared games, and truncation on a game without key combinations — all
+//! through the public prelude.
 
 // Driver code: test assertions panic by design, so unwrap/expect are
 // the failure mechanism, not a robustness gap.
@@ -51,19 +51,6 @@ fn banzhaf_msr_and_shapley_rank_identically_on_monotone_game() {
         kendall_tau(&sv, &bz) > 0.99,
         "rankings diverge: sv {sv:?} vs banzhaf {bz:?}"
     );
-}
-
-#[test]
-fn adaptive_ipss_competitive_with_fixed_budget() {
-    let u = CachedUtility::new(SaturatingUtility::uniform(10, 0.1, 0.85, 1.8));
-    let exact = exact_mc_sv(&u);
-    let adaptive = ipss_plateau(&u, &PlateauIpssConfig::default());
-    let mut rng = StdRng::seed_from_u64(3);
-    let fixed = ipss_values(&u, &IpssConfig::new(32), &mut rng);
-    let err_adaptive = l2_relative_error(&adaptive.values, &exact);
-    let err_fixed = l2_relative_error(&fixed, &exact);
-    assert!(err_adaptive < 0.1, "adaptive err {err_adaptive}");
-    assert!(err_fixed < 0.15, "fixed err {err_fixed}");
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //! CI-stopped streaming runs included); injected faults isolate to the
 //! failing request's status while concurrent healthy clients stay
 //! bit-identical; deadline overruns surface as 206 partial responses;
-//! saturation admission-controls with 429 + `Retry-After`; shutdown
-//! drains in-flight work onto the typed 503.
+//! saturation admission-controls with 429 + `Retry-After`, and clients
+//! that back off and retry lose no work; shutdown drains in-flight work
+//! onto the typed 503.
 
 // Driver code: test assertions panic by design, so unwrap/expect are
 // the failure mechanism, not a robustness gap.
@@ -335,6 +336,84 @@ fn saturation_returns_429_with_retry_after_then_recovers() {
         .expect("roundtrip");
     assert_eq!(retried.status, 200);
     wire.shutdown();
+}
+
+#[test]
+fn saturated_keep_alive_clients_retry_after_429_and_lose_no_work() {
+    // Six keep-alive clients against two in-flight slots with slowed
+    // evaluations (1 ms each, ≈ 40 per request): the server must shed
+    // load, and every client that backs off on `Retry-After` and retries
+    // ends each request in a 200 bit-identical to the in-process call.
+    const CLIENTS: usize = 6;
+    const PER_CLIENT: usize = 4;
+    let utility = || HashUtility { n: 8, seed: 0xBEE };
+    let request = |seed: usize| ValuationRequest::new(Estimator::StratifiedMc, 40, seed as u64);
+    let baselines: Vec<Vec<u64>> = {
+        let server = ValuationServer::start(utility());
+        let values = (0..CLIENTS * PER_CLIENT)
+            .map(|seed| bits(&ok(server.call(request(seed))).values))
+            .collect();
+        server.shutdown();
+        values
+    };
+    let slow = FaultyUtility::new(utility()).delay_every_evals(1, Duration::from_millis(1));
+    let wire = WireServer::start(
+        ValuationServer::start(slow),
+        WireConfig {
+            max_inflight: 2,
+            ..WireConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = wire.addr();
+    let rejected: usize = thread::scope(|scope| {
+        let handles: Vec<_> = baselines
+            .chunks(PER_CLIENT)
+            .enumerate()
+            .map(|(c, mine)| {
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    let mut rejected = 0;
+                    for (r, want) in mine.iter().enumerate() {
+                        let seed = c * PER_CLIENT + r;
+                        let body =
+                            format!(r#"{{"estimator":"stratified_mc","budget":40,"seed":{seed}}}"#);
+                        let resp = loop {
+                            let resp = client.post("/v1/value", &body).expect("roundtrip");
+                            if resp.status != 429 {
+                                break resp;
+                            }
+                            rejected += 1;
+                            let secs: u64 = resp
+                                .header("retry-after")
+                                .and_then(|v| v.parse().ok())
+                                .expect("a 429 carries Retry-After in whole seconds");
+                            // Back off a fraction of the hint so the test
+                            // stays brisk while still waiting before the
+                            // retry.
+                            thread::sleep(Duration::from_secs(secs).min(Duration::from_millis(50)));
+                        };
+                        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+                        assert_eq!(
+                            bits(&wire_values(&resp.json().expect("JSON body"))),
+                            *want,
+                            "seed {seed}: wire values must be byte-identical to ValuationServer::call"
+                        );
+                    }
+                    rejected
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .sum()
+    });
+    wire.shutdown();
+    assert!(
+        rejected > 0,
+        "{CLIENTS} clients against 2 slots with slowed evaluations must shed load at least once"
+    );
 }
 
 #[test]
