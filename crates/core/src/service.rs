@@ -55,10 +55,9 @@
 //! server flushes immediately, so the single-tenant case degenerates to a
 //! plain cached evaluation. The barrier still couples a batch to its
 //! peers' inter-batch compute, and a batch can wait behind a stream of
-//! cheaper ones; a [`FlushWindow`] bounds both with two early triggers —
-//! once a parked batch has waited `max_wait` the next flush takes it
-//! whatever its cost, and once `max_parked` batches are parked the
-//! cheapest is flushed. Utility determinism makes every schedule
+//! cheaper ones; a [`FlushWindow`] bounds both with one early trigger:
+//! once a parked batch has waited `max_wait` the next flush takes it,
+//! whatever its cost. Utility determinism makes every schedule
 //! invisible in the results: every value is a pure function of its
 //! coalition mask, so coalesced runs return **bit-identical** values to
 //! solo runs, under any interleaving and any flush trigger.

@@ -117,7 +117,7 @@ impl<U: Utility + Send + Sync> Shared<U> {
 
     /// Park `coalitions` and wait for a flush to deliver their values.
     /// A caller that observes a satisfied trigger — the barrier
-    /// (`parked == eligible`), or either [`FlushWindow`] condition —
+    /// (`parked == eligible`) or an expired [`FlushWindow`] wait —
     /// becomes the leader of one flush, which may serve another run's
     /// batch and leave its own parked.
     pub(super) fn eval_coalesced(
@@ -159,7 +159,6 @@ impl<U: Utility + Send + Sync> Shared<U> {
                 }
             }
             let barrier = st.parked > 0 && st.parked == st.eligible;
-            let count_trigger = self.window.max_parked.is_some_and(|k| st.parked >= k);
             // Tickets and park times rise together, so the first parked
             // entry is the oldest.
             let oldest = st
@@ -173,11 +172,10 @@ impl<U: Utility + Send + Sync> Shared<U> {
                 .and_then(|w| oldest.map(|(_, at)| at + w));
             let window_trigger = wait_deadline.is_some_and(|d| Instant::now() >= d);
             // An expired wait takes its own batch, so `max_wait` bounds
-            // every parked batch's wait; the barrier and `max_parked` take
-            // the cheapest.
+            // every parked batch's wait; the barrier takes the cheapest.
             let pick = match oldest {
                 Some((id, _)) if window_trigger => Some(id),
-                _ if barrier || count_trigger => self.cheapest(&st),
+                _ if barrier => self.cheapest(&st),
                 _ => None,
             };
             if let Some(pick) = pick {

@@ -381,14 +381,13 @@ impl Ticket {
     }
 }
 
-/// Early flush triggers bounding how long a parked batch can wait
-/// ([`ServerBuilder::flush_window`](super::ServerBuilder::flush_window),
-/// [`ServerBuilder::flush_after_parked`](super::ServerBuilder::flush_after_parked)).
-/// Without them a batch waits for every registered run to park (the
-/// barrier) and then for every cheaper batch flushed before it. Either
-/// trigger trades some cross-run coalescing for a latency bound; neither
-/// can change a value (every value is a pure function of its coalition
-/// mask). Both may fire beside a flush already in flight.
+/// The early flush trigger bounding how long a parked batch can wait
+/// ([`ServerBuilder::flush_window`](super::ServerBuilder::flush_window)).
+/// Without it a batch waits for every registered run to park (the
+/// barrier) and then for every cheaper batch flushed before it. The
+/// trigger trades some cross-run coalescing for a latency bound; it
+/// cannot change a value (every value is a pure function of its coalition
+/// mask). It may fire beside a flush already in flight.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlushWindow {
     /// Once the oldest parked batch has waited this long, flush *that*
@@ -396,10 +395,6 @@ pub struct FlushWindow {
     /// (`None` = barrier only). Bounds every batch's wait by `max_wait`
     /// plus its own flush.
     pub max_wait: Option<Duration>,
-    /// Flush the cheapest parked batch as soon as this many are parked
-    /// (`None` = barrier only; `Some(1)` disables cross-run batching
-    /// entirely).
-    pub max_parked: Option<usize>,
 }
 
 /// Backoff schedule for direct retries after a poisoned flush.

@@ -67,13 +67,6 @@ impl<U: Utility + Send + Sync + 'static> ServerBuilder<U> {
         self
     }
 
-    /// Flush the cheapest parked batch as soon as `max_parked` batches are
-    /// parked (see [`FlushWindow`]).
-    pub fn flush_after_parked(mut self, max_parked: usize) -> Self {
-        self.window.max_parked = Some(max_parked);
-        self
-    }
-
     /// Override the retry/backoff schedule for poisoned flushes.
     pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;

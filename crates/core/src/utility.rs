@@ -88,8 +88,9 @@ impl<U: Utility + ?Sized> Utility for &U {
 /// fan-out point does double duty: sub-batches have similar per-item cost
 /// (τ grows with `|S|`, so the shim's steal loop stays balanced), and an
 /// inner utility with a batched fast path (the FL utility's lock-step
-/// lane blocks) receives blocks of similarly-sized coalitions, which is
-/// what makes its shared-trajectory coalescing bite. For plain utilities
+/// lane blocks) receives blocks of similarly-sized coalitions, which
+/// keeps its lanes in step (round 0, where every lane starts at the init,
+/// is the only training they share). For plain utilities
 /// the default `eval_batch` degenerates to the per-coalition map this
 /// adapter used to do. Either way results are positionally — and, by
 /// utility determinism, bit- — identical to the serial path at any
@@ -244,8 +245,9 @@ pub struct TrajCacheStats {
     pub probes: usize,
     /// Probes answered from the cache — local trainings *not* paid.
     pub hits: usize,
-    /// Local trainings actually performed, in every round (round-0 probe
-    /// misses plus every later-round group).
+    /// Local trainings actually performed, in every round: one per
+    /// round-0 probe miss (its `Δ` serves every lane of the block) plus
+    /// one per active lane in each later round.
     pub local_trainings: usize,
     /// The subset of `local_trainings` that occurred in round 0 — the
     /// round every coalition shares a bit-equal round-start model, so the

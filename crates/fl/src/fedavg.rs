@@ -43,7 +43,7 @@ use fedval_nn::{MultiNetwork, Network};
 use crate::config::{init_seed, local_seed, FedAvgConfig, FlAlgorithm};
 use crate::history::TrainingHistory;
 use crate::model::ModelSpec;
-use crate::trajcache::{class_lanes, TrajectoryCache};
+use crate::trajcache::TrajectoryCache;
 
 /// Train an FL model on the datasets of `coalition` with FedAvg.
 ///
@@ -317,6 +317,14 @@ pub fn train_coalitions_params_with_cache(
     let p = multi.param_count();
     // Per-lane round-start parameters (the lane's current global model).
     let mut bases: Vec<Vec<f32>> = vec![init.params(); lanes];
+    // Round 0's start state, the init, is the only one lanes share — within
+    // this block and, through the cache, across blocks and calls. Its hash
+    // plus a collision-guard fingerprint key the cache's round-0 slots.
+    let init_key = cache.map(|cache| {
+        let start = &bases[0];
+        let hash = TrajectoryCache::key_hash(start);
+        (cache, hash, TrajectoryCache::fingerprint(start))
+    });
     // Scratch reused across rounds: per-lane participants, per-lane
     // per-client deltas, the aggregation buffer and a params staging
     // buffer.
@@ -325,9 +333,8 @@ pub fn train_coalitions_params_with_cache(
     let mut deltas: Vec<Vec<Option<Vec<f32>>>> = vec![(0..n).map(|_| None).collect(); lanes];
     let mut aggregate = vec![0.0f32; p];
     let mut lane_buf: Vec<f32> = Vec::with_capacity(p);
-    let mut delta_buf: Vec<f32> = Vec::with_capacity(p);
-    let mut prox_dir: Vec<f32> = Vec::new();
     let mut active = vec![false; lanes];
+    let mut train_mask = vec![false; lanes];
 
     for round in 0..cfg.rounds {
         for (l, m) in members.iter().enumerate() {
@@ -338,138 +345,60 @@ pub fn train_coalitions_params_with_cache(
             // participant list per lane per client.
             member_mask[l] = participant_mask(&participants[l]);
         }
-        // Shared-trajectory grouping: a client's local training is a pure
-        // function of (round-start params, client data, the
-        // coalition-independent RNG stream), so lanes whose bases are
-        // bit-equal would compute *identical* updates. Partition the lanes
-        // by base equality once per round (bases are fixed until
-        // aggregation) — hash-bucketed, bit-equality verified only within
-        // a bucket, so classing costs O(lanes·p) instead of the historical
-        // O(lanes²·p) pairwise scan. Per client, only the active lanes of
-        // each class train — one representative each, its update copied to
-        // the rest. Every lane coincides in round 0 (one shared server
-        // init), so the first round costs one local training per client
-        // per block instead of one per lane — and later rounds still
-        // coalesce duplicated or converged trajectories.
-        let lane_classes = class_lanes(&bases);
-        // Round 0's single class (the shared init) is the only start state
-        // other blocks and calls can have in common: its hash plus a
-        // collision-guard fingerprint key the cache. Later rounds skip both
-        // the fingerprint's O(p) scan and the cache.
-        let round0 = match cache {
-            Some(cache) if round == 0 => {
-                debug_assert_eq!(lane_classes.reps.len(), 1, "every lane starts at the init");
-                Some((
-                    cache,
-                    lane_classes.hashes[0],
-                    TrajectoryCache::fingerprint(&bases[0]),
-                ))
-            }
-            _ => None,
-        };
         // (ii) Acts at clients: visit each participating client once; all
         // lanes that contain it train on the same gathered batches.
         for (i, client) in clients.iter().enumerate() {
-            let mut any = false;
             for (a, &mask) in active.iter_mut().zip(&member_mask) {
                 *a = mask >> i & 1 == 1;
-                any |= *a;
             }
-            if !any {
+            let Some(first) = active.iter().position(|&a| a) else {
                 continue;
-            }
-            // Active lanes of one base class share a group; the first
-            // active lane acts as its representative.
-            let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-            for (l, &on) in active.iter().enumerate() {
-                if on {
-                    match groups
-                        .iter_mut()
-                        .find(|(rep, _)| lane_classes.class_of[*rep] == lane_classes.class_of[l])
-                    {
-                        Some((_, members)) => members.push(l),
-                        None => groups.push((l, vec![l])),
-                    }
-                }
-            }
-            // Round 0: probe the cache per group — a hit replays the
-            // memoised update for every lane of the group; only the
-            // missing groups train below.
-            let mut train_mask = vec![false; lanes];
-            let mut misses: Vec<(usize, Vec<usize>)> = Vec::new();
-            for (rep, group) in groups {
-                if let Some((cache, hash, fp)) = round0 {
-                    if let Some(hit) = cache.lookup(hash, fp, i, round) {
-                        for &l in &group {
-                            let mut delta = deltas[l][i].take().unwrap_or_default();
-                            delta.clear();
-                            delta.extend_from_slice(&hit);
-                            deltas[l][i] = Some(delta);
-                        }
-                        continue;
-                    }
-                }
-                train_mask[rep] = true;
-                multi.set_lane_params(rep, &bases[rep]);
-                misses.push((rep, group));
-            }
-            if misses.is_empty() {
-                continue; // every group replayed from the cache
-            }
-            let mut rng = StdRng::seed_from_u64(local_seed(cfg.seed, round, i));
-            match cfg.algorithm {
-                FlAlgorithm::FedAvg => {
-                    multi.train_epochs(
-                        client,
-                        cfg.local_epochs,
-                        cfg.batch_size,
-                        cfg.lr,
-                        &mut rng,
-                        &train_mask,
-                    );
-                }
-                FlAlgorithm::FedProx { mu } => {
-                    for _ in 0..cfg.local_epochs {
-                        multi.train_epochs(
-                            client,
-                            1,
-                            cfg.batch_size,
-                            cfg.lr,
-                            &mut rng,
-                            &train_mask,
+            };
+            // A local training is a pure function of (round-start params,
+            // client, round). In round 0 every active lane starts at the
+            // init, so one lane trains — or the cache replays — and its Δ
+            // serves them all. Later rounds start from coalition-dependent
+            // models: every active lane trains itself.
+            if round == 0 {
+                let hit = init_key.and_then(|(cache, hash, fp)| cache.lookup(hash, fp, i, 0));
+                let shared = match hit {
+                    Some(delta) => delta,
+                    None => {
+                        train_mask.fill(false);
+                        train_mask[first] = true;
+                        local_train(&mut multi, &bases, client, cfg, round, i, &train_mask);
+                        multi.lane_params_into(first, &mut lane_buf);
+                        let delta: Arc<Vec<f32>> = Arc::new(
+                            lane_buf
+                                .iter()
+                                .zip(&bases[first])
+                                .map(|(a, b)| a - b)
+                                .collect(),
                         );
-                        // Proximal pull towards each group's round-start
-                        // global model (identical across the group), as an
-                        // axpy along (g − w) — the same arithmetic as the
-                        // solo path's proximal step.
-                        for (rep, _) in &misses {
-                            multi.lane_params_into(*rep, &mut lane_buf);
-                            prox_dir.clear();
-                            prox_dir.extend(bases[*rep].iter().zip(&lane_buf).map(|(g, w)| g - w));
-                            axpy(cfg.lr * mu, &prox_dir, &mut lane_buf);
-                            multi.set_lane_params(*rep, &lane_buf);
+                        if let Some((cache, hash, fp)) = init_key {
+                            cache.record_training(0);
+                            cache.insert(hash, fp, i, 0, Arc::clone(&delta));
                         }
+                        delta
                     }
-                }
-            }
-            // Upload: Δ = local − base, computed once per group, inserted
-            // into the cache in round 0 and replicated to every lane in the
-            // group (bit-equal by construction).
-            for (rep, group) in &misses {
-                multi.lane_params_into(*rep, &mut lane_buf);
-                delta_buf.clear();
-                delta_buf.extend(lane_buf.iter().zip(&bases[*rep]).map(|(a, b)| a - b));
-                if let Some(cache) = cache {
-                    cache.record_training(round);
-                }
-                if let Some((cache, hash, fp)) = round0 {
-                    cache.insert(hash, fp, i, round, Arc::new(delta_buf.clone()));
-                }
-                for &l in group {
-                    let mut delta = deltas[l][i].take().unwrap_or_default();
+                };
+                for (l, _) in active.iter().enumerate().filter(|(_, &on)| on) {
+                    let delta = deltas[l][i].get_or_insert_with(Vec::new);
                     delta.clear();
-                    delta.extend_from_slice(&delta_buf);
-                    deltas[l][i] = Some(delta);
+                    delta.extend_from_slice(&shared);
+                }
+            } else {
+                train_mask.copy_from_slice(&active);
+                local_train(&mut multi, &bases, client, cfg, round, i, &train_mask);
+                // Upload: Δ = local − base, per lane.
+                for (l, _) in active.iter().enumerate().filter(|(_, &on)| on) {
+                    multi.lane_params_into(l, &mut lane_buf);
+                    let delta = deltas[l][i].get_or_insert_with(Vec::new);
+                    delta.clear();
+                    delta.extend(lane_buf.iter().zip(&bases[l]).map(|(a, b)| a - b));
+                    if let Some(cache) = cache {
+                        cache.record_training(round);
+                    }
                 }
             }
         }
@@ -496,6 +425,59 @@ pub fn train_coalitions_params_with_cache(
         }
     }
     bases
+}
+
+/// Client `i`'s round-`round` local training of the lanes set in `train`,
+/// each from its round-start parameters in `bases`: FedAvg's local SGD,
+/// or FedProx's with a proximal pull after every epoch.
+fn local_train(
+    multi: &mut MultiNetwork,
+    bases: &[Vec<f32>],
+    client: &Dataset,
+    cfg: &FedAvgConfig,
+    round: usize,
+    i: usize,
+    train: &[bool],
+) {
+    let lanes = || {
+        train
+            .iter()
+            .enumerate()
+            .filter(|(_, &on)| on)
+            .map(|(l, _)| l)
+    };
+    for l in lanes() {
+        multi.set_lane_params(l, &bases[l]);
+    }
+    let mut rng = StdRng::seed_from_u64(local_seed(cfg.seed, round, i));
+    match cfg.algorithm {
+        FlAlgorithm::FedAvg => {
+            multi.train_epochs(
+                client,
+                cfg.local_epochs,
+                cfg.batch_size,
+                cfg.lr,
+                &mut rng,
+                train,
+            );
+        }
+        FlAlgorithm::FedProx { mu } => {
+            let (mut lane_buf, mut prox_dir) = (Vec::new(), Vec::new());
+            for _ in 0..cfg.local_epochs {
+                multi.train_epochs(client, 1, cfg.batch_size, cfg.lr, &mut rng, train);
+                // Proximal pull towards each lane's round-start global
+                // model, as an axpy along (g − w) — the same arithmetic as
+                // the solo path's proximal step.
+                for l in lanes() {
+                    multi.lane_params_into(l, &mut lane_buf);
+                    prox_dir.clear();
+                    prox_dir.extend(bases[l].iter().zip(&lane_buf).map(|(g, w)| g - w));
+                    axpy(cfg.lr * mu, &prox_dir, &mut lane_buf);
+                    multi.set_lane_params(l, &lane_buf);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -765,6 +747,30 @@ mod tests {
             later,
             "replay retrains exactly rounds ≥ 1"
         );
+    }
+
+    #[test]
+    fn only_round_zero_is_shared_across_lanes() {
+        // Round 0: every lane starts at the init, so each client trains
+        // once for the block. Round 1: every active lane trains itself,
+        // duplicates included — 2 + 2 + 4 lane trainings.
+        let (clients, _) = small_problem();
+        let cfg = FedAvgConfig {
+            rounds: 2,
+            ..Default::default()
+        };
+        let spec = ModelSpec::default_mlp();
+        let pair = Coalition::from_members([1, 3]);
+        let batch = [pair, pair, Coalition::full(4)];
+        let cache = TrajectoryCache::new();
+        let params =
+            train_coalitions_params_with_cache(&spec, &clients, 64, 10, &batch, &cfg, Some(&cache));
+        let stats = cache.stats();
+        assert_eq!(stats.round0_trainings, 4);
+        assert_eq!(stats.local_trainings, 12);
+        let solo = train_coalition(&spec, &clients, 64, 10, pair, &cfg).params();
+        assert_eq!(params[0], solo);
+        assert_eq!(params[1], solo);
     }
 
     #[test]

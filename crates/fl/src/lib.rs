@@ -4,8 +4,9 @@
 //!
 //! * [`fedavg`] — the FedAvg loop (Def. 1) over arbitrary coalitions:
 //!   [`fedavg::train_coalitions`] trains `B` coalition models in lock-step
-//!   (one data pass, per-coalition parameter lanes, shared-trajectory
-//!   grouping) bit-identically to the solo [`fedavg::train_coalition`]
+//!   (one data pass, per-coalition parameter lanes; round 0, where every
+//!   lane starts at the init, trains once per client and nothing later is
+//!   shared) bit-identically to the solo [`fedavg::train_coalition`]
 //!   reference loop, with deterministic per-coalition seeding and optional
 //!   training-history recording;
 //! * [`utility`] — [`utility::FlUtility`] (FedAvg + neural models) and

@@ -13,7 +13,7 @@
 //! already serves the cheapest parked batch first, so a fast peer's small
 //! batch overtakes a slow run's large one; the config also exposes the
 //! server's bounded-latency
-//! [`FlushWindow`](fedval_core::service::FlushWindow) triggers, so a large
+//! [`FlushWindow`](fedval_core::service::FlushWindow) trigger, so a large
 //! batch that keeps losing to cheaper ones, or a batch whose peers are
 //! still training, waits at most `flush_max_wait` before a flush takes
 //! it.
@@ -68,10 +68,6 @@ pub struct FlServiceConfig {
     /// not every run has parked (`None` = barrier only). Trades some
     /// cross-run coalescing for a latency cap; never changes a value.
     pub flush_max_wait: Option<Duration>,
-    /// Flush the cheapest parked batch as soon as this many are parked
-    /// (`None` = barrier only; `Some(1)` disables cross-run batching
-    /// entirely).
-    pub flush_after_parked: Option<usize>,
 }
 
 impl FlServiceConfig {
@@ -85,7 +81,6 @@ impl FlServiceConfig {
     /// |----------|-------|
     /// | `FEDVAL_SERVICE_THREADS` | `threads` |
     /// | `FEDVAL_FLUSH_MAX_WAIT_MS` | `flush_max_wait` (milliseconds) |
-    /// | `FEDVAL_FLUSH_AFTER_PARKED` | `flush_after_parked` |
     pub fn from_env() -> FlServiceConfig {
         fn env_usize(name: &str) -> Option<usize> {
             std::env::var(name).ok()?.trim().parse().ok()
@@ -94,7 +89,6 @@ impl FlServiceConfig {
             threads: env_usize("FEDVAL_SERVICE_THREADS"),
             flush_max_wait: env_usize("FEDVAL_FLUSH_MAX_WAIT_MS")
                 .map(|ms| Duration::from_millis(ms as u64)),
-            flush_after_parked: env_usize("FEDVAL_FLUSH_AFTER_PARKED"),
         }
     }
 }
@@ -122,9 +116,6 @@ pub fn serve(
     let mut builder = ValuationServer::builder(fan_out).traj_stats(move || stats_handle.stats());
     if let Some(max_wait) = cfg.flush_max_wait {
         builder = builder.flush_window(max_wait);
-    }
-    if let Some(max_parked) = cfg.flush_after_parked {
-        builder = builder.flush_after_parked(max_parked);
     }
     (builder.start(), cache)
 }
@@ -205,12 +196,11 @@ mod tests {
             tiny_utility(),
             FlServiceConfig {
                 flush_max_wait: Some(Duration::from_millis(2)),
-                flush_after_parked: Some(1),
                 ..Default::default()
             },
         );
         let windowed = ok(server.call(ValuationRequest::new(Estimator::Ipss, 8, 5)));
-        assert_eq!(windowed.values, barrier, "flush triggers changed a value");
+        assert_eq!(windowed.values, barrier, "the flush window changed a value");
         server.shutdown();
     }
 
@@ -244,30 +234,22 @@ mod tests {
     fn config_from_env_reads_every_knob_and_tolerates_garbage() {
         // Serialized against nothing: no other test in this binary reads
         // these variables.
-        for name in [
-            "FEDVAL_SERVICE_THREADS",
-            "FEDVAL_FLUSH_MAX_WAIT_MS",
-            "FEDVAL_FLUSH_AFTER_PARKED",
-        ] {
+        for name in ["FEDVAL_SERVICE_THREADS", "FEDVAL_FLUSH_MAX_WAIT_MS"] {
             std::env::remove_var(name);
         }
         let unset = FlServiceConfig::from_env();
         assert!(unset.threads.is_none());
         assert!(unset.flush_max_wait.is_none());
-        assert!(unset.flush_after_parked.is_none());
 
         std::env::set_var("FEDVAL_SERVICE_THREADS", " 2 ");
         std::env::set_var("FEDVAL_FLUSH_MAX_WAIT_MS", "250");
-        std::env::set_var("FEDVAL_FLUSH_AFTER_PARKED", "not-a-number");
         let cfg = FlServiceConfig::from_env();
         assert_eq!(cfg.threads, Some(2));
         assert_eq!(cfg.flush_max_wait, Some(Duration::from_millis(250)));
-        assert_eq!(cfg.flush_after_parked, None, "garbage degrades to default");
-        for name in [
-            "FEDVAL_SERVICE_THREADS",
-            "FEDVAL_FLUSH_MAX_WAIT_MS",
-            "FEDVAL_FLUSH_AFTER_PARKED",
-        ] {
+        std::env::set_var("FEDVAL_FLUSH_MAX_WAIT_MS", "not-a-number");
+        let cfg = FlServiceConfig::from_env();
+        assert_eq!(cfg.flush_max_wait, None, "garbage degrades to default");
+        for name in ["FEDVAL_SERVICE_THREADS", "FEDVAL_FLUSH_MAX_WAIT_MS"] {
             std::env::remove_var(name);
         }
     }

@@ -2,14 +2,15 @@
 //! paid once per table lifetime instead of once per lane block.
 //!
 //! Local training is a pure function of `(round-start params, client,
-//! round)`, and the lock-step engine already trains bit-equal lanes once
-//! *within* a block. Across blocks, calls and threads the only start state
-//! coalitions share is round 0's: one server init for every combination
-//! (Def. 1); later ones are functions of the coalition, which
-//! `CachedUtility` trains once. So [`TrajectoryCache`] keeps one set-once
-//! slot per client with its round-0 `Δ = local − init` and nothing else —
-//! at round `r ≥ 1` an insert is a no-op, a lookup a miss, and the engine
-//! does not even hash — plus the counters of [`TrajCacheStats`].
+//! round)`. The only start state coalitions share is round 0's: one
+//! server init for every combination (Def. 1). Within a lane block the
+//! engine trains it once per client; across blocks, calls and threads
+//! this table does. Later start states are functions of the coalition,
+//! which `CachedUtility` trains once. So [`TrajectoryCache`] keeps one
+//! set-once slot per client with its round-0 `Δ = local − init` and
+//! nothing else — at round `r ≥ 1` an insert is a no-op, a lookup a miss,
+//! and the engine does not even hash — plus the counters of
+//! [`TrajCacheStats`].
 //!
 //! **Soundness.** A replayed slot must be the bits training would give:
 //! same client data, same [`crate::config::FedAvgConfig`], bit-equal init.
@@ -25,11 +26,15 @@
 //!
 //! **The regime that loses.** Under partial participation, coalitions
 //! whose sampled participants coincide through round `r` share that
-//! round's start state too. The same sweep at `participation = 0.5`:
-//! a per-round cache 1 842–1 853 hits, 10 326–10 337 trainings; this
-//! table 597 hits, 11 583 trainings (+12 %); wall time 1.06–1.24 s vs
-//! 1.14–1.29 s over three alternating runs. Full participation (the
-//! paper's setting, every ledger workload) loses nothing.
+//! round's start state too; neither this table nor the engine looks for
+//! such lanes. The same 2-thread sweep at `participation = 0.5`, three
+//! alternating runs each on a shared 2-vCPU x86-64 box, against an
+//! engine that hashed every round's lane bases to train bit-equal ones
+//! once: the MLP game 11 582 → 14 094 local trainings (+21.7 %),
+//! wall-time median 1.26 → 1.37 s; the ledger's n = 6 CNN game 308 →
+//! 344 (+11.7 %), 0.67 → 0.69 s. Full participation (the paper's
+//! setting, every ledger workload) loses nothing: no block ever held two
+//! bit-equal lanes after round 0.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -45,7 +50,6 @@
 //! assert_eq!((stats.entries, stats.bytes, stats.hits), (1, 16, 1));
 //! ```
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -60,11 +64,11 @@ const KEY_HASH_SEED: u64 = 0x7261_6A63_6163_6865; // "trajcache"
 const FINGERPRINT_SEED: u64 = 0x6669_6E67_6572_7072; // "fingerpr"
 
 /// Hash the *bit pattern* of a parameter vector. Bit-level (not `==`)
-/// equality is the right notion here: replaying a cached `Δ` — or
-/// training one lane on behalf of another — is only bit-identical to solo
-/// training when the round-start bits agree exactly (`-0.0` and `+0.0`
-/// compare `==` but are different starting points for f32 arithmetic).
-pub(crate) fn hash_params(params: &[f32], seed: u64) -> u64 {
+/// equality is the right notion here: replaying a cached `Δ` is only
+/// bit-identical to training when the round-start bits agree exactly
+/// (`-0.0` and `+0.0` compare `==` but are different starting points for
+/// f32 arithmetic).
+fn hash_params(params: &[f32], seed: u64) -> u64 {
     let mut h = seed ^ mix64(params.len() as u64);
     let mut chunks = params.chunks_exact(2);
     for pair in &mut chunks {
@@ -75,71 +79,6 @@ pub(crate) fn hash_params(params: &[f32], seed: u64) -> u64 {
         h = mix64(h ^ last.to_bits() as u64);
     }
     h
-}
-
-/// Bit-pattern equality of two parameter vectors — the verification step
-/// run inside a hash bucket (strictly stronger than `==` for the lane
-/// grouping it guards: `±0.0` stay distinct).
-pub(crate) fn bits_eq(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Lane classing of a round's base-parameter vectors: lanes with bit-equal
-/// bases share a class (and hence one local training per client).
-pub(crate) struct LaneClasses {
-    /// Lane → class index.
-    pub class_of: Vec<usize>,
-    /// Class → the first lane carrying that base (its representative).
-    pub reps: Vec<usize>,
-    /// Class → the [`hash_params`] key hash of its base.
-    pub hashes: Vec<u64>,
-    /// Full-vector bit-equality comparisons performed — the hook the
-    /// complexity regression test observes. Hash-bucketed classing does
-    /// one comparison per (lane, same-hash prior class) pair, so all-
-    /// distinct bases cost ~0 comparisons instead of the historical
-    /// O(lanes²) pairwise scan.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub eq_checks: usize,
-}
-
-/// Partition lanes by bit-equal base parameters in O(lanes · p): bucket by
-/// [`hash_params`] first, verify bit-equality only within a bucket.
-pub(crate) fn class_lanes(bases: &[Vec<f32>]) -> LaneClasses {
-    let lanes = bases.len();
-    let mut class_of = vec![0usize; lanes];
-    let mut reps: Vec<usize> = Vec::new();
-    let mut hashes: Vec<u64> = Vec::new();
-    let mut eq_checks = 0usize;
-    // hash → classes carrying that hash (almost always exactly one).
-    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (l, base) in bases.iter().enumerate() {
-        let h = hash_params(base, KEY_HASH_SEED);
-        let bucket = buckets.entry(h).or_default();
-        let mut found = None;
-        for &c in bucket.iter() {
-            eq_checks += 1;
-            if bits_eq(&bases[reps[c]], base) {
-                found = Some(c);
-                break;
-            }
-        }
-        match found {
-            Some(c) => class_of[l] = c,
-            None => {
-                let c = reps.len();
-                class_of[l] = c;
-                reps.push(l);
-                hashes.push(h);
-                bucket.push(c);
-            }
-        }
-    }
-    LaneClasses {
-        class_of,
-        reps,
-        hashes,
-        eq_checks,
-    }
 }
 
 /// A client's round-0 update `Δ`, shared by reference.
@@ -280,9 +219,8 @@ mod tests {
 
     #[test]
     fn bit_equality_distinguishes_signed_zero() {
-        assert!(bits_eq(&[0.0, 1.0], &[0.0, 1.0]));
-        assert!(!bits_eq(&[0.0], &[-0.0]));
-        assert!(!bits_eq(&[0.0], &[0.0, 0.0]));
+        // -0.0 == +0.0, but they are different starting points for f32
+        // arithmetic: the key is over bits.
         assert_ne!(
             TrajectoryCache::key_hash(&[0.0]),
             TrajectoryCache::key_hash(&[-0.0])
@@ -359,49 +297,5 @@ mod tests {
             "a filled slot is round 0 only"
         );
         assert!(cache.lookup(h, fp, 2, 0).is_some());
-    }
-
-    #[test]
-    fn lane_classing_matches_naive_scan() {
-        // Correctness: hash-bucketed classing must produce exactly the
-        // grouping of the historical pairwise scan (on bases without ±0.0
-        // or NaN, where `==` and bit-equality coincide).
-        let mut bases: Vec<Vec<f32>> = Vec::new();
-        for l in 0..24 {
-            bases.push(base((l % 7) as u64, 48)); // 7 distinct classes, duplicated
-        }
-        let classes = class_lanes(&bases);
-        // Naive reference.
-        let mut naive_reps: Vec<usize> = Vec::new();
-        let mut naive_class: Vec<usize> = vec![0; bases.len()];
-        for l in 0..bases.len() {
-            match naive_reps.iter().position(|&r| bases[r] == bases[l]) {
-                Some(c) => naive_class[l] = c,
-                None => {
-                    naive_class[l] = naive_reps.len();
-                    naive_reps.push(l);
-                }
-            }
-        }
-        assert_eq!(classes.class_of, naive_class);
-        assert_eq!(classes.reps, naive_reps);
-        assert_eq!(classes.hashes.len(), classes.reps.len());
-    }
-
-    #[test]
-    fn lane_classing_is_linear_in_comparisons() {
-        // Regression for the O(lanes²·p) classing scan: with all-distinct
-        // bases the hash buckets are singletons, so (absent a 64-bit hash
-        // collision) *zero* full-vector comparisons happen — the old scan
-        // performed lanes·(lanes−1)/2 of them.
-        let distinct: Vec<Vec<f32>> = (0..64).map(|l| base(1000 + l as u64, 96)).collect();
-        let classes = class_lanes(&distinct);
-        assert_eq!(classes.reps.len(), 64);
-        assert_eq!(classes.eq_checks, 0, "distinct bases must not be compared");
-        // All-equal bases: exactly one comparison per non-representative.
-        let equal: Vec<Vec<f32>> = vec![base(5, 96); 64];
-        let classes = class_lanes(&equal);
-        assert_eq!(classes.reps, vec![0]);
-        assert_eq!(classes.eq_checks, 63);
     }
 }

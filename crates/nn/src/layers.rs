@@ -1019,206 +1019,3 @@ mod tests {
         assert_eq!(after, zeros);
     }
 }
-
-/// Element-wise hyperbolic tangent.
-#[derive(Clone)]
-pub struct Tanh {
-    len: usize,
-    cached_output: Vec<f32>,
-}
-
-impl Tanh {
-    pub fn new(len: usize) -> Self {
-        Tanh {
-            len,
-            cached_output: Vec::new(),
-        }
-    }
-}
-
-impl Layer for Tanh {
-    fn in_len(&self) -> usize {
-        self.len
-    }
-    fn out_len(&self) -> usize {
-        self.len
-    }
-
-    fn forward(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
-        assert_eq!(input.len(), batch * self.len);
-        let out: Vec<f32> = input.iter().map(|v| v.tanh()).collect();
-        self.cached_output.clone_from(&out);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &[f32], batch: usize) -> Vec<f32> {
-        assert_eq!(grad_out.len(), batch * self.len);
-        // d tanh(x)/dx = 1 − tanh²(x).
-        grad_out
-            .iter()
-            .zip(&self.cached_output)
-            .map(|(&g, &y)| g * (1.0 - y * y))
-            .collect()
-    }
-
-    fn to_multi(&self, lanes: usize) -> Box<dyn LaneLayer> {
-        per_lane_fallback(self, lanes)
-    }
-}
-
-/// Element-wise logistic sigmoid.
-#[derive(Clone)]
-pub struct Sigmoid {
-    len: usize,
-    cached_output: Vec<f32>,
-}
-
-impl Sigmoid {
-    pub fn new(len: usize) -> Self {
-        Sigmoid {
-            len,
-            cached_output: Vec::new(),
-        }
-    }
-}
-
-impl Layer for Sigmoid {
-    fn in_len(&self) -> usize {
-        self.len
-    }
-    fn out_len(&self) -> usize {
-        self.len
-    }
-
-    fn forward(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
-        assert_eq!(input.len(), batch * self.len);
-        let out: Vec<f32> = input.iter().map(|v| 1.0 / (1.0 + (-v).exp())).collect();
-        self.cached_output.clone_from(&out);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &[f32], batch: usize) -> Vec<f32> {
-        assert_eq!(grad_out.len(), batch * self.len);
-        // dσ/dx = σ(1 − σ).
-        grad_out
-            .iter()
-            .zip(&self.cached_output)
-            .map(|(&g, &y)| g * y * (1.0 - y))
-            .collect()
-    }
-
-    fn to_multi(&self, lanes: usize) -> Box<dyn LaneLayer> {
-        per_lane_fallback(self, lanes)
-    }
-}
-
-/// Leaky rectified linear unit: `x` for `x > 0`, `α·x` otherwise.
-#[derive(Clone)]
-pub struct LeakyRelu {
-    len: usize,
-    alpha: f32,
-    mask: Vec<bool>,
-}
-
-impl LeakyRelu {
-    pub fn new(len: usize, alpha: f32) -> Self {
-        assert!((0.0..1.0).contains(&alpha));
-        LeakyRelu {
-            len,
-            alpha,
-            mask: Vec::new(),
-        }
-    }
-}
-
-impl Layer for LeakyRelu {
-    fn in_len(&self) -> usize {
-        self.len
-    }
-    fn out_len(&self) -> usize {
-        self.len
-    }
-
-    fn forward(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
-        assert_eq!(input.len(), batch * self.len);
-        self.mask.clear();
-        input
-            .iter()
-            .map(|&v| {
-                let pos = v > 0.0;
-                self.mask.push(pos);
-                if pos {
-                    v
-                } else {
-                    self.alpha * v
-                }
-            })
-            .collect()
-    }
-
-    fn backward(&mut self, grad_out: &[f32], batch: usize) -> Vec<f32> {
-        assert_eq!(grad_out.len(), batch * self.len);
-        grad_out
-            .iter()
-            .zip(&self.mask)
-            .map(|(&g, &pos)| if pos { g } else { self.alpha * g })
-            .collect()
-    }
-
-    fn to_multi(&self, lanes: usize) -> Box<dyn LaneLayer> {
-        per_lane_fallback(self, lanes)
-    }
-}
-
-#[cfg(test)]
-mod activation_tests {
-    use super::*;
-
-    fn numeric_check<L: Layer>(layer: &mut L, input: &[f32], tol: f32) {
-        let out = layer.forward(input, 1);
-        let grad_in = layer.backward(&vec![1.0; out.len()], 1);
-        let eps = 1e-3;
-        for i in 0..input.len() {
-            let mut plus = input.to_vec();
-            plus[i] += eps;
-            let mut minus = input.to_vec();
-            minus[i] -= eps;
-            let lp: f32 = layer.forward(&plus, 1).iter().sum();
-            let lm: f32 = layer.forward(&minus, 1).iter().sum();
-            let numeric = (lp - lm) / (2.0 * eps);
-            assert!(
-                (numeric - grad_in[i]).abs() < tol,
-                "grad[{i}]: numeric {numeric} vs analytic {}",
-                grad_in[i]
-            );
-        }
-    }
-
-    #[test]
-    fn tanh_gradient() {
-        let mut t = Tanh::new(4);
-        numeric_check(&mut t, &[-1.5, -0.2, 0.3, 2.0], 1e-3);
-        let mut t1 = Tanh::new(1);
-        let out = t1.forward(&[0.0], 1);
-        assert_eq!(out, vec![0.0]);
-    }
-
-    #[test]
-    fn sigmoid_gradient_and_range() {
-        let mut s = Sigmoid::new(4);
-        numeric_check(&mut s, &[-3.0, -0.5, 0.5, 3.0], 1e-3);
-        let mut s3 = Sigmoid::new(3);
-        let out = s3.forward(&[-100.0, 0.0, 100.0], 1);
-        assert!((out[1] - 0.5).abs() < 1e-6);
-        assert!(out[0] >= 0.0 && out[2] <= 1.0);
-    }
-
-    #[test]
-    fn leaky_relu_gradient() {
-        let mut l = LeakyRelu::new(4, 0.1);
-        numeric_check(&mut l, &[-2.0, -0.3, 0.4, 1.5], 1e-3);
-        let mut l2 = LeakyRelu::new(2, 0.1);
-        let out = l2.forward(&[-1.0, 2.0], 1);
-        assert_eq!(out, vec![-0.1, 2.0]);
-    }
-}

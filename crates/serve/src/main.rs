@@ -15,7 +15,7 @@
 //! | `FEDVAL_ADDR` | `127.0.0.1:8089` | bind address |
 //! | `FEDVAL_MAX_INFLIGHT` | `64` | admission-control cap (429 above it) |
 //! | `FEDVAL_RETRY_AFTER_SECS` | `1` | `Retry-After` on 429 |
-//! | `FEDVAL_WIRE_CLIENTS` | `4` | synthetic federation size |
+//! | `FEDVAL_WIRE_CLIENTS` | `4` | synthetic federation size, `1..=128` (else exit 2) |
 //! | `FEDVAL_WIRE_ROUNDS` | `2` | FedAvg rounds per coalition |
 //! | `FEDVAL_WIRE_SEED` | `21` | data / partition / training seed base |
 //! | plus the [`FlServiceConfig::from_env`] service knobs | | |
@@ -23,6 +23,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use fedval_core::coalition::MAX_CLIENTS;
 use fedval_data::{MnistLike, SyntheticSetup};
 use fedval_fl::service::{serve, FlServiceConfig};
 use fedval_fl::{FedAvgConfig, FlUtility, ModelSpec};
@@ -73,6 +74,18 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
+/// A federation size the service can value: the partition needs at least
+/// one client, and a coalition mask holds at most [`MAX_CLIENTS`].
+fn checked_clients(clients: usize) -> Result<usize, String> {
+    if (1..=MAX_CLIENTS).contains(&clients) {
+        Ok(clients)
+    } else {
+        Err(format!(
+            "fedval-serve: FEDVAL_WIRE_CLIENTS must be in 1..={MAX_CLIENTS}, got {clients}"
+        ))
+    }
+}
+
 /// A seeded synthetic federation — the same construction the service
 /// tests use, sized by environment.
 fn synthetic_utility(clients: usize, rounds: usize, seed: u64) -> FlUtility {
@@ -95,7 +108,13 @@ fn synthetic_utility(clients: usize, rounds: usize, seed: u64) -> FlUtility {
 
 fn main() {
     install_signal_handlers();
-    let clients = env_usize("FEDVAL_WIRE_CLIENTS", 4);
+    let clients = match checked_clients(env_usize("FEDVAL_WIRE_CLIENTS", 4)) {
+        Ok(clients) => clients,
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        }
+    };
     let rounds = env_usize("FEDVAL_WIRE_ROUNDS", 2);
     let seed = env_u64("FEDVAL_WIRE_SEED", 21);
     let utility = synthetic_utility(clients, rounds, seed);
@@ -126,4 +145,23 @@ fn main() {
         "fedval-serve: stopped (trajectory cache held {} bytes)",
         cache.stats().bytes
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn federation_size_must_fit_a_coalition_mask() {
+        assert_eq!(checked_clients(1), Ok(1));
+        assert_eq!(checked_clients(MAX_CLIENTS), Ok(MAX_CLIENTS));
+        for bad in [0, MAX_CLIENTS + 1, 200] {
+            let Err(msg) = checked_clients(bad) else {
+                panic!("{bad} clients accepted");
+            };
+            assert!(msg.contains("FEDVAL_WIRE_CLIENTS"), "{msg}");
+            assert!(msg.contains("1..=128"), "{msg}");
+            assert!(!msg.contains('\n'), "one line: {msg}");
+        }
+    }
 }

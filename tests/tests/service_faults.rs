@@ -341,30 +341,6 @@ fn flush_window_bounds_park_wait_without_changing_values() {
     );
 }
 
-#[test]
-fn flush_after_parked_one_disables_batching_but_not_correctness() {
-    let n = 7;
-    let reqs = || {
-        vec![
-            ValuationRequest::new(Estimator::ExactMc, 0, 1),
-            ValuationRequest::new(Estimator::Ipss, 29, 2),
-        ]
-    };
-    let server = ValuationServer::builder(HashUtility { n, seed: 8 })
-        .flush_after_parked(1)
-        .start();
-    let tickets: Vec<Ticket> = reqs().into_iter().map(|r| server.submit(r)).collect();
-    for (t, req) in tickets.into_iter().zip(reqs()) {
-        assert_eq!(ok(t.wait()).values, baseline(n, 8, req));
-    }
-    let stats = server.stats();
-    assert_eq!(
-        stats.merged_batches, stats.flushes,
-        "max_parked = 1 must flush every batch alone"
-    );
-    server.shutdown();
-}
-
 // ---------------------------------------------------------------------
 // Shutdown: every outstanding ticket resolves with the typed error.
 // ---------------------------------------------------------------------
