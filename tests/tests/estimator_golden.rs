@@ -326,11 +326,54 @@ fn record_streams(ledger: &mut Ledger) {
     });
 }
 
+/// The estimators outside the `Sampler` core: the sampling baselines at
+/// a small and a large budget, and K-Greedy at every `K` on three game
+/// sizes.
+fn record_baselines(ledger: &mut Ledger) {
+    for (game, u) in games() {
+        let u = u.as_ref();
+        let n = u.n_clients();
+        for budget in [n, 5 * n] {
+            for seed in SEEDS {
+                let rng = || StdRng::seed_from_u64(seed);
+                let key =
+                    |estimator: &str| format!("final {estimator} {game} b{budget} seed{seed}");
+                ledger.values(
+                    &key("gtb"),
+                    &extended_gtb_values(u, &GtbConfig::new(budget), &mut rng()),
+                );
+                ledger.values(
+                    &key("tmc"),
+                    &extended_tmc(u, &TmcConfig::new(budget), &mut rng()),
+                );
+                ledger.values(
+                    &key("ccshap"),
+                    &cc_shapley(u, &CcShapConfig::new(budget), &mut rng()),
+                );
+            }
+        }
+    }
+    let k_greedy_games: [(&str, Box<dyn Utility>); 3] = [
+        ("table1", Box::new(TableUtility::paper_table1())),
+        ("hash6", Box::new(HashUtility { n: 6, seed: 42 })),
+        ("hash10", Box::new(HashUtility { n: 10, seed: 42 })),
+    ];
+    for (game, u) in k_greedy_games {
+        for k in 1..=u.n_clients() {
+            ledger.values(
+                &format!("final k_greedy {game} k{k}"),
+                &k_greedy(u.as_ref(), k),
+            );
+        }
+    }
+}
+
 #[test]
 fn estimator_outputs_match_the_frozen_ledger() {
     let mut ledger = Ledger(String::new());
     record_finals(&mut ledger);
     record_streams(&mut ledger);
+    record_baselines(&mut ledger);
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
