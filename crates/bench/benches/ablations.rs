@@ -1,4 +1,5 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of the reproduction's design choices (see "Deviations from
+//! the paper" in ARCHITECTURE.md):
 //!
 //! 1. IPSS stratum-k* weighting: stratified mean (ours) vs the paper's
 //!    literal line-16 coefficient;

@@ -28,7 +28,8 @@ fn main() {
             // CNN at n = 10 is the most expensive cell; trim the sweep.
             if model == NeuralModel::Cnn && n == 10 && !quick() {
                 // CNN at n = 10 retrains hundreds of coalitions per point;
-                // covered by Table IV instead (deviation in EXPERIMENTS.md).
+                // covered by Table IV instead (see "Deviations from the
+                // paper" in ARCHITECTURE.md).
                 continue;
             }
             let gammas: Vec<usize> = if quick() {

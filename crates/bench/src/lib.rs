@@ -1,9 +1,9 @@
 //! # fedval-bench
 //!
 //! The experiment harness regenerating every table and figure of the IPSS
-//! paper (per-experiment index in DESIGN.md §4). Each `cargo bench` target
-//! under `benches/` is a `harness = false` binary that prints the same
-//! rows/series its paper counterpart reports. Performance is measured in
+//! paper, one target per figure or table, named after it. Each
+//! `cargo bench` target under `benches/` is a `harness = false` binary
+//! that prints the same rows/series its paper counterpart reports. Performance is measured in
 //! one place only: the ledger under `benchmark/` (`benchmark/run.sh`),
 //! whose per-layer metrics cover the core estimators and the FL kernels.
 //!

@@ -12,7 +12,8 @@
 //! solve the equivalent least-squares projection in closed form — the
 //! minimum-norm solution consistent with the measured differences — and
 //! then report the smallest constraint slack `ε` it satisfies, mirroring
-//! the incremental-relaxation loop (substitution documented in DESIGN.md).
+//! the incremental-relaxation loop (see "Deviations from the paper" in
+//! ARCHITECTURE.md).
 
 use rand::Rng;
 
@@ -68,20 +69,26 @@ pub fn extended_gtb<U: Utility + ?Sized, R: Rng + ?Sized>(
         })
         .collect();
 
-    // Sampling phase: each draw contributes u_t·(β_ti − β_tj) to the
-    // pairwise difference estimate. We accumulate per-client sums; the
-    // pairwise structure collapses because Σ_j Δ̂_{ij} only needs
-    // per-client and global aggregates.
+    // Sampling phase: draw every coalition first, then evaluate the
+    // draws together with `N` and `∅` as one batch. Each draw contributes
+    // u_t·(β_ti − β_tj) to the pairwise difference estimate; the pairwise
+    // structure collapses because Σ_j Δ̂_{ij} only needs per-client and
+    // global aggregates, accumulated in draw order.
     let t = cfg.samples;
+    let mut batch: Vec<Coalition> = (0..t)
+        .map(|_| {
+            let r: f64 = rng.random::<f64>() * z;
+            let k = match cum.iter().position(|&c| r < c) {
+                Some(idx) => idx + 1,
+                None => n - 1,
+            };
+            random_subset_of_size(n, k, rng)
+        })
+        .collect();
+    batch.extend([Coalition::full(n), Coalition::empty()]);
+    let utilities = u.eval_batch(&batch);
     let mut per_client = vec![0.0f64; n]; // Σ_t u_t·β_ti
-    for _ in 0..t {
-        let r: f64 = rng.random::<f64>() * z;
-        let k = match cum.iter().position(|&c| r < c) {
-            Some(idx) => idx + 1,
-            None => n - 1,
-        };
-        let s = random_subset_of_size(n, k, rng);
-        let ut = u.eval(s);
+    for (s, &ut) in batch[..t].iter().zip(&utilities) {
         for i in s.members() {
             per_client[i] += ut;
         }
@@ -91,7 +98,7 @@ pub fn extended_gtb<U: Utility + ?Sized, R: Rng + ?Sized>(
     // Σ_j Δ̂_{ij} = scale·(n·per_client[i] − Σ_j per_client[j]).
     let sum_all: f64 = per_client.iter().sum();
 
-    let u_total = u.eval(Coalition::full(n)) - u.eval(Coalition::empty());
+    let u_total = utilities[t] - utilities[t + 1];
     // Least-squares recovery: ϕ_i = U_total/n + (1/n)·Σ_j Δ̂_{ij}.
     let values: Vec<f64> = (0..n)
         .map(|i| u_total / n as f64 + scale * (n as f64 * per_client[i] - sum_all) / n as f64)

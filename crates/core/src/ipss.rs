@@ -47,7 +47,8 @@ use crate::utility::Utility;
 /// [`crate::utility::CachedUtility`].
 type ValueMemo = HashMap<u128, f64>;
 
-/// How the partially-sampled stratum `k*` is normalised (DESIGN.md §3).
+/// How the partially-sampled stratum `k*` is normalised (see "Deviations
+/// from the paper" in ARCHITECTURE.md).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum IpssWeighting {
     /// Stratified mean over the sampled pairs — unbiased for the stratum

@@ -7,8 +7,13 @@
 //! relative error is already below 1% for `K ≤ 2` — the observation that
 //! motivates the importance-pruning of IPSS.
 
-use crate::coalition::{binom, subsets_of_size};
-use crate::utility::{eval_batch_into_memo, Utility};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use crate::coalition::subsets_up_to;
+use crate::ipss::{IpssConfig, PrunedSampler};
+use crate::sampler::drive;
+use crate::utility::Utility;
 
 /// Alg. 2 — K-Greedy.
 ///
@@ -16,8 +21,15 @@ use crate::utility::{eval_batch_into_memo, Utility};
 ///
 /// Note on weights: the paper prints `C(n, |S|)` in Alg. 2 line 7; we use
 /// the MC-SV weight `C(n−1, |S|)` so that `K = n` recovers the exact MC-SV
-/// (see DESIGN.md §3 — with the printed coefficient the estimator would not
-/// converge to the exact value, which contradicts Fig. 4's error → 0 trend).
+/// (see "Deviations from the paper" in ARCHITECTURE.md — with the printed
+/// coefficient the estimator would not converge to the exact value, which
+/// contradicts Fig. 4's error → 0 trend).
+///
+/// This is IPSS's exhaustive phase (Alg. 3 lines 1–7) at the budget
+/// `γ = Σ_{j≤K} C(n, j)`: `k* = K`, every stratum of size `≤ K` is
+/// evaluated as one batch and folded with the same `(U(T) − U(T∖i))·w`
+/// terms in enumeration order, and no budget is left for phase 2 — so
+/// nothing is ever drawn.
 pub fn k_greedy<U: Utility + ?Sized>(u: &U, k_max: usize) -> Vec<f64> {
     let n = u.n_clients();
     assert!(n >= 1);
@@ -25,35 +37,17 @@ pub fn k_greedy<U: Utility + ?Sized>(u: &U, k_max: usize) -> Vec<f64> {
         k_max >= 1,
         "K must be at least 1 (K=1 uses only singletons)"
     );
-    let k_max = k_max.min(n);
-    let mut phi = vec![0.0; n];
-    let inv_n = 1.0 / n as f64;
-    let inv_binom: Vec<f64> = (0..n).map(|s| 1.0 / binom(n - 1, s)).collect();
-    // Enumerate coalitions T with 1 ≤ |T| ≤ K. For each member i of T the
-    // pair (S = T\{i}, S∪{i} = T) has |S| = |T|−1 < K, exactly the index
-    // set of Alg. 2 line 7. Each stratum is evaluated as one batch and
-    // memoised, so even an uncached utility sees each coalition once.
-    let mut memo: std::collections::HashMap<u128, f64> = std::collections::HashMap::new();
-    eval_batch_into_memo(u, &[crate::coalition::Coalition::empty()], &mut memo);
-    for t_size in 1..=k_max {
-        let stratum: Vec<crate::coalition::Coalition> = subsets_of_size(n, t_size).collect();
-        eval_batch_into_memo(u, &stratum, &mut memo);
-        for &t in &stratum {
-            let ut = memo[&t.0];
-            let w = inv_n * inv_binom[t_size - 1];
-            for i in t.members() {
-                let us = memo[&t.without(i).0];
-                phi[i] += (ut - us) * w;
-            }
-        }
-    }
-    phi
+    let gamma = subsets_up_to(n, k_max.min(n)) as usize;
+    // lint:seeded(phase 2 is empty at this budget, so no draw is made)
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut sampler = PrunedSampler::for_ipss(n, &IpssConfig::new(gamma), None, &mut rng);
+    drive(u, &mut sampler, None).values
 }
 
 /// Number of distinct utility evaluations K-Greedy performs:
 /// `Σ_{j=0}^{K} C(n, j)` (every coalition of size ≤ K, including `∅`).
 pub fn k_greedy_evaluations(n: usize, k_max: usize) -> u128 {
-    crate::coalition::subsets_up_to(n, k_max.min(n))
+    subsets_up_to(n, k_max.min(n))
 }
 
 #[cfg(test)]

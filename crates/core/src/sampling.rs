@@ -22,38 +22,15 @@ pub fn random_subset_of_size<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -
     Coalition(mask)
 }
 
-/// Draw `count` *distinct* uniformly random coalitions of size `k`.
-///
-/// If `count ≥ C(n, k)` the entire stratum is returned. For dense requests
-/// (more than half the stratum, when the stratum is small enough to
-/// enumerate) we enumerate-and-shuffle; otherwise rejection sampling is
-/// fast because collisions are rare.
+/// Draw `count` *distinct* uniformly random coalitions of size `k`:
+/// [`distinct_subsets_extending`] over an empty draw set.
 pub fn distinct_subsets_of_size<R: Rng + ?Sized>(
     n: usize,
     k: usize,
     count: usize,
     rng: &mut R,
 ) -> Vec<Coalition> {
-    let stratum_size = binom_u128(n, k);
-    if count as u128 >= stratum_size {
-        return subsets_of_size(n, k).collect();
-    }
-    // Dense request on an enumerable stratum: shuffle the full enumeration.
-    if stratum_size <= 1 << 16 && (count as u128) * 2 >= stratum_size {
-        let mut all: Vec<Coalition> = subsets_of_size(n, k).collect();
-        all.shuffle(rng);
-        all.truncate(count);
-        return all;
-    }
-    let mut seen = HashSet::with_capacity(count * 2);
-    let mut out = Vec::with_capacity(count);
-    while out.len() < count {
-        let s = random_subset_of_size(n, k, rng);
-        if seen.insert(s.0) {
-            out.push(s);
-        }
-    }
-    out
+    distinct_subsets_extending(n, k, count, &mut HashSet::new(), rng)
 }
 
 /// Draw `count` *new* distinct coalitions of size `k`, extending the draw
@@ -65,10 +42,10 @@ pub fn distinct_subsets_of_size<R: Rng + ?Sized>(
 /// `seen` holds the masks of every coalition already drawn from this
 /// stratum; the returned coalitions are inserted into it. Returns fewer
 /// than `count` coalitions only when the stratum's remaining capacity is
-/// smaller. The same three-path strategy as the one-shot form: take the
-/// whole remainder when the request covers it (enumeration order),
-/// enumerate-and-shuffle the unseen members for dense requests on small
-/// strata, rejection-sample otherwise.
+/// smaller. Three paths: take the whole remainder when the request covers
+/// it (enumeration order), enumerate-and-shuffle the unseen members for
+/// dense requests (at least half the remainder) on strata small enough to
+/// enumerate, rejection-sample otherwise — collisions are rare there.
 pub fn distinct_subsets_extending<R: Rng + ?Sized>(
     n: usize,
     k: usize,
@@ -201,10 +178,10 @@ pub fn weighted_balanced_subsets_extending<R: Rng + ?Sized>(
 /// the currently lowest coverage, breaking ties uniformly at random. As long
 /// as a fresh coalition can be formed this keeps `max_i C_i − min_i C_i ≤ 1`;
 /// when `n ∤ count·k` exact equality is impossible, so the ≤ 1 spread is the
-/// best achievable (documented deviation in DESIGN.md). Duplicate coalitions
-/// are rejected and re-drawn with new tie-breaks; after repeated failures we
-/// fall back to any unused coalition so the function always terminates with
-/// `min(count, C(n, k))` coalitions.
+/// best achievable (see "Deviations from the paper" in ARCHITECTURE.md).
+/// Duplicate coalitions are rejected and re-drawn with new tie-breaks;
+/// after repeated failures we fall back to any unused coalition so the
+/// function always terminates with `min(count, C(n, k))` coalitions.
 pub fn balanced_subsets_of_size<R: Rng + ?Sized>(
     n: usize,
     k: usize,
@@ -411,6 +388,25 @@ mod tests {
         assert_eq!(subs.len(), 12);
         let set: HashSet<u128> = subs.iter().map(|s| s.0).collect();
         assert_eq!(set.len(), 12);
+    }
+
+    #[test]
+    fn one_shot_draw_is_extending_over_an_empty_set() {
+        // (n, k, count): the whole stratum (C(6,3) = 20), a dense request
+        // on an enumerable stratum (40 of C(8,3) = 56, shuffle) and a
+        // sparse one (10 of C(20,5), rejection).
+        for (n, k, count) in [(6, 3, 25), (8, 3, 40), (20, 5, 10)] {
+            let (mut a, mut b) = (StdRng::seed_from_u64(21), StdRng::seed_from_u64(21));
+            let one_shot = distinct_subsets_of_size(n, k, count, &mut a);
+            let mut seen = HashSet::new();
+            let extending = distinct_subsets_extending(n, k, count, &mut seen, &mut b);
+            assert_eq!(one_shot, extending, "n={n} k={k} count={count}");
+            assert_eq!(
+                a.random::<u64>(),
+                b.random::<u64>(),
+                "RNG state after n={n} k={k} count={count}"
+            );
+        }
     }
 
     #[test]

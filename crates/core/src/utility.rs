@@ -199,38 +199,6 @@ pub struct EvalStats {
     pub eval_time: Duration,
 }
 
-/// Evaluate one batch through the utility and record the results in a
-/// mask-keyed memo — the shared building block of the estimators that
-/// pay for each stratum once and fold from the memo afterwards (IPSS,
-/// K-Greedy, pruned Banzhaf).
-///
-/// Coalitions already memoised, and duplicates within the batch, are
-/// *not* forwarded to the utility: only the distinct misses reach
-/// `eval_batch`, in first-occurrence order. Against an uncached utility
-/// this is what keeps the evaluation count equal to the number of
-/// distinct coalitions actually paid for (the paper's `τ` accounting);
-/// against a [`CachedUtility`] it merely avoids redundant lookups.
-pub(crate) fn eval_batch_into_memo<U: Utility + ?Sized>(
-    u: &U,
-    batch: &[Coalition],
-    memo: &mut HashMap<u128, f64>,
-) {
-    let mut scheduled: std::collections::HashSet<u128> = std::collections::HashSet::new();
-    let fresh: Vec<Coalition> = batch
-        .iter()
-        .copied()
-        .filter(|s| !memo.contains_key(&s.0) && scheduled.insert(s.0))
-        .collect();
-    if fresh.is_empty() {
-        return;
-    }
-    let values = u.eval_batch(&fresh);
-    debug_assert_eq!(values.len(), fresh.len());
-    for (s, v) in fresh.iter().zip(values) {
-        memo.insert(s.0, v);
-    }
-}
-
 /// Statistics of a trajectory-level training cache — the per-client
 /// memoisation one level *below* [`EvalStats`]'s whole-coalition
 /// accounting. The cache itself lives in the FL substrate (`fedval-fl`'s
@@ -805,49 +773,6 @@ mod tests {
         assert_eq!(u.stats().lookups, 6);
         // Mixed eval/eval_batch agree.
         assert_eq!(u.eval(s01), batch[0]);
-    }
-
-    #[test]
-    fn eval_batch_into_memo_dedups_against_memo_and_within_batch() {
-        // Regression: memoised coalitions and within-batch duplicates
-        // used to be forwarded to the utility anyway, so an *uncached*
-        // utility paid for them again. Count exactly what reaches it.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        struct Counting {
-            inner: TableUtility,
-            calls: AtomicUsize,
-        }
-        impl Utility for Counting {
-            fn n_clients(&self) -> usize {
-                self.inner.n_clients()
-            }
-            fn eval(&self, s: Coalition) -> f64 {
-                self.calls.fetch_add(1, Ordering::Relaxed);
-                self.inner.eval(s)
-            }
-        }
-        let u = Counting {
-            inner: TableUtility::paper_table1(),
-            calls: AtomicUsize::new(0),
-        };
-        let s01 = Coalition::from_members([0, 1]);
-        let s2 = Coalition::singleton(2);
-        let s02 = Coalition::from_members([0, 2]);
-        let mut memo = HashMap::new();
-        memo.insert(s01.0, u.inner.eval(s01));
-        // Batch: one memo hit, two distinct misses (one duplicated twice).
-        eval_batch_into_memo(&u, &[s01, s2, s02, s2, s01, s2], &mut memo);
-        assert_eq!(
-            u.calls.load(Ordering::Relaxed),
-            2,
-            "only the distinct misses may reach the utility"
-        );
-        assert_eq!(memo.len(), 3);
-        assert_eq!(memo[&s2.0], u.inner.eval(s2));
-        assert_eq!(memo[&s02.0], u.inner.eval(s02));
-        // A fully-memoised batch must not touch the utility at all.
-        eval_batch_into_memo(&u, &[s01, s2, s02], &mut memo);
-        assert_eq!(u.calls.load(Ordering::Relaxed), 2);
     }
 
     #[test]

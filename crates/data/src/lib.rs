@@ -6,7 +6,7 @@
 //! files are unavailable offline, so this crate provides seeded generators
 //! that preserve the properties the experiments manipulate — class
 //! structure, writer heterogeneity, size skew, label noise, feature noise
-//! (full substitution rationale in DESIGN.md §2):
+//! (see "Deviations from the paper" in ARCHITECTURE.md):
 //!
 //! * [`synth::MnistLike`], [`synth::FemnistLike`], [`synth::AdultLike`],
 //!   [`synth::Sent140Like`] — dataset generators;

@@ -3,8 +3,8 @@
 //! The experiments of Sec. V manipulate dataset *properties* — size,
 //! label distribution, writer heterogeneity, label/feature noise — not the
 //! semantics of any particular corpus. Each generator below produces a
-//! classification problem with the corresponding knobs (substitution
-//! rationale in DESIGN.md §2):
+//! classification problem with the corresponding knobs (see "Deviations
+//! from the paper" in ARCHITECTURE.md):
 //!
 //! * [`MnistLike`] — class-conditional smoothed template images
 //!   (MNIST stand-in for the five synthetic setups of Fig. 6);

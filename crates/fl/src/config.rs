@@ -2,22 +2,8 @@
 
 use fedval_nn::Backend;
 
-/// Which federated optimisation algorithm the clients run (`A` in
-/// Def. 1). FedAvg is the paper's algorithm; FedProx (Li et al., MLSys'20,
-/// cited in Sec. VI-A) adds a proximal pull towards the global model that
-/// tames client drift under heterogeneity.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FlAlgorithm {
-    FedAvg,
-    /// FedProx with proximal coefficient `μ`: each local step additionally
-    /// pulls the weights towards the round's global model by
-    /// `lr·μ·(w − w_global)` (applied at epoch granularity).
-    FedProx {
-        mu: f32,
-    },
-}
-
-/// Hyper-parameters of the federated training loop (Def. 1).
+/// Hyper-parameters of the federated training loop (Def. 1): FedAvg,
+/// every member of the coalition training in every round.
 #[derive(Clone, Copy, Debug)]
 pub struct FedAvgConfig {
     /// Communication rounds between server and clients.
@@ -32,15 +18,6 @@ pub struct FedAvgConfig {
     /// derived from this, making `U(M_S)` a pure function of the coalition
     /// (required for sound caching).
     pub seed: u64,
-    /// The local optimisation algorithm.
-    pub algorithm: FlAlgorithm,
-    /// Fraction of the coalition's clients participating per round
-    /// (cross-device-style partial participation; `1.0` = every client
-    /// every round, the cross-silo default the paper uses).
-    pub participation: f32,
-    /// Server-side step size applied to the aggregated update (`1.0` is
-    /// plain FedAvg parameter averaging).
-    pub server_lr: f32,
     /// Read by nothing; kept for `benchmark/src/problems.rs` (see
     /// `fedval_nn::backend`).
     pub backend: Backend,
@@ -60,9 +37,6 @@ impl Default for FedAvgConfig {
             batch_size: 16,
             lr: 0.1,
             seed: 0,
-            algorithm: FlAlgorithm::FedAvg,
-            participation: 1.0,
-            server_lr: 1.0,
             backend: Backend::Reference,
             traj_cache: true,
             traj_cache_bytes: None,
@@ -94,8 +68,9 @@ pub fn init_seed(base: u64) -> u64 {
 /// the same way no matter which coalition it trains in. These common
 /// random numbers cancel in marginal contributions `U(S∪{i}) − U(S)`,
 /// sharply reducing the noise floor of the ground-truth Shapley values —
-/// a variance-reduction choice documented in DESIGN.md §3. Determinism
-/// per coalition (hence cacheability) is unaffected.
+/// a variance-reduction choice listed under "Deviations from the paper"
+/// in ARCHITECTURE.md. Determinism per coalition (hence cacheability) is
+/// unaffected.
 pub fn local_seed(base: u64, round: usize, client: usize) -> u64 {
     let hi = mix64(mix64(base) ^ ((round as u64) << 32) ^ client as u64);
     mix64(hi)

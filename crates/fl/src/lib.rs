@@ -2,7 +2,8 @@
 //!
 //! The federated-learning engine of the IPSS reproduction:
 //!
-//! * [`fedavg`] — the FedAvg loop (Def. 1) over arbitrary coalitions:
+//! * [`fedavg`] — the FedAvg loop (Def. 1, every member trains every
+//!   round) over arbitrary coalitions:
 //!   [`fedavg::train_coalitions`] trains `B` coalition models in lock-step
 //!   (one data pass, per-coalition parameter lanes; round 0, where every
 //!   lane starts at the init, trains once per client and nothing later is
@@ -22,7 +23,8 @@
 //!   GTG-Shapley and DIG-FL.
 //!
 //! The paper's multi-process gRPC simulation is replaced by in-process
-//! clients with the same message flow (DESIGN.md §2).
+//! clients with the same message flow (see "Deviations from the paper" in
+//! ARCHITECTURE.md).
 
 pub mod config;
 pub mod fedavg;
@@ -33,7 +35,7 @@ pub mod service;
 pub mod trajcache;
 pub mod utility;
 
-pub use config::{FedAvgConfig, FlAlgorithm};
+pub use config::FedAvgConfig;
 pub use fedavg::{
     train_coalition, train_coalitions, train_coalitions_params, train_coalitions_params_with_cache,
     train_with_history,

@@ -24,18 +24,6 @@
 //! every round's `Δ` would hold 25 610, 246 880 400 B, for the same
 //! 1 061 hits and 25 615 trainings.
 //!
-//! **The regime that loses.** Under partial participation, coalitions
-//! whose sampled participants coincide through round `r` share that
-//! round's start state too; neither this table nor the engine looks for
-//! such lanes. The same 2-thread sweep at `participation = 0.5`, three
-//! alternating runs each on a shared 2-vCPU x86-64 box, against an
-//! engine that hashed every round's lane bases to train bit-equal ones
-//! once: the MLP game 11 582 → 14 094 local trainings (+21.7 %),
-//! wall-time median 1.26 → 1.37 s; the ledger's n = 6 CNN game 308 →
-//! 344 (+11.7 %), 0.67 → 0.69 s. Full participation (the paper's
-//! setting, every ledger workload) loses nothing: no block ever held two
-//! bit-equal lanes after round 0.
-//!
 //! ```
 //! use std::sync::Arc;
 //! use fedval_fl::TrajectoryCache;

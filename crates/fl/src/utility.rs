@@ -216,7 +216,8 @@ const _: () = {
 /// Cross-silo federated GBDT (vertical/horizontal tree protocols) produces
 /// the same ensemble a centralized training over the pooled data would,
 /// up to protocol noise; pooled training is therefore the faithful
-/// simulation of `U(M_S)` for the XGB rows of Table V (DESIGN.md §2).
+/// simulation of `U(M_S)` for the XGB rows of Table V (see "Deviations
+/// from the paper" in ARCHITECTURE.md).
 pub struct GbdtUtility {
     clients: Vec<Dataset>,
     test: Dataset,

@@ -4,7 +4,8 @@
 //! substitute used as the FL model for the tabular experiments of the IPSS
 //! paper (Table V). Cross-silo federated training of tree ensembles is
 //! simulated by training on the union of the coalition's datasets, which
-//! matches the utility semantics `U(M_S)` (see DESIGN.md §2).
+//! matches the utility semantics `U(M_S)` (see "Deviations from the
+//! paper" in ARCHITECTURE.md).
 //!
 //! * [`tree`] — regression trees with histogram split finding;
 //! * [`boost::Gbdt`] — binary classifier boosted with logistic loss.

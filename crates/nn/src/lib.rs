@@ -4,7 +4,7 @@
 //! the FL experiments of the IPSS paper. The paper's implementation uses
 //! TensorFlow 2.4; mature Rust DL stacks (candle/burn) are not yet suited
 //! to these FL experiments, so this crate provides exactly what the
-//! experiments need (substitution rationale in DESIGN.md §2):
+//! experiments need (see "Deviations from the paper" in ARCHITECTURE.md):
 //!
 //! * [`layers`] — `Dense`, `ReLU`, `Conv2d`, `MaxPool2` with hand-written
 //!   backward passes (finite-difference-checked in tests);

@@ -6,10 +6,10 @@
 //! paths of the *same* build agree (lane ≡ solo, cached ≡ uncached) — a
 //! kernel that moves a bit in both paths the same way passes all of them.
 //! This ledger pins the bits across commits instead: for every model
-//! family × coalition shape × FL algorithm it records
-//! the solo [`train_coalition`] parameters (as a 64-bit fold) and the
-//! lock-step [`FlUtility::eval_batch`] utilities, so both the solo and the
-//! lane kernels are held to the recorded arithmetic.
+//! family × coalition shape it records the solo [`train_coalition`]
+//! parameters (as a 64-bit fold) and the lock-step
+//! [`FlUtility::eval_batch`] utilities, so both the solo and the lane
+//! kernels are held to the recorded arithmetic.
 //!
 //! The softmax's `exp` comes from the platform libm; a libm that rounds
 //! `expf` differently needs its own recording.
@@ -31,7 +31,7 @@ use rand::SeedableRng;
 use fedval_core::coalition::Coalition;
 use fedval_core::utility::Utility;
 use fedval_data::{Dataset, MnistLike, SyntheticSetup};
-use fedval_fl::{train_coalition, FedAvgConfig, FlAlgorithm, FlUtility, ModelSpec};
+use fedval_fl::{train_coalition, FedAvgConfig, FlUtility, ModelSpec};
 
 const CLIENTS: usize = 4;
 
@@ -72,55 +72,37 @@ fn record() -> String {
         ("pair", Coalition::from_members([0, 3])),
         ("full", Coalition::full(CLIENTS)),
     ];
-    let algorithms = [
-        (
-            "fedavg",
-            FedAvgConfig {
-                rounds: 2,
-                local_epochs: 1,
-                seed: 0x90_1D,
-                ..Default::default()
-            },
-        ),
-        (
-            "fedprox_half",
-            FedAvgConfig {
-                rounds: 3,
-                local_epochs: 1,
-                algorithm: FlAlgorithm::FedProx { mu: 0.4 },
-                participation: 0.5,
-                seed: 0x90_1E,
-                ..Default::default()
-            },
-        ),
-    ];
+    let cfg = FedAvgConfig {
+        rounds: 2,
+        local_epochs: 1,
+        seed: 0x90_1D,
+        ..Default::default()
+    };
     let batch: Vec<Coalition> = coalitions.iter().map(|&(_, s)| s).collect();
 
     let mut ledger = String::new();
     for (spec_name, spec) in &specs {
-        for (algo_name, cfg) in &algorithms {
-            // `reference` is a fixed word of the recorded keys.
-            let key = format!("{spec_name} {algo_name} reference");
-            // Solo reference loop: the trained parameters themselves.
-            for (coalition_name, s) in &coalitions {
-                let net = train_coalition(spec, &clients, input, classes, *s, cfg);
-                writeln!(
-                    ledger,
-                    "params {key} {coalition_name} = {:016x}",
-                    fold(&net.params())
-                )
-                .unwrap();
-            }
-            // Lock-step lane block: train + score through the lane
-            // kernels (four coalitions fit one default block).
-            let utility = FlUtility::new(clients.clone(), test.clone(), spec.clone(), *cfg);
-            let values: Vec<String> = utility
-                .eval_batch(&batch)
-                .iter()
-                .map(|v| format!("{:016x}", v.to_bits()))
-                .collect();
-            writeln!(ledger, "eval_batch {key} = {}", values.join(" ")).unwrap();
+        // `fedavg reference` is a fixed part of the recorded keys.
+        let key = format!("{spec_name} fedavg reference");
+        // Solo reference loop: the trained parameters themselves.
+        for (coalition_name, s) in &coalitions {
+            let net = train_coalition(spec, &clients, input, classes, *s, &cfg);
+            writeln!(
+                ledger,
+                "params {key} {coalition_name} = {:016x}",
+                fold(&net.params())
+            )
+            .unwrap();
         }
+        // Lock-step lane block: train + score through the lane kernels
+        // (four coalitions fit one default block).
+        let utility = FlUtility::new(clients.clone(), test.clone(), spec.clone(), cfg);
+        let values: Vec<String> = utility
+            .eval_batch(&batch)
+            .iter()
+            .map(|v| format!("{:016x}", v.to_bits()))
+            .collect();
+        writeln!(ledger, "eval_batch {key} = {}", values.join(" ")).unwrap();
     }
     ledger
 }

@@ -20,9 +20,7 @@ use rand::SeedableRng;
 use fedval_core::coalition::{all_subsets, Coalition};
 use fedval_core::utility::{CachedUtility, ParallelUtility, Utility};
 use fedval_data::{Dataset, MnistLike, SyntheticSetup};
-use fedval_fl::{
-    train_coalition, train_coalitions, FedAvgConfig, FlAlgorithm, FlUtility, ModelSpec,
-};
+use fedval_fl::{train_coalition, train_coalitions, FedAvgConfig, FlUtility, ModelSpec};
 
 fn federated_problem(n_clients: usize, per_client: usize) -> (Vec<Dataset>, Dataset) {
     let gen = MnistLike::new(77);
@@ -83,44 +81,6 @@ fn batched_equals_solo_for_every_lane_count_and_spec() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn batched_equals_solo_with_partial_participation() {
-    let (clients, _) = federated_problem(5, 24);
-    let cfg = FedAvgConfig {
-        rounds: 3,
-        local_epochs: 1,
-        participation: 0.6,
-        seed: 2002,
-        ..Default::default()
-    };
-    let spec = ModelSpec::default_mlp();
-    let batch = coalition_spread(5, 8);
-    let nets = train_coalitions(&spec, &clients, 64, 10, &batch, &cfg);
-    for (s, net) in batch.iter().zip(&nets) {
-        let solo = train_coalition(&spec, &clients, 64, 10, *s, &cfg);
-        assert_eq!(net.params(), solo.params(), "coalition {s:?}");
-    }
-}
-
-#[test]
-fn batched_equals_solo_with_fedprox() {
-    let (clients, _) = federated_problem(4, 24);
-    let cfg = FedAvgConfig {
-        rounds: 2,
-        local_epochs: 2,
-        algorithm: FlAlgorithm::FedProx { mu: 0.4 },
-        seed: 3003,
-        ..Default::default()
-    };
-    let spec = ModelSpec::default_mlp();
-    let batch = coalition_spread(4, 3);
-    let nets = train_coalitions(&spec, &clients, 64, 10, &batch, &cfg);
-    for (s, net) in batch.iter().zip(&nets) {
-        let solo = train_coalition(&spec, &clients, 64, 10, *s, &cfg);
-        assert_eq!(net.params(), solo.params(), "coalition {s:?}");
     }
 }
 

@@ -1,9 +1,8 @@
 //! The round-0 trajectory table must be invisible in every value: sweeps
-//! through it are bit-identical to the solo loop under both FL algorithms
-//! and partial participation — while it provably pays round 0 once per
-//! client per *sweep* (not per lane block), loses none of the hits the
-//! per-round cache it replaced found under full participation, and holds
-//! at most one update per client.
+//! through it are bit-identical to the solo loop — while it provably pays
+//! round 0 once per client per *sweep* (not per lane block), loses none of
+//! the hits the per-round cache it replaced found, and holds at most one
+//! update per client.
 
 // Driver code: test assertions panic by design, so unwrap/expect are
 // the failure mechanism, not a robustness gap.
@@ -17,9 +16,7 @@ use rand::SeedableRng;
 use fedval_core::coalition::{all_subsets, Coalition};
 use fedval_core::utility::{ParallelUtility, TrajCacheStats, Utility};
 use fedval_data::{Dataset, MnistLike, SyntheticSetup};
-use fedval_fl::{
-    train_coalition, FedAvgConfig, FlAlgorithm, FlUtility, ModelSpec, TrajectoryCache,
-};
+use fedval_fl::{train_coalition, FedAvgConfig, FlUtility, ModelSpec, TrajectoryCache};
 
 fn federated_problem(n_clients: usize) -> (Vec<Dataset>, Dataset) {
     let gen = MnistLike::new(501);
@@ -54,49 +51,45 @@ fn assert_one_update_per_client(stats: TrajCacheStats, u: &FlUtility) {
     assert_eq!(stats.evictions, 0);
 }
 
-/// Table sweeps must reproduce the solo reference values bit-for-bit in
-/// every configuration corner — FedAvg and FedProx, full and partial
-/// participation — and a replay through the filled table must train
-/// nothing in round 0 and exactly the later rounds again.
+/// Table sweeps must reproduce the solo reference values bit-for-bit
+/// across FedAvg configurations — one round (round 0 is everything), two,
+/// and three rounds of two local epochs — and a replay through the filled
+/// table must train nothing in round 0 and exactly the later rounds again.
 #[test]
 fn cached_sweeps_bit_identical_to_solo_under_all_configs() {
     let n = 4;
     let coalitions: Vec<Coalition> = all_subsets(n).collect();
-    for algorithm in [FlAlgorithm::FedAvg, FlAlgorithm::FedProx { mu: 0.3 }] {
-        for participation in [1.0f32, 0.5] {
-            let cfg = FedAvgConfig {
-                rounds: 2,
-                local_epochs: 1,
-                seed: 601,
-                algorithm,
-                participation,
-                ..Default::default()
-            };
-            let u = utility(cfg, n).with_lane_block(3);
-            let reference: Vec<f64> = coalitions.iter().map(|&s| solo_value(&u, s)).collect();
-            let label = format!("{algorithm:?} p={participation}");
-            assert_eq!(u.eval_batch(&coalitions), reference, "sweep {label}");
-            let first = u.traj_cache().stats();
-            assert!(first.round0_trainings <= n, "{label}: {first:?}");
-            assert_eq!(u.eval_batch(&coalitions), reference, "replay {label}");
-            let second = u.traj_cache().stats();
-            assert_eq!(
-                second.round0_trainings, first.round0_trainings,
-                "{label}: a replay trains nothing in round 0"
-            );
-            assert_eq!(
-                second.local_trainings - first.local_trainings,
-                first.local_trainings - first.round0_trainings,
-                "{label}: a replay retrains exactly rounds ≥ 1"
-            );
-            assert_one_update_per_client(second, &u);
-        }
+    for (rounds, local_epochs) in [(1, 1), (2, 1), (3, 2)] {
+        let cfg = FedAvgConfig {
+            rounds,
+            local_epochs,
+            seed: 601,
+            ..Default::default()
+        };
+        let u = utility(cfg, n).with_lane_block(3);
+        let reference: Vec<f64> = coalitions.iter().map(|&s| solo_value(&u, s)).collect();
+        let label = format!("rounds={rounds} local_epochs={local_epochs}");
+        assert_eq!(u.eval_batch(&coalitions), reference, "sweep {label}");
+        let first = u.traj_cache().stats();
+        assert_eq!(first.round0_trainings, n, "{label}: {first:?}");
+        assert_eq!(u.eval_batch(&coalitions), reference, "replay {label}");
+        let second = u.traj_cache().stats();
+        assert_eq!(
+            second.round0_trainings, first.round0_trainings,
+            "{label}: a replay trains nothing in round 0"
+        );
+        assert_eq!(
+            second.local_trainings - first.local_trainings,
+            first.local_trainings - first.round0_trainings,
+            "{label}: a replay retrains exactly rounds ≥ 1"
+        );
+        assert_one_update_per_client(second, &u);
     }
 }
 
 /// Local trainings of this sweep under the per-round cache the round-0
 /// table replaced, recorded at its last commit: the table must match it,
-/// i.e. lose no hit under full participation.
+/// i.e. lose no hit.
 const PER_ROUND_CACHE_TRAININGS: usize = 85;
 
 /// The accounting claim: an exact-SV sweep pays round-0 local training
@@ -127,7 +120,7 @@ fn exact_sv_sweep_pays_round0_once_per_client() {
     assert!(stats.hits > 0);
     assert_eq!(
         stats.local_trainings, PER_ROUND_CACHE_TRAININGS,
-        "a full-participation hit was lost"
+        "a hit of the per-round cache was lost"
     );
     assert_one_update_per_client(stats, &u);
 }
