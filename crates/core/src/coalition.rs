@@ -5,8 +5,14 @@
 //! unions and complements O(1) and gives a compact cache key for memoising
 //! utility evaluations. `u128` supports the paper's largest experiment
 //! (100 clients in the Fig. 9 scalability test) with headroom.
+//!
+//! Two mask-keyed helpers live here too: [`MaskHash`], the one hasher
+//! every `u128`-keyed table in this crate uses, and [`ColexRank`], which
+//! turns a coalition into its position in [`subsets_of_size`] order so a
+//! whole stratum of values can be stored as a plain `Vec`.
 
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Maximum number of clients supported by the bitmask representation.
 pub const MAX_CLIENTS: usize = 128;
@@ -220,6 +226,168 @@ pub fn subsets_of_size(n: usize, k: usize) -> SubsetsOfSize {
     }
 }
 
+/// Colex ranks of coalitions with at most `k_max` members out of `n`
+/// clients, from a `usize` Pascal table.
+///
+/// [`subsets_of_size`] enumerates a stratum in increasing mask order,
+/// which for sets of equal size is colex order: with `p_j` the `j`-th
+/// smallest member (1-based), `rank(S) = Σ_j C(p_j, j)` is `S`'s
+/// position in the enumeration. A stratum enumerated whole can therefore
+/// be stored by position and read back by rank, with no map.
+#[derive(Clone, Debug)]
+pub struct ColexRank {
+    /// `C(p, j)` at `p · (k_max + 1) + j`, for `p < n` and `j ≤ k_max`.
+    table: Vec<usize>,
+    k_max: usize,
+}
+
+impl ColexRank {
+    /// The table for coalitions of at most `k_max` out of `n` clients.
+    /// Every entry is at most `C(n − 1, min(k_max, ⌊(n−1)/2⌋))`; panics if
+    /// that overflows `usize` (it cannot when a caller stores a stratum of
+    /// `C(n, k_max)` values).
+    pub fn new(n: usize, k_max: usize) -> Self {
+        assert!(n <= MAX_CLIENTS);
+        let width = k_max + 1;
+        let mut table = vec![0usize; n * width];
+        for p in 0..n {
+            table[p * width] = 1;
+            for j in 1..width.min(p + 1) {
+                // C(p, j) = C(p−1, j−1) + C(p−1, j); p ≥ j ≥ 1 here.
+                let (a, b) = (table[(p - 1) * width + j - 1], table[(p - 1) * width + j]);
+                let Some(c) = a.checked_add(b) else {
+                    panic!("C({p}, {j}) overflows usize");
+                };
+                table[p * width + j] = c;
+            }
+        }
+        ColexRank { table, k_max }
+    }
+
+    #[inline]
+    fn binom(&self, p: usize, j: usize) -> usize {
+        self.table[p * (self.k_max + 1) + j]
+    }
+
+    /// Position of `s` in [`subsets_of_size`]`(n, |s|)`; needs
+    /// `|s| ≤ k_max`.
+    pub fn rank(&self, s: Coalition) -> usize {
+        s.members()
+            .enumerate()
+            .map(|(j, p)| self.binom(p, j + 1))
+            .sum()
+    }
+
+    /// `(i, rank(t ∖ {i}))` for every member `i` of `t`, ascending; needs
+    /// `|t| ≤ k_max + 1`. `O(|t|)` for all of them: dropping the `m`-th
+    /// member keeps the terms below it and moves each term above it down
+    /// one place, so the rank is a running prefix plus a running suffix.
+    #[inline]
+    pub fn ranks_without(&self, t: Coalition) -> RanksWithout<'_> {
+        // Σ_{j ≥ 2} C(p_j, j − 1): every member above the first, moved down.
+        let above = t
+            .members()
+            .enumerate()
+            .skip(1)
+            .map(|(j, p)| self.binom(p, j))
+            .sum();
+        RanksWithout {
+            ranks: self,
+            rest: t.0,
+            place: 1,
+            below: 0,
+            above,
+        }
+    }
+}
+
+/// Iterator of [`ColexRank::ranks_without`].
+pub struct RanksWithout<'a> {
+    ranks: &'a ColexRank,
+    /// Members not yet dropped; the lowest is the `place`-th of `t`.
+    rest: u128,
+    place: usize,
+    /// `Σ C(p_j, j)` over the members below, `Σ C(p_j, j − 1)` above.
+    below: usize,
+    above: usize,
+}
+
+impl Iterator for RanksWithout<'_> {
+    type Item = (usize, usize);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, usize)> {
+        if self.rest == 0 {
+            return None;
+        }
+        let i = self.rest.trailing_zeros() as usize;
+        self.rest &= self.rest - 1;
+        let rank = self.below + self.above;
+        if self.rest != 0 {
+            // `i` stays in place for the next drop; the next member is
+            // dropped, so it leaves the shifted suffix.
+            let next = self.rest.trailing_zeros() as usize;
+            self.below += self.ranks.binom(i, self.place);
+            self.above -= self.ranks.binom(next, self.place);
+            self.place += 1;
+        }
+        Some((i, rank))
+    }
+}
+
+/// splitmix64 — tiny, high-quality mixing function used to derive
+/// deterministic per-coalition pseudo-randomness and to hash masks.
+#[inline]
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// A mask folded to 64 bits: the high word rotated onto the low one.
+#[inline]
+pub(crate) fn fold_mask(mask: u128) -> u64 {
+    mask as u64 ^ ((mask >> 64) as u64).rotate_left(32)
+}
+
+/// Seed that sets [`MaskHash`] apart from the cache's shard index (a
+/// splitmix64 of the unseeded fold). Shared bits would give every key in
+/// a shard the same top bits, and the hash table's per-slot tag is the
+/// hash's top 7 bits.
+const MASK_HASH_SEED: u64 = 0xD6E8_FEB8_6659_FD93;
+
+/// The state of [`MaskHash`]: a splitmix64 finaliser over the folded
+/// mask. Masks come from server-side samplers, never from clients, so a
+/// keyed (flood-resistant) hash buys nothing here.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MaskHasher(u64);
+
+impl Hasher for MaskHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u128(&mut self, mask: u128) {
+        self.0 = splitmix64(self.0 ^ fold_mask(mask) ^ MASK_HASH_SEED);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = splitmix64(self.0 ^ u64::from_le_bytes(word) ^ MASK_HASH_SEED);
+        }
+    }
+}
+
+/// The hasher of every `u128`-keyed map and set in this crate
+/// (`HashMap<u128, V, MaskHash>`, `HashSet<u128, MaskHash>`): one
+/// splitmix64 per probe instead of SipHash's rounds.
+pub type MaskHash = BuildHasherDefault<MaskHasher>;
+
 /// Binomial coefficient `C(n, k)` as `f64`.
 ///
 /// Exact for all values representable in `f64`'s 53-bit mantissa and a
@@ -361,6 +529,26 @@ mod tests {
         assert_eq!(subsets_of_size(100, 2).count(), 4950);
         assert_eq!(subsets_of_size(128, 1).count(), 128);
         assert_eq!(subsets_of_size(128, 0).count(), 1);
+    }
+
+    #[test]
+    fn colex_rank_is_the_position_in_subsets_of_size() {
+        // Every n ≤ 12 at every k, n = 20 up to k = 6 and n = 128 up to
+        // k = 2: the rank of the p-th coalition is p, and dropping each
+        // member lands on the rank of the smaller coalition.
+        let cases = (0..=12usize).map(|n| (n, n)).chain([(20, 6), (128, 2)]);
+        for (n, k_max) in cases {
+            let ranks = ColexRank::new(n, k_max);
+            for k in 0..=k_max {
+                for (p, s) in subsets_of_size(n, k).enumerate() {
+                    assert_eq!(ranks.rank(s), p, "n = {n}, {s:?}");
+                    let dropped: Vec<(usize, usize)> = ranks.ranks_without(s).collect();
+                    let want: Vec<(usize, usize)> =
+                        s.members().map(|i| (i, ranks.rank(s.without(i)))).collect();
+                    assert_eq!(dropped, want, "n = {n}, {s:?}");
+                }
+            }
+        }
     }
 
     #[test]

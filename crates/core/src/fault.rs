@@ -37,7 +37,7 @@ use std::sync::{Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-use crate::coalition::Coalition;
+use crate::coalition::{Coalition, MaskHash};
 use crate::utility::{coalition_unit_hash, Utility};
 
 /// Panic payload of every injected fault. The service's typed error path
@@ -62,9 +62,9 @@ struct FaultState {
     /// Global eval indices that panic (consumed when reached).
     panic_evals: BTreeSet<u64>,
     /// mask → remaining panic count ([`PERSISTENT`] never decrements).
-    panic_coalitions: HashMap<u128, u64>,
+    panic_coalitions: HashMap<u128, u64, MaskHash>,
     /// mask → (delay, remaining count).
-    delay_coalitions: HashMap<u128, (Duration, u64)>,
+    delay_coalitions: HashMap<u128, (Duration, u64), MaskHash>,
     /// Sleep `d` on every eval index divisible by `k`.
     delay_every: Option<(u64, Duration)>,
     /// Seeded transient faults: each mask faults once with prob `1/one_in`.
@@ -74,7 +74,7 @@ struct FaultState {
 struct Seeded {
     seed: u64,
     one_in: u32,
-    consumed: HashSet<u128>,
+    consumed: HashSet<u128, MaskHash>,
 }
 
 /// A [`Utility`] wrapper that injects panics and delays on a
@@ -119,7 +119,7 @@ impl<U: Utility> FaultyUtility<U> {
             st.seeded = Some(Seeded {
                 seed,
                 one_in,
-                consumed: HashSet::new(),
+                consumed: HashSet::default(),
             });
         });
         self

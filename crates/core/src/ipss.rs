@@ -23,8 +23,18 @@
 //! the fold runs over strata in ascending size (masks in enumeration
 //! order) then the sample in draw order, and snapshots are pure in the
 //! evaluated prefix.
+//!
+//! IPSS holds the values it paid for instead of re-asking the utility:
+//! the estimation pass (lines 15–17) touches every phase-1 coalition
+//! `n`-ish times, which against a *non-cached* utility used to silently
+//! re-train models far past the `γ` budget. It stores them by position,
+//! not in a map: each exhaustive stratum is one `Vec` in enumeration
+//! order, read back at a coalition's [`ColexRank`], and the sample's
+//! values sit beside the sample. So exactly `γ` evaluations reach the
+//! utility whether or not it is wrapped in a
+//! [`crate::utility::CachedUtility`], and the fold hashes nothing.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use rand::Rng;
 
@@ -32,20 +42,12 @@ use crate::adaptive::{AdaptivePolicy, AllocationPlanner, ComponentState};
 use crate::anytime::{
     component_variance, halfwidth, Control, ProgressSnapshot, StreamingOutcome, Welford,
 };
-use crate::coalition::{binom, binom_u128, subsets_of_size, subsets_up_to, Coalition};
+use crate::coalition::{
+    binom, binom_u128, subsets_of_size, subsets_up_to, Coalition, ColexRank, MaskHash,
+};
 use crate::sampler::{drive, Sampler};
 use crate::sampling::{balanced_subsets_of_size, weighted_balanced_subsets_extending};
 use crate::utility::Utility;
-
-/// Internal memo of evaluated coalition values, keyed by mask.
-///
-/// IPSS holds the values it paid for instead of re-asking the utility:
-/// the estimation pass (lines 15–17) touches every phase-1 coalition
-/// `n`-ish times, which against a *non-cached* utility used to silently
-/// re-train models far past the `γ` budget. With the memo, exactly `γ`
-/// evaluations reach the utility whether or not it is wrapped in a
-/// [`crate::utility::CachedUtility`].
-type ValueMemo = HashMap<u128, f64>;
 
 /// How the partially-sampled stratum `k*` is normalised (see "Deviations
 /// from the paper" in ARCHITECTURE.md).
@@ -158,6 +160,12 @@ enum PrunedWeights {
 /// phase 1, so each newly handed-out chunk appends to the per-client sums
 /// and [`Welford`]s. A fold copies the exhaustive `φ` and adds the
 /// sampled stratum's terms.
+///
+/// **Values.** No map: a stratum goes out whole in [`subsets_of_size`]
+/// order, so `absorb` keeps it as a `Vec` indexed by [`ColexRank`], and
+/// keeps the sample's values aligned with the sample. The fold reads
+/// `U(T)` by position and `U(T∖{i})` at `T∖{i}`'s rank in the stratum
+/// below.
 pub struct PrunedSampler<'r, R: Rng + ?Sized> {
     n: usize,
     k_star: usize,
@@ -167,14 +175,18 @@ pub struct PrunedSampler<'r, R: Rng + ?Sized> {
     /// The planner and its round size, when the sample is re-planned.
     planner: Option<(AllocationPlanner, usize)>,
     rng: &'r mut R,
-    memo: ValueMemo,
+    /// `strata[j]`: the values of every size-`j` coalition, by colex rank.
+    strata: Vec<Vec<f64>>,
+    ranks: ColexRank,
     /// Exhaustive strata handed out so far (sizes `0..strata_out`).
     strata_out: usize,
-    /// The sample drawn so far, and how much of it has been handed out.
+    /// The sample drawn so far, and how much of it has been handed out;
+    /// `sample_values[p]` is `U(sampled[p])` for the absorbed prefix.
     sampled: Vec<Coalition>,
+    sample_values: Vec<f64>,
     handed: usize,
     /// Planned rounds' draw state: coalitions taken, per-client coverage.
-    chosen: HashSet<u128>,
+    chosen: HashSet<u128, MaskHash>,
     coverage: Vec<u32>,
     exhausted: bool,
     /// `φ` over the exhaustive strata folded so far (sizes
@@ -190,6 +202,10 @@ pub struct PrunedSampler<'r, R: Rng + ?Sized> {
     /// Contributions the fold has pushed.
     #[cfg(test)]
     pushes: usize,
+    /// Every absorbed value by mask, for the historical fold: the oracle
+    /// reads values without the rank code.
+    #[cfg(test)]
+    recorded: std::collections::BTreeMap<u128, f64>,
 }
 
 impl<'r, R: Rng + ?Sized> PrunedSampler<'r, R> {
@@ -236,11 +252,13 @@ impl<'r, R: Rng + ?Sized> PrunedSampler<'r, R> {
             phase2_total,
             planner: policy.map(|p| (AllocationPlanner::new(*p), p.round(n))),
             rng,
-            memo: ValueMemo::new(),
+            strata: Vec::with_capacity(k_star + 1),
+            ranks: ColexRank::new(n, k_star),
             strata_out: 0,
             sampled: Vec::new(),
+            sample_values: Vec::new(),
             handed: 0,
-            chosen: HashSet::new(),
+            chosen: HashSet::default(),
             coverage: vec![0; n],
             exhausted: false,
             exhaustive: vec![0.0; n],
@@ -250,6 +268,8 @@ impl<'r, R: Rng + ?Sized> PrunedSampler<'r, R> {
             sample_folded: 0,
             #[cfg(test)]
             pushes: 0,
+            #[cfg(test)]
+            recorded: Default::default(),
         }
     }
 
@@ -314,7 +334,16 @@ impl<R: Rng + ?Sized> Sampler for PrunedSampler<'_, R> {
     }
 
     fn absorb(&mut self, batch: &[Coalition], values: Vec<f64>) {
-        self.memo.extend(batch.iter().map(|s| s.0).zip(values));
+        #[cfg(test)]
+        self.recorded
+            .extend(batch.iter().map(|s| s.0).zip(values.iter().copied()));
+        debug_assert_eq!(batch.len(), values.len());
+        if self.strata.len() < self.strata_out {
+            // A whole exhaustive stratum, in enumeration (= colex) order.
+            self.strata.push(values);
+        } else {
+            self.sample_values.extend(values);
+        }
     }
 
     fn is_complete(&self) -> bool {
@@ -325,8 +354,9 @@ impl<R: Rng + ?Sized> Sampler for PrunedSampler<'_, R> {
 
     fn fold(&mut self) -> (Vec<f64>, Vec<f64>) {
         let (n, k_star, weights) = (self.n, self.k_star, self.weights);
-        let memo = &self.memo;
-        let value = |s: Coalition| memo[&s.0]; // pairs are evaluated before they fold
+        // Pairs are evaluated before they fold: the strata below and the
+        // sample's prefix are all absorbed.
+        let (strata, ranks) = (&self.strata, &self.ranks);
         let inv_n = 1.0 / n as f64;
         let inv_binom: Vec<f64> = (0..n).map(|s| 1.0 / binom(n - 1, s)).collect();
         let inv_denom = 1.0 / (1u128 << (n - 1)) as f64;
@@ -338,10 +368,10 @@ impl<R: Rng + ?Sized> Sampler for PrunedSampler<'_, R> {
                 PrunedWeights::Shapley(_) => inv_n * inv_binom[t_size - 1],
                 PrunedWeights::Banzhaf => inv_denom,
             };
-            for t in subsets_of_size(n, t_size) {
-                let ut = value(t);
-                for i in t.members() {
-                    self.exhaustive[i] += (ut - value(t.without(i))) * w;
+            let below = &strata[t_size - 1];
+            for (t, &ut) in subsets_of_size(n, t_size).zip(&strata[t_size]) {
+                for (i, rank) in ranks.ranks_without(t) {
+                    self.exhaustive[i] += (ut - below[rank]) * w;
                     #[cfg(test)]
                     {
                         self.pushes += 1;
@@ -353,10 +383,13 @@ impl<R: Rng + ?Sized> Sampler for PrunedSampler<'_, R> {
 
         // Sampled stratum k*: pairs (S, S∪{i}) with S∪{i} in the evaluated
         // part of the sample; U(S) is known from phase 1.
-        for &t in &self.sampled[self.sample_folded..self.handed] {
-            let ut = value(t);
-            for i in t.members() {
-                let contribution = ut - value(t.without(i));
+        let span = self.sample_folded..self.handed;
+        for (&t, &ut) in self.sampled[span.clone()]
+            .iter()
+            .zip(&self.sample_values[span])
+        {
+            for (i, rank) in ranks.ranks_without(t) {
+                let contribution = ut - strata[k_star][rank];
                 self.sums[i] += contribution;
                 self.accs[i].push(contribution);
                 #[cfg(test)]
@@ -477,7 +510,7 @@ mod tests {
         /// returning the per-client Welfords instead of storing them.
         fn historical_fold(&self) -> (Vec<f64>, Vec<f64>, Vec<Welford>) {
             let (n, k_star, weights) = (self.n, self.k_star, self.weights);
-            let value = |s: Coalition| self.memo[&s.0]; // pairs are evaluated before they fold
+            let value = |s: Coalition| self.recorded[&s.0]; // pairs are evaluated before they fold
             let inv_n = 1.0 / n as f64;
             let inv_binom: Vec<f64> = (0..n).map(|s| 1.0 / binom(n - 1, s)).collect();
             let inv_denom = 1.0 / (1u128 << (n - 1)) as f64;
@@ -571,23 +604,28 @@ mod tests {
 
     #[test]
     fn incremental_fold_is_bit_identical_to_the_historical_fold() {
-        // n ∈ {1, 2, 3, 6, 8, 12} × a budget below, at and above 2^n ×
-        // IPSS (both weightings: uniform, default-adaptive, eager-adaptive)
-        // and pruned Banzhaf × unobserved and observed. A planner cuts at
-        // planned rounds either way, so adaptive runs are observed only.
+        // n ∈ {1, 2, 3, 6, 8, 12} × a budget below, at and above 2^n, then
+        // n ∈ {1, 2, 128} × γ ∈ {1, n + 1, 200} (∅ alone; the strata up
+        // to size 1 and nothing to sample; at n = 128 a sample of pairs
+        // whose partners sit at ranks up to 127) × IPSS (both weightings:
+        // uniform, default-adaptive, eager-adaptive) and pruned Banzhaf ×
+        // unobserved and observed. A planner cuts at planned rounds either
+        // way, so adaptive runs are observed only. The historical fold
+        // reads values by mask, not by rank.
         let eager = AdaptivePolicy {
             round_size: Some(5),
             min_observations: 3,
             floor: 2,
         };
         let policies = [None, Some(AdaptivePolicy::default()), Some(eager)];
-        for n in [1usize, 2, 3, 6, 8, 12] {
+        let around_full = [1usize, 2, 3, 6, 8, 12].map(|n| (n, [1 << (n - 1), 1 << n, 2 << n]));
+        let edges = [1usize, 2, 128].map(|n| (n, [1, n + 1, 200]));
+        for (n, gammas) in around_full.into_iter().chain(edges) {
             let u = HashUtility {
                 n,
                 seed: 60 + n as u64,
             };
-            let full = 1usize << n;
-            for gamma in [full / 2, full, 2 * full] {
+            for gamma in gammas {
                 let seed = (n * 100_000 + gamma) as u64;
                 let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
                 for observed in [false, true] {
@@ -747,8 +785,8 @@ mod tests {
     fn uncached_utility_sees_exactly_gamma_evaluations() {
         // Regression: the estimation pass used to re-evaluate every
         // phase-1 coalition through the utility, so a *plain* (uncached)
-        // utility was silently trained far past the γ budget. The internal
-        // memo must hold the count to exactly γ.
+        // utility was silently trained far past the γ budget. The values
+        // the sampler stores by position must hold the count to exactly γ.
         use std::sync::atomic::{AtomicUsize, Ordering};
         struct Counting {
             inner: HashUtility,

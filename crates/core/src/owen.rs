@@ -22,7 +22,7 @@ use crate::adaptive::{AdaptivePolicy, AllocationPlanner, ComponentState};
 use crate::anytime::{
     component_variance, halfwidth, Control, ProgressSnapshot, StreamingOutcome, Welford,
 };
-use crate::coalition::Coalition;
+use crate::coalition::{Coalition, MaskHash};
 use crate::sampler::{drive, Sampler};
 use crate::utility::Utility;
 
@@ -116,7 +116,7 @@ pub struct OwenSampler<'r, R: Rng + ?Sized> {
     samples: Vec<Vec<Coalition>>,
     handed: Vec<usize>,
     folded: Vec<usize>,
-    memo: HashMap<u128, f64>,
+    memo: HashMap<u128, f64, MaskHash>,
     /// `sums[node][i]` and `accs[node][i]`: client `i`'s contributions at
     /// `node` over the folded samples.
     sums: Vec<Vec<f64>>,
@@ -149,7 +149,7 @@ impl<'r, R: Rng + ?Sized> OwenSampler<'r, R> {
             samples: vec![Vec::new(); cfg.q_nodes],
             handed: vec![0; cfg.q_nodes],
             folded: vec![0; cfg.q_nodes],
-            memo: HashMap::new(),
+            memo: HashMap::default(),
             sums: vec![vec![0.0; n]; cfg.q_nodes],
             accs: vec![vec![Welford::new(); n]; cfg.q_nodes],
             pooled: vec![Welford::new(); cfg.q_nodes],
@@ -215,7 +215,7 @@ impl<R: Rng + ?Sized> Sampler for OwenSampler<'_, R> {
         // node at snapshot granularity, else all of the next node.
         let per_draw = if self.cfg.antithetic { 2 } else { 1 };
         let mut batch: Vec<Coalition> = Vec::new();
-        let mut seen: HashSet<u128> = HashSet::new();
+        let mut seen: HashSet<u128, MaskHash> = HashSet::default();
         for (node, samples) in self.samples.iter().enumerate() {
             let upto = match (&self.planner, fine) {
                 (Some(_), _) => samples.len(),

@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::coalition::{binom_u128, subsets_of_size, Coalition};
+use crate::coalition::{binom_u128, subsets_of_size, Coalition, MaskHash};
 
 /// Draw one uniformly random coalition of exactly `k` members out of `n`
 /// clients (partial Fisher–Yates).
@@ -30,7 +30,7 @@ pub fn distinct_subsets_of_size<R: Rng + ?Sized>(
     count: usize,
     rng: &mut R,
 ) -> Vec<Coalition> {
-    distinct_subsets_extending(n, k, count, &mut HashSet::new(), rng)
+    distinct_subsets_extending(n, k, count, &mut HashSet::default(), rng)
 }
 
 /// Draw `count` *new* distinct coalitions of size `k`, extending the draw
@@ -50,7 +50,7 @@ pub fn distinct_subsets_extending<R: Rng + ?Sized>(
     n: usize,
     k: usize,
     count: usize,
-    seen: &mut HashSet<u128>,
+    seen: &mut HashSet<u128, MaskHash>,
     rng: &mut R,
 ) -> Vec<Coalition> {
     let stratum_size = binom_u128(n, k);
@@ -103,7 +103,7 @@ pub fn weighted_balanced_subsets_extending<R: Rng + ?Sized>(
     k: usize,
     count: usize,
     targets: &[f64],
-    chosen: &mut HashSet<u128>,
+    chosen: &mut HashSet<u128, MaskHash>,
     coverage: &mut [u32],
     rng: &mut R,
 ) -> Vec<Coalition> {
@@ -206,7 +206,8 @@ pub fn balanced_subsets_of_size<R: Rng + ?Sized>(
         return Vec::new();
     }
     let mut coverage = vec![0u32; n];
-    let mut chosen: HashSet<u128> = HashSet::with_capacity(count * 2);
+    let mut chosen: HashSet<u128, MaskHash> =
+        HashSet::with_capacity_and_hasher(count * 2, MaskHash::default());
     let mut out = Vec::with_capacity(count);
     let mut order: Vec<usize> = (0..n).collect();
     'outer: while out.len() < count {
@@ -251,7 +252,7 @@ pub fn balanced_subsets_of_size<R: Rng + ?Sized>(
 fn repair_coverage<R: Rng + ?Sized>(
     n: usize,
     out: &mut [Coalition],
-    chosen: &mut HashSet<u128>,
+    chosen: &mut HashSet<u128, MaskHash>,
     coverage: &mut [u32],
     rng: &mut R,
 ) {
@@ -347,11 +348,11 @@ mod tests {
     fn random_subset_is_roughly_uniform() {
         // Each of the C(4,2)=6 subsets should appear ~1/6 of the time.
         let mut rng = StdRng::seed_from_u64(2);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts: std::collections::HashMap<u128, usize, MaskHash> = Default::default();
         let trials = 12_000;
         for _ in 0..trials {
             let s = random_subset_of_size(4, 2, &mut rng);
-            *counts.entry(s.0).or_insert(0usize) += 1;
+            *counts.entry(s.0).or_insert(0) += 1;
         }
         assert_eq!(counts.len(), 6);
         for (_, c) in counts {
@@ -365,7 +366,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let subs = distinct_subsets_of_size(10, 3, 50, &mut rng);
         assert_eq!(subs.len(), 50);
-        let set: HashSet<u128> = subs.iter().map(|s| s.0).collect();
+        let set: HashSet<u128, MaskHash> = subs.iter().map(|s| s.0).collect();
         assert_eq!(set.len(), 50);
         for s in subs {
             assert_eq!(s.size(), 3);
@@ -386,7 +387,7 @@ mod tests {
         // 12 (> half) to be sure.
         let subs = distinct_subsets_of_size(6, 3, 12, &mut rng);
         assert_eq!(subs.len(), 12);
-        let set: HashSet<u128> = subs.iter().map(|s| s.0).collect();
+        let set: HashSet<u128, MaskHash> = subs.iter().map(|s| s.0).collect();
         assert_eq!(set.len(), 12);
     }
 
@@ -398,7 +399,7 @@ mod tests {
         for (n, k, count) in [(6, 3, 25), (8, 3, 40), (20, 5, 10)] {
             let (mut a, mut b) = (StdRng::seed_from_u64(21), StdRng::seed_from_u64(21));
             let one_shot = distinct_subsets_of_size(n, k, count, &mut a);
-            let mut seen = HashSet::new();
+            let mut seen = HashSet::default();
             let extending = distinct_subsets_extending(n, k, count, &mut seen, &mut b);
             assert_eq!(one_shot, extending, "n={n} k={k} count={count}");
             assert_eq!(
@@ -412,7 +413,7 @@ mod tests {
     #[test]
     fn extending_draws_are_distinct_across_rounds() {
         let mut rng = StdRng::seed_from_u64(11);
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::default();
         let mut all = Vec::new();
         for round in 0..6 {
             let new = distinct_subsets_extending(9, 3, 10, &mut seen, &mut rng);
@@ -422,7 +423,7 @@ mod tests {
             }
             all.extend(new);
         }
-        let set: HashSet<u128> = all.iter().map(|s| s.0).collect();
+        let set: HashSet<u128, MaskHash> = all.iter().map(|s| s.0).collect();
         assert_eq!(set.len(), 60, "no duplicates across rounds");
         assert_eq!(seen.len(), 60);
     }
@@ -431,7 +432,7 @@ mod tests {
     fn extending_draws_saturate_at_the_stratum() {
         // C(6,2) = 15: rounds of 4 yield 4,4,4,3,0,0...
         let mut rng = StdRng::seed_from_u64(12);
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::default();
         let mut sizes = Vec::new();
         for _ in 0..6 {
             sizes.push(distinct_subsets_extending(6, 2, 4, &mut seen, &mut rng).len());
@@ -445,7 +446,7 @@ mod tests {
         // From an empty seen-set, a single extending call is just a
         // distinct draw: right count, right sizes, all distinct.
         let mut rng = StdRng::seed_from_u64(13);
-        let mut seen = HashSet::new();
+        let mut seen = HashSet::default();
         let subs = distinct_subsets_extending(10, 4, 25, &mut seen, &mut rng);
         assert_eq!(subs.len(), 25);
         assert_eq!(seen.len(), 25);
@@ -455,7 +456,7 @@ mod tests {
     fn weighted_extending_with_equal_targets_balances_coverage() {
         let mut rng = StdRng::seed_from_u64(14);
         let n = 10;
-        let mut chosen = HashSet::new();
+        let mut chosen = HashSet::default();
         let mut coverage = vec![0u32; n];
         let mut all = Vec::new();
         for _ in 0..4 {
@@ -470,7 +471,7 @@ mod tests {
             ));
         }
         assert_eq!(all.len(), 20);
-        let set: HashSet<u128> = all.iter().map(|s| s.0).collect();
+        let set: HashSet<u128, MaskHash> = all.iter().map(|s| s.0).collect();
         assert_eq!(set.len(), 20, "distinct across rounds");
         assert_eq!(coverage, coverage_counts(n, &all));
         assert!(coverage_spread(&coverage) <= 1, "{coverage:?}");
@@ -487,7 +488,7 @@ mod tests {
         let n = 10;
         let mut targets = vec![1.0; n];
         targets[0] = 4.0;
-        let mut chosen = HashSet::new();
+        let mut chosen = HashSet::default();
         let mut coverage = vec![0u32; n];
         for _ in 0..5 {
             weighted_balanced_subsets_extending(
@@ -512,7 +513,7 @@ mod tests {
     fn weighted_extending_handles_degenerate_targets_and_caps() {
         let mut rng = StdRng::seed_from_u64(16);
         // Non-finite / zero targets never panic and never exclude.
-        let mut chosen = HashSet::new();
+        let mut chosen = HashSet::default();
         let mut coverage = vec![0u32; 4];
         let subs = weighted_balanced_subsets_extending(
             4,
@@ -541,7 +542,7 @@ mod tests {
             5,
             2,
             &[1.0; 3],
-            &mut HashSet::new(),
+            &mut HashSet::default(),
             &mut [0; 3],
             &mut rng
         )
@@ -554,7 +555,7 @@ mod tests {
         for (n, k, count) in [(10, 3, 20), (10, 2, 5), (12, 4, 9), (100, 2, 359)] {
             let subs = balanced_subsets_of_size(n, k, count, &mut rng);
             assert_eq!(subs.len(), count);
-            let set: HashSet<u128> = subs.iter().map(|s| s.0).collect();
+            let set: HashSet<u128, MaskHash> = subs.iter().map(|s| s.0).collect();
             assert_eq!(set.len(), count, "distinctness");
             let cov = coverage_counts(n, &subs);
             let spread = coverage_spread(&cov);

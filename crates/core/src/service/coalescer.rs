@@ -15,7 +15,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use super::request::{FlushWindow, RetryPolicy, ServiceStats};
-use crate::coalition::Coalition;
+use crate::coalition::{Coalition, MaskHash};
 use crate::fault::quiet;
 use crate::utility::{CachedUtility, TrajCacheStats, Utility};
 
@@ -215,7 +215,7 @@ impl<U: Utility + Send + Sync> Shared<U> {
     /// coalitions (`Σ|S| = 119`) ahead of 45 pairs (`Σ|S| = 90`).
     /// `is_cached` counts no lookups.
     fn uncached_work(&self, batch: &[Coalition]) -> usize {
-        let mut seen = HashSet::new();
+        let mut seen: HashSet<u128, MaskHash> = HashSet::default();
         batch
             .iter()
             .filter(|&&s| !self.cached.is_cached(s) && seen.insert(s.0))
@@ -261,7 +261,8 @@ impl<U: Utility + Send + Sync> Shared<U> {
                 return self.lock_state();
             }
         };
-        let mut by_mask: HashMap<u128, f64> = batch.iter().map(|s| s.0).zip(values).collect();
+        let mut by_mask: HashMap<u128, f64, MaskHash> =
+            batch.iter().map(|s| s.0).zip(values).collect();
 
         let mut st = self.lock_state();
         let mut delivered = vec![pick];

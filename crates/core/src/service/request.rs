@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use crate::adaptive::AdaptivePolicy;
 use crate::anytime::{ProgressSnapshot, StoppingRule};
-use crate::coalition::Coalition;
+use crate::coalition::{Coalition, MaskHash};
 use crate::utility::{EvalStats, TrajCacheStats};
 
 /// Which valuation estimator a [`ValuationRequest`] runs. Every variant
@@ -446,7 +446,8 @@ impl RetryPolicy {
 /// same number of batches reproduces the partial values **bit-identically**
 /// (the test suite asserts this).
 pub fn partial_prefix_fold(n: usize, evaluated: &[(Coalition, f64)]) -> Vec<f64> {
-    let mut memo: HashMap<u128, f64> = HashMap::with_capacity(evaluated.len());
+    let mut memo: HashMap<u128, f64, MaskHash> =
+        HashMap::with_capacity_and_hasher(evaluated.len(), MaskHash::default());
     let mut order: Vec<Coalition> = Vec::with_capacity(evaluated.len());
     for &(s, v) in evaluated {
         if let std::collections::hash_map::Entry::Vacant(e) = memo.entry(s.0) {

@@ -24,7 +24,7 @@ use crate::adaptive::{AdaptivePolicy, AllocationPlanner, ComponentState};
 use crate::anytime::{
     component_variance, halfwidth, Control, ProgressSnapshot, StreamingOutcome, Welford,
 };
-use crate::coalition::{binom, binom_u128, Coalition};
+use crate::coalition::{binom, binom_u128, Coalition, MaskHash};
 use crate::sampler::{drive, Sampler};
 use crate::sampling::distinct_subsets_extending;
 use crate::utility::Utility;
@@ -127,11 +127,11 @@ pub struct StratifiedSampler<'r, R: Rng + ?Sized> {
     planner: Option<(AllocationPlanner, usize)>,
     rng: &'r mut R,
     sampled: Vec<Vec<Coalition>>,
-    sampled_masks: Vec<HashSet<u128>>,
+    sampled_masks: Vec<HashSet<u128, MaskHash>>,
     /// Folded coalitions' positions in their stratum's draw order, for
     /// placing the pairs later partners complete.
-    positions: HashMap<u128, usize>,
-    memo: HashMap<u128, f64>,
+    positions: HashMap<u128, usize, MaskHash>,
+    memo: HashMap<u128, f64, MaskHash>,
     /// Per stratum, how many drawn coalitions the fold has taken (a
     /// prefix of `sampled[k]`, all evaluated).
     folded: Vec<usize>,
@@ -218,9 +218,9 @@ impl<'r, R: Rng + ?Sized> StratifiedSampler<'r, R> {
             planner: policy.map(|p| (AllocationPlanner::new(*p), p.round(n))),
             rng,
             sampled: vec![Vec::new(); n],
-            sampled_masks: vec![HashSet::new(); n],
-            positions: HashMap::new(),
-            memo: HashMap::new(),
+            sampled_masks: vec![HashSet::default(); n],
+            positions: HashMap::default(),
+            memo: HashMap::default(),
             folded: vec![0; n],
             lanes: vec![vec![Lane::default(); n]; n],
             pooled: vec![Lane::default(); if policy.is_some() { n } else { 0 }],

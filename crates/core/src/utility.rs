@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-use crate::coalition::Coalition;
+use crate::coalition::{fold_mask, splitmix64, Coalition, MaskHash};
 
 /// A coalition utility function `U : 2^N → ℝ`.
 ///
@@ -244,7 +244,7 @@ impl TrajCacheStats {
 /// Number of independent lock shards in [`CachedUtility`]. A power of two;
 /// 16 shards keep write-lock collision probability below 7% even with 16
 /// concurrent FL trainings finishing simultaneously, while costing only 16
-/// small `HashMap`s.
+/// small `HashMap`s keyed through [`MaskHash`].
 const CACHE_SHARDS: usize = 16;
 
 /// Memoising wrapper around a [`Utility`].
@@ -257,12 +257,13 @@ const CACHE_SHARDS: usize = 16;
 /// The memo table is sharded by a hash of the coalition mask so that
 /// concurrent evaluations (the [`ParallelUtility`] fan-out, or many
 /// independent valuation runs sharing one cache) do not serialise on a
-/// single write lock. [`EvalStats`] stays exact under contention: when two
+/// single write lock. Inside a shard, and in `eval_batch`'s miss index,
+/// masks hash with [`MaskHash`]. [`EvalStats`] stays exact under contention: when two
 /// threads race to train the same coalition, only the thread whose insert
 /// lands first increments `evaluations`.
 pub struct CachedUtility<U: Utility> {
     inner: U,
-    shards: [RwLock<HashMap<u128, f64>>; CACHE_SHARDS],
+    shards: [RwLock<HashMap<u128, f64, MaskHash>>; CACHE_SHARDS],
     evaluations: AtomicU64,
     lookups: AtomicU64,
     eval_nanos: AtomicU64,
@@ -270,9 +271,11 @@ pub struct CachedUtility<U: Utility> {
 
 /// Shard index for a coalition mask: top bits of a splitmix64 hash, so
 /// masks differing only in low bits (adjacent coalitions) still spread.
+/// Unseeded, unlike [`MaskHash`], so the index says nothing about a key's
+/// hash inside its shard.
 #[inline]
 fn shard_of(mask: u128) -> usize {
-    let h = splitmix64(mask as u64 ^ ((mask >> 64) as u64).rotate_left(32));
+    let h = splitmix64(fold_mask(mask));
     (h >> (64 - CACHE_SHARDS.trailing_zeros())) as usize
 }
 
@@ -280,7 +283,7 @@ impl<U: Utility> CachedUtility<U> {
     pub fn new(inner: U) -> Self {
         CachedUtility {
             inner,
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            shards: std::array::from_fn(|_| RwLock::new(HashMap::default())),
             evaluations: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
             eval_nanos: AtomicU64::new(0),
@@ -397,13 +400,21 @@ impl<U: Utility> Utility for CachedUtility<U> {
         let mut out = vec![0.0f64; coalitions.len()];
         // Distinct misses in first-occurrence order + the output positions
         // each one must fill.
-        let mut miss_index: HashMap<u128, usize> = HashMap::new();
+        let mut miss_index: HashMap<u128, usize, MaskHash> = HashMap::default();
         let mut misses: Vec<Coalition> = Vec::new();
         let mut pending: Vec<(usize, usize)> = Vec::new(); // (out pos, miss idx)
         for (pos, &s) in coalitions.iter().enumerate() {
             if let Some(v) = self.get(s) {
                 out[pos] = v;
             } else {
+                if pending.is_empty() {
+                    // Sized to the rest of the batch at the first miss: a
+                    // cold batch misses throughout, and growing the index
+                    // rehashes it at every doubling; an all-hit batch
+                    // allocates nothing.
+                    miss_index.reserve(coalitions.len() - pos);
+                    pending.reserve(coalitions.len() - pos);
+                }
                 let idx = *miss_index.entry(s.0).or_insert_with(|| {
                     misses.push(s);
                     misses.len() - 1
@@ -570,16 +581,6 @@ impl Utility for WeightedMajorityUtility {
             0.0
         }
     }
-}
-
-/// splitmix64 — tiny, high-quality mixing function used to derive
-/// deterministic per-coalition pseudo-randomness.
-#[inline]
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Deterministic pseudo-random value in `[0, 1)` derived from a coalition
@@ -817,6 +818,21 @@ mod tests {
         let max = *counts.iter().max().unwrap();
         assert!(max < (1 << 12) / 4, "{counts:?}");
         assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
+    }
+
+    #[test]
+    fn mask_hash_is_independent_of_the_shard() {
+        // Within one shard the hash table's 7-bit slot tags (the hash's
+        // top bits) must still spread; a MaskHash sharing shard_of's bits
+        // would pin 4 of the 7 and leave at most 8 tags.
+        use std::hash::BuildHasher;
+        let hasher = MaskHash::default();
+        let tags: std::collections::BTreeSet<u64> = (0u128..)
+            .filter(|&m| super::shard_of(m) == 0)
+            .take(4096)
+            .map(|m| hasher.hash_one(m) >> 57)
+            .collect();
+        assert!(tags.len() >= 64, "{} distinct tags", tags.len());
     }
 
     #[test]

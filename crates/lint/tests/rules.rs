@@ -60,6 +60,46 @@ fn hash_order_only_applies_to_estimator_crates() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
+#[test]
+fn hash_order_tracks_tables_with_a_custom_hasher() {
+    // The core crate keys its u128 tables with `MaskHash`; a third type
+    // parameter must not hide a binding from the rule. Fields, typed
+    // lets and untyped lets built with `default()` or
+    // `with_capacity_and_hasher` each trip once when iterated.
+    let src = "\
+use std::collections::{HashMap, HashSet};
+struct Memo {
+    memo: HashMap<u128, f64, MaskHash>,
+    seen: HashSet<u128, MaskHash>,
+}
+fn fields(m: &Memo) -> Option<u128> {
+    let _ = m.memo.values().next();
+    m.seen.iter().next().copied()
+}
+fn typed_lets() {
+    let positions: HashMap<u128, usize, MaskHash> = HashMap::default();
+    let chosen: HashSet<u128, MaskHash> = HashSet::default();
+    for p in &positions {}
+    for c in chosen.iter() {}
+}
+fn untyped_lets() {
+    let mut by_mask = HashMap::default();
+    by_mask.insert(1u128, 0.5);
+    let pending = HashSet::with_capacity_and_hasher(8, MaskHash::default());
+    for v in by_mask.values() {}
+    for p in &pending {}
+}
+";
+    let findings = scan_source("crates/core/src/fixture.rs", src);
+    let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(
+        rules_of(&findings),
+        vec![Rule::HashOrder; 6],
+        "{findings:?}"
+    );
+    assert_eq!(lines, vec![7, 8, 13, 14, 20, 21], "{findings:?}");
+}
+
 // ---------------------------------------------------------------- wall-clock
 
 #[test]
