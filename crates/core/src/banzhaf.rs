@@ -16,7 +16,7 @@
 use rand::Rng;
 
 use crate::anytime::{Control, ProgressSnapshot, StreamingOutcome};
-use crate::coalition::{all_subsets, Coalition};
+use crate::coalition::{all_subsets, Coalition, MAX_ENUMERATED_CLIENTS};
 use crate::ipss::PrunedSampler;
 use crate::sampler::drive;
 use crate::utility::Utility;
@@ -29,7 +29,10 @@ use crate::utility::Utility;
 pub fn exact_banzhaf<U: Utility + ?Sized>(u: &U) -> Vec<f64> {
     let n = u.n_clients();
     assert!(n >= 1);
-    assert!(n <= 24, "exact Banzhaf enumerates 2^n coalitions");
+    assert!(
+        n <= MAX_ENUMERATED_CLIENTS,
+        "exact Banzhaf enumerates 2^n coalitions"
+    );
     let table = crate::exact::full_value_table(u, n);
     let mut phi = vec![0.0; n];
     let scale = 1.0 / (1u64 << (n - 1)) as f64;

@@ -17,6 +17,13 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Maximum number of clients supported by the bitmask representation.
 pub const MAX_CLIENTS: usize = 128;
 
+/// Largest game whose `2^n` coalitions may be enumerated into a table
+/// indexed by mask: the exact SV and Banzhaf sweeps and [`TableUtility`]
+/// (2^24 values are 128 MiB).
+///
+/// [`TableUtility`]: crate::utility::TableUtility
+pub const MAX_ENUMERATED_CLIENTS: usize = 24;
+
 /// A set of FL clients, encoded as a bitmask. Client `i` (0-based) is a
 /// member iff bit `i` is set.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]

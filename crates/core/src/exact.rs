@@ -12,14 +12,14 @@
 //! randomness, mask-order fold, snapshots pure in the evaluated prefix.
 
 use crate::anytime::{Control, ProgressSnapshot, StreamingOutcome};
-use crate::coalition::{all_subsets, binom, Coalition};
+use crate::coalition::{all_subsets, binom, Coalition, MAX_ENUMERATED_CLIENTS};
 use crate::sampler::{drive, Sampler};
 use crate::utility::Utility;
 
 /// Size (in coalitions) of the batches the exact passes hand to
 /// [`Utility::eval_batch`]. Large enough to amortise fan-out overhead and
 /// keep every core busy, small enough to bound the in-flight value buffer
-/// at `n = 24`.
+/// at `n =` [`MAX_ENUMERATED_CLIENTS`].
 const EXACT_BATCH: usize = 8192;
 
 /// Evaluate all `2^n` coalitions via `eval_batch` (in chunks) into a table
@@ -58,7 +58,10 @@ pub(crate) fn full_value_table<U: Utility + ?Sized>(u: &U, n: usize) -> Vec<f64>
 pub fn exact_mc_sv<U: Utility + ?Sized>(u: &U) -> Vec<f64> {
     let n = u.n_clients();
     assert!(n >= 1, "need at least one client");
-    assert!(n <= 24, "exact computation enumerates 2^n coalitions");
+    assert!(
+        n <= MAX_ENUMERATED_CLIENTS,
+        "exact computation enumerates 2^n coalitions"
+    );
     let table = full_value_table(u, n);
     let mut phi = vec![0.0; n];
     let inv_n = 1.0 / n as f64;
@@ -103,7 +106,10 @@ impl ExactSweep {
     /// The sweep over an `n`-client game in production-size chunks.
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "need at least one client");
-        assert!(n <= 24, "exact computation enumerates 2^n coalitions");
+        assert!(
+            n <= MAX_ENUMERATED_CLIENTS,
+            "exact computation enumerates 2^n coalitions"
+        );
         ExactSweep {
             n,
             chunk: EXACT_BATCH,
@@ -171,7 +177,10 @@ where
 pub fn exact_cc_sv<U: Utility + ?Sized>(u: &U) -> Vec<f64> {
     let n = u.n_clients();
     assert!(n >= 1);
-    assert!(n <= 24, "exact computation enumerates 2^n coalitions");
+    assert!(
+        n <= MAX_ENUMERATED_CLIENTS,
+        "exact computation enumerates 2^n coalitions"
+    );
     let table = full_value_table(u, n);
     let mut phi = vec![0.0; n];
     let inv_n = 1.0 / n as f64;

@@ -5,7 +5,7 @@
 //! # Why a service
 //!
 //! The paper's IPSS estimator amortises utility evaluations across the
-//! coalitions *one* run samples; the engine underneath (sharded
+//! coalitions *one* run samples; the engine underneath (the shared
 //! [`CachedUtility`], lock-step lane blocks, the FL trajectory cache)
 //! amortises them across *anything that shares the utility handle*. A
 //! production valuation deployment asks many questions about one training
@@ -28,18 +28,18 @@
 //!    `Σ (|S| + 1)` over its distinct coalitions not yet in the shared
 //!    [`CachedUtility`], about one local training per member plus one
 //!    scoring pass on an FL utility — ties to the earliest parked;
-//! 2. it **evaluates** that batch's distinct coalitions, sorted by
-//!    `(|S|, mask)`, through the shared cache, which forwards only the
-//!    misses to the inner utility (an FL utility turns them into
-//!    size-sorted lock-step lane blocks over one shared trajectory
-//!    cache);
-//! 3. it **delivers** that batch plus every other parked batch the cache
-//!    now covers, and wakes their runs. The rest stay parked for the next
+//! 2. it **evaluates** that batch's distinct coalitions, sorted by mask,
+//!    through the shared cache, which forwards only the misses to the
+//!    inner utility (`ParallelUtility` and an FL utility sort them by
+//!    `(|S|, mask)` into lock-step lane blocks over one shared
+//!    trajectory cache);
+//! 3. it **delivers** that batch, by position, plus every other parked
+//!    batch the cache now covers, and wakes their runs. The rest stay parked for the next
 //!    flush.
 //!
 //! ```text
 //!  request₁ ──▶ worker₁ ─ eval_batch ─┐                   ┌─ CachedUtility
-//!  request₂ ──▶ worker₂ ─ eval_batch ─┼─▶ park ▶ barrier ─┤   (shared, sharded)
+//!  request₂ ──▶ worker₂ ─ eval_batch ─┼─▶ park ▶ barrier ─┤   (shared)
 //!  request₃ ──▶ worker₃ ─ eval_batch ─┘   pick cheapest   └─▶ inner utility
 //!                        ▲                evaluate it          (lane blocks +
 //!                        └─── deliver it + every batch         traj cache)

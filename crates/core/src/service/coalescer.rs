@@ -9,7 +9,7 @@
 // design, bound only *when* work happens — never what the values are.
 #![allow(clippy::disallowed_methods)]
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -231,17 +231,17 @@ impl<U: Utility + Send + Sync> Shared<U> {
     /// panicking inner utility is caught here: only the picked batch is
     /// poisoned, and its owner retries independently — the coalescer
     /// itself stays healthy.
+    ///
+    /// The pick is deduplicated by mask and its values are delivered by
+    /// position. The `(size, mask)` order that lane blocks need is
+    /// imposed below the cache, by `ParallelUtility` and the FL utility,
+    /// so the flush does not sort by size.
     fn flush<'a>(&'a self, mut st: MutexGuard<'a, CoState>, pick: u64) -> MutexGuard<'a, CoState> {
         let Some(entry) = st.entries.get_mut(&pick) else {
             unreachable!("the pick is a parked entry")
         };
         entry.taken = true;
-        // Distinct coalitions in a deterministic forwarding order (by
-        // size, ties by mask), so lane-block composition downstream does
-        // not depend on arrival order.
-        let mut batch = entry.coalitions.clone();
-        batch.sort_by_key(|s| (s.size(), s.0));
-        batch.dedup();
+        let (batch, slots) = dedup_by_mask(&entry.coalitions);
         st.parked -= 1;
         st.flushes += 1;
         st.merged_batches += 1;
@@ -261,56 +261,57 @@ impl<U: Utility + Send + Sync> Shared<U> {
                 return self.lock_state();
             }
         };
-        let mut by_mask: HashMap<u128, f64, MaskHash> =
-            batch.iter().map(|s| s.0).zip(values).collect();
 
         let mut st = self.lock_state();
-        let mut delivered = vec![pick];
+        // Every parked batch the cache now covers is delivered too; the
+        // pick's coalitions are all cached by now.
+        let mut covered: Vec<u64> = Vec::new();
         let mut rest: Vec<Coalition> = Vec::new();
         for (&id, entry) in st.entries.iter_mut().filter(|(_, e)| !e.taken) {
-            if entry
-                .coalitions
-                .iter()
-                .all(|&s| by_mask.contains_key(&s.0) || self.cached.is_cached(s))
-            {
+            if entry.coalitions.iter().all(|&s| self.cached.is_cached(s)) {
                 entry.taken = true;
-                delivered.push(id);
+                covered.push(id);
                 rest.extend(
                     entry
                         .coalitions
                         .iter()
-                        .filter(|s| !by_mask.contains_key(&s.0)),
+                        .filter(|s| batch.binary_search(s).is_err()),
                 );
             }
         }
         // The covered batches' coalitions the pick did not evaluate are
         // all cache hits: one read, no inner evaluation under the lock,
         // and `eval.lookups` still equals `distinct_coalitions`.
-        if !rest.is_empty() {
-            rest.sort_by_key(|s| (s.size(), s.0));
-            rest.dedup();
-            let values = self.cached.eval_batch(&rest);
-            by_mask.extend(rest.iter().map(|s| s.0).zip(values));
-        }
-        let covered = delivered.len() - 1;
-        st.parked -= covered;
-        st.merged_batches += covered;
-        st.distinct_coalitions += by_mask.len();
-        for id in &delivered {
-            let Some(entry) = st.entries.get_mut(id) else {
+        rest.sort_unstable();
+        rest.dedup();
+        let rest_values = if rest.is_empty() {
+            Vec::new()
+        } else {
+            self.cached.eval_batch(&rest)
+        };
+        let merged = covered.len() + 1;
+        st.parked -= covered.len();
+        st.merged_batches += covered.len();
+        st.distinct_coalitions += batch.len() + rest.len();
+        let value_of = |s: &Coalition| match batch.binary_search(s) {
+            Ok(k) => values[k],
+            Err(_) => match rest.binary_search(s) {
+                Ok(k) => rest_values[k],
+                Err(_) => unreachable!("the flush read every delivered coalition"),
+            },
+        };
+        for id in std::iter::once(pick).chain(covered) {
+            let Some(entry) = st.entries.get_mut(&id) else {
                 unreachable!("taken entries stay resident until their owner consumes them")
             };
+            let values = if id == pick {
+                slots.iter().map(|&k| values[k]).collect()
+            } else {
+                entry.coalitions.iter().map(value_of).collect()
+            };
             entry.outcome = Some(Ok(FlushOutcome {
-                values: entry
-                    .coalitions
-                    .iter()
-                    .map(|s| {
-                        by_mask.get(&s.0).copied().unwrap_or_else(|| {
-                            unreachable!("the flush read every delivered coalition")
-                        })
-                    })
-                    .collect(),
-                merged_batches: delivered.len(),
+                values,
+                merged_batches: merged,
             }));
         }
         drop(st);
@@ -333,6 +334,25 @@ impl<U: Utility + Send + Sync> Shared<U> {
     }
 }
 
+/// The distinct coalitions of `batch` in ascending mask order, and for
+/// each position of `batch` the index of its coalition among them.
+fn dedup_by_mask(batch: &[Coalition]) -> (Vec<Coalition>, Vec<usize>) {
+    let mut keyed: Vec<(Coalition, usize)> = batch.iter().copied().zip(0..).collect();
+    // `(mask, position)` keys are unique, so the unstable sort is
+    // deterministic; a batch already in mask order (an exact sweep's
+    // chunk) is sorted in one pass.
+    keyed.sort_unstable();
+    let mut distinct: Vec<Coalition> = Vec::with_capacity(batch.len());
+    let mut slots = vec![0usize; batch.len()];
+    for (s, pos) in keyed {
+        if distinct.last() != Some(&s) {
+            distinct.push(s);
+        }
+        slots[pos] = distinct.len() - 1;
+    }
+    (distinct, slots)
+}
+
 /// Deregisters a run when dropped — including during a worker panic, so
 /// parked peers never wait on a dead run.
 pub(super) struct RunGuard<U: Utility + Send + Sync>(pub(super) Arc<Shared<U>>);
@@ -340,5 +360,71 @@ pub(super) struct RunGuard<U: Utility + Send + Sync>(pub(super) Arc<Shared<U>>);
 impl<U: Utility + Send + Sync> Drop for RunGuard<U> {
     fn drop(&mut self) {
         self.0.unregister();
+    }
+}
+
+#[cfg(test)]
+// Tests assert invariants; an unwrap that trips IS the test failing.
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use crate::utility::{HashUtility, ParallelUtility};
+
+    /// Records each `eval_batch` call, then evaluates it.
+    struct Recording {
+        inner: HashUtility,
+        log: Mutex<Vec<Vec<Coalition>>>,
+    }
+
+    impl Utility for Recording {
+        fn n_clients(&self) -> usize {
+            self.inner.n
+        }
+        fn eval(&self, s: Coalition) -> f64 {
+            self.eval_batch(&[s])[0]
+        }
+        fn eval_batch(&self, coalitions: &[Coalition]) -> Vec<f64> {
+            self.log.lock().unwrap().push(coalitions.to_vec());
+            self.inner.eval_batch(coalitions)
+        }
+    }
+
+    #[test]
+    fn flush_dedups_by_mask_and_delivers_by_position() {
+        let game = HashUtility { n: 8, seed: 4 };
+        let recording = Recording {
+            inner: game.clone(),
+            log: Mutex::default(),
+        };
+        let shared = Shared {
+            cached: CachedUtility::new(ParallelUtility::with_num_threads(recording, 1)),
+            state: Mutex::default(),
+            cv: Condvar::new(),
+            window: FlushWindow::default(),
+            retry: RetryPolicy::default(),
+            shutdown: AtomicBool::new(false),
+            requests_done: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+            traj_stats: None,
+        };
+        shared.register();
+        let batch: Vec<Coalition> = [0b1011, 0b1, 0b1011, 0b1111_0000, 0b1, 0, 0b1011]
+            .map(Coalition)
+            .to_vec();
+        let Ok(outcome) = shared.eval_coalesced(&batch) else {
+            panic!("a lone healthy batch flushes")
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&outcome.values), bits(&game.eval_batch(&batch)));
+        assert_eq!(outcome.merged_batches, 1);
+        let stats = shared.stats();
+        assert_eq!(stats.distinct_coalitions, 4);
+        assert_eq!(stats.eval.lookups, 4);
+        assert_eq!(stats.eval.evaluations, 4);
+        // The serial fan-out hands the game the four distinct masks as one
+        // block, by size, then mask.
+        let log = shared.cached.inner().inner().log.lock().unwrap().clone();
+        let block = [0, 0b1, 0b1011, 0b1111_0000].map(Coalition).to_vec();
+        assert_eq!(log, vec![block]);
     }
 }

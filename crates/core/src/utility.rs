@@ -8,12 +8,13 @@
 //! (`fedval-fl`), the closed-form linear-regression model (`fedval-theory`)
 //! and the synthetic utilities below.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-use crate::coalition::{fold_mask, splitmix64, Coalition, MaskHash};
+use crate::coalition::{fold_mask, splitmix64, Coalition, MaskHash, MAX_ENUMERATED_CLIENTS};
 
 /// A coalition utility function `U : 2^N → ℝ`.
 ///
@@ -241,11 +242,18 @@ impl TrajCacheStats {
     }
 }
 
-/// Number of independent lock shards in [`CachedUtility`]. A power of two;
-/// 16 shards keep write-lock collision probability below 7% even with 16
-/// concurrent FL trainings finishing simultaneously, while costing only 16
-/// small `HashMap`s keyed through [`MaskHash`].
+/// Number of independent lock shards in the hashed store of
+/// [`CachedUtility`]. A power of two; 16 shards keep write-lock collision
+/// probability below 7% even with 16 concurrent FL trainings finishing
+/// simultaneously, while costing only 16 small `HashMap`s keyed through
+/// [`MaskHash`].
 const CACHE_SHARDS: usize = 16;
+
+/// Largest game whose memo is a flat table indexed by the coalition mask:
+/// 2^20 values and their presence words take 8.1 MiB, allocated when the
+/// memo is built. Wider games keep the hashed store, which grows one entry
+/// per distinct mask.
+const FLAT_MEMO_MAX_CLIENTS: usize = 20;
 
 /// Memoising wrapper around a [`Utility`].
 ///
@@ -254,19 +262,85 @@ const CACHE_SHARDS: usize = 16;
 /// training process runs exactly once per coalition, mirroring the paper's
 /// accounting where cost is the number of *distinct* trained models.
 ///
-/// The memo table is sharded by a hash of the coalition mask so that
+/// The store is chosen from `n_clients()` alone. A game of at most 20
+/// clients gets a flat table of all `2^n` slots (8.1 MiB at n = 20),
+/// indexed by the coalition mask, with a presence bit per slot: a lookup
+/// takes no lock and computes no hash. A wider game keeps one entry per
+/// distinct mask in maps sharded by a hash of the mask, so that
 /// concurrent evaluations (the [`ParallelUtility`] fan-out, or many
 /// independent valuation runs sharing one cache) do not serialise on a
-/// single write lock. Inside a shard, and in `eval_batch`'s miss index,
-/// masks hash with [`MaskHash`]. [`EvalStats`] stays exact under contention: when two
+/// single write lock; inside a shard masks hash with [`MaskHash`].
+/// [`EvalStats`] stays exact under contention in both stores: when two
 /// threads race to train the same coalition, only the thread whose insert
 /// lands first increments `evaluations`.
 pub struct CachedUtility<U: Utility> {
     inner: U,
-    shards: [RwLock<HashMap<u128, f64, MaskHash>>; CACHE_SHARDS],
+    store: Store,
     evaluations: AtomicU64,
     lookups: AtomicU64,
     eval_nanos: AtomicU64,
+}
+
+/// The memo table of [`CachedUtility`].
+enum Store {
+    /// Games of at most [`FLAT_MEMO_MAX_CLIENTS`] clients.
+    Flat(FlatStore),
+    /// Wider games: [`CACHE_SHARDS`] locked maps, picked by [`shard_of`].
+    Hashed(Box<[RwLock<HashMap<u128, f64, MaskHash>>]>),
+}
+
+/// Every coalition's value bits, indexed by mask, and one presence bit
+/// per mask. A writer stores the value before it sets the bit (release);
+/// a reader that sees the bit (acquire) sees the value. Writers racing on
+/// one slot store identical bits — the [`Utility`] determinism contract —
+/// so a later write never changes what a reader already saw.
+struct FlatStore {
+    n: usize,
+    values: Box<[AtomicU64]>,
+    present: Box<[AtomicU64]>,
+}
+
+impl FlatStore {
+    fn new(n: usize) -> Self {
+        let zeros = |len: usize| (0..len).map(|_| AtomicU64::new(0)).collect();
+        FlatStore {
+            n,
+            values: zeros(1 << n),
+            present: zeros((1usize << n).div_ceil(64)),
+        }
+    }
+
+    /// Slot, presence word and presence bit of a mask.
+    fn locate(&self, mask: u128) -> (usize, usize, u64) {
+        assert!(
+            mask >> self.n == 0,
+            "coalition {mask:#x} lies outside the memo's {}-client game",
+            self.n
+        );
+        let slot = mask as usize;
+        (slot, slot / 64, 1 << (slot % 64))
+    }
+
+    fn get(&self, mask: u128) -> Option<f64> {
+        let (slot, word, bit) = self.locate(mask);
+        if self.present[word].load(Ordering::Acquire) & bit == 0 {
+            return None;
+        }
+        Some(f64::from_bits(self.values[slot].load(Ordering::Relaxed)))
+    }
+
+    fn insert(&self, mask: u128, v: f64) -> bool {
+        let (slot, word, bit) = self.locate(mask);
+        self.values[slot].store(v.to_bits(), Ordering::Relaxed);
+        self.present[word].fetch_or(bit, Ordering::Release) & bit == 0
+    }
+
+    fn len(&self) -> usize {
+        self.present
+            .iter()
+            .map(|word| word.load(Ordering::Relaxed).count_ones() as usize)
+            .sum()
+    }
 }
 
 /// Shard index for a coalition mask: top bits of a splitmix64 hash, so
@@ -279,11 +353,71 @@ fn shard_of(mask: u128) -> usize {
     (h >> (64 - CACHE_SHARDS.trailing_zeros())) as usize
 }
 
+impl Store {
+    fn for_game(n: usize) -> Self {
+        if n <= FLAT_MEMO_MAX_CLIENTS {
+            Store::Flat(FlatStore::new(n))
+        } else {
+            Store::Hashed(
+                (0..CACHE_SHARDS)
+                    .map(|_| RwLock::new(HashMap::default()))
+                    .collect(),
+            )
+        }
+    }
+
+    fn get(&self, mask: u128) -> Option<f64> {
+        match self {
+            Store::Flat(flat) => flat.get(mask),
+            Store::Hashed(shards) => shards[shard_of(mask)]
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(&mask)
+                .copied(),
+        }
+    }
+
+    /// Store a freshly evaluated value; true iff this call stored it
+    /// first.
+    fn insert(&self, mask: u128, v: f64) -> bool {
+        match self {
+            Store::Flat(flat) => flat.insert(mask, v),
+            Store::Hashed(shards) => {
+                // Poison-tolerant: a panicking inner utility never holds
+                // a shard lock (inserts happen after the inner call
+                // returns), and even a poisoned shard holds only
+                // fully-written entries.
+                let mut shard = shards[shard_of(mask)]
+                    .write()
+                    .unwrap_or_else(PoisonError::into_inner);
+                match shard.entry(mask) {
+                    Entry::Vacant(e) => {
+                        e.insert(v);
+                        true
+                    }
+                    Entry::Occupied(_) => false,
+                }
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Store::Flat(flat) => flat.len(),
+            Store::Hashed(shards) => shards
+                .iter()
+                .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
+                .sum(),
+        }
+    }
+}
+
 impl<U: Utility> CachedUtility<U> {
     pub fn new(inner: U) -> Self {
+        let store = Store::for_game(inner.n_clients());
         CachedUtility {
             inner,
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::default())),
+            store,
             evaluations: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
             eval_nanos: AtomicU64::new(0),
@@ -295,7 +429,7 @@ impl<U: Utility> CachedUtility<U> {
         &self.inner
     }
 
-    /// Statistics accumulated since construction (or the last `reset_stats`).
+    /// Statistics accumulated since construction.
     pub fn stats(&self) -> EvalStats {
         EvalStats {
             evaluations: self.evaluations.load(Ordering::Relaxed) as usize,
@@ -304,65 +438,24 @@ impl<U: Utility> CachedUtility<U> {
         }
     }
 
-    /// Reset the statistics counters (the cache itself is kept).
-    pub fn reset_stats(&self) {
-        self.evaluations.store(0, Ordering::Relaxed);
-        self.lookups.store(0, Ordering::Relaxed);
-        self.eval_nanos.store(0, Ordering::Relaxed);
-    }
-
-    /// Clear both the memo table and the statistics.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clear();
-        }
-        self.reset_stats();
-    }
-
     /// Number of memoised coalitions.
     pub fn cached_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
+        self.store.len()
     }
 
     /// True iff the coalition has already been evaluated.
     pub fn is_cached(&self, s: Coalition) -> bool {
-        self.shards[shard_of(s.0)]
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains_key(&s.0)
-    }
-
-    /// Cached value, if present.
-    fn get(&self, s: Coalition) -> Option<f64> {
-        self.shards[shard_of(s.0)]
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&s.0)
-            .copied()
+        self.store.get(s.0).is_some()
     }
 
     /// Insert a freshly evaluated value; counts it towards `evaluations`
     /// only if this thread's insert landed first. Returns whether it did.
     fn insert_counted(&self, s: Coalition, v: f64) -> bool {
-        // Poison-tolerant: a panicking inner utility never holds a shard
-        // lock (inserts happen after the inner call returns), and even a
-        // poisoned shard holds only fully-written entries.
-        let mut shard = self.shards[shard_of(s.0)]
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let std::collections::hash_map::Entry::Vacant(e) = shard.entry(s.0) {
-            e.insert(v);
+        let fresh = self.store.insert(s.0, v);
+        if fresh {
             self.evaluations.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
         }
+        fresh
     }
 }
 
@@ -373,7 +466,7 @@ impl<U: Utility> Utility for CachedUtility<U> {
 
     fn eval(&self, s: Coalition) -> f64 {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(v) = self.get(s) {
+        if let Some(v) = self.store.get(s.0) {
             return v;
         }
         // lint:wall-clock(EvalStats gauge: eval_nanos is reporting-only
@@ -391,7 +484,7 @@ impl<U: Utility> Utility for CachedUtility<U> {
         v
     }
 
-    /// Batched lookup: hits resolve from the shards, distinct misses are
+    /// Batched lookup: hits resolve from the store, distinct misses are
     /// forwarded to the inner utility as one batch (in first-occurrence
     /// order) so a parallel inner utility can train them concurrently.
     fn eval_batch(&self, coalitions: &[Coalition]) -> Vec<f64> {
@@ -404,7 +497,7 @@ impl<U: Utility> Utility for CachedUtility<U> {
         let mut misses: Vec<Coalition> = Vec::new();
         let mut pending: Vec<(usize, usize)> = Vec::new(); // (out pos, miss idx)
         for (pos, &s) in coalitions.iter().enumerate() {
-            if let Some(v) = self.get(s) {
+            if let Some(v) = self.store.get(s.0) {
                 out[pos] = v;
             } else {
                 if pending.is_empty() {
@@ -461,7 +554,10 @@ pub struct TableUtility {
 impl TableUtility {
     /// Build from a table indexed by coalition bitmask (`values.len() == 2^n`).
     pub fn new(n: usize, values: Vec<f64>) -> Self {
-        assert!(n <= 24, "TableUtility stores 2^n values; n too large");
+        assert!(
+            n <= MAX_ENUMERATED_CLIENTS,
+            "TableUtility stores 2^n values; n too large"
+        );
         assert_eq!(values.len(), 1usize << n, "need exactly 2^n values");
         TableUtility { n, values }
     }
@@ -727,11 +823,65 @@ mod tests {
         assert_eq!(u.cached_len(), 1);
         assert!(u.is_cached(s));
         assert!(!u.is_cached(Coalition::empty()));
-        u.reset_stats();
-        assert_eq!(u.stats().evaluations, 0);
-        assert_eq!(u.cached_len(), 1, "reset_stats keeps the memo table");
-        u.clear();
-        assert_eq!(u.cached_len(), 0);
+    }
+
+    #[test]
+    fn cached_batches_match_the_inner_on_both_sides_of_the_flat_bound() {
+        for n in [0usize, 1, 20, 21, 24, 25, 30, 128] {
+            let u = CachedUtility::new(HashUtility { n, seed: 11 });
+            let full = Coalition::full(n).0;
+            // Spread over the whole mask width, duplicates included.
+            let masks: Vec<Coalition> = (0u64..300)
+                .map(|i| {
+                    let k = i % 200;
+                    let wide = (splitmix64(k) as u128) << 64 | splitmix64(!k) as u128;
+                    Coalition(wide & full)
+                })
+                .collect();
+            let mut distinct: Vec<u128> = masks.iter().map(|s| s.0).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let values = u.eval_batch(&masks);
+            for (s, v) in masks.iter().zip(&values) {
+                assert_eq!(v.to_bits(), u.inner().eval(*s).to_bits(), "n = {n}");
+            }
+            let stats = u.stats();
+            assert_eq!(stats.evaluations, distinct.len(), "n = {n}");
+            assert_eq!(stats.lookups, masks.len(), "n = {n}");
+            assert_eq!(u.cached_len(), distinct.len(), "n = {n}");
+            // A second pass, in reverse, is all hits.
+            let rev: Vec<Coalition> = masks.iter().rev().copied().collect();
+            let again = u.eval_batch(&rev);
+            assert!(again.iter().rev().eq(values.iter()), "n = {n}");
+            assert_eq!(u.stats().evaluations, distinct.len(), "n = {n}");
+            assert_eq!(u.stats().lookups, 2 * masks.len(), "n = {n}");
+            assert!(masks.iter().all(|&s| u.is_cached(s)), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn racing_batches_count_each_coalition_once() {
+        let u = CachedUtility::new(HashUtility { n: 20, seed: 11 });
+        // An odd multiplier permutes the 2^20 masks: 4096 distinct ones,
+        // out of mask order.
+        let masks: Vec<Coalition> = (0u128..4096)
+            .map(|i| Coalition((i * 0x9E3B + 0x5_A5A5) & 0xF_FFFF))
+            .collect();
+        let runs: Vec<Vec<f64>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| u.eval_batch(&masks)))
+                .collect();
+            racers
+                .into_iter()
+                .map(|r| r.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        });
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&runs[0]), bits(&runs[1]));
+        assert_eq!(bits(&runs[0]), bits(&u.inner().eval_batch(&masks)));
+        assert_eq!(u.stats().evaluations, 4096);
+        assert_eq!(u.stats().lookups, 2 * 4096);
+        assert_eq!(u.cached_len(), 4096);
     }
 
     #[test]

@@ -1,17 +1,24 @@
 //! The multi-valuation service's contracts over the real FL substrate:
 //! concurrent requests coalesce into shared work (strictly fewer models
 //! trained and local trainings than the sum of solo runs) while every
-//! request's values stay bit-identical to solo execution.
+//! request's values stay bit-identical to solo execution. The flush's
+//! own contracts (values by position, one lookup per distinct coalition,
+//! the fan-out's sub-batches) run over a recording hash game.
 
 // Driver code: test assertions panic by design, so unwrap/expect are
 // the failure mechanism, not a robustness gap.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fedval_core::coalition::Coalition;
-use fedval_core::service::{Estimator, ValuationRequest};
+use fedval_core::service::{Estimator, ValuationRequest, ValuationServer};
+use fedval_core::stratified::{stratified_sampling_values, Scheme, StratifiedConfig};
+use fedval_core::utility::{HashUtility, ParallelUtility, Utility, DEFAULT_PAR_CHUNK};
 use fedval_data::{Dataset, MnistLike, SyntheticSetup};
 use fedval_fl::service::{serve, FlServiceConfig};
 use fedval_fl::{FedAvgConfig, FlUtility, ModelSpec};
@@ -145,4 +152,133 @@ fn subgame_requests_share_the_global_coalition_space() {
         "sub-game coalitions must all be cache hits"
     );
     server.shutdown();
+}
+
+/// Every batch a utility is asked to evaluate, in call order.
+type Log = Arc<Mutex<Vec<Vec<Coalition>>>>;
+
+/// Records each `eval_batch` call, then evaluates it.
+struct Recording<U> {
+    inner: U,
+    log: Log,
+}
+
+impl<U: Utility> Recording<U> {
+    fn new(inner: U) -> (Self, Log) {
+        let log = Log::default();
+        let recording = Recording {
+            inner,
+            log: Arc::clone(&log),
+        };
+        (recording, log)
+    }
+}
+
+impl<U: Utility> Utility for Recording<U> {
+    fn n_clients(&self) -> usize {
+        self.inner.n_clients()
+    }
+    fn eval(&self, s: Coalition) -> f64 {
+        self.eval_batch(&[s])[0]
+    }
+    fn eval_batch(&self, coalitions: &[Coalition]) -> Vec<f64> {
+        self.log.lock().unwrap().push(coalitions.to_vec());
+        self.inner.eval_batch(coalitions)
+    }
+}
+
+const FLUSH_GAME: HashUtility = HashUtility { n: 8, seed: 21 };
+
+/// Stratified MC-SV: each sample is a pair `S`, `S ∪ {i}`. The sampler
+/// already pairs each coalition once, so its batches repeat no mask; the
+/// flush's dedup of a repeated mask is a unit test of the coalescer.
+fn stratified_mc(seed: u64) -> ValuationRequest {
+    ValuationRequest::new(Estimator::StratifiedMc, 96, seed)
+}
+
+/// The request run directly on the bare game: its values and the
+/// batches its sampler issues.
+fn direct(seed: u64) -> (Vec<f64>, Vec<Vec<Coalition>>) {
+    let (recording, log) = Recording::new(FLUSH_GAME);
+    let cfg = StratifiedConfig::uniform(FLUSH_GAME.n, 96);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let values =
+        stratified_sampling_values(&recording, Scheme::MarginalContribution, &cfg, &mut rng);
+    let batches = log.lock().unwrap().clone();
+    (values, batches)
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The `(size, mask)` order `ParallelUtility` blocks by.
+fn by_size(s: &Coalition) -> (usize, u128) {
+    (s.size(), s.0)
+}
+
+#[test]
+fn single_tenant_flush_keeps_the_parallel_blocks() {
+    let (direct_values, sampler_batches) = direct(5);
+    // The sub-batches a serial `ParallelUtility` hands its inner: per
+    // flush, the coalitions the memo has not seen, sorted by size, then
+    // mask, in chunks of `DEFAULT_PAR_CHUNK`.
+    let mut seen: BTreeSet<Coalition> = BTreeSet::new();
+    let mut expected: Vec<Vec<Coalition>> = Vec::new();
+    for batch in &sampler_batches {
+        let mut fresh: Vec<Coalition> = batch.iter().copied().filter(|&s| seen.insert(s)).collect();
+        fresh.sort_by_key(by_size);
+        expected.extend(fresh.chunks(DEFAULT_PAR_CHUNK).map(<[Coalition]>::to_vec));
+    }
+
+    let (recording, log) = Recording::new(FLUSH_GAME);
+    let server = ValuationServer::start(ParallelUtility::with_num_threads(recording, 1));
+    let resp = server.call(stratified_mc(5)).expect("healthy run");
+    server.shutdown();
+    assert_eq!(bits(&resp.values), bits(&direct_values));
+    assert_eq!(resp.service.eval.lookups, resp.service.distinct_coalitions);
+    assert_eq!(resp.service.eval.evaluations, seen.len());
+    assert_eq!(*log.lock().unwrap(), expected);
+}
+
+#[test]
+fn two_tenant_burst_dedups_across_tenants() {
+    let seeds = [5, 6];
+    let directs: Vec<(Vec<f64>, Vec<Vec<Coalition>>)> = seeds.iter().map(|&s| direct(s)).collect();
+    let touched: BTreeSet<Coalition> = directs
+        .iter()
+        .flat_map(|(_, batches)| batches.iter().flatten().copied())
+        .collect();
+
+    let (recording, log) = Recording::new(FLUSH_GAME);
+    let server = ValuationServer::start(ParallelUtility::with_num_threads(recording, 2));
+    let tickets: Vec<_> = seeds
+        .iter()
+        .map(|&s| server.submit(stratified_mc(s)))
+        .collect();
+    for (ticket, (values, _)) in tickets.into_iter().zip(&directs) {
+        assert_eq!(
+            bits(&ticket.wait().expect("healthy run").values),
+            bits(values)
+        );
+    }
+    let stats = server.stats();
+    server.shutdown();
+    assert_eq!(stats.eval.lookups, stats.distinct_coalitions);
+    assert_eq!(stats.eval.evaluations, touched.len());
+    assert_eq!(stats.failed_flushes, 0);
+    // Whichever batch each flush picked, every coalition reached the game
+    // once, in blocks sorted by size, then mask.
+    let sub_batches = log.lock().unwrap().clone();
+    let mut trained: Vec<Coalition> = sub_batches.iter().flatten().copied().collect();
+    for sub in &sub_batches {
+        assert!(sub.len() <= DEFAULT_PAR_CHUNK, "{sub:?}");
+        assert!(
+            sub.windows(2).all(|w| by_size(&w[0]) < by_size(&w[1])),
+            "{sub:?}"
+        );
+    }
+    // Equal to the sorted distinct set: no coalition trained twice.
+    trained.sort();
+    assert_eq!(trained, touched.into_iter().collect::<Vec<_>>());
 }
