@@ -17,8 +17,13 @@
 //!
 //! # How coalescing works
 //!
-//! Each request runs its estimator on a worker thread against a
-//! run-local [`Utility`] facade. When the estimator evaluates a batch,
+//! Each request runs its estimator against a run-local [`Utility`]
+//! facade: a blocking [`ValuationServer::call`] on the caller's own
+//! thread, a [`ValuationServer::submit`] on a worker thread the
+//! dispatcher spawns for its ticket. Both register the run at the
+//! coalescer first; the dispatcher registers a burst of submissions
+//! together, before any of their workers starts, so the burst coalesces
+//! from its first batch. When the estimator evaluates a batch,
 //! the facade *parks* the batch instead of evaluating it. When every
 //! registered run is parked (runs that finished have deregistered), the
 //! last arrival becomes the *flush leader* and serves the cheapest batch
@@ -38,9 +43,9 @@
 //!    flush.
 //!
 //! ```text
-//!  request₁ ──▶ worker₁ ─ eval_batch ─┐                   ┌─ CachedUtility
-//!  request₂ ──▶ worker₂ ─ eval_batch ─┼─▶ park ▶ barrier ─┤   (shared)
-//!  request₃ ──▶ worker₃ ─ eval_batch ─┘   pick cheapest   └─▶ inner utility
+//!  request₁ ──▶ run₁ ──── eval_batch ─┐                   ┌─ CachedUtility
+//!  request₂ ──▶ run₂ ──── eval_batch ─┼─▶ park ▶ barrier ─┤   (shared)
+//!  request₃ ──▶ run₃ ──── eval_batch ─┘   pick cheapest   └─▶ inner utility
 //!                        ▲                evaluate it          (lane blocks +
 //!                        └─── deliver it + every batch         traj cache)
 //!                             the cache now covers
@@ -66,9 +71,9 @@
 //!
 //! Failure is a first-class code path, not an abort:
 //!
-//! - **Typed errors.** [`Ticket::wait`] returns
-//!   `Result<ValuationResponse, ValuationError>`; nothing in the service
-//!   panics the caller.
+//! - **Typed errors.** [`ValuationServer::call`] and [`Ticket::wait`]
+//!   return `Result<ValuationResponse, ValuationError>`; nothing in the
+//!   service panics the caller.
 //! - **Fault isolation.** If the inner utility panics under a flush
 //!   leader, the flush is *poisoned*: only the run whose batch it picked
 //!   is affected, and it retries **its own batch** directly against the

@@ -100,8 +100,10 @@ impl<U: Utility + Send + Sync> Shared<U> {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Register a run (performed by the dispatcher *before* the worker
-    /// spawns, so a burst of submissions coalesces from its first batch).
+    /// Register a run: by the dispatcher for a whole burst of submissions
+    /// *before* any of their workers spawns, so the burst coalesces from
+    /// its first batch, or by a blocking `call` on its own thread just
+    /// before it runs.
     pub(super) fn register(&self) {
         self.lock_state().eligible += 1;
     }

@@ -1,12 +1,15 @@
 //! The server: the builder, the dispatcher thread that registers bursts
-//! of requests together, and the per-request worker that turns an
-//! estimator run into a response or a typed error.
+//! of submitted requests together and spawns one worker per ticket, and
+//! `serve_one`, the one body that turns an estimator run into a response
+//! or a typed error — on a ticket's worker, or on the thread of a
+//! blocking [`ValuationServer::call`].
 
 // This file is on the timing whitelist (clippy.toml bans Instant::now
 // elsewhere): park-wait deadlines and flush windows are wall-clock by
 // design, bound only *when* work happens — never what the values are.
 #![allow(clippy::disallowed_methods)]
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread;
@@ -130,7 +133,8 @@ fn dispatcher_loop<U: Utility + Send + Sync + 'static>(
         for ((request, reply, progress), guard) in burst.into_iter().zip(guards) {
             let shared = Arc::clone(&shared);
             workers.push(thread::spawn(move || {
-                serve_one(shared, request, reply, progress, guard)
+                let result = serve_one(&shared, request, Some(&progress), guard);
+                let _ = reply.send(result); // submitter may have dropped the ticket
             }));
         }
         workers.retain(|w| !w.is_finished());
@@ -140,16 +144,16 @@ fn dispatcher_loop<U: Utility + Send + Sync + 'static>(
     }
 }
 
-/// One worker: run the estimator under a quiet `catch_unwind`, convert
-/// any abort or panic into the partial response or the typed error, and
-/// deliver the result. Every code path sends exactly one reply.
+/// One registered run: run the estimator under a quiet `catch_unwind`
+/// and convert any abort or panic into the partial response or the typed
+/// error. A streaming request's batch-boundary snapshots go to `progress`
+/// when there is a ticket to read them.
 fn serve_one<U: Utility + Send + Sync>(
-    shared: Arc<Shared<U>>,
+    shared: &Arc<Shared<U>>,
     request: ValuationRequest,
-    reply: Reply,
-    progress: mpsc::Sender<ProgressSnapshot>,
+    progress: Option<&mpsc::Sender<ProgressSnapshot>>,
     guard: RunGuard<U>,
-) {
+) -> Result<ValuationResponse, ValuationError> {
     let start = Instant::now();
     let n = shared.cached.n_clients();
     let pruned = matches!(
@@ -157,6 +161,8 @@ fn serve_one<U: Utility + Send + Sync>(
         Estimator::Ipss | Estimator::BanzhafPruned
     );
     let invalid = match request.clients {
+        // Every estimator needs a client to value.
+        _ if n == 0 => Some("the utility has no clients to value".into()),
         Some(s) if !s.is_subset_of(Coalition::full(n)) => {
             Some(format!("request.clients exceeds the utility's {n} clients"))
         }
@@ -169,8 +175,7 @@ fn serve_one<U: Utility + Send + Sync>(
     };
     if let Some(detail) = invalid {
         drop(guard);
-        let _ = reply.send(Err(ValuationError::InvalidRequest { detail }));
-        return;
+        return Err(ValuationError::InvalidRequest { detail });
     }
     let members: Vec<usize> = match request.clients {
         Some(s) => s.members().collect(),
@@ -179,7 +184,7 @@ fn serve_one<U: Utility + Send + Sync>(
     let record = request.on_limit == LimitPolicy::Partial
         && (request.deadline.is_some() || request.max_evals.is_some());
     let run = RunUtility {
-        shared: Arc::clone(&shared),
+        shared: Arc::clone(shared),
         identity: members.len() == n,
         members,
         started: start,
@@ -204,10 +209,12 @@ fn serve_one<U: Utility + Send + Sync>(
     let outcome = quiet::catch_quiet(|| {
         let out = match streaming_rule {
             // Every batch-boundary snapshot goes to the ticket's progress
-            // channel, and the rule decides whether to stop there.
+            // channel, if any, and the rule decides whether to stop there.
             Some(rule) => {
                 let mut observe = |s: &ProgressSnapshot| {
-                    let _ = progress.send(s.clone()); // ticket may have been dropped
+                    if let Some(progress) = progress {
+                        let _ = progress.send(s.clone()); // ticket may have been dropped
+                    }
                     if rule.should_stop(s) {
                         Control::Stop
                     } else {
@@ -243,7 +250,7 @@ fn serve_one<U: Utility + Send + Sync>(
         request: request.clone(),
         progress,
     };
-    let result = match outcome {
+    match outcome {
         Ok((values, snapshot, stopped_early)) => {
             Ok(respond(values, false, snapshot, stopped_early))
         }
@@ -282,8 +289,7 @@ fn serve_one<U: Utility + Send + Sync>(
                 detail: quiet::panic_message(payload.as_ref()),
             }),
         },
-    };
-    let _ = reply.send(result); // submitter may have dropped the ticket
+    }
 }
 
 impl<U: Utility + Send + Sync + 'static> ValuationServer<U> {
@@ -323,9 +329,26 @@ impl<U: Utility + Send + Sync + 'static> ValuationServer<U> {
         Ticket { rx, progress_rx }
     }
 
-    /// Submit and wait — the blocking single-request convenience.
+    /// Serve one request on the calling thread and return its result —
+    /// the blocking single-request path. The run registers at the
+    /// coalescer and coalesces with every other run in flight, exactly as
+    /// a submitted one, but pays no dispatcher hop, worker thread or reply
+    /// channel, and streams no progress (the final snapshot is still in
+    /// [`ValuationResponse::progress`]). A server that is shutting down
+    /// answers [`ValuationError::ServerShutdown`] without registering; a
+    /// panic in the service's own bookkeeping, outside the estimator's
+    /// typed failure paths, surfaces as [`ValuationError::WorkerLost`]
+    /// instead of unwinding into the caller.
     pub fn call(&self, request: ValuationRequest) -> Result<ValuationResponse, ValuationError> {
-        self.submit(request).wait()
+        if self.shared.is_shutdown() {
+            return Err(ValuationError::ServerShutdown);
+        }
+        self.shared.register();
+        let guard = RunGuard(Arc::clone(&self.shared));
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            serve_one(&self.shared, request, None, guard)
+        }))
+        .unwrap_or(Err(ValuationError::WorkerLost))
     }
 
     /// Cumulative service statistics (also snapshotted per response).
@@ -343,7 +366,7 @@ impl<U: Utility + Send + Sync + 'static> ValuationServer<U> {
 
     /// Initiate shutdown through a shared reference: sets the shutdown
     /// flag and wakes parked workers, so in-flight runs abort at their
-    /// next batch boundary and *new* submissions resolve with
+    /// next batch boundary and *new* submissions and calls resolve with
     /// [`ValuationError::ServerShutdown`] — but does **not** join
     /// threads. Needed by owners that hold the server behind `Arc` (e.g.
     /// a network transport reacting to SIGTERM while connection handlers

@@ -222,7 +222,9 @@ impl Conn {
         Ok(n)
     }
 
-    /// Write a complete response.
+    /// Write a complete response: head and body leave in one write, so
+    /// on this `TCP_NODELAY` socket a small response is one segment and
+    /// the peer wakes once.
     pub fn write_response(&mut self, resp: &Response) -> io::Result<()> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
@@ -241,9 +243,9 @@ impl Conn {
         } else {
             "connection: keep-alive\r\n\r\n"
         });
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(&resp.body)?;
-        self.stream.flush()
+        let mut out = head.into_bytes();
+        out.extend_from_slice(&resp.body);
+        self.stream.write_all(&out)
     }
 }
 

@@ -3,7 +3,10 @@
 //! trained and local trainings than the sum of solo runs) while every
 //! request's values stay bit-identical to solo execution. The flush's
 //! own contracts (values by position, one lookup per distinct coalition,
-//! the fan-out's sub-batches) run over a recording hash game.
+//! the fan-out's sub-batches) run over a recording hash game, and so do
+//! those of the two ways a run enters the service: a blocking `call`
+//! runs on the caller's thread, a `submit` on a worker, and both
+//! coalesce with each other.
 
 // Driver code: test assertions panic by design, so unwrap/expect are
 // the failure mechanism, not a robustness gap.
@@ -11,12 +14,15 @@
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fedval_core::coalition::Coalition;
-use fedval_core::service::{Estimator, ValuationRequest, ValuationServer};
+use fedval_core::fault::FaultyUtility;
+use fedval_core::service::{Estimator, ValuationError, ValuationRequest, ValuationServer};
 use fedval_core::stratified::{stratified_sampling_values, Scheme, StratifiedConfig};
 use fedval_core::utility::{HashUtility, ParallelUtility, Utility, DEFAULT_PAR_CHUNK};
 use fedval_data::{Dataset, MnistLike, SyntheticSetup};
@@ -279,6 +285,125 @@ fn two_tenant_burst_dedups_across_tenants() {
         );
     }
     // Equal to the sorted distinct set: no coalition trained twice.
+    trained.sort();
+    assert_eq!(trained, touched.into_iter().collect::<Vec<_>>());
+}
+
+/// The threads a serial game is evaluated on, one entry per batch.
+type Threads = Arc<Mutex<Vec<ThreadId>>>;
+
+/// Notes the evaluating thread of each `eval_batch` call, then evaluates
+/// it. Serial: no `ParallelUtility` fans the batch out, so the thread
+/// that evaluates is the flush leader's.
+struct ThreadRecording {
+    inner: HashUtility,
+    threads: Threads,
+}
+
+impl Utility for ThreadRecording {
+    fn n_clients(&self) -> usize {
+        self.inner.n
+    }
+    fn eval(&self, s: Coalition) -> f64 {
+        self.eval_batch(&[s])[0]
+    }
+    fn eval_batch(&self, coalitions: &[Coalition]) -> Vec<f64> {
+        self.threads.lock().unwrap().push(thread::current().id());
+        self.inner.eval_batch(coalitions)
+    }
+}
+
+#[test]
+fn call_runs_on_the_callers_thread_and_submit_on_a_worker() {
+    let threads = Threads::default();
+    let server = ValuationServer::start(ThreadRecording {
+        inner: FLUSH_GAME,
+        threads: Arc::clone(&threads),
+    });
+    let here = thread::current().id();
+    let resp = server.call(stratified_mc(5)).expect("healthy run");
+    assert_eq!(bits(&resp.values), bits(&direct(5).0));
+    let called = std::mem::take(&mut *threads.lock().unwrap());
+    assert!(!called.is_empty());
+    assert!(called.iter().all(|&t| t == here), "{called:?}");
+
+    // A fresh seed, so the warm memo leaves batches to evaluate.
+    let resp = server.submit(stratified_mc(6)).wait().expect("healthy run");
+    assert_eq!(bits(&resp.values), bits(&direct(6).0));
+    let submitted = std::mem::take(&mut *threads.lock().unwrap());
+    assert!(!submitted.is_empty());
+    assert!(submitted.iter().all(|&t| t != here), "{submitted:?}");
+
+    server.begin_shutdown();
+    assert_eq!(
+        server.call(stratified_mc(7)).map(|r| r.values),
+        Err(ValuationError::ServerShutdown)
+    );
+    assert!(
+        threads.lock().unwrap().is_empty(),
+        "a refused call evaluates nothing"
+    );
+    assert_eq!(server.stats().requests, 2, "a refused call never registers");
+    server.shutdown();
+}
+
+/// A request served alone on a fresh server over the bare game: its
+/// value bits and the coalitions it touched.
+fn solo_run(request: ValuationRequest) -> (Vec<u64>, BTreeSet<Coalition>) {
+    let (recording, log) = Recording::new(FLUSH_GAME);
+    let server = ValuationServer::start(recording);
+    let values = server.call(request).expect("healthy run").values;
+    server.shutdown();
+    let touched = log.lock().unwrap().iter().flatten().copied().collect();
+    (bits(&values), touched)
+}
+
+#[test]
+fn calls_and_a_submitted_burst_coalesce_bit_identically() {
+    // IPSS issues one batch per stratum, so each run parks several times.
+    let ipss = |seed| ValuationRequest::new(Estimator::Ipss, 60, seed);
+    let burst = [ipss(1), stratified_mc(5), ipss(2)];
+    let calls = [ipss(3), ipss(4)];
+    let solos: Vec<(Vec<u64>, BTreeSet<Coalition>)> =
+        burst.iter().chain(&calls).cloned().map(solo_run).collect();
+    let touched: BTreeSet<Coalition> = solos.iter().flat_map(|(_, t)| t).copied().collect();
+
+    // 100 µs per evaluation makes it likely that the callers register
+    // while the burst is in flight; the assertions below hold under every
+    // interleaving. A healthy `FaultyUtility` returns the game's bits.
+    let slow = FaultyUtility::new(FLUSH_GAME).delay_every_evals(1, Duration::from_micros(100));
+    let (recording, log) = Recording::new(slow);
+    let server = ValuationServer::start(ParallelUtility::with_num_threads(recording, 2));
+    let tickets: Vec<_> = burst.iter().map(|r| server.submit(r.clone())).collect();
+    thread::scope(|scope| {
+        let callers: Vec<_> = calls
+            .iter()
+            .map(|r| {
+                let server = &server;
+                scope.spawn(move || server.call(r.clone()).expect("healthy run"))
+            })
+            .collect();
+        for (k, ticket) in tickets.into_iter().enumerate() {
+            let resp = ticket.wait().expect("healthy run");
+            assert_eq!(bits(&resp.values), solos[k].0, "submitted request {k}");
+        }
+        for (k, caller) in callers.into_iter().enumerate() {
+            let resp = caller.join().unwrap();
+            assert_eq!(
+                bits(&resp.values),
+                solos[burst.len() + k].0,
+                "called request {k}"
+            );
+        }
+    });
+    let stats = server.stats();
+    server.shutdown();
+    assert_eq!(stats.requests, burst.len() + calls.len());
+    assert_eq!(stats.failed_flushes, 0);
+    assert_eq!(stats.eval.lookups, stats.distinct_coalitions);
+    assert_eq!(stats.eval.evaluations, touched.len());
+    // No coalition reached the game twice.
+    let mut trained: Vec<Coalition> = log.lock().unwrap().iter().flatten().copied().collect();
     trained.sort();
     assert_eq!(trained, touched.into_iter().collect::<Vec<_>>());
 }

@@ -17,6 +17,7 @@
 // (an upper-limit assertion), never a computed value.
 #![allow(clippy::disallowed_methods)]
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -30,7 +31,7 @@ use fedval_core::service::{
     partial_prefix_fold, Estimator, LimitPolicy, RetryPolicy, Ticket, ValuationError,
     ValuationRequest, ValuationResponse, ValuationServer,
 };
-use fedval_core::utility::{HashUtility, Utility};
+use fedval_core::utility::{HashUtility, TrajCacheStats, Utility};
 
 fn ok(result: Result<ValuationResponse, ValuationError>) -> ValuationResponse {
     match result {
@@ -422,6 +423,76 @@ fn dying_run_deregisters_and_peers_complete() {
         "the peer must complete despite the dying run"
     );
     server.shutdown();
+}
+
+#[test]
+fn bookkeeping_panic_is_worker_lost_on_both_paths_and_the_server_heals() {
+    // The stats source runs while a response is assembled, outside the
+    // estimator's typed failure paths; it panics on its first two reads.
+    let reads = AtomicUsize::new(0);
+    let server = ValuationServer::builder(HashUtility { n: 5, seed: 8 })
+        .traj_stats(move || {
+            assert!(
+                reads.fetch_add(1, Ordering::Relaxed) >= 2,
+                "stats source failed"
+            );
+            TrajCacheStats::default()
+        })
+        .start();
+    let req = || ValuationRequest::new(Estimator::ExactMc, 0, 1);
+    assert_eq!(
+        server.call(req()).map(|r| r.values),
+        Err(ValuationError::WorkerLost),
+        "an inline panic must not unwind into the caller"
+    );
+    assert_eq!(
+        server.submit(req()).wait().map(|r| r.values),
+        Err(ValuationError::WorkerLost)
+    );
+    // Both runs deregistered while unwinding: a lone call still flushes.
+    assert_eq!(ok(server.call(req())).values, baseline(5, 8, req()));
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Boundary games: no estimator, at no budget, panics on a tiny game.
+// ---------------------------------------------------------------------
+
+#[test]
+fn tiny_games_answer_every_estimator_with_a_response_or_a_typed_error() {
+    use Estimator::*;
+    let estimators = [
+        ExactMc,
+        ExactCc,
+        Ipss,
+        StratifiedMc,
+        StratifiedCc,
+        Owen,
+        BanzhafPruned,
+        Loo,
+    ];
+    for n in 0..=2 {
+        let server = ValuationServer::start(HashUtility { n, seed: 3 });
+        for budget in 0..=1 {
+            for estimator in estimators {
+                let cell = format!("n = {n}, budget = {budget}, {estimator:?}");
+                match server.call(ValuationRequest::new(estimator, budget, 1)) {
+                    Ok(resp) => {
+                        assert!(n > 0, "{cell}: a 0-client game has nothing to value");
+                        assert_eq!(resp.values.len(), n, "{cell}");
+                        assert!(resp.values.iter().all(|v| v.is_finite()), "{cell}");
+                    }
+                    // A 0-client game is rejected before any estimator
+                    // runs; a pruned sampler needs γ ≥ 1 to pay for U(∅).
+                    Err(ValuationError::InvalidRequest { .. })
+                        if n == 0 || (budget == 0 && matches!(estimator, Ipss | BanzhafPruned)) => {
+                    }
+                    Err(e) => panic!("{cell}: {e}"),
+                }
+            }
+        }
+        server.shutdown();
+    }
 }
 
 #[test]
