@@ -16,10 +16,10 @@
 use fedval_bench::{base_seed, exact_values_neural, femnist, quick, NeuralModel, Table};
 use fedval_core::baselines::{extended_tmc, TmcConfig};
 use fedval_core::coalition::{binom_u128, subsets_of_size, subsets_up_to};
-use fedval_core::ipss::{compute_k_star, ipss_values, IpssConfig, IpssWeighting};
+use fedval_core::ipss::{compute_k_star, ipss, IpssConfig, IpssWeighting};
 use fedval_core::metrics::{l2_relative_error, mean};
 use fedval_core::sampling::distinct_subsets_of_size;
-use fedval_core::stratified::{stratified_sampling_values, Scheme, StratifiedConfig};
+use fedval_core::stratified::{stratified_sampling, Scheme, StratifiedConfig};
 use fedval_core::utility::{CachedUtility, Utility};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -89,7 +89,7 @@ fn main() {
         let errs: Vec<f64> = (0..reps)
             .map(|rep| {
                 let mut rng = StdRng::seed_from_u64(seed ^ (rep as u64) << 5);
-                let est = ipss_values(
+                let est = ipss(
                     &shared,
                     &IpssConfig::new(gamma).with_weighting(weighting),
                     &mut rng,
@@ -111,7 +111,7 @@ fn main() {
         for rep in 0..reps {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xAB ^ (rep as u64) << 5);
             let est = if balanced {
-                ipss_values(&shared, &IpssConfig::new(gamma), &mut rng)
+                ipss(&shared, &IpssConfig::new(gamma), &mut rng)
             } else {
                 ipss_unbalanced(&shared, gamma, &mut rng)
             };
@@ -165,7 +165,7 @@ fn main() {
         let errs: Vec<f64> = (0..reps)
             .map(|rep| {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x5C ^ (rep as u64) << 5);
-                let est = stratified_sampling_values(
+                let est = stratified_sampling(
                     &shared,
                     scheme,
                     &StratifiedConfig::uniform(n, gamma),

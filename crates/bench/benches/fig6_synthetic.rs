@@ -26,7 +26,7 @@ use fedval_bench::{
 use fedval_core::baselines::{cc_shapley, extended_gtb_values, extended_tmc};
 use fedval_core::baselines::{CcShapConfig, GtbConfig, TmcConfig};
 use fedval_core::exact::exact_mc_sv;
-use fedval_core::ipss::{ipss_values, IpssConfig};
+use fedval_core::ipss::{ipss, IpssConfig};
 use fedval_core::metrics::l2_relative_error;
 use fedval_data::SyntheticSetup;
 use rand::rngs::StdRng;
@@ -77,9 +77,7 @@ fn main() {
                         Algorithm::CcShapley => {
                             cc_shapley(&recorder, &CcShapConfig::new(gamma), &mut rng)
                         }
-                        Algorithm::Ipss => {
-                            ipss_values(&recorder, &IpssConfig::new(gamma), &mut rng)
-                        }
+                        Algorithm::Ipss => ipss(&recorder, &IpssConfig::new(gamma), &mut rng),
                         _ => unreachable!(),
                     };
                     let evaluated = recorder.recorded();

@@ -18,7 +18,7 @@ use fedval_core::baselines::{cc_shapley, extended_gtb_values, extended_tmc};
 use fedval_core::baselines::{CcShapConfig, GtbConfig, TmcConfig};
 use fedval_core::coalition::all_subsets;
 use fedval_core::exact::exact_mc_sv;
-use fedval_core::ipss::{ipss_values, IpssConfig};
+use fedval_core::ipss::{ipss, IpssConfig};
 use fedval_core::metrics::{l2_relative_error, mean, variance};
 use fedval_core::utility::CachedUtility;
 use rand::rngs::StdRng;
@@ -62,7 +62,7 @@ fn main() {
                             Algorithm::CcShapley => {
                                 cc_shapley(&u, &CcShapConfig::new(gamma), &mut rng)
                             }
-                            Algorithm::Ipss => ipss_values(&u, &IpssConfig::new(gamma), &mut rng),
+                            Algorithm::Ipss => ipss(&u, &IpssConfig::new(gamma), &mut rng),
                             _ => unreachable!(),
                         };
                         l2_relative_error(&est, &exact)

@@ -13,7 +13,7 @@
 
 use fedval_bench::{base_seed, quick, Table};
 use fedval_core::exact::exact_mc_sv;
-use fedval_core::ipss::{compute_k_star, ipss_values, IpssConfig};
+use fedval_core::ipss::{compute_k_star, ipss, IpssConfig};
 use fedval_core::metrics::{l2_relative_error, mean};
 use fedval_core::utility::{CachedUtility, TableUtility};
 use fedval_theory::{
@@ -91,7 +91,7 @@ fn main() {
             f64::NAN
         };
         let mut rng = StdRng::seed_from_u64(seed ^ 0x73);
-        let est = ipss_values(&analytic_game, &IpssConfig::new(gamma), &mut rng);
+        let est = ipss(&analytic_game, &IpssConfig::new(gamma), &mut rng);
         let sim_err = l2_relative_error(&est, &exact_analytic);
         let bound = if k_star >= 1 {
             theorem3_error_bound(n, t, k_star, x_dim)

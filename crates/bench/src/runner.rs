@@ -11,7 +11,7 @@ use fedval_core::baselines::{
 };
 use fedval_core::coalition::{all_subsets, Coalition};
 use fedval_core::exact::{exact_mc_sv, exact_perm_sv};
-use fedval_core::ipss::{ipss_values, IpssConfig};
+use fedval_core::ipss::{ipss, IpssConfig};
 use fedval_core::utility::{CachedUtility, TableUtility, Utility};
 use fedval_fl::{
     dig_fl, gtg_shapley, lambda_mr, or_valuation, train_coalition, train_with_history, DigFlConfig,
@@ -251,7 +251,7 @@ fn run_sampling_or_exact<U: Utility>(
         Algorithm::ExtTmc => extended_tmc(u, &TmcConfig::new(gamma), rng),
         Algorithm::ExtGtb => extended_gtb_values(u, &GtbConfig::new(gamma), rng),
         Algorithm::CcShapley => cc_shapley(u, &CcShapConfig::new(gamma), rng),
-        Algorithm::Ipss => ipss_values(u, &IpssConfig::new(gamma), rng),
+        Algorithm::Ipss => ipss(u, &IpssConfig::new(gamma), rng),
         _ => unreachable!("gradient-based algorithms handled separately"),
     }
 }

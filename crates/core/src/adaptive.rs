@@ -50,10 +50,10 @@ use std::cmp::Ordering;
 
 use crate::anytime::Welford;
 
-/// How an adaptive streaming estimator re-plans its draws at batch
-/// boundaries. Carried by
+/// How an adaptive sampler re-plans its draws at batch boundaries.
+/// Carried by
 /// [`ValuationRequest::with_adaptive`](crate::service::ValuationRequest::with_adaptive)
-/// and by the `*_streaming` estimator entry points.
+/// and by the samplers' constructors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdaptivePolicy {
     /// Draws (re-)planned per batch boundary. `None` = the estimator's

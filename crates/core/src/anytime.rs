@@ -266,44 +266,6 @@ impl StoppingRule {
     }
 }
 
-/// What a streaming estimator returns: the final estimate plus the
-/// anytime bookkeeping. The last snapshot passed to the observer always
-/// equals this outcome field-for-field (values bit-identically), so a
-/// dashboard's final event and the returned result never disagree.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StreamingOutcome {
-    /// The full fold when the schedule completed (bit-identical to the
-    /// non-streaming estimator), or the canonical prefix fold at the
-    /// stop point.
-    pub values: Vec<f64>,
-    /// Final 95% CI half-widths, aligned with `values`.
-    pub ci_halfwidths: Vec<f64>,
-    /// Coalitions evaluated.
-    pub samples_used: usize,
-    /// Batches flushed.
-    pub batches_done: usize,
-    /// Final cumulative per-component draw counts of an adaptive run
-    /// (`None` for fixed schedules) — mirrors
-    /// [`ProgressSnapshot::allocation`].
-    pub allocation: Option<Vec<usize>>,
-    /// The stopping rule fired before the schedule completed.
-    pub stopped_early: bool,
-}
-
-impl StreamingOutcome {
-    /// Build the outcome from the snapshot the observer saw last.
-    pub fn from_snapshot(snapshot: ProgressSnapshot, stopped_early: bool) -> Self {
-        StreamingOutcome {
-            values: snapshot.values,
-            ci_halfwidths: snapshot.ci_halfwidths,
-            samples_used: snapshot.samples_used,
-            batches_done: snapshot.batches_done,
-            allocation: snapshot.allocation,
-            stopped_early,
-        }
-    }
-}
-
 #[cfg(test)]
 // Tests assert invariants; an unwrap that trips IS the test failing.
 #[allow(clippy::unwrap_used, clippy::expect_used)]

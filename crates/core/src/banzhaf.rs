@@ -15,7 +15,6 @@
 
 use rand::Rng;
 
-use crate::anytime::{Control, ProgressSnapshot, StreamingOutcome};
 use crate::coalition::{all_subsets, Coalition, MAX_ENUMERATED_CLIENTS};
 use crate::ipss::PrunedSampler;
 use crate::sampler::drive;
@@ -128,37 +127,17 @@ pub fn banzhaf_msr<U: Utility + ?Sized, R: Rng + ?Sized>(
 ///
 /// The schedule and fold are IPSS's [`PrunedSampler`] under Banzhaf
 /// weights, so even an uncached utility sees at most `γ` evaluations.
+/// Observed under [`drive`], its CI follows the IPSS conventions with the
+/// sampled stratum weighted `C(n−1, k*)/2^{n−1}`. Truncated strata add no
+/// term and carry far more mass than under Shapley weights, so a tight
+/// `CiAtMost` here bounds sampling noise, not truncation bias.
 pub fn banzhaf_pruned<U: Utility + ?Sized, R: Rng + ?Sized>(
     u: &U,
     gamma: usize,
     rng: &mut R,
 ) -> Vec<f64> {
     let mut sampler = PrunedSampler::for_banzhaf(u.n_clients(), gamma, rng);
-    drive(u, &mut sampler, None).values
-}
-
-/// Anytime [`banzhaf_pruned`]: the same run observed after every
-/// exhaustive stratum and every `n`-coalition chunk of the sample.
-///
-/// CI terms follow the IPSS conventions (see [`PrunedSampler`]); the
-/// sampled stratum carries weight `C(n−1, k*)/2^{n−1}` (the estimator
-/// scales the stratum *mean* by the stratum mass). Truncated strata
-/// contribute no term — and carry far more mass than under Shapley
-/// weights (see the [`banzhaf_pruned`] caveat), so a tight `CiAtMost`
-/// here bounds sampling noise, not truncation bias.
-pub fn banzhaf_pruned_streaming<U, R, F>(
-    u: &U,
-    gamma: usize,
-    rng: &mut R,
-    mut observe: F,
-) -> StreamingOutcome
-where
-    U: Utility + ?Sized,
-    R: Rng + ?Sized,
-    F: FnMut(&ProgressSnapshot) -> Control,
-{
-    let mut sampler = PrunedSampler::for_banzhaf(u.n_clients(), gamma, rng);
-    drive(u, &mut sampler, Some(&mut observe))
+    drive(u, &mut sampler, None).0.values
 }
 
 #[cfg(test)]
@@ -250,21 +229,28 @@ mod tests {
     fn streaming_stopped_run_equals_full_run_prefix() {
         use crate::anytime::Control;
         let u = crate::utility::HashUtility { n: 8, seed: 15 };
+        let run = |observe: crate::sampler::Observer<'_>| {
+            let mut rng = StdRng::seed_from_u64(4);
+            drive(
+                &u,
+                &mut PrunedSampler::for_banzhaf(8, 60, &mut rng),
+                Some(observe),
+            )
+        };
         let mut snapshots = Vec::new();
-        let _ = banzhaf_pruned_streaming(&u, 60, &mut StdRng::seed_from_u64(4), |s| {
+        run(&mut |s| {
             snapshots.push(s.clone());
             Control::Continue
         });
-        let out = banzhaf_pruned_streaming(&u, 60, &mut StdRng::seed_from_u64(4), |s| {
+        let (out, stopped_early) = run(&mut |s| {
             if s.batches_done >= 4 {
                 Control::Stop
             } else {
                 Control::Continue
             }
         });
-        assert!(out.stopped_early);
-        assert_eq!(out.values, snapshots[3].values);
-        assert_eq!(out.ci_halfwidths, snapshots[3].ci_halfwidths);
+        assert!(stopped_early);
+        assert_eq!(out, snapshots[3]);
         assert!(snapshots[0].ci_halfwidths.iter().all(|h| !h.is_nan()));
     }
 

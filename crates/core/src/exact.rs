@@ -11,9 +11,8 @@
 //! [`ExactSweep`] under the [`Sampler`] contract of [`crate::sampler`]: no
 //! randomness, mask-order fold, snapshots pure in the evaluated prefix.
 
-use crate::anytime::{Control, ProgressSnapshot, StreamingOutcome};
 use crate::coalition::{all_subsets, binom, Coalition, MAX_ENUMERATED_CLIENTS};
-use crate::sampler::{drive, Sampler};
+use crate::sampler::Sampler;
 use crate::utility::Utility;
 
 /// Size (in coalitions) of the batches the exact passes hand to
@@ -159,16 +158,6 @@ impl Sampler for ExactSweep {
     }
 }
 
-/// Anytime exact MC-SV: the [`ExactSweep`] observed after every chunk.
-/// A finished run is bit-identical to [`exact_mc_sv`].
-pub fn exact_mc_sv_streaming<U, F>(u: &U, mut observe: F) -> StreamingOutcome
-where
-    U: Utility + ?Sized,
-    F: FnMut(&ProgressSnapshot) -> Control,
-{
-    drive(u, &mut ExactSweep::new(u.n_clients()), Some(&mut observe))
-}
-
 /// Exact CC-SV (Def. 4):
 /// `ϕ_i = Σ_{S ⊆ N\{i}} (U(M_{S∪{i}}) − U(M_{N\(S∪{i})})) / (n · C(n−1, |S|))`.
 ///
@@ -260,19 +249,21 @@ pub fn perm_sv_naive_evaluations(n: usize) -> f64 {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::anytime::{Control, ProgressSnapshot};
+    use crate::sampler::{drive, Observer};
     use crate::utility::{AdditiveUtility, HashUtility, TableUtility};
 
-    /// The streaming sweep with an explicit chunk size.
-    fn exact_mc_sv_streaming_with_batch(
+    /// The observed sweep with an explicit chunk size.
+    fn observed_sweep(
         u: &HashUtility,
         chunk: usize,
-        mut observe: impl FnMut(&ProgressSnapshot) -> Control,
-    ) -> StreamingOutcome {
+        observe: Observer<'_>,
+    ) -> (ProgressSnapshot, bool) {
         let mut sweep = ExactSweep {
             chunk,
             ..ExactSweep::new(u.n)
         };
-        drive(u, &mut sweep, Some(&mut observe))
+        drive(u, &mut sweep, Some(observe))
     }
 
     fn assert_close(a: &[f64], b: &[f64], tol: f64) {
@@ -364,12 +355,12 @@ mod tests {
         // (nine batches) must both land on the legacy fold exactly.
         for batch_size in [EXACT_BATCH, 7] {
             let mut snapshots = Vec::new();
-            let out = exact_mc_sv_streaming_with_batch(&u, batch_size, |s| {
+            let (out, stopped_early) = observed_sweep(&u, batch_size, &mut |s| {
                 snapshots.push(s.clone());
                 Control::Continue
             });
             assert_eq!(out.values, legacy, "batch_size={batch_size}");
-            assert!(!out.stopped_early);
+            assert!(!stopped_early);
             // Full enumeration: the finite-population correction zeroes
             // every CI term.
             assert!(out.ci_halfwidths.iter().all(|&h| h == 0.0));
@@ -386,20 +377,19 @@ mod tests {
     fn streaming_stopped_run_equals_full_run_prefix() {
         let u = HashUtility { n: 6, seed: 45 };
         let mut snapshots = Vec::new();
-        let _ = exact_mc_sv_streaming_with_batch(&u, 10, |s| {
+        let _ = observed_sweep(&u, 10, &mut |s| {
             snapshots.push(s.clone());
             Control::Continue
         });
-        let out = exact_mc_sv_streaming_with_batch(&u, 10, |s| {
+        let (out, stopped_early) = observed_sweep(&u, 10, &mut |s| {
             if s.batches_done >= 3 {
                 Control::Stop
             } else {
                 Control::Continue
             }
         });
-        assert!(out.stopped_early);
-        assert_eq!(out.values, snapshots[2].values);
-        assert_eq!(out.samples_used, snapshots[2].samples_used);
+        assert!(stopped_early);
+        assert_eq!(out, snapshots[2]);
         // The mid-sweep estimate is the service's partial fold.
         let prefix: Vec<(Coalition, f64)> = (0..out.samples_used)
             .map(|m| (Coalition(m as u128), u.eval(Coalition(m as u128))))

@@ -17,12 +17,13 @@
 //! Theorem 3 bounds the relative error by `O((n−k*)/(k*·n·t))` under the FL
 //! linear-regression model — see `fedval-theory` for the closed forms.
 //!
-//! The schedule and its fold are one [`PrunedSampler`], shared with
-//! pruned Banzhaf ([`crate::banzhaf`]), under the [`Sampler`] contract of
-//! [`crate::sampler`]: randomness is consumed only by the phase-2 draw,
-//! the fold runs over strata in ascending size (masks in enumeration
-//! order) then the sample in draw order, and snapshots are pure in the
-//! evaluated prefix.
+//! [`ipss`] is the one-shot; an anytime, adaptive or inspected run hands
+//! a [`PrunedSampler`] to [`drive`] itself. That one sampler holds the
+//! schedule and its fold, shared with pruned Banzhaf ([`crate::banzhaf`])
+//! and K-Greedy, under the [`Sampler`] contract of [`crate::sampler`]:
+//! randomness is consumed only by the phase-2 draw, the fold runs over
+//! strata in ascending size (masks in enumeration order) then the sample
+//! in draw order, and snapshots are pure in the evaluated prefix.
 //!
 //! IPSS holds the values it paid for instead of re-asking the utility:
 //! the estimation pass (lines 15–17) touches every phase-1 coalition
@@ -39,9 +40,7 @@ use std::collections::HashSet;
 use rand::Rng;
 
 use crate::adaptive::{AdaptivePolicy, AllocationPlanner, ComponentState};
-use crate::anytime::{
-    component_variance, halfwidth, Control, ProgressSnapshot, StreamingOutcome, Welford,
-};
+use crate::anytime::{component_variance, halfwidth, Welford};
 use crate::coalition::{
     binom, binom_u128, subsets_of_size, subsets_up_to, Coalition, ColexRank, MaskHash,
 };
@@ -86,19 +85,6 @@ impl IpssConfig {
         self.weighting = weighting;
         self
     }
-}
-
-/// Detailed outcome of an IPSS run.
-#[derive(Clone, Debug)]
-pub struct IpssOutcome {
-    /// Estimated data values `ϕ̂_1..ϕ̂_n`.
-    pub values: Vec<f64>,
-    /// The exhaustive-phase cut-off `k*` (line 1).
-    pub k_star: usize,
-    /// Coalitions evaluated in phase 1 (`Σ_{j≤k*} C(n,j)`).
-    pub exhaustive_evaluations: u128,
-    /// The balanced sample `P` of size-(k*+1) coalitions (line 8).
-    pub sampled: Vec<Coalition>,
 }
 
 /// Compute `k* = max{k ∈ ℕ : Σ_{j=0}^{k} C(n, j) ≤ γ}` (Alg. 3 line 1).
@@ -303,13 +289,15 @@ impl<'r, R: Rng + ?Sized> PrunedSampler<'r, R> {
         self.sampled.extend(new);
     }
 
-    fn into_outcome(self, values: Vec<f64>) -> IpssOutcome {
-        IpssOutcome {
-            values,
-            k_star: self.k_star,
-            exhaustive_evaluations: subsets_up_to(self.n, self.k_star),
-            sampled: self.sampled,
-        }
+    /// The exhaustive-phase cut-off `k*` (line 1).
+    pub fn k_star(&self) -> usize {
+        self.k_star
+    }
+
+    /// The sample `P` of size-`(k*+1)` coalitions drawn so far, in draw
+    /// order (line 8).
+    pub fn sampled(&self) -> &[Coalition] {
+        &self.sampled
     }
 }
 
@@ -455,41 +443,9 @@ pub fn ipss<U: Utility + ?Sized, R: Rng + ?Sized>(
     u: &U,
     cfg: &IpssConfig,
     rng: &mut R,
-) -> IpssOutcome {
-    let mut sampler = PrunedSampler::for_ipss(u.n_clients(), cfg, None, rng);
-    let values = drive(u, &mut sampler, None).values;
-    sampler.into_outcome(values)
-}
-
-/// Convenience wrapper returning only the estimated values.
-pub fn ipss_values<U: Utility + ?Sized, R: Rng + ?Sized>(
-    u: &U,
-    cfg: &IpssConfig,
-    rng: &mut R,
 ) -> Vec<f64> {
-    ipss(u, cfg, rng).values
-}
-
-/// Anytime Alg. 3: [`ipss`] observed after each exhaustive stratum and
-/// each phase-2 chunk ([`PrunedSampler`] documents the schedule and the
-/// CI); `observe` may return [`Control::Stop`]. With a `policy` the
-/// phase-2 coverage is re-planned each round and
-/// [`ProgressSnapshot::allocation`] carries the cumulative per-client
-/// coverage (all zeros during phase 1).
-pub fn ipss_streaming<U, R, F>(
-    u: &U,
-    cfg: &IpssConfig,
-    policy: Option<&AdaptivePolicy>,
-    rng: &mut R,
-    mut observe: F,
-) -> StreamingOutcome
-where
-    U: Utility + ?Sized,
-    R: Rng + ?Sized,
-    F: FnMut(&ProgressSnapshot) -> Control,
-{
-    let mut sampler = PrunedSampler::for_ipss(u.n_clients(), cfg, policy, rng);
-    drive(u, &mut sampler, Some(&mut observe))
+    let mut sampler = PrunedSampler::for_ipss(u.n_clients(), cfg, None, rng);
+    drive(u, &mut sampler, None).0.values
 }
 
 #[cfg(test)]
@@ -497,9 +453,11 @@ where
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::anytime::{Control, ProgressSnapshot};
     use crate::exact::exact_mc_sv;
     use crate::metrics::l2_relative_error;
     use crate::sampler::oracle::{self, Historical};
+    use crate::sampler::Observer;
     use crate::sampling::coverage_counts;
     use crate::utility::{CachedUtility, HashUtility, SaturatingUtility, TableUtility};
     use rand::rngs::StdRng;
@@ -703,14 +661,15 @@ mod tests {
             0.1 + 0.85 * (1.0 - (-0.9 * s.size() as f64).exp())
         }));
         let mut rng = StdRng::seed_from_u64(7);
-        let out = ipss(&u, &IpssConfig::new(10), &mut rng);
-        assert_eq!(out.k_star, 1);
-        assert_eq!(out.exhaustive_evaluations, 5);
-        assert_eq!(out.sampled.len(), 5);
-        assert!(out.sampled.iter().all(|s| s.size() == 2));
+        let mut sampler = PrunedSampler::for_ipss(4, &IpssConfig::new(10), None, &mut rng);
+        let _ = drive(&u, &mut sampler, None);
+        assert_eq!(sampler.k_star(), 1);
+        assert_eq!(subsets_up_to(4, sampler.k_star()), 5);
+        assert_eq!(sampler.sampled().len(), 5);
+        assert!(sampler.sampled().iter().all(|s| s.size() == 2));
         assert_eq!(u.stats().evaluations, 10, "exactly γ evaluations");
         // Balanced coverage: 5 pairs over 4 clients ⇒ spread ≤ 1.
-        let cov = coverage_counts(4, &out.sampled);
+        let cov = coverage_counts(4, sampler.sampled());
         assert!(crate::sampling::coverage_spread(&cov) <= 1);
     }
 
@@ -732,10 +691,10 @@ mod tests {
     fn full_budget_is_exact() {
         let u = TableUtility::paper_table1();
         let mut rng = StdRng::seed_from_u64(5);
-        let out = ipss(&u, &IpssConfig::new(8), &mut rng);
-        assert_eq!(out.k_star, 3);
+        assert_eq!(compute_k_star(3, 8), Some(3));
+        let values = ipss(&u, &IpssConfig::new(8), &mut rng);
         let exact = exact_mc_sv(&u);
-        for (a, e) in out.values.iter().zip(&exact) {
+        for (a, e) in values.iter().zip(&exact) {
             assert!((a - e).abs() < 1e-12);
         }
     }
@@ -749,7 +708,7 @@ mod tests {
         let u = SaturatingUtility::uniform(10, 0.1, 0.85, 1.2);
         let exact = exact_mc_sv(&u);
         let mut rng = StdRng::seed_from_u64(11);
-        let approx = ipss_values(&u, &IpssConfig::new(32), &mut rng);
+        let approx = ipss(&u, &IpssConfig::new(32), &mut rng);
         let err = l2_relative_error(&approx, &exact);
         assert!(err < 0.12, "relative error {err} too large");
     }
@@ -762,8 +721,8 @@ mod tests {
         // n=3: Σ_{j≤1} = 4; γ = 7 covers all C(3,2)=3 pairs of size 2.
         let mut r1 = StdRng::seed_from_u64(1);
         let mut r2 = StdRng::seed_from_u64(1);
-        let a = ipss_values(&u, &IpssConfig::new(7), &mut r1);
-        let b = ipss_values(
+        let a = ipss(&u, &IpssConfig::new(7), &mut r1);
+        let b = ipss(
             &u,
             &IpssConfig::new(7).with_weighting(IpssWeighting::PaperLiteral),
             &mut r2,
@@ -776,8 +735,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let u = HashUtility { n: 9, seed: 4 };
-        let a = ipss_values(&u, &IpssConfig::new(20), &mut StdRng::seed_from_u64(42));
-        let b = ipss_values(&u, &IpssConfig::new(20), &mut StdRng::seed_from_u64(42));
+        let a = ipss(&u, &IpssConfig::new(20), &mut StdRng::seed_from_u64(42));
+        let b = ipss(&u, &IpssConfig::new(20), &mut StdRng::seed_from_u64(42));
         assert_eq!(a, b);
     }
 
@@ -825,52 +784,75 @@ mod tests {
         use crate::utility::ParallelUtility;
         let base = HashUtility { n: 10, seed: 21 };
         let cfg = IpssConfig::new(40);
-        let serial = ipss_values(&base, &cfg, &mut StdRng::seed_from_u64(77));
+        let serial = ipss(&base, &cfg, &mut StdRng::seed_from_u64(77));
         for threads in [1usize, 2, 8] {
             let par = ParallelUtility::with_num_threads(base.clone(), threads);
-            let got = ipss_values(&par, &cfg, &mut StdRng::seed_from_u64(77));
+            let got = ipss(&par, &cfg, &mut StdRng::seed_from_u64(77));
             assert_eq!(got, serial, "thread count {threads}");
         }
     }
 
-    #[test]
-    fn streaming_stopped_run_equals_full_run_prefix() {
-        use crate::anytime::Control;
-        let u = HashUtility { n: 8, seed: 7 };
-        let cfg = IpssConfig::new(60);
+    /// Run IPSS on `u` under `drive`, observed.
+    fn streamed<U: Utility>(
+        u: &U,
+        cfg: &IpssConfig,
+        policy: Option<&AdaptivePolicy>,
+        seed: u64,
+        observe: Observer<'_>,
+    ) -> (ProgressSnapshot, bool) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sampler = PrunedSampler::for_ipss(u.n_clients(), cfg, policy, &mut rng);
+        drive(u, &mut sampler, Some(observe))
+    }
+
+    /// The snapshots of a full observed run.
+    fn snapshots<U: Utility>(
+        u: &U,
+        cfg: &IpssConfig,
+        policy: Option<&AdaptivePolicy>,
+        seed: u64,
+    ) -> Vec<ProgressSnapshot> {
         let mut snapshots = Vec::new();
-        let _ = ipss_streaming(&u, &cfg, None, &mut StdRng::seed_from_u64(2), |s| {
+        streamed(u, cfg, policy, seed, &mut |s| {
             snapshots.push(s.clone());
             Control::Continue
         });
-        for stop_after in [1usize, 3, snapshots.len() - 1] {
-            let out = ipss_streaming(&u, &cfg, None, &mut StdRng::seed_from_u64(2), |s| {
+        snapshots
+    }
+
+    /// Stop the same-seed run after each of a few batch counts: it must
+    /// return the full run's snapshot at that boundary.
+    fn assert_stops_on_the_full_run(u: &HashUtility, policy: Option<&AdaptivePolicy>) {
+        let cfg = IpssConfig::new(60);
+        let full = snapshots(u, &cfg, policy, 2);
+        for stop_after in [1usize, 3, 4, full.len() - 1] {
+            let (out, stopped_early) = streamed(u, &cfg, policy, 2, &mut |s| {
                 if s.batches_done >= stop_after {
                     Control::Stop
                 } else {
                     Control::Continue
                 }
             });
-            assert!(out.stopped_early);
-            let want = &snapshots[stop_after - 1];
-            assert_eq!(out.values, want.values, "stop_after={stop_after}");
-            assert_eq!(out.ci_halfwidths, want.ci_halfwidths);
-            assert_eq!(out.samples_used, want.samples_used);
+            assert!(stopped_early);
+            assert_eq!(out, full[stop_after - 1], "stop_after={stop_after}");
         }
     }
 
     #[test]
+    fn streaming_stopped_run_equals_full_run_prefix() {
+        assert_stops_on_the_full_run(&HashUtility { n: 8, seed: 7 }, None);
+    }
+
+    #[test]
     fn streaming_ci_is_unbounded_during_phase_one_and_finite_in_phase_two() {
-        use crate::anytime::Control;
         let u = HashUtility { n: 8, seed: 9 };
         // γ = 92: k* = 2 (1+8+28 = 37 ≤ 92 < 93), 55 phase-2 samples of
         // size 3 in chunks of n = 8.
-        let cfg = IpssConfig::new(92);
-        let mut widths = Vec::new();
-        let out = ipss_streaming(&u, &cfg, None, &mut StdRng::seed_from_u64(6), |s| {
-            widths.push(s.max_halfwidth().unwrap_or(f64::INFINITY));
-            Control::Continue
-        });
+        let all = snapshots(&u, &IpssConfig::new(92), None, 6);
+        let widths: Vec<f64> = all
+            .iter()
+            .map(|s| s.max_halfwidth().unwrap_or(f64::INFINITY))
+            .collect();
         // Phase-1 batches (strata 0, 1, 2): pending strata keep CI at ∞.
         assert!(widths[..3].iter().all(|w| w.is_infinite()), "{widths:?}");
         // The first phase-2 chunk covers every client 3 times (balanced
@@ -878,34 +860,27 @@ mod tests {
         // coverage shrinks it further through the finite-population
         // correction.
         assert!(widths[3].is_finite(), "{widths:?}");
-        let last = out.ci_halfwidths.iter().cloned().fold(0.0f64, f64::max);
+        let last = widths[widths.len() - 1];
         assert!(last.is_finite() && last < widths[3], "{widths:?}");
         assert!(widths.iter().all(|w| !w.is_nan()));
     }
 
     #[test]
     fn adaptive_streaming_exposes_coverage_and_spends_the_budget() {
-        use crate::anytime::Control;
         let u = CachedUtility::new(HashUtility { n: 8, seed: 5 });
         // γ = 60: k* = 2 (37 ≤ 60 < 93), 23 phase-2 coalitions of size 3.
         let cfg = IpssConfig::new(60);
         let policy = AdaptivePolicy::default();
         let mut allocations = Vec::new();
-        let out = ipss_streaming(
-            &u,
-            &cfg,
-            Some(&policy),
-            &mut StdRng::seed_from_u64(19),
-            |s| {
-                let alloc = match &s.allocation {
-                    Some(a) => a.clone(),
-                    None => panic!("adaptive snapshots must carry the allocation"),
-                };
-                allocations.push(alloc);
-                Control::Continue
-            },
-        );
-        assert!(!out.stopped_early);
+        let (out, stopped_early) = streamed(&u, &cfg, Some(&policy), 19, &mut |s| {
+            let alloc = match &s.allocation {
+                Some(a) => a.clone(),
+                None => panic!("adaptive snapshots must carry the allocation"),
+            };
+            allocations.push(alloc);
+            Control::Continue
+        });
+        assert!(!stopped_early);
         assert_eq!(u.stats().evaluations, 60, "exactly γ evaluations");
         // Phase-1 snapshots report zero coverage; phase 2 grows monotonically
         // to 23 coalitions × 3 members = 69 total coverage.
@@ -923,41 +898,8 @@ mod tests {
 
     #[test]
     fn adaptive_streaming_stopped_run_equals_full_run_prefix() {
-        use crate::anytime::Control;
-        let u = HashUtility { n: 8, seed: 7 };
-        let cfg = IpssConfig::new(60);
         let policy = AdaptivePolicy::default();
-        let mut snapshots = Vec::new();
-        let _ = ipss_streaming(
-            &u,
-            &cfg,
-            Some(&policy),
-            &mut StdRng::seed_from_u64(2),
-            |s| {
-                snapshots.push(s.clone());
-                Control::Continue
-            },
-        );
-        for stop_after in [1usize, 4, snapshots.len() - 1] {
-            let out = ipss_streaming(
-                &u,
-                &cfg,
-                Some(&policy),
-                &mut StdRng::seed_from_u64(2),
-                |s| {
-                    if s.batches_done >= stop_after {
-                        Control::Stop
-                    } else {
-                        Control::Continue
-                    }
-                },
-            );
-            assert!(out.stopped_early);
-            let want = &snapshots[stop_after - 1];
-            assert_eq!(out.values, want.values, "stop_after={stop_after}");
-            assert_eq!(out.ci_halfwidths, want.ci_halfwidths);
-            assert_eq!(out.allocation, want.allocation);
-        }
+        assert_stops_on_the_full_run(&HashUtility { n: 8, seed: 7 }, Some(&policy));
     }
 
     #[test]
@@ -966,11 +908,11 @@ mod tests {
         let u = CachedUtility::new(SaturatingUtility::uniform(100, 0.1, 0.85, 0.1));
         let gamma = (100.0 * (100.0f64).ln()) as usize; // ≈ 460
         let mut rng = StdRng::seed_from_u64(8);
-        let out = ipss(&u, &IpssConfig::new(gamma), &mut rng);
-        assert_eq!(out.k_star, 1);
+        assert_eq!(compute_k_star(100, gamma), Some(1));
+        let values = ipss(&u, &IpssConfig::new(gamma), &mut rng);
         assert_eq!(u.stats().evaluations, gamma);
-        assert_eq!(out.values.len(), 100);
+        assert_eq!(values.len(), 100);
         // Every client must receive a positive value on a monotone utility.
-        assert!(out.values.iter().all(|&v| v > 0.0));
+        assert!(values.iter().all(|&v| v > 0.0));
     }
 }

@@ -11,8 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::coalition::subsets_up_to;
-use crate::ipss::{IpssConfig, PrunedSampler};
-use crate::sampler::drive;
+use crate::ipss::{ipss, IpssConfig};
 use crate::utility::Utility;
 
 /// Alg. 2 — K-Greedy.
@@ -39,9 +38,7 @@ pub fn k_greedy<U: Utility + ?Sized>(u: &U, k_max: usize) -> Vec<f64> {
     );
     let gamma = subsets_up_to(n, k_max.min(n)) as usize;
     // lint:seeded(phase 2 is empty at this budget, so no draw is made)
-    let mut rng = StdRng::seed_from_u64(0);
-    let mut sampler = PrunedSampler::for_ipss(n, &IpssConfig::new(gamma), None, &mut rng);
-    drive(u, &mut sampler, None).values
+    ipss(u, &IpssConfig::new(gamma), &mut StdRng::seed_from_u64(0))
 }
 
 /// Number of distinct utility evaluations K-Greedy performs:

@@ -26,9 +26,11 @@
 //!
 //! Alg. 1, IPSS, pruned Banzhaf, Owen sampling and the exact sweep share
 //! one estimator core ([`sampler`]): each is a schedule plus a prefix
-//! fold behind the [`sampler::Sampler`] shape, run by one driver loop —
-//! one-shot, streaming with confidence intervals ([`anytime`]) or with
-//! the budget re-planned each round ([`adaptive`]).
+//! fold behind the [`sampler::Sampler`] shape, run by one driver loop,
+//! [`sampler::drive`]. Each estimator has one one-shot that returns its
+//! values; a run streamed with confidence intervals ([`anytime`]), one
+//! with the budget re-planned each round ([`adaptive`]), or one whose
+//! schedule is inspected afterwards passes its sampler to `drive`.
 //!
 //! Real FL training lives in `fedval-fl`; the closed-form linear-regression
 //! analysis (Lemma 1, Theorems 2–3) lives in `fedval-theory`. Everything
@@ -47,7 +49,7 @@
 //!
 //! // IPSS with the budget the paper uses for n = 3 (Table III: γ = 5).
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let approx = ipss_values(&utility, &IpssConfig::new(5), &mut rng);
+//! let approx = ipss(&utility, &IpssConfig::new(5), &mut rng);
 //! let err = l2_relative_error(&approx, &exact);
 //! assert!(err < 0.5);
 //! ```
@@ -74,36 +76,28 @@ pub mod valuation;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::adaptive::{AdaptivePolicy, AllocationPlanner, ComponentState};
-    pub use crate::anytime::{
-        Control, ProgressSnapshot, StoppingRule, StreamingOutcome, Welford, Z_95,
-    };
-    pub use crate::banzhaf::{
-        banzhaf_msr, banzhaf_pruned, banzhaf_pruned_streaming, exact_banzhaf, BanzhafConfig,
-    };
+    pub use crate::anytime::{Control, ProgressSnapshot, StoppingRule, Welford, Z_95};
+    pub use crate::banzhaf::{banzhaf_msr, banzhaf_pruned, exact_banzhaf, BanzhafConfig};
     pub use crate::baselines::{
         cc_shapley, extended_gtb, extended_gtb_values, extended_tmc, CcShapConfig, GtbConfig,
         TmcConfig,
     };
     pub use crate::coalition::{binom, binom_u128, subsets_up_to, Coalition};
-    pub use crate::exact::{exact_cc_sv, exact_mc_sv, exact_mc_sv_streaming, exact_perm_sv};
+    pub use crate::exact::{exact_cc_sv, exact_mc_sv, exact_perm_sv, ExactSweep};
     pub use crate::fault::{FaultyUtility, InjectedFault, PERSISTENT};
-    pub use crate::ipss::{
-        compute_k_star, ipss, ipss_streaming, ipss_values, IpssConfig, IpssWeighting,
-    };
+    pub use crate::ipss::{compute_k_star, ipss, IpssConfig, IpssWeighting, PrunedSampler};
     pub use crate::kgreedy::{k_greedy, k_greedy_evaluations};
     pub use crate::loo::leave_one_out;
     pub use crate::metrics::{
         kendall_tau, l2_relative_error, max_abs_error, pareto_front, property_error,
     };
-    pub use crate::owen::{owen_sampling, owen_sampling_streaming, OwenConfig};
+    pub use crate::owen::{owen_sampling, OwenConfig, OwenSampler};
+    pub use crate::sampler::{drive, Sampler};
     pub use crate::service::{
         partial_prefix_fold, Estimator, FlushWindow, LimitPolicy, RetryPolicy, RunStats,
         ServiceStats, Ticket, ValuationError, ValuationRequest, ValuationResponse, ValuationServer,
     };
-    pub use crate::stratified::{
-        stratified_sampling, stratified_sampling_streaming, stratified_sampling_values, Scheme,
-        StratifiedConfig,
-    };
+    pub use crate::stratified::{stratified_sampling, Scheme, StratifiedConfig, StratifiedSampler};
     pub use crate::utility::{
         AdditiveUtility, CachedUtility, EvalStats, HashUtility, NoisyUtility, ParallelUtility,
         SaturatingUtility, TableUtility, TrajCacheStats, Utility, WeightedMajorityUtility,

@@ -9,19 +9,18 @@
 //! grid with Monte-Carlo coalitions at each node, optionally with
 //! antithetic pairing (`S_q` and its complement) for variance reduction.
 //!
-//! Both entry points run one [`OwenSampler`] under the [`Sampler`]
-//! contract of [`crate::sampler`]: randomness is consumed only while
-//! drawing (node-major), the fold runs in draw order within a node and
-//! node order across the grid, and snapshots are pure in the prefix.
+//! [`owen_sampling`] is the one-shot; an anytime or adaptive run hands an
+//! [`OwenSampler`] to [`drive`] itself, under the [`Sampler`] contract of
+//! [`crate::sampler`]: randomness is consumed only while drawing
+//! (node-major), the fold runs in draw order within a node and node order
+//! across the grid, and snapshots are pure in the prefix.
 
 use std::collections::{HashMap, HashSet};
 
 use rand::Rng;
 
 use crate::adaptive::{AdaptivePolicy, AllocationPlanner, ComponentState};
-use crate::anytime::{
-    component_variance, halfwidth, Control, ProgressSnapshot, StreamingOutcome, Welford,
-};
+use crate::anytime::{component_variance, halfwidth, Welford};
 use crate::coalition::{Coalition, MaskHash};
 use crate::sampler::{drive, Sampler};
 use crate::utility::Utility;
@@ -312,28 +311,7 @@ pub fn owen_sampling<U: Utility + ?Sized, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<f64> {
     let mut sampler = OwenSampler::new(u.n_clients(), cfg, None, rng);
-    drive(u, &mut sampler, None).values
-}
-
-/// Anytime Owen sampling: [`owen_sampling`] observed after each round
-/// ([`OwenSampler`] documents the schedule and the CI); `observe` may
-/// return [`Control::Stop`]. With a `policy` the grid budget is
-/// re-planned each round and [`ProgressSnapshot::allocation`] carries
-/// the cumulative per-node draw counts.
-pub fn owen_sampling_streaming<U, R, F>(
-    u: &U,
-    cfg: &OwenConfig,
-    policy: Option<&AdaptivePolicy>,
-    rng: &mut R,
-    mut observe: F,
-) -> StreamingOutcome
-where
-    U: Utility + ?Sized,
-    R: Rng + ?Sized,
-    F: FnMut(&ProgressSnapshot) -> Control,
-{
-    let mut sampler = OwenSampler::new(u.n_clients(), cfg, policy, rng);
-    drive(u, &mut sampler, Some(&mut observe))
+    drive(u, &mut sampler, None).0.values
 }
 
 #[cfg(test)]
@@ -341,9 +319,11 @@ where
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::anytime::{Control, ProgressSnapshot};
     use crate::exact::exact_mc_sv;
     use crate::metrics::l2_relative_error;
     use crate::sampler::oracle::{self, Historical};
+    use crate::sampler::Observer;
     use crate::utility::{AdditiveUtility, HashUtility, SaturatingUtility, TableUtility};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -514,27 +494,48 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn streaming_stopped_run_equals_full_run_prefix() {
+    /// Run Owen sampling on `u` under `drive`, observed.
+    fn streamed<U: Utility>(
+        u: &U,
+        cfg: &OwenConfig,
+        policy: Option<&AdaptivePolicy>,
+        seed: u64,
+        observe: Observer<'_>,
+    ) -> (ProgressSnapshot, bool) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sampler = OwenSampler::new(u.n_clients(), cfg, policy, &mut rng);
+        drive(u, &mut sampler, Some(observe))
+    }
+
+    /// Stop the run after `stop_after` batches: it must return the
+    /// same-seed full run's snapshot at that boundary.
+    fn assert_stops_on_the_full_run(
+        cfg: &OwenConfig,
+        policy: Option<&AdaptivePolicy>,
+        seed: u64,
+        stop_after: usize,
+    ) {
         let u = SaturatingUtility::uniform(5, 0.1, 0.7, 0.9);
-        let cfg = OwenConfig::new(5, 8);
         let mut snapshots = Vec::new();
-        let _ = owen_sampling_streaming(&u, &cfg, None, &mut StdRng::seed_from_u64(3), |s| {
+        streamed(&u, cfg, policy, seed, &mut |s| {
             snapshots.push(s.clone());
-            crate::anytime::Control::Continue
+            Control::Continue
         });
-        // Stop after round 3: bit-equal to the unstopped run's snapshot.
-        let out = owen_sampling_streaming(&u, &cfg, None, &mut StdRng::seed_from_u64(3), |s| {
-            if s.batches_done >= 3 {
-                crate::anytime::Control::Stop
+        assert!(snapshots.len() > stop_after);
+        let (out, stopped_early) = streamed(&u, cfg, policy, seed, &mut |s| {
+            if s.batches_done >= stop_after {
+                Control::Stop
             } else {
-                crate::anytime::Control::Continue
+                Control::Continue
             }
         });
-        assert!(out.stopped_early);
-        assert_eq!(out.values, snapshots[2].values);
-        assert_eq!(out.ci_halfwidths, snapshots[2].ci_halfwidths);
-        assert_eq!(out.samples_used, snapshots[2].samples_used);
+        assert!(stopped_early);
+        assert_eq!(out, snapshots[stop_after - 1]);
+    }
+
+    #[test]
+    fn streaming_stopped_run_equals_full_run_prefix() {
+        assert_stops_on_the_full_run(&OwenConfig::new(5, 8), None, 3, 3);
     }
 
     #[test]
@@ -542,9 +543,9 @@ mod tests {
         let u = SaturatingUtility::uniform(6, 0.1, 0.8, 0.8);
         let cfg = OwenConfig::new(5, 40);
         let mut widths = Vec::new();
-        let out = owen_sampling_streaming(&u, &cfg, None, &mut StdRng::seed_from_u64(11), |s| {
+        let (out, _) = streamed(&u, &cfg, None, 11, &mut |s| {
             widths.push(s.max_halfwidth().unwrap_or(f64::INFINITY));
-            crate::anytime::Control::Continue
+            Control::Continue
         });
         // Round 1 has a single draw per node: CI must be unbounded, not NaN.
         assert!(widths[0].is_infinite());
@@ -568,23 +569,17 @@ mod tests {
     fn adaptive_run_exposes_the_allocation_and_spends_the_budget() {
         let u = SaturatingUtility::uniform(6, 0.1, 0.8, 0.8);
         let cfg = OwenConfig::new(5, 8);
-        let policy = crate::adaptive::AdaptivePolicy::default();
+        let policy = AdaptivePolicy::default();
         let mut allocations = Vec::new();
-        let out = owen_sampling_streaming(
-            &u,
-            &cfg,
-            Some(&policy),
-            &mut StdRng::seed_from_u64(7),
-            |s| {
-                let alloc = match &s.allocation {
-                    Some(a) => a.clone(),
-                    None => panic!("adaptive snapshots must carry the allocation"),
-                };
-                allocations.push(alloc);
-                crate::anytime::Control::Continue
-            },
-        );
-        assert!(!out.stopped_early);
+        let (out, stopped_early) = streamed(&u, &cfg, Some(&policy), 7, &mut |s| {
+            let alloc = match &s.allocation {
+                Some(a) => a.clone(),
+                None => panic!("adaptive snapshots must carry the allocation"),
+            };
+            allocations.push(alloc);
+            Control::Continue
+        });
+        assert!(!stopped_early);
         // Cumulative per-node draw counts: monotone, ending at the budget.
         for w in allocations.windows(2) {
             assert!(w[0].iter().zip(&w[1]).all(|(a, b)| a <= b));
@@ -603,37 +598,8 @@ mod tests {
 
     #[test]
     fn adaptive_stopped_run_equals_full_run_prefix() {
-        let u = SaturatingUtility::uniform(5, 0.1, 0.7, 0.9);
         let cfg = OwenConfig::new(4, 6).with_antithetic();
-        let policy = crate::adaptive::AdaptivePolicy::default();
-        let mut snapshots = Vec::new();
-        let _ = owen_sampling_streaming(
-            &u,
-            &cfg,
-            Some(&policy),
-            &mut StdRng::seed_from_u64(13),
-            |s| {
-                snapshots.push(s.clone());
-                crate::anytime::Control::Continue
-            },
-        );
-        assert!(snapshots.len() >= 3);
-        let out = owen_sampling_streaming(
-            &u,
-            &cfg,
-            Some(&policy),
-            &mut StdRng::seed_from_u64(13),
-            |s| {
-                if s.batches_done >= 2 {
-                    crate::anytime::Control::Stop
-                } else {
-                    crate::anytime::Control::Continue
-                }
-            },
-        );
-        assert!(out.stopped_early);
-        assert_eq!(out.values, snapshots[1].values);
-        assert_eq!(out.ci_halfwidths, snapshots[1].ci_halfwidths);
-        assert_eq!(out.allocation, snapshots[1].allocation);
+        let policy = AdaptivePolicy::default();
+        assert_stops_on_the_full_run(&cfg, Some(&policy), 13, 2);
     }
 }

@@ -48,7 +48,7 @@
 //! folded; [`crate::stratified::StratifiedSampler`] re-folds that
 //! (client, stratum) lane.
 
-use crate::anytime::{Control, ProgressSnapshot, StreamingOutcome};
+use crate::anytime::{Control, ProgressSnapshot};
 use crate::coalition::Coalition;
 use crate::utility::Utility;
 
@@ -88,9 +88,15 @@ pub trait Sampler {
 }
 
 /// Run `sampler` to completion against `u`, or until `observe` returns
-/// [`Control::Stop`] at a batch boundary. The last snapshot the observer
-/// sees equals the returned outcome field for field.
-pub fn drive<U, S>(u: &U, sampler: &mut S, mut observe: Option<Observer<'_>>) -> StreamingOutcome
+/// [`Control::Stop`] at a batch boundary. Returns the final snapshot —
+/// the one the observer saw last — and whether the observer stopped the
+/// run before its schedule completed. A completed run's values are the
+/// estimator's one-shot values bit for bit.
+pub fn drive<U, S>(
+    u: &U,
+    sampler: &mut S,
+    mut observe: Option<Observer<'_>>,
+) -> (ProgressSnapshot, bool)
 where
     U: Utility + ?Sized,
     S: Sampler,
@@ -118,7 +124,7 @@ where
         };
         let control = observe.as_mut().map(|f| f(&snapshot));
         if complete || control == Some(Control::Stop) {
-            return StreamingOutcome::from_snapshot(snapshot, !complete);
+            return (snapshot, !complete);
         }
     }
 }
@@ -209,7 +215,7 @@ pub(crate) mod oracle {
             driven.push(p.clone());
             Control::Continue
         };
-        let out = drive(
+        let (out, _) = drive(
             u,
             &mut twin,
             observed.then_some(&mut observe as Observer<'_>),

@@ -368,8 +368,14 @@ mod tests {
                 .for_clients(Coalition::from_members([0, 5])),
         );
         assert!(matches!(oob, Err(ValuationError::InvalidRequest { .. })));
-        // γ = 0 cannot pay for U(∅): a typed rejection, not a panic.
-        for estimator in [Estimator::Ipss, Estimator::BanzhafPruned] {
+        // γ = 0 cannot pay for U(∅), nor draw Alg. 1's sample: a typed
+        // rejection, not a panic or an all-zero answer.
+        for estimator in [
+            Estimator::Ipss,
+            Estimator::BanzhafPruned,
+            Estimator::StratifiedMc,
+            Estimator::StratifiedCc,
+        ] {
             let broke = server.call(ValuationRequest::new(estimator, 0, 0));
             assert!(
                 matches!(&broke, Err(ValuationError::InvalidRequest { detail }) if detail.contains("budget")),

@@ -61,9 +61,13 @@ pub enum ValuationError {
         /// Message of the panic.
         detail: String,
     },
-    /// The request was malformed: an empty or out-of-range client set, or
-    /// a zero budget for [`Estimator::Ipss`] / [`Estimator::BanzhafPruned`]
-    /// (`γ = 0` cannot pay for `U(∅)`).
+    /// The request was malformed: an empty or out-of-range client set, a
+    /// zero budget for [`Estimator::Ipss`] / [`Estimator::BanzhafPruned`]
+    /// (`γ = 0` cannot pay for `U(∅)`) or for [`Estimator::StratifiedMc`]
+    /// / [`Estimator::StratifiedCc`] (Alg. 1 would draw nothing), or an
+    /// exact estimator over more than
+    /// [`MAX_ENUMERATED_CLIENTS`](crate::coalition::MAX_ENUMERATED_CLIENTS)
+    /// clients.
     InvalidRequest {
         /// What was wrong.
         detail: String,

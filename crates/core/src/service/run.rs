@@ -18,7 +18,7 @@ use rand::SeedableRng;
 
 use super::coalescer::{FlushFailure, Shared};
 use super::request::{Estimator, RunStats, ValuationError, ValuationRequest};
-use crate::anytime::{ProgressSnapshot, StreamingOutcome};
+use crate::anytime::ProgressSnapshot;
 use crate::coalition::Coalition;
 use crate::exact::{exact_cc_sv, ExactSweep};
 use crate::fault::quiet;
@@ -203,7 +203,7 @@ pub(super) fn dispatch<V: Utility + Send + Sync>(
     req: &ValuationRequest,
     u: &RunUtility<V>,
     observe: Option<Observer<'_>>,
-) -> StreamingOutcome {
+) -> (ProgressSnapshot, bool) {
     let n = u.n_clients();
     let rng = &mut StdRng::seed_from_u64(req.seed);
     let policy = req.adaptive.as_ref();
@@ -248,7 +248,7 @@ pub(super) fn dispatch<V: Utility + Send + Sync>(
             if let Some(observe) = observe {
                 observe(&snapshot); // enumerations never stop early
             }
-            StreamingOutcome::from_snapshot(snapshot, false)
+            (snapshot, false)
         }
     }
 }

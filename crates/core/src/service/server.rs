@@ -22,7 +22,7 @@ use super::request::{
 };
 use super::run::{dispatch, RunUtility, ServiceAbort};
 use crate::anytime::{Control, ProgressSnapshot, StoppingRule};
-use crate::coalition::Coalition;
+use crate::coalition::{Coalition, MAX_ENUMERATED_CLIENTS};
 use crate::fault::quiet;
 use crate::utility::{CachedUtility, TrajCacheStats, Utility};
 
@@ -156,10 +156,14 @@ fn serve_one<U: Utility + Send + Sync>(
 ) -> Result<ValuationResponse, ValuationError> {
     let start = Instant::now();
     let n = shared.cached.n_clients();
-    let pruned = matches!(
+    let sampled = matches!(
         request.estimator,
-        Estimator::Ipss | Estimator::BanzhafPruned
+        Estimator::Ipss
+            | Estimator::BanzhafPruned
+            | Estimator::StratifiedMc
+            | Estimator::StratifiedCc
     );
+    let exact = matches!(request.estimator, Estimator::ExactMc | Estimator::ExactCc);
     let invalid = match request.clients {
         // Every estimator needs a client to value.
         _ if n == 0 => Some("the utility has no clients to value".into()),
@@ -167,10 +171,16 @@ fn serve_one<U: Utility + Send + Sync>(
             Some(format!("request.clients exceeds the utility's {n} clients"))
         }
         Some(s) if s.is_empty() => Some("request.clients must name at least one client".into()),
-        // γ = 0 cannot pay for U(∅); the pruned constructors assert it.
-        _ if pruned && request.budget == 0 => {
-            Some("ipss and banzhaf_pruned need a budget of at least 1".into())
-        }
+        // γ = 0 cannot pay for U(∅) (the pruned constructors assert it),
+        // and Alg. 1 with no draws would answer −0.0 for every client.
+        _ if sampled && request.budget == 0 => Some(
+            "ipss, banzhaf_pruned, stratified_mc and stratified_cc need a budget of at least 1"
+                .into(),
+        ),
+        // The exact sweeps enumerate all 2^n coalitions of the sub-game.
+        s if exact && s.map_or(n, Coalition::size) > MAX_ENUMERATED_CLIENTS => Some(format!(
+            "exact_mc and exact_cc value at most {MAX_ENUMERATED_CLIENTS} clients"
+        )),
         _ => None,
     };
     if let Some(detail) = invalid {
@@ -207,7 +217,7 @@ fn serve_one<U: Utility + Send + Sync>(
         (None, None) => None,
     };
     let outcome = quiet::catch_quiet(|| {
-        let out = match streaming_rule {
+        let (snapshot, stopped_early) = match streaming_rule {
             // Every batch-boundary snapshot goes to the ticket's progress
             // channel, if any, and the rule decides whether to stop there.
             Some(rule) => {
@@ -225,14 +235,10 @@ fn serve_one<U: Utility + Send + Sync>(
             }
             None => dispatch(&request, &run, None),
         };
-        let snapshot = streaming_rule.map(|_| ProgressSnapshot {
-            values: out.values.clone(),
-            ci_halfwidths: out.ci_halfwidths,
-            samples_used: out.samples_used,
-            batches_done: out.batches_done,
-            allocation: out.allocation,
-        });
-        (out.values, snapshot, out.stopped_early)
+        match streaming_rule {
+            Some(_) => (snapshot.values.clone(), Some(snapshot), stopped_early),
+            None => (snapshot.values, None, stopped_early),
+        }
     });
     let wall_time = start.elapsed();
     drop(guard); // deregister before snapshotting stats

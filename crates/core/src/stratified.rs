@@ -11,19 +11,19 @@
 //! FL linear regression) are both about this framework; the corresponding
 //! empirical study is Fig. 10, regenerated by the `fig10_variance` bench.
 //!
-//! Every entry point runs one [`StratifiedSampler`] under the [`Sampler`]
-//! contract of [`crate::sampler`]: randomness is consumed only while
-//! drawing, the fold runs stratum-major over the drawn schedule, and
-//! snapshots are pure in the evaluated prefix.
+//! [`stratified_sampling`] is the one-shot; an anytime, adaptive or
+//! per-stratum run hands a [`StratifiedSampler`] to [`drive`] itself. The
+//! sampler keeps the [`Sampler`] contract of [`crate::sampler`]:
+//! randomness is consumed only while drawing, the fold runs stratum-major
+//! over the drawn schedule, and snapshots are pure in the evaluated
+//! prefix.
 
 use std::collections::{HashMap, HashSet};
 
 use rand::Rng;
 
 use crate::adaptive::{AdaptivePolicy, AllocationPlanner, ComponentState};
-use crate::anytime::{
-    component_variance, halfwidth, Control, ProgressSnapshot, StreamingOutcome, Welford,
-};
+use crate::anytime::{component_variance, halfwidth, Welford};
 use crate::coalition::{binom, binom_u128, Coalition, MaskHash};
 use crate::sampler::{drive, Sampler};
 use crate::sampling::distinct_subsets_extending;
@@ -69,23 +69,6 @@ impl StratifiedConfig {
     pub fn total_rounds(&self) -> usize {
         self.rounds_per_stratum.iter().sum()
     }
-}
-
-/// Outcome of one run of Alg. 1, retaining per-stratum detail for the
-/// variance analyses (Fig. 10).
-#[derive(Clone, Debug)]
-pub struct StratifiedOutcome {
-    /// Estimated data values `ϕ̂_1..ϕ̂_n`.
-    pub values: Vec<f64>,
-    /// `pairs_matched[i][k-1] = m_{i,k}` — the number of sampled coalitions
-    /// containing client `i` in stratum `k` whose partner was available.
-    pub pairs_matched: Vec<Vec<usize>>,
-    /// `stratum_estimates[i][k-1] = ϕ̂_{i,k}/m_{i,k}` — the stratified-SV of
-    /// Alg. 1, or `None` when the stratum had no matched pairs for client
-    /// `i`. Exposed for the variance analysis of Fig. 10 and for testing
-    /// Theorem 1 (whose expectation statement, Eq. 6, is per stratum and
-    /// conditional on pair availability).
-    pub stratum_estimates: Vec<Vec<Option<f64>>>,
 }
 
 /// Alg. 1 as a [`Sampler`]: per-stratum draws without replacement and a
@@ -326,8 +309,12 @@ impl<'r, R: Rng + ?Sized> StratifiedSampler<'r, R> {
         self.sampled.iter().map(Vec::len).sum()
     }
 
-    /// `ϕ̂_{i,k}/m_{i,k}` per client and stratum as of the last fold.
-    fn stratum_estimates(&self) -> Vec<Vec<Option<f64>>> {
+    /// `stratum_estimates()[i][k-1] = ϕ̂_{i,k}/m_{i,k}` as of the last
+    /// fold — the stratified-SV of Alg. 1, or `None` when the stratum had
+    /// no matched pairs for client `i`. For the variance analysis of
+    /// Fig. 10 and for testing Theorem 1 (whose expectation statement,
+    /// Eq. 6, is per stratum and conditional on pair availability).
+    pub fn stratum_estimates(&self) -> Vec<Vec<Option<f64>>> {
         self.lanes
             .iter()
             .map(|strata| {
@@ -337,6 +324,14 @@ impl<'r, R: Rng + ?Sized> StratifiedSampler<'r, R> {
                     .collect()
             })
             .collect()
+    }
+
+    /// `pairs_matched()[i][k-1] = m_{i,k}` as of the last fold — the
+    /// sampled coalitions of stratum `k` containing client `i` whose
+    /// partner was available.
+    pub fn pairs_matched(&self) -> Vec<Vec<usize>> {
+        let counts = |strata: &Vec<Lane<usize>>| strata.iter().map(Lane::count).collect();
+        self.lanes.iter().map(counts).collect()
     }
 }
 
@@ -421,50 +416,9 @@ pub fn stratified_sampling<U: Utility + ?Sized, R: Rng + ?Sized>(
     scheme: Scheme,
     cfg: &StratifiedConfig,
     rng: &mut R,
-) -> StratifiedOutcome {
-    let mut sampler = StratifiedSampler::new(u.n_clients(), scheme, cfg, None, rng);
-    let values = drive(u, &mut sampler, None).values;
-    StratifiedOutcome {
-        values,
-        pairs_matched: sampler
-            .lanes
-            .iter()
-            .map(|strata| strata.iter().map(Lane::count).collect())
-            .collect(),
-        stratum_estimates: sampler.stratum_estimates(),
-    }
-}
-
-/// Anytime Alg. 1: [`stratified_sampling`] observed after each
-/// round-robin row ([`StratifiedSampler`] documents the schedule and the
-/// CI); `observe` may return [`Control::Stop`]. With a `policy` the
-/// budget is re-planned each round and [`ProgressSnapshot::allocation`]
-/// carries the cumulative per-stratum draw counts.
-pub fn stratified_sampling_streaming<U, R, F>(
-    u: &U,
-    scheme: Scheme,
-    cfg: &StratifiedConfig,
-    policy: Option<&AdaptivePolicy>,
-    rng: &mut R,
-    mut observe: F,
-) -> StreamingOutcome
-where
-    U: Utility + ?Sized,
-    R: Rng + ?Sized,
-    F: FnMut(&ProgressSnapshot) -> Control,
-{
-    let mut sampler = StratifiedSampler::new(u.n_clients(), scheme, cfg, policy, rng);
-    drive(u, &mut sampler, Some(&mut observe))
-}
-
-/// Convenience wrapper returning only the estimated values.
-pub fn stratified_sampling_values<U: Utility + ?Sized, R: Rng + ?Sized>(
-    u: &U,
-    scheme: Scheme,
-    cfg: &StratifiedConfig,
-    rng: &mut R,
 ) -> Vec<f64> {
-    stratified_sampling(u, scheme, cfg, rng).values
+    let mut sampler = StratifiedSampler::new(u.n_clients(), scheme, cfg, None, rng);
+    drive(u, &mut sampler, None).0.values
 }
 
 #[cfg(test)]
@@ -472,11 +426,27 @@ pub fn stratified_sampling_values<U: Utility + ?Sized, R: Rng + ?Sized>(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::anytime::{Control, ProgressSnapshot, StoppingRule};
     use crate::exact::exact_mc_sv;
     use crate::sampler::oracle::{self, Historical};
+    use crate::sampler::Observer;
     use crate::utility::{AdditiveUtility, HashUtility, TableUtility, Utility};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Run Alg. 1 on `u` under `drive`, observed.
+    fn streamed<U: Utility>(
+        u: &U,
+        cfg: &StratifiedConfig,
+        policy: Option<&AdaptivePolicy>,
+        seed: u64,
+        observe: Observer<'_>,
+    ) -> (ProgressSnapshot, bool) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let scheme = Scheme::MarginalContribution;
+        let mut sampler = StratifiedSampler::new(u.n_clients(), scheme, cfg, policy, &mut rng);
+        drive(u, &mut sampler, Some(observe))
+    }
 
     impl<R: Rng + ?Sized> Historical for StratifiedSampler<'_, R> {
         /// The fold before it became incremental, verbatim but for
@@ -699,7 +669,7 @@ mod tests {
         let u = TableUtility::paper_table1();
         let cfg = StratifiedConfig::explicit(vec![3, 3, 1]);
         let mut rng = StdRng::seed_from_u64(0);
-        let got = stratified_sampling_values(&u, Scheme::MarginalContribution, &cfg, &mut rng);
+        let got = stratified_sampling(&u, Scheme::MarginalContribution, &cfg, &mut rng);
         let want = exact_mc_sv(&u);
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 1e-12, "{got:?} vs {want:?}");
@@ -711,7 +681,7 @@ mod tests {
         let u = TableUtility::paper_table1();
         let cfg = StratifiedConfig::explicit(vec![3, 3, 1]);
         let mut rng = StdRng::seed_from_u64(0);
-        let got = stratified_sampling_values(&u, Scheme::ComplementaryContribution, &cfg, &mut rng);
+        let got = stratified_sampling(&u, Scheme::ComplementaryContribution, &cfg, &mut rng);
         let want = exact_mc_sv(&u);
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 1e-12, "{got:?} vs {want:?}");
@@ -727,12 +697,15 @@ mod tests {
         let u = AdditiveUtility::new(0.0, w.clone());
         let cfg = StratifiedConfig::uniform(5, 12);
         let mut rng = StdRng::seed_from_u64(3);
-        let out = stratified_sampling(&u, Scheme::MarginalContribution, &cfg, &mut rng);
+        let scheme = Scheme::MarginalContribution;
+        let mut sampler = StratifiedSampler::new(5, scheme, &cfg, None, &mut rng);
+        let (out, _) = drive(&u, &mut sampler, None);
+        let pairs_matched = sampler.pairs_matched();
         for (i, &wi) in w.iter().enumerate() {
             // Every matched stratum contributes exactly w_i; the estimate is
             // w_i * (#matched strata)/n. With stratum 1 always matched (∅ is
             // always available) the estimate is at least w_i/n and at most w_i.
-            let matched: usize = out.pairs_matched[i].iter().filter(|&&c| c > 0).count();
+            let matched: usize = pairs_matched[i].iter().filter(|&&c| c > 0).count();
             let expected = wi * matched as f64 / 5.0;
             assert!((out.values[i] - expected).abs() < 1e-12);
         }
@@ -775,8 +748,9 @@ mod tests {
             let mut sums = vec![0.0f64; n];
             let mut hits = vec![0usize; n];
             for _ in 0..runs {
-                let out = stratified_sampling(&u, scheme, &cfg, &mut rng);
-                for (k, est) in out.stratum_estimates[0].iter().enumerate() {
+                let mut sampler = StratifiedSampler::new(n, scheme, &cfg, None, &mut rng);
+                let _ = drive(&u, &mut sampler, None);
+                for (k, est) in sampler.stratum_estimates()[0].iter().enumerate() {
                     if let Some(v) = est {
                         sums[k] += v;
                         hits[k] += 1;
@@ -802,7 +776,7 @@ mod tests {
         let u = CachedUtility::new(HashUtility { n: 8, seed: 1 });
         let cfg = StratifiedConfig::uniform(8, 16);
         let mut rng = StdRng::seed_from_u64(9);
-        let _ = stratified_sampling_values(&u, Scheme::MarginalContribution, &cfg, &mut rng);
+        let _ = stratified_sampling(&u, Scheme::MarginalContribution, &cfg, &mut rng);
         // At most γ sampled coalitions + ∅ are evaluated.
         assert!(u.stats().evaluations <= 16 + 1);
     }
@@ -813,68 +787,54 @@ mod tests {
         // Only stratum 1 sampled; MC pairs with ∅ always available.
         let cfg = StratifiedConfig::explicit(vec![3, 0, 0]);
         let mut rng = StdRng::seed_from_u64(11);
-        let out = stratified_sampling(&u, Scheme::MarginalContribution, &cfg, &mut rng);
+        let values = stratified_sampling(&u, Scheme::MarginalContribution, &cfg, &mut rng);
         // ϕ̂_i = (1/3)(U({i}) − U(∅)).
-        assert!((out.values[0] - (0.50 - 0.10) / 3.0).abs() < 1e-12);
-        assert!((out.values[1] - (0.70 - 0.10) / 3.0).abs() < 1e-12);
-        assert!((out.values[2] - (0.60 - 0.10) / 3.0).abs() < 1e-12);
+        assert!((values[0] - (0.50 - 0.10) / 3.0).abs() < 1e-12);
+        assert!((values[1] - (0.70 - 0.10) / 3.0).abs() < 1e-12);
+        assert!((values[2] - (0.60 - 0.10) / 3.0).abs() < 1e-12);
+    }
+
+    /// Stop the run at the second snapshot boundary by a sample cap: it
+    /// must return the same-seed full run's second snapshot, allocation
+    /// trace included.
+    fn assert_stops_on_the_full_run(
+        u: &HashUtility,
+        cfg: &StratifiedConfig,
+        policy: Option<&AdaptivePolicy>,
+        seed: u64,
+    ) {
+        let mut snapshots = Vec::new();
+        let (_, stopped_early) = streamed(u, cfg, policy, seed, &mut |s| {
+            snapshots.push(s.clone());
+            Control::Continue
+        });
+        assert!(!stopped_early);
+        assert!(snapshots.len() >= 3);
+        let rule = StoppingRule::max_samples(snapshots[1].samples_used);
+        let (out, stopped_early) = streamed(u, cfg, policy, seed, &mut |s| {
+            if rule.should_stop(s) {
+                Control::Stop
+            } else {
+                Control::Continue
+            }
+        });
+        assert!(stopped_early);
+        assert_eq!(out, snapshots[1], "bit-identical prefix");
     }
 
     #[test]
     fn streaming_stopped_run_equals_full_run_prefix() {
-        use crate::anytime::{Control, StoppingRule};
         let u = HashUtility { n: 6, seed: 21 };
-        let cfg = StratifiedConfig::uniform(6, 18);
-        // Record every snapshot of the unstopped run.
-        let mut snapshots = Vec::new();
-        let _ = stratified_sampling_streaming(
-            &u,
-            Scheme::MarginalContribution,
-            &cfg,
-            None,
-            &mut StdRng::seed_from_u64(9),
-            |s| {
-                snapshots.push(s.clone());
-                Control::Continue
-            },
-        );
-        // Stop after 2 batches: the outcome must bit-equal snapshot 2.
-        let rule = StoppingRule::max_samples(snapshots[1].samples_used);
-        let out = stratified_sampling_streaming(
-            &u,
-            Scheme::MarginalContribution,
-            &cfg,
-            None,
-            &mut StdRng::seed_from_u64(9),
-            |s| {
-                if rule.should_stop(s) {
-                    Control::Stop
-                } else {
-                    Control::Continue
-                }
-            },
-        );
-        assert!(out.stopped_early);
-        assert_eq!(out.samples_used, snapshots[1].samples_used);
-        assert_eq!(out.values, snapshots[1].values, "bit-identical prefix");
-        assert_eq!(out.ci_halfwidths, snapshots[1].ci_halfwidths);
+        assert_stops_on_the_full_run(&u, &StratifiedConfig::uniform(6, 18), None, 9);
     }
 
     #[test]
     fn streaming_ci_hits_zero_on_fully_enumerated_strata() {
-        use crate::anytime::Control;
         // Full budget: every stratum fully sampled ⇒ every pair matched
         // ⇒ FPC drives all CI terms to zero at completion.
         let u = TableUtility::paper_table1();
         let cfg = StratifiedConfig::explicit(vec![3, 3, 1]);
-        let out = stratified_sampling_streaming(
-            &u,
-            Scheme::MarginalContribution,
-            &cfg,
-            None,
-            &mut StdRng::seed_from_u64(4),
-            |_| Control::Continue,
-        );
+        let (out, _) = streamed(&u, &cfg, None, 4, &mut |_| Control::Continue);
         assert!(
             out.ci_halfwidths.iter().all(|&h| h == 0.0),
             "{:?}",
@@ -888,26 +848,18 @@ mod tests {
 
     #[test]
     fn streaming_ci_is_infinite_before_strata_are_observed() {
-        use crate::anytime::Control;
         // After the first batch only one sample per stratum has landed:
         // MC pairs in mid strata are mostly unmatched, so the CI must be
         // unbounded, never NaN.
         let u = HashUtility { n: 8, seed: 2 };
         let cfg = StratifiedConfig::uniform(8, 24);
         let mut first: Option<Vec<f64>> = None;
-        let _ = stratified_sampling_streaming(
-            &u,
-            Scheme::MarginalContribution,
-            &cfg,
-            None,
-            &mut StdRng::seed_from_u64(1),
-            |s| {
-                if first.is_none() {
-                    first = Some(s.ci_halfwidths.clone());
-                }
-                Control::Continue
-            },
-        );
+        let _ = streamed(&u, &cfg, None, 1, &mut |s| {
+            if first.is_none() {
+                first = Some(s.ci_halfwidths.clone());
+            }
+            Control::Continue
+        });
         let first = first.unwrap_or_default();
         assert!(first.iter().any(|h| h.is_infinite()));
         assert!(first.iter().all(|h| !h.is_nan()));
@@ -915,8 +867,6 @@ mod tests {
 
     #[test]
     fn adaptive_homoscedastic_run_degenerates_to_the_uniform_split() {
-        use crate::adaptive::AdaptivePolicy;
-        use crate::anytime::Control;
         // Equal-weight additive utility: every contribution in stratum k
         // is identical, so every pooled variance is 0 and each round's
         // plan falls back to the uniform split. We check the final
@@ -925,14 +875,10 @@ mod tests {
         let n = 6usize;
         let gamma = 24usize;
         let u = AdditiveUtility::new(0.0, vec![0.125; n]);
-        let out = stratified_sampling_streaming(
-            &u,
-            Scheme::MarginalContribution,
-            &StratifiedConfig::uniform(n, gamma),
-            Some(&AdaptivePolicy::default()),
-            &mut StdRng::seed_from_u64(31),
-            |_| Control::Continue,
-        );
+        let cfg = StratifiedConfig::uniform(n, gamma);
+        let policy = AdaptivePolicy::default();
+        let (out, stopped_early) =
+            streamed(&u, &cfg, Some(&policy), 31, &mut |_| Control::Continue);
         let Some(allocation) = out.allocation.clone() else {
             panic!("adaptive run must expose its allocation")
         };
@@ -945,54 +891,18 @@ mod tests {
         let max = uncapped.iter().copied().max().unwrap_or(0);
         let min = uncapped.iter().copied().min().unwrap_or(0);
         assert!(max - min <= 1, "allocation {allocation:?} not uniform");
-        assert!(!out.stopped_early);
+        assert!(!stopped_early);
     }
 
     #[test]
     fn adaptive_stopped_run_equals_full_run_prefix() {
-        use crate::adaptive::AdaptivePolicy;
-        use crate::anytime::{Control, StoppingRule};
         let u = HashUtility { n: 6, seed: 33 };
         let policy = AdaptivePolicy::default();
-        let run = |observe: &mut dyn FnMut(&ProgressSnapshot) -> Control| {
-            stratified_sampling_streaming(
-                &u,
-                Scheme::MarginalContribution,
-                &StratifiedConfig::uniform(6, 30),
-                Some(&policy),
-                &mut StdRng::seed_from_u64(34),
-                observe,
-            )
-        };
-        let mut snapshots = Vec::new();
-        let full = run(&mut |s| {
-            snapshots.push(s.clone());
-            Control::Continue
-        });
-        assert!(!full.stopped_early);
-        assert!(snapshots.len() >= 3);
-        // Replay, stopping at the second boundary: bit-identical prefix,
-        // including the allocation trace.
-        let rule = StoppingRule::max_samples(snapshots[1].samples_used);
-        let stopped = run(&mut |s| {
-            if rule.should_stop(s) {
-                Control::Stop
-            } else {
-                Control::Continue
-            }
-        });
-        assert!(stopped.stopped_early);
-        assert_eq!(stopped.values, snapshots[1].values);
-        assert_eq!(stopped.ci_halfwidths, snapshots[1].ci_halfwidths);
-        assert_eq!(stopped.allocation, snapshots[1].allocation);
+        assert_stops_on_the_full_run(&u, &StratifiedConfig::uniform(6, 30), Some(&policy), 34);
     }
 
     #[test]
     fn adaptive_steers_draws_toward_the_noisy_stratum() {
-        use crate::adaptive::AdaptivePolicy;
-        use crate::anytime::Control;
-        use crate::coalition::Coalition;
-
         // Additive base with hash noise confined to small coalitions:
         // contributions in the low strata are noisy, the rest constant.
         #[derive(Clone)]
@@ -1018,14 +928,9 @@ mod tests {
         }
         let n = 7usize;
         let u = SizeNoisy { n };
-        let out = stratified_sampling_streaming(
-            &u,
-            Scheme::MarginalContribution,
-            &StratifiedConfig::uniform(n, 80),
-            Some(&AdaptivePolicy::default()),
-            &mut StdRng::seed_from_u64(35),
-            |_| Control::Continue,
-        );
+        let cfg = StratifiedConfig::uniform(n, 80);
+        let policy = AdaptivePolicy::default();
+        let (out, _) = streamed(&u, &cfg, Some(&policy), 35, &mut |_| Control::Continue);
         let Some(allocation) = out.allocation else {
             panic!("adaptive run must expose its allocation")
         };
@@ -1045,9 +950,9 @@ mod tests {
         let u = TableUtility::new(2, vec![0.0, 0.6, 0.4, 1.0]);
         let cfg = StratifiedConfig::explicit(vec![2, 0]);
         let mut rng = StdRng::seed_from_u64(2);
-        let out = stratified_sampling(&u, Scheme::ComplementaryContribution, &cfg, &mut rng);
+        let values = stratified_sampling(&u, Scheme::ComplementaryContribution, &cfg, &mut rng);
         // ϕ̂_0 = (1/2)(U({0}) − U({1})) = 0.1; ϕ̂_1 = −0.1.
-        assert!((out.values[0] - 0.1).abs() < 1e-12);
-        assert!((out.values[1] + 0.1).abs() < 1e-12);
+        assert!((values[0] - 0.1).abs() < 1e-12);
+        assert!((values[1] + 0.1).abs() < 1e-12);
     }
 }

@@ -22,5 +22,5 @@ pub use donahue::{
 pub use linreg::{fit_ols, generate_regression, ErrorMetric, LinRegUtility, RegressionData};
 pub use variance::{
     analytic_var_cc, analytic_var_mc, component_variance, estimator_variance_over_runs, halfwidth,
-    ProgressSnapshot, StoppingRule, StreamingOutcome, TrainingErrorUtility, Welford, Z_95,
+    ProgressSnapshot, StoppingRule, TrainingErrorUtility, Welford, Z_95,
 };

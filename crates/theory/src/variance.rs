@@ -15,13 +15,13 @@ use rand::SeedableRng;
 
 use fedval_core::coalition::Coalition;
 use fedval_core::metrics::variance;
-use fedval_core::stratified::{stratified_sampling_values, Scheme, StratifiedConfig};
+use fedval_core::stratified::{stratified_sampling, Scheme, StratifiedConfig};
 use fedval_core::utility::Utility;
 use fedval_data::rand_ext::standard_normal;
 
 /// The running per-stratum mean/variance accumulators behind the anytime
-/// CI (re-exported from `fedval_core::anytime`, where the streaming
-/// estimators consume them — the dependency points core → theory, so the
+/// CI (re-exported from `fedval_core::anytime`, where the samplers'
+/// folds consume them — the dependency points core → theory, so the
 /// implementation cannot live here).
 ///
 /// Two distinct variances meet in this module and must not be confused:
@@ -36,7 +36,7 @@ use fedval_data::rand_ext::standard_normal;
 ///   (the additive cancellation that powers Theorem 2), so its sampling
 ///   variance is exactly zero while Eq. 9 is positive.
 pub use fedval_core::anytime::{
-    component_variance, halfwidth, ProgressSnapshot, StoppingRule, StreamingOutcome, Welford, Z_95,
+    component_variance, halfwidth, ProgressSnapshot, StoppingRule, Welford, Z_95,
 };
 
 /// Analytic variance of the MC-SV estimator for client `i` (Eq. 9) under
@@ -140,7 +140,7 @@ where
     for run in 0..runs {
         let u = factory(run);
         assert_eq!(u.n_clients(), n);
-        let values = stratified_sampling_values(&u, scheme, &cfg, &mut rng);
+        let values = stratified_sampling(&u, scheme, &cfg, &mut rng);
         for (per_client, v) in estimates.iter_mut().zip(values) {
             per_client.push(v);
         }
@@ -153,6 +153,22 @@ where
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use fedval_core::anytime::Control;
+    use fedval_core::sampler::{drive, Observer};
+    use fedval_core::stratified::StratifiedSampler;
+
+    /// Alg. 1 on `u` under `drive`, observed after every row.
+    fn streamed<U: Utility>(
+        u: &U,
+        scheme: Scheme,
+        cfg: &StratifiedConfig,
+        seed: u64,
+        observe: Observer<'_>,
+    ) -> ProgressSnapshot {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sampler = StratifiedSampler::new(u.n_clients(), scheme, cfg, None, &mut rng);
+        drive(u, &mut sampler, Some(observe)).0
+    }
 
     #[test]
     fn analytic_cc_strictly_dominates_mc() {
@@ -203,7 +219,7 @@ mod tests {
         for run in 0..60 {
             let mut draw_rng = StdRng::seed_from_u64(500 + run as u64);
             let u = TrainingErrorUtility::draw(&sizes, 1.0, 0.5, &mut draw_rng);
-            let v = stratified_sampling_values(&u, Scheme::MarginalContribution, &cfg, &mut rng)[0];
+            let v = stratified_sampling(&u, Scheme::MarginalContribution, &cfg, &mut rng)[0];
             first_client.push(v);
             acc.push(v);
         }
@@ -226,25 +242,16 @@ mod tests {
         // sampling variance is *identically zero*. The CI math must turn
         // that into half-width 0 (never NaN from a 0/0), even though the
         // training-noise variance of Eq. 9 is positive.
-        use fedval_core::anytime::Control;
-        use fedval_core::stratified::stratified_sampling_streaming;
         let mut rng = StdRng::seed_from_u64(11);
         let u = TrainingErrorUtility::draw(&[10, 20, 30, 40], 1.0, 0.5, &mut rng);
         assert!(analytic_var_mc(4, &[10, 20, 30, 40], 0.25, 2, 0) > 0.0);
         // Full coverage: every stratum of n = 4 fits in 8 rounds.
         let cfg = StratifiedConfig::uniform(4, 32);
         let mut saw_nan = false;
-        let out = stratified_sampling_streaming(
-            &u,
-            Scheme::MarginalContribution,
-            &cfg,
-            None,
-            &mut StdRng::seed_from_u64(1),
-            |s| {
-                saw_nan |= s.ci_halfwidths.iter().any(|h| h.is_nan());
-                Control::Continue
-            },
-        );
+        let out = streamed(&u, Scheme::MarginalContribution, &cfg, 1, &mut |s| {
+            saw_nan |= s.ci_halfwidths.iter().any(|h| h.is_nan());
+            Control::Continue
+        });
         assert!(!saw_nan, "zero-variance strata must not divide 0/0");
         assert_eq!(out.ci_halfwidths, vec![0.0; 4]);
     }
@@ -255,20 +262,13 @@ mod tests {
         // the stratum's variance — the convention is ∞, never NaN — and
         // the CC scheme keeps a genuinely positive sampling variance on
         // the same realisation where MC's is zero.
-        use fedval_core::anytime::Control;
-        use fedval_core::stratified::stratified_sampling_streaming;
         let mut rng = StdRng::seed_from_u64(21);
         let sizes = [30usize, 30, 30, 30, 30];
         let u = TrainingErrorUtility::draw(&sizes, 1.0, 0.5, &mut rng);
         let cfg = StratifiedConfig::explicit(vec![1; 5]);
-        let out = stratified_sampling_streaming(
-            &u,
-            Scheme::MarginalContribution,
-            &cfg,
-            None,
-            &mut StdRng::seed_from_u64(2),
-            |_| Control::Continue,
-        );
+        let out = streamed(&u, Scheme::MarginalContribution, &cfg, 2, &mut |_| {
+            Control::Continue
+        });
         assert!(out.ci_halfwidths.iter().all(|&h| h.is_infinite()));
         assert!(out.values.iter().all(|v| v.is_finite()));
 
@@ -278,22 +278,12 @@ mod tests {
         // while the one missing coalition keeps some count below its
         // population — a genuinely positive CC term survives the FPC.
         let cfg = StratifiedConfig::explicit(vec![5, 9, 9, 5, 1]);
-        let cc = stratified_sampling_streaming(
-            &u,
-            Scheme::ComplementaryContribution,
-            &cfg,
-            None,
-            &mut StdRng::seed_from_u64(3),
-            |_| Control::Continue,
-        );
-        let mc = stratified_sampling_streaming(
-            &u,
-            Scheme::MarginalContribution,
-            &cfg,
-            None,
-            &mut StdRng::seed_from_u64(3),
-            |_| Control::Continue,
-        );
+        let cc = streamed(&u, Scheme::ComplementaryContribution, &cfg, 3, &mut |_| {
+            Control::Continue
+        });
+        let mc = streamed(&u, Scheme::MarginalContribution, &cfg, 3, &mut |_| {
+            Control::Continue
+        });
         for (c, m) in cc.ci_halfwidths.iter().zip(&mc.ci_halfwidths) {
             assert!(!c.is_nan() && !m.is_nan());
             // MC's finite half-widths vanish on an additive game (up to

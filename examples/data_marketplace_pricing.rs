@@ -39,7 +39,7 @@ fn main() {
 
     let exact_outcome = run_valuation(&utility, exact_mc_sv);
     let mut rng = StdRng::seed_from_u64(13);
-    let ipss_outcome = run_valuation(&utility, |u| ipss_values(u, &IpssConfig::new(8), &mut rng));
+    let ipss_outcome = run_valuation(&utility, |u| ipss(u, &IpssConfig::new(8), &mut rng));
 
     println!("provider   exact ϕ    IPSS ϕ̂    payout (IPSS)");
     let total: f64 = ipss_outcome.values.iter().map(|v| v.max(0.0)).sum();

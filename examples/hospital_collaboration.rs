@@ -59,7 +59,7 @@ fn main() {
 
     // IPSS under the paper's γ = 5 budget for n = 3.
     let mut rng = StdRng::seed_from_u64(5);
-    let ipss_outcome = run_valuation(&utility, |u| ipss_values(u, &IpssConfig::new(5), &mut rng));
+    let ipss_outcome = run_valuation(&utility, |u| ipss(u, &IpssConfig::new(5), &mut rng));
     println!(
         "\nIPSS, γ = 5 ({} FL trainings, {:?}):",
         ipss_outcome.model_evaluations, ipss_outcome.wall_time

@@ -42,7 +42,7 @@ fn main() {
     let exact_outcome = run_valuation(&utility, exact_mc_sv);
     let mut rng = StdRng::seed_from_u64(8);
     let ipss_outcome = run_valuation(&utility, |u| {
-        ipss_values(u, &IpssConfig::new(8), &mut rng) // Table III: n=6 → γ=8
+        ipss(u, &IpssConfig::new(8), &mut rng) // Table III: n=6 → γ=8
     });
 
     println!("client  noise   exact ϕ   IPSS ϕ̂");

@@ -40,7 +40,7 @@ fn main() {
     // IPSS (Alg. 3) with the budget Table III pairs with n = 3: γ = 5,
     // i.e. only 5 of the 8 coalitions are ever evaluated.
     let mut rng = StdRng::seed_from_u64(7);
-    let outcome = run_valuation(utility, |u| ipss_values(u, &IpssConfig::new(5), &mut rng));
+    let outcome = run_valuation(utility, |u| ipss(u, &IpssConfig::new(5), &mut rng));
     println!(
         "\nIPSS with γ = 5 ({} model evaluations, {:?}):",
         outcome.model_evaluations, outcome.wall_time

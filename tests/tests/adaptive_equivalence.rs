@@ -36,12 +36,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fedval_core::adaptive::AdaptivePolicy;
-use fedval_core::anytime::{Control, ProgressSnapshot, StoppingRule, StreamingOutcome};
+use fedval_core::anytime::{Control, ProgressSnapshot, StoppingRule};
 use fedval_core::coalition::binom_u128;
-use fedval_core::owen::{owen_sampling_streaming, OwenConfig};
 use fedval_core::prelude::*;
+use fedval_core::sampler::Observer;
 use fedval_core::service::{Estimator, ValuationRequest, ValuationServer};
-use fedval_core::stratified::stratified_sampling_streaming;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -65,10 +64,10 @@ fn reachable_eps(full: &[ProgressSnapshot]) -> f64 {
     })
 }
 
-/// Assert the stopped outcome is a bit-identical prefix of the recorded
-/// full-run stream — values, CI half-widths *and* allocation of the
-/// snapshot with the same `samples_used`.
-fn assert_prefix(label: &str, stopped: &StreamingOutcome, full: &[ProgressSnapshot]) {
+/// Assert the stopped run's final snapshot is a bit-identical prefix of
+/// the recorded full-run stream — values, CI half-widths *and*
+/// allocation of the snapshot with the same `samples_used`.
+fn assert_prefix(label: &str, stopped: &ProgressSnapshot, full: &[ProgressSnapshot]) {
     let twin = full
         .iter()
         .find(|s| s.samples_used == stopped.samples_used)
@@ -95,7 +94,7 @@ fn assert_prefix(label: &str, stopped: &StreamingOutcome, full: &[ProgressSnapsh
 /// CI-stopped and a sample-capped run must be bit-identical prefixes.
 fn assert_adaptive_contract<F>(label: &str, run: F)
 where
-    F: Fn(&dyn Utility, &mut dyn FnMut(&ProgressSnapshot) -> Control) -> StreamingOutcome,
+    F: Fn(&dyn Utility, Observer<'_>) -> (ProgressSnapshot, bool),
 {
     let base = HashUtility { n: 9, seed: 0xADA };
     let mut reference: Option<Vec<ProgressSnapshot>> = None;
@@ -104,7 +103,7 @@ where
 
         // Full run, recording every snapshot.
         let mut full: Vec<ProgressSnapshot> = Vec::new();
-        let full_out = run(&u, &mut |s| {
+        let (full_out, _) = run(&u, &mut |s| {
             full.push(s.clone());
             Control::Continue
         });
@@ -147,7 +146,7 @@ where
 
         // Same-seed run stopped by a reachable CI threshold.
         let rule = StoppingRule::ci_at_most(reachable_eps(&full));
-        let stopped = run(&u, &mut |s| {
+        let (stopped, stopped_early) = run(&u, &mut |s| {
             if rule.should_stop(s) {
                 Control::Stop
             } else {
@@ -155,7 +154,7 @@ where
             }
         });
         assert_prefix(label, &stopped, &full);
-        if !stopped.stopped_early {
+        if !stopped_early {
             // Only an ambient FEDVAL_CI_EPS below the stream's reach may
             // run to completion; the derived threshold always fires.
             assert!(
@@ -168,14 +167,14 @@ where
         // cap, on the same bit-identical prefix.
         let cap = full[full.len() / 3].samples_used;
         let cap_rule = StoppingRule::max_samples(cap);
-        let capped = run(&u, &mut |s| {
+        let (capped, stopped_early) = run(&u, &mut |s| {
             if cap_rule.should_stop(s) {
                 Control::Stop
             } else {
                 Control::Continue
             }
         });
-        assert!(capped.stopped_early, "{label}: cap {cap} must fire");
+        assert!(stopped_early, "{label}: cap {cap} must fire");
         assert_prefix(label, &capped, &full);
     }
 }
@@ -183,54 +182,52 @@ where
 #[test]
 fn adaptive_stratified_mc_allocation_is_a_pure_function_of_seed_and_history() {
     assert_adaptive_contract("adaptive-stratified-mc", |u, observe| {
-        stratified_sampling_streaming(
-            u,
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut sampler = StratifiedSampler::new(
+            9,
             Scheme::MarginalContribution,
             &StratifiedConfig::uniform(9, 504),
             Some(&AdaptivePolicy::default()),
-            &mut StdRng::seed_from_u64(41),
-            observe,
-        )
+            &mut rng,
+        );
+        drive(u, &mut sampler, Some(observe))
     });
 }
 
 #[test]
 fn adaptive_stratified_cc_allocation_is_a_pure_function_of_seed_and_history() {
     assert_adaptive_contract("adaptive-stratified-cc", |u, observe| {
-        stratified_sampling_streaming(
-            u,
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut sampler = StratifiedSampler::new(
+            9,
             Scheme::ComplementaryContribution,
             &StratifiedConfig::uniform(9, 504),
             Some(&AdaptivePolicy::default()),
-            &mut StdRng::seed_from_u64(42),
-            observe,
-        )
+            &mut rng,
+        );
+        drive(u, &mut sampler, Some(observe))
     });
 }
 
 #[test]
 fn adaptive_owen_allocation_is_a_pure_function_of_seed_and_history() {
     assert_adaptive_contract("adaptive-owen", |u, observe| {
-        owen_sampling_streaming(
-            u,
-            &OwenConfig::new(4, 24),
-            Some(&AdaptivePolicy::default()),
-            &mut StdRng::seed_from_u64(43),
-            observe,
-        )
+        let mut rng = StdRng::seed_from_u64(43);
+        let cfg = OwenConfig::new(4, 24);
+        let policy = AdaptivePolicy::default();
+        let mut sampler = OwenSampler::new(9, &cfg, Some(&policy), &mut rng);
+        drive(u, &mut sampler, Some(observe))
     });
 }
 
 #[test]
 fn adaptive_ipss_allocation_is_a_pure_function_of_seed_and_history() {
     assert_adaptive_contract("adaptive-ipss", |u, observe| {
-        ipss_streaming(
-            u,
-            &IpssConfig::new(100),
-            Some(&AdaptivePolicy::default()),
-            &mut StdRng::seed_from_u64(44),
-            observe,
-        )
+        let mut rng = StdRng::seed_from_u64(44);
+        let cfg = IpssConfig::new(100);
+        let policy = AdaptivePolicy::default();
+        let mut sampler = PrunedSampler::for_ipss(9, &cfg, Some(&policy), &mut rng);
+        drive(u, &mut sampler, Some(observe))
     });
 }
 
@@ -269,18 +266,23 @@ fn adaptive_service_stream_is_bit_identical_to_the_direct_run() {
     let seed = 47;
 
     let mut direct: Vec<ProgressSnapshot> = Vec::new();
-    let direct_out = stratified_sampling_streaming(
-        &base,
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sampler = StratifiedSampler::new(
+        8,
         Scheme::MarginalContribution,
         &StratifiedConfig::uniform(8, gamma),
         Some(&policy),
-        &mut StdRng::seed_from_u64(seed),
-        |s| {
+        &mut rng,
+    );
+    let (direct_out, stopped_early) = drive(
+        &base,
+        &mut sampler,
+        Some(&mut |s| {
             direct.push(s.clone());
             Control::Continue
-        },
+        }),
     );
-    assert!(!direct_out.stopped_early);
+    assert!(!stopped_early);
 
     let request =
         || ValuationRequest::new(Estimator::StratifiedMc, gamma, seed).with_adaptive(policy);
@@ -333,13 +335,18 @@ fn homoscedastic_allocation_degenerates_to_the_uniform_split() {
     let gamma = 24;
     let u = AdditiveUtility::new(0.0, vec![0.125; n]);
     let mut boundaries = 0usize;
-    let out = stratified_sampling_streaming(
-        &u,
+    let mut rng = StdRng::seed_from_u64(53);
+    let mut sampler = StratifiedSampler::new(
+        n,
         Scheme::MarginalContribution,
         &StratifiedConfig::uniform(n, gamma),
         Some(&AdaptivePolicy::default()),
-        &mut StdRng::seed_from_u64(53),
-        |s| {
+        &mut rng,
+    );
+    let (out, _) = drive(
+        &u,
+        &mut sampler,
+        Some(&mut |s| {
             let alloc = match &s.allocation {
                 Some(a) => a,
                 None => panic!("adaptive snapshots must carry the allocation"),
@@ -357,7 +364,7 @@ fn homoscedastic_allocation_degenerates_to_the_uniform_split() {
             }
             boundaries += 1;
             Control::Continue
-        },
+        }),
     );
     assert!(boundaries >= 4, "too few boundaries to mean anything");
     match out.allocation {
@@ -415,10 +422,9 @@ fn adaptive_service_prefix_holds_on_the_fl_substrate() {
         Some(s) => s,
         None => panic!("streaming response must carry a snapshot"),
     };
-    let stopped = StreamingOutcome::from_snapshot(snapshot.clone(), true);
-    assert_prefix("service-fl-adaptive", &stopped, &full);
+    assert_prefix("service-fl-adaptive", snapshot, &full);
     assert!(
-        stopped.samples_used < full_resp.progress.map(|s| s.samples_used).unwrap_or(0),
+        snapshot.samples_used < full_resp.progress.map(|s| s.samples_used).unwrap_or(0),
         "stopping must save model trainings"
     );
 }
@@ -472,32 +478,30 @@ fn adaptive_owen_needs_1_5x_fewer_evaluations_than_uniform_at_a_matched_ci() {
         min_observations: 2 * n,
         ..AdaptivePolicy::default()
     };
+    let owen = |policy: Option<&AdaptivePolicy>, seed: u64, observe: Observer<'_>| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sampler = OwenSampler::new(n, &cfg, policy, &mut rng);
+        drive(&u, &mut sampler, Some(observe)).0
+    };
     let (mut uniform, mut adaptive) = (0usize, 0usize);
     for seed in 0..12u64 {
         // The target comes from a *different* seed than the raced runs: a
         // same-seed uniform race would retrace the very trajectory the
         // target came from and stop at its first favourable dip, biasing
         // the comparison toward uniform.
-        let full = owen_sampling_streaming(
-            &u,
-            &cfg,
-            None,
-            &mut StdRng::seed_from_u64(0xE0 + seed),
-            |_| Control::Continue,
-        );
+        let full = owen(None, 0xE0 + seed, &mut |_| Control::Continue);
         let eps = full.ci_halfwidths.iter().fold(0.0f64, |a, &b| a.max(b));
         assert!(eps.is_finite(), "the full run must certify a CI");
         let rule = StoppingRule::ci_at_most(eps);
-        let race = |s: &ProgressSnapshot| {
+        let mut race = |s: &ProgressSnapshot| {
             if rule.should_stop(s) {
                 Control::Stop
             } else {
                 Control::Continue
             }
         };
-        let rng = || StdRng::seed_from_u64(0xB0 + seed);
-        uniform += owen_sampling_streaming(&u, &cfg, None, &mut rng(), race).samples_used;
-        adaptive += owen_sampling_streaming(&u, &cfg, Some(&policy), &mut rng(), race).samples_used;
+        uniform += owen(None, 0xB0 + seed, &mut race).samples_used;
+        adaptive += owen(Some(&policy), 0xB0 + seed, &mut race).samples_used;
     }
     assert!(
         2 * uniform >= 3 * adaptive,

@@ -27,11 +27,10 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fedval_core::anytime::{Control, ProgressSnapshot, StoppingRule, StreamingOutcome};
-use fedval_core::owen::{owen_sampling_streaming, OwenConfig};
+use fedval_core::anytime::{Control, ProgressSnapshot, StoppingRule};
 use fedval_core::prelude::*;
+use fedval_core::sampler::Observer;
 use fedval_core::service::{Estimator, ValuationRequest, ValuationServer};
-use fedval_core::stratified::stratified_sampling_streaming;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -57,10 +56,10 @@ fn reachable_eps(full: &[ProgressSnapshot]) -> f64 {
     })
 }
 
-/// Assert the stopped outcome is a bit-identical prefix of the recorded
-/// full-run stream: same values and CI half-widths as the snapshot with
-/// the same `samples_used`.
-fn assert_prefix(label: &str, stopped: &StreamingOutcome, full: &[ProgressSnapshot]) {
+/// Assert the stopped run's final snapshot is a bit-identical prefix of
+/// the recorded full-run stream: same values and CI half-widths as the
+/// snapshot with the same `samples_used`.
+fn assert_prefix(label: &str, stopped: &ProgressSnapshot, full: &[ProgressSnapshot]) {
     let twin = full
         .iter()
         .find(|s| s.samples_used == stopped.samples_used)
@@ -78,11 +77,11 @@ fn assert_prefix(label: &str, stopped: &StreamingOutcome, full: &[ProgressSnapsh
 }
 
 /// Drive one streaming estimator full-then-stopped at every thread
-/// count and check the contract; `run` maps `(utility, observer)` to the
-/// streaming outcome and must draw from a fixed seed internally.
+/// count and check the contract; `run` maps `(utility, observer)` to
+/// what [`drive`] returns and must draw from a fixed seed internally.
 fn assert_anytime_contract<F>(label: &str, run: F)
 where
-    F: Fn(&dyn Utility, &mut dyn FnMut(&ProgressSnapshot) -> Control) -> StreamingOutcome,
+    F: Fn(&dyn Utility, Observer<'_>) -> (ProgressSnapshot, bool),
 {
     let base = HashUtility { n: 9, seed: 0xA11 };
     let mut reference: Option<Vec<ProgressSnapshot>> = None;
@@ -91,7 +90,7 @@ where
 
         // Full run, recording every snapshot.
         let mut full: Vec<ProgressSnapshot> = Vec::new();
-        let full_out = run(&u, &mut |s| {
+        let (full_out, _) = run(&u, &mut |s| {
             full.push(s.clone());
             Control::Continue
         });
@@ -120,7 +119,7 @@ where
 
         // Same-seed run stopped by a reachable CI threshold.
         let rule = StoppingRule::ci_at_most(reachable_eps(&full));
-        let stopped = run(&u, &mut |s| {
+        let (stopped, stopped_early) = run(&u, &mut |s| {
             if rule.should_stop(s) {
                 Control::Stop
             } else {
@@ -128,7 +127,7 @@ where
             }
         });
         assert_prefix(label, &stopped, &full);
-        if stopped.stopped_early {
+        if stopped_early {
             let final_samples = full_out.samples_used;
             assert!(
                 stopped.samples_used < final_samples,
@@ -147,14 +146,14 @@ where
         // cap, on the same bit-identical prefix.
         let cap = full[full.len() / 3].samples_used;
         let cap_rule = StoppingRule::max_samples(cap);
-        let capped = run(&u, &mut |s| {
+        let (capped, stopped_early) = run(&u, &mut |s| {
             if cap_rule.should_stop(s) {
                 Control::Stop
             } else {
                 Control::Continue
             }
         });
-        assert!(capped.stopped_early, "{label}: cap {cap} must fire");
+        assert!(stopped_early, "{label}: cap {cap} must fire");
         assert!(capped.samples_used >= cap, "{label}: fires at a boundary");
         assert_prefix(label, &capped, &full);
     }
@@ -163,41 +162,31 @@ where
 #[test]
 fn owen_ci_stop_is_a_bit_identical_prefix_across_thread_counts() {
     assert_anytime_contract("owen", |u, observe| {
-        owen_sampling_streaming(
-            u,
-            &OwenConfig::new(4, 24),
-            None,
-            &mut StdRng::seed_from_u64(17),
-            observe,
-        )
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut sampler = OwenSampler::new(9, &OwenConfig::new(4, 24), None, &mut rng);
+        drive(u, &mut sampler, Some(observe))
     });
 }
 
 #[test]
 fn stratified_mc_ci_stop_is_a_bit_identical_prefix_across_thread_counts() {
     assert_anytime_contract("stratified-mc", |u, observe| {
-        stratified_sampling_streaming(
-            u,
-            Scheme::MarginalContribution,
-            &StratifiedConfig::uniform(9, 504),
-            None,
-            &mut StdRng::seed_from_u64(18),
-            observe,
-        )
+        let mut rng = StdRng::seed_from_u64(18);
+        let cfg = StratifiedConfig::uniform(9, 504);
+        let scheme = Scheme::MarginalContribution;
+        let mut sampler = StratifiedSampler::new(9, scheme, &cfg, None, &mut rng);
+        drive(u, &mut sampler, Some(observe))
     });
 }
 
 #[test]
 fn stratified_cc_ci_stop_is_a_bit_identical_prefix_across_thread_counts() {
     assert_anytime_contract("stratified-cc", |u, observe| {
-        stratified_sampling_streaming(
-            u,
-            Scheme::ComplementaryContribution,
-            &StratifiedConfig::uniform(9, 504),
-            None,
-            &mut StdRng::seed_from_u64(19),
-            observe,
-        )
+        let mut rng = StdRng::seed_from_u64(19);
+        let cfg = StratifiedConfig::uniform(9, 504);
+        let scheme = Scheme::ComplementaryContribution;
+        let mut sampler = StratifiedSampler::new(9, scheme, &cfg, None, &mut rng);
+        drive(u, &mut sampler, Some(observe))
     });
 }
 
@@ -254,9 +243,8 @@ fn service_ci_stop_is_a_bit_identical_prefix_across_thread_counts() {
             Some(s) => s,
             None => panic!("streaming response must carry a snapshot"),
         };
-        let stopped = StreamingOutcome::from_snapshot(snapshot.clone(), resp.run.stopped_early);
-        assert_eq!(stopped.values, resp.values, "response mirrors snapshot");
-        assert_prefix("service-owen", &stopped, &full);
+        assert_eq!(snapshot.values, resp.values, "response mirrors snapshot");
+        assert_prefix("service-owen", snapshot, &full);
         if env_eps().is_none() {
             assert!(resp.run.stopped_early, "derived threshold must fire");
         }
@@ -311,10 +299,9 @@ fn service_ci_stop_prefix_holds_on_the_fl_substrate() {
         Some(s) => s,
         None => panic!("streaming response must carry a snapshot"),
     };
-    let stopped = StreamingOutcome::from_snapshot(snapshot.clone(), true);
-    assert_prefix("service-fl", &stopped, &full);
+    assert_prefix("service-fl", snapshot, &full);
     assert!(
-        stopped.samples_used < full_resp.progress.map(|s| s.samples_used).unwrap_or(0),
+        snapshot.samples_used < full_resp.progress.map(|s| s.samples_used).unwrap_or(0),
         "stopping must save model trainings"
     );
 }

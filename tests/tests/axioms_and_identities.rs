@@ -103,7 +103,7 @@ fn ipss_full_budget_is_exact() {
         let game = random_game(5, &mut driver);
         let seed = driver.random_range(0u64..1000);
         let mut rng = StdRng::seed_from_u64(seed);
-        let est = ipss_values(&game, &IpssConfig::new(1 << 5), &mut rng);
+        let est = ipss(&game, &IpssConfig::new(1 << 5), &mut rng);
         let exact = exact_mc_sv(&game);
         for i in 0..5 {
             assert!((est[i] - exact[i]).abs() < 1e-9);
@@ -137,7 +137,7 @@ fn stratified_full_budget_is_exact_both_schemes() {
             Scheme::ComplementaryContribution,
         ] {
             let mut rng = StdRng::seed_from_u64(seed);
-            let est = stratified_sampling_values(&game, scheme, &cfg, &mut rng);
+            let est = stratified_sampling(&game, scheme, &cfg, &mut rng);
             for i in 0..4 {
                 assert!((est[i] - exact[i]).abs() < 1e-9, "{scheme:?}");
             }

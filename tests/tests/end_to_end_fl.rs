@@ -49,7 +49,7 @@ fn sampling_estimators_approach_exact_on_real_fl() {
     // meaningful tolerance of the exact values (cache is shared, so no
     // retraining happens).
     let mut rng = StdRng::seed_from_u64(7);
-    let ipss = ipss_values(&utility, &IpssConfig::new(16), &mut rng);
+    let ipss = ipss(&utility, &IpssConfig::new(16), &mut rng);
     assert!(
         l2_relative_error(&ipss, &exact) < 0.45,
         "IPSS: {ipss:?} vs {exact:?}"
@@ -74,13 +74,13 @@ fn sampling_estimators_approach_exact_on_real_fl() {
 fn utility_cache_bounds_training_count() {
     let utility = CachedUtility::new(problem(4, 502));
     let mut rng = StdRng::seed_from_u64(3);
-    let _ = ipss_values(&utility, &IpssConfig::new(9), &mut rng);
+    let _ = ipss(&utility, &IpssConfig::new(9), &mut rng);
     assert!(utility.stats().evaluations <= 9);
     // Re-running any estimator cannot trigger new training for coalitions
     // already seen.
     let seen = utility.stats().evaluations;
     let mut rng = StdRng::seed_from_u64(3);
-    let _ = ipss_values(&utility, &IpssConfig::new(9), &mut rng);
+    let _ = ipss(&utility, &IpssConfig::new(9), &mut rng);
     assert_eq!(utility.stats().evaluations, seen);
 }
 

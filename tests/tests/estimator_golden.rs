@@ -20,8 +20,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fedval_core::adaptive::AdaptivePolicy;
-use fedval_core::anytime::{Control, ProgressSnapshot, StreamingOutcome};
+use fedval_core::anytime::{Control, ProgressSnapshot};
 use fedval_core::prelude::*;
+use fedval_core::sampler::Observer;
 
 const SEEDS: [u64; 2] = [7, 1234];
 
@@ -74,13 +75,13 @@ impl Ledger {
         self.line(key, &hex(values));
     }
 
-    /// Record a whole snapshot stream plus the returned outcome.
+    /// Record a whole snapshot stream; the run must return its last.
     fn stream<F>(&mut self, key: &str, run: F)
     where
-        F: FnOnce(&mut dyn FnMut(&ProgressSnapshot) -> Control) -> StreamingOutcome,
+        F: FnOnce(Observer<'_>) -> (ProgressSnapshot, bool),
     {
         let mut snapshots: Vec<ProgressSnapshot> = Vec::new();
-        let out = run(&mut |s| {
+        let (out, stopped_early) = run(&mut |s| {
             snapshots.push(s.clone());
             Control::Continue
         });
@@ -98,10 +99,8 @@ impl Ledger {
             );
         }
         let last = snapshots.last().expect("at least one snapshot");
-        assert_eq!(out.values, last.values, "{key}: outcome != last snapshot");
-        assert_eq!(out.ci_halfwidths, last.ci_halfwidths, "{key}");
-        assert_eq!(out.allocation, last.allocation, "{key}");
-        assert!(!out.stopped_early, "{key}");
+        assert_eq!(&out, last, "{key}: outcome != last snapshot");
+        assert!(!stopped_early, "{key}");
     }
 }
 
@@ -120,15 +119,18 @@ fn record_finals(ledger: &mut Ledger) {
                     ("ipss_literal", IpssWeighting::PaperLiteral),
                 ] {
                     let cfg = IpssConfig::new(budget).with_weighting(weighting);
-                    let out = ipss(u, &cfg, &mut rng());
-                    assert_eq!(out.values, ipss_values(u, &cfg, &mut rng()));
+                    let mut r = rng();
+                    let mut sampler = PrunedSampler::for_ipss(n, &cfg, None, &mut r);
+                    let (out, _) = drive(u, &mut sampler, None);
+                    assert_eq!(out.values, ipss(u, &cfg, &mut rng()));
+                    let k_star = sampler.k_star();
                     ledger.line(
                         &key(label),
                         &format!(
                             "k_star={} exhaustive={} sampled={:x?} values=[{}]",
-                            out.k_star,
-                            out.exhaustive_evaluations,
-                            out.sampled.iter().map(|s| s.0).collect::<Vec<_>>(),
+                            k_star,
+                            subsets_up_to(n, k_star),
+                            sampler.sampled().iter().map(|s| s.0).collect::<Vec<_>>(),
                             hex(&out.values)
                         ),
                     );
@@ -139,9 +141,12 @@ fn record_finals(ledger: &mut Ledger) {
                     ("stratified_cc", Scheme::ComplementaryContribution),
                 ] {
                     let cfg = StratifiedConfig::uniform(n, budget);
-                    let out = stratified_sampling(u, scheme, &cfg, &mut rng());
-                    let estimates: Vec<String> = out
-                        .stratum_estimates
+                    let mut r = rng();
+                    let mut sampler = StratifiedSampler::new(n, scheme, &cfg, None, &mut r);
+                    let (out, _) = drive(u, &mut sampler, None);
+                    assert_eq!(out.values, stratified_sampling(u, scheme, &cfg, &mut rng()));
+                    let estimates: Vec<String> = sampler
+                        .stratum_estimates()
                         .iter()
                         .flatten()
                         .map(|e| e.map_or("-".to_string(), |v| format!("{:016x}", v.to_bits())))
@@ -150,7 +155,7 @@ fn record_finals(ledger: &mut Ledger) {
                         &key(label),
                         &format!(
                             "pairs={:?} strata=[{}] values=[{}]",
-                            out.pairs_matched,
+                            sampler.pairs_matched(),
                             estimates.join(" "),
                             hex(&out.values)
                         ),
@@ -197,36 +202,38 @@ fn record_streams(ledger: &mut Ledger) {
     ] {
         let cfg = IpssConfig::new(30).with_weighting(weighting);
         ledger.stream(&format!("stream ipss_{label} hash6 g30"), |obs| {
-            ipss_streaming(&hash6, &cfg, None, &mut rng(11), obs)
+            let mut r = rng(11);
+            let mut sampler = PrunedSampler::for_ipss(6, &cfg, None, &mut r);
+            drive(&hash6, &mut sampler, Some(obs))
         });
         ledger.stream(&format!("stream ipss_{label} hash6 g30 adaptive"), |obs| {
-            ipss_streaming(&hash6, &cfg, Some(&default_policy), &mut rng(11), obs)
+            let policy = Some(&default_policy);
+            let mut r = rng(11);
+            let mut sampler = PrunedSampler::for_ipss(6, &cfg, policy, &mut r);
+            drive(&hash6, &mut sampler, Some(obs))
         });
     }
     ledger.stream("stream ipss_mean saturating8 g60 adaptive-eager", |obs| {
-        ipss_streaming(
-            &saturating8,
-            &IpssConfig::new(60),
-            Some(&eager_policy),
-            &mut rng(12),
-            obs,
-        )
+        let cfg = IpssConfig::new(60);
+        let mut r = rng(12);
+        let mut sampler = PrunedSampler::for_ipss(8, &cfg, Some(&eager_policy), &mut r);
+        drive(&saturating8, &mut sampler, Some(obs))
     });
     // Phase 1 exactly exhausts γ (no phase 2), and ∅ only.
     for gamma in [7usize, 1] {
+        let cfg = IpssConfig::new(gamma);
         ledger.stream(&format!("stream ipss_mean hash6 g{gamma}"), |obs| {
-            ipss_streaming(&hash6, &IpssConfig::new(gamma), None, &mut rng(13), obs)
+            let mut r = rng(13);
+            let mut sampler = PrunedSampler::for_ipss(6, &cfg, None, &mut r);
+            drive(&hash6, &mut sampler, Some(obs))
         });
         ledger.stream(
             &format!("stream ipss_mean hash6 g{gamma} adaptive"),
             |obs| {
-                ipss_streaming(
-                    &hash6,
-                    &IpssConfig::new(gamma),
-                    Some(&default_policy),
-                    &mut rng(13),
-                    obs,
-                )
+                let policy = Some(&default_policy);
+                let mut r = rng(13);
+                let mut sampler = PrunedSampler::for_ipss(6, &cfg, policy, &mut r);
+                drive(&hash6, &mut sampler, Some(obs))
             },
         );
     }
@@ -238,44 +245,44 @@ fn record_streams(ledger: &mut Ledger) {
     ] {
         let cfg = StratifiedConfig::uniform(6, 30);
         ledger.stream(&format!("stream stratified_{label} hash6 g30"), |obs| {
-            stratified_sampling_streaming(&hash6, scheme, &cfg, None, &mut rng(21), obs)
+            let mut r = rng(21);
+            let mut sampler = StratifiedSampler::new(6, scheme, &cfg, None, &mut r);
+            drive(&hash6, &mut sampler, Some(obs))
         });
         ledger.stream(
             &format!("stream stratified_{label} hash6 g30 adaptive"),
             |obs| {
-                stratified_sampling_streaming(
-                    &hash6,
-                    scheme,
-                    &cfg,
-                    Some(&default_policy),
-                    &mut rng(21),
-                    obs,
-                )
+                let policy = Some(&default_policy);
+                let mut r = rng(21);
+                let mut sampler = StratifiedSampler::new(6, scheme, &cfg, policy, &mut r);
+                drive(&hash6, &mut sampler, Some(obs))
             },
         );
     }
     ledger.stream(
         "stream stratified_mc saturating8 g300 adaptive-eager",
         |obs| {
-            stratified_sampling_streaming(
-                &saturating8,
+            let mut r = rng(22);
+            let mut sampler = StratifiedSampler::new(
+                8,
                 Scheme::MarginalContribution,
                 &StratifiedConfig::uniform(8, 300),
                 Some(&eager_policy),
-                &mut rng(22),
-                obs,
-            )
+                &mut r,
+            );
+            drive(&saturating8, &mut sampler, Some(obs))
         },
     );
     ledger.stream("stream stratified_mc hash6 g0", |obs| {
-        stratified_sampling_streaming(
-            &hash6,
+        let mut r = rng(23);
+        let mut sampler = StratifiedSampler::new(
+            6,
             Scheme::MarginalContribution,
             &StratifiedConfig::uniform(6, 0),
             None,
-            &mut rng(23),
-            obs,
-        )
+            &mut r,
+        );
+        drive(&hash6, &mut sampler, Some(obs))
     });
 
     // Owen — plain and antithetic, uniform and re-planned.
@@ -284,45 +291,45 @@ fn record_streams(ledger: &mut Ledger) {
         ("antithetic", OwenConfig::new(5, 4).with_antithetic()),
     ] {
         ledger.stream(&format!("stream owen_{label} saturating8"), |obs| {
-            owen_sampling_streaming(&saturating8, &cfg, None, &mut rng(31), obs)
+            let mut r = rng(31);
+            let mut sampler = OwenSampler::new(8, &cfg, None, &mut r);
+            drive(&saturating8, &mut sampler, Some(obs))
         });
         ledger.stream(
             &format!("stream owen_{label} saturating8 adaptive"),
             |obs| {
-                owen_sampling_streaming(
-                    &saturating8,
-                    &cfg,
-                    Some(&default_policy),
-                    &mut rng(31),
-                    obs,
-                )
+                let policy = Some(&default_policy);
+                let mut r = rng(31);
+                let mut sampler = OwenSampler::new(8, &cfg, policy, &mut r);
+                drive(&saturating8, &mut sampler, Some(obs))
             },
         );
     }
     ledger.stream("stream owen_plain hash6 adaptive-eager", |obs| {
-        owen_sampling_streaming(
-            &hash6,
-            &OwenConfig::new(4, 6),
-            Some(&eager_policy),
-            &mut rng(32),
-            obs,
-        )
+        let cfg = OwenConfig::new(4, 6);
+        let mut r = rng(32);
+        let mut sampler = OwenSampler::new(6, &cfg, Some(&eager_policy), &mut r);
+        drive(&hash6, &mut sampler, Some(obs))
     });
 
     // Pruned Banzhaf — nothing to steer, one fixed schedule.
     for gamma in [30usize, 7, 1, 70] {
         ledger.stream(&format!("stream banzhaf_pruned hash6 g{gamma}"), |obs| {
-            banzhaf_pruned_streaming(&hash6, gamma, &mut rng(41), obs)
+            let mut r = rng(41);
+            let mut sampler = PrunedSampler::for_banzhaf(6, gamma, &mut r);
+            drive(&hash6, &mut sampler, Some(obs))
         });
     }
 
     // Exact sweep — n = 14 spans two production-size chunks, so the
     // first snapshot is the mid-sweep partial fold.
     ledger.stream("stream exact_mc hash14", |obs| {
-        exact_mc_sv_streaming(&HashUtility { n: 14, seed: 42 }, obs)
+        let hash14 = HashUtility { n: 14, seed: 42 };
+        drive(&hash14, &mut ExactSweep::new(14), Some(obs))
     });
     ledger.stream("stream exact_mc table1", |obs| {
-        exact_mc_sv_streaming(&TableUtility::paper_table1(), obs)
+        let table1 = TableUtility::paper_table1();
+        drive(&table1, &mut ExactSweep::new(3), Some(obs))
     });
 }
 

@@ -45,7 +45,7 @@ where
 #[test]
 fn ipss_is_bit_identical_across_thread_counts() {
     assert_thread_invariant("ipss", |u| {
-        ipss_values(u, &IpssConfig::new(40), &mut StdRng::seed_from_u64(7))
+        ipss(u, &IpssConfig::new(40), &mut StdRng::seed_from_u64(7))
     });
 }
 
@@ -62,7 +62,7 @@ fn exact_cc_sv_is_bit_identical_across_thread_counts() {
 #[test]
 fn stratified_is_bit_identical_across_thread_counts() {
     assert_thread_invariant("stratified", |u| {
-        stratified_sampling_values(
+        stratified_sampling(
             u,
             Scheme::MarginalContribution,
             &StratifiedConfig::uniform(10, 30),
@@ -169,8 +169,8 @@ fn ipss_hits_uncached_utility_exactly_gamma_times() {
             calls: AtomicUsize::new(0),
         };
         let mut rng = StdRng::seed_from_u64(0x44);
-        let out = ipss(&u, &IpssConfig::new(gamma), &mut rng);
+        let values = ipss(&u, &IpssConfig::new(gamma), &mut rng);
         assert_eq!(u.calls.load(Ordering::Relaxed), gamma, "γ = {gamma}");
-        assert_eq!(out.values.len(), 9);
+        assert_eq!(values.len(), 9);
     }
 }

@@ -86,10 +86,10 @@ fn ipss_never_exceeds_budget() {
         let seed = driver.random_range(0u64..10_000);
         let u = CachedUtility::new(HashUtility { n, seed });
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1b);
-        let out = ipss(&u, &IpssConfig::new(gamma), &mut rng);
+        let values = ipss(&u, &IpssConfig::new(gamma), &mut rng);
         assert!(u.stats().evaluations <= gamma.min(1 << n));
-        assert_eq!(out.values.len(), n);
-        assert!(out.values.iter().all(|v| v.is_finite()));
+        assert_eq!(values.len(), n);
+        assert!(values.iter().all(|v| v.is_finite()));
     }
 }
 

@@ -36,10 +36,15 @@ fn ipss_scales_to_thirty_clients_with_planted_fixtures() {
 
     let gamma = (n as f64 * (n as f64).ln()) as usize; // ≈ 102
     let mut rng = StdRng::seed_from_u64(905);
-    let outcome = ipss(&utility, &IpssConfig::new(gamma), &mut rng);
+    let mut sampler = PrunedSampler::for_ipss(n, &IpssConfig::new(gamma), None, &mut rng);
+    let (outcome, _) = drive(&utility, &mut sampler, None);
     assert_eq!(outcome.values.len(), n);
     assert!(utility.stats().evaluations <= gamma);
-    assert_eq!(outcome.k_star, 1, "n=30, γ≈102: 1+30 ≤ 102 < 1+30+C(30,2)");
+    assert_eq!(
+        sampler.k_star(),
+        1,
+        "n=30, γ≈102: 1+30 ≤ 102 < 1+30+C(30,2)"
+    );
 
     // Free riders train nothing: their marginal contribution is exactly
     // the evaluation noise of identical models — i.e. zero, because our

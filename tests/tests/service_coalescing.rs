@@ -23,7 +23,7 @@ use rand::SeedableRng;
 use fedval_core::coalition::Coalition;
 use fedval_core::fault::FaultyUtility;
 use fedval_core::service::{Estimator, ValuationError, ValuationRequest, ValuationServer};
-use fedval_core::stratified::{stratified_sampling_values, Scheme, StratifiedConfig};
+use fedval_core::stratified::{stratified_sampling, Scheme, StratifiedConfig};
 use fedval_core::utility::{HashUtility, ParallelUtility, Utility, DEFAULT_PAR_CHUNK};
 use fedval_data::{Dataset, MnistLike, SyntheticSetup};
 use fedval_fl::service::{serve, FlServiceConfig};
@@ -208,8 +208,7 @@ fn direct(seed: u64) -> (Vec<f64>, Vec<Vec<Coalition>>) {
     let (recording, log) = Recording::new(FLUSH_GAME);
     let cfg = StratifiedConfig::uniform(FLUSH_GAME.n, 96);
     let mut rng = StdRng::seed_from_u64(seed);
-    let values =
-        stratified_sampling_values(&recording, Scheme::MarginalContribution, &cfg, &mut rng);
+    let values = stratified_sampling(&recording, Scheme::MarginalContribution, &cfg, &mut rng);
     let batches = log.lock().unwrap().clone();
     (values, batches)
 }

@@ -24,9 +24,9 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fedval_core::coalition::Coalition;
+use fedval_core::coalition::{Coalition, MAX_ENUMERATED_CLIENTS};
 use fedval_core::fault::{FaultyUtility, PERSISTENT};
-use fedval_core::ipss::{ipss_values, IpssConfig};
+use fedval_core::ipss::{ipss, IpssConfig};
 use fedval_core::service::{
     partial_prefix_fold, Estimator, LimitPolicy, RetryPolicy, Ticket, ValuationError,
     ValuationRequest, ValuationResponse, ValuationServer,
@@ -184,7 +184,7 @@ fn ipss_prefix(n: usize, useed: u64, gamma: usize, seed: u64, k: usize) -> Vec<(
         batches: Mutex::new(Vec::new()),
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let _ = ipss_values(&rec, &IpssConfig::new(gamma), &mut rng);
+    let _ = ipss(&rec, &IpssConfig::new(gamma), &mut rng);
     let batches = rec.batches.into_inner().unwrap();
     assert!(
         batches.len() >= k,
@@ -455,7 +455,8 @@ fn bookkeeping_panic_is_worker_lost_on_both_paths_and_the_server_heals() {
 }
 
 // ---------------------------------------------------------------------
-// Boundary games: no estimator, at no budget, panics on a tiny game.
+// Boundary games: no estimator, at no budget, panics on a tiny or a
+// 128-client game.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -471,22 +472,29 @@ fn tiny_games_answer_every_estimator_with_a_response_or_a_typed_error() {
         BanzhafPruned,
         Loo,
     ];
-    for n in 0..=2 {
+    for n in [0, 1, 2, 25, 127, 128] {
         let server = ValuationServer::start(HashUtility { n, seed: 3 });
         for budget in 0..=1 {
             for estimator in estimators {
                 let cell = format!("n = {n}, budget = {budget}, {estimator:?}");
+                // A 0-client game is rejected before any estimator runs;
+                // a sampled schedule needs γ ≥ 1 (the pruned ones to pay
+                // for U(∅), Alg. 1 to draw anything); the exact sweeps
+                // enumerate at most 2^24 coalitions.
+                let invalid = n == 0
+                    || (budget == 0
+                        && matches!(
+                            estimator,
+                            Ipss | BanzhafPruned | StratifiedMc | StratifiedCc
+                        ))
+                    || (n > MAX_ENUMERATED_CLIENTS && matches!(estimator, ExactMc | ExactCc));
                 match server.call(ValuationRequest::new(estimator, budget, 1)) {
                     Ok(resp) => {
-                        assert!(n > 0, "{cell}: a 0-client game has nothing to value");
+                        assert!(!invalid, "{cell}: must be rejected as invalid");
                         assert_eq!(resp.values.len(), n, "{cell}");
                         assert!(resp.values.iter().all(|v| v.is_finite()), "{cell}");
                     }
-                    // A 0-client game is rejected before any estimator
-                    // runs; a pruned sampler needs γ ≥ 1 to pay for U(∅).
-                    Err(ValuationError::InvalidRequest { .. })
-                        if n == 0 || (budget == 0 && matches!(estimator, Ipss | BanzhafPruned)) => {
-                    }
+                    Err(ValuationError::InvalidRequest { .. }) if invalid => {}
                     Err(e) => panic!("{cell}: {e}"),
                 }
             }

@@ -6,7 +6,9 @@
 //! bit-identical; deadline overruns surface as 206 partial responses;
 //! saturation admission-controls with 429 + `Retry-After`, and clients
 //! that back off and retry lose no work; shutdown drains in-flight work
-//! onto the typed 503.
+//! onto the typed 503; boundary games (n ∈ {0, 1, 2, 25, 127, 128},
+//! budget ∈ {0, 1}) answer every estimator over the wire exactly as
+//! in process, never with a 500.
 
 // Driver code: test assertions panic by design, so unwrap/expect are
 // the failure mechanism, not a robustness gap.
@@ -23,7 +25,7 @@ use fedval_core::service::{
 use fedval_core::utility::HashUtility;
 use fedval_serve::http::Client;
 use fedval_serve::json::Json;
-use fedval_serve::{WireConfig, WireServer};
+use fedval_serve::{wire, WireConfig, WireServer};
 
 fn ok(result: Result<ValuationResponse, ValuationError>) -> ValuationResponse {
     match result {
@@ -451,4 +453,57 @@ fn shutdown_drains_in_flight_requests_onto_the_typed_503() {
         Some("server_shutdown")
     );
     wire.shutdown();
+}
+
+#[test]
+fn boundary_games_answer_every_cell_over_the_wire_as_in_process() {
+    // Every (n, budget, estimator) cell: the wire's status, `error.kind`
+    // and values must be those of `wire::encode_response` /
+    // `wire::encode_error` over the in-process call on a twin server.
+    for n in [0, 1, 2, 25, 127, 128] {
+        let utility = || HashUtility { n, seed: 3 };
+        let direct = ValuationServer::start(utility());
+        let wire_server =
+            WireServer::start(ValuationServer::start(utility()), WireConfig::default())
+                .expect("bind");
+        let mut client = Client::connect(wire_server.addr()).expect("connect");
+        for budget in 0..=1 {
+            for &(name, estimator) in wire::ESTIMATOR_NAMES {
+                let cell = format!("n = {n}, budget = {budget}, {name}");
+                let body = format!(r#"{{"estimator":"{name}","budget":{budget},"seed":1}}"#);
+                let resp = client.post("/v1/value", &body).expect("roundtrip");
+                let got = resp.json().expect("framed JSON body");
+                let (want_status, want) =
+                    match direct.call(ValuationRequest::new(estimator, budget, 1)) {
+                        Ok(r) => wire::encode_response(&r),
+                        Err(e) => wire::encode_error(&e),
+                    };
+                assert_eq!(resp.status, want_status, "{cell}: {}", got.encode());
+                assert!(
+                    resp.status == 200 || (400..500).contains(&resp.status),
+                    "{cell}: {}",
+                    got.encode()
+                );
+                if want_status == 200 {
+                    assert_eq!(
+                        bits(&wire_values(&got)),
+                        bits(&wire_values(&want)),
+                        "{cell}"
+                    );
+                } else {
+                    let kind = |b: &Json| {
+                        b.get("error")
+                            .and_then(|e| e.get("kind"))
+                            .and_then(Json::as_str)
+                            .map(str::to_string)
+                    };
+                    assert_eq!(kind(&got), kind(&want), "{cell}");
+                }
+            }
+        }
+        let stats = client.get("/v1/stats").expect("roundtrip");
+        assert_eq!(stats.status, 200, "n = {n}: the server must still answer");
+        wire_server.shutdown();
+        direct.shutdown();
+    }
 }
