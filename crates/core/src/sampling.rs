@@ -210,15 +210,17 @@ pub fn balanced_subsets_of_size<R: Rng + ?Sized>(
         HashSet::with_capacity_and_hasher(count * 2, MaskHash::default());
     let mut out = Vec::with_capacity(count);
     let mut order: Vec<usize> = (0..n).collect();
+    let mut keyed: Vec<u128> = Vec::with_capacity(n);
     'outer: while out.len() < count {
         for _attempt in 0..32 {
-            // Sort clients by (coverage, random tie-break).
-            let mut keyed: Vec<(u32, u64, usize)> = order
-                .iter()
-                .map(|&i| (coverage[i], rng.random::<u64>(), i))
-                .collect();
-            keyed.sort_unstable();
-            let members = keyed[..k].iter().map(|&(_, _, i)| i);
+            // The k least (coverage, random tie-break, client) keys, packed
+            // into one integer in that order: the sorted prefix's set.
+            keyed.clear();
+            keyed.extend(order.iter().map(|&i| {
+                (coverage[i] as u128) << 96 | (rng.random::<u64>() as u128) << 32 | i as u128
+            }));
+            keyed.select_nth_unstable(k - 1);
+            let members = keyed[..k].iter().map(|&key| key as u32 as usize);
             let s = Coalition::from_members(members);
             if chosen.insert(s.0) {
                 for i in s.members() {

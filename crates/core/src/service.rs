@@ -33,11 +33,11 @@
 //!    `Σ (|S| + 1)` over its distinct coalitions not yet in the shared
 //!    [`CachedUtility`], about one local training per member plus one
 //!    scoring pass on an FL utility — ties to the earliest parked;
-//! 2. it **evaluates** that batch's distinct coalitions, sorted by mask,
-//!    through the shared cache, which forwards only the misses to the
-//!    inner utility (`ParallelUtility` and an FL utility sort them by
-//!    `(|S|, mask)` into lock-step lane blocks over one shared
-//!    trajectory cache);
+//! 2. it **evaluates** that batch's distinct coalitions in mask order (an
+//!    exact-sweep chunk or IPSS stratum needs no sort) through the shared
+//!    cache, which forwards only the misses, still ascending, to the inner
+//!    utility (`ParallelUtility` and an FL utility sort them by `(|S|,
+//!    mask)` into lock-step lane blocks over one shared trajectory cache);
 //! 3. it **delivers** that batch, by position, plus every other parked
 //!    batch the cache now covers, and wakes their runs. The rest stay parked for the next
 //!    flush.
@@ -382,6 +382,18 @@ mod tests {
                 "{estimator:?}: {broke:?}"
             );
         }
+        // Below one draw per grid node, 4·(3 + 1) = 16 evaluations, Owen
+        // would overrun the budget: a typed rejection, not a 200 that
+        // spends more than was asked.
+        for budget in [0, 1, 15] {
+            let short = server.call(ValuationRequest::new(Estimator::Owen, budget, 0));
+            assert!(
+                matches!(&short, Err(ValuationError::InvalidRequest { detail }) if detail.contains("budget")),
+                "owen at {budget}: {short:?}"
+            );
+        }
+        let owen = ok(server.call(ValuationRequest::new(Estimator::Owen, 16, 0)));
+        assert!(owen.run.coalitions <= 16, "{:?}", owen.run);
         // The server stays healthy after rejecting malformed requests.
         let resp = ok(server.call(ValuationRequest::new(Estimator::Loo, 0, 0)));
         assert_eq!(resp.values.len(), 3);

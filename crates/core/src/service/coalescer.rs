@@ -9,15 +9,15 @@
 // design, bound only *when* work happens — never what the values are.
 #![allow(clippy::disallowed_methods)]
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use super::request::{FlushWindow, RetryPolicy, ServiceStats};
-use crate::coalition::{Coalition, MaskHash};
+use crate::coalition::Coalition;
 use crate::fault::quiet;
-use crate::utility::{CachedUtility, TrajCacheStats, Utility};
+use crate::utility::{dedup_by_mask, CachedUtility, TrajCacheStats, Utility};
 
 /// Outcome of one flush, delivered to each batch it served.
 pub(super) struct FlushOutcome {
@@ -124,7 +124,7 @@ impl<U: Utility + Send + Sync> Shared<U> {
     /// batch and leave its own parked.
     pub(super) fn eval_coalesced(
         &self,
-        coalitions: &[Coalition],
+        coalitions: Vec<Coalition>,
     ) -> Result<FlushOutcome, FlushFailure> {
         let mut st = self.lock_state();
         let ticket = st.next_ticket;
@@ -132,7 +132,7 @@ impl<U: Utility + Send + Sync> Shared<U> {
         st.entries.insert(
             ticket,
             ParkedEntry {
-                coalitions: coalitions.to_vec(),
+                coalitions,
                 outcome: None,
                 taken: false,
                 parked_at: Instant::now(),
@@ -140,13 +140,8 @@ impl<U: Utility + Send + Sync> Shared<U> {
         );
         st.parked += 1;
         loop {
-            if st.entries.get(&ticket).is_some_and(|e| e.outcome.is_some()) {
-                let Some(entry) = st.entries.remove(&ticket) else {
-                    unreachable!("own ticket resident until removed here")
-                };
-                let Some(outcome) = entry.outcome else {
-                    unreachable!("outcome presence checked above")
-                };
+            if let Some(outcome) = st.entries.get_mut(&ticket).and_then(|e| e.outcome.take()) {
+                st.entries.remove(&ticket);
                 return outcome.map_err(FlushFailure::Poisoned);
             }
             if self.is_shutdown() {
@@ -217,12 +212,9 @@ impl<U: Utility + Send + Sync> Shared<U> {
     /// coalitions (`Σ|S| = 119`) ahead of 45 pairs (`Σ|S| = 90`).
     /// `is_cached` counts no lookups.
     fn uncached_work(&self, batch: &[Coalition]) -> usize {
-        let mut seen: HashSet<u128, MaskHash> = HashSet::default();
-        batch
-            .iter()
-            .filter(|&&s| !self.cached.is_cached(s) && seen.insert(s.0))
-            .map(|s| s.size() + 1)
-            .sum()
+        let uncached = batch.iter().filter(|&&s| !self.cached.is_cached(s));
+        let (distinct, _) = dedup_by_mask(uncached.copied().collect());
+        distinct.iter().map(|s| s.size() + 1).sum()
     }
 
     /// Flush the parked batch `pick` as the leader: evaluate its distinct
@@ -243,7 +235,8 @@ impl<U: Utility + Send + Sync> Shared<U> {
             unreachable!("the pick is a parked entry")
         };
         entry.taken = true;
-        let (batch, slots) = dedup_by_mask(&entry.coalitions);
+        // The owner reads only the outcome from here on.
+        let (batch, slots) = dedup_by_mask(std::mem::take(&mut entry.coalitions));
         st.parked -= 1;
         st.flushes += 1;
         st.merged_batches += 1;
@@ -284,13 +277,8 @@ impl<U: Utility + Send + Sync> Shared<U> {
         // The covered batches' coalitions the pick did not evaluate are
         // all cache hits: one read, no inner evaluation under the lock,
         // and `eval.lookups` still equals `distinct_coalitions`.
-        rest.sort_unstable();
-        rest.dedup();
-        let rest_values = if rest.is_empty() {
-            Vec::new()
-        } else {
-            self.cached.eval_batch(&rest)
-        };
+        let (rest, _) = dedup_by_mask(rest);
+        let rest_values = self.cached.eval_batch(&rest);
         let merged = covered.len() + 1;
         st.parked -= covered.len();
         st.merged_batches += covered.len();
@@ -302,14 +290,19 @@ impl<U: Utility + Send + Sync> Shared<U> {
                 Err(_) => unreachable!("the flush read every delivered coalition"),
             },
         };
-        for id in std::iter::once(pick).chain(covered) {
+        let mut outcomes: Vec<(u64, Vec<f64>)> = Vec::with_capacity(merged);
+        for id in covered {
+            let values = st.entries[&id].coalitions.iter().map(value_of).collect();
+            outcomes.push((id, values));
+        }
+        // Identity slots hand the pick its values without a copy.
+        outcomes.push(match slots {
+            None => (pick, values),
+            Some(slots) => (pick, slots.iter().map(|&k| values[k]).collect()),
+        });
+        for (id, values) in outcomes {
             let Some(entry) = st.entries.get_mut(&id) else {
                 unreachable!("taken entries stay resident until their owner consumes them")
-            };
-            let values = if id == pick {
-                slots.iter().map(|&k| values[k]).collect()
-            } else {
-                entry.coalitions.iter().map(value_of).collect()
             };
             entry.outcome = Some(Ok(FlushOutcome {
                 values,
@@ -336,25 +329,6 @@ impl<U: Utility + Send + Sync> Shared<U> {
     }
 }
 
-/// The distinct coalitions of `batch` in ascending mask order, and for
-/// each position of `batch` the index of its coalition among them.
-fn dedup_by_mask(batch: &[Coalition]) -> (Vec<Coalition>, Vec<usize>) {
-    let mut keyed: Vec<(Coalition, usize)> = batch.iter().copied().zip(0..).collect();
-    // `(mask, position)` keys are unique, so the unstable sort is
-    // deterministic; a batch already in mask order (an exact sweep's
-    // chunk) is sorted in one pass.
-    keyed.sort_unstable();
-    let mut distinct: Vec<Coalition> = Vec::with_capacity(batch.len());
-    let mut slots = vec![0usize; batch.len()];
-    for (s, pos) in keyed {
-        if distinct.last() != Some(&s) {
-            distinct.push(s);
-        }
-        slots[pos] = distinct.len() - 1;
-    }
-    (distinct, slots)
-}
-
 /// Deregisters a run when dropped — including during a worker panic, so
 /// parked peers never wait on a dead run.
 pub(super) struct RunGuard<U: Utility + Send + Sync>(pub(super) Arc<Shared<U>>);
@@ -370,26 +344,8 @@ impl<U: Utility + Send + Sync> Drop for RunGuard<U> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::utility::tests::Recording;
     use crate::utility::{HashUtility, ParallelUtility};
-
-    /// Records each `eval_batch` call, then evaluates it.
-    struct Recording {
-        inner: HashUtility,
-        log: Mutex<Vec<Vec<Coalition>>>,
-    }
-
-    impl Utility for Recording {
-        fn n_clients(&self) -> usize {
-            self.inner.n
-        }
-        fn eval(&self, s: Coalition) -> f64 {
-            self.eval_batch(&[s])[0]
-        }
-        fn eval_batch(&self, coalitions: &[Coalition]) -> Vec<f64> {
-            self.log.lock().unwrap().push(coalitions.to_vec());
-            self.inner.eval_batch(coalitions)
-        }
-    }
 
     #[test]
     fn flush_dedups_by_mask_and_delivers_by_position() {
@@ -413,7 +369,7 @@ mod tests {
         let batch: Vec<Coalition> = [0b1011, 0b1, 0b1011, 0b1111_0000, 0b1, 0, 0b1011]
             .map(Coalition)
             .to_vec();
-        let Ok(outcome) = shared.eval_coalesced(&batch) else {
+        let Ok(outcome) = shared.eval_coalesced(batch.clone()) else {
             panic!("a lone healthy batch flushes")
         };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

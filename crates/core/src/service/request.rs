@@ -64,10 +64,10 @@ pub enum ValuationError {
     /// The request was malformed: an empty or out-of-range client set, a
     /// zero budget for [`Estimator::Ipss`] / [`Estimator::BanzhafPruned`]
     /// (`γ = 0` cannot pay for `U(∅)`) or for [`Estimator::StratifiedMc`]
-    /// / [`Estimator::StratifiedCc`] (Alg. 1 would draw nothing), or an
+    /// / [`Estimator::StratifiedCc`] (Alg. 1 would draw nothing), an
     /// exact estimator over more than
     /// [`MAX_ENUMERATED_CLIENTS`](crate::coalition::MAX_ENUMERATED_CLIENTS)
-    /// clients.
+    /// clients, or an [`Estimator::Owen`] budget below one draw per node.
     InvalidRequest {
         /// What was wrong.
         detail: String,

@@ -157,12 +157,12 @@ impl<U: Utility + Send + Sync> Utility for RunUtility<U> {
             return Vec::new();
         }
         self.checkpoint(coalitions.len());
-        let global: Vec<Coalition> = coalitions.iter().map(|&s| self.to_global(s)).collect();
+        let global = || coalitions.iter().map(|&s| self.to_global(s)).collect();
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.coalitions
             .fetch_add(coalitions.len() as u64, Ordering::Relaxed);
         let parked_at = Instant::now();
-        let values = match self.shared.eval_coalesced(&global) {
+        let values = match self.shared.eval_coalesced(global()) {
             Ok(outcome) => {
                 if outcome.merged_batches > 1 {
                     self.coalesced.fetch_add(1, Ordering::Relaxed);
@@ -172,7 +172,8 @@ impl<U: Utility + Send + Sync> Utility for RunUtility<U> {
             Err(FlushFailure::Shutdown) => {
                 abort(ServiceAbort::Fault(ValuationError::ServerShutdown))
             }
-            Err(FlushFailure::Poisoned(detail)) => self.retry_direct(&global, detail),
+            // The flush took the batch; a retry translates it again.
+            Err(FlushFailure::Poisoned(detail)) => self.retry_direct(&global(), detail),
         };
         self.park_wait_max_ns
             .fetch_max(parked_at.elapsed().as_nanos() as u64, Ordering::Relaxed);

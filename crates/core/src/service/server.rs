@@ -24,6 +24,7 @@ use super::run::{dispatch, RunUtility, ServiceAbort};
 use crate::anytime::{Control, ProgressSnapshot, StoppingRule};
 use crate::coalition::{Coalition, MAX_ENUMERATED_CLIENTS};
 use crate::fault::quiet;
+use crate::owen::OwenConfig;
 use crate::utility::{CachedUtility, TrajCacheStats, Utility};
 
 type Reply = mpsc::Sender<Result<ValuationResponse, ValuationError>>;
@@ -164,6 +165,8 @@ fn serve_one<U: Utility + Send + Sync>(
             | Estimator::StratifiedCc
     );
     let exact = matches!(request.estimator, Estimator::ExactMc | Estimator::ExactCc);
+    let n_sub = request.clients.map_or(n, Coalition::size);
+    let owen_min = OwenConfig::for_budget(n_sub, 0).evaluations(n_sub);
     let invalid = match request.clients {
         // Every estimator needs a client to value.
         _ if n == 0 => Some("the utility has no clients to value".into()),
@@ -178,8 +181,12 @@ fn serve_one<U: Utility + Send + Sync>(
                 .into(),
         ),
         // The exact sweeps enumerate all 2^n coalitions of the sub-game.
-        s if exact && s.map_or(n, Coalition::size) > MAX_ENUMERATED_CLIENTS => Some(format!(
+        _ if exact && n_sub > MAX_ENUMERATED_CLIENTS => Some(format!(
             "exact_mc and exact_cc value at most {MAX_ENUMERATED_CLIENTS} clients"
+        )),
+        // Below one draw per node the grid would overrun the budget.
+        _ if request.estimator == Estimator::Owen && request.budget < owen_min => Some(format!(
+            "owen on {n_sub} clients needs a budget of at least {owen_min} (one draw per grid node)"
         )),
         _ => None,
     };

@@ -145,9 +145,14 @@ struct Lane<K> {
 impl<K: Ord + Copy> Lane<K> {
     /// Place contribution `x` at `key`'s canonical position.
     fn add(&mut self, key: K, x: f64) {
-        let at = self.entries.partition_point(|e| e.0 < key);
-        self.entries.insert(at, (key, x));
-        self.stale |= at + 1 < self.entries.len();
+        // An arrival past the last key, the usual case, needs no search.
+        if self.entries.last().is_none_or(|e| e.0 < key) {
+            self.entries.push((key, x));
+        } else {
+            let at = self.entries.partition_point(|e| e.0 < key);
+            self.entries.insert(at, (key, x));
+            self.stale = true;
+        }
         if !self.stale {
             self.push(x);
         }

@@ -8,7 +8,6 @@
 //! (`fedval-fl`), the closed-form linear-regression model (`fedval-theory`)
 //! and the synthetic utilities below.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock};
@@ -290,10 +289,10 @@ enum Store {
 }
 
 /// Every coalition's value bits, indexed by mask, and one presence bit
-/// per mask. A writer stores the value before it sets the bit (release);
-/// a reader that sees the bit (acquire) sees the value. Writers racing on
-/// one slot store identical bits — the [`Utility`] determinism contract —
-/// so a later write never changes what a reader already saw.
+/// per mask. A writer stores its values before it sets their bits
+/// (release); a reader that sees a bit (acquire) sees its value. Writers
+/// racing on one slot store identical bits — the [`Utility`] determinism
+/// contract — so a later write never changes what a reader already saw.
 struct FlatStore {
     n: usize,
     values: Box<[AtomicU64]>,
@@ -329,10 +328,24 @@ impl FlatStore {
         Some(f64::from_bits(self.values[slot].load(Ordering::Relaxed)))
     }
 
-    fn insert(&self, mask: u128, v: f64) -> bool {
-        let (slot, word, bit) = self.locate(mask);
-        self.values[slot].store(v.to_bits(), Ordering::Relaxed);
-        self.present[word].fetch_or(bit, Ordering::Release) & bit == 0
+    /// Store a run of values, then set their presence bits with one
+    /// release `fetch_or` per presence word; ascending masks share words
+    /// most. Returns how many of the bits this call set first.
+    fn insert_run(&self, masks: &[Coalition], values: &[f64]) -> usize {
+        let mut values = values.iter();
+        masks
+            .chunk_by(|a, b| a.0 >> 6 == b.0 >> 6)
+            .map(|run| {
+                let mut bits = 0;
+                for (s, v) in run.iter().zip(&mut values) {
+                    let (slot, _, bit) = self.locate(s.0);
+                    self.values[slot].store(v.to_bits(), Ordering::Relaxed);
+                    bits |= bit;
+                }
+                let word = &self.present[(run[0].0 >> 6) as usize];
+                (bits & !word.fetch_or(bits, Ordering::Release)).count_ones() as usize
+            })
+            .sum()
     }
 
     fn len(&self) -> usize {
@@ -377,27 +390,24 @@ impl Store {
         }
     }
 
-    /// Store a freshly evaluated value; true iff this call stored it
+    /// Store freshly evaluated values; returns how many this call stored
     /// first.
-    fn insert(&self, mask: u128, v: f64) -> bool {
+    fn insert_run(&self, masks: &[Coalition], values: &[f64]) -> usize {
         match self {
-            Store::Flat(flat) => flat.insert(mask, v),
-            Store::Hashed(shards) => {
-                // Poison-tolerant: a panicking inner utility never holds
-                // a shard lock (inserts happen after the inner call
-                // returns), and even a poisoned shard holds only
-                // fully-written entries.
-                let mut shard = shards[shard_of(mask)]
-                    .write()
-                    .unwrap_or_else(PoisonError::into_inner);
-                match shard.entry(mask) {
-                    Entry::Vacant(e) => {
-                        e.insert(v);
-                        true
-                    }
-                    Entry::Occupied(_) => false,
-                }
-            }
+            Store::Flat(flat) => flat.insert_run(masks, values),
+            // Poison-tolerant: inserts run after the inner call returns,
+            // so a poisoned shard holds only fully-written entries. A
+            // racing writer overwrites identical bits.
+            Store::Hashed(shards) => masks
+                .iter()
+                .zip(values)
+                .filter(|&(s, &v)| {
+                    let mut shard = shards[shard_of(s.0)]
+                        .write()
+                        .unwrap_or_else(PoisonError::into_inner);
+                    shard.insert(s.0, v).is_none()
+                })
+                .count(),
         }
     }
 
@@ -448,14 +458,24 @@ impl<U: Utility> CachedUtility<U> {
         self.store.get(s.0).is_some()
     }
 
-    /// Insert a freshly evaluated value; counts it towards `evaluations`
-    /// only if this thread's insert landed first. Returns whether it did.
-    fn insert_counted(&self, s: Coalition, v: f64) -> bool {
-        let fresh = self.store.insert(s.0, v);
-        if fresh {
-            self.evaluations.fetch_add(1, Ordering::Relaxed);
+    /// Evaluate distinct misses with `eval` on the inner utility and store
+    /// them. Only what this call stored first counts towards `evaluations`;
+    /// its wall time is charged once if anything was, since a concurrent
+    /// inner batch has no per-item attribution.
+    fn evaluate(&self, misses: &[Coalition], eval: impl FnOnce(&U) -> Vec<f64>) -> Vec<f64> {
+        // lint:wall-clock(EvalStats gauge: eval_nanos is reporting-only
+        // telemetry and never feeds back into any computed value)
+        #[allow(clippy::disallowed_methods)]
+        let start = Instant::now();
+        let values = eval(&self.inner);
+        let nanos = start.elapsed().as_nanos() as u64;
+        debug_assert_eq!(values.len(), misses.len());
+        let fresh = self.store.insert_run(misses, &values);
+        if fresh > 0 {
+            self.evaluations.fetch_add(fresh as u64, Ordering::Relaxed);
+            self.eval_nanos.fetch_add(nanos, Ordering::Relaxed);
         }
-        fresh
+        values
     }
 }
 
@@ -466,79 +486,70 @@ impl<U: Utility> Utility for CachedUtility<U> {
 
     fn eval(&self, s: Coalition) -> f64 {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(v) = self.store.get(s.0) {
-            return v;
+        match self.store.get(s.0) {
+            Some(v) => v,
+            None => self.evaluate(&[s], |u| vec![u.eval(s)])[0],
         }
-        // lint:wall-clock(EvalStats gauge: eval_nanos is reporting-only
-        // telemetry and never feeds back into any computed value)
-        #[allow(clippy::disallowed_methods)]
-        let start = Instant::now();
-        let v = self.inner.eval(s);
-        let nanos = start.elapsed().as_nanos() as u64;
-        // Double-check inside insert_counted: another thread may have
-        // filled the entry while we were training; only the first insert
-        // is charged.
-        if self.insert_counted(s, v) {
-            self.eval_nanos.fetch_add(nanos, Ordering::Relaxed);
-        }
-        v
     }
 
-    /// Batched lookup: hits resolve from the store, distinct misses are
-    /// forwarded to the inner utility as one batch (in first-occurrence
-    /// order) so a parallel inner utility can train them concurrently.
+    /// Batched lookup: hits resolve from the store; the misses go through
+    /// `dedup_by_mask` to the inner utility as one batch of distinct
+    /// coalitions in ascending mask order, so a parallel inner utility can
+    /// train them concurrently. Each counter takes one add per batch.
     fn eval_batch(&self, coalitions: &[Coalition]) -> Vec<f64> {
         self.lookups
             .fetch_add(coalitions.len() as u64, Ordering::Relaxed);
         let mut out = vec![0.0f64; coalitions.len()];
-        // Distinct misses in first-occurrence order + the output positions
-        // each one must fill.
-        let mut miss_index: HashMap<u128, usize, MaskHash> = HashMap::default();
-        let mut misses: Vec<Coalition> = Vec::new();
-        let mut pending: Vec<(usize, usize)> = Vec::new(); // (out pos, miss idx)
+        // The misses, and the output position of each.
+        let (mut misses, mut at) = (Vec::new(), Vec::new());
         for (pos, &s) in coalitions.iter().enumerate() {
             if let Some(v) = self.store.get(s.0) {
                 out[pos] = v;
-            } else {
-                if pending.is_empty() {
-                    // Sized to the rest of the batch at the first miss: a
-                    // cold batch misses throughout, and growing the index
-                    // rehashes it at every doubling; an all-hit batch
-                    // allocates nothing.
-                    miss_index.reserve(coalitions.len() - pos);
-                    pending.reserve(coalitions.len() - pos);
-                }
-                let idx = *miss_index.entry(s.0).or_insert_with(|| {
-                    misses.push(s);
-                    misses.len() - 1
-                });
-                pending.push((pos, idx));
+                continue;
             }
+            if misses.is_empty() {
+                // Sized at the first miss: a cold batch misses throughout,
+                // an all-hit batch allocates nothing.
+                misses.reserve(coalitions.len() - pos);
+                at.reserve(coalitions.len() - pos);
+            }
+            misses.push(s);
+            at.push(pos);
         }
-        if !misses.is_empty() {
-            // lint:wall-clock(EvalStats gauge: batch eval_nanos is
-            // reporting-only telemetry, never feeds a computed value)
-            #[allow(clippy::disallowed_methods)]
-            let start = Instant::now();
-            let values = self.inner.eval_batch(&misses);
-            // Batch-level timing: when the inner utility evaluates the
-            // misses concurrently, per-item attribution is meaningless, so
-            // the whole batch's wall time is charged once.
-            let nanos = start.elapsed().as_nanos() as u64;
-            debug_assert_eq!(values.len(), misses.len());
-            let mut any_fresh = false;
-            for (&s, &v) in misses.iter().zip(&values) {
-                any_fresh |= self.insert_counted(s, v);
-            }
-            if any_fresh {
-                self.eval_nanos.fetch_add(nanos, Ordering::Relaxed);
-            }
-            for (pos, idx) in pending {
-                out[pos] = values[idx];
-            }
+        if misses.is_empty() {
+            return out;
+        }
+        let (distinct, slots) = dedup_by_mask(misses);
+        let values = self.evaluate(&distinct, |u| u.eval_batch(&distinct));
+        for (i, pos) in at.into_iter().enumerate() {
+            out[pos] = values[slots.as_ref().map_or(i, |slots| slots[i])];
         }
         out
     }
+}
+
+/// The distinct coalitions of `batch` in ascending mask order, and for
+/// each position of `batch` the index of its coalition among them —
+/// `None` when `batch` is strictly ascending already. Such a batch (an
+/// exact sweep's chunk, an IPSS stratum, a flush's pick) is its own
+/// answer: it comes back as is after one pass, with no sort.
+pub(crate) fn dedup_by_mask(batch: Vec<Coalition>) -> (Vec<Coalition>, Option<Vec<usize>>) {
+    if batch.is_sorted_by(|a, b| a < b) {
+        return (batch, None);
+    }
+    let mut keyed: Vec<(Coalition, usize)> = batch.iter().copied().zip(0..).collect();
+    // `(mask, position)` keys are unique, so the unstable sort is
+    // deterministic.
+    keyed.sort_unstable();
+    let (mut distinct, mut slots) = (batch, vec![0usize; keyed.len()]);
+    distinct.clear();
+    for (s, pos) in keyed {
+        if distinct.last() != Some(&s) {
+            distinct.push(s);
+        }
+        slots[pos] = distinct.len() - 1;
+    }
+    (distinct, Some(slots))
 }
 
 /// Utility backed by an explicit table of all `2^n` coalition values.
@@ -744,7 +755,7 @@ impl<U: Utility> Utility for NoisyUtility<U> {
 #[cfg(test)]
 // Tests assert invariants; an unwrap that trips IS the test failing.
 #[allow(clippy::unwrap_used, clippy::expect_used)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::coalition::all_subsets;
 
@@ -825,38 +836,131 @@ mod tests {
         assert!(!u.is_cached(Coalition::empty()));
     }
 
+    /// Records each batch it is handed, then evaluates it.
+    pub(crate) struct Recording {
+        pub(crate) inner: HashUtility,
+        pub(crate) log: std::sync::Mutex<Vec<Vec<Coalition>>>,
+    }
+
+    impl Utility for Recording {
+        fn n_clients(&self) -> usize {
+            self.inner.n
+        }
+        fn eval(&self, s: Coalition) -> f64 {
+            self.eval_batch(&[s])[0]
+        }
+        fn eval_batch(&self, coalitions: &[Coalition]) -> Vec<f64> {
+            self.log.lock().unwrap().push(coalitions.to_vec());
+            self.inner.eval_batch(coalitions)
+        }
+    }
+
     #[test]
     fn cached_batches_match_the_inner_on_both_sides_of_the_flat_bound() {
+        use std::collections::BTreeSet;
+        let sorted = |masks: &[Coalition]| -> Vec<Coalition> {
+            let set: BTreeSet<Coalition> = masks.iter().copied().collect();
+            set.into_iter().collect()
+        };
         for n in [0usize, 1, 20, 21, 24, 25, 30, 128] {
-            let u = CachedUtility::new(HashUtility { n, seed: 11 });
+            let u = CachedUtility::new(Recording {
+                inner: HashUtility { n, seed: 11 },
+                log: Default::default(),
+            });
             let full = Coalition::full(n).0;
-            // Spread over the whole mask width, duplicates included.
-            let masks: Vec<Coalition> = (0u64..300)
-                .map(|i| {
-                    let k = i % 200;
-                    let wide = (splitmix64(k) as u128) << 64 | splitmix64(!k) as u128;
-                    Coalition(wide & full)
-                })
+            // Spread over the whole mask width.
+            let spread = |k: u64| {
+                let wide = (splitmix64(k) as u128) << 64 | splitmix64(!k) as u128;
+                Coalition(wide & full)
+            };
+            let check = |batch: &[Coalition], values: &[f64]| {
+                for (s, v) in batch.iter().zip(values) {
+                    assert_eq!(v.to_bits(), u.inner().inner.eval(*s).to_bits(), "n = {n}");
+                }
+            };
+            let log = || u.inner().log.lock().unwrap().clone();
+            // A cold ascending batch passes to the inner as is.
+            let ascending = sorted(&(0..100).map(spread).collect::<Vec<_>>());
+            check(&ascending, &u.eval_batch(&ascending));
+            assert_eq!(log(), vec![ascending.clone()], "n = {n}");
+            assert_eq!(u.stats().evaluations, ascending.len(), "n = {n}");
+            assert_eq!(u.stats().lookups, ascending.len(), "n = {n}");
+            // Unsorted, duplicates included, a third of it cached: the
+            // inner sees each distinct miss once, in ascending order.
+            let masks: Vec<Coalition> = (0u64..300).map(|i| spread(i % 150 + 50)).collect();
+            let all = sorted(&masks);
+            let misses: Vec<Coalition> = all
+                .iter()
+                .filter(|s| ascending.binary_search(s).is_err())
+                .copied()
                 .collect();
-            let mut distinct: Vec<u128> = masks.iter().map(|s| s.0).collect();
-            distinct.sort_unstable();
-            distinct.dedup();
             let values = u.eval_batch(&masks);
-            for (s, v) in masks.iter().zip(&values) {
-                assert_eq!(v.to_bits(), u.inner().eval(*s).to_bits(), "n = {n}");
-            }
-            let stats = u.stats();
-            assert_eq!(stats.evaluations, distinct.len(), "n = {n}");
-            assert_eq!(stats.lookups, masks.len(), "n = {n}");
-            assert_eq!(u.cached_len(), distinct.len(), "n = {n}");
+            check(&masks, &values);
+            let mut want = vec![ascending.clone()];
+            want.extend((!misses.is_empty()).then(|| misses.clone()));
+            assert_eq!(log(), want, "n = {n}");
+            let distinct = ascending.len() + misses.len();
+            assert_eq!(u.stats().evaluations, distinct, "n = {n}");
+            assert_eq!(u.stats().lookups, ascending.len() + masks.len(), "n = {n}");
+            assert_eq!(u.cached_len(), distinct, "n = {n}");
             // A second pass, in reverse, is all hits.
             let rev: Vec<Coalition> = masks.iter().rev().copied().collect();
             let again = u.eval_batch(&rev);
             assert!(again.iter().rev().eq(values.iter()), "n = {n}");
-            assert_eq!(u.stats().evaluations, distinct.len(), "n = {n}");
-            assert_eq!(u.stats().lookups, 2 * masks.len(), "n = {n}");
+            assert_eq!(log(), want, "n = {n}");
+            assert_eq!(u.stats().evaluations, distinct, "n = {n}");
+            assert_eq!(
+                u.stats().lookups,
+                ascending.len() + 2 * masks.len(),
+                "n = {n}"
+            );
             assert!(masks.iter().all(|&s| u.is_cached(s)), "n = {n}");
+
+            // Two threads store overlapping ascending runs, which share
+            // presence words: each mask counts once.
+            let u = CachedUtility::new(HashUtility { n, seed: 11 });
+            let run = |from: u128, to: u128| {
+                sorted(
+                    &(from..to)
+                        .map(|i| Coalition((3 * i + 1) & full))
+                        .collect::<Vec<_>>(),
+                )
+            };
+            let runs = [run(0, 3000), run(1000, 4096)];
+            std::thread::scope(|scope| {
+                for batch in &runs {
+                    let u = &u;
+                    scope.spawn(move || check(batch, &u.eval_batch(batch)));
+                }
+            });
+            let union = sorted(&runs.concat());
+            assert_eq!(u.stats().evaluations, union.len(), "n = {n}");
+            assert_eq!(u.stats().lookups, runs[0].len() + runs[1].len(), "n = {n}");
+            assert_eq!(u.cached_len(), union.len(), "n = {n}");
         }
+    }
+
+    #[test]
+    fn dedup_by_mask_sorts_only_what_is_not_ascending() {
+        let masks = |m: &[u128]| m.iter().map(|&m| Coalition(m)).collect::<Vec<_>>();
+        // A strictly ascending batch comes back as is: same buffer,
+        // identity slots.
+        let ascending = masks(&[0, 1, 5, 9, 1 << 100]);
+        let buffer = ascending.as_ptr();
+        let (distinct, slots) = dedup_by_mask(ascending);
+        assert_eq!(distinct.as_ptr(), buffer);
+        assert_eq!((distinct, slots), (masks(&[0, 1, 5, 9, 1 << 100]), None));
+        assert_eq!(dedup_by_mask(Vec::new()), (Vec::new(), None));
+        // Duplicates and disorder: the distinct masks ascending, and each
+        // position's index among them.
+        let (distinct, slots) = dedup_by_mask(masks(&[5, 1, 5, 5, 0, 1, 9, 9]));
+        assert_eq!(distinct, masks(&[0, 1, 5, 9]));
+        assert_eq!(slots, Some(vec![2, 1, 2, 2, 0, 1, 3, 3]));
+        // Ascending but not strictly: the repeat still gets a slot.
+        assert_eq!(
+            dedup_by_mask(masks(&[1, 1, 2])),
+            (masks(&[1, 2]), Some(vec![0, 0, 1]))
+        );
     }
 
     #[test]

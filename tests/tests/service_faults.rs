@@ -27,6 +27,7 @@ use rand::SeedableRng;
 use fedval_core::coalition::{Coalition, MAX_ENUMERATED_CLIENTS};
 use fedval_core::fault::{FaultyUtility, PERSISTENT};
 use fedval_core::ipss::{ipss, IpssConfig};
+use fedval_core::owen::OwenConfig;
 use fedval_core::service::{
     partial_prefix_fold, Estimator, LimitPolicy, RetryPolicy, Ticket, ValuationError,
     ValuationRequest, ValuationResponse, ValuationServer,
@@ -480,14 +481,16 @@ fn tiny_games_answer_every_estimator_with_a_response_or_a_typed_error() {
                 // A 0-client game is rejected before any estimator runs;
                 // a sampled schedule needs γ ≥ 1 (the pruned ones to pay
                 // for U(∅), Alg. 1 to draw anything); the exact sweeps
-                // enumerate at most 2^24 coalitions.
+                // enumerate at most 2^24 coalitions; Owen's coarsest grid,
+                // one draw per node, costs 4·(n + 1) evaluations.
                 let invalid = n == 0
                     || (budget == 0
                         && matches!(
                             estimator,
                             Ipss | BanzhafPruned | StratifiedMc | StratifiedCc
                         ))
-                    || (n > MAX_ENUMERATED_CLIENTS && matches!(estimator, ExactMc | ExactCc));
+                    || (n > MAX_ENUMERATED_CLIENTS && matches!(estimator, ExactMc | ExactCc))
+                    || (estimator == Owen && budget < OwenConfig::new(4, 1).evaluations(n));
                 match server.call(ValuationRequest::new(estimator, budget, 1)) {
                     Ok(resp) => {
                         assert!(!invalid, "{cell}: must be rejected as invalid");

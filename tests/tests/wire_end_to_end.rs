@@ -484,6 +484,11 @@ fn boundary_games_answer_every_cell_over_the_wire_as_in_process() {
                     "{cell}: {}",
                     got.encode()
                 );
+                // Owen's coarsest grid, one draw per node, costs
+                // 4·(n + 1) > 1 evaluations: every Owen cell is a 400.
+                if estimator == Estimator::Owen {
+                    assert_eq!(resp.status, 400, "{cell}: {}", got.encode());
+                }
                 if want_status == 200 {
                     assert_eq!(
                         bits(&wire_values(&got)),
