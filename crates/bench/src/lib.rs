@@ -11,6 +11,8 @@
 //! `FEDVAL_SEED=<u64>` changes the base seed.
 
 pub mod config;
+#[cfg(test)]
+mod gradient;
 pub mod problems;
 pub mod report;
 pub mod runner;
