@@ -9,10 +9,10 @@
 //! a first-order approximation with no guarantee (Table IV shows its error
 //! blowing up on CNNs).
 
-use fedval_core::coalition::Coalition;
 use fedval_data::Dataset;
 use fedval_nn::Network;
 
+use crate::gradient::accuracy_gain;
 use crate::history::TrainingHistory;
 
 /// Configuration for [`dig_fl`].
@@ -53,11 +53,7 @@ pub fn dig_fl(
     if cfg.normalize_efficiency {
         let total: f64 = phi.iter().sum();
         if total > 0.0 {
-            net.set_params(history.global_after(history.rounds() - 1));
-            let final_acc = net.accuracy(test);
-            net.set_params(&history.init_params);
-            let init_acc = net.accuracy(test);
-            let scale = (final_acc - init_acc) / total;
+            let scale = accuracy_gain(history, &mut net, test) / total;
             for v in &mut phi {
                 *v *= scale;
             }
@@ -66,35 +62,14 @@ pub fn dig_fl(
     phi
 }
 
-/// Number of gradient evaluations DIG-FL performs: one per round —
-/// `O(rounds)`, independent of `2^n`.
-pub fn dig_fl_evaluations(history: &TrainingHistory) -> usize {
-    history.rounds()
-}
-
-/// Convenience: free riders detectable by DIG-FL — clients whose every
-/// recorded update is missing (no data).
-pub fn dig_fl_free_riders(history: &TrainingHistory) -> Coalition {
-    let n = history.n_clients();
-    let mut mask = Coalition::empty();
-    for i in 0..n {
-        let never_updated = (0..history.rounds()).all(|t| history.updates[t][i].is_none());
-        if never_updated {
-            mask = mask.with(i);
-        }
-    }
-    mask
-}
-
 #[cfg(test)]
 // Tests assert invariants; an unwrap that trips IS the test failing.
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::config::FedAvgConfig;
-    use crate::fedavg::train_with_history;
-    use crate::model::ModelSpec;
+    use crate::history::record_history;
     use fedval_data::{MnistLike, SyntheticSetup};
+    use fedval_fl::{FedAvgConfig, ModelSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -115,7 +90,7 @@ mod tests {
             local_epochs: 1,
             ..Default::default()
         };
-        let (_, history) = train_with_history(&spec, &clients, 64, 10, &cfg);
+        let history = record_history(&spec, &clients, 64, 10, &cfg);
         let phi = dig_fl(
             &history,
             spec.build(64, 10, 0),
@@ -140,7 +115,7 @@ mod tests {
             local_epochs: 1,
             ..Default::default()
         };
-        let (_, history) = train_with_history(&spec, &clients, 64, 10, &cfg);
+        let history = record_history(&spec, &clients, 64, 10, &cfg);
         let phi = dig_fl(
             &history,
             spec.build(64, 10, 0),
@@ -149,8 +124,6 @@ mod tests {
             &DigFlConfig::default(),
         );
         assert_eq!(phi[2], 0.0);
-        assert_eq!(dig_fl_free_riders(&history), Coalition::singleton(2));
-        assert_eq!(dig_fl_evaluations(&history), 2);
     }
 
     #[test]
@@ -162,7 +135,7 @@ mod tests {
             local_epochs: 1,
             ..Default::default()
         };
-        let (mut net, history) = train_with_history(&spec, &clients, 64, 10, &cfg);
+        let history = record_history(&spec, &clients, 64, 10, &cfg);
         let phi = dig_fl(
             &history,
             spec.build(64, 10, 0),
@@ -172,14 +145,8 @@ mod tests {
                 normalize_efficiency: true,
             },
         );
-        let final_acc = net.accuracy(&test);
-        net.set_params(&history.init_params);
-        let init_acc = net.accuracy(&test);
+        let gain = accuracy_gain(&history, &mut spec.build(64, 10, 0), &test);
         let total: f64 = phi.iter().sum();
-        assert!(
-            (total - (final_acc - init_acc)).abs() < 1e-9,
-            "total {total} vs gain {}",
-            final_acc - init_acc
-        );
+        assert!((total - gain).abs() < 1e-9, "total {total} vs gain {gain}");
     }
 }

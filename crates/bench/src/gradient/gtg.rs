@@ -95,10 +95,9 @@ pub fn gtg_shapley<R: Rng + ?Sized>(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::config::FedAvgConfig;
-    use crate::fedavg::train_with_history;
-    use crate::model::ModelSpec;
+    use crate::history::record_history;
     use fedval_data::{MnistLike, SyntheticSetup};
+    use fedval_fl::{FedAvgConfig, ModelSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -119,7 +118,7 @@ mod tests {
             local_epochs: 1,
             ..Default::default()
         };
-        let (_, history) = train_with_history(&spec, &clients, 64, 10, &cfg);
+        let history = record_history(&spec, &clients, 64, 10, &cfg);
         let mut rng = StdRng::seed_from_u64(15);
         let phi = gtg_shapley(
             &history,
@@ -142,7 +141,7 @@ mod tests {
             local_epochs: 1,
             ..Default::default()
         };
-        let (_, history) = train_with_history(&spec, &clients, 64, 10, &cfg);
+        let history = record_history(&spec, &clients, 64, 10, &cfg);
         let mut rng = StdRng::seed_from_u64(16);
         let phi = gtg_shapley(
             &history,
@@ -166,7 +165,7 @@ mod tests {
             local_epochs: 1,
             ..Default::default()
         };
-        let (_, history) = train_with_history(&spec, &clients, 64, 10, &cfg);
+        let history = record_history(&spec, &clients, 64, 10, &cfg);
         let run = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             gtg_shapley(

@@ -69,10 +69,10 @@ pub fn lambda_mr(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::config::FedAvgConfig;
-    use crate::fedavg::train_with_history;
-    use crate::model::ModelSpec;
+    use crate::gradient::accuracy_gain;
+    use crate::history::record_history;
     use fedval_data::{MnistLike, SyntheticSetup};
+    use fedval_fl::{FedAvgConfig, ModelSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -93,26 +93,18 @@ mod tests {
             local_epochs: 1,
             ..Default::default()
         };
-        let (net, history) = train_with_history(&spec, &clients, 64, 10, &cfg);
-        let evaluator_net = spec.build(64, 10, 0);
+        let history = record_history(&spec, &clients, 64, 10, &cfg);
         let phi = lambda_mr(
             &history,
-            evaluator_net,
+            spec.build(64, 10, 0),
             test.clone(),
             &LambdaMrConfig::default(),
         );
         // Per-round efficiency: Σᵢ ϕᵢᵗ = U_t(N) − U_t(∅) = acc(M^{t+1}) −
         // acc(M^t); with λ = 1 the rounds telescope to the overall gain.
-        let mut eval_net = net;
-        let final_acc = eval_net.accuracy(&test);
-        eval_net.set_params(&history.init_params);
-        let init_acc = eval_net.accuracy(&test);
+        let gain = accuracy_gain(&history, &mut spec.build(64, 10, 0), &test);
         let total: f64 = phi.iter().sum();
-        assert!(
-            (total - (final_acc - init_acc)).abs() < 1e-9,
-            "Σϕ = {total} vs gain {}",
-            final_acc - init_acc
-        );
+        assert!((total - gain).abs() < 1e-9, "Σϕ = {total} vs gain {gain}");
     }
 
     #[test]
@@ -124,7 +116,7 @@ mod tests {
             local_epochs: 1,
             ..Default::default()
         };
-        let (_, history) = train_with_history(&spec, &clients, 64, 10, &cfg);
+        let history = record_history(&spec, &clients, 64, 10, &cfg);
         let a = lambda_mr(
             &history,
             spec.build(64, 10, 0),

@@ -30,10 +30,9 @@ pub fn or_valuation(history: &TrainingHistory, net: Network, test: Dataset) -> V
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::config::FedAvgConfig;
-    use crate::fedavg::train_with_history;
-    use crate::model::ModelSpec;
+    use crate::history::record_history;
     use fedval_data::{MnistLike, SyntheticSetup};
+    use fedval_fl::{FedAvgConfig, ModelSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -54,8 +53,8 @@ mod tests {
             local_epochs: 1,
             ..Default::default()
         };
-        let (net, history) = train_with_history(&spec, &clients, 64, 10, &cfg);
-        let phi = or_valuation(&history, net, test);
+        let history = record_history(&spec, &clients, 64, 10, &cfg);
+        let phi = or_valuation(&history, spec.build(64, 10, 0), test);
         assert_eq!(phi.len(), 4);
         // Efficiency: Σϕ = U_rec(N) − U_rec(∅); both ends of the recon
         // table are the true endpoints of training, so the total must be
@@ -78,8 +77,8 @@ mod tests {
             local_epochs: 1,
             ..Default::default()
         };
-        let (net, history) = train_with_history(&spec, &clients, 64, 10, &cfg);
-        let phi = or_valuation(&history, net, test);
+        let history = record_history(&spec, &clients, 64, 10, &cfg);
+        let phi = or_valuation(&history, spec.build(64, 10, 0), test);
         // A client with no data contributes no update in any reconstruction
         // ⇒ exact null player on the reconstructed game.
         assert!(

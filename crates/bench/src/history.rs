@@ -4,9 +4,56 @@
 //! OR, λ-MR and GTG-Shapley all avoid retraining by *reconstructing* the
 //! model of an arbitrary coalition `S` from the per-round, per-client
 //! updates recorded during the single full-coalition FL run (Sec. VI-B-2).
+//! [`record_history`] records them from the reference FedAvg loop itself.
+
+// The baselines are estimator code: no wall-clock reads, although the
+// harness crate allows them elsewhere.
+#![deny(clippy::disallowed_methods)]
 
 use fedval_core::coalition::Coalition;
+use fedval_data::Dataset;
+use fedval_fl::{train_coalition_observed, FedAvgConfig, ModelSpec};
 use fedval_nn::linalg::axpy;
+
+/// Train the full coalition with the FedAvg reference loop
+/// ([`train_coalition_observed`]) and record its history; the last
+/// recorded global is that loop's model, bit for bit.
+pub fn record_history(
+    spec: &ModelSpec,
+    clients: &[Dataset],
+    input: usize,
+    classes: usize,
+    cfg: &FedAvgConfig,
+) -> TrainingHistory {
+    let n = clients.len();
+    // Each round's start: the init, then every round's result.
+    let mut starts: Vec<Vec<f32>> = Vec::new();
+    let mut updates: Vec<Vec<Option<Vec<f32>>>> = Vec::new();
+    let full = Coalition::full(n);
+    let net = train_coalition_observed(
+        spec,
+        clients,
+        input,
+        classes,
+        full,
+        cfg,
+        |r, base, i, delta| {
+            if r == updates.len() {
+                starts.push(base.to_vec());
+                updates.push(vec![None; n]);
+            }
+            updates[r][i] = Some(delta.to_vec());
+        },
+    );
+    starts.push(net.params());
+    let init_params = starts.remove(0);
+    TrainingHistory {
+        init_params,
+        updates,
+        globals: starts,
+        client_sizes: clients.iter().map(Dataset::n_samples).collect(),
+    }
+}
 
 /// Everything recorded during one full-coalition FedAvg run.
 #[derive(Clone, Debug)]

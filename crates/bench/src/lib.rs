@@ -7,12 +7,17 @@
 //! one place only: the ledger under `benchmark/` (`benchmark/run.sh`),
 //! whose per-layer metrics cover the core estimators and the FL kernels.
 //!
+//! The gradient-based baselines of Table IV live here, next to the runs
+//! that use them: [`history`] records a full-coalition FedAvg run through
+//! `fedval_fl::train_coalition_observed`, and [`gradient`] values the
+//! clients from that record (OR, λ-MR, GTG-Shapley, DIG-FL).
+//!
 //! Environment knobs: `FEDVAL_QUICK=1` shrinks every experiment,
 //! `FEDVAL_SEED=<u64>` changes the base seed.
 
 pub mod config;
-#[cfg(test)]
-mod gradient;
+pub mod gradient;
+pub mod history;
 pub mod problems;
 pub mod report;
 pub mod runner;

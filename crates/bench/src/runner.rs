@@ -13,11 +13,12 @@ use fedval_core::coalition::{all_subsets, Coalition};
 use fedval_core::exact::{exact_mc_sv, exact_perm_sv};
 use fedval_core::ipss::{ipss, IpssConfig};
 use fedval_core::utility::{CachedUtility, TableUtility, Utility};
-use fedval_fl::{
-    dig_fl, gtg_shapley, lambda_mr, or_valuation, train_coalition, train_with_history, DigFlConfig,
-    FlUtility, GtgConfig, LambdaMrConfig,
-};
+use fedval_fl::{train_coalition, FlUtility};
 
+use crate::gradient::{
+    dig_fl, gtg_shapley, lambda_mr, or_valuation, DigFlConfig, GtgConfig, LambdaMrConfig,
+};
+use crate::history::record_history;
 use crate::problems::{GbdtProblem, NeuralProblem};
 
 /// The ten algorithms of the paper's comparison (Sec. V-A).
@@ -169,7 +170,7 @@ pub fn run_neural(
     let (values, evaluations) = if algorithm.is_gradient_based() {
         let input = problem.test.n_features();
         let classes = problem.test.n_classes();
-        let (_, history) = train_with_history(
+        let history = record_history(
             &problem.spec,
             &problem.clients,
             input,

@@ -3,7 +3,8 @@
 //! (group testing) and CC-Shapley (complementary contributions).
 //!
 //! The gradient-based baselines (OR, λ-MR, GTG-Shapley, DIG-FL) need access
-//! to the FL training history and therefore live in `fedval-fl`.
+//! to the FL training history and therefore live in `fedval-bench`, next to
+//! the Table IV runs that use them.
 
 pub mod ccshap;
 pub mod gtb;

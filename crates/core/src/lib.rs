@@ -84,13 +84,10 @@ pub mod prelude {
     };
     pub use crate::coalition::{binom, binom_u128, subsets_up_to, Coalition};
     pub use crate::exact::{exact_cc_sv, exact_mc_sv, exact_perm_sv, ExactSweep};
-    pub use crate::fault::{FaultyUtility, InjectedFault, PERSISTENT};
     pub use crate::ipss::{compute_k_star, ipss, IpssConfig, IpssWeighting, PrunedSampler};
     pub use crate::kgreedy::{k_greedy, k_greedy_evaluations};
     pub use crate::loo::leave_one_out;
-    pub use crate::metrics::{
-        kendall_tau, l2_relative_error, max_abs_error, pareto_front, property_error,
-    };
+    pub use crate::metrics::{kendall_tau, l2_relative_error, pareto_front, property_error};
     pub use crate::owen::{owen_sampling, OwenConfig, OwenSampler};
     pub use crate::sampler::{drive, Sampler};
     pub use crate::service::{

@@ -23,16 +23,6 @@ pub fn l2_relative_error(estimate: &[f64], exact: &[f64]) -> f64 {
     }
 }
 
-/// Maximum absolute per-client error `max_i |ϕ̂_i − ϕ_i|`.
-pub fn max_abs_error(estimate: &[f64], exact: &[f64]) -> f64 {
-    assert_eq!(estimate.len(), exact.len());
-    estimate
-        .iter()
-        .zip(exact)
-        .map(|(a, e)| (a - e).abs())
-        .fold(0.0, f64::max)
-}
-
 /// Kendall rank-correlation coefficient `τ` between two valuations.
 ///
 /// Data markets often care about the *ranking* of providers more than the
@@ -149,11 +139,6 @@ mod tests {
         assert!((l2_relative_error(&est, &exact) - 1.0).abs() < 1e-12);
         assert_eq!(l2_relative_error(&[0.0], &[0.0]), 0.0);
         assert_eq!(l2_relative_error(&[1.0], &[0.0]), f64::INFINITY);
-    }
-
-    #[test]
-    fn max_abs_error_basics() {
-        assert_eq!(max_abs_error(&[1.0, 2.0], &[1.5, 2.25]), 0.5);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The FedAvg training loop (Def. 1) over arbitrary coalitions of
 //! clients: a lock-step engine ([`train_coalitions`]) that advances `B`
 //! coalition models through one pass over the client data, and the solo
-//! reference loop ([`train_coalition`]) it is bit-identical to, with
-//! optional recording of the per-round per-client updates that the
-//! gradient-based baselines consume. As in the paper's cross-silo
-//! setting, every member of a coalition trains in every round.
+//! reference loop ([`train_coalition`]) it is bit-identical to, which
+//! [`train_coalition_observed`] opens to an observer of every local
+//! update. As in the paper's cross-silo setting, every member of a
+//! coalition trains in every round.
 //!
 //! The paper's implementation simulates data providers as separate
 //! processes speaking gRPC; the transport does not affect valuation, so
@@ -41,7 +41,6 @@ use fedval_nn::linalg::axpy;
 use fedval_nn::{MultiNetwork, Network};
 
 use crate::config::{init_seed, local_seed, FedAvgConfig};
-use crate::history::TrainingHistory;
 use crate::model::ModelSpec;
 use crate::trajcache::TrajectoryCache;
 
@@ -51,8 +50,7 @@ use crate::trajcache::TrajectoryCache;
 /// round loop. Nothing in the product trains through it — `FlUtility`
 /// uses the lock-step engine ([`train_coalitions`]) even for one
 /// coalition — but that engine must reproduce it bit-for-bit per lane, and
-/// keeping this path alive is what makes the contract testable. Its loop
-/// also runs [`train_with_history`].
+/// keeping this path alive is what makes the contract testable.
 ///
 /// Clients with empty datasets are skipped (they cannot train); a coalition
 /// with no data returns the initialised model, whose utility serves as
@@ -65,38 +63,31 @@ pub fn train_coalition(
     coalition: Coalition,
     cfg: &FedAvgConfig,
 ) -> Network {
-    run_fedavg(spec, clients, input, classes, coalition, cfg, None)
+    train_coalition_observed(
+        spec,
+        clients,
+        input,
+        classes,
+        coalition,
+        cfg,
+        |_, _, _, _| {},
+    )
 }
 
-/// Train the full-coalition FL model while recording the training history
-/// needed by OR, λ-MR, GTG-Shapley and DIG-FL.
-pub fn train_with_history(
-    spec: &ModelSpec,
-    clients: &[Dataset],
-    input: usize,
-    classes: usize,
-    cfg: &FedAvgConfig,
-) -> (Network, TrainingHistory) {
-    let n = clients.len();
-    let full = Coalition::full(n);
-    let mut history = TrainingHistory {
-        init_params: Vec::new(),
-        updates: Vec::new(),
-        globals: Vec::new(),
-        client_sizes: clients.iter().map(|c| c.n_samples()).collect(),
-    };
-    let net = run_fedavg(spec, clients, input, classes, full, cfg, Some(&mut history));
-    (net, history)
-}
-
-fn run_fedavg(
+/// [`train_coalition`], calling `observe(round, base, i, Δ)` after each
+/// local training: `base` is the round's start (the global model the
+/// server broadcast) and `Δ = local − base` is client `i`'s upload, in the
+/// order the server aggregates them. The observer cannot change the
+/// training; recording what it sees is how the gradient-based baselines
+/// get their training history.
+pub fn train_coalition_observed(
     spec: &ModelSpec,
     clients: &[Dataset],
     input: usize,
     classes: usize,
     coalition: Coalition,
     cfg: &FedAvgConfig,
-    mut history: Option<&mut TrainingHistory>,
+    mut observe: impl FnMut(usize, &[f32], usize, &[f32]),
 ) -> Network {
     assert!(coalition.is_subset_of(Coalition::full(clients.len())));
     // (i) Acts at server, first iteration: initialise the global model.
@@ -107,9 +98,6 @@ fn run_fedavg(
         .members()
         .filter(|&i| !clients[i].is_empty())
         .collect();
-    if let Some(h) = history.as_deref_mut() {
-        h.init_params = global.params();
-    }
     if members.is_empty() {
         return global;
     }
@@ -119,11 +107,6 @@ fn run_fedavg(
     for round in 0..cfg.rounds {
         let base = global.params();
         aggregate.fill(0.0);
-        let mut round_updates: Vec<Option<Vec<f32>>> = if history.is_some() {
-            vec![None; clients.len()]
-        } else {
-            Vec::new()
-        };
         for &i in &members {
             // (ii) Acts at clients: receive the global model, train on the
             // local dataset, upload the update.
@@ -141,19 +124,13 @@ fn run_fedavg(
             let mut delta = global.params();
             axpy(-1.0, &base, &mut delta);
             axpy(w, &delta, &mut aggregate);
-            if history.is_some() {
-                round_updates[i] = Some(delta);
-            }
+            observe(round, &base, i, &delta);
         }
         // (i) Acts at server: new global model by weighted aggregation of
         // the local models (parameter averaging = base + Σ wᵢΔᵢ).
         let mut next = base;
         axpy(1.0, &aggregate, &mut next);
         global.set_params(&next);
-        if let Some(h) = history.as_deref_mut() {
-            h.updates.push(round_updates);
-            h.globals.push(next);
-        }
     }
     global
 }
@@ -446,18 +423,28 @@ mod tests {
 
     #[test]
     fn history_replays_to_final_model() {
-        // Reconstructing the *full* coalition from history must reproduce
-        // the recorded run exactly (the OR identity on S = N).
+        // Adding every observed update, with its FedAvg weight, to the init
+        // reproduces the trained model (the OR identity on S = N).
         let (clients, _) = small_problem();
         let cfg = FedAvgConfig::default();
         let spec = ModelSpec::default_mlp();
-        let (net, history) = train_with_history(&spec, &clients, 64, 10, &cfg);
-        assert_eq!(history.rounds(), cfg.rounds);
-        let reconstructed = history.reconstruct(Coalition::full(4));
-        let actual = net.params();
-        let max_diff = reconstructed
+        let total: usize = clients.iter().map(Dataset::n_samples).sum();
+        let mut replay = spec.build(64, 10, init_seed(cfg.seed)).params();
+        let mut rounds = 0;
+        let full = Coalition::full(4);
+        let net =
+            train_coalition_observed(&spec, &clients, 64, 10, full, &cfg, |r, _, i, delta| {
+                rounds = rounds.max(r + 1);
+                axpy(
+                    clients[i].n_samples() as f32 / total as f32,
+                    delta,
+                    &mut replay,
+                );
+            });
+        assert_eq!(rounds, cfg.rounds);
+        let max_diff = replay
             .iter()
-            .zip(&actual)
+            .zip(&net.params())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
         assert!(max_diff < 1e-4, "max diff {max_diff}");
@@ -569,9 +556,14 @@ mod tests {
         clients[2] = Dataset::empty(64, 10);
         let cfg = FedAvgConfig::default();
         let spec = ModelSpec::default_mlp();
-        let (_, history) = train_with_history(&spec, &clients, 64, 10, &cfg);
-        assert!(history.updates[0][2].is_none());
-        assert!(history.updates[0][0].is_some());
-        assert_eq!(history.client_sizes[2], 0);
+        let full = Coalition::full(4);
+        let mut observed = Vec::new();
+        train_coalition_observed(&spec, &clients, 64, 10, full, &cfg, |r, _, i, _| {
+            observed.push((r, i));
+        });
+        let expected: Vec<(usize, usize)> = (0..cfg.rounds)
+            .flat_map(|r| [0, 1, 3].map(|i| (r, i)))
+            .collect();
+        assert_eq!(observed, expected);
     }
 }

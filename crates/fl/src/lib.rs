@@ -8,8 +8,9 @@
 //!   (one data pass, per-coalition parameter lanes; round 0, where every
 //!   lane starts at the init, trains once per client and nothing later is
 //!   shared) bit-identically to the solo [`fedavg::train_coalition`]
-//!   reference loop, with deterministic per-coalition seeding and optional
-//!   training-history recording;
+//!   reference loop, with deterministic per-coalition seeding;
+//!   [`fedavg::train_coalition_observed`] shows an observer every local
+//!   update of that loop;
 //! * [`utility`] — [`utility::FlUtility`] (FedAvg + neural models) and
 //!   [`utility::GbdtUtility`] (pooled XGBoost-style training), the real
 //!   `U(M_S)` behind every experiment;
@@ -18,9 +19,11 @@
 //!   starts from the one server init), so exhaustive sweeps pay round 0
 //!   once per client per utility instead of once per lane block, in at
 //!   most `n · p · 4` bytes;
-//! * [`history`] — per-round per-client updates and model reconstruction;
-//! * [`gradient`] — the gradient-based baselines of Sec. V-A: OR, λ-MR,
-//!   GTG-Shapley and DIG-FL.
+//! * [`service`] — the valuation service over an [`utility::FlUtility`].
+//!
+//! The gradient-based baselines of Sec. V-A (OR, λ-MR, GTG-Shapley,
+//! DIG-FL) and the training history they replay live in the `fedval-bench`
+//! harness, next to the Table IV runs that use them.
 //!
 //! The paper's multi-process gRPC simulation is replaced by in-process
 //! clients with the same message flow (see "Deviations from the paper" in
@@ -28,8 +31,6 @@
 
 pub mod config;
 pub mod fedavg;
-pub mod gradient;
-pub mod history;
 pub mod model;
 pub mod service;
 pub mod trajcache;
@@ -37,14 +38,9 @@ pub mod utility;
 
 pub use config::FedAvgConfig;
 pub use fedavg::{
-    train_coalition, train_coalitions, train_coalitions_params, train_coalitions_params_with_cache,
-    train_with_history,
+    train_coalition, train_coalition_observed, train_coalitions, train_coalitions_params,
+    train_coalitions_params_with_cache,
 };
-pub use gradient::{
-    dig_fl, gtg_shapley, lambda_mr, or_valuation, DigFlConfig, GtgConfig, LambdaMrConfig,
-    ReconstructedUtility,
-};
-pub use history::TrainingHistory;
 pub use model::ModelSpec;
 pub use service::{serve, FlServiceConfig, FlValuationServer};
 pub use trajcache::{TrajCacheStats, TrajectoryCache};

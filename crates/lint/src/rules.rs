@@ -3,8 +3,10 @@
 //! Four repo-specific rules that clippy cannot express, each mapped onto
 //! one of the bit-identity contracts in ARCHITECTURE.md:
 //!
-//! * **`hash-order`** — in the estimator crates (`fedval-core`,
-//!   `fedval-fl`), no order-sensitive iteration of a `HashMap`/`HashSet`:
+//! * **`hash-order`** — in the estimator code (`fedval-core`, `fedval-fl`
+//!   and the gradient baselines in `crates/bench/src/gradient/` with the
+//!   `history.rs` they replay), no order-sensitive iteration of a
+//!   `HashMap`/`HashSet`:
 //!   `for` loops and `.iter()`/`.keys()`/`.values()`/`.drain()`-family
 //!   calls on a hash-typed binding are findings unless the site is
 //!   immediately sorted, ends in an order-insensitive terminal
@@ -14,7 +16,7 @@
 //! * **`wall-clock`** — no `Instant::now`/`SystemTime` outside the
 //!   timing whitelist (the service's `coalescer.rs`, `run.rs` and
 //!   `server.rs` under `crates/core/src/service/` — park-wait accounting —
-//!   and the `crates/bench` harness); stray accounting sites carry
+//!   and the rest of the `crates/bench` harness); stray accounting sites carry
 //!   `// lint:wall-clock(<reason>)`.
 //! * **`unseeded-rng`** — RNG construction must flow from an explicit
 //!   seed: nondeterministic constructors (`thread_rng`, `from_entropy`,
@@ -84,16 +86,17 @@ impl std::fmt::Display for Finding {
 pub enum FileClass {
     /// First-party library source under `crates/*/src`.
     Library {
-        /// In the estimator crates (`core`, `fl`) the `hash-order` rule
-        /// is active; elsewhere hash iteration has no bit-identity
-        /// contract to break.
+        /// In the estimator code (`core`, `fl`, the bench's gradient
+        /// baselines) the `hash-order` rule is active; elsewhere hash
+        /// iteration has no bit-identity contract to break.
         estimator: bool,
         /// Wall-clock whitelist membership (the service files that account
         /// park-wait time).
         timing_whitelisted: bool,
     },
-    /// Test/bench/example driver code, and the `crates/bench` harness:
-    /// only the nondeterministic-constructor ban applies.
+    /// Test/bench/example driver code, and the `crates/bench` harness
+    /// outside its gradient baselines: only the nondeterministic-constructor
+    /// ban applies.
     Driver,
 }
 
@@ -131,12 +134,16 @@ pub fn classify(rel_path: &str) -> Option<FileClass> {
         return Some(FileClass::Driver);
     }
     // The bench harness: timing is its purpose, fixed literal seeds are
-    // its inputs — driver code.
-    if p.starts_with("crates/bench/") {
+    // its inputs — driver code. The gradient baselines it hosts, and the
+    // training history they replay, are estimators.
+    let bench_estimator =
+        p.starts_with("crates/bench/src/gradient/") || p == "crates/bench/src/history.rs";
+    if p.starts_with("crates/bench/") && !bench_estimator {
         return Some(FileClass::Driver);
     }
     if p.starts_with("crates/") && p.contains("/src/") {
-        let estimator = p.starts_with("crates/core/") || p.starts_with("crates/fl/");
+        let estimator =
+            p.starts_with("crates/core/") || p.starts_with("crates/fl/") || bench_estimator;
         let timing_whitelisted = TIMING_WHITELIST.contains(&p.as_str());
         return Some(FileClass::Library {
             estimator,
@@ -665,7 +672,7 @@ impl<'a> FileContext<'a> {
                     format!(
                         "`{what}` outside the timing whitelist \
                          (crates/core/src/service/{{coalescer,run,server}}.rs, \
-                         crates/bench); move the \
+                         crates/bench outside its gradient baselines); move the \
                          measurement there or annotate with `// lint:wall-clock(<reason>)`"
                     ),
                 );

@@ -223,6 +223,22 @@ fn classification_matches_the_layout() {
         classify("crates/bench/src/runner.rs"),
         Some(FileClass::Driver)
     );
+    // The gradient baselines and their history are estimator code inside
+    // the harness crate.
+    for path in [
+        "crates/bench/src/gradient/mod.rs",
+        "crates/bench/src/gradient/gtg.rs",
+        "crates/bench/src/history.rs",
+    ] {
+        assert_eq!(
+            classify(path),
+            Some(FileClass::Library {
+                estimator: true,
+                timing_whitelisted: false,
+            }),
+            "{path}"
+        );
+    }
     assert_eq!(
         classify("tests/tests/service_faults.rs"),
         Some(FileClass::Driver)

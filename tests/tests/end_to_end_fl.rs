@@ -7,11 +7,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use fedval_core::prelude::*;
-use fedval_data::{Dataset, MnistLike, SyntheticSetup};
-use fedval_fl::{
-    dig_fl, gtg_shapley, lambda_mr, or_valuation, train_with_history, DigFlConfig, FedAvgConfig,
-    FlUtility, GtgConfig, LambdaMrConfig, ModelSpec,
-};
+use fedval_data::{MnistLike, SyntheticSetup};
+use fedval_fl::{FedAvgConfig, FlUtility, ModelSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -82,56 +79,6 @@ fn utility_cache_bounds_training_count() {
     let mut rng = StdRng::seed_from_u64(3);
     let _ = ipss(&utility, &IpssConfig::new(9), &mut rng);
     assert_eq!(utility.stats().evaluations, seen);
-}
-
-#[test]
-fn gradient_baselines_run_and_respect_structure() {
-    let n = 4;
-    let gen = MnistLike::new(601);
-    let (train, test) = gen.generate_split(80 * n, 300, 602);
-    let mut rng = StdRng::seed_from_u64(603);
-    let mut clients = SyntheticSetup::SameSizeSameDist.partition(&train, n, &mut rng);
-    clients[2] = Dataset::empty(64, 10); // free rider
-    let spec = ModelSpec::default_mlp();
-    let cfg = FedAvgConfig {
-        rounds: 4,
-        local_epochs: 1,
-        batch_size: 16,
-        lr: 0.2,
-        seed: 604,
-        ..Default::default()
-    };
-    let (_, history) = train_with_history(&spec, &clients, 64, 10, &cfg);
-
-    let or = or_valuation(&history, spec.build(64, 10, 0), test.clone());
-    assert!(or[2].abs() < 1e-9, "OR must zero the free rider: {or:?}");
-
-    let mr = lambda_mr(
-        &history,
-        spec.build(64, 10, 0),
-        test.clone(),
-        &LambdaMrConfig::default(),
-    );
-    assert!(mr[2].abs() < 1e-9, "λ-MR must zero the free rider: {mr:?}");
-
-    let mut rng = StdRng::seed_from_u64(605);
-    let gtg = gtg_shapley(
-        &history,
-        spec.build(64, 10, 0),
-        test.clone(),
-        &GtgConfig::default(),
-        &mut rng,
-    );
-    assert_eq!(gtg.len(), n);
-
-    let dig = dig_fl(
-        &history,
-        spec.build(64, 10, 0),
-        &test,
-        &test,
-        &DigFlConfig::default(),
-    );
-    assert_eq!(dig[2], 0.0, "DIG-FL must zero the free rider: {dig:?}");
 }
 
 #[test]
