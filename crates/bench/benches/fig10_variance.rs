@@ -15,7 +15,7 @@
 // design; unwrap/expect are the error mechanism here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use fedval_bench::{base_seed, quick, Table};
+use fedval_bench::{base_seed, quick, table_client_counts, Table};
 use fedval_core::stratified::Scheme;
 use fedval_theory::{estimator_variance_over_runs, TrainingErrorUtility};
 use rand::rngs::StdRng;
@@ -24,8 +24,7 @@ use rand::SeedableRng;
 fn main() {
     let seed = base_seed();
     let runs = if quick() { 60 } else { 150 };
-    let ns: Vec<usize> = if quick() { vec![3, 6] } else { vec![3, 6, 10] };
-    for &n in &ns {
+    for n in table_client_counts() {
         let gammas: Vec<usize> = {
             let full = 1usize << n;
             [full / 8, full / 4, full / 2, full]

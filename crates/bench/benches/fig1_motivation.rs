@@ -8,16 +8,15 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use fedval_bench::{
-    base_seed, exact_values_neural, femnist, fmt_err, fmt_secs, gamma_for, quick, run_neural,
-    Algorithm, NeuralModel, Table,
+    base_seed, exact_sweep, femnist, fmt_err, fmt_secs, gamma_for, quick, run, Algorithm,
+    NeuralModel, Table,
 };
-use fedval_core::metrics::l2_relative_error;
 
 fn main() {
     let seed = base_seed();
     let n = if quick() { 6 } else { 10 };
     let problem = femnist(n, NeuralModel::Mlp, seed);
-    let exact = exact_values_neural(&problem);
+    let (exact, _) = exact_sweep(&problem);
     let gamma = gamma_for(n);
 
     let mut table = Table::new(["Algorithm", "Time(s)", "Error(l2)", "Evaluations"]);
@@ -25,17 +24,12 @@ fn main() {
         if alg == Algorithm::PermShapley {
             continue; // infeasible point; Fig. 1(b) plots approximations
         }
-        let result = run_neural(alg, &problem, gamma, seed ^ 0xF16);
-        let err = if alg.is_exact() {
-            None
-        } else {
-            Some(l2_relative_error(&result.values, &exact))
-        };
+        let r = run(alg, &problem, gamma, seed ^ 0xF16).expect("neural problem");
         table.row([
             alg.name().to_string(),
-            fmt_secs(result.seconds()),
-            fmt_err(err),
-            result.evaluations.to_string(),
+            fmt_secs(r.wall_time.as_secs_f64()),
+            fmt_err(alg.error(&r.values, &exact)),
+            r.model_evaluations.to_string(),
         ]);
     }
     table.print(&format!(

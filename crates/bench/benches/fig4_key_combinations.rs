@@ -6,21 +6,20 @@
 //! most of the Shapley value lives in the small coalitions. (On the
 //! paper's data-rich FEMNIST silos the error is already < 1% at K ≤ 2.)
 //!
-//! All K values share the utility cache of the ground-truth computation;
-//! the Time column reports `evaluations × τ̂` with `τ̂` measured from that
-//! same cache, which is exactly the cost model of Sec. IV-C (time is
-//! `O(τγ)`).
+//! All K values share the table of the ground-truth computation; the Time
+//! column is the τ-model cost of Sec. IV-C, `Σ_{S evaluated} τ̂(|S|)`, with
+//! `τ̂` each size's mean solo training time (`TauModel`), as in Fig. 6.
 
 // Bench driver: measurement harness code panics on setup failure by
 // design; unwrap/expect are the error mechanism here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use fedval_bench::{base_seed, femnist, fmt_secs, parallel_prefill, quick, NeuralModel, Table};
-use fedval_core::coalition::all_subsets;
+use fedval_bench::{
+    base_seed, femnist, fmt_secs, quick, NeuralModel, Problem, RecordingUtility, Table, TauModel,
+};
 use fedval_core::exact::exact_mc_sv;
 use fedval_core::kgreedy::{k_greedy, k_greedy_evaluations};
 use fedval_core::metrics::l2_relative_error;
-use fedval_core::utility::CachedUtility;
 
 fn main() {
     let seed = base_seed();
@@ -28,18 +27,15 @@ fn main() {
     let k_max = if quick() { 5 } else { 6 };
     for model in [NeuralModel::Mlp, NeuralModel::Cnn] {
         let problem = femnist(n, model, seed);
-        let u = CachedUtility::new(problem.utility());
-        let coalitions: Vec<_> = all_subsets(n).collect();
-        parallel_prefill(&u, &coalitions);
-        let stats = u.stats();
-        let tau = stats.eval_time.as_secs_f64() / stats.evaluations.max(1) as f64;
-        let exact = exact_mc_sv(&u);
+        let (tau, warm) = TauModel::measure_full(&problem.utility());
+        let exact = exact_mc_sv(&warm);
 
         let mut table = Table::new(["K", "Error(l2)", "Time est.(s)", "Evaluations"]);
         let mut prev_err = f64::INFINITY;
         let mut monotone = true;
         for k in 1..=k_max {
-            let approx = k_greedy(&u, k);
+            let recorder = RecordingUtility::new(&warm);
+            let approx = k_greedy(&recorder, k);
             let err = l2_relative_error(&approx, &exact);
             monotone &= err <= prev_err + 0.05;
             prev_err = err;
@@ -47,14 +43,14 @@ fn main() {
             table.row([
                 k.to_string(),
                 format!("{err:.4}"),
-                fmt_secs(evals as f64 * tau),
+                fmt_secs(tau.cost_of(&recorder.recorded())),
                 evals.to_string(),
             ]);
         }
         table.print(&format!(
             "Fig. 4 — K-Greedy on FEMNIST-like, n = {n}, {} model (τ̂ = {:.1} ms)",
             model.name(),
-            tau * 1e3
+            tau.mean_tau() * 1e3
         ));
         println!(
             "Shape check: error decreases (roughly monotonically) in K: {}",

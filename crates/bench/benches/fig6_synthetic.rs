@@ -18,15 +18,11 @@
 // design; unwrap/expect are the error mechanism here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use fedval_bench::runner::{RecordingUtility, TauModel};
 use fedval_bench::{
-    base_seed, fmt_err, fmt_secs, gamma_for, mnist_synthetic, quick, run_neural, Algorithm,
-    NeuralModel, Table,
+    base_seed, estimate, fmt_err, fmt_secs, gamma_for, mnist_synthetic, quick, run, Algorithm,
+    NeuralModel, Problem, RecordingUtility, Table, TauModel,
 };
-use fedval_core::baselines::{cc_shapley, extended_gtb_values, extended_tmc};
-use fedval_core::baselines::{CcShapConfig, GtbConfig, TmcConfig};
 use fedval_core::exact::exact_mc_sv;
-use fedval_core::ipss::{ipss, IpssConfig};
 use fedval_core::metrics::l2_relative_error;
 use fedval_data::SyntheticSetup;
 use rand::rngs::StdRng;
@@ -62,26 +58,13 @@ fn main() {
                     continue; // Fig. 6 compares the approximations
                 }
                 let (time, values) = if alg.is_gradient_based() {
-                    let r = run_neural(alg, &problem, gamma, seed ^ 0x6F16);
-                    (r.seconds(), r.values)
+                    let r = run(alg, &problem, gamma, seed ^ 0x6F16).expect("neural problem");
+                    (r.wall_time.as_secs_f64(), r.values)
                 } else {
                     let recorder = RecordingUtility::new(&warm);
                     let mut rng = StdRng::seed_from_u64(seed ^ 0x6F17);
-                    let values = match alg {
-                        Algorithm::ExtTmc => {
-                            extended_tmc(&recorder, &TmcConfig::new(gamma), &mut rng)
-                        }
-                        Algorithm::ExtGtb => {
-                            extended_gtb_values(&recorder, &GtbConfig::new(gamma), &mut rng)
-                        }
-                        Algorithm::CcShapley => {
-                            cc_shapley(&recorder, &CcShapConfig::new(gamma), &mut rng)
-                        }
-                        Algorithm::Ipss => ipss(&recorder, &IpssConfig::new(gamma), &mut rng),
-                        _ => unreachable!(),
-                    };
-                    let evaluated = recorder.recorded();
-                    (tau.cost_of(evaluated.iter()), values)
+                    let values = estimate(alg, &recorder, gamma, &mut rng);
+                    (tau.cost_of(&recorder.recorded()), values)
                 };
                 let err = l2_relative_error(&values, &exact);
                 if best.is_none_or(|(_, e)| err < e) {

@@ -13,14 +13,10 @@
 // design; unwrap/expect are the error mechanism here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use fedval_bench::{base_seed, femnist, parallel_prefill, quick, Algorithm, NeuralModel, Table};
-use fedval_core::baselines::{cc_shapley, extended_gtb_values, extended_tmc};
-use fedval_core::baselines::{CcShapConfig, GtbConfig, TmcConfig};
-use fedval_core::coalition::all_subsets;
-use fedval_core::exact::exact_mc_sv;
-use fedval_core::ipss::{ipss, IpssConfig};
+use fedval_bench::{
+    base_seed, estimate, exact_sweep, femnist, quick, Algorithm, NeuralModel, Table,
+};
 use fedval_core::metrics::{l2_relative_error, mean, variance};
-use fedval_core::utility::CachedUtility;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,10 +31,7 @@ fn main() {
     let reps = if quick() { 5 } else { 20 };
     for model in [NeuralModel::Mlp, NeuralModel::Cnn] {
         let problem = femnist(n, model, seed);
-        let u = CachedUtility::new(problem.utility());
-        let coalitions: Vec<_> = all_subsets(n).collect();
-        parallel_prefill(&u, &coalitions);
-        let exact = exact_mc_sv(&u);
+        let (exact, u) = exact_sweep(&problem);
         let mut table = Table::new(
             ["γ"].into_iter().map(String::from).chain(
                 Algorithm::SAMPLING
@@ -54,17 +47,7 @@ fn main() {
                     .map(|rep| {
                         let mut rng =
                             StdRng::seed_from_u64(seed ^ ((rep as u64) << 8) ^ (gamma as u64));
-                        let est = match alg {
-                            Algorithm::ExtTmc => extended_tmc(&u, &TmcConfig::new(gamma), &mut rng),
-                            Algorithm::ExtGtb => {
-                                extended_gtb_values(&u, &GtbConfig::new(gamma), &mut rng)
-                            }
-                            Algorithm::CcShapley => {
-                                cc_shapley(&u, &CcShapConfig::new(gamma), &mut rng)
-                            }
-                            Algorithm::Ipss => ipss(&u, &IpssConfig::new(gamma), &mut rng),
-                            _ => unreachable!(),
-                        };
+                        let est = estimate(alg, &u, gamma, &mut rng);
                         l2_relative_error(&est, &exact)
                     })
                     .collect();

@@ -11,20 +11,19 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use fedval_bench::{
-    base_seed, exact_values_neural, femnist, quick, run_neural, Algorithm, NeuralModel, Table,
+    base_seed, exact_sweep, femnist, quick, run, table_client_counts, Algorithm, NeuralModel, Table,
 };
 use fedval_core::metrics::{l2_relative_error, pareto_front};
 
 fn main() {
     let seed = base_seed();
-    let ns = if quick() { vec![3, 6] } else { vec![3, 6, 10] };
     let models = if quick() {
         vec![NeuralModel::Mlp]
     } else {
         vec![NeuralModel::Mlp, NeuralModel::Cnn]
     };
     for model in models {
-        for &n in &ns {
+        for n in table_client_counts() {
             // CNN at n = 10 is the most expensive cell; trim the sweep.
             if model == NeuralModel::Cnn && n == 10 && !quick() {
                 // CNN at n = 10 retrains hundreds of coalitions per point;
@@ -43,19 +42,15 @@ fn main() {
                 4
             };
             let problem = femnist(n, model, seed.wrapping_add(n as u64));
-            let exact = exact_values_neural(&problem);
+            let (exact, _) = exact_sweep(&problem);
             let mut points: Vec<(Algorithm, f64, f64)> = Vec::new();
             for &alg in &Algorithm::SAMPLING {
                 for &gamma in &gammas {
                     for rep in 0..reps {
-                        let r = run_neural(
-                            alg,
-                            &problem,
-                            gamma,
-                            seed ^ ((rep as u64) << 16) ^ ((gamma as u64) << 4),
-                        );
+                        let rep_seed = seed ^ ((rep as u64) << 16) ^ ((gamma as u64) << 4);
+                        let r = run(alg, &problem, gamma, rep_seed).expect("neural problem");
                         let err = l2_relative_error(&r.values, &exact);
-                        points.push((alg, r.seconds(), err));
+                        points.push((alg, r.wall_time.as_secs_f64(), err));
                     }
                 }
             }

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use fedval_bench::{
-    base_seed, fmt_secs, gamma_for, quick, run_neural, scalability, Algorithm, NeuralModel, Table,
+    base_seed, fmt_secs, gamma_for, quick, run, scalability, Algorithm, NeuralModel, Table,
 };
 use fedval_core::metrics::property_error;
 
@@ -33,14 +33,12 @@ fn main() {
         let gamma = gamma_for(n);
         let mut table = Table::new(["Algorithm", "Time(s)", "PropertyError"]);
         for alg in Algorithm::SAMPLING {
-            let r = run_neural(alg, &problem, gamma, seed ^ 0x519 ^ (n as u64) << 3);
+            let r =
+                run(alg, &problem, gamma, seed ^ 0x519 ^ (n as u64) << 3).expect("neural problem");
             let err = property_error(&r.values, &free_riders, &duplicate_pairs);
-            times.insert((alg, n), r.seconds());
-            table.row([
-                alg.name().to_string(),
-                fmt_secs(r.seconds()),
-                format!("{err:.4}"),
-            ]);
+            let secs = r.wall_time.as_secs_f64();
+            times.insert((alg, n), secs);
+            table.row([alg.name().to_string(), fmt_secs(secs), format!("{err:.4}")]);
         }
         table.print(&format!(
             "Fig. 9 — scalability, n = {n}, γ = {gamma} (5% free riders, 5% duplicates)"

@@ -7,71 +7,11 @@
 //! permutation walks, so the table also prints the extrapolated naive time
 //! `n!·(n+1)·τ̂`, mirroring the paper's 10⁹-second entries.
 
-// Bench driver: measurement harness code panics on setup failure by
-// design; unwrap/expect are the error mechanism here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
-use fedval_bench::{
-    base_seed, exact_values_neural, femnist, fmt_err, fmt_secs, gamma_for, run_neural, Algorithm,
-    NeuralModel, Table,
-};
-use fedval_core::exact::perm_sv_naive_evaluations;
-use fedval_core::metrics::l2_relative_error;
+use fedval_bench::{comparison_table, femnist, NeuralModel};
 
 fn main() {
-    let seed = base_seed();
-    let ns = fedval_bench::config::table_client_counts();
     for model in [NeuralModel::Mlp, NeuralModel::Cnn] {
-        let mut table = Table::new(
-            ["n", "Metric"]
-                .into_iter()
-                .map(String::from)
-                .chain(Algorithm::ALL.iter().map(|a| a.name().to_string())),
-        );
-        for &n in &ns {
-            let problem = femnist(n, model, seed.wrapping_add(n as u64));
-            let exact = exact_values_neural(&problem);
-            let gamma = gamma_for(n);
-            let results: Vec<_> = Algorithm::ALL
-                .iter()
-                .map(|&alg| run_neural(alg, &problem, gamma, seed ^ 0xBEEF ^ n as u64))
-                .collect();
-            let tau_estimate = results
-                .iter()
-                .find(|r| r.algorithm == Algorithm::McShapley)
-                .map(|r| r.seconds() / r.evaluations.max(1) as f64)
-                .unwrap_or(0.0);
-            let mut time_cells = Vec::with_capacity(results.len());
-            let mut err_cells = Vec::with_capacity(results.len());
-            for result in &results {
-                let time = if result.algorithm == Algorithm::PermShapley {
-                    // Extrapolated naive time (no caching across
-                    // permutations), as the paper reports for large n.
-                    let naive = perm_sv_naive_evaluations(n) * tau_estimate.max(1e-9);
-                    format!("{} (naive {:.1e})", fmt_secs(result.seconds()), naive)
-                } else {
-                    fmt_secs(result.seconds())
-                };
-                time_cells.push(time);
-                let err = if result.algorithm.is_exact() {
-                    None
-                } else {
-                    Some(l2_relative_error(&result.values, &exact))
-                };
-                err_cells.push(fmt_err(err));
-            }
-            table.row(
-                [n.to_string(), "Time(s)".to_string()]
-                    .into_iter()
-                    .chain(time_cells),
-            );
-            table.row(
-                [n.to_string(), "Error(l2)".to_string()]
-                    .into_iter()
-                    .chain(err_cells),
-            );
-        }
-        table.print(&format!(
+        comparison_table(0xBEEF, |n, seed| femnist(n, model, seed)).print(&format!(
             "Table IV — FEMNIST-like, {} model (γ per Table III)",
             model.name()
         ));

@@ -5,80 +5,10 @@
 //! Paper shape: IPSS fastest at n = 10 and lowest error throughout; on
 //! XGB it is 10–30× faster than the other sampling baselines at n = 10.
 
-// Bench driver: measurement harness code panics on setup failure by
-// design; unwrap/expect are the error mechanism here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
-use fedval_bench::{
-    adult_mlp, adult_xgb, base_seed, exact_values_gbdt, exact_values_neural, fmt_err, fmt_secs,
-    gamma_for, not_applicable, run_gbdt, run_neural, Algorithm, Table,
-};
-use fedval_core::metrics::l2_relative_error;
+use fedval_bench::{adult_mlp, adult_xgb, comparison_table};
 
 fn main() {
-    let seed = base_seed();
-    let ns = fedval_bench::config::table_client_counts();
-
-    // MLP half.
-    let mut table = Table::new(
-        ["n", "Metric"]
-            .into_iter()
-            .map(String::from)
-            .chain(Algorithm::ALL.iter().map(|a| a.name().to_string())),
-    );
-    for &n in &ns {
-        let problem = adult_mlp(n, seed.wrapping_add(n as u64));
-        let exact = exact_values_neural(&problem);
-        let gamma = gamma_for(n);
-        let mut times = Vec::new();
-        let mut errs = Vec::new();
-        for alg in Algorithm::ALL {
-            let r = run_neural(alg, &problem, gamma, seed ^ 0x7AB ^ n as u64);
-            times.push(fmt_secs(r.seconds()));
-            let err = if alg.is_exact() {
-                None
-            } else {
-                Some(l2_relative_error(&r.values, &exact))
-            };
-            errs.push(fmt_err(err));
-        }
-        table.row([n.to_string(), "Time(s)".into()].into_iter().chain(times));
-        table.row([n.to_string(), "Error(l2)".into()].into_iter().chain(errs));
-    }
-    table.print("Table V — Adult-like, MLP model");
-
-    // XGB half.
-    let mut table = Table::new(
-        ["n", "Metric"]
-            .into_iter()
-            .map(String::from)
-            .chain(Algorithm::ALL.iter().map(|a| a.name().to_string())),
-    );
-    for &n in &ns {
-        let problem = adult_xgb(n, seed.wrapping_add(n as u64));
-        let exact = exact_values_gbdt(&problem);
-        let gamma = gamma_for(n);
-        let mut times = Vec::new();
-        let mut errs = Vec::new();
-        for alg in Algorithm::ALL {
-            match run_gbdt(alg, &problem, gamma, seed ^ 0x7AC ^ n as u64) {
-                Some(r) => {
-                    times.push(fmt_secs(r.seconds()));
-                    let err = if alg.is_exact() {
-                        None
-                    } else {
-                        Some(l2_relative_error(&r.values, &exact))
-                    };
-                    errs.push(fmt_err(err));
-                }
-                None => {
-                    times.push(not_applicable());
-                    errs.push(not_applicable());
-                }
-            }
-        }
-        table.row([n.to_string(), "Time(s)".into()].into_iter().chain(times));
-        table.row([n.to_string(), "Error(l2)".into()].into_iter().chain(errs));
-    }
-    table.print("Table V — Adult-like, XGB model (\\ = not applicable)");
+    comparison_table(0x7AB, adult_mlp).print("Table V — Adult-like, MLP model");
+    comparison_table(0x7AC, adult_xgb)
+        .print("Table V — Adult-like, XGB model (\\ = not applicable)");
 }

@@ -3,9 +3,15 @@
 //! The experiment harness regenerating every table and figure of the IPSS
 //! paper, one target per figure or table, named after it. Each
 //! `cargo bench` target under `benches/` is a `harness = false` binary
-//! that prints the same rows/series its paper counterpart reports. Performance is measured in
-//! one place only: the ledger under `benchmark/` (`benchmark/run.sh`),
-//! whose per-layer metrics cover the core estimators and the FL kernels.
+//! that prints the same rows/series its paper counterpart reports as
+//! text tables; it writes no files. Performance is measured in one place
+//! only: the ledger under `benchmark/` (`benchmark/run.sh`), whose
+//! per-layer metrics cover the core estimators and the FL kernels.
+//!
+//! Every artefact runs through [`runner`]: [`run`] times one algorithm on a
+//! fresh memo, [`estimate`] is the one dispatch to the estimators,
+//! [`exact_sweep`] trains the exact ground truth across the rayon pool, and
+//! [`comparison_table`] prints Tables IV and V.
 //!
 //! The gradient-based baselines of Table IV live here, next to the runs
 //! that use them: [`history`] records a full-coalition FedAvg run through
@@ -19,18 +25,15 @@ pub mod config;
 pub mod gradient;
 pub mod history;
 pub mod problems;
-pub mod report;
 pub mod runner;
 pub mod table;
 
-pub use config::{base_seed, gamma_for, quick};
+pub use config::{base_seed, gamma_for, quick, table_client_counts};
 pub use problems::{
     adult_mlp, adult_xgb, femnist, mnist_synthetic, scalability, GbdtProblem, NeuralModel,
-    NeuralProblem,
+    NeuralProblem, Problem,
 };
-pub use report::{ExperimentReport, Measurement};
 pub use runner::{
-    exact_values_gbdt, exact_values_neural, parallel_prefill, run_gbdt, run_neural, Algorithm,
-    RunResult,
+    comparison_table, estimate, exact_sweep, run, Algorithm, RecordingUtility, TauModel,
 };
-pub use table::{fmt_err, fmt_secs, not_applicable, Table};
+pub use table::{fmt_err, fmt_secs, Table};

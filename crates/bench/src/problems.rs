@@ -4,6 +4,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use fedval_core::utility::Utility;
 use fedval_data::{AdultLike, Dataset, FemnistLike, MnistLike, SyntheticSetup};
 use fedval_fl::{FedAvgConfig, FlUtility, GbdtUtility, ModelSpec};
 use fedval_gbdt::GbdtParams;
@@ -52,28 +53,40 @@ impl NeuralModel {
     }
 }
 
+/// What the runner needs of a valuation problem.
+pub trait Problem {
+    type U: Utility;
+
+    /// A fresh utility over (clones of) the problem's data.
+    fn utility(&self) -> Self::U;
+
+    /// The FL setting the gradient-based methods replay; `None` where the
+    /// model has no gradients (Table V's "\\" cells).
+    fn neural(&self) -> Option<&NeuralProblem>;
+}
+
 /// A fully specified neural FL valuation problem.
 pub struct NeuralProblem {
-    pub name: String,
     pub clients: Vec<Dataset>,
     pub test: Dataset,
     pub spec: ModelSpec,
     pub fed: FedAvgConfig,
 }
 
-impl NeuralProblem {
-    pub fn n(&self) -> usize {
-        self.clients.len()
-    }
+impl Problem for NeuralProblem {
+    type U = FlUtility;
 
-    /// A fresh utility over (clones of) this problem's data.
-    pub fn utility(&self) -> FlUtility {
+    fn utility(&self) -> FlUtility {
         FlUtility::new(
             self.clients.clone(),
             self.test.clone(),
             self.spec.clone(),
             self.fed,
         )
+    }
+
+    fn neural(&self) -> Option<&NeuralProblem> {
+        Some(self)
     }
 }
 
@@ -90,7 +103,6 @@ pub fn femnist(n: usize, model: NeuralModel, seed: u64) -> NeuralProblem {
         seed ^ 0x01,
     );
     NeuralProblem {
-        name: format!("FEMNIST-like/{}/n={n}", model.name()),
         clients: fed_data.clients,
         test: fed_data.test,
         spec: model.spec(),
@@ -115,7 +127,6 @@ pub fn mnist_synthetic(
     let mut rng = StdRng::seed_from_u64(seed ^ 0x03);
     let clients = setup.partition(&train, n, &mut rng);
     NeuralProblem {
-        name: format!("MNIST-synth/{}/{}/n={n}", setup.label(), model.name()),
         clients,
         test,
         spec: model.spec(),
@@ -133,7 +144,6 @@ pub fn adult_mlp(n: usize, seed: u64) -> NeuralProblem {
         seed ^ 0x04,
     );
     NeuralProblem {
-        name: format!("Adult-like/MLP/n={n}"),
         clients: fed_data.clients,
         test: fed_data.test,
         spec: ModelSpec::Mlp { hidden: vec![16] },
@@ -150,19 +160,20 @@ pub fn adult_mlp(n: usize, seed: u64) -> NeuralProblem {
 
 /// A GBDT valuation problem (Table V, lower half).
 pub struct GbdtProblem {
-    pub name: String,
     pub clients: Vec<Dataset>,
     pub test: Dataset,
     pub params: GbdtParams,
 }
 
-impl GbdtProblem {
-    pub fn n(&self) -> usize {
-        self.clients.len()
+impl Problem for GbdtProblem {
+    type U = GbdtUtility;
+
+    fn utility(&self) -> GbdtUtility {
+        GbdtUtility::new(self.clients.clone(), self.test.clone(), self.params)
     }
 
-    pub fn utility(&self) -> GbdtUtility {
-        GbdtUtility::new(self.clients.clone(), self.test.clone(), self.params)
+    fn neural(&self) -> Option<&NeuralProblem> {
+        None
     }
 }
 
@@ -176,7 +187,6 @@ pub fn adult_xgb(n: usize, seed: u64) -> GbdtProblem {
         seed ^ 0x05,
     );
     GbdtProblem {
-        name: format!("Adult-like/XGB/n={n}"),
         clients: fed_data.clients,
         test: fed_data.test,
         params: GbdtParams {
@@ -203,7 +213,6 @@ pub fn scalability(
     let (free_riders, duplicate_pairs) =
         fedval_data::plant_scalability_fixtures(&mut clients, planted, planted);
     let problem = NeuralProblem {
-        name: format!("Scalability/{}/n={n}", model.name()),
         clients,
         test,
         spec: model.spec(),
@@ -228,22 +237,22 @@ mod tests {
     #[test]
     fn problem_builders_produce_consistent_shapes() {
         let p = femnist(3, NeuralModel::Mlp, 1);
-        assert_eq!(p.n(), 3);
+        assert_eq!(p.clients.len(), 3);
         assert_eq!(p.test.n_features(), 64);
         let q = mnist_synthetic(SyntheticSetup::DiffSizeSameDist, 4, NeuralModel::Cnn, 2);
-        assert_eq!(q.n(), 4);
+        assert_eq!(q.clients.len(), 4);
         let sizes: Vec<usize> = q.clients.iter().map(|c| c.n_samples()).collect();
         assert!(sizes[3] > sizes[0], "size-ratio partition: {sizes:?}");
         let a = adult_mlp(3, 3);
         assert_eq!(a.test.n_classes(), 2);
         let x = adult_xgb(3, 3);
-        assert_eq!(x.n(), 3);
+        assert_eq!(x.clients.len(), 3);
     }
 
     #[test]
     fn scalability_problem_has_fixtures() {
         let (p, fr, dups) = scalability(20, NeuralModel::Mlp, 4);
-        assert_eq!(p.n(), 20);
+        assert_eq!(p.clients.len(), 20);
         assert_eq!(fr.len(), 1);
         assert_eq!(dups.len(), 1);
         assert!(p.clients[fr[0]].is_empty());

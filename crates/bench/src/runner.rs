@@ -1,7 +1,7 @@
 //! The algorithm registry and measured execution — one place that knows
 //! how to run all ten compared algorithms of Sec. V-A against a problem.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -9,17 +9,21 @@ use rand::SeedableRng;
 use fedval_core::baselines::{
     cc_shapley, extended_gtb_values, extended_tmc, CcShapConfig, GtbConfig, TmcConfig,
 };
-use fedval_core::coalition::{all_subsets, Coalition};
-use fedval_core::exact::{exact_mc_sv, exact_perm_sv};
+use fedval_core::coalition::{all_subsets, binom, Coalition};
+use fedval_core::exact::{exact_mc_sv, exact_perm_sv, perm_sv_naive_evaluations};
 use fedval_core::ipss::{ipss, IpssConfig};
-use fedval_core::utility::{CachedUtility, TableUtility, Utility};
+use fedval_core::metrics::l2_relative_error;
+use fedval_core::utility::{CachedUtility, ParallelUtility, TableUtility, Utility};
+use fedval_core::valuation::{run_valuation, ValuationOutcome};
 use fedval_fl::{train_coalition, FlUtility};
 
+use crate::config::{base_seed, gamma_for, table_client_counts};
 use crate::gradient::{
     dig_fl, gtg_shapley, lambda_mr, or_valuation, DigFlConfig, GtgConfig, LambdaMrConfig,
 };
 use crate::history::record_history;
-use crate::problems::{GbdtProblem, NeuralProblem};
+use crate::problems::{NeuralProblem, Problem};
+use crate::table::{fmt_err, fmt_secs, not_applicable, Table};
 
 /// The ten algorithms of the paper's comparison (Sec. V-A).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -97,152 +101,32 @@ impl Algorithm {
             Algorithm::DigFl | Algorithm::GtgShapley | Algorithm::Or | Algorithm::LambdaMr
         )
     }
-}
 
-/// One algorithm's measured run.
-#[derive(Clone, Debug)]
-pub struct RunResult {
-    pub algorithm: Algorithm,
-    pub values: Vec<f64>,
-    pub wall: Duration,
-    /// Distinct FL train+evaluate cycles (sampling methods) — 0 where the
-    /// notion does not apply (gradient methods reuse one training run).
-    pub evaluations: usize,
-}
-
-impl RunResult {
-    pub fn seconds(&self) -> f64 {
-        self.wall.as_secs_f64()
+    /// Eq. 21's l2 relative error of `values` against `exact`; `None`
+    /// for the exact methods (the "-" cells).
+    pub fn error(self, values: &[f64], exact: &[f64]) -> Option<f64> {
+        (!self.is_exact()).then(|| l2_relative_error(values, exact))
     }
 }
 
-/// Pre-evaluate a set of coalitions in parallel across threads, filling
-/// the shared cache. The sharded `CachedUtility` is hammered from
-/// `current_num_threads` scoped threads directly: the shards absorb the
-/// write contention and each distinct coalition is trained and counted
-/// exactly once. Parallelism note: every later read is a cache hit, so
-/// the wall time of the *algorithm* measured afterwards reflects the
-/// paper's sequential accounting only when prefill is *not* used; use
-/// this only for ground-truth computation, never inside a timed run.
-pub fn parallel_prefill<U: Utility + Sync>(u: &CachedUtility<U>, coalitions: &[Coalition]) {
-    let threads = rayon::current_num_threads().min(coalitions.len().max(1));
-    if threads <= 1 {
-        let _ = u.eval_batch(coalitions);
-        return;
-    }
-    std::thread::scope(|scope| {
-        for chunk in coalitions.chunks(coalitions.len().div_ceil(threads)) {
-            scope.spawn(move || {
-                let _ = u.eval_batch(chunk);
-            });
-        }
-    });
+/// The exact MC-SV ground truth, every coalition trained once through the
+/// product's order-preserving fan-out (`ParallelUtility`, bit-identical to
+/// the serial sweep). The returned memo holds all `2^n` values, so later
+/// estimators over it measure error, not training time.
+pub fn exact_sweep<P: Problem>(problem: &P) -> (Vec<f64>, CachedUtility<ParallelUtility<P::U>>) {
+    let u = CachedUtility::new(ParallelUtility::new(problem.utility()));
+    (exact_mc_sv(&u), u)
 }
 
-/// Exact ground-truth MC-SV for a neural problem (parallel pre-fill over
-/// all `2^n` coalitions, then the exact pass over the cache).
-pub fn exact_values_neural(problem: &NeuralProblem) -> Vec<f64> {
-    let u = CachedUtility::new(problem.utility());
-    let coalitions: Vec<Coalition> = all_subsets(problem.n()).collect();
-    parallel_prefill(&u, &coalitions);
-    exact_mc_sv(&u)
-}
-
-/// Exact ground-truth MC-SV for a GBDT problem.
-pub fn exact_values_gbdt(problem: &GbdtProblem) -> Vec<f64> {
-    let u = CachedUtility::new(problem.utility());
-    let coalitions: Vec<Coalition> = all_subsets(problem.n()).collect();
-    parallel_prefill(&u, &coalitions);
-    exact_mc_sv(&u)
-}
-
-/// Run one algorithm against a neural problem with budget `gamma`,
-/// measuring wall time end to end (including the FL training run for the
-/// gradient-based methods, which cannot exist without it).
-pub fn run_neural(
+/// One run of a sampling or exact algorithm against `u` with budget
+/// `gamma`: the one dispatch from [`Algorithm`] to the one-shot calls.
+///
+/// # Panics
+/// For the gradient-based methods, which value a training history, not a
+/// utility.
+pub fn estimate<U: Utility + ?Sized>(
     algorithm: Algorithm,
-    problem: &NeuralProblem,
-    gamma: usize,
-    seed: u64,
-) -> RunResult {
-    let start = Instant::now();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (values, evaluations) = if algorithm.is_gradient_based() {
-        let input = problem.test.n_features();
-        let classes = problem.test.n_classes();
-        let history = record_history(
-            &problem.spec,
-            &problem.clients,
-            input,
-            classes,
-            &problem.fed,
-        );
-        let evaluator = problem.spec.build(input, classes, 0);
-        let values = match algorithm {
-            Algorithm::Or => or_valuation(&history, evaluator, problem.test.clone()),
-            Algorithm::LambdaMr => lambda_mr(
-                &history,
-                evaluator,
-                problem.test.clone(),
-                &LambdaMrConfig::default(),
-            ),
-            Algorithm::GtgShapley => gtg_shapley(
-                &history,
-                evaluator,
-                problem.test.clone(),
-                &GtgConfig::default(),
-                &mut rng,
-            ),
-            Algorithm::DigFl => dig_fl(
-                &history,
-                evaluator,
-                &problem.test,
-                &problem.test,
-                &DigFlConfig::default(),
-            ),
-            _ => unreachable!(),
-        };
-        (values, 0)
-    } else {
-        let u = CachedUtility::new(problem.utility());
-        let values = run_sampling_or_exact(algorithm, &u, gamma, &mut rng);
-        let evals = u.stats().evaluations;
-        (values, evals)
-    };
-    RunResult {
-        algorithm,
-        values,
-        wall: start.elapsed(),
-        evaluations,
-    }
-}
-
-/// Run one algorithm against a GBDT problem; `None` for gradient-based
-/// algorithms (not applicable — Table V's "\\" cells).
-pub fn run_gbdt(
-    algorithm: Algorithm,
-    problem: &GbdtProblem,
-    gamma: usize,
-    seed: u64,
-) -> Option<RunResult> {
-    if algorithm.is_gradient_based() {
-        return None;
-    }
-    let start = Instant::now();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let u = CachedUtility::new(problem.utility());
-    let values = run_sampling_or_exact(algorithm, &u, gamma, &mut rng);
-    Some(RunResult {
-        algorithm,
-        values,
-        wall: start.elapsed(),
-        evaluations: u.stats().evaluations,
-    })
-}
-
-fn run_sampling_or_exact<U: Utility>(
-    algorithm: Algorithm,
-    u: &CachedUtility<U>,
+    u: &U,
     gamma: usize,
     rng: &mut StdRng,
 ) -> Vec<f64> {
@@ -253,8 +137,108 @@ fn run_sampling_or_exact<U: Utility>(
         Algorithm::ExtGtb => extended_gtb_values(u, &GtbConfig::new(gamma), rng),
         Algorithm::CcShapley => cc_shapley(u, &CcShapConfig::new(gamma), rng),
         Algorithm::Ipss => ipss(u, &IpssConfig::new(gamma), rng),
-        _ => unreachable!("gradient-based algorithms handled separately"),
+        _ => panic!("{} values a training history", algorithm.name()),
     }
+}
+
+/// The gradient-based methods: one recorded FedAvg run of the full
+/// coalition, valued from its history.
+fn gradient_values(algorithm: Algorithm, problem: &NeuralProblem, rng: &mut StdRng) -> Vec<f64> {
+    let input = problem.test.n_features();
+    let classes = problem.test.n_classes();
+    let history = record_history(
+        &problem.spec,
+        &problem.clients,
+        input,
+        classes,
+        &problem.fed,
+    );
+    let evaluator = problem.spec.build(input, classes, 0);
+    let test = problem.test.clone();
+    match algorithm {
+        Algorithm::Or => or_valuation(&history, evaluator, test),
+        Algorithm::LambdaMr => lambda_mr(&history, evaluator, test, &LambdaMrConfig::default()),
+        Algorithm::GtgShapley => gtg_shapley(&history, evaluator, test, &GtgConfig::default(), rng),
+        Algorithm::DigFl => dig_fl(&history, evaluator, &test, &test, &DigFlConfig::default()),
+        _ => unreachable!("{} is not gradient-based", algorithm.name()),
+    }
+}
+
+/// Run one algorithm against `problem` with budget `gamma` on a fresh
+/// memo, timed end to end by `run_valuation` (for the gradient-based
+/// methods that includes the FL training run they cannot exist without;
+/// they evaluate no coalition). `None` where a gradient-based method does
+/// not apply (Table V's "\\" cells).
+pub fn run<P: Problem>(
+    algorithm: Algorithm,
+    problem: &P,
+    gamma: usize,
+    seed: u64,
+) -> Option<ValuationOutcome> {
+    let neural = if algorithm.is_gradient_based() {
+        Some(problem.neural()?)
+    } else {
+        None
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    Some(run_valuation(problem.utility(), |u| match neural {
+        Some(neural) => gradient_values(algorithm, neural, &mut rng),
+        None => estimate(algorithm, u, gamma, &mut rng),
+    }))
+}
+
+/// Table IV and both halves of Table V: every algorithm's Time(s) and
+/// Error(l2) rows for each of [`table_client_counts`]. `problem(n, seed)`
+/// builds a row's problem; `salt` separates the tables' sampling seeds.
+/// Perm-Shapley runs over the memo, so its Time cell adds the naive
+/// uncached cost `n!·(n+1)·τ̂`, τ̂ from the MC-Shapley run, as the paper
+/// reports it for large n.
+pub fn comparison_table<P: Problem>(salt: u64, problem: impl Fn(usize, u64) -> P) -> Table {
+    let seed = base_seed();
+    let mut table = Table::new(
+        ["n", "Metric"]
+            .into_iter()
+            .map(String::from)
+            .chain(Algorithm::ALL.iter().map(|a| a.name().to_string())),
+    );
+    for n in table_client_counts() {
+        let problem = problem(n, seed.wrapping_add(n as u64));
+        let (exact, _) = exact_sweep(&problem);
+        let gamma = gamma_for(n);
+        let runs: Vec<_> = Algorithm::ALL
+            .iter()
+            .map(|&alg| run(alg, &problem, gamma, seed ^ salt ^ n as u64))
+            .collect();
+        let tau = Algorithm::ALL
+            .iter()
+            .zip(&runs)
+            .find(|(&alg, _)| alg == Algorithm::McShapley)
+            .and_then(|(_, r)| r.as_ref())
+            .map_or(0.0, |r| {
+                r.wall_time.as_secs_f64() / r.model_evaluations.max(1) as f64
+            });
+        let mut times = vec![n.to_string(), "Time(s)".to_string()];
+        let mut errors = vec![n.to_string(), "Error(l2)".to_string()];
+        for (&alg, r) in Algorithm::ALL.iter().zip(&runs) {
+            let Some(r) = r else {
+                times.push(not_applicable());
+                errors.push(not_applicable());
+                continue;
+            };
+            let secs = fmt_secs(r.wall_time.as_secs_f64());
+            times.push(match alg {
+                Algorithm::PermShapley => {
+                    let naive = perm_sv_naive_evaluations(n) * tau.max(1e-9);
+                    format!("{secs} (naive {naive:.1e})")
+                }
+                _ => secs,
+            });
+            errors.push(fmt_err(alg.error(&r.values, &exact)));
+        }
+        table.row(times);
+        table.row(errors);
+    }
+    table
 }
 
 /// Per-coalition-size mean training+evaluation time `τ̂(|S|)`, measured by
@@ -268,7 +252,7 @@ pub struct TauModel {
 }
 
 impl TauModel {
-    /// Trains all `2^n` coalitions of `u` (in parallel), timing each as
+    /// Trains all `2^n` coalitions of `u` across the rayon pool, timing each as
     /// one full solo FedAvg training plus scoring
     /// ([`train_coalition`] + `accuracy`). No timing shares work with
     /// another — no round-0 table, no lane block — so `τ̂` does not depend
@@ -276,80 +260,37 @@ impl TauModel {
     /// per-size means and the trained values as a table, bit-identical to
     /// `u.eval`.
     pub fn measure_full(u: &FlUtility) -> (TauModel, TableUtility) {
-        use std::sync::Mutex;
+        use rayon::prelude::*;
         let n = u.n_clients();
         let (input, classes) = (u.test_set().n_features(), u.test_set().n_classes());
         let coalitions: Vec<Coalition> = all_subsets(n).collect();
-        let acc = Mutex::new((
-            vec![0.0f64; n + 1],
-            vec![0usize; n + 1],
-            vec![0.0f64; coalitions.len()],
-        ));
-        let threads = std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(4)
-            .min(coalitions.len());
-        std::thread::scope(|scope| {
-            for chunk in coalitions.chunks(coalitions.len().div_ceil(threads)) {
-                let acc = &acc;
-                scope.spawn(move || {
-                    let mut local_secs = vec![0.0f64; n + 1];
-                    let mut local_counts = vec![0usize; n + 1];
-                    let mut local_values = Vec::with_capacity(chunk.len());
-                    for &c in chunk {
-                        let start = Instant::now();
-                        let v =
-                            train_coalition(u.spec(), u.clients(), input, classes, c, u.config())
-                                .accuracy(u.test_set());
-                        local_secs[c.size()] += start.elapsed().as_secs_f64();
-                        local_counts[c.size()] += 1;
-                        local_values.push((c.0 as usize, v));
-                    }
-                    let mut guard = acc
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    for s in 0..=n {
-                        guard.0[s] += local_secs[s];
-                        guard.1[s] += local_counts[s];
-                    }
-                    for (mask, v) in local_values {
-                        guard.2[mask] = v;
-                    }
-                });
-            }
-        });
-        let (secs, counts, values) = acc
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let tau_by_size = secs
-            .iter()
-            .zip(&counts)
-            .map(|(s, &c)| if c > 0 { s / c as f64 } else { 0.0 })
+        let timed: Vec<(f64, f64)> = coalitions
+            .par_iter()
+            .map(|&c| {
+                let start = Instant::now();
+                let v = train_coalition(u.spec(), u.clients(), input, classes, c, u.config())
+                    .accuracy(u.test_set());
+                (start.elapsed().as_secs_f64(), v)
+            })
             .collect();
+        let mut secs = vec![0.0f64; n + 1];
+        for (c, (t, _)) in coalitions.iter().zip(&timed) {
+            secs[c.size()] += t;
+        }
+        // Every size 0..=n has C(n, s) ≥ 1 coalitions.
+        let tau_by_size = (0..=n).map(|s| secs[s] / binom(n, s)).collect();
+        let values = timed.into_iter().map(|(_, v)| v).collect();
         (TauModel { tau_by_size }, TableUtility::new(n, values))
     }
 
     /// Estimated cost of evaluating a set of coalitions.
-    pub fn cost_of<'a, I: IntoIterator<Item = &'a Coalition>>(&self, coalitions: I) -> f64 {
-        coalitions
-            .into_iter()
-            .map(|c| self.tau_by_size[c.size().min(self.tau_by_size.len() - 1)])
-            .sum()
+    pub fn cost_of(&self, coalitions: &[Coalition]) -> f64 {
+        coalitions.iter().map(|c| self.tau_by_size[c.size()]).sum()
     }
 
-    /// Overall mean τ across all sizes with data.
+    /// Mean τ̂ over the coalition sizes.
     pub fn mean_tau(&self) -> f64 {
-        let nonzero: Vec<f64> = self
-            .tau_by_size
-            .iter()
-            .copied()
-            .filter(|&t| t > 0.0)
-            .collect();
-        if nonzero.is_empty() {
-            0.0
-        } else {
-            nonzero.iter().sum::<f64>() / nonzero.len() as f64
-        }
+        self.tau_by_size.iter().sum::<f64>() / self.tau_by_size.len() as f64
     }
 }
 
@@ -398,15 +339,14 @@ impl<U: Utility> Utility for RecordingUtility<'_, U> {
 mod tests {
     use super::*;
     use crate::problems::{adult_xgb, femnist, NeuralModel};
-    use fedval_core::metrics::l2_relative_error;
 
     #[test]
     fn all_algorithms_run_on_a_small_problem() {
         let problem = femnist(3, NeuralModel::Mlp, 7);
-        let exact = exact_values_neural(&problem);
+        let (exact, _) = exact_sweep(&problem);
         assert_eq!(exact.len(), 3);
         for alg in Algorithm::ALL {
-            let result = run_neural(alg, &problem, 5, 11);
+            let result = run(alg, &problem, 5, 11).unwrap();
             assert_eq!(result.values.len(), 3, "{}", alg.name());
             if alg.is_exact() {
                 let err = l2_relative_error(&result.values, &exact);
@@ -418,21 +358,61 @@ mod tests {
     #[test]
     fn gbdt_skips_gradient_methods() {
         let problem = adult_xgb(3, 9);
-        assert!(run_gbdt(Algorithm::Or, &problem, 5, 1).is_none());
-        assert!(run_gbdt(Algorithm::DigFl, &problem, 5, 1).is_none());
-        let r = run_gbdt(Algorithm::Ipss, &problem, 5, 1).unwrap();
-        assert_eq!(r.values.len(), 3);
-        assert!(r.evaluations <= 5);
+        for alg in Algorithm::ALL {
+            let Some(r) = run(alg, &problem, 5, 1) else {
+                assert!(alg.is_gradient_based(), "{}", alg.name());
+                continue;
+            };
+            assert!(!alg.is_gradient_based(), "{}", alg.name());
+            assert_eq!(r.values.len(), 3);
+            let memo = CachedUtility::new(problem.utility());
+            estimate(alg, &memo, 5, &mut StdRng::seed_from_u64(1));
+            assert_eq!(
+                r.model_evaluations,
+                memo.stats().evaluations,
+                "{}",
+                alg.name()
+            );
+        }
+    }
+
+    fn assert_sweep_is_serial<P: Problem>(problem: &P) {
+        let (fanned, _) = exact_sweep(problem);
+        let serial = exact_mc_sv(&CachedUtility::new(problem.utility()));
+        for (a, b) in fanned.iter().zip(&serial) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]
-    fn prefill_matches_sequential_evaluation() {
-        let problem = femnist(3, NeuralModel::Mlp, 13);
-        let parallel = exact_values_neural(&problem);
-        let u = CachedUtility::new(problem.utility());
-        let sequential = exact_mc_sv(&u);
-        for (a, b) in parallel.iter().zip(&sequential) {
-            assert!((a - b).abs() < 1e-12);
+    fn exact_sweep_fans_out_to_the_serial_bits() {
+        assert_sweep_is_serial(&femnist(3, NeuralModel::Mlp, 13));
+        assert_sweep_is_serial(&femnist(3, NeuralModel::Cnn, 13));
+        assert_sweep_is_serial(&adult_xgb(3, 13));
+    }
+
+    #[test]
+    fn estimate_is_the_one_shot_call() {
+        let u = TableUtility::from_fn(5, |s| (s.0 as f64 * 0.37).sin() + s.size() as f64);
+        let gamma = 12;
+        let rng = || StdRng::seed_from_u64(3);
+        let direct = |alg| match alg {
+            Algorithm::PermShapley => exact_perm_sv(&u),
+            Algorithm::McShapley => exact_mc_sv(&u),
+            Algorithm::ExtTmc => extended_tmc(&u, &TmcConfig::new(gamma), &mut rng()),
+            Algorithm::ExtGtb => extended_gtb_values(&u, &GtbConfig::new(gamma), &mut rng()),
+            Algorithm::CcShapley => cc_shapley(&u, &CcShapConfig::new(gamma), &mut rng()),
+            Algorithm::Ipss => ipss(&u, &IpssConfig::new(gamma), &mut rng()),
+            _ => unreachable!(),
+        };
+        let algs = [Algorithm::PermShapley, Algorithm::McShapley];
+        for alg in algs.into_iter().chain(Algorithm::SAMPLING) {
+            let ours = estimate(alg, &u, gamma, &mut rng());
+            let theirs = direct(alg);
+            assert_eq!(ours.len(), 5);
+            for (a, b) in ours.iter().zip(&theirs) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{}", alg.name());
+            }
         }
     }
 
