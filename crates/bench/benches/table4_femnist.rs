@@ -5,7 +5,8 @@
 //! Perm-Shapley is executed over the shared utility cache (all 2^n models
 //! are trained once); the paper's headline blow-up comes from *uncached*
 //! permutation walks, so the table also prints the extrapolated naive time
-//! `n!·(n+1)·τ̂`, mirroring the paper's 10⁹-second entries.
+//! `n!·Σ_s τ̂(s)` from the solo per-size τ̂, mirroring the paper's
+//! 10⁹-second entries.
 
 use fedval_bench::{comparison_table, femnist, NeuralModel};
 

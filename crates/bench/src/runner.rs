@@ -191,8 +191,12 @@ pub fn run<P: Problem>(
 /// Error(l2) rows for each of [`table_client_counts`]. `problem(n, seed)`
 /// builds a row's problem; `salt` separates the tables' sampling seeds.
 /// Perm-Shapley runs over the memo, so its Time cell adds the naive
-/// uncached cost `n!·(n+1)·τ̂`, τ̂ from the MC-Shapley run, as the paper
-/// reports it for large n.
+/// uncached cost `n!·Σ_s τ̂(s)`, as the paper reports it for large n.
+/// Neural problems take τ̂ from [`TauModel::measure_full`], the solo
+/// per-size τ̂ of Figs. 4 and 6, and their exact values from the same
+/// trained table. GBDT problems have no lock-step training, so each
+/// evaluation is one solo training and τ̂ is MC-Shapley's wall time per
+/// evaluation.
 pub fn comparison_table<P: Problem>(salt: u64, problem: impl Fn(usize, u64) -> P) -> Table {
     let seed = base_seed();
     let mut table = Table::new(
@@ -203,20 +207,28 @@ pub fn comparison_table<P: Problem>(salt: u64, problem: impl Fn(usize, u64) -> P
     );
     for n in table_client_counts() {
         let problem = problem(n, seed.wrapping_add(n as u64));
-        let (exact, _) = exact_sweep(&problem);
+        let (exact, tau) = match problem.neural() {
+            Some(neural) => {
+                let (tau, table) = TauModel::measure_full(&neural.utility());
+                (exact_mc_sv(&table), Some(tau.mean_tau()))
+            }
+            None => (exact_sweep(&problem).0, None),
+        };
         let gamma = gamma_for(n);
         let runs: Vec<_> = Algorithm::ALL
             .iter()
             .map(|&alg| run(alg, &problem, gamma, seed ^ salt ^ n as u64))
             .collect();
-        let tau = Algorithm::ALL
-            .iter()
-            .zip(&runs)
-            .find(|(&alg, _)| alg == Algorithm::McShapley)
-            .and_then(|(_, r)| r.as_ref())
-            .map_or(0.0, |r| {
-                r.wall_time.as_secs_f64() / r.model_evaluations.max(1) as f64
-            });
+        let tau = tau.unwrap_or_else(|| {
+            Algorithm::ALL
+                .iter()
+                .zip(&runs)
+                .find(|(&alg, _)| alg == Algorithm::McShapley)
+                .and_then(|(_, r)| r.as_ref())
+                .map_or(0.0, |r| {
+                    r.wall_time.as_secs_f64() / r.model_evaluations.max(1) as f64
+                })
+        });
         let mut times = vec![n.to_string(), "Time(s)".to_string()];
         let mut errors = vec![n.to_string(), "Error(l2)".to_string()];
         for (&alg, r) in Algorithm::ALL.iter().zip(&runs) {

@@ -5,9 +5,9 @@
 //! uniform average over all coalitions:
 //! `ψ_i = (1/2^{n−1}) Σ_{S ⊆ N\{i}} (U(S∪{i}) − U(S))`.
 //! It keeps null-player and symmetry but trades the efficiency axiom for
-//! robustness to utility noise — a useful cross-check on FL valuations,
-//! and its maximum-sample-reuse estimator makes every sampled coalition
-//! inform *every* client's value.
+//! robustness to utility noise — a useful cross-check on FL valuations.
+//! The crate computes it exactly ([`exact_banzhaf`], small `n`) and by
+//! IPSS-style pruning ([`banzhaf_pruned`]).
 //!
 //! The pruned estimator runs IPSS's [`PrunedSampler`] under Banzhaf
 //! weights, so it keeps the [`crate::sampler`] contract: randomness only
@@ -15,7 +15,7 @@
 
 use rand::Rng;
 
-use crate::coalition::{all_subsets, Coalition, MAX_ENUMERATED_CLIENTS};
+use crate::coalition::{all_subsets, MAX_ENUMERATED_CLIENTS};
 use crate::ipss::PrunedSampler;
 use crate::sampler::drive;
 use crate::utility::Utility;
@@ -45,73 +45,6 @@ pub fn exact_banzhaf<U: Utility + ?Sized>(u: &U) -> Vec<f64> {
         }
     }
     phi
-}
-
-/// Configuration for [`banzhaf_msr`].
-#[derive(Clone, Debug)]
-pub struct BanzhafConfig {
-    /// Number of uniformly sampled coalitions.
-    pub samples: usize,
-}
-
-impl BanzhafConfig {
-    pub fn new(samples: usize) -> Self {
-        BanzhafConfig { samples }
-    }
-}
-
-/// Maximum-sample-reuse (MSR) Banzhaf estimator:
-/// `ψ̂_i = mean{U(S) : i ∈ S} − mean{U(S) : i ∉ S}` over coalitions drawn
-/// uniformly from `2^N`. Every sample updates every client — the property
-/// that makes Data Banzhaf sample-efficient.
-pub fn banzhaf_msr<U: Utility + ?Sized, R: Rng + ?Sized>(
-    u: &U,
-    cfg: &BanzhafConfig,
-    rng: &mut R,
-) -> Vec<f64> {
-    let n = u.n_clients();
-    assert!(n >= 1);
-    assert!(cfg.samples >= 1);
-    // Draw all coalitions first (identical RNG stream to the historical
-    // draw-then-evaluate interleaving), evaluate them as one batch, then
-    // fold in draw order.
-    let samples: Vec<Coalition> = (0..cfg.samples)
-        .map(|_| {
-            // Uniform coalition: include each client independently w.p. 1/2.
-            let mut mask = 0u128;
-            for i in 0..n {
-                if rng.random::<bool>() {
-                    mask |= 1 << i;
-                }
-            }
-            Coalition(mask)
-        })
-        .collect();
-    let values = u.eval_batch(&samples);
-    let mut sum_in = vec![0.0f64; n];
-    let mut cnt_in = vec![0usize; n];
-    let mut sum_out = vec![0.0f64; n];
-    let mut cnt_out = vec![0usize; n];
-    for (&s, &us) in samples.iter().zip(&values) {
-        for i in 0..n {
-            if s.contains(i) {
-                sum_in[i] += us;
-                cnt_in[i] += 1;
-            } else {
-                sum_out[i] += us;
-                cnt_out[i] += 1;
-            }
-        }
-    }
-    (0..n)
-        .map(|i| {
-            if cnt_in[i] == 0 || cnt_out[i] == 0 {
-                0.0
-            } else {
-                sum_in[i] / cnt_in[i] as f64 - sum_out[i] / cnt_out[i] as f64
-            }
-        })
-        .collect()
 }
 
 /// Stratified Banzhaf sampling reusing the IPSS insight: evaluate all
@@ -174,26 +107,6 @@ mod tests {
         let total: f64 = psi.iter().sum();
         assert!((total - 0.86).abs() > 1e-6, "Σψ = {total}");
         assert!((total - 0.845).abs() < 1e-9, "Σψ = {total}");
-    }
-
-    #[test]
-    fn msr_estimator_converges() {
-        let u = TableUtility::paper_table1();
-        let exact = exact_banzhaf(&u);
-        let mut rng = StdRng::seed_from_u64(5);
-        let est = banzhaf_msr(&u, &BanzhafConfig::new(40_000), &mut rng);
-        assert!(
-            l2_relative_error(&est, &exact) < 0.05,
-            "{est:?} vs {exact:?}"
-        );
-    }
-
-    #[test]
-    fn msr_handles_single_client() {
-        let u = TableUtility::new(1, vec![0.2, 0.9]);
-        let mut rng = StdRng::seed_from_u64(6);
-        let est = banzhaf_msr(&u, &BanzhafConfig::new(200), &mut rng);
-        assert!((est[0] - 0.7).abs() < 1e-9);
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! The recovery step in the original is a feasibility program whose
 //! constraints are relaxed until satisfiable (as the paper describes). We
 //! solve the equivalent least-squares projection in closed form — the
-//! minimum-norm solution consistent with the measured differences — and
-//! then report the smallest constraint slack `ε` it satisfies, mirroring
-//! the incremental-relaxation loop (see "Deviations from the paper" in
-//! ARCHITECTURE.md).
+//! minimum-norm solution consistent with the measured differences. It
+//! meets every pairwise constraint exactly, so there is no slack to relax
+//! or report (see "Deviations from the paper" in ARCHITECTURE.md).
 
 use rand::Rng;
 
@@ -21,7 +20,7 @@ use crate::coalition::Coalition;
 use crate::sampling::random_subset_of_size;
 use crate::utility::Utility;
 
-/// Configuration for [`extended_gtb`].
+/// Configuration for [`extended_gtb_values`].
 #[derive(Clone, Debug)]
 pub struct GtbConfig {
     /// Number of sampled coalitions (the `γ` for this baseline).
@@ -34,23 +33,12 @@ impl GtbConfig {
     }
 }
 
-/// Outcome of the GTB estimator with diagnostic information.
-#[derive(Clone, Debug)]
-pub struct GtbOutcome {
-    /// Estimated data values.
-    pub values: Vec<f64>,
-    /// The smallest uniform slack `ε` such that every pairwise-difference
-    /// constraint `|ϕ_i − ϕ_j − Δ̂_{ij}| ≤ ε` is satisfied by `values` —
-    /// the relaxation level the feasibility loop would have stopped at.
-    pub final_epsilon: f64,
-}
-
 /// Extended-GTB estimator.
-pub fn extended_gtb<U: Utility + ?Sized, R: Rng + ?Sized>(
+pub fn extended_gtb_values<U: Utility + ?Sized, R: Rng + ?Sized>(
     u: &U,
     cfg: &GtbConfig,
     rng: &mut R,
-) -> GtbOutcome {
+) -> Vec<f64> {
     let n = u.n_clients();
     assert!(n >= 2, "group testing needs at least two clients");
     assert!(cfg.samples >= 1);
@@ -99,36 +87,11 @@ pub fn extended_gtb<U: Utility + ?Sized, R: Rng + ?Sized>(
     let sum_all: f64 = per_client.iter().sum();
 
     let u_total = utilities[t] - utilities[t + 1];
-    // Least-squares recovery: ϕ_i = U_total/n + (1/n)·Σ_j Δ̂_{ij}.
-    let values: Vec<f64> = (0..n)
+    // Least-squares recovery: ϕ_i = U_total/n + (1/n)·Σ_j Δ̂_{ij}. Then
+    // ϕ_i − ϕ_j − Δ̂_{ij} = 0 identically: no constraint needs slack.
+    (0..n)
         .map(|i| u_total / n as f64 + scale * (n as f64 * per_client[i] - sum_all) / n as f64)
-        .collect();
-
-    // Report the slack the recovered solution attains, i.e. the ε at which
-    // the original feasibility program becomes satisfiable. For the
-    // least-squares solution ϕ_i − ϕ_j − Δ̂_{ij} = 0 identically, so the
-    // slack is numerically ~0; kept for API faithfulness and diagnostics.
-    let mut eps = 0.0f64;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let delta_ij = scale * (per_client[i] - per_client[j]);
-            eps = eps.max((values[i] - values[j] - delta_ij).abs());
-        }
-    }
-
-    GtbOutcome {
-        values,
-        final_epsilon: eps,
-    }
-}
-
-/// Convenience wrapper returning only the estimated values.
-pub fn extended_gtb_values<U: Utility + ?Sized, R: Rng + ?Sized>(
-    u: &U,
-    cfg: &GtbConfig,
-    rng: &mut R,
-) -> Vec<f64> {
-    extended_gtb(u, cfg, rng).values
+        .collect()
 }
 
 #[cfg(test)]
@@ -147,16 +110,9 @@ mod tests {
         let u = TableUtility::paper_table1();
         let cfg = GtbConfig::new(50);
         let mut rng = StdRng::seed_from_u64(1);
-        let out = extended_gtb(&u, &cfg, &mut rng);
-        let total: f64 = out.values.iter().sum();
+        let values = extended_gtb_values(&u, &cfg, &mut rng);
+        let total: f64 = values.iter().sum();
         assert!((total - (0.96 - 0.10)).abs() < 1e-10);
-    }
-
-    #[test]
-    fn recovered_solution_satisfies_measured_differences() {
-        let u = TableUtility::paper_table1();
-        let out = extended_gtb(&u, &GtbConfig::new(30), &mut StdRng::seed_from_u64(2));
-        assert!(out.final_epsilon < 1e-10);
     }
 
     #[test]
@@ -166,20 +122,20 @@ mod tests {
         let u = TableUtility::paper_table1();
         let exact = exact_mc_sv(&u);
         let mut rng = StdRng::seed_from_u64(3);
-        let out = extended_gtb(&u, &GtbConfig::new(60_000), &mut rng);
-        let err = l2_relative_error(&out.values, &exact);
-        assert!(err < 0.12, "error {err}: {:?} vs {exact:?}", out.values);
+        let values = extended_gtb_values(&u, &GtbConfig::new(60_000), &mut rng);
+        let err = l2_relative_error(&values, &exact);
+        assert!(err < 0.12, "error {err}: {values:?} vs {exact:?}");
     }
 
     #[test]
     fn additive_utility_symmetric_clients() {
         // For equal weights the estimate must be symmetric-ish and sum to n·w.
         let u = AdditiveUtility::new(0.0, vec![0.25; 4]);
-        let out = extended_gtb(&u, &GtbConfig::new(2000), &mut StdRng::seed_from_u64(4));
-        let total: f64 = out.values.iter().sum();
+        let values = extended_gtb_values(&u, &GtbConfig::new(2000), &mut StdRng::seed_from_u64(4));
+        let total: f64 = values.iter().sum();
         assert!((total - 1.0).abs() < 1e-10);
-        for v in &out.values {
-            assert!((v - 0.25).abs() < 0.1, "{:?}", out.values);
+        for v in &values {
+            assert!((v - 0.25).abs() < 0.1, "{values:?}");
         }
     }
 

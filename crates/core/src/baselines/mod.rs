@@ -11,5 +11,5 @@ pub mod gtb;
 pub mod tmc;
 
 pub use ccshap::{cc_shapley, CcShapConfig};
-pub use gtb::{extended_gtb, extended_gtb_values, GtbConfig, GtbOutcome};
+pub use gtb::{extended_gtb_values, GtbConfig};
 pub use tmc::{extended_tmc, TmcConfig};

@@ -18,8 +18,8 @@
 //! * the sampling baselines of Sec. V ([`baselines`]): Extended-TMC,
 //!   Extended-GTB and CC-Shapley;
 //! * further valuation notions for cross-checks ([`banzhaf`], [`loo`],
-//!   [`owen`]): Data-Banzhaf, leave-one-out and Owen multilinear
-//!   sampling;
+//!   [`owen`]): Data-Banzhaf (exact and IPSS-pruned), leave-one-out and
+//!   Owen multilinear sampling;
 //! * the evaluation metrics of Sec. V-A ([`metrics`]), including the
 //!   `l2` relative error (Eq. 21), property-based proxies (Fig. 9) and
 //!   Pareto-front extraction (Fig. 8).
@@ -77,10 +77,9 @@ pub mod valuation;
 pub mod prelude {
     pub use crate::adaptive::{AdaptivePolicy, AllocationPlanner, ComponentState};
     pub use crate::anytime::{Control, ProgressSnapshot, StoppingRule, Welford, Z_95};
-    pub use crate::banzhaf::{banzhaf_msr, banzhaf_pruned, exact_banzhaf, BanzhafConfig};
+    pub use crate::banzhaf::{banzhaf_pruned, exact_banzhaf};
     pub use crate::baselines::{
-        cc_shapley, extended_gtb, extended_gtb_values, extended_tmc, CcShapConfig, GtbConfig,
-        TmcConfig,
+        cc_shapley, extended_gtb_values, extended_tmc, CcShapConfig, GtbConfig, TmcConfig,
     };
     pub use crate::coalition::{binom, binom_u128, subsets_up_to, Coalition};
     pub use crate::exact::{exact_cc_sv, exact_mc_sv, exact_perm_sv, ExactSweep};
@@ -97,7 +96,7 @@ pub mod prelude {
     pub use crate::stratified::{stratified_sampling, Scheme, StratifiedConfig, StratifiedSampler};
     pub use crate::utility::{
         AdditiveUtility, CachedUtility, EvalStats, HashUtility, NoisyUtility, ParallelUtility,
-        SaturatingUtility, TableUtility, TrajCacheStats, Utility, WeightedMajorityUtility,
+        SaturatingUtility, TableUtility, TrajCacheStats, Utility,
     };
     pub use crate::valuation::{run_valuation, ValuationOutcome};
 }

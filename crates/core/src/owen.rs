@@ -6,8 +6,7 @@
 //! `e_i(q) = E[U(S_q ∪ {i}) − U(S_q)]` where `S_q` includes every other
 //! client independently with probability `q`; the Shapley value is
 //! `ϕ_i = ∫₀¹ e_i(q) dq`. Owen sampling estimates the integral on a `q`
-//! grid with Monte-Carlo coalitions at each node, optionally with
-//! antithetic pairing (`S_q` and its complement) for variance reduction.
+//! grid with Monte-Carlo coalitions at each node.
 //!
 //! [`owen_sampling`] is the one-shot; an anytime or adaptive run hands an
 //! [`OwenSampler`] to [`drive`] itself, under the [`Sampler`] contract of
@@ -32,10 +31,6 @@ pub struct OwenConfig {
     pub q_nodes: usize,
     /// Coalitions sampled per grid node.
     pub samples_per_node: usize,
-    /// Pair each sample with its complement (antithetic sampling) —
-    /// halves the variance contributed by the `q ↔ 1−q` symmetry at no
-    /// extra per-sample cost beyond the second evaluation.
-    pub antithetic: bool,
 }
 
 impl OwenConfig {
@@ -43,13 +38,12 @@ impl OwenConfig {
         OwenConfig {
             q_nodes,
             samples_per_node,
-            antithetic: false,
         }
     }
 
     /// Upper bound on the evaluations the grid costs on an `n`-client
     /// game: every draw evaluates the sample and its `n` single-flip
-    /// variants (before dedup, and before antithetic doubling).
+    /// variants (before dedup).
     pub fn evaluations(&self, n: usize) -> usize {
         self.q_nodes * self.samples_per_node * (n + 1)
     }
@@ -60,11 +54,6 @@ impl OwenConfig {
     pub fn for_budget(n: usize, budget: usize) -> Self {
         let unit = OwenConfig::new(4, 1);
         OwenConfig::new(unit.q_nodes, (budget / unit.evaluations(n)).max(1))
-    }
-
-    pub fn with_antithetic(mut self) -> Self {
-        self.antithetic = true;
-        self
     }
 
     /// Trapezoid weight of grid node `node`.
@@ -82,10 +71,9 @@ impl OwenConfig {
 /// evaluated together with their single-flip neighbourhoods.
 ///
 /// **Schedule.** Without a planner every node's `samples_per_node` draws
-/// are drawn in the first round (node-major, each followed by its
-/// complement when antithetic) and handed out one node per batch, or —
-/// at snapshot granularity — round-robin: round `r` evaluates draw `r` of
-/// *every* node. Every sample informs every client (the shared-sample
+/// are drawn in the first round (node-major) and handed out one node per
+/// batch, or — at snapshot granularity — round-robin: round `r` evaluates
+/// draw `r` of *every* node. Every sample informs every client (the shared-sample
 /// trick), so per-client CIs become finite after two draws per node —
 /// Owen is the natural early-stopping vehicle. With a planner the same
 /// `q_nodes · samples_per_node` draws are Neyman-allocated each round
@@ -96,8 +84,7 @@ impl OwenConfig {
 /// **Fold.** Per-node means in draw order, then the trapezoid rule in
 /// node order. CI terms treat a node's per-sample contributions as i.i.d.
 /// ([`Welford`] per `(client, node)`, trapezoid weight, infinite
-/// population — draws are with replacement); under antithetic pairing
-/// this ignores the negative pair covariance and is conservative.
+/// population — draws are with replacement).
 ///
 /// The fold is incremental and only ever appends: a batch carries each
 /// handed-out sample with its single-flip variants, so every contribution
@@ -109,9 +96,8 @@ pub struct OwenSampler<'r, R: Rng + ?Sized> {
     /// The planner and its round size, when rounds are re-planned.
     planner: Option<(AllocationPlanner, usize)>,
     rng: &'r mut R,
-    /// Per node: the samples drawn so far (one per draw, two when
-    /// antithetic), how many of them have been handed out, and how many
-    /// the fold has taken.
+    /// Per node: the samples drawn so far, how many of them have been
+    /// handed out, and how many the fold has taken.
     samples: Vec<Vec<Coalition>>,
     handed: Vec<usize>,
     folded: Vec<usize>,
@@ -159,8 +145,7 @@ impl<'r, R: Rng + ?Sized> OwenSampler<'r, R> {
     }
 
     /// The draw routine: `plan[j]` new Bernoulli(`q_j`) coalitions at
-    /// node `j`, each followed by its complement when antithetic,
-    /// consuming the RNG node-major.
+    /// node `j`, consuming the RNG node-major.
     fn draw(&mut self, plan: &[usize]) {
         for (node, &m) in plan.iter().enumerate() {
             let q = node as f64 / (self.cfg.q_nodes - 1) as f64;
@@ -172,9 +157,6 @@ impl<'r, R: Rng + ?Sized> OwenSampler<'r, R> {
                     }
                 }
                 self.samples[node].push(Coalition(mask));
-                if self.cfg.antithetic {
-                    self.samples[node].push(Coalition(mask).complement(self.n));
-                }
             }
         }
     }
@@ -185,8 +167,7 @@ impl<'r, R: Rng + ?Sized> OwenSampler<'r, R> {
 
     /// Draws taken so far, per node.
     fn drawn(&self) -> Vec<usize> {
-        let per_draw = if self.cfg.antithetic { 2 } else { 1 };
-        self.samples.iter().map(|s| s.len() / per_draw).collect()
+        self.samples.iter().map(Vec::len).collect()
     }
 }
 
@@ -212,13 +193,12 @@ impl<R: Rng + ?Sized> Sampler for OwenSampler<'_, R> {
 
         // Hand out, node-major: a planned round whole, one draw of every
         // node at snapshot granularity, else all of the next node.
-        let per_draw = if self.cfg.antithetic { 2 } else { 1 };
         let mut batch: Vec<Coalition> = Vec::new();
         let mut seen: HashSet<u128, MaskHash> = HashSet::default();
         for (node, samples) in self.samples.iter().enumerate() {
             let upto = match (&self.planner, fine) {
                 (Some(_), _) => samples.len(),
-                (None, true) => self.handed[node] + per_draw,
+                (None, true) => self.handed[node] + 1,
                 (None, false) if node == self.batches_out => samples.len(),
                 (None, false) => self.handed[node],
             };
@@ -395,8 +375,8 @@ mod tests {
     #[test]
     fn incremental_fold_is_bit_identical_to_the_historical_fold() {
         // n ∈ {1, 2, 3, 6, 8, 12} × an evaluation budget below, at and
-        // above 2^n × plain and antithetic × uniform, default-adaptive and
-        // eager-adaptive × unobserved and observed. A planner cuts at
+        // above 2^n × uniform, default-adaptive and eager-adaptive ×
+        // unobserved and observed. A planner cuts at
         // planned rounds either way, so adaptive runs are observed only.
         let eager = AdaptivePolicy {
             round_size: Some(5),
@@ -411,25 +391,21 @@ mod tests {
             };
             let full = 1usize << n;
             for budget in [full / 2, full, 2 * full] {
-                for antithetic in [false, true] {
-                    let mut cfg = OwenConfig::for_budget(n, budget);
-                    cfg.antithetic = antithetic;
-                    let seed = (n * 100_000 + budget) as u64;
-                    let (mut r1, mut r2) =
-                        (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-                    for policy in &policies {
-                        for observed in [false, true] {
-                            if policy.is_some() && !observed {
-                                continue;
-                            }
-                            let (pushes, last) = oracle::check(
-                                &u,
-                                observed,
-                                OwenSampler::new(n, &cfg, policy.as_ref(), &mut r1),
-                                OwenSampler::new(n, &cfg, policy.as_ref(), &mut r2),
-                            );
-                            assert_eq!(pushes, last);
+                let cfg = OwenConfig::for_budget(n, budget);
+                let seed = (n * 100_000 + budget) as u64;
+                let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                for policy in &policies {
+                    for observed in [false, true] {
+                        if policy.is_some() && !observed {
+                            continue;
                         }
+                        let (pushes, last) = oracle::check(
+                            &u,
+                            observed,
+                            OwenSampler::new(n, &cfg, policy.as_ref(), &mut r1),
+                            OwenSampler::new(n, &cfg, policy.as_ref(), &mut r2),
+                        );
+                        assert_eq!(pushes, last);
                     }
                 }
             }
@@ -455,34 +431,6 @@ mod tests {
         let phi = owen_sampling(&u, &OwenConfig::new(21, 400), &mut rng);
         let err = l2_relative_error(&phi, &exact);
         assert!(err < 0.05, "error {err}: {phi:?} vs {exact:?}");
-    }
-
-    #[test]
-    fn antithetic_reduces_variance() {
-        let u = SaturatingUtility::uniform(6, 0.1, 0.8, 0.8);
-        let exact = exact_mc_sv(&u);
-        let spread = |antithetic: bool| -> f64 {
-            let runs = 40;
-            let mut errs = Vec::with_capacity(runs);
-            for r in 0..runs {
-                let mut rng = StdRng::seed_from_u64(100 + r as u64);
-                let cfg = if antithetic {
-                    OwenConfig::new(5, 4).with_antithetic()
-                } else {
-                    // Same evaluation budget: double the plain samples.
-                    OwenConfig::new(5, 8)
-                };
-                let phi = owen_sampling(&u, &cfg, &mut rng);
-                errs.push(l2_relative_error(&phi, &exact));
-            }
-            crate::metrics::variance(&errs)
-        };
-        let v_plain = spread(false);
-        let v_anti = spread(true);
-        assert!(
-            v_anti < v_plain * 1.5,
-            "antithetic variance {v_anti} should not exceed plain {v_plain} substantially"
-        );
     }
 
     #[test]
@@ -598,7 +546,7 @@ mod tests {
 
     #[test]
     fn adaptive_stopped_run_equals_full_run_prefix() {
-        let cfg = OwenConfig::new(4, 6).with_antithetic();
+        let cfg = OwenConfig::new(4, 6);
         let policy = AdaptivePolicy::default();
         assert_stops_on_the_full_run(&cfg, Some(&policy), 13, 2);
     }

@@ -665,31 +665,6 @@ impl Utility for SaturatingUtility {
     }
 }
 
-/// The weighted majority game: `U(S) = 1` iff `Σ_{i∈S} w_i > quota`.
-///
-/// Contrast fixture from classical game theory (Sec. I, Limitation 2):
-/// its binary-jump utility is what makes exact SV #P-hard and is exactly
-/// what FL accuracy utilities do *not* look like.
-#[derive(Clone, Debug)]
-pub struct WeightedMajorityUtility {
-    pub weights: Vec<f64>,
-    pub quota: f64,
-}
-
-impl Utility for WeightedMajorityUtility {
-    fn n_clients(&self) -> usize {
-        self.weights.len()
-    }
-    fn eval(&self, s: Coalition) -> f64 {
-        let total: f64 = s.members().map(|i| self.weights[i]).sum();
-        if total > self.quota {
-            1.0
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Deterministic pseudo-random value in `[0, 1)` derived from a coalition
 /// mask and a seed. Used by [`HashUtility`] and by the FL substrate to
 /// derive coalition-specific training seeds.
@@ -791,18 +766,6 @@ pub(crate) mod tests {
             prev = v;
             prev_marginal = marginal;
         }
-    }
-
-    #[test]
-    fn weighted_majority_jumps() {
-        let u = WeightedMajorityUtility {
-            weights: vec![3.0, 2.0, 1.0],
-            quota: 3.5,
-        };
-        assert_eq!(u.eval(Coalition::from_members([0])), 0.0);
-        assert_eq!(u.eval(Coalition::from_members([0, 2])), 1.0);
-        assert_eq!(u.eval(Coalition::from_members([1, 2])), 0.0);
-        assert_eq!(u.eval(Coalition::full(3)), 1.0);
     }
 
     #[test]

@@ -31,25 +31,6 @@ impl Dataset {
         }
     }
 
-    /// Create from parts. Panics if the feature buffer does not tile into
-    /// rows or a label is out of range.
-    pub fn from_parts(
-        features: Vec<f32>,
-        labels: Vec<u32>,
-        n_features: usize,
-        n_classes: usize,
-    ) -> Self {
-        assert!(n_features > 0 && n_classes > 0);
-        assert_eq!(features.len(), labels.len() * n_features);
-        assert!(labels.iter().all(|&l| (l as usize) < n_classes));
-        Dataset {
-            features,
-            labels,
-            n_features,
-            n_classes,
-        }
-    }
-
     pub fn n_samples(&self) -> usize {
         self.labels.len()
     }
@@ -293,106 +274,5 @@ mod tests {
         assert!(ds.is_empty());
         assert_eq!(ds.n_samples(), 0);
         assert_eq!(ds.class_distribution(), vec![0, 0]);
-    }
-}
-
-/// Per-feature standardisation statistics fitted on a training set and
-/// applicable to any dataset with the same schema (fit on train, apply to
-/// test — never the other way round).
-#[derive(Clone, Debug)]
-pub struct Standardizer {
-    means: Vec<f32>,
-    stds: Vec<f32>,
-}
-
-impl Standardizer {
-    /// Fit means and standard deviations per feature. Degenerate features
-    /// (zero variance) get `std = 1` so they pass through unchanged.
-    pub fn fit(data: &Dataset) -> Self {
-        let d = data.n_features();
-        let n = data.n_samples().max(1) as f32;
-        let mut means = vec![0.0f32; d];
-        for i in 0..data.n_samples() {
-            for (m, &v) in means.iter_mut().zip(data.row(i)) {
-                *m += v;
-            }
-        }
-        for m in &mut means {
-            *m /= n;
-        }
-        let mut vars = vec![0.0f32; d];
-        for i in 0..data.n_samples() {
-            for ((s, &v), &m) in vars.iter_mut().zip(data.row(i)).zip(&means) {
-                *s += (v - m) * (v - m);
-            }
-        }
-        let stds = vars
-            .into_iter()
-            .map(|v| {
-                let s = (v / n).sqrt();
-                if s > 1e-8 {
-                    s
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        Standardizer { means, stds }
-    }
-
-    /// Standardise a dataset in place: `x ← (x − mean)/std`.
-    pub fn apply(&self, data: &mut Dataset) {
-        assert_eq!(data.n_features(), self.means.len());
-        for i in 0..data.n_samples() {
-            for ((v, &m), &s) in data.row_mut(i).iter_mut().zip(&self.means).zip(&self.stds) {
-                *v = (*v - m) / s;
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod standardizer_tests {
-    use super::*;
-
-    #[test]
-    fn standardises_to_zero_mean_unit_variance() {
-        let mut ds = Dataset::empty(2, 2);
-        ds.push(&[1.0, 10.0], 0);
-        ds.push(&[3.0, 30.0], 1);
-        ds.push(&[5.0, 50.0], 0);
-        let std = Standardizer::fit(&ds);
-        std.apply(&mut ds);
-        for j in 0..2 {
-            let vals: Vec<f32> = (0..3).map(|i| ds.row(i)[j]).collect();
-            let mean: f32 = vals.iter().sum::<f32>() / 3.0;
-            let var: f32 = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 3.0;
-            assert!(mean.abs() < 1e-6);
-            assert!((var - 1.0).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn degenerate_feature_passes_through() {
-        let mut ds = Dataset::empty(1, 2);
-        ds.push(&[7.0], 0);
-        ds.push(&[7.0], 1);
-        let std = Standardizer::fit(&ds);
-        std.apply(&mut ds);
-        // x − mean = 0, divided by fallback std 1.
-        assert_eq!(ds.row(0), &[0.0]);
-    }
-
-    #[test]
-    fn fit_on_train_apply_to_test() {
-        let mut train = Dataset::empty(1, 2);
-        train.push(&[0.0], 0);
-        train.push(&[2.0], 1);
-        let mut test = Dataset::empty(1, 2);
-        test.push(&[4.0], 0);
-        let std = Standardizer::fit(&train);
-        std.apply(&mut test);
-        // (4 − 1)/1 = 3.
-        assert_eq!(test.row(0), &[3.0]);
     }
 }

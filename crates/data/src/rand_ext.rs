@@ -16,22 +16,6 @@ pub fn normal_f32<R: Rng + ?Sized>(rng: &mut R, mean: f32, std: f32) -> f32 {
     mean + std * standard_normal(rng) as f32
 }
 
-/// One draw from a categorical distribution given (unnormalised,
-/// non-negative) weights.
-pub fn categorical<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
-    debug_assert!(weights.iter().all(|&w| w >= 0.0));
-    let total: f64 = weights.iter().sum();
-    assert!(total > 0.0, "categorical needs positive total weight");
-    let mut r = rng.random::<f64>() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        r -= w;
-        if r <= 0.0 {
-            return i;
-        }
-    }
-    weights.len() - 1
-}
-
 #[cfg(test)]
 // Tests assert invariants; an unwrap that trips IS the test failing.
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -49,26 +33,5 @@ mod tests {
         let var = draws.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
-    }
-
-    #[test]
-    fn categorical_frequencies() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let weights = [1.0, 3.0, 6.0];
-        let mut counts = [0usize; 3];
-        let n = 30_000;
-        for _ in 0..n {
-            counts[categorical(&mut rng, &weights)] += 1;
-        }
-        for (c, w) in counts.iter().zip(&weights) {
-            let freq = *c as f64 / n as f64;
-            assert!((freq - w / 10.0).abs() < 0.02, "{counts:?}");
-        }
-    }
-
-    #[test]
-    fn categorical_single_bucket() {
-        let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(categorical(&mut rng, &[5.0]), 0);
     }
 }

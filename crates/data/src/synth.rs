@@ -12,15 +12,13 @@
 //!   writer-based partitioning (FEMNIST stand-in for Tables IV, Figs. 1,
 //!   4, 7–10);
 //! * [`AdultLike`] — tabular census-style data with an `occupation`
-//!   attribute used for partitioning (Adult stand-in for Table V);
-//! * [`Sent140Like`] — bag-of-words sentiment with per-user vocabulary
-//!   bias (Sent-140 stand-in, listed among the paper's datasets).
+//!   attribute used for partitioning (Adult stand-in for Table V).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dataset::Dataset;
-use crate::rand_ext::{categorical, normal_f32};
+use crate::rand_ext::normal_f32;
 
 /// A federated dataset: one local dataset per FL client plus the shared
 /// test set `T` the utility function evaluates on.
@@ -356,106 +354,6 @@ impl AdultLike {
     }
 }
 
-/// Sent140-like generator: bag-of-words binary sentiment. Positive and
-/// negative "topics" are word distributions over a shared vocabulary;
-/// each user blends the topic with a personal vocabulary bias (non-IID
-/// across users, like tweet authors).
-#[derive(Clone, Debug)]
-pub struct Sent140Like {
-    pub seed: u64,
-    /// Vocabulary size (= number of features). Default 40.
-    pub vocab: usize,
-    /// Words drawn per document. Default 20.
-    pub doc_len: usize,
-    /// Number of users. Default 16.
-    pub n_users: usize,
-}
-
-impl Sent140Like {
-    pub fn new(seed: u64) -> Self {
-        Sent140Like {
-            seed,
-            vocab: 40,
-            doc_len: 20,
-            n_users: 16,
-        }
-    }
-
-    fn topic(&self, positive: bool) -> Vec<f64> {
-        (0..self.vocab)
-            .map(|w| {
-                let h = mix64(self.seed ^ u64::from(positive) << 60 ^ (w as u64) << 3);
-                (unit(h) as f64).powi(2) + 0.01
-            })
-            .collect()
-    }
-
-    fn user_bias(&self, user: usize) -> Vec<f64> {
-        (0..self.vocab)
-            .map(|w| {
-                let h = mix64(self.seed ^ 0x5E17 ^ ((user as u64) << 24) ^ w as u64);
-                (unit(h) as f64).powi(2) + 0.01
-            })
-            .collect()
-    }
-
-    fn document(&self, user: usize, rng: &mut impl Rng) -> (Vec<f32>, u32) {
-        let label = rng.random_range(0..2u32);
-        let topic = self.topic(label == 1);
-        let bias = self.user_bias(user);
-        let weights: Vec<f64> = topic
-            .iter()
-            .zip(&bias)
-            .map(|(t, b)| 0.7 * t + 0.3 * b)
-            .collect();
-        let mut counts = vec![0.0f32; self.vocab];
-        for _ in 0..self.doc_len {
-            counts[categorical(rng, &weights)] += 1.0;
-        }
-        let norm = self.doc_len as f32;
-        for c in &mut counts {
-            *c /= norm;
-        }
-        (counts, label)
-    }
-
-    /// Build a federated dataset partitioned by user (round-robin user →
-    /// client assignment) plus an all-users test set.
-    pub fn generate_federated(
-        &self,
-        n_clients: usize,
-        samples_per_client: usize,
-        n_test: usize,
-        seed: u64,
-    ) -> FederatedDataset {
-        assert!(n_clients >= 1);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut clients = Vec::with_capacity(n_clients);
-        for client in 0..n_clients {
-            let users: Vec<usize> = (0..self.n_users)
-                .filter(|u| u % n_clients == client)
-                .collect();
-            let mut ds = Dataset::empty(self.vocab, 2);
-            for s in 0..samples_per_client {
-                let user = if users.is_empty() {
-                    client % self.n_users
-                } else {
-                    users[s % users.len()]
-                };
-                let (row, label) = self.document(user, &mut rng);
-                ds.push(&row, label);
-            }
-            clients.push(ds);
-        }
-        let mut test = Dataset::empty(self.vocab, 2);
-        for s in 0..n_test {
-            let (row, label) = self.document(s % self.n_users, &mut rng);
-            test.push(&row, label);
-        }
-        FederatedDataset { clients, test }
-    }
-}
-
 #[cfg(test)]
 // Tests assert invariants; an unwrap that trips IS the test failing.
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -555,18 +453,5 @@ mod tests {
             600,
             "partition covers all train samples"
         );
-    }
-
-    #[test]
-    fn sent140_document_structure() {
-        let gen = Sent140Like::new(9);
-        let fed = gen.generate_federated(5, 20, 30, 3);
-        assert_eq!(fed.n_clients(), 5);
-        assert_eq!(fed.test.n_samples(), 30);
-        // Rows are normalised word frequencies.
-        for i in 0..fed.test.n_samples() {
-            let total: f32 = fed.test.row(i).iter().sum();
-            assert!((total - 1.0).abs() < 1e-5);
-        }
     }
 }

@@ -73,9 +73,9 @@ pub struct FlServiceConfig {
 impl FlServiceConfig {
     /// Read the config from the environment — the knobs a deployment of
     /// the wire transport (`fedval-serve`, see `crates/serve`) tunes
-    /// without a rebuild. Unset or unparsable variables keep the
-    /// [`Default`] (`None`): misconfiguration degrades to the defaults
-    /// rather than failing startup.
+    /// without a rebuild. Unset or unparsable variables, and a thread
+    /// count of 0, keep the [`Default`] (`None`): misconfiguration
+    /// degrades to the defaults rather than failing startup.
     ///
     /// | variable | field |
     /// |----------|-------|
@@ -86,7 +86,7 @@ impl FlServiceConfig {
             std::env::var(name).ok()?.trim().parse().ok()
         }
         FlServiceConfig {
-            threads: env_usize("FEDVAL_SERVICE_THREADS"),
+            threads: env_usize("FEDVAL_SERVICE_THREADS").filter(|&t| t > 0),
             flush_max_wait: env_usize("FEDVAL_FLUSH_MAX_WAIT_MS")
                 .map(|ms| Duration::from_millis(ms as u64)),
         }
@@ -249,6 +249,10 @@ mod tests {
         std::env::set_var("FEDVAL_FLUSH_MAX_WAIT_MS", "not-a-number");
         let cfg = FlServiceConfig::from_env();
         assert_eq!(cfg.flush_max_wait, None, "garbage degrades to default");
+        // `ParallelUtility::with_num_threads` asserts at least one thread.
+        std::env::set_var("FEDVAL_SERVICE_THREADS", "0");
+        let cfg = FlServiceConfig::from_env();
+        assert_eq!(cfg.threads, None, "zero threads degrades to default");
         for name in ["FEDVAL_SERVICE_THREADS", "FEDVAL_FLUSH_MAX_WAIT_MS"] {
             std::env::remove_var(name);
         }

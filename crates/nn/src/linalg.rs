@@ -564,11 +564,6 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// Euclidean norm.
-pub fn norm2(x: &[f32]) -> f32 {
-    dot(x, x).sqrt()
-}
-
 #[cfg(test)]
 // Tests assert invariants; an unwrap that trips IS the test failing.
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -1300,10 +1295,8 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[1.0, 3.0], &mut y);
         assert_eq!(y, vec![3.0, 7.0]);
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
         // Empty operands.
         assert_eq!(dot(&[], &[]), 0.0);
         axpy(1.0, &[], &mut []);
-        assert_eq!(norm2(&[]), 0.0);
     }
 }

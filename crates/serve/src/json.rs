@@ -560,9 +560,16 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    fn assert_round_trips(x: f64) {
+        let encoded = Json::f64(x).encode();
+        let parsed = parse(&encoded).unwrap().as_f64().unwrap();
+        assert_eq!(parsed.to_bits(), x.to_bits(), "token {encoded}");
+    }
+
     #[test]
     fn floats_round_trip_bit_exactly() {
-        for &x in &[
+        let two53 = 9_007_199_254_740_992.0f64;
+        let fixed = [
             0.0,
             -0.0,
             1.0,
@@ -573,11 +580,40 @@ mod tests {
             2.2250738585072014e-308,
             0.1 + 0.2,
             core::f64::consts::PI,
-        ] {
-            let encoded = Json::f64(x).encode();
-            let parsed = parse(&encoded).unwrap().as_f64().unwrap();
-            assert_eq!(parsed.to_bits(), x.to_bits(), "token {encoded}");
+            // The smallest and largest subnormals.
+            f64::from_bits(1),
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            // 2^53 and its neighbours: spacing 1 below, 2 above.
+            two53,
+            f64::from_bits(two53.to_bits() - 1),
+            f64::from_bits(two53.to_bits() + 1),
+            // Values that need all 17 significant digits.
+            0.300_000_000_000_000_04,
+            1.000_000_000_000_000_2,
+            1.234_567_890_123_456_7e-5,
+            9.876_543_210_987_654e300,
+            2.225_073_858_507_201e-308,
+        ];
+        for x in fixed {
+            assert_round_trips(x);
+            assert_round_trips(-x);
         }
+        // A seeded sweep of finite bit patterns (splitmix64), both signs.
+        let mut state = 0x5EED_u64;
+        let (mut finite, mut negative) = (0, 0);
+        while finite < 10_000 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let x = f64::from_bits(z ^ (z >> 31));
+            if x.is_finite() {
+                assert_round_trips(x);
+                finite += 1;
+                negative += usize::from(x.is_sign_negative());
+            }
+        }
+        assert!((4_000..6_000).contains(&negative), "{negative} negative");
     }
 
     #[test]
@@ -591,10 +627,12 @@ mod tests {
 
     #[test]
     fn u64_seeds_survive_above_the_f64_mantissa() {
-        let seed = u64::MAX - 1; // not representable as f64
-        let doc = Json::obj([("seed", Json::Num(Num::U64(seed)))]).encode();
-        let parsed = parse(&doc).unwrap();
-        assert_eq!(parsed.get("seed").unwrap().as_u64(), Some(seed));
+        // Neither is representable as f64.
+        for seed in [u64::MAX - 1, u64::MAX] {
+            let doc = Json::obj([("seed", Json::Num(Num::U64(seed)))]).encode();
+            let parsed = parse(&doc).unwrap();
+            assert_eq!(parsed.get("seed").unwrap().as_u64(), Some(seed));
+        }
     }
 
     #[test]

@@ -482,7 +482,7 @@ mod tests {
     #[test]
     fn full_request_surface_round_trips() {
         let doc = parse(
-            r#"{"estimator":"stratified_mc","budget":48,"seed":9,
+            r#"{"estimator":"stratified_mc","budget":48,"seed":18446744073709551615,
                 "clients":[1,3,4],"deadline_ms":250.5,"max_evals":100,
                 "on_limit":"fail",
                 "stopping":{"ci_at_most":0.05,"max_samples":64},
@@ -492,7 +492,7 @@ mod tests {
         let req = parse_valuation_request(&doc).unwrap();
         assert_eq!(req.estimator, Estimator::StratifiedMc);
         assert_eq!(req.budget, 48);
-        assert_eq!(req.seed, 9);
+        assert_eq!(req.seed, u64::MAX);
         assert_eq!(req.clients, Some(Coalition::from_members([1, 3, 4])));
         assert_eq!(req.deadline, Some(Duration::from_secs_f64(0.2505)));
         assert_eq!(req.max_evals, Some(100));
@@ -528,6 +528,7 @@ mod tests {
             r#"{"estimator":"loo","adaptive":{"rounds":2}}"#,
             r#"{"estimator":"loo","seed":-1}"#,
             r#"{"estimator":"loo","seed":1.5}"#,
+            r#"{"estimator":"loo","seed":18446744073709551616}"#,
             r#"{"estimator":"loo","clients":"all"}"#,
             r#"{"estimator":"loo","clients":[200]}"#,
             r#"{"estimator":"loo","on_limit":"explode"}"#,

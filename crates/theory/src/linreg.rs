@@ -1,6 +1,6 @@
 //! A concrete FL linear-regression utility matching the assumptions of
 //! Theorems 2–3: per-client Gaussian data, pooled ordinary least squares,
-//! utility = negative test error.
+//! utility = negative test MSE.
 //!
 //! Unlike the neural substrate this solves the model in closed form
 //! (normal equations), so tens of thousands of coalition evaluations run in
@@ -13,15 +13,6 @@ use rand::SeedableRng;
 use fedval_core::coalition::Coalition;
 use fedval_core::utility::Utility;
 use fedval_data::rand_ext::standard_normal;
-
-/// Which error metric the utility reports (negated).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ErrorMetric {
-    /// Negative mean squared error — the Lemma 1 / Theorem 3 setting.
-    NegMse,
-    /// Negative mean absolute error — the Theorem 2 setting (Eq. 8).
-    NegMae,
-}
 
 /// Per-client regression data.
 #[derive(Clone, Debug)]
@@ -136,34 +127,32 @@ pub fn fit_ols(data: &[&RegressionData]) -> Option<Vec<f64>> {
     solve(xtx, xty, dim)
 }
 
-/// Prediction error of `w` on `test` under the chosen metric.
-pub fn prediction_error(w: &[f64], test: &RegressionData, metric: ErrorMetric) -> f64 {
+/// Mean squared prediction error of `w` on `test`.
+pub fn prediction_error(w: &[f64], test: &RegressionData) -> f64 {
     let n = test.n_samples();
     assert!(n > 0);
     let mut total = 0.0;
     for i in 0..n {
         let pred: f64 = test.row(i).iter().zip(w).map(|(x, w)| x * w).sum();
         let e = pred - test.ys[i];
-        total += match metric {
-            ErrorMetric::NegMse => e * e,
-            ErrorMetric::NegMae => e.abs(),
-        };
+        total += e * e;
     }
     total / n as f64
 }
 
-/// FL linear-regression utility: `U(S) = −error(OLS(∪_{i∈S} D_i), test)`.
+/// FL linear-regression utility: `U(S) = −MSE(OLS(∪_{i∈S} D_i), test)`,
+/// the Lemma 1 / Theorem 3 setting. Theorem 2's MAE setting (Eq. 8) is
+/// [`crate::variance::TrainingErrorUtility`].
 ///
 /// Coalitions with too little pooled data to determine the regression get
 /// the error of the zero (initial) model — the `m0` of Lemma 1.
 pub struct LinRegUtility {
     pub clients: Vec<RegressionData>,
     pub test: RegressionData,
-    pub metric: ErrorMetric,
 }
 
 impl LinRegUtility {
-    /// Build a synthetic instance of the Theorem 2 setting: `n` clients
+    /// Build a synthetic instance of the theorems' setting: `n` clients
     /// with the given per-client sample counts, all drawn from the same
     /// distribution.
     pub fn synthetic(
@@ -179,22 +168,13 @@ impl LinRegUtility {
             .map(|&s| generate_regression(beta, s, noise_std, &mut rng))
             .collect();
         let test = generate_regression(beta, n_test, noise_std, &mut rng);
-        LinRegUtility {
-            clients,
-            test,
-            metric: ErrorMetric::NegMse,
-        }
-    }
-
-    pub fn with_metric(mut self, metric: ErrorMetric) -> Self {
-        self.metric = metric;
-        self
+        LinRegUtility { clients, test }
     }
 
     /// Error of the zero model on the test set (`m0`).
     pub fn initial_error(&self) -> f64 {
         let zero = vec![0.0; self.test.dim];
-        prediction_error(&zero, &self.test, self.metric)
+        prediction_error(&zero, &self.test)
     }
 }
 
@@ -206,7 +186,7 @@ impl Utility for LinRegUtility {
     fn eval(&self, s: Coalition) -> f64 {
         let parts: Vec<&RegressionData> = s.members().map(|i| &self.clients[i]).collect();
         match fit_ols(&parts) {
-            Some(w) => -prediction_error(&w, &self.test, self.metric),
+            Some(w) => -prediction_error(&w, &self.test),
             None => -self.initial_error(),
         }
     }
@@ -281,14 +261,5 @@ mod tests {
                 "{phi:?} (mean {mean})"
             );
         }
-    }
-
-    #[test]
-    fn mae_metric_is_supported() {
-        let beta = vec![1.0, 1.0];
-        let u =
-            LinRegUtility::synthetic(&beta, &[25; 4], 300, 0.4, 6).with_metric(ErrorMetric::NegMae);
-        let v = u.eval(Coalition::full(4));
-        assert!(v < 0.0 && v > -10.0);
     }
 }

@@ -9,6 +9,23 @@
 //! shared samples, leaving only `Var[Σ_{j∈Dᵢ} e_j]`; CC pairs
 //! `(S∪{i}, N\(S∪{i}))` sum *disjoint* samples and keep both sides'
 //! variance — the source of the gap (Eq. 11).
+//!
+//! Two distinct variances meet here and must not be confused:
+//!
+//! * [`analytic_var_mc`]/[`analytic_var_cc`] (Eqs. 9–10) are variances
+//!   over **training noise** — the `e_j` draws of Eq. 8, with the
+//!   coalition sample held fixed;
+//! * the anytime CI's [`Welford`]/[`component_variance`] accumulators
+//!   (in `fedval_core::anytime`, where the samplers' folds consume them)
+//!   measure the variance over **coalition sampling** — the Alg. 1
+//!   draws, with the training realisation held fixed. On one
+//!   [`TrainingErrorUtility`] realisation the MC scheme's per-pair
+//!   contribution is *constant* (the additive cancellation that powers
+//!   Theorem 2), so its sampling variance is exactly zero while Eq. 9 is
+//!   positive.
+//!
+//! [`Welford`]: fedval_core::anytime::Welford
+//! [`component_variance`]: fedval_core::anytime::component_variance
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,26 +35,6 @@ use fedval_core::metrics::variance;
 use fedval_core::stratified::{stratified_sampling, Scheme, StratifiedConfig};
 use fedval_core::utility::Utility;
 use fedval_data::rand_ext::standard_normal;
-
-/// The running per-stratum mean/variance accumulators behind the anytime
-/// CI (re-exported from `fedval_core::anytime`, where the samplers'
-/// folds consume them — the dependency points core → theory, so the
-/// implementation cannot live here).
-///
-/// Two distinct variances meet in this module and must not be confused:
-///
-/// * [`analytic_var_mc`]/[`analytic_var_cc`] (Eqs. 9–10) are variances
-///   over **training noise** — the `e_j` draws of Eq. 8, with the
-///   coalition sample held fixed;
-/// * the [`Welford`]/[`component_variance`] accumulators measure the
-///   variance over **coalition sampling** — the Alg. 1 draws, with the
-///   training realisation held fixed. On one [`TrainingErrorUtility`]
-///   realisation the MC scheme's per-pair contribution is *constant*
-///   (the additive cancellation that powers Theorem 2), so its sampling
-///   variance is exactly zero while Eq. 9 is positive.
-pub use fedval_core::anytime::{
-    component_variance, halfwidth, ProgressSnapshot, StoppingRule, Welford, Z_95,
-};
 
 /// Analytic variance of the MC-SV estimator for client `i` (Eq. 9) under
 /// the linear model: each stratum contributes `|D_i|²σ²/(n²·m_{i,k}²)` per
@@ -153,7 +150,7 @@ where
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use fedval_core::anytime::Control;
+    use fedval_core::anytime::{Control, ProgressSnapshot, Welford};
     use fedval_core::sampler::{drive, Observer};
     use fedval_core::stratified::StratifiedSampler;
 

@@ -164,11 +164,6 @@ fn record_finals(ledger: &mut Ledger) {
 
                 let plain = OwenConfig::for_budget(n, budget);
                 ledger.values(&key("owen"), &owen_sampling(u, &plain, &mut rng()));
-                let anti = OwenConfig::for_budget(n, budget).with_antithetic();
-                ledger.values(
-                    &key("owen_antithetic"),
-                    &owen_sampling(u, &anti, &mut rng()),
-                );
 
                 ledger.values(
                     &key("banzhaf_pruned"),
@@ -285,26 +280,19 @@ fn record_streams(ledger: &mut Ledger) {
         drive(&hash6, &mut sampler, Some(obs))
     });
 
-    // Owen — plain and antithetic, uniform and re-planned.
-    for (label, cfg) in [
-        ("plain", OwenConfig::new(4, 5)),
-        ("antithetic", OwenConfig::new(5, 4).with_antithetic()),
-    ] {
-        ledger.stream(&format!("stream owen_{label} saturating8"), |obs| {
-            let mut r = rng(31);
-            let mut sampler = OwenSampler::new(8, &cfg, None, &mut r);
-            drive(&saturating8, &mut sampler, Some(obs))
-        });
-        ledger.stream(
-            &format!("stream owen_{label} saturating8 adaptive"),
-            |obs| {
-                let policy = Some(&default_policy);
-                let mut r = rng(31);
-                let mut sampler = OwenSampler::new(8, &cfg, policy, &mut r);
-                drive(&saturating8, &mut sampler, Some(obs))
-            },
-        );
-    }
+    // Owen, uniform and re-planned.
+    let cfg = OwenConfig::new(4, 5);
+    ledger.stream("stream owen_plain saturating8", |obs| {
+        let mut r = rng(31);
+        let mut sampler = OwenSampler::new(8, &cfg, None, &mut r);
+        drive(&saturating8, &mut sampler, Some(obs))
+    });
+    ledger.stream("stream owen_plain saturating8 adaptive", |obs| {
+        let policy = Some(&default_policy);
+        let mut r = rng(31);
+        let mut sampler = OwenSampler::new(8, &cfg, policy, &mut r);
+        drive(&saturating8, &mut sampler, Some(obs))
+    });
     ledger.stream("stream owen_plain hash6 adaptive-eager", |obs| {
         let cfg = OwenConfig::new(4, 6);
         let mut r = rng(32);

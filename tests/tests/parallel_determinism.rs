@@ -13,7 +13,6 @@
 // the failure mechanism, not a robustness gap.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use fedval_core::banzhaf::{banzhaf_msr, BanzhafConfig};
 use fedval_core::coalition::{all_subsets, Coalition};
 use fedval_core::owen::{owen_sampling, OwenConfig};
 use fedval_core::prelude::*;
@@ -75,13 +74,6 @@ fn stratified_is_bit_identical_across_thread_counts() {
 fn owen_is_bit_identical_across_thread_counts() {
     assert_thread_invariant("owen", |u| {
         owen_sampling(u, &OwenConfig::new(5, 6), &mut StdRng::seed_from_u64(9))
-    });
-}
-
-#[test]
-fn banzhaf_msr_is_bit_identical_across_thread_counts() {
-    assert_thread_invariant("banzhaf_msr", |u| {
-        banzhaf_msr(u, &BanzhafConfig::new(200), &mut StdRng::seed_from_u64(10))
     });
 }
 

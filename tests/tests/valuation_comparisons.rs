@@ -7,8 +7,6 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use fedval_core::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 #[test]
 fn all_value_notions_agree_on_additive_games() {
@@ -42,11 +40,10 @@ fn shapley_handles_redundancy_loo_does_not() {
 }
 
 #[test]
-fn banzhaf_msr_and_shapley_rank_identically_on_monotone_game() {
+fn banzhaf_and_shapley_rank_identically_on_monotone_game() {
     let u = SaturatingUtility::new(0.1, 0.8, 0.9, vec![3.0, 1.0, 2.0, 0.5, 1.5]);
     let sv = exact_mc_sv(&u);
-    let mut rng = StdRng::seed_from_u64(2);
-    let bz = banzhaf_msr(&u, &BanzhafConfig::new(30_000), &mut rng);
+    let bz = exact_banzhaf(&u);
     assert!(
         kendall_tau(&sv, &bz) > 0.99,
         "rankings diverge: sv {sv:?} vs banzhaf {bz:?}"
@@ -58,10 +55,7 @@ fn weighted_majority_game_is_hard_for_truncation() {
     // Limitation 2 of the paper: binary-jump utilities (weighted majority)
     // have no key-combinations structure, so small-coalition truncation
     // is *not* sufficient — unlike FL accuracy utilities.
-    let u = WeightedMajorityUtility {
-        weights: vec![1.0; 9],
-        quota: 4.5, // majority at 5 of 9
-    };
+    let u = TableUtility::from_fn(9, |s| f64::from(s.size() >= 5)); // majority at 5 of 9
     let exact = exact_mc_sv(&u);
     let k_small = k_greedy(&u, 2);
     let err = l2_relative_error(&k_small, &exact);
