@@ -9,9 +9,11 @@
 //! 4. Alg. 1 scheme choice (MC-SV vs CC-SV) at equal budget on the real
 //!    FL utility.
 
-// Bench driver: measurement harness code panics on setup failure by
-// design; unwrap/expect are the error mechanism here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "bench driver: a failed setup panics by design, so unwrap/expect are its error mechanism"
+)]
 
 use fedval_bench::{base_seed, exact_sweep, femnist, quick, NeuralModel, Table};
 use fedval_core::baselines::{extended_tmc, TmcConfig};

@@ -11,9 +11,11 @@
 //! the closed-form linear-regression utility of `fedval-theory` for the
 //! dense sweep plus one neural spot check.
 
-// Bench driver: measurement harness code panics on setup failure by
-// design; unwrap/expect are the error mechanism here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "bench driver: a failed setup panics by design, so unwrap/expect are its error mechanism"
+)]
 
 use fedval_bench::{base_seed, quick, table_client_counts, Table};
 use fedval_core::stratified::Scheme;

@@ -3,9 +3,11 @@
 //! FL clients. The paper's point: existing solutions fail to reach the
 //! bottom-left corner (fast *and* accurate) — IPSS does.
 
-// Bench driver: measurement harness code panics on setup failure by
-// design; unwrap/expect are the error mechanism here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "bench driver: a failed setup panics by design, so unwrap/expect are its error mechanism"
+)]
 
 use fedval_bench::{
     base_seed, exact_sweep, femnist, fmt_err, fmt_secs, gamma_for, quick, run, Algorithm,

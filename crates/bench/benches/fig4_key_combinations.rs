@@ -10,9 +10,11 @@
 //! column is the τ-model cost of Sec. IV-C, `Σ_{S evaluated} τ̂(|S|)`, with
 //! `τ̂` each size's mean solo training time (`TauModel`), as in Fig. 6.
 
-// Bench driver: measurement harness code panics on setup failure by
-// design; unwrap/expect are the error mechanism here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "bench driver: a failed setup panics by design, so unwrap/expect are its error mechanism"
+)]
 
 use fedval_bench::{
     base_seed, femnist, fmt_secs, quick, NeuralModel, Problem, RecordingUtility, Table, TauModel,

@@ -14,9 +14,11 @@
 //! re-training coalitions per algorithm. Gradient-based methods are
 //! wall-clock timed (their cost is one FL training).
 
-// Bench driver: measurement harness code panics on setup failure by
-// design; unwrap/expect are the error mechanism here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "bench driver: a failed setup panics by design, so unwrap/expect are its error mechanism"
+)]
 
 use fedval_bench::{
     base_seed, estimate, fmt_err, fmt_secs, gamma_for, mnist_synthetic, quick, run, Algorithm,

@@ -9,9 +9,11 @@
 //! already trained for the exact SV), so the sweep measures estimator
 //! error, not training time — Fig. 7 plots error only.
 
-// Bench driver: measurement harness code panics on setup failure by
-// design; unwrap/expect are the error mechanism here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "bench driver: a failed setup panics by design, so unwrap/expect are its error mechanism"
+)]
 
 use fedval_bench::{
     base_seed, estimate, exact_sweep, femnist, quick, Algorithm, NeuralModel, Table,

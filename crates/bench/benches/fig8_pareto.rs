@@ -6,9 +6,11 @@
 //! error spread. Paper shape: IPSS attains Pareto optimality across
 //! client counts.
 
-// Bench driver: measurement harness code panics on setup failure by
-// design; unwrap/expect are the error mechanism here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "bench driver: a failed setup panics by design, so unwrap/expect are its error mechanism"
+)]
 
 use fedval_bench::{
     base_seed, exact_sweep, femnist, quick, run, table_client_counts, Algorithm, NeuralModel, Table,

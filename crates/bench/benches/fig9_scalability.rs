@@ -8,9 +8,11 @@
 //! and 100 clients, its running time grows only ~2.4× from 20 to 100
 //! clients, and it attains the lowest property-proxy error.
 
-// Bench driver: measurement harness code panics on setup failure by
-// design; unwrap/expect are the error mechanism here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "bench driver: a failed setup panics by design, so unwrap/expect are its error mechanism"
+)]
 
 use std::collections::HashMap;
 

@@ -7,9 +7,11 @@
 //!   CC-SV;
 //! * Theorem 3: IPSS's truncation error on the linear model vs the bound.
 
-// Bench driver: measurement harness code panics on setup failure by
-// design; unwrap/expect are the error mechanism here.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "bench driver: a failed setup panics by design, so unwrap/expect are its error mechanism"
+)]
 
 use fedval_bench::{base_seed, quick, Table};
 use fedval_core::exact::exact_mc_sv;

@@ -91,8 +91,6 @@ pub fn gtg_shapley<R: Rng + ?Sized>(
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::history::record_history;

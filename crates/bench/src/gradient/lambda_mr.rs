@@ -65,8 +65,6 @@ pub fn lambda_mr(
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::gradient::accuracy_gain;

@@ -9,8 +9,8 @@
 //! training trajectory differs from the replayed one.
 
 // The baselines are estimator code: no wall-clock reads, although the
-// harness crate allows them elsewhere.
-#![deny(clippy::disallowed_methods)]
+// harness crate allows them elsewhere, and no `for` over a hash container.
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 mod digfl;
 mod gtg;
@@ -139,8 +139,6 @@ impl Utility for RoundUtility<'_> {
 /// recorded history or a baseline's arithmetic moved: paste the printed
 /// ledger over `GOLDEN` only when a value is *meant* to change.
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod golden {
     use std::fmt::Write as _;
 
@@ -303,8 +301,6 @@ dig_fl normalized=true = 3fc28011bcf6e3e1 3fc3ce75265f455e 0000000000000000 3fc2
 /// The symmetry axiom on a game small enough to check by hand: a recorded
 /// n = 3 history edited so that clients 0 and 1 are interchangeable.
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;

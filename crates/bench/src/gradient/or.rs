@@ -26,8 +26,6 @@ pub fn or_valuation(history: &TrainingHistory, net: Network, test: Dataset) -> V
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::history::record_history;

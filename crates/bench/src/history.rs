@@ -7,8 +7,8 @@
 //! [`record_history`] records them from the reference FedAvg loop itself.
 
 // The baselines are estimator code: no wall-clock reads, although the
-// harness crate allows them elsewhere.
-#![deny(clippy::disallowed_methods)]
+// harness crate allows them elsewhere, and no `for` over a hash container.
+#![deny(clippy::disallowed_methods, clippy::iter_over_hash_type)]
 
 use fedval_core::coalition::Coalition;
 use fedval_data::Dataset;
@@ -151,8 +151,6 @@ impl TrainingHistory {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

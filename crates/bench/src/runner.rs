@@ -346,8 +346,6 @@ impl<U: Utility> Utility for RecordingUtility<'_, U> {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::problems::{adult_xgb, femnist, NeuralModel};

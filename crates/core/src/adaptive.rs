@@ -301,8 +301,6 @@ fn apportion(buf: &mut [usize], mut budget: usize, scores: &[f64], caps: &[usize
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::stratified::StratifiedConfig;

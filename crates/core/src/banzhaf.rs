@@ -74,8 +74,6 @@ pub fn banzhaf_pruned<U: Utility + ?Sized, R: Rng + ?Sized>(
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::metrics::l2_relative_error;

@@ -86,8 +86,6 @@ pub fn cc_shapley<U: Utility + ?Sized, R: Rng + ?Sized>(
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::exact::exact_mc_sv;

@@ -448,8 +448,6 @@ pub fn subsets_up_to(n: usize, k: usize) -> u128 {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

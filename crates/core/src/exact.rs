@@ -245,8 +245,6 @@ pub fn perm_sv_naive_evaluations(n: usize) -> f64 {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::anytime::{Control, ProgressSnapshot};

@@ -48,8 +48,6 @@ pub fn k_greedy_evaluations(n: usize, k_max: usize) -> u128 {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::exact::exact_mc_sv;

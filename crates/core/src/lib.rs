@@ -54,6 +54,11 @@
 //! assert!(err < 0.5);
 //! ```
 
+// Estimator code: a `for` over a hash container visits in arbitrary
+// order, and an f64 fold in that order moves bits (clippy.toml bans the
+// iteration methods).
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod adaptive;
 pub mod anytime;
 pub mod banzhaf;

@@ -26,8 +26,6 @@ pub fn leave_one_out<U: Utility + ?Sized>(u: &U) -> Vec<f64> {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::exact::exact_mc_sv;

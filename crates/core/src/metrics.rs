@@ -121,8 +121,6 @@ pub fn pareto_front(points: &[(f64, f64)]) -> Vec<usize> {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

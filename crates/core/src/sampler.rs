@@ -133,8 +133,6 @@ where
 /// from-scratch fold as `historical_fold`, and [`oracle::check`] holds
 /// every incremental fold to it.
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 pub(crate) mod oracle {
     use super::*;
     use crate::anytime::Welford;

@@ -327,8 +327,6 @@ pub fn coverage_spread(cov: &[u32]) -> u32 {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
@@ -350,14 +348,14 @@ mod tests {
     fn random_subset_is_roughly_uniform() {
         // Each of the C(4,2)=6 subsets should appear ~1/6 of the time.
         let mut rng = StdRng::seed_from_u64(2);
-        let mut counts: std::collections::HashMap<u128, usize, MaskHash> = Default::default();
+        let mut counts = std::collections::BTreeMap::<u128, usize>::new();
         let trials = 12_000;
         for _ in 0..trials {
             let s = random_subset_of_size(4, 2, &mut rng);
             *counts.entry(s.0).or_insert(0) += 1;
         }
         assert_eq!(counts.len(), 6);
-        for (_, c) in counts {
+        for c in counts.into_values() {
             let freq = c as f64 / trials as f64;
             assert!((freq - 1.0 / 6.0).abs() < 0.02, "freq {freq}");
         }

@@ -153,8 +153,6 @@ pub use request::{
 pub use server::{ServerBuilder, ValuationServer};
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use std::time::Duration;
 

@@ -4,10 +4,10 @@
 //! the shared cache, deliver it with every parked batch the cache now
 //! covers.
 
-// This file is on the timing whitelist (clippy.toml bans Instant::now
-// elsewhere): park-wait deadlines and flush windows are wall-clock by
-// design, bound only *when* work happens — never what the values are.
-#![allow(clippy::disallowed_methods)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "timing whitelist: park-wait deadlines and flush windows bound only when work happens, never what the values are"
+)]
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -340,8 +340,6 @@ impl<U: Utility + Send + Sync> Drop for RunGuard<U> {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::utility::tests::Recording;

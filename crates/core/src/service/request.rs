@@ -23,10 +23,16 @@ pub enum Estimator {
     ExactCc,
     /// IPSS (Alg. 3) with `γ` = the request's budget.
     Ipss,
-    /// Stratified sampling (Alg. 1), MC scheme, budget split uniformly
-    /// over the strata.
+    /// Stratified sampling (Alg. 1), MC scheme. The budget is `γ`, the
+    /// number of coalitions drawn, split uniformly over the strata
+    /// ([`StratifiedConfig::uniform`](crate::stratified::StratifiedConfig::uniform)).
+    /// Each draw `S` is scored with its partner `S∖{i}`, and the memo
+    /// dedups repeats, so distinct evaluations differ from `γ`: 197 at
+    /// `γ = 250`, `n = 10`, for either scheme.
     StratifiedMc,
-    /// Stratified sampling (Alg. 1), CC scheme, budget split uniformly.
+    /// Stratified sampling (Alg. 1), CC scheme. The budget is `γ`, the
+    /// number of coalitions drawn, as for [`Estimator::StratifiedMc`];
+    /// each draw's partner is `N∖S`.
     StratifiedCc,
     /// Owen multilinear sampling; the budget approximates the total
     /// number of utility evaluations.
@@ -156,8 +162,11 @@ pub struct ValuationRequest {
     /// coalitions are translated to global masks before evaluation, so
     /// requests over different client sets still share cached coalitions.
     pub clients: Option<Coalition>,
-    /// Sampling budget, interpreted per estimator (IPSS/Banzhaf `γ`,
-    /// stratified/Owen total evaluations; ignored by exact/LOO).
+    /// Sampling budget, interpreted per estimator: IPSS/Banzhaf `γ`;
+    /// for stratified MC/CC (Alg. 1) `γ` = coalitions drawn, not distinct
+    /// evaluations (see [`Estimator::StratifiedMc`]); for Owen an upper
+    /// bound on evaluations before dedup, with at least one draw per grid
+    /// node; ignored by exact/LOO.
     pub budget: usize,
     /// Seed of the run's RNG stream — results are a pure function of
     /// `(estimator, clients, budget, seed)` and the utility.

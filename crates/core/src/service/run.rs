@@ -3,10 +3,10 @@
 //! coalescer, poisoned flushes retried — and the dispatch from a request
 //! to its sampler.
 
-// This file is on the timing whitelist (clippy.toml bans Instant::now
-// elsewhere): park-wait deadlines and flush windows are wall-clock by
-// design, bound only *when* work happens — never what the values are.
-#![allow(clippy::disallowed_methods)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "timing whitelist: park-wait deadlines and flush windows bound only when work happens, never what the values are"
+)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};

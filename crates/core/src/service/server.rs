@@ -4,10 +4,10 @@
 //! or a typed error — on a ticket's worker, or on the thread of a
 //! blocking [`ValuationServer::call`].
 
-// This file is on the timing whitelist (clippy.toml bans Instant::now
-// elsewhere): park-wait deadlines and flush windows are wall-clock by
-// design, bound only *when* work happens — never what the values are.
-#![allow(clippy::disallowed_methods)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "timing whitelist: park-wait deadlines and flush windows bound only when work happens, never what the values are"
+)]
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -427,8 +427,6 @@ pub fn stratified_sampling<U: Utility + ?Sized, R: Rng + ?Sized>(
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::anytime::{Control, ProgressSnapshot, StoppingRule};

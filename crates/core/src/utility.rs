@@ -463,9 +463,10 @@ impl<U: Utility> CachedUtility<U> {
     /// its wall time is charged once if anything was, since a concurrent
     /// inner batch has no per-item attribution.
     fn evaluate(&self, misses: &[Coalition], eval: impl FnOnce(&U) -> Vec<f64>) -> Vec<f64> {
-        // lint:wall-clock(EvalStats gauge: eval_nanos is reporting-only
-        // telemetry and never feeds back into any computed value)
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "EvalStats gauge: eval_nanos is reporting-only and never feeds a computed value"
+        )]
         let start = Instant::now();
         let values = eval(&self.inner);
         let nanos = start.elapsed().as_nanos() as u64;
@@ -728,8 +729,6 @@ impl<U: Utility> Utility for NoisyUtility<U> {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 pub(crate) mod tests {
     use super::*;
     use crate::coalition::all_subsets;

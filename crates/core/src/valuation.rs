@@ -40,9 +40,10 @@ where
     F: FnOnce(&CachedUtility<U>) -> Vec<f64>,
 {
     let cached = CachedUtility::new(utility);
-    // lint:wall-clock(ValuationOutcome::wall_time is a reported metric
-    // only; the values themselves never depend on it)
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "ValuationOutcome::wall_time is a reported metric only; the values never depend on it"
+    )]
     let start = Instant::now();
     let values = algo(&cached);
     let wall_time = start.elapsed();
@@ -60,8 +61,6 @@ where
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::exact::exact_mc_sv;

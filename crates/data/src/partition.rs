@@ -238,8 +238,6 @@ pub fn plant_scalability_fixtures(
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::synth::MnistLike;

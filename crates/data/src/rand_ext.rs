@@ -17,8 +17,6 @@ pub fn normal_f32<R: Rng + ?Sized>(rng: &mut R, mean: f32, std: f32) -> f32 {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

@@ -77,8 +77,6 @@ pub fn local_seed(base: u64, round: usize, client: usize) -> u64 {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

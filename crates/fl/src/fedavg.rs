@@ -351,8 +351,6 @@ fn local_train(
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use fedval_data::{MnistLike, SyntheticSetup};

@@ -29,6 +29,11 @@
 //! clients with the same message flow (see "Deviations from the paper" in
 //! ARCHITECTURE.md).
 
+// Estimator code: a `for` over a hash container visits in arbitrary
+// order, and an f64 fold in that order moves bits (clippy.toml bans the
+// iteration methods).
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod config;
 pub mod fedavg;
 pub mod model;

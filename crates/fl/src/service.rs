@@ -121,8 +121,6 @@ pub fn serve(
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use fedval_core::coalition::Coalition;

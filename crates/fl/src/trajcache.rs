@@ -165,8 +165,6 @@ impl TrajectoryCache {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

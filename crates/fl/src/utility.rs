@@ -265,8 +265,6 @@ impl Utility for GbdtUtility {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use fedval_core::utility::CachedUtility;

@@ -140,8 +140,6 @@ fn sigmoid(x: f32) -> f32 {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use fedval_data::AdultLike;

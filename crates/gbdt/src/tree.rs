@@ -120,10 +120,10 @@ impl Tree {
         (-grad_sum / (hess_sum + lambda as f64)) as f32
     }
 
-    // Recursion carries the whole split context (data, grad/hess, index
-    // subset, binning, params, depth); bundling them into a struct would
-    // only rename the argument list.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "recursion carries the whole split context (data, grad/hess, index subset, binning, params, depth); a struct would only rename the argument list"
+    )]
     fn build(
         &mut self,
         data: &Dataset,
@@ -241,8 +241,6 @@ impl Tree {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -1,14 +1,13 @@
-//! Source preparation and tokenisation for the determinism lint.
+//! Source preparation and tokenisation for the seed check.
 //!
 //! The scanner never parses Rust properly — it strips comments, string
 //! and char literals out of the source (preserving byte positions, so
 //! line numbers survive), remembers the comment text per line (the
-//! annotation grammar lives in comments), and cuts the rest into a flat
-//! token stream of identifiers, numbers and punctuation. That is enough
-//! to recognise the method chains, attribute groups and `#[cfg(test)]`
-//! item spans the rules in [`crate::rules`] care about, without a
-//! dependency on a real parser (the build environment has no registry
-//! access, so the lint is dependency-free by construction).
+//! `lint:seeded` annotation lives in comments), and cuts the rest into a
+//! flat token stream of identifiers, numbers and punctuation. That is
+//! enough to recognise seeding calls, attribute groups and `#[cfg(test)]`
+//! item spans without a dependency on a real parser (the workspace builds
+//! offline, so the lint is dependency-free by construction).
 
 /// A source file after comment/literal stripping.
 pub struct Prepared {
@@ -310,8 +309,6 @@ pub fn tokenize(clean: &str) -> Vec<Token> {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -1,23 +1,16 @@
-// Fixture: the near-misses for `allow-justification` — a justified
-// allow, and an allow inside a `#[cfg(test)]` span (test code is free).
+// Fixture: the near-misses. Every allow and expect states its reason.
+// Clippy must report nothing.
 
-// Recursion threads the whole split context; a params struct would only
-// rename the argument list.
-#[allow(clippy::too_many_arguments)]
-pub fn justified(a: u8, b: u8, c: u8, d: u8, e: u8, f: u8, g: u8, h: u8) -> u8 {
+#[allow(
+    clippy::too_many_arguments,
+    reason = "recursion threads the whole split context; a struct would only rename the list"
+)]
+pub fn reasoned(a: u8, b: u8, c: u8, d: u8, e: u8, f: u8, g: u8, h: u8) -> u8 {
     a + b + c + d + e + f + g + h
 }
 
-/// Doc-comment justification works too: the lint reads any comment
-/// block directly above the attribute.
-#[allow(dead_code)]
-pub fn doc_justified() {}
+#[cfg_attr(all(), allow(dead_code, reason = "kept for a later caller"))]
+fn conditional_allow() {}
 
-#[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-mod tests {
-    #[test]
-    fn in_test_code_allows_are_free() {
-        assert_eq!(super::justified(1, 1, 1, 1, 1, 1, 1, 1), 8);
-    }
-}
+#[expect(dead_code, reason = "an expectation states its reason too")]
+fn expected() {}

@@ -1,28 +1,29 @@
-// Fixture: order-sensitive hash iteration in an estimator path — every
-// site below must trip `hash-order` when scanned as crates/core/src/*.
+// Fixture: order-sensitive hash iteration. Clippy must report every line
+// marked `//~` and no other.
 use std::collections::{HashMap, HashSet};
 
-fn sums(memo: &HashMap<u128, f64>) -> f64 {
+pub fn sums(memo: &HashMap<u128, f64>) -> f64 {
     // f64 addition does not commute bitwise: hash order leaks into the sum.
     let mut total = 0.0;
-    for (_k, v) in memo.iter() {
+    for (_k, v) in memo.iter() { //~
         total += v;
     }
     total
 }
 
-fn drain_in_hash_order(pending: &mut HashMap<u64, f64>, out: &mut Vec<f64>) {
-    out.extend(pending.drain().map(|(_, v)| v));
+pub fn drain_in_hash_order(pending: &mut HashMap<u64, f64>, out: &mut Vec<f64>) {
+    out.extend(pending.drain().map(|(_, v)| v)); //~
 }
 
-fn first_member(seen: &HashSet<u128>) -> Option<u128> {
+pub fn first_member(seen: &HashSet<u128>) -> Option<u128> {
     // `iter().next()` picks an arbitrary element.
-    seen.iter().next().copied()
+    seen.iter().next().copied() //~
 }
 
-fn bare_for_loop() {
-    let live: HashSet<u64> = HashSet::new();
-    for mask in &live {
-        let _ = mask;
+pub fn bare_for_loop(live: &HashSet<u64>) -> u64 {
+    let mut last = 0;
+    for mask in live { //~
+        last = *mask;
     }
+    last
 }

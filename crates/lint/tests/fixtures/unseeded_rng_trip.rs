@@ -1,19 +1,9 @@
-// Fixture: RNG construction that does not flow from an explicit seed —
-// all three sites must trip `unseeded-rng`.
+// Fixture: a seeding constructor whose argument names no seed must trip
+// the seed check. (The nondeterministic constructors are banned by
+// clippy.toml and by the rand shim's API, which has none of them.)
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-pub fn entropy_seeded() -> StdRng {
-    // Nondeterministic constructor: banned everywhere, no annotation.
-    StdRng::from_entropy()
-}
-
-pub fn thread_local_rng() -> f64 {
-    let mut rng = rand::thread_rng();
-    rand::Rng::random(&mut rng)
-}
-
 pub fn magic_number(run_index: u64) -> StdRng {
-    // Seeding constructor, but nothing in the argument names a seed.
     StdRng::seed_from_u64(run_index.wrapping_mul(31))
 }

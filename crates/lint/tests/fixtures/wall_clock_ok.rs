@@ -1,18 +1,19 @@
-// Fixture: the near-misses for `wall-clock` — an annotated reporting
-// gauge, and clock mentions that are not clock reads.
+// Fixture: the near-misses. A reporting-only gauge carries a reasoned
+// `#[expect]`; clock mentions that are not reads are free. Clippy must
+// report nothing.
 use std::time::{Duration, Instant};
 
-pub fn annotated_gauge(work: impl Fn() -> f64) -> f64 {
-    // lint:wall-clock(reporting-only latency gauge; the returned value
-    // is computed before the elapsed time is read)
+pub fn timing_gauge(work: impl Fn() -> f64) -> (f64, Duration) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reporting-only latency gauge; the value is computed before it is read"
+    )]
     let start = Instant::now();
     let v = work();
-    let _elapsed = start.elapsed();
-    v
+    (v, start.elapsed())
 }
 
 pub fn durations_are_fine() -> Duration {
-    // Duration arithmetic and Instant *values* passed in are not reads.
     Duration::from_millis(5) + Duration::ZERO
 }
 

@@ -23,7 +23,10 @@ use crate::linalg;
 /// The kernel methods `benchmark/src/layers.rs` calls; each forwards to
 /// the [`crate::linalg`] function of the same name.
 pub trait LinalgBackend {
-    #[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "BLAS-style kernel: dims + operands"
+    )]
     fn matmul_a_bt_bias(
         &self,
         a: &[f32],
@@ -50,7 +53,10 @@ pub trait LinalgBackend {
         linalg::matmul_at_b_accum(a, b, m, k, n, out);
     }
 
-    #[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "BLAS-style kernel: dims + operands"
+    )]
     fn lane_matmul_a_bt_bias(
         &self,
         a: &[f32],

@@ -682,8 +682,6 @@ impl Layer for MaxPool2 {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

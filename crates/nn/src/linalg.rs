@@ -56,8 +56,8 @@ const KC: usize = 128;
 macro_rules! isa_dispatched {
     ($(#[$attr:meta])* $name:ident($($arg:ident: $ty:ty),* $(,)?) $body:block) => {
         $(#[$attr])*
-        #[allow(unsafe_code)] // the ISA dispatch: one runtime-checked call into the AVX2 copy
-        #[allow(clippy::too_many_arguments)] // the kernel's own parameter list
+        #[allow(unsafe_code, reason = "the ISA dispatch: one runtime-checked call into the AVX2 copy")]
+        #[allow(clippy::too_many_arguments, reason = "the kernel's own parameter list")]
         fn $name($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
@@ -68,7 +68,7 @@ macro_rules! isa_dispatched {
             $name::baseline($($arg),*)
         }
 
-        #[allow(clippy::too_many_arguments)] // the kernel's own parameter list
+        #[allow(clippy::too_many_arguments, reason = "the kernel's own parameter list")]
         mod $name {
             use super::*;
 
@@ -124,7 +124,10 @@ isa_dispatched! { matmul_kernel(a: &[f32], b: &[f32], m: usize, k: usize, n: usi
 /// Driver of the `a·bᵀ (+ bias) (+ ReLU)` family: shape checks and
 /// relu-mask bookkeeping; `block_kernel` computes the whole `m×n` output
 /// ([`a_bt_block`], or the historical row kernel in the tests).
-#[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
+#[allow(
+    clippy::too_many_arguments,
+    reason = "BLAS-style kernel: dims + operands"
+)]
 #[inline]
 pub(crate) fn a_bt_with<K>(
     block_kernel: K,
@@ -166,7 +169,10 @@ pub fn matmul_a_bt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
 /// over rows), optionally clamped through ReLU in the same write-back.
 /// `relu_mask`, when provided, records `out > 0` per element (the backward
 /// pass's gate), saving the separate activation traversal entirely.
-#[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
+#[allow(
+    clippy::too_many_arguments,
+    reason = "BLAS-style kernel: dims + operands"
+)]
 pub fn matmul_a_bt_bias(
     a: &[f32],
     b: &[f32],
@@ -232,7 +238,10 @@ pub(crate) use for_each_tile;
 /// The block kernel of the `a·bᵀ (+ bias) (+ ReLU)` family:
 /// transposes `b` once, then runs [`a_bt_sweep`] over it (see the module
 /// header for why this keeps every bit of the historical row kernel).
-#[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
+#[allow(
+    clippy::too_many_arguments,
+    reason = "BLAS-style kernel: dims + operands"
+)]
 fn a_bt_block(
     a: &[f32],
     b: &[f32],
@@ -347,7 +356,10 @@ fn a_bt_tile<const R: usize, const W: usize>(
 /// resolution and mask bookkeeping; `block_kernel` computes one lane's
 /// `m×n` output ([`a_bt_block`], or the historical row kernel in the
 /// tests).
-#[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
+#[allow(
+    clippy::too_many_arguments,
+    reason = "BLAS-style kernel: dims + operands"
+)]
 #[inline]
 pub(crate) fn lane_a_bt_bias_with<K>(
     block_kernel: K,
@@ -414,7 +426,10 @@ pub(crate) fn lane_a_bt_bias_with<K>(
 /// mask of each active lane's output is written in place (the backward
 /// gate, as in [`matmul_a_bt_bias`]). Inactive lanes (per `active`) are
 /// skipped entirely: their outputs and masks are left untouched.
-#[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
+#[allow(
+    clippy::too_many_arguments,
+    reason = "BLAS-style kernel: dims + operands"
+)]
 pub fn lane_matmul_a_bt_bias(
     a: &[f32],
     a_shared: bool,
@@ -444,7 +459,10 @@ pub fn lane_matmul_a_bt_bias(
 /// ascending order, exactly as [`matmul_at_b_accum`] followed by the
 /// row-sum bias loop — so each lane's gradients are bit-identical to the
 /// solo pair of passes. Inactive lanes are left untouched.
-#[allow(clippy::too_many_arguments)] // BLAS-style kernel: dims + operands
+#[allow(
+    clippy::too_many_arguments,
+    reason = "BLAS-style kernel: dims + operands"
+)]
 pub fn lane_matmul_at_b_accum(
     grad_out: &[f32],
     input: &[f32],
@@ -565,8 +583,6 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -871,7 +887,7 @@ mod tests {
 
     /// Adapts a one-output-row kernel ([`historical_a_bt_row`]) to the
     /// block-kernel signature the drivers take.
-    #[allow(clippy::type_complexity)] // the drivers' `K` bound, returned
+    #[allow(clippy::type_complexity, reason = "the drivers' `K` bound, returned")]
     fn by_rows<R>(
         row_kernel: R,
     ) -> impl Fn(&[f32], &[f32], usize, usize, usize, &mut [f32], Option<&[f32]>, bool)
@@ -890,7 +906,10 @@ mod tests {
     type BlockKernel = fn(&[f32], &[f32], usize, usize, usize, &mut [f32], Option<&[f32]>, bool);
 
     /// [`a_bt_block`] with its sweep run in the baseline copy.
-    #[allow(clippy::too_many_arguments)] // the drivers' block-kernel signature
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the drivers' block-kernel signature"
+    )]
     fn a_bt_block_baseline(
         a: &[f32],
         b: &[f32],
@@ -1189,7 +1208,7 @@ mod tests {
 
     /// The branchy loop [`lane_matmul_at_b_accum`] replaced, verbatim
     /// (shape checks aside): the oracle of its nonzero-index compaction.
-    #[allow(clippy::too_many_arguments)] // the kernel's own parameter list
+    #[allow(clippy::too_many_arguments, reason = "the kernel's own parameter list")]
     fn historical_lane_at_b_accum(
         grad_out: &[f32],
         input: &[f32],

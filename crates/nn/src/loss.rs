@@ -72,8 +72,6 @@ pub fn argmax_rows(logits: &[f32], classes: usize) -> Vec<u32> {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

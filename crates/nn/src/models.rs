@@ -68,8 +68,6 @@ pub fn linear(input: usize, classes: usize, seed: u64) -> Network {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -250,8 +250,6 @@ pub fn init_rng(seed: u64) -> StdRng {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::layers::{Dense, Relu};

@@ -35,7 +35,10 @@ use rand::SeedableRng;
 static TERM: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
-#[allow(unsafe_code)] // a foreign call: std has no way to install a signal handler
+#[allow(
+    unsafe_code,
+    reason = "a foreign call: std has no way to install a signal handler"
+)]
 fn install_signal_handlers() {
     // No libc crate in the image: declare the one POSIX entry point we
     // need. The handler only stores to an atomic — async-signal-safe.

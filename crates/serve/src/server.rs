@@ -209,10 +209,12 @@ fn serve_connection<U: Utility + Send + Sync + 'static>(inner: Arc<Inner<U>>, mu
     // the connection may keep reading until the grace runs out.
     let mut drain_deadline: Option<Instant> = None;
     loop {
-        // Wall-clock is allowed here for the same reason the annotations
-        // below state: the drain grace is transport plumbing, never a
-        // measured value.
-        #[allow(clippy::disallowed_methods)]
+        // A connection caught mid-upload at shutdown gets cfg.drain_grace
+        // of wall time to finish the request before its socket is dropped.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the drain grace is transport plumbing and never feeds a value"
+        )]
         let mut should_abort = |request_pending: bool| {
             if !inner.stop.load(Ordering::Acquire) {
                 return false;
@@ -220,15 +222,9 @@ fn serve_connection<U: Utility + Send + Sync + 'static>(inner: Arc<Inner<U>>, mu
             if !request_pending {
                 return true;
             }
-            let deadline = *drain_deadline.get_or_insert_with(|| {
-                // lint:wall-clock(drain grace: a connection caught
-                // mid-upload at shutdown gets cfg.drain_grace of wall
-                // time to finish the request before its socket is
-                // dropped — this is transport plumbing and never feeds
-                // a value)
-                Instant::now() + inner.cfg.drain_grace
-            });
-            Instant::now() >= deadline // lint:wall-clock(same drain-grace gauge as above)
+            let deadline =
+                *drain_deadline.get_or_insert_with(|| Instant::now() + inner.cfg.drain_grace);
+            Instant::now() >= deadline
         };
         let request = conn.read_request(&inner.cfg.limits, &mut should_abort);
         let response = match request {

@@ -7,7 +7,7 @@
 //! ```json
 //! {
 //!   "estimator": "stratified_mc",        // required, see table below
-//!   "budget": 30,                        // optional, default 0
+//!   "budget": 30,                        // optional, default 0; see below
 //!   "seed": 7,                           // optional u64, default 0
 //!   "clients": [0, 2, 5],                // optional sub-game subset
 //!   "deadline_ms": 250.0,                // optional wall-clock deadline
@@ -28,6 +28,12 @@
 //!
 //! Estimator names: `exact_mc`, `exact_cc`, `ipss`, `stratified_mc`,
 //! `stratified_cc`, `owen`, `banzhaf_pruned`, `loo`.
+//!
+//! What `budget` counts depends on the estimator
+//! ([`ValuationRequest::budget`]): `γ` for `ipss` and `banzhaf_pruned`;
+//! coalitions drawn for `stratified_mc`/`stratified_cc`, which the memo
+//! dedups, so they evaluate fewer distinct coalitions; an upper bound on
+//! evaluations for `owen`; nothing for `exact_*` and `loo`.
 //!
 //! # Status codes
 //!
@@ -473,8 +479,6 @@ pub fn encode_response(resp: &ValuationResponse) -> (u16, Json) {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::json::parse;

@@ -68,8 +68,6 @@ pub fn theorem3_asymptotic(n: usize, t: usize, k_star: usize) -> f64 {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -193,8 +193,6 @@ impl Utility for LinRegUtility {
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use fedval_core::exact::exact_mc_sv;

@@ -146,8 +146,6 @@ where
 }
 
 #[cfg(test)]
-// Tests assert invariants; an unwrap that trips IS the test failing.
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use fedval_core::anytime::{Control, ProgressSnapshot, Welford};

@@ -9,9 +9,11 @@
 //!
 //! Run with: `cargo run --release -p fedval-examples --bin hospital_collaboration`
 
-// Demo driver: service errors surface by panicking with the message;
-// a real integration would match on the typed ValuationError.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "demo driver: service errors surface by panicking with the message; a real integration would match on the typed ValuationError"
+)]
 
 use fedval_core::prelude::*;
 use fedval_data::{Dataset, MnistLike};

@@ -7,9 +7,11 @@
 //!
 //! Run with: `cargo run --release -p fedval-examples --bin noisy_client_detection`
 
-// Demo driver: service errors surface by panicking with the message;
-// a real integration would match on the typed ValuationError.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "demo driver: service errors surface by panicking with the message; a real integration would match on the typed ValuationError"
+)]
 
 use fedval_core::prelude::*;
 use fedval_data::{MnistLike, SyntheticSetup};

@@ -6,9 +6,11 @@
 //!
 //! Run with: `cargo run -p fedval-examples --bin quickstart`
 
-// Demo driver: service errors surface by panicking with the message;
-// a real integration would match on the typed ValuationError.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "demo driver: service errors surface by panicking with the message; a real integration would match on the typed ValuationError"
+)]
 
 use fedval_core::prelude::*;
 use rand::rngs::StdRng;

@@ -16,9 +16,11 @@
 //! cargo run --release -p fedval-examples --bin valuation_service
 //! ```
 
-// Demo driver: service errors surface by panicking with the message;
-// a real integration would match on the typed ValuationError.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "demo driver: service errors surface by panicking with the message; a real integration would match on the typed ValuationError"
+)]
 
 use fedval_core::service::{Estimator, ValuationRequest, ValuationResponse};
 use fedval_data::{MnistLike, SyntheticSetup};

@@ -12,9 +12,11 @@
 //! cargo run --release -p fedval-examples --bin wire_client
 //! ```
 
-// Demo driver: wire errors surface by panicking with the message; a
-// real integration would match on the status code as shown below.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "demo driver: wire errors surface by panicking with the message; a real integration would match on the status code as shown below"
+)]
 
 use fedval_data::{MnistLike, SyntheticSetup};
 use fedval_fl::service::{serve, FlServiceConfig};

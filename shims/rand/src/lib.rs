@@ -21,6 +21,14 @@
 //! To migrate to the real crate: delete the `rand` entry under
 //! `[workspace.dependencies]` pointing at this path and let cargo resolve
 //! the registry version; no source changes are required.
+//!
+//! Every generator comes from an explicit seed, so a valuation replays
+//! bit for bit. The shim has no nondeterministic constructor; the
+//! workspace's `clippy.toml` bans them once the registry crate is in:
+//!
+//! ```compile_fail,E0425
+//! let _rng = rand::thread_rng();
+//! ```
 
 /// Core trait: a source of uniformly distributed `u64`s.
 pub trait RngCore {
@@ -38,7 +46,13 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
     }
 }
 
-/// Seedable RNG constructors (subset: `seed_from_u64` only).
+/// Seedable RNG constructors (subset: `seed_from_u64` only). There is
+/// no entropy-seeded constructor:
+///
+/// ```compile_fail,E0599
+/// use rand::SeedableRng;
+/// let _rng = rand::rngs::StdRng::from_entropy();
+/// ```
 pub trait SeedableRng: Sized {
     fn seed_from_u64(state: u64) -> Self;
 }
@@ -55,7 +69,13 @@ fn splitmix64(x: &mut u64) -> u64 {
 pub mod rngs {
     use super::{splitmix64, RngCore, SeedableRng};
 
-    /// xoshiro256++ — fast, high-quality, 256-bit state.
+    /// xoshiro256++ — fast, high-quality, 256-bit state. It is built
+    /// only from a seed, never from the OS:
+    ///
+    /// ```compile_fail,E0599
+    /// use rand::SeedableRng;
+    /// let _rng = rand::rngs::StdRng::from_os_rng();
+    /// ```
     #[derive(Clone, Debug)]
     pub struct StdRng {
         s: [u64; 4],

@@ -18,10 +18,6 @@
 //! guaranteed reachable. Check 4 derives its own target from each fixed
 //! run and ignores the variable.
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::time::Duration;
 
 use rand::rngs::StdRng;

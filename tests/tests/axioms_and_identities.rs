@@ -6,10 +6,6 @@
 //! random games per property) because the offline build has no `proptest`;
 //! the checked properties are identical.
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use fedval_core::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -2,10 +2,6 @@
 //! data generation → partitioning → FL utility → every estimator —
 //! cross-checked against the exact MC-SV.
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use fedval_core::prelude::*;
 use fedval_data::{MnistLike, SyntheticSetup};
 use fedval_fl::{FedAvgConfig, FlUtility, ModelSpec};

@@ -9,9 +9,11 @@
 //! `FEDVAL_REGEN_ESTIMATOR_GOLDEN=1 cargo test -p fedval-tests --test
 //! estimator_golden` — the same convention as the wire fixtures.
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions: a failed setup panics, which is the test failing"
+)]
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

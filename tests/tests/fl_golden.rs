@@ -18,9 +18,11 @@
 //! `FEDVAL_REGEN_FL_GOLDEN=1 cargo test -p fedval-tests --test fl_golden`
 //! — the same convention as `estimator_golden`.
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions: a failed setup panics, which is the test failing"
+)]
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

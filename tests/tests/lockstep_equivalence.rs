@@ -10,10 +10,6 @@
 //! the composed cached/parallel stack must keep counting one training per
 //! distinct coalition.
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -9,10 +9,6 @@
 //! 3. **Budget** — IPSS hits an *uncached* utility exactly γ times (the
 //!    internal memo regression).
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use fedval_core::coalition::{all_subsets, Coalition};
 use fedval_core::owen::{owen_sampling, OwenConfig};
 use fedval_core::prelude::*;

@@ -6,10 +6,6 @@
 //! parameter combinations per property) because the offline build has no
 //! `proptest`; the checked properties are identical.
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use fedval_core::coalition::{binom_u128, subsets_up_to, Coalition};
 use fedval_core::ipss::{compute_k_star, ipss, IpssConfig};
 use fedval_core::prelude::*;

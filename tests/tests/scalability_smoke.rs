@@ -2,10 +2,6 @@
 //! reduced size — IPSS with γ = n·ln n on a planted free-rider/duplicate
 //! instance must run fast and score well on the property proxies.
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use fedval_core::prelude::*;
 use fedval_data::{plant_scalability_fixtures, MnistLike, SyntheticSetup};
 use fedval_fl::{FedAvgConfig, FlUtility, ModelSpec};

@@ -8,9 +8,11 @@
 //! runs on the caller's thread, a `submit` on a worker, and both
 //! coalesce with each other.
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions: a failed setup panics, which is the test failing"
+)]
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};

@@ -10,12 +10,15 @@
 //! Set `FEDVAL_FAULTS=<rounds>` to widen the seeded fault sweep, as CI's
 //! fault-injection job does.
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-// Wall-clock here only bounds how long shutdown may take to drain
-// (an upper-limit assertion), never a computed value.
-#![allow(clippy::disallowed_methods)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions: a failed setup panics, which is the test failing"
+)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "wall-clock here only bounds how long shutdown may take to drain, never a computed value"
+)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

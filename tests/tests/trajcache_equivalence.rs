@@ -4,10 +4,6 @@
 //! the hits the per-round cache it replaced found, and holds at most one
 //! update per client.
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use std::sync::Arc;
 
 use rand::rngs::StdRng;

@@ -2,10 +2,6 @@
 //! shared games, and truncation on a game without key combinations — all
 //! through the public prelude.
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
-
 use fedval_core::prelude::*;
 
 #[test]

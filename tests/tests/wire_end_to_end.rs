@@ -10,9 +10,11 @@
 //! budget ∈ {0, 1}) answer every estimator over the wire exactly as
 //! in process, never with a 500.
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions: a failed setup panics, which is the test failing"
+)]
 
 use std::thread;
 use std::time::Duration;

@@ -8,9 +8,11 @@
 //! them, so every "still healthy" assertion holds under injected faults
 //! too — CI's fault matrix cell exercises exactly that.
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions: a failed setup panics, which is the test failing"
+)]
 
 use std::time::Duration;
 

@@ -14,9 +14,11 @@
 //! schema change with `FEDVAL_REGEN_WIRE_FIXTURES=1 cargo test -p
 //! fedval-tests --test wire_protocol`.
 
-// Driver code: test assertions panic by design, so unwrap/expect are
-// the failure mechanism, not a robustness gap.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "helpers outside #[test] functions: a failed setup panics, which is the test failing"
+)]
 
 use std::time::Duration;
 
