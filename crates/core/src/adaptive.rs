@@ -58,9 +58,8 @@ use crate::anytime::Welford;
 pub struct AdaptivePolicy {
     /// Draws (re-)planned per batch boundary. `None` = the estimator's
     /// natural round: one draw per stratum for Alg. 1 (`n`), one draw
-    /// per grid node for Owen (`q_nodes`), one coalition per client for
-    /// IPSS phase 2 (`n`) — the same cadence as the uniform streaming
-    /// variants.
+    /// per grid node for Owen (`q_nodes`) — the same cadence as the
+    /// uniform streaming variants.
     pub round_size: Option<usize>,
     /// A component is *under-observed* until it has folded this many
     /// contributions; under-observed components are served by the
@@ -88,8 +87,7 @@ impl AdaptivePolicy {
 }
 
 /// What the planner knows about one weighted component (a stratum of
-/// Alg. 1, the phase-2 per-client frame of IPSS, or one Owen grid node)
-/// at a batch boundary.
+/// Alg. 1 or one Owen grid node) at a batch boundary.
 #[derive(Clone, Copy, Debug)]
 pub struct ComponentState {
     /// Weight the component carries in the estimate (Alg. 1: `1/n`;
@@ -135,20 +133,13 @@ impl AllocationPlanner {
         AllocationPlanner { policy }
     }
 
-    /// The policy this planner applies.
-    pub fn policy(&self) -> &AdaptivePolicy {
-        &self.policy
-    }
-
     /// Neyman scores `W_k·σ_k` per component, with the exploration
     /// conventions: a component whose variance is still unknown scores
     /// as high as the strongest known component (optimistic
     /// exploration), and when *no* component has a known positive
-    /// variance every component scores 1 — the uniform fallback.
-    ///
-    /// The scores are relative steering weights (only ratios matter);
-    /// IPSS uses them directly as per-client coverage targets.
-    pub fn scores(&self, components: &[ComponentState]) -> Vec<f64> {
+    /// variance every component scores 1 — the uniform fallback. Only
+    /// ratios matter: [`AllocationPlanner::plan_round`] apportions by them.
+    fn scores(&self, components: &[ComponentState]) -> Vec<f64> {
         let mut scores: Vec<f64> = components
             .iter()
             .map(|c| match c.variance {

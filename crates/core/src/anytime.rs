@@ -162,8 +162,8 @@ pub struct ProgressSnapshot {
     /// Batches flushed so far.
     pub batches_done: usize,
     /// Cumulative per-component draw counts of an adaptive run (per
-    /// stratum for Alg. 1, per grid node for Owen, per client frame for
-    /// IPSS phase 2). `None` for fixed-schedule runs. Part of the
+    /// stratum for Alg. 1, per grid node for Owen). `None` for
+    /// fixed-schedule runs. Part of the
     /// adaptive determinism contract: the sequence of allocations is a
     /// pure function of (seed, snapshot history), so it is identical at
     /// any thread count or coalescing interleaving.

@@ -13,6 +13,7 @@
 
 use crate::coalition::{all_subsets, binom, Coalition, MAX_ENUMERATED_CLIENTS};
 use crate::sampler::Sampler;
+use crate::service::{partial_prefix_fold, Semivalue};
 use crate::utility::Utility;
 
 /// Size (in coalitions) of the batches the exact passes hand to
@@ -84,8 +85,8 @@ pub fn exact_mc_sv<U: Utility + ?Sized>(u: &U) -> Vec<f64> {
 /// order, `chunk` at a time — the batches [`exact_mc_sv`] issues.
 ///
 /// **Fold.** The complete sweep runs the [`exact_mc_sv`] fold verbatim;
-/// a mid-sweep prefix is the stratified-mean fold of
-/// [`crate::service::partial_prefix_fold`] — the partial the service
+/// a mid-sweep prefix is the stratified-mean Shapley fold of
+/// [`partial_prefix_fold`] — the partial the service
 /// returns on a deadline. In mask order `T\{i}` precedes `T`, so every
 /// evaluated non-empty coalition contributes all of its marginals. CI:
 /// every stratum is scheduled and mask order reaches the full coalition
@@ -141,7 +142,7 @@ impl Sampler for ExactSweep {
         if !self.is_complete() {
             let masks = (0..table.len()).map(|m| Coalition(m as u128));
             let pairs: Vec<(Coalition, f64)> = masks.zip(table.iter().copied()).collect();
-            let values = crate::service::partial_prefix_fold(n, &pairs);
+            let values = partial_prefix_fold(n, &pairs, Semivalue::Shapley);
             return (values, vec![f64::INFINITY; n]);
         }
         let mut phi = vec![0.0; n];
@@ -392,7 +393,8 @@ mod tests {
         let prefix: Vec<(Coalition, f64)> = (0..out.samples_used)
             .map(|m| (Coalition(m as u128), u.eval(Coalition(m as u128))))
             .collect();
-        assert_eq!(out.values, crate::service::partial_prefix_fold(6, &prefix));
+        let partial = partial_prefix_fold(6, &prefix, Semivalue::Shapley);
+        assert_eq!(out.values, partial);
     }
 
     #[test]

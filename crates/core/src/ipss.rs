@@ -17,8 +17,8 @@
 //! Theorem 3 bounds the relative error by `O((n−k*)/(k*·n·t))` under the FL
 //! linear-regression model — see `fedval-theory` for the closed forms.
 //!
-//! [`ipss`] is the one-shot; an anytime, adaptive or inspected run hands
-//! a [`PrunedSampler`] to [`drive`] itself. That one sampler holds the
+//! [`ipss`] is the one-shot; an anytime or inspected run hands a
+//! [`PrunedSampler`] to [`drive`] itself. That one sampler holds the
 //! schedule and its fold, shared with pruned Banzhaf ([`crate::banzhaf`])
 //! and K-Greedy, under the [`Sampler`] contract of [`crate::sampler`]:
 //! randomness is consumed only by the phase-2 draw, the fold runs over
@@ -35,17 +35,12 @@
 //! utility whether or not it is wrapped in a
 //! [`crate::utility::CachedUtility`], and the fold hashes nothing.
 
-use std::collections::HashSet;
-
 use rand::Rng;
 
-use crate::adaptive::{AdaptivePolicy, AllocationPlanner, ComponentState};
 use crate::anytime::{component_variance, halfwidth, Welford};
-use crate::coalition::{
-    binom, binom_u128, subsets_of_size, subsets_up_to, Coalition, ColexRank, MaskHash,
-};
+use crate::coalition::{binom, binom_u128, subsets_of_size, subsets_up_to, Coalition, ColexRank};
 use crate::sampler::{drive, Sampler};
-use crate::sampling::{balanced_subsets_of_size, weighted_balanced_subsets_extending};
+use crate::sampling::balanced_subsets_of_size;
 use crate::utility::Utility;
 
 /// How the partially-sampled stratum `k*` is normalised (see "Deviations
@@ -120,14 +115,10 @@ enum PrunedWeights {
 /// Banzhaf.
 ///
 /// **Schedule.** One batch per exhaustive stratum of size `0..=k*`, then
-/// the sample of size-`(k*+1)` coalitions: without a planner the whole
-/// balanced sample is drawn at once and handed out as one batch, or in
-/// chunks of `n` at snapshot granularity; with a planner it is drawn in
-/// rounds of [`AdaptivePolicy::round`]`(n)`, each steered toward
-/// per-client coverage targets `w_i·σ_i` (`w_i = 1/n`, unknown variances
-/// scored optimistically) so high-variance clients land in more
-/// coalitions — equal targets degenerate to the coverage-balanced rule.
-/// Phase 1 is exhaustive: there is nothing to steer.
+/// the balanced sample of size-`(k*+1)` coalitions (line 11, every client
+/// covered equally often), drawn at once and handed out as one batch, or
+/// in chunks of `n` at snapshot granularity. Nothing is re-planned:
+/// phase 1 is exhaustive and phase 2 is the paper's one balanced draw.
 ///
 /// **Fold.** Lines 15–17 over the completed strata plus the evaluated
 /// part of the sample. CI: a completed exhaustive stratum is enumerated,
@@ -158,8 +149,6 @@ pub struct PrunedSampler<'r, R: Rng + ?Sized> {
     weights: PrunedWeights,
     /// Size-`(k*+1)` coalitions the sample will hold once complete.
     phase2_total: usize,
-    /// The planner and its round size, when the sample is re-planned.
-    planner: Option<(AllocationPlanner, usize)>,
     rng: &'r mut R,
     /// `strata[j]`: the values of every size-`j` coalition, by colex rank.
     strata: Vec<Vec<f64>>,
@@ -171,17 +160,12 @@ pub struct PrunedSampler<'r, R: Rng + ?Sized> {
     sampled: Vec<Coalition>,
     sample_values: Vec<f64>,
     handed: usize,
-    /// Planned rounds' draw state: coalitions taken, per-client coverage.
-    chosen: HashSet<u128, MaskHash>,
-    coverage: Vec<u32>,
-    exhausted: bool,
     /// `φ` over the exhaustive strata folded so far (sizes
     /// `0..strata_folded`).
     exhaustive: Vec<f64>,
     strata_folded: usize,
     /// Per-client sums and [`Welford`]s over the folded prefix of the
-    /// sample (`sampled[..sample_folded]`); the Welfords are the `σ_i`
-    /// the planner steers by.
+    /// sample (`sampled[..sample_folded]`).
     sums: Vec<f64>,
     accs: Vec<Welford>,
     sample_folded: usize,
@@ -195,32 +179,19 @@ pub struct PrunedSampler<'r, R: Rng + ?Sized> {
 }
 
 impl<'r, R: Rng + ?Sized> PrunedSampler<'r, R> {
-    /// IPSS over an `n`-client game; `policy` re-plans the phase-2
-    /// coverage each round.
-    pub fn for_ipss(
-        n: usize,
-        cfg: &IpssConfig,
-        policy: Option<&AdaptivePolicy>,
-        rng: &'r mut R,
-    ) -> Self {
+    /// IPSS over an `n`-client game.
+    pub fn for_ipss(n: usize, cfg: &IpssConfig, rng: &'r mut R) -> Self {
         assert!(cfg.gamma >= 1, "IPSS needs a budget of at least 1");
-        let weights = PrunedWeights::Shapley(cfg.weighting);
-        Self::new(n, cfg.gamma, weights, policy, rng)
+        Self::new(n, cfg.gamma, PrunedWeights::Shapley(cfg.weighting), rng)
     }
 
     /// Pruned Banzhaf over an `n`-client game with budget `gamma`.
     pub fn for_banzhaf(n: usize, gamma: usize, rng: &'r mut R) -> Self {
         assert!(gamma >= 1, "pruned Banzhaf needs a budget of at least 1");
-        Self::new(n, gamma, PrunedWeights::Banzhaf, None, rng)
+        Self::new(n, gamma, PrunedWeights::Banzhaf, rng)
     }
 
-    fn new(
-        n: usize,
-        gamma: usize,
-        weights: PrunedWeights,
-        policy: Option<&AdaptivePolicy>,
-        rng: &'r mut R,
-    ) -> Self {
+    fn new(n: usize, gamma: usize, weights: PrunedWeights, rng: &'r mut R) -> Self {
         assert!(n >= 1);
         let Some(k_star) = compute_k_star(n, gamma) else {
             unreachable!("the constructors require γ ≥ 1, which affords U(∅)")
@@ -236,7 +207,6 @@ impl<'r, R: Rng + ?Sized> PrunedSampler<'r, R> {
             k_star,
             weights,
             phase2_total,
-            planner: policy.map(|p| (AllocationPlanner::new(*p), p.round(n))),
             rng,
             strata: Vec::with_capacity(k_star + 1),
             ranks: ColexRank::new(n, k_star),
@@ -244,9 +214,6 @@ impl<'r, R: Rng + ?Sized> PrunedSampler<'r, R> {
             sampled: Vec::new(),
             sample_values: Vec::new(),
             handed: 0,
-            chosen: HashSet::default(),
-            coverage: vec![0; n],
-            exhausted: false,
             exhaustive: vec![0.0; n],
             strata_folded: 0,
             sums: vec![0.0; n],
@@ -259,43 +226,13 @@ impl<'r, R: Rng + ?Sized> PrunedSampler<'r, R> {
         }
     }
 
-    /// The draw routine: grow the sample of size-`(k*+1)` coalitions —
-    /// the whole balanced sample under the fixed plan, one
-    /// coverage-steered round under a planner.
-    fn draw(&mut self) {
-        let (n, size) = (self.n, self.k_star + 1);
-        let left = self.phase2_total - self.sampled.len();
-        let new = match &self.planner {
-            None => balanced_subsets_of_size(n, size, left, self.rng),
-            Some((planner, round)) => {
-                let components: Vec<ComponentState> = (0..n)
-                    .map(|i| {
-                        let covered = self.coverage[i] as usize;
-                        ComponentState::observed(1.0 / n as f64, &self.accs[i], covered, usize::MAX)
-                    })
-                    .collect();
-                weighted_balanced_subsets_extending(
-                    n,
-                    size,
-                    (*round).min(left),
-                    &planner.scores(&components),
-                    &mut self.chosen,
-                    &mut self.coverage,
-                    self.rng,
-                )
-            }
-        };
-        self.exhausted = new.is_empty();
-        self.sampled.extend(new);
-    }
-
     /// The exhaustive-phase cut-off `k*` (line 1).
     pub fn k_star(&self) -> usize {
         self.k_star
     }
 
-    /// The sample `P` of size-`(k*+1)` coalitions drawn so far, in draw
-    /// order (line 8).
+    /// The sample `P` of size-`(k*+1)` coalitions in draw order (line 8),
+    /// empty until phase 2 starts.
     pub fn sampled(&self) -> &[Coalition] {
         &self.sampled
     }
@@ -307,13 +244,15 @@ impl<R: Rng + ?Sized> Sampler for PrunedSampler<'_, R> {
             self.strata_out += 1;
             return subsets_of_size(self.n, self.strata_out - 1).collect();
         }
-        if self.handed == self.sampled.len() {
-            self.draw();
+        if self.sampled.is_empty() {
+            // The whole balanced sample (line 11), drawn once.
+            self.sampled =
+                balanced_subsets_of_size(self.n, self.k_star + 1, self.phase2_total, self.rng);
         }
-        // A planned round goes out whole; so does the fixed plan's sample,
-        // except in chunks of n at snapshot granularity.
+        // The sample goes out whole, or in chunks of n at snapshot
+        // granularity.
         let mut end = self.sampled.len();
-        if fine && self.planner.is_none() {
+        if fine {
             end = end.min(self.handed + self.n);
         }
         let batch = self.sampled[self.handed..end].to_vec();
@@ -335,9 +274,7 @@ impl<R: Rng + ?Sized> Sampler for PrunedSampler<'_, R> {
     }
 
     fn is_complete(&self) -> bool {
-        self.strata_out > self.k_star
-            && self.handed == self.sampled.len()
-            && (self.sampled.len() >= self.phase2_total || self.exhausted)
+        self.strata_out > self.k_star && self.handed == self.phase2_total
     }
 
     fn fold(&mut self) -> (Vec<f64>, Vec<f64>) {
@@ -430,12 +367,6 @@ impl<R: Rng + ?Sized> Sampler for PrunedSampler<'_, R> {
             .collect();
         (phi, ci_halfwidths)
     }
-
-    fn allocation(&self) -> Option<Vec<usize>> {
-        self.planner
-            .as_ref()
-            .map(|_| self.coverage.iter().map(|&c| c as usize).collect())
-    }
 }
 
 /// Alg. 3 — Importance-Pruned Stratified Sampling.
@@ -444,7 +375,7 @@ pub fn ipss<U: Utility + ?Sized, R: Rng + ?Sized>(
     cfg: &IpssConfig,
     rng: &mut R,
 ) -> Vec<f64> {
-    let mut sampler = PrunedSampler::for_ipss(u.n_clients(), cfg, None, rng);
+    let mut sampler = PrunedSampler::for_ipss(u.n_clients(), cfg, rng);
     drive(u, &mut sampler, None).0.values
 }
 
@@ -563,17 +494,9 @@ mod tests {
         // n ∈ {1, 2, 3, 6, 8, 12} × a budget below, at and above 2^n, then
         // n ∈ {1, 2, 128} × γ ∈ {1, n + 1, 200} (∅ alone; the strata up
         // to size 1 and nothing to sample; at n = 128 a sample of pairs
-        // whose partners sit at ranks up to 127) × IPSS (both weightings:
-        // uniform, default-adaptive, eager-adaptive) and pruned Banzhaf ×
-        // unobserved and observed. A planner cuts at planned rounds either
-        // way, so adaptive runs are observed only. The historical fold
-        // reads values by mask, not by rank.
-        let eager = AdaptivePolicy {
-            round_size: Some(5),
-            min_observations: 3,
-            floor: 2,
-        };
-        let policies = [None, Some(AdaptivePolicy::default()), Some(eager)];
+        // whose partners sit at ranks up to 127) × IPSS (both weightings)
+        // and pruned Banzhaf × unobserved and observed. The historical
+        // fold reads values by mask, not by rank.
         let around_full = [1usize, 2, 3, 6, 8, 12].map(|n| (n, [1 << (n - 1), 1 << n, 2 << n]));
         let edges = [1usize, 2, 128].map(|n| (n, [1, n + 1, 200]));
         for (n, gammas) in around_full.into_iter().chain(edges) {
@@ -593,17 +516,12 @@ mod tests {
                     );
                     for weighting in [IpssWeighting::StratifiedMean, IpssWeighting::PaperLiteral] {
                         let cfg = IpssConfig::new(gamma).with_weighting(weighting);
-                        for policy in &policies {
-                            if policy.is_some() && !observed {
-                                continue;
-                            }
-                            oracle::check(
-                                &u,
-                                observed,
-                                PrunedSampler::for_ipss(n, &cfg, policy.as_ref(), &mut r1),
-                                PrunedSampler::for_ipss(n, &cfg, policy.as_ref(), &mut r2),
-                            );
-                        }
+                        oracle::check(
+                            &u,
+                            observed,
+                            PrunedSampler::for_ipss(n, &cfg, &mut r1),
+                            PrunedSampler::for_ipss(n, &cfg, &mut r2),
+                        );
                     }
                 }
             }
@@ -621,7 +539,7 @@ mod tests {
         let n = 12;
         let u = HashUtility { n, seed: 4 };
         let mut rng = StdRng::seed_from_u64(9);
-        let mut s = PrunedSampler::for_ipss(n, &IpssConfig::new(2000), None, &mut rng);
+        let mut s = PrunedSampler::for_ipss(n, &IpssConfig::new(2000), &mut rng);
         let mut from_scratch = 0;
         loop {
             let batch = s.next_batch(true);
@@ -659,7 +577,7 @@ mod tests {
             0.1 + 0.85 * (1.0 - (-0.9 * s.size() as f64).exp())
         }));
         let mut rng = StdRng::seed_from_u64(7);
-        let mut sampler = PrunedSampler::for_ipss(4, &IpssConfig::new(10), None, &mut rng);
+        let mut sampler = PrunedSampler::for_ipss(4, &IpssConfig::new(10), &mut rng);
         let _ = drive(&u, &mut sampler, None);
         assert_eq!(sampler.k_star(), 1);
         assert_eq!(subsets_up_to(4, sampler.k_star()), 5);
@@ -794,37 +712,33 @@ mod tests {
     fn streamed<U: Utility>(
         u: &U,
         cfg: &IpssConfig,
-        policy: Option<&AdaptivePolicy>,
         seed: u64,
         observe: Observer<'_>,
     ) -> (ProgressSnapshot, bool) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut sampler = PrunedSampler::for_ipss(u.n_clients(), cfg, policy, &mut rng);
+        let mut sampler = PrunedSampler::for_ipss(u.n_clients(), cfg, &mut rng);
         drive(u, &mut sampler, Some(observe))
     }
 
     /// The snapshots of a full observed run.
-    fn snapshots<U: Utility>(
-        u: &U,
-        cfg: &IpssConfig,
-        policy: Option<&AdaptivePolicy>,
-        seed: u64,
-    ) -> Vec<ProgressSnapshot> {
+    fn snapshots<U: Utility>(u: &U, cfg: &IpssConfig, seed: u64) -> Vec<ProgressSnapshot> {
         let mut snapshots = Vec::new();
-        streamed(u, cfg, policy, seed, &mut |s| {
+        streamed(u, cfg, seed, &mut |s| {
             snapshots.push(s.clone());
             Control::Continue
         });
         snapshots
     }
 
-    /// Stop the same-seed run after each of a few batch counts: it must
-    /// return the full run's snapshot at that boundary.
-    fn assert_stops_on_the_full_run(u: &HashUtility, policy: Option<&AdaptivePolicy>) {
+    #[test]
+    fn streaming_stopped_run_equals_full_run_prefix() {
+        // Stop the same-seed run after each of a few batch counts: it must
+        // return the full run's snapshot at that boundary.
+        let u = HashUtility { n: 8, seed: 7 };
         let cfg = IpssConfig::new(60);
-        let full = snapshots(u, &cfg, policy, 2);
+        let full = snapshots(&u, &cfg, 2);
         for stop_after in [1usize, 3, 4, full.len() - 1] {
-            let (out, stopped_early) = streamed(u, &cfg, policy, 2, &mut |s| {
+            let (out, stopped_early) = streamed(&u, &cfg, 2, &mut |s| {
                 if s.batches_done >= stop_after {
                     Control::Stop
                 } else {
@@ -837,16 +751,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_stopped_run_equals_full_run_prefix() {
-        assert_stops_on_the_full_run(&HashUtility { n: 8, seed: 7 }, None);
-    }
-
-    #[test]
     fn streaming_ci_is_unbounded_during_phase_one_and_finite_in_phase_two() {
         let u = HashUtility { n: 8, seed: 9 };
         // γ = 92: k* = 2 (1+8+28 = 37 ≤ 92 < 93), 55 phase-2 samples of
         // size 3 in chunks of n = 8.
-        let all = snapshots(&u, &IpssConfig::new(92), None, 6);
+        let all = snapshots(&u, &IpssConfig::new(92), 6);
         let widths: Vec<f64> = all
             .iter()
             .map(|s| s.max_halfwidth().unwrap_or(f64::INFINITY))
@@ -861,43 +770,6 @@ mod tests {
         let last = widths[widths.len() - 1];
         assert!(last.is_finite() && last < widths[3], "{widths:?}");
         assert!(widths.iter().all(|w| !w.is_nan()));
-    }
-
-    #[test]
-    fn adaptive_streaming_exposes_coverage_and_spends_the_budget() {
-        let u = CachedUtility::new(HashUtility { n: 8, seed: 5 });
-        // γ = 60: k* = 2 (37 ≤ 60 < 93), 23 phase-2 coalitions of size 3.
-        let cfg = IpssConfig::new(60);
-        let policy = AdaptivePolicy::default();
-        let mut allocations = Vec::new();
-        let (out, stopped_early) = streamed(&u, &cfg, Some(&policy), 19, &mut |s| {
-            let alloc = match &s.allocation {
-                Some(a) => a.clone(),
-                None => panic!("adaptive snapshots must carry the allocation"),
-            };
-            allocations.push(alloc);
-            Control::Continue
-        });
-        assert!(!stopped_early);
-        assert_eq!(u.stats().evaluations, 60, "exactly γ evaluations");
-        // Phase-1 snapshots report zero coverage; phase 2 grows monotonically
-        // to 23 coalitions × 3 members = 69 total coverage.
-        assert!(allocations[..3].iter().all(|a| a.iter().all(|&c| c == 0)));
-        for w in allocations.windows(2) {
-            assert!(w[0].iter().zip(&w[1]).all(|(a, b)| a <= b));
-        }
-        let last = match allocations.last() {
-            Some(a) => a,
-            None => panic!("no snapshots observed"),
-        };
-        assert_eq!(last.iter().sum::<usize>(), 23 * 3);
-        assert_eq!(out.allocation.as_ref(), Some(last));
-    }
-
-    #[test]
-    fn adaptive_streaming_stopped_run_equals_full_run_prefix() {
-        let policy = AdaptivePolicy::default();
-        assert_stops_on_the_full_run(&HashUtility { n: 8, seed: 7 }, Some(&policy));
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub mod prelude {
     pub use crate::owen::{owen_sampling, OwenConfig, OwenSampler};
     pub use crate::sampler::{drive, Sampler};
     pub use crate::service::{
-        partial_prefix_fold, Estimator, FlushWindow, LimitPolicy, RetryPolicy, RunStats,
+        partial_prefix_fold, Estimator, FlushWindow, LimitPolicy, RetryPolicy, RunStats, Semivalue,
         ServiceStats, Ticket, ValuationError, ValuationRequest, ValuationResponse, ValuationServer,
     };
     pub use crate::stratified::{stratified_sampling, Scheme, StratifiedConfig, StratifiedSampler};

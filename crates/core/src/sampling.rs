@@ -86,90 +86,6 @@ pub fn distinct_subsets_extending<R: Rng + ?Sized>(
     out
 }
 
-/// Draw `count` *new* distinct coalitions of size `k`, steering coverage
-/// toward per-client `targets` — the incremental, weighted form of
-/// [`balanced_subsets_of_size`] used by adaptive IPSS phase 2.
-///
-/// Each coalition takes the `k` clients whose `coverage[i] / targets[i]`
-/// ratio is currently lowest (random tie-break), so coverage tracks the
-/// target proportions; with all-equal targets this reduces to the
-/// coverage-balanced rule. `chosen` and `coverage` carry the draw state
-/// across rounds and are updated in place. Non-positive or non-finite
-/// targets are treated as the smallest positive target (never excluded,
-/// only deprioritised). Returns fewer than `count` coalitions only when
-/// the stratum's remaining capacity is smaller.
-pub fn weighted_balanced_subsets_extending<R: Rng + ?Sized>(
-    n: usize,
-    k: usize,
-    count: usize,
-    targets: &[f64],
-    chosen: &mut HashSet<u128, MaskHash>,
-    coverage: &mut [u32],
-    rng: &mut R,
-) -> Vec<Coalition> {
-    if k > n || k == 0 || count == 0 {
-        // Size-0 requests have nothing to steer; the one valid member ∅
-        // is the caller's business (IPSS draws only k ≥ 1 here).
-        return Vec::new();
-    }
-    let stratum_size = binom_u128(n, k);
-    let remaining = stratum_size.saturating_sub(chosen.len() as u128);
-    if remaining == 0 {
-        return Vec::new();
-    }
-    let want = if (count as u128) < remaining {
-        count
-    } else {
-        // Capacity-capped: everything still unseen fits in a usize
-        // because it is at most `count`.
-        remaining as usize
-    };
-    let floor = targets
-        .iter()
-        .copied()
-        .filter(|t| t.is_finite() && *t > 0.0)
-        .fold(f64::INFINITY, f64::min);
-    let floor = if floor.is_finite() { floor } else { 1.0 };
-    let target = |i: usize| match targets.get(i) {
-        Some(&t) if t.is_finite() && t > 0.0 => t,
-        _ => floor,
-    };
-    let mut out = Vec::with_capacity(want);
-    'outer: while out.len() < want {
-        for _attempt in 0..32 {
-            // Sort clients by (coverage/target, random tie-break): the
-            // weighted analogue of the balanced greedy rule.
-            let mut keyed: Vec<(f64, u64, usize)> = (0..n)
-                .map(|i| (coverage[i] as f64 / target(i), rng.random::<u64>(), i))
-                .collect();
-            keyed.sort_unstable_by(|a, b| {
-                a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
-            });
-            let members = keyed[..k].iter().map(|&(_, _, i)| i);
-            let s = Coalition::from_members(members);
-            if chosen.insert(s.0) {
-                for i in s.members() {
-                    coverage[i] += 1;
-                }
-                out.push(s);
-                continue 'outer;
-            }
-        }
-        // Fallback: any unused subset, so the draw always terminates.
-        loop {
-            let s = random_subset_of_size(n, k, rng);
-            if chosen.insert(s.0) {
-                for i in s.members() {
-                    coverage[i] += 1;
-                }
-                out.push(s);
-                break;
-            }
-        }
-    }
-    out
-}
-
 /// Draw `count` distinct coalitions of size `k` such that every client is
 /// covered (appears in) as equally as possible — the constraint `C_i = C_j`
 /// of Alg. 3 line 11.
@@ -450,103 +366,6 @@ mod tests {
         let subs = distinct_subsets_extending(10, 4, 25, &mut seen, &mut rng);
         assert_eq!(subs.len(), 25);
         assert_eq!(seen.len(), 25);
-    }
-
-    #[test]
-    fn weighted_extending_with_equal_targets_balances_coverage() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let n = 10;
-        let mut chosen = HashSet::default();
-        let mut coverage = vec![0u32; n];
-        let mut all = Vec::new();
-        for _ in 0..4 {
-            all.extend(weighted_balanced_subsets_extending(
-                n,
-                3,
-                5,
-                &[1.0; 10],
-                &mut chosen,
-                &mut coverage,
-                &mut rng,
-            ));
-        }
-        assert_eq!(all.len(), 20);
-        let set: HashSet<u128, MaskHash> = all.iter().map(|s| s.0).collect();
-        assert_eq!(set.len(), 20, "distinct across rounds");
-        assert_eq!(coverage, coverage_counts(n, &all));
-        assert!(coverage_spread(&coverage) <= 1, "{coverage:?}");
-    }
-
-    #[test]
-    fn weighted_extending_steers_coverage_toward_targets() {
-        // Client 0 carries 4× the target of the rest: it should end up
-        // covered far more often than an average client. The draw (20 of
-        // C(10,3) = 120, with C(9,2) = 36 coalitions containing client 0)
-        // stays far from exhausting the stratum — full coverage would
-        // force the uniform spread no matter the targets.
-        let mut rng = StdRng::seed_from_u64(15);
-        let n = 10;
-        let mut targets = vec![1.0; n];
-        targets[0] = 4.0;
-        let mut chosen = HashSet::default();
-        let mut coverage = vec![0u32; n];
-        for _ in 0..5 {
-            weighted_balanced_subsets_extending(
-                n,
-                3,
-                4,
-                &targets,
-                &mut chosen,
-                &mut coverage,
-                &mut rng,
-            );
-        }
-        let total: u32 = coverage.iter().sum();
-        let mean = total as f64 / n as f64;
-        assert!(
-            coverage[0] as f64 >= 1.5 * mean,
-            "coverage {coverage:?} ignored the 4× target"
-        );
-    }
-
-    #[test]
-    fn weighted_extending_handles_degenerate_targets_and_caps() {
-        let mut rng = StdRng::seed_from_u64(16);
-        // Non-finite / zero targets never panic and never exclude.
-        let mut chosen = HashSet::default();
-        let mut coverage = vec![0u32; 4];
-        let subs = weighted_balanced_subsets_extending(
-            4,
-            2,
-            3,
-            &[0.0, f64::NAN, f64::INFINITY, 1.0],
-            &mut chosen,
-            &mut coverage,
-            &mut rng,
-        );
-        assert_eq!(subs.len(), 3);
-        // Capacity cap: C(4,2) = 6, ask for far more.
-        let more = weighted_balanced_subsets_extending(
-            4,
-            2,
-            100,
-            &[1.0; 4],
-            &mut chosen,
-            &mut coverage,
-            &mut rng,
-        );
-        assert_eq!(subs.len() + more.len(), 6);
-        // Degenerate shapes are answered, not asserted on.
-        assert!(weighted_balanced_subsets_extending(
-            3,
-            5,
-            2,
-            &[1.0; 3],
-            &mut HashSet::default(),
-            &mut [0; 3],
-            &mut rng
-        )
-        .is_empty());
     }
 
     #[test]

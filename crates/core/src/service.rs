@@ -147,8 +147,8 @@ mod run;
 mod server;
 
 pub use request::{
-    partial_prefix_fold, Estimator, FlushWindow, LimitPolicy, RetryPolicy, RunStats, ServiceStats,
-    Ticket, ValuationError, ValuationRequest, ValuationResponse,
+    partial_prefix_fold, Estimator, FlushWindow, LimitPolicy, RetryPolicy, RunStats, Semivalue,
+    ServiceStats, Ticket, ValuationError, ValuationRequest, ValuationResponse,
 };
 pub use server::{ServerBuilder, ValuationServer};
 
@@ -660,11 +660,14 @@ mod tests {
         let log: Vec<(Coalition, f64)> = crate::coalition::all_subsets(3)
             .map(|s| (s, u.eval(s)))
             .collect();
-        let phi = partial_prefix_fold(3, &log);
+        let phi = partial_prefix_fold(3, &log, Semivalue::Shapley);
         for (i, &w) in weights.iter().enumerate() {
             assert!((phi[i] - w).abs() < 1e-12, "client {i}: {} vs {w}", phi[i]);
         }
         // Prefix property: the fold over the empty log is all zeros.
-        assert_eq!(partial_prefix_fold(3, &[]), vec![0.0; 3]);
+        assert_eq!(
+            partial_prefix_fold(3, &[], Semivalue::Shapley),
+            vec![0.0; 3]
+        );
     }
 }

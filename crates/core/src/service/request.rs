@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use crate::adaptive::AdaptivePolicy;
 use crate::anytime::{ProgressSnapshot, StoppingRule};
-use crate::coalition::{Coalition, MaskHash};
+use crate::coalition::{binom, Coalition, MaskHash};
 use crate::utility::{EvalStats, TrajCacheStats};
 
 /// Which valuation estimator a [`ValuationRequest`] runs. Every variant
@@ -193,9 +193,12 @@ pub struct ValuationRequest {
     /// Re-plan the sampling budget at every batch boundary by Neyman
     /// allocation (`None` = the estimator's fixed uniform schedule).
     /// Applies to the sampling estimators with a steerable schedule —
-    /// [`Estimator::StratifiedMc`], [`Estimator::StratifiedCc`],
-    /// [`Estimator::Ipss`] and [`Estimator::Owen`]; the exact sweeps,
-    /// LOO and pruned Banzhaf have nothing to steer and ignore it.
+    /// [`Estimator::StratifiedMc`], [`Estimator::StratifiedCc`] and
+    /// [`Estimator::Owen`]. The exact sweeps and LOO have nothing to
+    /// steer, and neither have [`Estimator::Ipss`] and
+    /// [`Estimator::BanzhafPruned`], whose phase 2 is the paper's one
+    /// balanced draw (Alg. 3 line 11): they ignore it, and their
+    /// snapshots carry no allocation.
     /// Forces the streaming fold: combined with `stopping: None` the run
     /// streams under [`StoppingRule::stream_only`] (progress snapshots,
     /// no early stop). Adaptive snapshots carry
@@ -443,22 +446,33 @@ impl RetryPolicy {
     }
 }
 
-/// Fold partial Shapley estimates from an evaluated prefix.
+/// The index [`partial_prefix_fold`] weights its stratum means by.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Semivalue {
+    /// Shapley: every stratum weighs `1/n`.
+    Shapley,
+    /// Banzhaf: stratum `k` (pairs `(S ∪ {i}, S)` with `|S| = k`) weighs
+    /// `C(n−1, k)/2^{n−1}`, its share of a client's `2^{n−1}` pairs.
+    Banzhaf,
+}
+
+/// Fold partial estimates of `index` from an evaluated prefix.
 ///
 /// This is the graceful-degradation estimator behind
 /// [`LimitPolicy::Partial`]: given the `(coalition, value)` pairs a run
 /// evaluated before its deadline/budget fired (in evaluation order), it
 /// computes, for every stratum, the mean marginal contribution over the
-/// pairs `(T, T∖{i})` whose *both* members were evaluated, and averages
-/// the per-stratum means — the same stratified-mean fold IPSS uses for
-/// its partially-sampled stratum, applied uniformly to whatever prefix
+/// pairs `(T, T∖{i})` whose *both* members were evaluated, and sums the
+/// per-stratum means under `index`'s stratum weights — the same
+/// stratified-mean fold IPSS and pruned Banzhaf use for their
+/// partially-sampled stratum, applied uniformly to whatever prefix
 /// exists. Clients without a single evaluated pair get `0.0`.
 ///
 /// The fold is a pure function of the prefix: re-running the same
 /// request without limits and truncating its evaluation log after the
 /// same number of batches reproduces the partial values **bit-identically**
 /// (the test suite asserts this).
-pub fn partial_prefix_fold(n: usize, evaluated: &[(Coalition, f64)]) -> Vec<f64> {
+pub fn partial_prefix_fold(n: usize, evaluated: &[(Coalition, f64)], index: Semivalue) -> Vec<f64> {
     let mut memo: HashMap<u128, f64, MaskHash> =
         HashMap::with_capacity_and_hasher(evaluated.len(), MaskHash::default());
     let mut order: Vec<Coalition> = Vec::with_capacity(evaluated.len());
@@ -486,15 +500,23 @@ pub fn partial_prefix_fold(n: usize, evaluated: &[(Coalition, f64)]) -> Vec<f64>
         }
     }
     let inv_n = 1.0 / n as f64;
+    let inv_denom = 1.0 / (1u128 << n.saturating_sub(1)) as f64;
     (0..n)
         .map(|i| {
             let mut phi = 0.0f64;
             for stratum in 0..n {
                 if counts[stratum][i] > 0 {
-                    phi += sums[stratum][i] / counts[stratum][i] as f64;
+                    let mean = sums[stratum][i] / counts[stratum][i] as f64;
+                    phi += match index {
+                        Semivalue::Shapley => mean,
+                        Semivalue::Banzhaf => binom(n - 1, stratum) * mean * inv_denom,
+                    };
                 }
             }
-            phi * inv_n
+            match index {
+                Semivalue::Shapley => phi * inv_n,
+                Semivalue::Banzhaf => phi,
+            }
         })
         .collect()
 }

@@ -210,10 +210,12 @@ pub(super) fn dispatch<V: Utility + Send + Sync>(
     let policy = req.adaptive.as_ref();
     match req.estimator {
         Estimator::ExactMc => drive(u, &mut ExactSweep::new(n), observe),
+        // The pruned schedule's phase 2 is the paper's one balanced draw:
+        // IPSS and pruned Banzhaf have nothing to steer and ignore
+        // `adaptive`.
         Estimator::Ipss => {
             let cfg = IpssConfig::new(req.budget);
-            let mut sampler = PrunedSampler::for_ipss(n, &cfg, policy, rng);
-            drive(u, &mut sampler, observe)
+            drive(u, &mut PrunedSampler::for_ipss(n, &cfg, rng), observe)
         }
         Estimator::StratifiedMc | Estimator::StratifiedCc => {
             let scheme = if req.estimator == Estimator::StratifiedMc {
@@ -229,7 +231,6 @@ pub(super) fn dispatch<V: Utility + Send + Sync>(
             let cfg = OwenConfig::for_budget(n, req.budget);
             drive(u, &mut OwenSampler::new(n, &cfg, policy, rng), observe)
         }
-        // Nothing to steer: pruned Banzhaf ignores `adaptive`.
         Estimator::BanzhafPruned => {
             let mut sampler = PrunedSampler::for_banzhaf(n, req.budget, rng);
             drive(u, &mut sampler, observe)

@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 
 use super::coalescer::{CoState, RunGuard, Shared};
 use super::request::{
-    partial_prefix_fold, Estimator, FlushWindow, LimitPolicy, RetryPolicy, ServiceStats, Ticket,
-    ValuationError, ValuationRequest, ValuationResponse,
+    partial_prefix_fold, Estimator, FlushWindow, LimitPolicy, RetryPolicy, Semivalue, ServiceStats,
+    Ticket, ValuationError, ValuationRequest, ValuationResponse,
 };
 use super::run::{dispatch, RunUtility, ServiceAbort};
 use crate::anytime::{Control, ProgressSnapshot, StoppingRule};
@@ -275,12 +275,12 @@ fn serve_one<U: Utility + Send + Sync>(
                     LimitPolicy::Partial,
                 ) => {
                     let log = run.log.lock().unwrap_or_else(PoisonError::into_inner);
-                    Ok(respond(
-                        partial_prefix_fold(run.members.len(), &log),
-                        true,
-                        None,
-                        false,
-                    ))
+                    let index = match request.estimator {
+                        Estimator::BanzhafPruned => Semivalue::Banzhaf,
+                        _ => Semivalue::Shapley,
+                    };
+                    let values = partial_prefix_fold(run.members.len(), &log, index);
+                    Ok(respond(values, true, None, false))
                 }
                 (ServiceAbort::Deadline { deadline, elapsed }, LimitPolicy::Fail) => {
                     Err(ValuationError::DeadlineExceeded { deadline, elapsed })

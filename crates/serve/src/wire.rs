@@ -21,6 +21,10 @@
 //! }
 //! ```
 //!
+//! `adaptive` steers `stratified_mc`, `stratified_cc` and `owen`. Every
+//! other estimator has nothing to steer and ignores it, but still
+//! streams, exactly as under `"stopping": {}`.
+//!
 //! Parsing is **strict**: unknown fields anywhere in the document,
 //! unknown estimator names, and type mismatches are rejected with a 400
 //! before the request reaches the valuation server — a misspelled knob

@@ -6,9 +6,9 @@
 //!
 //! * [`rngs::StdRng`] + [`SeedableRng::seed_from_u64`] — the only RNG and
 //!   the only seeding path in the workspace;
-//! * [`Rng::random`] for `bool` / `f32` / `f64` / `u64`;
-//! * [`Rng::random_range`] over half-open and inclusive integer ranges and
-//!   half-open float ranges;
+//! * [`Rng::random`] for `f32` / `f64` / `u64`;
+//! * [`Rng::random_range`] over half-open and inclusive `usize` / `u64` /
+//!   `u32` ranges and half-open float ranges;
 //! * [`seq::SliceRandom::shuffle`] (Fisher–Yates).
 //!
 //! The generator is xoshiro256++ seeded via splitmix64 — the same
@@ -33,10 +33,6 @@
 /// Core trait: a source of uniformly distributed `u64`s.
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;
-
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
@@ -126,20 +122,6 @@ impl Standard for u64 {
     }
 }
 
-impl Standard for u32 {
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u32()
-    }
-}
-
-impl Standard for bool {
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
-
 impl Standard for f64 {
     /// Uniform in `[0, 1)` with 53 bits of precision.
     #[inline]
@@ -192,7 +174,7 @@ macro_rules! impl_int_range {
     )*};
 }
 
-impl_int_range!(usize, u64, u32, u8, i32, i64);
+impl_int_range!(usize, u64, u32);
 
 macro_rules! impl_float_range {
     ($($t:ty),*) => {$(
@@ -220,11 +202,6 @@ pub trait Rng: RngCore {
     #[inline]
     fn random_range<T, S: SampleRange<T>>(&mut self, range: S) -> T {
         range.sample_from(self)
-    }
-
-    #[inline]
-    fn random_bool(&mut self, p: f64) -> bool {
-        self.random::<f64>() < p
     }
 }
 

@@ -19,6 +19,9 @@
 //! 5. **The payoff** — on a heteroscedastic game, Neyman-adaptive Owen
 //!    reaches a matched CI target with at least 1.5× fewer evaluations
 //!    than the uniform schedule.
+//! 6. **Nothing to steer** — IPSS and pruned Banzhaf draw one balanced
+//!    sample, so `adaptive` only makes them stream: the run equals the
+//!    same request under `stream_only`, with no allocation.
 //!
 //! The stopping threshold of checks 1–4 honours `FEDVAL_CI_EPS` when set
 //! (the CI matrix sets it); otherwise each test derives a mid-run
@@ -216,17 +219,6 @@ fn adaptive_owen_allocation_is_a_pure_function_of_seed_and_history() {
     });
 }
 
-#[test]
-fn adaptive_ipss_allocation_is_a_pure_function_of_seed_and_history() {
-    assert_adaptive_contract("adaptive-ipss", |u, observe| {
-        let mut rng = StdRng::seed_from_u64(44);
-        let cfg = IpssConfig::new(100);
-        let policy = AdaptivePolicy::default();
-        let mut sampler = PrunedSampler::for_ipss(9, &cfg, Some(&policy), &mut rng);
-        drive(u, &mut sampler, Some(observe))
-    });
-}
-
 /// Collect the full snapshot stream of a streaming service run by
 /// polling `wait_timeout` (the ticket's public surface).
 fn stream_via_service<U: Utility + Send + Sync + 'static>(
@@ -318,6 +310,33 @@ fn adaptive_service_stream_is_bit_identical_to_the_direct_run() {
             "coalesced allocation diverged"
         );
     }
+}
+
+#[test]
+fn adaptive_is_ignored_where_there_is_nothing_to_steer() {
+    let eager = AdaptivePolicy {
+        round_size: Some(5),
+        min_observations: 3,
+        floor: 2,
+    };
+    let server = ValuationServer::start(HashUtility { n: 8, seed: 31 });
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for estimator in [Estimator::Ipss, Estimator::BanzhafPruned] {
+        let plain = ValuationRequest::new(estimator, 60, 5);
+        let streamed = plain.clone().with_stopping(StoppingRule::stream_only());
+        let want = server.call(streamed).expect("healthy run");
+        for policy in [AdaptivePolicy::default(), eager] {
+            let got = server
+                .call(plain.clone().with_adaptive(policy))
+                .expect("healthy run");
+            let label = format!("{estimator:?} {policy:?}");
+            assert_eq!(bits(&got.values), bits(&want.values), "{label}");
+            assert_eq!(got.progress, want.progress, "{label}");
+            let allocation = got.progress.map(|s| s.allocation);
+            assert_eq!(allocation, Some(None), "{label}: streams, steers nothing");
+        }
+    }
+    server.shutdown();
 }
 
 #[test]

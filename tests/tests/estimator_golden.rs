@@ -122,7 +122,7 @@ fn record_finals(ledger: &mut Ledger) {
                 ] {
                     let cfg = IpssConfig::new(budget).with_weighting(weighting);
                     let mut r = rng();
-                    let mut sampler = PrunedSampler::for_ipss(n, &cfg, None, &mut r);
+                    let mut sampler = PrunedSampler::for_ipss(n, &cfg, &mut r);
                     let (out, _) = drive(u, &mut sampler, None);
                     assert_eq!(out.values, ipss(u, &cfg, &mut rng()));
                     let k_star = sampler.k_star();
@@ -200,39 +200,18 @@ fn record_streams(ledger: &mut Ledger) {
         let cfg = IpssConfig::new(30).with_weighting(weighting);
         ledger.stream(&format!("stream ipss_{label} hash6 g30"), |obs| {
             let mut r = rng(11);
-            let mut sampler = PrunedSampler::for_ipss(6, &cfg, None, &mut r);
-            drive(&hash6, &mut sampler, Some(obs))
-        });
-        ledger.stream(&format!("stream ipss_{label} hash6 g30 adaptive"), |obs| {
-            let policy = Some(&default_policy);
-            let mut r = rng(11);
-            let mut sampler = PrunedSampler::for_ipss(6, &cfg, policy, &mut r);
+            let mut sampler = PrunedSampler::for_ipss(6, &cfg, &mut r);
             drive(&hash6, &mut sampler, Some(obs))
         });
     }
-    ledger.stream("stream ipss_mean saturating8 g60 adaptive-eager", |obs| {
-        let cfg = IpssConfig::new(60);
-        let mut r = rng(12);
-        let mut sampler = PrunedSampler::for_ipss(8, &cfg, Some(&eager_policy), &mut r);
-        drive(&saturating8, &mut sampler, Some(obs))
-    });
     // Phase 1 exactly exhausts γ (no phase 2), and ∅ only.
     for gamma in [7usize, 1] {
         let cfg = IpssConfig::new(gamma);
         ledger.stream(&format!("stream ipss_mean hash6 g{gamma}"), |obs| {
             let mut r = rng(13);
-            let mut sampler = PrunedSampler::for_ipss(6, &cfg, None, &mut r);
+            let mut sampler = PrunedSampler::for_ipss(6, &cfg, &mut r);
             drive(&hash6, &mut sampler, Some(obs))
         });
-        ledger.stream(
-            &format!("stream ipss_mean hash6 g{gamma} adaptive"),
-            |obs| {
-                let policy = Some(&default_policy);
-                let mut r = rng(13);
-                let mut sampler = PrunedSampler::for_ipss(6, &cfg, policy, &mut r);
-                drive(&hash6, &mut sampler, Some(obs))
-            },
-        );
     }
 
     // Alg. 1 — both schemes, uniform and re-planned.

@@ -32,7 +32,7 @@ fn ipss_scales_to_thirty_clients_with_planted_fixtures() {
 
     let gamma = (n as f64 * (n as f64).ln()) as usize; // ≈ 102
     let mut rng = StdRng::seed_from_u64(905);
-    let mut sampler = PrunedSampler::for_ipss(n, &IpssConfig::new(gamma), None, &mut rng);
+    let mut sampler = PrunedSampler::for_ipss(n, &IpssConfig::new(gamma), &mut rng);
     let (outcome, _) = drive(&utility, &mut sampler, None);
     assert_eq!(outcome.values.len(), n);
     assert!(utility.stats().evaluations <= gamma);

@@ -32,10 +32,10 @@ use fedval_core::fault::{FaultyUtility, PERSISTENT};
 use fedval_core::ipss::{ipss, IpssConfig};
 use fedval_core::owen::OwenConfig;
 use fedval_core::service::{
-    partial_prefix_fold, Estimator, LimitPolicy, RetryPolicy, Ticket, ValuationError,
+    partial_prefix_fold, Estimator, LimitPolicy, RetryPolicy, Semivalue, Ticket, ValuationError,
     ValuationRequest, ValuationResponse, ValuationServer,
 };
-use fedval_core::utility::{HashUtility, TrajCacheStats, Utility};
+use fedval_core::utility::{HashUtility, SaturatingUtility, TrajCacheStats, Utility};
 
 fn ok(result: Result<ValuationResponse, ValuationError>) -> ValuationResponse {
     match result {
@@ -212,8 +212,35 @@ fn budget_overrun_returns_the_exact_partial_prefix() {
     // bit-identical, not approximately equal.
     let prefix = ipss_prefix(8, 17, 93, 4, 3);
     assert_eq!(prefix.len(), 37);
-    assert_eq!(resp.values, partial_prefix_fold(8, &prefix));
+    assert_eq!(
+        resp.values,
+        partial_prefix_fold(8, &prefix, Semivalue::Shapley)
+    );
     server.shutdown();
+}
+
+#[test]
+fn banzhaf_budget_overrun_returns_a_banzhaf_partial() {
+    // Pruned Banzhaf on n = 8 with γ = 300 (k* = 6); max_evals = 37
+    // admits the strata of sizes 0–2, so the evaluated pairs are those
+    // with |S| ≤ 1. The partial must be their Banzhaf sum (each pair
+    // weighs 1/2^(n−1)), not the Shapley one the fold used to return.
+    let u = SaturatingUtility::uniform(8, 0.1, 0.85, 0.6);
+    let server = ValuationServer::start(u.clone());
+    let resp =
+        ok(server.call(ValuationRequest::new(Estimator::BanzhafPruned, 300, 3).with_max_evals(37)));
+    server.shutdown();
+    assert!(resp.run.partial);
+    assert_eq!(resp.run.coalitions, 37);
+    let inv_denom = 1.0 / 128.0;
+    for (i, &got) in resp.values.iter().enumerate() {
+        let want: f64 = (0..1u128 << 8)
+            .map(Coalition)
+            .filter(|s| !s.contains(i) && s.size() <= 1)
+            .map(|s| (u.eval(s.with(i)) - u.eval(s)) * inv_denom)
+            .sum();
+        assert!((got - want).abs() < 1e-12, "client {i}: {got} vs {want}");
+    }
 }
 
 #[test]
@@ -235,7 +262,10 @@ fn deadline_overrun_returns_the_same_prefix_as_a_budget_cut() {
     assert!(resp.run.partial);
     assert_eq!(resp.run.batches, 3);
     let prefix = ipss_prefix(8, 17, 93, 4, 3);
-    assert_eq!(resp.values, partial_prefix_fold(8, &prefix));
+    assert_eq!(
+        resp.values,
+        partial_prefix_fold(8, &prefix, Semivalue::Shapley)
+    );
     server.shutdown();
 }
 

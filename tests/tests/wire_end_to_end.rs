@@ -179,6 +179,35 @@ fn ci_stopped_streaming_run_matches_direct_call_bit_for_bit() {
 }
 
 #[test]
+fn adaptive_only_streams_ipss_and_pruned_banzhaf_over_the_wire() {
+    // Nothing to steer: `adaptive` makes these runs stream exactly as
+    // `"stopping": {}` (stream-only) does, and no allocation rides along.
+    let wire = WireServer::start(
+        ValuationServer::start(HashUtility { n: 8, seed: 31 }),
+        WireConfig::default(),
+    )
+    .expect("bind");
+    let mut client = Client::connect(wire.addr()).expect("connect");
+    let mut post = |body: String| {
+        let resp = client.post("/v1/value", &body).expect("roundtrip");
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        resp.json().unwrap()
+    };
+    for name in ["ipss", "banzhaf_pruned"] {
+        let request = format!(r#""estimator":"{name}","budget":60,"seed":5"#);
+        let streamed = post(format!(r#"{{{request},"stopping":{{}}}}"#));
+        let adaptive = post(format!(r#"{{{request},"adaptive":{{"round_size":5}}}}"#));
+        assert_eq!(bits(&wire_values(&adaptive)), bits(&wire_values(&streamed)));
+        let progress = |body: &Json| body.get("progress").expect("streamed").clone();
+        assert_eq!(progress(&adaptive), progress(&streamed), "{name}");
+        assert!(progress(&adaptive)
+            .get("allocation")
+            .is_some_and(Json::is_null));
+    }
+    wire.shutdown();
+}
+
+#[test]
 fn persistent_faults_isolate_to_the_failing_request_over_the_wire() {
     // The faulty mask has size 7; IPSS with γ = 37 on n = 8 evaluates
     // strata 0..=2 only, so it never touches the mask, while the
